@@ -26,11 +26,18 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+class UsageError(Exception):
+    pass
+
+
 def _degree_cap(args) -> int | None:
-    if getattr(args, "degree", None) is not None:
-        return args.degree
+    cap = getattr(args, "degree", None)
     env = os.environ.get("POISSONLAB_DEGREE_CAP")
-    return int(env) if env else None
+    if cap is None and env:
+        cap = int(env)
+    if cap is not None and cap < hopf.MIN_CAP:
+        raise UsageError(f"degree cap {cap} is below the minimum {hopf.MIN_CAP}")
+    return cap
 
 
 def _emit(doc, args, md_render):
@@ -64,22 +71,13 @@ def hopf_types(p: int):
             hopf.HopfType("IIb"), hopf.HopfType("IIc"))
 
 
-def hopf_strata(p: int):
-    return (
-        (hopf.HopfType("IV"), "zero"), (hopf.HopfType("IV"), "generic"),
-        (hopf.HopfType("III", p), "zero"), (hopf.HopfType("III", p), "B"),
-        (hopf.HopfType("III", p), "A"), (hopf.HopfType("IIa", p), "any"),
-        (hopf.HopfType("IIb"), "any"), (hopf.HopfType("IIc"), "any"),
-    )
-
-
 def hopf_tables(cap: int | None, p: int) -> dict:
     classification = []
     for t in hopf_types(p):
         row = hopf.table_dims(t, cap)
         classification.append(row)
     cohomology = []
-    for t, stratum in hopf_strata(p):
+    for t, stratum in hopf.strata(p):
         h0, h1, h2 = hopf.table5_dims(t, stratum, cap)
         cohomology.append({
             "type": t.label(), "stratum": stratum,
@@ -94,7 +92,7 @@ def hopf_tables(cap: int | None, p: int) -> dict:
         ("IIc", "any"): UNOBSTRUCTED_MC,
         ("IV", "degenerate"): UNDETERMINED, ("III", "B"): UNDETERMINED,
     }
-    for t, stratum in hopf_strata(p):
+    for t, stratum in hopf.strata(p):
         key = (t.tag, stratum)
         entry = {"type": t.label(), "stratum": stratum, "verdict": verdicts[key]}
         if verdicts[key] == UNOBSTRUCTED_MC:
@@ -464,7 +462,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownSymbol) as exc:
+    except (ParseError, UnknownSymbol, UsageError, hopf.TruncationUnstable) as exc:
+        # a cover model that fails validation means the degree cap is too small
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ruled.NotObstructedStratum, products.ConstraintViolation, ValueError) as exc:

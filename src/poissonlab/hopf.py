@@ -5,22 +5,29 @@ id - f_* acting on truncated polynomial fields: its kernel gives the
 invariant (global) fields, its cokernel models first cohomology, and
 the bracket maps between those models drive the dimension tables,
 automorphism kernels, family checks and obstruction certificates.
+
+Each (type, p, registry, cap) cover model is built once per process.
+It holds both id - f_* matrices and carries the invariant fields and
+bivectors, their kernels, computed at most once on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer,
-                     generic_rank, kernel_basis, matrix_of_map, quotient_coords)
+                     generic_rank, image_space, kernel_basis, matrix_of_map,
+                     quotient_coords)
 from .multivector import Chart, ChartMap, MultiVector, pushforward, schouten
 from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel,
                           r4_search)
 
 TYPE_TAGS = ("IV", "III", "IIa", "IIb", "IIc")
 DEFAULT_P = 2
+MIN_CAP = 3
 
 
 class TruncationUnstable(Exception):
@@ -208,31 +215,14 @@ def id_minus_fstar(ctx: HopfContext, space: TruncatedSpace) -> LinMap:
     return LinMap(space.basis, space.basis, rows, ctx.registry)
 
 
-# ----------------------------------------------------------------------
-# invariant fields: kernels of id - f_*
-
-def invariant_fields(ctx: HopfContext, cap: int) -> list[MultiVector]:
-    space = truncated_space(ctx, 1, cap)
-    return _kernel_elements(ctx, space)
-
-
-def invariant_bivectors(ctx: HopfContext, cap: int) -> list[MultiVector]:
-    space = truncated_space(ctx, 2, cap)
-    return _kernel_elements(ctx, space)
-
-
-def _kernel_elements(ctx, space) -> list[MultiVector]:
-    mat = id_minus_fstar(ctx, space)
-    out = []
-    for vec in kernel_basis(mat):
-        elem = None
-        for c, e in zip(vec, space.basis):
-            if c.is_zero():
-                continue
+def _combination(coeffs, basis) -> MultiVector:
+    """sum of c * e over the nonzero coefficients; at least one is nonzero."""
+    elem = None
+    for c, e in zip(coeffs, basis):
+        if not c.is_zero():
             piece = e.scale(c)
             elem = piece if elem is None else elem + piece
-        out.append(elem)
-    return out
+    return elem
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +254,8 @@ def _named_m_reps(ctx: HopfContext):
 
 @dataclass
 class CoverModel:
-    """Truncated cover model at one degree cap: spaces, images, M1/M2."""
+    """Truncated cover model at one degree cap: spaces, images, M1/M2,
+    and the invariant fields and bivectors (the kernels of mat1, mat2)."""
 
     ctx: HopfContext
     cap: int
@@ -291,17 +282,47 @@ class CoverModel:
 
         return Reducer(name, fn)
 
+    @cached_property
+    def fields(self) -> tuple[MultiVector, ...]:
+        """Invariant fields: the kernel of mat1."""
+        return tuple(_combination(v, self.space1.basis) for v in kernel_basis(self.mat1))
+
+    @cached_property
+    def _bivector_vecs(self) -> tuple[list[LaurentPoly], ...]:
+        return tuple(kernel_basis(self.mat2))
+
+    @cached_property
+    def bivectors(self) -> tuple[MultiVector, ...]:
+        """Invariant bivectors: the kernel of mat2."""
+        return tuple(_combination(v, self.space2.basis) for v in self._bivector_vecs)
+
+    def bivector_coords(self, v: MultiVector) -> list[LaurentPoly]:
+        """Coordinates of an invariant bivector on `bivectors`."""
+        mono = mono_coords(self.ctx, self.space2)
+        return quotient_coords([], self._bivector_vecs, mono(v), self.ctx.registry)
+
 
 def default_cap(t: HopfType) -> int:
     return max((t.p or 1) + 3, 3)
 
 
 def cover_model(ctx: HopfContext, cap: int) -> CoverModel:
-    """Build and validate the M1/M2 model at the given truncation."""
-    key = (ctx.type.tag, ctx.type.p, cap)
+    """Build and validate the M1/M2 model at the given truncation, once per
+    (type, registry, cap)."""
+    key = (ctx.type, ctx.registry, cap)
     if key not in _MODEL_CACHE:
         _MODEL_CACHE[key] = _build_cover_model(ctx, cap)
     return _MODEL_CACHE[key]
+
+
+def invariant_fields(ctx: HopfContext, cap: int) -> list[MultiVector]:
+    """The cover model's invariant fields, as a list the caller may change."""
+    return list(cover_model(ctx, cap).fields)
+
+
+def invariant_bivectors(ctx: HopfContext, cap: int) -> list[MultiVector]:
+    """The cover model's invariant bivectors, as a list the caller may change."""
+    return list(cover_model(ctx, cap).bivectors)
 
 
 def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
@@ -345,8 +366,8 @@ def m1_m2_bases(t: HopfType, cap: int | None = None, stability_check: bool = Tru
     """The named H1 models, validated at `cap` and re-validated at cap + 2."""
     ctx = make_context(t)
     cap = default_cap(t) if cap is None else cap
-    if cap < 3:
-        raise ValueError("degree cap must be at least 3")
+    if cap < MIN_CAP:
+        raise ValueError(f"degree cap must be at least {MIN_CAP}")
     model = cover_model(ctx, cap)
     if stability_check:
         cover_model(ctx, cap + 2)
@@ -379,33 +400,38 @@ def stratum_bivector(ctx: HopfContext, stratum: str) -> MultiVector:
     return ctx.mv(coeff, ("z", "w")) if not coeff.is_zero() else ctx.zero_mv()
 
 
-STRATA = (
-    (HopfType("IV"), "zero"),
-    (HopfType("IV"), "generic"),
-    (HopfType("III", DEFAULT_P), "zero"),
-    (HopfType("III", DEFAULT_P), "B"),
-    (HopfType("III", DEFAULT_P), "A"),
-    (HopfType("IIa", DEFAULT_P), "any"),
-    (HopfType("IIb"), "any"),
-    (HopfType("IIc"), "any"),
-)
+def strata(p: int) -> tuple:
+    """(type, stratum) pairs of the Poisson strata, resonant types at exponent p."""
+    return (
+        (HopfType("IV"), "zero"),
+        (HopfType("IV"), "generic"),
+        (HopfType("III", p), "zero"),
+        (HopfType("III", p), "B"),
+        (HopfType("III", p), "A"),
+        (HopfType("IIa", p), "any"),
+        (HopfType("IIb"), "any"),
+        (HopfType("IIc"), "any"),
+    )
+
+
+STRATA = strata(DEFAULT_P)
 
 
 def h0_bracket_matrix(ctx: HopfContext, lam0: MultiVector, cap: int) -> LinMap:
     """[lam0, -] from invariant fields to invariant bivectors."""
-    fields = invariant_fields(ctx, cap)
-    bivs = invariant_bivectors(ctx, cap)
-    dom = LabeledBasis(f"H0({ctx.type.label()},Theta)", tuple(fields))
-    cod = LabeledBasis(f"H0({ctx.type.label()},Wedge2Theta)", tuple(bivs))
-    space2 = truncated_space(ctx, 2, cap)
-    mono = mono_coords(ctx, space2)
-    cod_coords = [mono(b) for b in bivs]
-
-    def red(v: MultiVector):
-        return quotient_coords([], cod_coords, mono(v), ctx.registry)
-
+    model = cover_model(ctx, cap)
+    dom = LabeledBasis(f"H0({ctx.type.label()},Theta)", model.fields)
+    cod = LabeledBasis(f"H0({ctx.type.label()},Wedge2Theta)", model.bivectors)
     return matrix_of_map(lambda x: schouten(lam0, x), dom, cod,
-                         Reducer("invariant bivector coords", red), ctx.registry)
+                         Reducer("invariant bivector coords", model.bivector_coords),
+                         ctx.registry)
+
+
+def _dies_in_h0_cokernel(ctx: HopfContext, lam0: MultiVector, direction: MultiVector,
+                         cap: int) -> bool:
+    """Whether an invariant bivector lies in the image of [lam0, -] on H0."""
+    coords = cover_model(ctx, cap).bivector_coords(direction)
+    return image_space(h0_bracket_matrix(ctx, lam0, cap)).contains(coords)
 
 
 def m_bracket_matrix(ctx: HopfContext, model: CoverModel, lam0: MultiVector) -> LinMap:
@@ -471,7 +497,7 @@ def verify_table4(t: HopfType, stratum: str, cap: int | None = None) -> bool:
     for v in basis:
         if not schouten(lam0, v).is_zero():
             return False
-    space1 = truncated_space(ctx, 1, cap)
+    space1 = cover_model(ctx, cap).space1
     mono = mono_coords(ctx, space1)
     span = ColumnSpace(len(space1.basis), ctx.registry)
     for v in basis:
@@ -621,15 +647,7 @@ def d_membership(t: HopfType, cap: int | None = None) -> dict:
         if not span.add(list(coords)):
             raise MembershipFails("sigma images of the field directions are dependent")
     # the bivector direction must be nonzero in the H0 cokernel
-    h0m = h0_bracket_matrix(ctx, lam_s, cap)
-    space2 = truncated_space(ctx, 2, cap)
-    mono = mono_coords(ctx, space2)
-    bivs = invariant_bivectors(ctx, cap)
-    biv_coords = quotient_coords([], [mono(b) for b in bivs], mono(pairs[2][0]), ctx.registry)
-    img = ColumnSpace(h0m.n_rows, ctx.registry)
-    for col in h0m.columns():
-        img.add(col)
-    if img.contains(list(biv_coords)):
+    if _dies_in_h0_cokernel(ctx, lam_s, pairs[2][0], cap):
         raise MembershipFails("bivector direction dies in the H0 cokernel")
     return {
         "type": t.label(),
@@ -653,13 +671,12 @@ def deformation_model(t: HopfType, stratum: str, cap: int | None = None) -> Defo
         stratum_label = stratum
     model = cover_model(ctx, cap)
     mm = m_bracket_matrix(ctx, model, lam0)
-    bivs = invariant_bivectors(ctx, cap)
     h2 = mm.n_rows - generic_rank(mm)
     return DeformationComplexModel(
         name=f"Hopf {t.label()}",
         stratum=stratum_label,
         registry=ctx.registry,
-        h0_sq=LabeledBasis(f"H0({t.label()},Wedge2Theta)", tuple(bivs)),
+        h0_sq=LabeledBasis(f"H0({t.label()},Wedge2Theta)", model.bivectors),
         h1_theta=model.m1,
         h1_sq=model.m2,
         bracket=schouten,
@@ -698,15 +715,9 @@ def obstruction_certificate_hopf(t: HopfType, constants: dict) -> Certificate:
     cls = model.reduce_h1_sq(schouten(a, b))
     if all(x.is_zero() for x in cls):
         raise ValueError("chosen constants give a vanishing bracket class")
-    class_elem = None
-    for cc, e in zip(cls, model.h1_sq):
-        if cc.is_zero():
-            continue
-        piece = e.scale(cc)
-        class_elem = piece if class_elem is None else class_elem + piece
     return Certificate(model.name, "zero", OBSTRUCTED,
                        witness={"a": str(a), "b": str(b)},
-                       class_repr=str(class_elem))
+                       class_repr=str(_combination(cls, model.h1_sq)))
 
 
 H95_CASES = ("iv-discriminant-zero", "iii-b-nonzero")
@@ -736,15 +747,7 @@ def h95_degeneracy(case: str, cap: int | None = None) -> bool:
     else:
         raise ValueError(f"unknown case {case!r}")
     cap = default_cap(t) if cap is None else cap
-    h0m = h0_bracket_matrix(ctx, lam0, cap)
-    space2 = truncated_space(ctx, 2, cap)
-    mono = mono_coords(ctx, space2)
-    bivs = invariant_bivectors(ctx, cap)
-    coords = quotient_coords([], [mono(b) for b in bivs], mono(direction), ctx.registry)
-    img = ColumnSpace(h0m.n_rows, ctx.registry)
-    for col in h0m.columns():
-        img.add(col)
-    return img.contains(list(coords))
+    return _dies_in_h0_cokernel(ctx, lam0, direction, cap)
 
 
 def undetermined_certificate(case: str) -> Certificate:

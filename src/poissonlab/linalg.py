@@ -345,13 +345,8 @@ class ColumnSpace:
         return set(self.pivot_rows)
 
 
-def _registry_of(m: LinMap) -> VarRegistry:
-    return m.registry
-
-
 def image_space(m: LinMap) -> ColumnSpace:
-    reg = _registry_of(m)
-    space = ColumnSpace(m.n_rows, reg)
+    space = ColumnSpace(m.n_rows, m.registry)
     for col in m.columns():
         space.add(col)
     return space
@@ -366,7 +361,7 @@ def cokernel_rep(m: LinMap, preferred: Sequence[Sequence[LaurentPoly]] | None = 
     first.  A `preferred` list of coordinate vectors is validated and
     used instead when it forms a complement basis.
     """
-    reg = _registry_of(m)
+    reg = m.registry
     space = image_space(m)
     corank = m.n_rows - space.rank
     if preferred is not None:
@@ -466,7 +461,7 @@ def matrix_of_map(op: Callable, dom: LabeledBasis, cod: LabeledBasis, red: Reduc
 
 def specialize(m: LinMap, assignment: dict, nonzero: Iterable[str] = ()) -> LinMap:
     """Evaluate parameters exactly; `nonzero` names may not be sent to 0."""
-    reg = _registry_of(m)
+    reg = m.registry
     subs = {}
     for name, value in assignment.items():
         poly = value if isinstance(value, LaurentPoly) else LaurentPoly.const(reg, value)

@@ -89,6 +89,27 @@ def test_degree_cap_env(monkeypatch):
     assert code == 0 and json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("tables", "hopf", "--degree", "1"),
+    ("tables", "hopf", "--degree", "2"),
+    ("tables", "hopf", "--degree", "-1"),
+    ("tables", "hopf", "--p", "4", "--degree", "3"),
+])
+def test_unusable_degree_cap_is_a_usage_error(argv, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_degree_cap_env_below_minimum(monkeypatch, capsys):
+    monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "1")
+    code, out = run_cli("verify-family", "hopf-iic")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name,args", [
     ("ruled.md", ("tables", "ruled", "--m-max", "10", "--md")),
     ("hopf.md", ("tables", "hopf", "--md")),

@@ -1,5 +1,6 @@
 import pytest
 
+import poissonlab.hopf as hopf_mod
 from poissonlab.linalg import generic_rank
 from poissonlab.multivector import pushforward, schouten
 from poissonlab.obstruction import OBSTRUCTED, UNDETERMINED
@@ -223,7 +224,6 @@ def test_d_membership_fails_on_wrong_field():
     lhs = ctx.zero_mv()
     rhs = schouten(lam_s, bad_field)
     assert lhs != rhs  # the membership equation fails
-    import poissonlab.hopf as hopf_mod
     orig = hopf_mod.membership_pairs
 
     def tampered(tt, cctx):
@@ -268,3 +268,40 @@ def test_membership_equations_hold_exactly():
         lam_s = base_point_bivector(t, ctx)
         for bv, av in membership_pairs(t, ctx):
             assert (bv - pushforward(ctx.contraction, bv)) == schouten(lam_s, av)
+
+
+def test_cover_model_cache_keys_on_registry():
+    t = HopfType("IV")
+    cover_model(make_context(t), 4)
+    ctx2 = make_context(t, ("s",))
+    assert cover_model(ctx2, 4).ctx.registry == ctx2.registry
+    fields = invariant_fields(ctx2, 4)
+    assert fields and all(f.registry == ctx2.registry for f in fields)
+
+
+def test_hopf_tables_build_each_cover_matrix_and_kernel_once(monkeypatch):
+    from poissonlab import cli
+
+    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    calls = {"id_minus_fstar": 0, "kernel_basis": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(hopf_mod, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(hopf_mod, name, counted)
+    cli.hopf_tables(None, 2)
+    # one grade-1 and one grade-2 matrix and kernel per Hopf type
+    assert calls == {"id_minus_fstar": 10, "kernel_basis": 10}
+    cli.hopf_tables(None, 2)
+    assert calls == {"id_minus_fstar": 10, "kernel_basis": 10}
+
+
+def test_invariant_lists_do_not_share_the_model_copy():
+    ctx = make_context(HopfType("IIc"))
+    cap = default_cap(HopfType("IIc"))
+    fields = invariant_fields(ctx, cap)
+    fields.clear()
+    bivs = invariant_bivectors(ctx, cap)
+    bivs.append(bivs[0])
+    assert [str(f) for f in invariant_fields(ctx, cap)] == ["z*@z", "w*@w"]
+    assert [str(b) for b in invariant_bivectors(ctx, cap)] == ["z*w*(@z^@w)"]
