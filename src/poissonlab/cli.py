@@ -34,7 +34,10 @@ def _degree_cap(args) -> int | None:
     cap = getattr(args, "degree", None)
     env = os.environ.get("POISSONLAB_DEGREE_CAP")
     if cap is None and env:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            raise UsageError(f"POISSONLAB_DEGREE_CAP must be an integer, got {env!r}") from None
     if cap is not None and cap < hopf.MIN_CAP:
         raise UsageError(f"degree cap {cap} is below the minimum {hopf.MIN_CAP}")
     return cap
@@ -146,6 +149,8 @@ def cmd_tables(args) -> int:
             doc, ("manifold", "stratum", "dim_h2", "verdict"), "Ruled surfaces"))
         return EXIT_OK
     if args.what == "hopf":
+        if args.p < 2:
+            raise UsageError(f"--p must be an integer >= 2, got {args.p}")
         doc = hopf_tables(_degree_cap(args), args.p)
         def render(d):
             out = _md_rows(d["classification"],

@@ -354,6 +354,3 @@ def print_formed(fmv: FormedMultiVector) -> str:
     """Canonical printable form; parse(print(x)) evaluates back to x."""
     return str(fmv)
 
-
-def print_multivector(mv: MultiVector) -> str:
-    return str(mv)

@@ -20,7 +20,7 @@ from typing import Sequence
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer,
                      generic_rank, image_space, kernel_basis, matrix_of_map,
-                     quotient_coords)
+                     quotient_coords, quotient_space)
 from .multivector import Chart, ChartMap, MultiVector, pushforward, schouten
 from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel,
                           r4_search)
@@ -255,7 +255,11 @@ def _named_m_reps(ctx: HopfContext):
 @dataclass
 class CoverModel:
     """Truncated cover model at one degree cap: spaces, images, M1/M2,
-    and the invariant fields and bivectors (the kernels of mat1, mat2)."""
+    and the invariant fields and bivectors (the kernels of mat1, mat2).
+
+    m1_space and m2_space hold the eliminated images of mat1 and mat2
+    with the M1/M2 representatives registered; every class reduction
+    solves against them."""
 
     ctx: HopfContext
     cap: int
@@ -265,22 +269,15 @@ class CoverModel:
     mat2: LinMap
     m1: LabeledBasis
     m2: LabeledBasis
-    m1_coords: list
-    m2_coords: list
+    m1_space: ColumnSpace
+    m2_space: ColumnSpace
 
     def reduce_m(self, grade: int) -> Reducer:
         """Class coordinates in M1 or M2, modulo im(id - f_*)."""
-        space = self.space1 if grade == 1 else self.space2
-        mat = self.mat1 if grade == 1 else self.mat2
-        reps = self.m1_coords if grade == 1 else self.m2_coords
-        mono = mono_coords(self.ctx, space)
-        image_cols = mat.columns()
-        name = f"M{grade} classes for {self.ctx.type.label()}"
-
-        def fn(v: MultiVector):
-            return quotient_coords(image_cols, reps, mono(v), self.ctx.registry)
-
-        return Reducer(name, fn)
+        mono = mono_coords(self.ctx, self.space1 if grade == 1 else self.space2)
+        quot = self.m1_space if grade == 1 else self.m2_space
+        return Reducer(f"M{grade} classes for {self.ctx.type.label()}",
+                       lambda v: quotient_coords(quot, mono(v)))
 
     @cached_property
     def fields(self) -> tuple[MultiVector, ...]:
@@ -288,18 +285,19 @@ class CoverModel:
         return tuple(_combination(v, self.space1.basis) for v in kernel_basis(self.mat1))
 
     @cached_property
-    def _bivector_vecs(self) -> tuple[list[LaurentPoly], ...]:
-        return tuple(kernel_basis(self.mat2))
+    def _bivector_space(self) -> ColumnSpace:
+        """The kernel vectors of mat2, registered as representatives."""
+        return quotient_space((), kernel_basis(self.mat2), len(self.space2.basis),
+                              self.ctx.registry)
 
     @cached_property
     def bivectors(self) -> tuple[MultiVector, ...]:
         """Invariant bivectors: the kernel of mat2."""
-        return tuple(_combination(v, self.space2.basis) for v in self._bivector_vecs)
+        return tuple(_combination(v, self.space2.basis) for v in self._bivector_space.reps)
 
     def bivector_coords(self, v: MultiVector) -> list[LaurentPoly]:
         """Coordinates of an invariant bivector on `bivectors`."""
-        mono = mono_coords(self.ctx, self.space2)
-        return quotient_coords([], self._bivector_vecs, mono(v), self.ctx.registry)
+        return quotient_coords(self._bivector_space, mono_coords(self.ctx, self.space2)(v))
 
 
 def default_cap(t: HopfType) -> int:
@@ -330,35 +328,29 @@ def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
     space2 = truncated_space(ctx, 2, cap)
     mat1 = id_minus_fstar(ctx, space1)
     mat2 = id_minus_fstar(ctx, space2)
-    m1_elems, m2_elems = _named_m_reps(ctx)
-    model = []
-    coords_blocks = []
-    for space, mat, elems, label in ((space1, mat1, m1_elems, "M1"),
-                                     (space2, mat2, m2_elems, "M2")):
-        mono = mono_coords(ctx, space)
-        spanned = ColumnSpace(len(space.basis), ctx.registry)
-        for col in mat.columns():
-            spanned.add(col)
-        corank = len(space.basis) - spanned.rank
+    m1, m2 = _named_m_reps(ctx)
+    quots = []
+    for space, mat, elems, label in ((space1, mat1, m1, "M1"), (space2, mat2, m2, "M2")):
+        quot = image_space(mat)
+        corank = len(space.basis) - quot.rank
         if corank != len(elems):
             raise TruncationUnstable(
                 f"{label} corank {corank} does not match the {len(elems)} "
                 f"named representatives at degree cap {cap}")
-        coords = []
+        mono = mono_coords(ctx, space)
         for e in elems:
             vec = mono(e)
-            if not spanned.add(vec):
+            try:
+                quot.add(vec, rep=True)
+            except NotInSpan:
                 raise TruncationUnstable(
-                    f"{label} representative {e} is dependent modulo the image")
-            coords.append(vec)
-        coords_blocks.append(coords)
-        model.append(elems)
-    m1, m2 = model
+                    f"{label} representative {e} is dependent modulo the image") from None
+        quots.append(quot)
     return CoverModel(
         ctx, cap, space1, space2, mat1, mat2,
         LabeledBasis(f"M1({ctx.type.label()})", tuple(m1)),
         LabeledBasis(f"M2({ctx.type.label()})", tuple(m2)),
-        coords_blocks[0], coords_blocks[1],
+        *quots,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .rational import GaussianRational, rational_gcd
+from .rational import GaussianRational
 
 
 class LaurentError(Exception):
@@ -55,9 +55,6 @@ class VarRegistry:
             return self._index[name]
         except KeyError:
             raise UnknownVariable(name) from None
-
-    def is_chart(self, name: str) -> bool:
-        return name in self._index and self._index[name] < len(self.chart_vars)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -325,14 +322,6 @@ class LaurentPoly:
             raise LaurentError("not a constant polynomial")
         return self.terms[()]
 
-    def total_degree_cap(self, names: Iterable[str]) -> int:
-        """Max combined exponent over the listed variables (0 for the zero poly)."""
-        idxs = {self.registry.index(n) for n in names}
-        best = 0
-        for key in self.terms:
-            best = max(best, sum(e for idx, e in key if idx in idxs))
-        return best
-
     # ------------------------------------------------------------------
     # exact division (used by fraction-free elimination)
 
@@ -406,17 +395,6 @@ class LaurentPoly:
         if len(names) == 1:
             return next(iter(names))
         return None
-
-    def content(self) -> GaussianRational:
-        """Positive rational content (gcd of all re/im parts)."""
-        parts = []
-        for c in self.terms.values():
-            if c.re:
-                parts.append(c.re)
-            if c.im:
-                parts.append(c.im)
-        g = rational_gcd(parts)
-        return GaussianRational(g if g else Fraction(1))
 
     def lead_scalar(self) -> GaussianRational:
         if self.is_zero():

@@ -7,6 +7,15 @@ fraction field of the parameter ring, any nonzero polynomial is a
 valid pivot.  Degenerate strata are handled only by explicit
 specialization, mirroring the case splits of the computations this
 package reproduces.
+
+Everything on the image side runs on one fraction-free elimination
+core, `ColumnSpace`: a matrix's columns are eliminated once into
+pivot rows, and the stored rows then answer span membership, cokernel
+representatives and quotient coordinates.  Representatives are
+registered with tag slots, so `quotient_coords` solves a target by one
+reduction against the stored rows, with no rational-function scalars.
+Rank and kernels use `_echelon`, whose back substitution is the only
+user of the `_Frac` scalars.
 """
 
 from __future__ import annotations
@@ -301,15 +310,31 @@ def primitive_vector(vec: list[LaurentPoly]) -> list[LaurentPoly]:
 # column-space elimination (image side)
 
 class ColumnSpace:
-    """Incremental span of coordinate vectors with highest-index pivoting."""
+    """Incremental span of coordinate vectors with highest-index pivoting.
+
+    A stored row is a vector of length `dim`, then a multiplier slot for
+    a reduced target, then one tag slot per registered representative.
+    Image columns enter with zero tags and representative i with tag i
+    set to 1; row operations act on the tags too, so every row records
+    which multiple of each representative it contains.
+    """
 
     def __init__(self, dim: int, registry: VarRegistry):
         self.dim = dim
         self.registry = registry
         self.pivot_rows: dict[int, list[LaurentPoly]] = {}
+        self.reps: list[list[LaurentPoly]] = []
+
+    def _row(self, vec: Sequence[LaurentPoly], slot: int | None = None) -> list[LaurentPoly]:
+        """`vec` followed by the multiplier and tag slots, 1 at `slot`."""
+        if len(vec) != self.dim:
+            raise ValueError(f"expected a vector of length {self.dim}, got {len(vec)}")
+        row = list(vec) + [LaurentPoly.zero(self.registry)] * (1 + len(self.reps))
+        if slot is not None:
+            row[self.dim + slot] = LaurentPoly.const(self.registry, 1)
+        return row
 
     def _reduce(self, vec: list[LaurentPoly]) -> list[LaurentPoly]:
-        vec = list(vec)
         for idx in sorted(self.pivot_rows, reverse=True):
             if vec[idx].is_zero():
                 continue
@@ -320,126 +345,106 @@ class ColumnSpace:
             vec = _row_content_normalize(vec)
         return vec
 
-    def add(self, vec: list[LaurentPoly]) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
-        red = self._reduce(vec)
+    def add(self, vec: Sequence[LaurentPoly], rep: bool = False) -> bool:
+        """Insert a vector; returns True if it enlarged the span.
+
+        With rep=True the vector is registered as the next representative,
+        and one that does not enlarge the span raises NotInSpan.
+        """
+        zero = LaurentPoly.zero(self.registry)
+        if rep:
+            self.reps.append(list(vec))
+            for row in self.pivot_rows.values():
+                row.append(zero)
+        red = self._reduce(self._row(vec, len(self.reps) if rep else None))
         top = None
         for idx in range(self.dim - 1, -1, -1):
             if not red[idx].is_zero():
                 top = idx
                 break
         if top is None:
+            if rep:
+                self.reps.pop()
+                for row in self.pivot_rows.values():
+                    row.pop()
+                raise NotInSpan("representative lies in the span of the image "
+                                "and the earlier representatives")
             return False
         self.pivot_rows[top] = _row_content_normalize(red)
         return True
 
-    def contains(self, vec: list[LaurentPoly]) -> bool:
-        red = self._reduce(vec)
-        return all(p.is_zero() for p in red)
+    def contains(self, vec: Sequence[LaurentPoly]) -> bool:
+        red = self._reduce(self._row(vec))
+        return all(p.is_zero() for p in red[:self.dim])
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def pivot_indices(self) -> set[int]:
-        return set(self.pivot_rows)
 
-
-def image_space(m: LinMap) -> ColumnSpace:
-    space = ColumnSpace(m.n_rows, m.registry)
-    for col in m.columns():
+def quotient_space(image_cols: Iterable[Sequence[LaurentPoly]],
+                   reps: Iterable[Sequence[LaurentPoly]],
+                   dim: int, registry: VarRegistry) -> ColumnSpace:
+    """The span of `image_cols`, with `reps` registered for quotient_coords."""
+    space = ColumnSpace(dim, registry)
+    for col in image_cols:
         space.add(col)
+    for vec in reps:
+        space.add(vec, rep=True)
     return space
 
 
-def cokernel_rep(m: LinMap, preferred: Sequence[Sequence[LaurentPoly]] | None = None
-                 ) -> list[list[LaurentPoly]]:
-    """Deterministic complement representatives of the image in the codomain.
+def image_space(m: LinMap) -> ColumnSpace:
+    return quotient_space(m.columns(), (), m.n_rows, m.registry)
+
+
+def cokernel_space(m: LinMap, preferred: Sequence[Sequence[LaurentPoly]] | None = None
+                   ) -> ColumnSpace:
+    """The image of `m` with complement representatives registered.
 
     Default representatives are the non-pivot codomain directions after
     highest-index-pivot elimination of the columns, listed lowest index
     first.  A `preferred` list of coordinate vectors is validated and
     used instead when it forms a complement basis.
     """
-    reg = m.registry
     space = image_space(m)
-    corank = m.n_rows - space.rank
-    if preferred is not None:
-        if len(preferred) != corank:
-            raise NotInSpan(
-                f"preferred representatives: expected {corank}, got {len(preferred)}")
-        probe = ColumnSpace(m.n_rows, reg)
-        for col in m.columns():
-            probe.add(col)
-        for vec in preferred:
-            if not probe.add(list(vec)):
-                raise NotInSpan("preferred representative lies in the image span")
-        return [list(v) for v in preferred]
-    reps = []
-    zero = LaurentPoly.zero(reg)
-    one = LaurentPoly.const(reg, 1)
-    for idx in range(m.n_rows):
-        if idx not in space.pivot_indices():
-            vec = [zero] * m.n_rows
-            vec[idx] = one
-            reps.append(vec)
-    return reps
+    if preferred is None:
+        zero = LaurentPoly.zero(m.registry)
+        one = LaurentPoly.const(m.registry, 1)
+        preferred = [[one if k == idx else zero for k in range(m.n_rows)]
+                     for idx in range(m.n_rows) if idx not in space.pivot_rows]
+    elif len(preferred) != m.n_rows - space.rank:
+        raise NotInSpan(f"preferred representatives: expected {m.n_rows - space.rank}, "
+                        f"got {len(preferred)}")
+    for vec in preferred:
+        space.add(vec, rep=True)
+    return space
 
 
-def quotient_coords(image_cols: Sequence[Sequence[LaurentPoly]],
-                    reps: Sequence[Sequence[LaurentPoly]],
-                    target: Sequence[LaurentPoly],
-                    registry: VarRegistry) -> list[LaurentPoly]:
-    """Coordinates of `target` on `reps` modulo the span of `image_cols`.
+def cokernel_rep(m: LinMap, preferred: Sequence[Sequence[LaurentPoly]] | None = None
+                 ) -> list[list[LaurentPoly]]:
+    """The representatives of `cokernel_space(m, preferred)`."""
+    return [list(v) for v in cokernel_space(m, preferred).reps]
 
-    Solves [image | reps] y = target over the parameter fraction field and
-    returns the reps block of y (unique when reps complement the image).
-    Raises NotInSpan when the system is inconsistent or a coordinate is
-    not a Laurent polynomial.
+
+def quotient_coords(space: ColumnSpace, target: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    """Coordinates of `target` on the representatives of `space`, modulo
+    its image columns.
+
+    The target enters with multiplier 1 and is reduced against the stored
+    rows.  A reduced row m*target + sum_i t_i*rep_i + (image) that is zero
+    in the first `dim` entries gives coordinates -t_i / m.  Raises
+    NotInSpan when the target leaves the span of image and representatives
+    or a coordinate is not a Laurent polynomial.
     """
-    cols = [list(c) for c in image_cols] + [list(r) for r in reps]
-    n = len(target)
-    k = len(cols)
-    zero = LaurentPoly.zero(registry)
-    one = LaurentPoly.const(registry, 1)
-    # rows of the augmented system
-    rows = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    frows = [[_Frac(e) for e in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = None
-        for i in range(r, n):
-            if not frows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        frows[r], frows[pr] = frows[pr], frows[r]
-        piv = frows[r][c]
-        for i in range(r + 1, n):
-            if frows[i][c].is_zero():
-                continue
-            f = frows[i][c] / piv
-            frows[i] = [a - f * b for a, b in zip(frows[i], frows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if not frows[i][k].is_zero():
-            raise NotInSpan("target not in image + representative span")
-    x = [_Frac(zero) for _ in range(k)]
-    for (ri, ci) in reversed(pivots):
-        s = _Frac(zero)
-        for kk in range(ci + 1, k):
-            if not frows[ri][kk].is_zero() and not x[kk].is_zero():
-                s = s + frows[ri][kk] * x[kk]
-        x[ci] = (frows[ri][k] - s) / frows[ri][ci]
+    red = space._reduce(space._row(target, 0))
+    if not all(p.is_zero() for p in red[:space.dim]):
+        raise NotInSpan("target not in image + representative span")
+    mult = red[space.dim]
     out = []
-    for xf in x[len(image_cols):]:
+    for tag in red[space.dim + 1:]:
         try:
-            out.append(xf.num.exact_div(xf.den))
+            out.append((-tag).exact_div(mult))
         except InexactDivision:
             raise NotInSpan("quotient coordinate is not a Laurent polynomial") from None
     return out

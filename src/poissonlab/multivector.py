@@ -45,18 +45,13 @@ def _sort_index_tuple(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Sort an index tuple, returning (sign, sorted); sign 0 on repeats."""
     if len(set(idx)) != len(idx):
         return 0, ()
-    perm = sorted(range(len(idx)), key=lambda k: idx[k])
-    sign = 1
-    seen = list(idx)
     # count inversions
     inv = 0
     for a in range(len(idx)):
         for b in range(a + 1, len(idx)):
             if idx[a] > idx[b]:
                 inv += 1
-    sign = -1 if inv % 2 else 1
-    del perm, seen
-    return sign, tuple(sorted(idx))
+    return (-1 if inv % 2 else 1), tuple(sorted(idx))
 
 
 class MultiVector:
@@ -495,13 +490,6 @@ def schouten_formed(a: FormedMultiVector, b: FormedMultiVector) -> FormedMultiVe
 
 def mc_defect(lambda0: MultiVector, el: FormedMultiVector) -> FormedMultiVector:
     """L(el) + (1/2)[el, el] with L = dbar + [lambda0, -] and dbar = 0 here."""
-    for mv in el.parts.values():
-        for poly in mv.components.values():
-            if not poly.is_holomorphic(el.chart.vars):
-                # negative chart powers are fine (Laurent charts); the point of
-                # the precondition is that nothing depends on conjugates, which
-                # the representation makes impossible.
-                break
     lam = FormedMultiVector.of(lambda0, el.dbar_vars)
     half = GaussianRational.of(1) / 2
     return schouten_formed(lam, el) + schouten_formed(el, el).scale(half)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, kernel_basis
+from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, image_space,
+                     kernel_basis)
 from .multivector import FormedMultiVector, MultiVector, schouten_formed
 
 TOOL_VERSION = "0.1.0"
@@ -69,11 +70,9 @@ class DeformationComplexModel:
         return out
 
     def h1_image_space(self) -> ColumnSpace:
-        space = ColumnSpace(len(self.h1_sq), self.registry)
-        if self.h1_matrix is not None:
-            for col in self.h1_matrix.columns():
-                space.add(col)
-        return space
+        if self.h1_matrix is None:
+            return ColumnSpace(len(self.h1_sq), self.registry)
+        return image_space(self.h1_matrix)
 
     def verify_complex(self):
         if self.compose_check is not None:
@@ -129,8 +128,9 @@ def r4_search(model: DeformationComplexModel) -> Certificate:
     """Search for an obstructed pair (a, b): a global bivector class and a
     kernel class whose bracket class escapes the H1 bracket image."""
     image = model.h1_image_space()
+    kernel = model.h1_kernel_elements()
     for a in model.h0_sq:
-        for b, vec in model.h1_kernel_elements():
+        for b, _ in kernel:
             cls = model.reduce_h1_sq(model.bracket(a, b))
             if all(p.is_zero() for p in cls):
                 continue
@@ -201,7 +201,6 @@ class DolbeaultModel:
     lambda0: MultiVector
     dbar_vars: tuple[str, ...]
     class_reducers: dict
-    piece_dims: dict
 
     def reduce_two_class(self, fmv: FormedMultiVector) -> dict:
         out = {}

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer,
-                     cokernel_rep, generic_rank, kernel_basis, matrix_of_map,
-                     quotient_coords)
+from .linalg import (LabeledBasis, LinMap, NotInSpan, Reducer, cokernel_rep,
+                     cokernel_space, generic_rank, image_space, kernel_basis,
+                     matrix_of_map, quotient_coords, quotient_space)
 from .multivector import (Chart, FormedMultiVector, MultiVector, mc_defect,
                           schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate,
@@ -157,10 +157,7 @@ def ep1_mc_solution(a=None, b=None, c=None, f_coeffs=None) -> MCSolution:
         fvec = reps[0]
     else:
         fvec = [ctx.const(v) for v in f_coeffs]
-        space = ColumnSpace(3, ctx.registry)
-        for col in m_h0.columns():
-            space.add(col)
-        if space.contains(list(fvec)):
+        if image_space(m_h0).contains(fvec):
             raise ConstraintViolation("(F0,F1,F2) lies in the bracket image")
     fpoly = fvec[0] + fvec[1] * ctx.xi() + fvec[2] * ctx.xi(2)
     kpoly = lam0.coefficient(("z", "xi"))
@@ -177,17 +174,14 @@ def ep1_h1_model(a=None, b=None, c=None):
     """Cokernel representative plus kernel elements; dimension data."""
     ctx = ep1_context()
     m_h1, m_h0 = ep1_bracket_matrices(a, b, c)
-    reps = cokernel_rep(m_h0)
+    coker = cokernel_space(m_h0)
     kers = kernel_basis(m_h1)
-    rank = generic_rank(m_h1)
     return {
         "ctx": ctx,
-        "coker_reps": reps,
-        "ker_vectors": kers,
-        "dim_h1": len(reps) + len(kers),
-        "dim_h2": m_h1.n_rows - rank,
-        "m_h0": m_h0,
-        "m_h1": m_h1,
+        "coker_space": coker,
+        "ker_space": quotient_space((), kers, m_h1.n_cols, ctx.registry),
+        "dim_h1": len(coker.reps) + len(kers),
+        "dim_h2": m_h1.n_rows - generic_rank(m_h1),
     }
 
 
@@ -202,11 +196,9 @@ def ep1_ks_matrix(sol: MCSolution, model) -> list[list[LaurentPoly]]:
             lambda p: p.partial(tname).substitute(zero_t))
         biv = el.part(())
         form = el.part(("z",))
-        coker = quotient_coords(model["m_h0"].columns(), model["coker_reps"],
-                                _ep1_sq_coords(ctx, biv), reg)
-        ker = quotient_coords([], model["ker_vectors"],
-                              _ep1_theta_coords(ctx, form), reg)
-        columns.append(list(coker) + list(ker))
+        coker = quotient_coords(model["coker_space"], _ep1_sq_coords(ctx, biv))
+        ker = quotient_coords(model["ker_space"], _ep1_theta_coords(ctx, form))
+        columns.append(coker + ker)
     n = len(columns[0])
     return [[columns[j][i] for j in range(len(columns))] for i in range(n)]
 
@@ -216,19 +208,17 @@ def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
     ctx = ep1_context()
     lam0 = ep1_lambda0(ctx, a, b, c)
     m_h1, _ = ep1_bracket_matrices(a, b, c)
-    image = m_h1.columns()
-    reps = cokernel_rep(m_h1)
+    space = cokernel_space(m_h1)
 
     def reduce_11(arg):
         key, piece = arg
-        return quotient_coords(image, reps, _ep1_sq_coords(ctx, piece), ctx.registry)
+        return quotient_coords(space, _ep1_sq_coords(ctx, piece))
 
     return DolbeaultModel(
         name="ExP1",
         lambda0=lam0,
         dbar_vars=ctx.dbar,
         class_reducers={(1, 2): Reducer("H1 wedge2 classes", reduce_11)},
-        piece_dims={(1, 2): len(reps)},
     )
 
 
@@ -517,19 +507,18 @@ def tp1_ks_matrix(sol: MCSolution) -> list[list[LaurentPoly]]:
         ctx.mv(F, ("z2", "xi")) - ctx.mv(kpar * F, ("z1", "xi")),
         -ctx.mv(kk, ("z1", "xi")),
     ]
-    rep_coords = [tp1_sq_coords(ctx, r) for r in reps]
-    img_cols = m_h0.columns()
-    ker_vectors = kernel_basis(m_h1)
+    coker = quotient_space(m_h0.columns(), [tp1_sq_coords(ctx, r) for r in reps],
+                           m_h0.n_rows, reg)
+    kers = quotient_space((), kernel_basis(m_h1), m_h1.n_cols, reg)
     columns = []
     for tname in sol.params:
         el = sol.element().map_coefficients(lambda p: p.partial(tname).substitute(zero_t))
         biv = el.part(())
-        ccoords = quotient_coords(img_cols, rep_coords, tp1_sq_coords(ctx, biv), reg)
+        ccoords = quotient_coords(coker, tp1_sq_coords(ctx, biv))
         fcoords = []
         for g in ("z1", "z2"):
             fcoords += tp1_theta_coords(ctx, el.part((g,)))
-        kcoords = quotient_coords([], ker_vectors, fcoords, reg)
-        columns.append(list(ccoords) + list(kcoords))
+        columns.append(ccoords + quotient_coords(kers, fcoords))
     n = len(columns[0])
     return [[columns[j][i] for j in range(len(columns))] for i in range(n)]
 

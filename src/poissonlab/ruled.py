@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (LabeledBasis, LinMap, NotInSpan, Reducer, cokernel_rep,
-                     generic_rank, kernel_basis, matrix_of_map, quotient_coords)
+from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer,
+                     cokernel_space, generic_rank, kernel_basis, matrix_of_map,
+                     quotient_coords, quotient_space)
 from .multivector import (Chart, ChartMap, MultiVector, pushforward, schouten)
-from .obstruction import (OBSTRUCTED, UNDETERMINED, Certificate,
+from .obstruction import (OBSTRUCTED, Certificate,
                           DeformationComplexModel, NotACocycle, r4_search)
 
 MAX_M = 12
@@ -393,10 +394,6 @@ class Table1Row:
 def table1_verdict(rs: RuledSurface, pois: RuledPoisson) -> Table1Row:
     model = complex_model(rs, pois)
     cert = r4_search(model)
-    if cert.verdict == UNDETERMINED:
-        # cannot happen on ruled surfaces: nonzero H2 forces e = 0, where
-        # the canonical witness exists; keep the honest result anyway
-        pass
     return Table1Row(rs.m, pois.stratum(), model.h2_dim,
                      cert.verdict == OBSTRUCTED, cert)
 
@@ -432,10 +429,9 @@ class H1Model:
     surface: RuledSurface
     lam0: MultiVector
     coker_reps: list
-    coker_rep_coords: list
-    h0_image_cols: list
-    ker_vectors: list
+    coker_space: ColumnSpace
     ker_elements: list
+    ker_space: ColumnSpace
 
     @property
     def dim(self):
@@ -449,9 +445,9 @@ def hyper_h1(rs: RuledSurface, pois: RuledPoisson) -> H1Model:
     bases = h_bases(rs)
     lam0 = pois.bivector()
     h0m = h0_bracket_matrix(rs, lam0)
-    rep_coords = cokernel_rep(h0m)
+    coker_space = cokernel_space(h0m)
     reps = []
-    for vec in rep_coords:
+    for vec in coker_space.reps:
         elem = None
         for c, e in zip(vec, bases["h0_sq"]):
             if c.is_zero():
@@ -472,7 +468,8 @@ def hyper_h1(rs: RuledSurface, pois: RuledPoisson) -> H1Model:
                 elem = piece if elem is None else elem + piece
             ker_vectors.append(vec)
             ker_elements.append(elem)
-    return H1Model(rs, lam0, reps, rep_coords, h0m.columns(), ker_vectors, ker_elements)
+    return H1Model(rs, lam0, reps, coker_space, ker_elements,
+                   quotient_space((), ker_vectors, len(bases["h1_theta"]), rs.registry))
 
 
 def hyper_class_coords(model: H1Model, lam1: MultiVector, lam2_primed: MultiVector,
@@ -484,7 +481,6 @@ def hyper_class_coords(model: H1Model, lam1: MultiVector, lam2_primed: MultiVect
     coordinates, in the model's basis order.
     """
     rs = model.surface
-    reg = rs.registry
     lam0 = model.lam0
     pull = pushforward(rs.transition.inverse_map(), lam2_primed)
     cocycle = pull - lam1 + schouten(lam0, theta12)
@@ -516,16 +512,15 @@ def hyper_class_coords(model: H1Model, lam1: MultiVector, lam2_primed: MultiVect
     glob2 = pull + nu2_total + schouten(lam0, r2)
     if glob1 != glob2:
         raise AssertionError("adjusted bivector parts disagree across charts")
-    coker_coords = quotient_coords(model.h0_image_cols, model.coker_rep_coords,
-                                   reduce_h0_sq(rs)(glob1), reg)
+    coker_coords = quotient_coords(model.coker_space, reduce_h0_sq(rs)(glob1))
     # kernel coordinates with respect to the kernel basis vectors
-    if model.ker_vectors:
-        ker_coords = quotient_coords([], model.ker_vectors, ker_window, reg)
+    if model.ker_space.reps:
+        ker_coords = quotient_coords(model.ker_space, ker_window)
     else:
         if any(not p.is_zero() for p in ker_window):
             raise NotACocycle("window class outside the kernel span")
         ker_coords = []
-    return list(coker_coords) + list(ker_coords)
+    return coker_coords + ker_coords
 
 
 # ----------------------------------------------------------------------
@@ -812,7 +807,7 @@ def random_cocycle(rs: RuledSurface, pois: RuledPoisson, rng: random.Random):
     nu1 = rs.zero1()
     nu2 = rs.zero1()
     model = hyper_h1(rs, pois)
-    for elem, vec in zip(model.ker_elements, model.ker_vectors):
+    for elem in model.ker_elements:
         c = rng.randint(-2, 2)
         if not c:
             continue

@@ -110,6 +110,25 @@ def test_degree_cap_env_below_minimum(monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("tables", "hopf", "--p", "1"),
+    ("tables", "hopf", "--p", "-3", "--degree", "5"),
+])
+def test_bad_exponent_is_a_usage_error(argv, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_degree_cap_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "five")
+    code, out = run_cli("verify-family", "hopf-iic")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name,args", [
     ("ruled.md", ("tables", "ruled", "--m-max", "10", "--md")),
     ("hopf.md", ("tables", "hopf", "--md")),

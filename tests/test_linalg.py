@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from poissonlab import hopf
 from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan,
                                Reducer, cokernel_rep, generic_rank,
                                kernel_basis, matrix_of_map, primitive_vector,
-                               quotient_coords, specialize, ConstraintViolation)
+                               quotient_coords, quotient_space, specialize,
+                               ConstraintViolation)
 REG = VarRegistry((), ("A", "B", "C", "e0", "e1", "e2"))
 
 
@@ -135,14 +137,56 @@ def test_cokernel_default_and_preferred():
 def test_quotient_coords_and_membership():
     mat = c5_matrix()
     reps = cokernel_rep(mat)
-    coords = quotient_coords(mat.columns(), reps, [const(1), Z, Z], REG)
+    space = quotient_space(mat.columns(), reps, 3, REG)
+    coords = quotient_coords(space, [const(1), Z, Z])
     assert [str(p) for p in coords] == ["1"]
     # an image vector has zero quotient coordinates
     img = mat.column(1)
-    coords = quotient_coords(mat.columns(), reps, img, REG)
+    coords = quotient_coords(space, img)
     assert all(p.is_zero() for p in coords)
     with pytest.raises(NotInSpan):
-        quotient_coords([[const(1), Z, Z]], [], [Z, const(1), Z], REG)
+        quotient_coords(quotient_space([[const(1), Z, Z]], [], 3, REG), [Z, const(1), Z])
+
+
+def test_quotient_coords_non_laurent_coordinate():
+    # target 1 = (1 / (A + 1)) * rep, which is not a Laurent polynomial
+    space = quotient_space([], [[A + const(1)]], 1, REG)
+    with pytest.raises(NotInSpan):
+        quotient_coords(space, [const(1)])
+
+
+def test_representative_in_the_image_is_rejected():
+    mat = c5_matrix()
+    with pytest.raises(NotInSpan):
+        quotient_space(mat.columns(), [mat.column(1)], 3, REG)
+    # so is one that depends on an earlier representative modulo the image
+    with pytest.raises(NotInSpan):
+        quotient_space(mat.columns(), [[const(1), Z, Z], [A, Z, Z]], 3, REG)
+
+
+@pytest.mark.parametrize("tag,p", [("IV", None), ("III", 2), ("IIa", 2), ("IIb", None),
+                                   ("IIc", None)])
+def test_quotient_coords_recovers_hopf_class_coordinates(tag, p):
+    t = hopf.HopfType(tag, p)
+    ctx = hopf.make_context(t)
+    model = hopf.cover_model(ctx, hopf.default_cap(t))
+    reg = ctx.registry
+    alpha, delta = LaurentPoly.var(reg, "alpha"), LaurentPoly.var(reg, "delta")
+    rng = random.Random(f"{tag}{p}")
+    for space, mat in ((model.m1_space, model.mat1), (model.m2_space, model.mat2)):
+        cols = mat.columns()
+        for _ in range(3):
+            coeffs = [LaurentPoly.const(reg, rng.randint(-3, 3))
+                      + LaurentPoly.const(reg, rng.randint(-2, 2)) * alpha
+                      + LaurentPoly.const(reg, rng.randint(-2, 2)) * delta ** -1
+                      for _ in space.reps]
+            target = [LaurentPoly.zero(reg)] * space.dim
+            for c, rep in zip(coeffs, space.reps):
+                target = [x + c * y for x, y in zip(target, rep)]
+            for j in rng.sample(range(len(cols)), 4):
+                d = LaurentPoly.const(reg, rng.randint(1, 5)) * alpha ** rng.randint(-1, 1)
+                target = [x + d * y for x, y in zip(target, cols[j])]
+            assert quotient_coords(space, target) == coeffs
 
 
 def test_matrix_of_map_and_reducer_idempotence():

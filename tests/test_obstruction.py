@@ -105,8 +105,7 @@ def test_projective_space_demo():
         return [piece.coefficient(("x", "y", "u"))]
 
     model = DolbeaultModel("P3-demo", MultiVector.zero(ch, reg), (),
-                           {(0, 3): Reducer("trivector coords", reduce_03)},
-                           {(0, 3): 1})
+                           {(0, 3): Reducer("trivector coords", reduce_03)})
     cls = primary_obstruction(model, FormedMultiVector.of(lam, ()),
                               FormedMultiVector.zero(ch, reg, ()))
     assert not class_is_zero(cls)
@@ -144,6 +143,27 @@ def test_r4_search_unobstructed_and_undetermined():
     from poissonlab.hopf import HopfType, deformation_model
     cert = r4_search(deformation_model(HopfType("IV"), "degenerate"))
     assert cert.verdict == UNDETERMINED
+
+
+def test_h1_kernel_computed_once_per_search(monkeypatch):
+    from poissonlab import linalg, obstruction, ruled
+    searches, kernels = [], []
+    real_search, real_kernel = obstruction.r4_search, linalg.kernel_basis
+
+    def search(model):
+        searches.append(model.h1_matrix is not None)
+        return real_search(model)
+
+    def kernel(m):
+        kernels.append(m)
+        return real_kernel(m)
+
+    monkeypatch.setattr(ruled, "r4_search", search)
+    monkeypatch.setattr(obstruction, "kernel_basis", kernel)
+    monkeypatch.setattr(ruled, "kernel_basis", kernel)
+    ruled.table1_sweep(12)
+    assert len(searches) == 22
+    assert len(kernels) == sum(searches) == 20
 
 
 def test_certificate_json_round_trip_stable():
