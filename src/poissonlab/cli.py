@@ -257,13 +257,30 @@ def _ep1_coeffs(src: str):
     return out
 
 
+def _hopf_type(parts) -> hopf.HopfType:
+    """The type of a `hopf:TAG` or `hopf:TAG:p=N` spec; rejects anything else."""
+    spec = ":".join(parts)
+    if len(parts) < 2 or parts[1] not in hopf.TYPE_TAGS:
+        raise UsageError(f"{spec!r}: the Hopf type must be one of {', '.join(hopf.TYPE_TAGS)}")
+    tag, extras = parts[1], parts[2:]
+    if tag not in ("III", "IIa"):
+        if extras:
+            raise UsageError(f"{spec!r}: type {tag} takes no options")
+        return hopf.HopfType(tag)
+    if len(extras) != 1 or not extras[0].startswith("p="):
+        raise UsageError(f"{spec!r}: type {tag} needs exactly one option p=N")
+    try:
+        p = int(extras[0][2:])
+    except ValueError:
+        p = None
+    if p is None or p < 2:
+        raise UsageError(f"{spec!r}: p must be an integer >= 2")
+    return hopf.HopfType(tag, p)
+
+
 def _classify_hopf(parts, args) -> Certificate:
-    tag = parts[1]
-    p = None
-    for extra in parts[2:]:
-        if extra.startswith("p="):
-            p = int(extra[2:])
-    t = hopf.HopfType(tag, p if tag in ("III", "IIa") else None)
+    t = _hopf_type(parts)
+    tag = t.tag
     ctx = hopf.make_context(t)
     from .expr import EvalContext
     names = sorted(n for n in _free_names(args.poisson) if n not in ("z", "w"))

@@ -75,6 +75,10 @@ class VarRegistry:
 
 def _mul_keys(a, b):
     """Merge two sparse exponent keys, dropping zero sums."""
+    if not a:
+        return b
+    if not b:
+        return a
     out = {}
     for idx, e in a:
         out[idx] = e
@@ -85,6 +89,23 @@ def _mul_keys(a, b):
         else:
             out.pop(idx, None)
     return tuple(sorted(out.items()))
+
+
+def _accumulate(out: dict, terms: dict):
+    """Add `terms` into the term dict `out` in place, dropping zero sums."""
+    for key, coef in terms.items():
+        s = out.get(key)
+        if s is None:
+            out[key] = coef
+        else:
+            s = s + coef
+            if s.is_zero():
+                del out[key]
+            else:
+                out[key] = s
+
+
+_alloc = object.__new__
 
 
 class LaurentPoly:
@@ -100,6 +121,14 @@ class LaurentPoly:
                 if not coef.is_zero():
                     clean[key] = coef
         self.terms = clean
+
+    @staticmethod
+    def _of_terms(registry: VarRegistry, terms: dict) -> "LaurentPoly":
+        """Wrap `terms`, which the caller owns and knows to hold no zero."""
+        p = _alloc(LaurentPoly)
+        p.registry = registry
+        p.terms = terms
+        return p
 
     # ------------------------------------------------------------------
     # constructors
@@ -121,7 +150,7 @@ class LaurentPoly:
         return LaurentPoly(registry, {((idx, power),): GaussianRational(1)})
 
     def _check(self, other: "LaurentPoly"):
-        if self.registry != other.registry:
+        if self.registry is not other.registry and self.registry != other.registry:
             raise LaurentError("registry mismatch")
 
     def _coerce(self, other):
@@ -136,25 +165,31 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    # Polynomials are never mutated, so a zero operand returns the other
+    # operand itself, shared rather than copied.
+
     def __add__(self, other):
         other = self._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
-        for key, coef in other.terms.items():
-            s = out.get(key)
-            s = coef if s is None else s + coef
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentPoly(self.registry, out)
+        _accumulate(out, other.terms)
+        return LaurentPoly._of_terms(self.registry, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.registry, {k: -c for k, c in self.terms.items()})
+        if not self.terms:
+            return self
+        return LaurentPoly._of_terms(self.registry, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if not other.terms:
+            return self
+        return self + (-other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -164,8 +199,14 @@ class LaurentPoly:
             c = GaussianRational.of(other)
             if c.is_zero():
                 return LaurentPoly.zero(self.registry)
-            return LaurentPoly(self.registry, {k: v * c for k, v in self.terms.items()})
+            if not self.terms:
+                return self
+            return LaurentPoly._of_terms(self.registry, {k: v * c for k, v in self.terms.items()})
         other = self._coerce(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -174,10 +215,10 @@ class LaurentPoly:
                 s = out.get(key)
                 s = c if s is None else s + c
                 if s.is_zero():
-                    out.pop(key, None)
+                    del out[key]
                 else:
                     out[key] = s
-        return LaurentPoly(self.registry, out)
+        return LaurentPoly._of_terms(self.registry, out)
 
     __rmul__ = __mul__
 
@@ -245,7 +286,7 @@ class LaurentPoly:
         idx_map = {}
         for name, value in mapping.items():
             idx_map[self.registry.index(name)] = self._coerce(value)
-        out = LaurentPoly.zero(self.registry)
+        out: dict = {}
         cache: dict[tuple[int, int], LaurentPoly] = {}
         for key, coef in self.terms.items():
             factor = LaurentPoly.const(self.registry, coef)
@@ -268,8 +309,8 @@ class LaurentPoly:
                 factor = factor * LaurentPoly(
                     self.registry, {tuple(sorted(residual.items())): GaussianRational(1)}
                 )
-            out = out + factor
-        return out
+            _accumulate(out, factor.terms)
+        return LaurentPoly._of_terms(self.registry, out)
 
     def is_holomorphic(self, names: Iterable[str]) -> bool:
         """True iff no term has a negative exponent on any listed variable."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .laurent import InexactDivision, LaurentPoly, VarRegistry, univar_gcd
-from .rational import GaussianRational
+from .rational import ONE, content
 
 
 class NotInSpan(Exception):
@@ -169,48 +169,51 @@ class _Frac:
 
 def _row_content_normalize(row: list[LaurentPoly]) -> list[LaurentPoly]:
     """Divide a polynomial row by its common monomial and numeric content."""
-    nz = [p for p in row if not p.is_zero()]
+    nz = [p for p in row if p.terms]
     if not nz:
         return row
     # common monomial content: per variable, the minimum exponent over all
     # nonzero entries, where a variable absent from an entry counts as 0
-    union = {idx for p in nz for key in p.terms for idx, _ in key}
+    keys = [dict(p.monomial_content_key()) for p in nz]
     common = {}
-    for idx in union:
-        best = None
-        for p in nz:
-            m = min(dict(key).get(idx, 0) for key in p.terms)
-            best = m if best is None else min(best, m)
+    for idx in set().union(*keys):
+        best = min(k.get(idx, 0) for k in keys)
         if best:
             common[idx] = best
     reg = nz[0].registry
     if common:
-        mono = LaurentPoly(reg, {tuple(sorted((i, -e) for i, e in common.items())): GaussianRational(1)})
-        row = [p * mono if not p.is_zero() else p for p in row]
-        nz = [p for p in row if not p.is_zero()]
+        mono = LaurentPoly(reg, {tuple(sorted((i, -e) for i, e in common.items())): ONE})
+        row = [p * mono if p.terms else p for p in row]
+        nz = [p for p in row if p.terms]
     # rows in a single variable: cancel the common polynomial factor too,
     # which keeps one-parameter eliminations from doubling degrees
     single = {p.univariate_profile() for p in nz}
     if len(single) == 1 and None not in single:
         g = univar_gcd(nz, next(iter(single)))
         if g is not None:
-            row = [p.exact_div(g) if not p.is_zero() else p for p in row]
-            nz = [p for p in row if not p.is_zero()]
+            row = [p.exact_div(g) if p.terms else p for p in row]
+            nz = [p for p in row if p.terms]
     # numeric content
-    from .rational import rational_gcd
-
-    parts = []
-    for p in nz:
-        for c in p.terms.values():
-            if c.re:
-                parts.append(c.re)
-            if c.im:
-                parts.append(c.im)
-    g = rational_gcd(parts)
-    if g and g != 1:
-        inv = GaussianRational(1) / GaussianRational(g)
-        row = [p * inv for p in row]
+    g = content(c for p in nz for c in p.terms.values())
+    if not g.is_one():
+        inv = ONE / g
+        row = [p * inv if p.terms else p for p in row]
     return row
+
+
+def _combine(p: LaurentPoly, a: Sequence[LaurentPoly], q: LaurentPoly,
+             b: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    """The row p*a - q*b, formed only where an entry of a or b is nonzero;
+    entries zero in both stay the shared zero of `a`."""
+    out = []
+    for x, y in zip(a, b):
+        if not y.terms:
+            out.append(p * x if x.terms else x)
+        elif not x.terms:
+            out.append(-(q * y))
+        else:
+            out.append(p * x - q * y)
+    return out
 
 
 def _echelon(rows: list[list[LaurentPoly]]):
@@ -241,8 +244,7 @@ def _echelon(rows: list[list[LaurentPoly]]):
             factor = rows[i][c]
             if factor.is_zero():
                 continue
-            new = [piv * rows[i][k] - factor * rows[r][k] for k in range(n_cols)]
-            rows[i] = _row_content_normalize(new)
+            rows[i] = _row_content_normalize(_combine(piv, rows[i], factor, rows[r]))
         pivots.append((r, c))
         r += 1
         if r == n_rows:
@@ -341,8 +343,7 @@ class ColumnSpace:
             pivot = self.pivot_rows[idx]
             pval = pivot[idx]
             vval = vec[idx]
-            vec = [pval * a - vval * b for a, b in zip(vec, pivot)]
-            vec = _row_content_normalize(vec)
+            vec = _row_content_normalize(_combine(pval, vec, vval, pivot))
         return vec
 
     def add(self, vec: Sequence[LaurentPoly], rep: bool = False) -> bool:

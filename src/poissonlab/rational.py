@@ -1,23 +1,60 @@
 """Exact Gaussian-rational scalars.
 
-All coefficient arithmetic in the package happens in Q(i): pairs of
-`fractions.Fraction` values, closed under +, -, *, / (by nonzero).
-Nothing here ever rounds.
+All coefficient arithmetic in the package happens in Q(i).  A value
+(a + b*i)/d is stored as three Python ints with d > 0 and
+gcd(a, b, d) = 1, in the manner of FLINT's integer-numerator `fmpq`.
+That form is unique, so `==` and `hash` compare the triples, and every
+operation is integer arithmetic plus at most one gcd.  Nothing here
+ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_alloc = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d for a triple already in normal form."""
+    z = _alloc(GaussianRational)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d for d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
 
 
 class GaussianRational:
-    """A number a + b*i with exact rational a, b."""
+    """A number (a + b*i)/d with integers a, b, d; d > 0, gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    `GaussianRational(re, im)` takes ints, Fractions or Gaussian
+    rationals and means re + im*i.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if re.__class__ is int and im.__class__ is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        a1, b1, d1 = _triple(re)
+        a2, b2, d2 = _triple(im)
+        a, b, d = a1 * d2 - b2 * d1, b1 * d2 + a2 * d1, d1 * d2
+        g = gcd(a, b, d)
+        self.a = a // g
+        self.b = b // g
+        self.d = d // g
 
     @staticmethod
     def of(value) -> "GaussianRational":
@@ -25,20 +62,34 @@ class GaussianRational:
             return value
         return GaussianRational(value)
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self.a == 1 and self.d == 1 and not self.b
 
     def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        d, f = self.d, other.d
+        if d == f:
+            if d == 1:
+                return _raw(self.a + other.a, self.b + other.b, 1)
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-GaussianRational.of(other))
@@ -47,78 +98,98 @@ class GaussianRational:
         return GaussianRational.of(other) + (-self)
 
     def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        a, b, d = self.a, self.b, self.d
+        c, e, f = other.a, other.b, other.d
+        if b or e:
+            return _reduced(a * c - b * e, a * e + b * c, d * f)
+        if d == 1 and f == 1:
+            return _raw(a * c, 0, 1)
+        return _reduced(a * c, 0, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        a, b, d = self.a, self.b, self.d
+        c, e, f = other.a, other.b, other.d
+        # (a + b*i)/d / ((c + e*i)/f) = f*(a + b*i)*(c - e*i) / (d*(c^2 + e^2))
+        if e:
+            return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * (c * c + e * e))
+        if not c:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if c < 0:
+            return _reduced(-a * f, -b * f, -c * d)
+        return _reduced(a * f, b * f, c * d)
 
     def __rtruediv__(self, other):
         return GaussianRational.of(other) / self
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is GaussianRational:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return self.a == other and self.d == 1 and not self.b
+        if isinstance(other, Fraction):
+            return self.a == other.numerator and self.d == other.denominator and not self.b
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # real values hash like the equal int or Fraction
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     def __str__(self):
         def frac(x: Fraction) -> str:
             return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
-        if self.im == 0:
-            return frac(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return frac(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{frac(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{frac(im)}*i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{frac(mag)}*i"
-        return f"{frac(self.re)}{sign}{imag}"
+        return f"{frac(re)}{sign}{imag}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-ZERO = GaussianRational(0)
+def _triple(x) -> tuple[int, int, int]:
+    """(a, b, d) with x = (a + b*i)/d, for an int, Fraction or Gaussian rational."""
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, GaussianRational):
+        return x.a, x.b, x.d
+    f = Fraction(x)
+    return f.numerator, 0, f.denominator
+
+
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
-def rational_gcd(values) -> Fraction:
-    """gcd of a collection of Fractions (positive, 0 if all are 0)."""
-    from math import gcd, lcm
+def content(values) -> GaussianRational:
+    """gcd of the real and imaginary parts of `values` (positive, 0 if all are 0).
 
+    (a + b*i)/d contributes gcd(a, b)/d, already in lowest terms, and the
+    gcd of reduced fractions is the gcd of the numerators over the lcm of
+    the denominators.
+    """
     num = 0
     den = 1
     for v in values:
-        num = gcd(num, abs(v.numerator))
-        den = lcm(den, v.denominator)
-    if num == 0:
-        return Fraction(0)
-    return Fraction(num, den)
+        num = gcd(num, v.a, v.b)
+        den = lcm(den, v.d)
+    return _raw(num, 0, den if num else 1)

@@ -121,6 +121,17 @@ def test_bad_exponent_is_a_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", [
+    "hopf:III:p=1", "hopf:III:p=x", "hopf:III", "hopf:V",
+    "hopf:IV:p=3", "hopf:III:q=3",
+])
+def test_bad_hopf_spec_is_a_usage_error(spec, capsys):
+    code, out = run_cli("classify", spec, "--poisson", "B*w^3*@z^@w")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_degree_cap_env_not_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "five")
     code, out = run_cli("verify-family", "hopf-iic")

@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from poissonlab.laurent import (InexactDivision, LaurentPoly,
+from poissonlab.laurent import (InexactDivision, LaurentError, LaurentPoly,
                                 NonInvertibleSubstitution, UnknownVariable,
                                 VarRegistry, univar_gcd)
 from poissonlab.rational import GaussianRational
@@ -101,6 +101,64 @@ def test_substitute_roundtrip_invertible(p):
     # the swap z <-> 3/w is an involution on the chart variables
     s = {"z": const(3) * var("w", -1), "w": const(3) * var("z", -1)}
     assert p.substitute(s).substitute(s) == p
+
+
+def substitute_termwise(p, mapping):
+    """Reference: substitute each term separately and add the results."""
+    out = LaurentPoly.zero(REG)
+    for key, coef in p.terms.items():
+        term = const(coef)
+        for idx, e in key:
+            name = REG.names[idx]
+            if name not in mapping:
+                term = term * var(name, e)
+            elif e < 0 and len(mapping[name].terms) != 1:
+                raise NonInvertibleSubstitution(name)
+            else:
+                term = term * mapping[name] ** e
+        out = out + term
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys(), polys(), st.booleans())
+def test_substitute_matches_termwise_reference(p, q, r, map_w):
+    mapping = {"z": q + var("a") * var("w", -1)}
+    if map_w:
+        mapping["w"] = r
+    try:
+        want = substitute_termwise(p, mapping)
+    except NonInvertibleSubstitution:
+        with pytest.raises(NonInvertibleSubstitution):
+            p.substitute(mapping)
+        return
+    got = p.substitute(mapping)
+    assert got == want and str(got) == str(want)
+    assert all(not c.is_zero() for c in got.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys())
+def test_zero_operands(p):
+    zero = LaurentPoly.zero(REG)
+    assert p + zero == p and zero + p == p and p + 0 == p and 0 + p == p
+    assert p - zero == p and (zero - p) == -p and p - 0 == p
+    assert (p * zero).is_zero() and (zero * p).is_zero() and (p * 0).is_zero()
+    assert (p - p).is_zero() and (p + (-p)).is_zero()
+    assert str(p + zero) == str(p) and str(zero + p) == str(p)
+    assert str(p - p) == "0" and str(p * zero) == "0"
+
+
+def test_registry_mismatch_with_a_zero_operand():
+    other = VarRegistry(("z",), ())
+    for a, b in ((LaurentPoly.zero(REG), LaurentPoly.var(other, "z")),
+                 (var("z"), LaurentPoly.zero(other)),
+                 (LaurentPoly.zero(REG), LaurentPoly.zero(other))):
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(LaurentError):
+                op(a, b)
+            with pytest.raises(LaurentError):
+                op(b, a)
 
 
 def test_is_holomorphic():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -189,6 +190,38 @@ def test_quotient_coords_recovers_hopf_class_coordinates(tag, p):
             assert quotient_coords(space, target) == coeffs
 
 
+# sha256 of the kernel vectors of mat1 and mat2 and the quotient coordinates
+# of every unit vector on m1_space and m2_space, printed one per line
+COVER_DIGESTS = {
+    ("IV", None): "d9405c1db8283c81d2827b1a87723c11d90d370372ac37eba6eda90f541fbcab",
+    ("III", 2): "794c6af9d257c1de0ad9d2f1c94267c49fe7092fc730bcd82fd6304348de094e",
+    ("IIa", 2): "4e4047833b92e3a40eaba16160d2bc613d5a388a60bd7f525b3f2beb66ecabfa",
+    ("IIb", None): "c5a586cf077de44a771d67f3fee7f527ed934d46e45895aedb635732b489f8d7",
+    ("IIc", None): "20767aabb1eef73cf1c1de124e031d62876dfe3fa0b074c1b044e757b2fd4148",
+}
+
+
+@pytest.mark.parametrize("tag,p", list(COVER_DIGESTS))
+def test_hopf_cover_kernels_and_quotients_are_pinned(tag, p):
+    t = hopf.HopfType(tag, p)
+    ctx = hopf.make_context(t)
+    model = hopf.cover_model(ctx, hopf.default_cap(t))
+    zero, one = LaurentPoly.zero(ctx.registry), LaurentPoly.const(ctx.registry, 1)
+    lines = []
+    for mat, space in ((model.mat1, model.m1_space), (model.mat2, model.m2_space)):
+        lines.append(f"{mat.n_rows}x{mat.n_cols}")
+        for vec in kernel_basis(mat):
+            lines.append("ker " + ", ".join(map(str, vec)))
+        for k in range(space.dim):
+            unit = [one if j == k else zero for j in range(space.dim)]
+            try:
+                lines.append(f"e{k} " + ", ".join(map(str, quotient_coords(space, unit))))
+            except NotInSpan as exc:
+                lines.append(f"e{k} NotInSpan: {exc}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == COVER_DIGESTS[(tag, p)]
+
+
 def test_matrix_of_map_and_reducer_idempotence():
     dom = LabeledBasis("monomials", ("p0", "p1", "p2"))
     cod = LabeledBasis("monomials2", ("q0", "q1", "q2"))
@@ -218,6 +251,17 @@ def test_primitive_vector_normalization():
     assert [str(p) for p in primitive_vector(v)] == ["0", "A", "B", "C"]
     v2 = [-A, -B]
     assert [str(p) for p in primitive_vector(v2)] == ["A", "B"]
+
+
+def test_zero_entries_stay_shared():
+    space = ColumnSpace(4, REG)
+    space.add([A, Z, Z, C])
+    space.add([B, Z, Z, A])
+    for row in space.pivot_rows.values():
+        assert row[1] is Z and row[2] is Z
+    mat = LinMap(_basis("x", 4), _basis("y", 2), [[A, Z, Z, B], [C, Z, Z, A]], REG)
+    assert [[str(p) for p in v] for v in kernel_basis(mat)] == [
+        ["0", "1", "0", "0"], ["0", "0", "1", "0"]]
 
 
 def test_column_space_contains():
