@@ -43,6 +43,27 @@ def _degree_cap(args) -> int | None:
     return cap
 
 
+def _m_max(args) -> int:
+    if not 0 <= args.m_max <= ruled.MAX_M:
+        raise UsageError(f"--m-max must lie in 0..{ruled.MAX_M}, got {args.m_max}")
+    return args.m_max
+
+
+def _spec_number(parts, low: int, high: int | None = None) -> int:
+    """The N of a `KIND:N` manifold spec, an integer in low..high."""
+    spec = ":".join(parts)
+    bounds = f"{low}..{high}" if high is not None else f">= {low}"
+    if len(parts) != 2:
+        raise UsageError(f"{spec!r}: expected {parts[0]}:N with an integer N {bounds}")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        n = None
+    if n is None or n < low or (high is not None and n > high):
+        raise UsageError(f"{spec!r}: N must be an integer {bounds}")
+    return n
+
+
 def _emit(doc, args, md_render):
     if getattr(args, "md", False):
         print(md_render(doc))
@@ -144,7 +165,7 @@ def _md_rows(rows, columns, title):
 
 def cmd_tables(args) -> int:
     if args.what == "ruled":
-        rows = ruled_table(args.m_max)
+        rows = ruled_table(_m_max(args))
         _emit(rows, args, lambda doc: _md_rows(
             doc, ("manifold", "stratum", "dim_h2", "verdict"), "Ruled surfaces"))
         return EXIT_OK
@@ -200,7 +221,7 @@ def cmd_classify(args) -> int:
     kind = parts[0]
     cert = None
     if kind == "ruled":
-        m = int(parts[1])
+        m = _spec_number(parts, 0, ruled.MAX_M)
         src = args.poisson
         names = sorted(n for n in _free_names(src) if n not in ("z", "xi"))
         rs = ruled.make_surface(m, tuple(names))
@@ -219,7 +240,7 @@ def cmd_classify(args) -> int:
     elif kind == "tp1":
         cert = _classify_tp1(args.poisson)
     elif kind == "torus":
-        n = int(parts[1])
+        n = _spec_number(parts, 1)
         dim = products.torus_dims(n)
         cert = Certificate(f"T{n}", "constant", UNOBSTRUCTED_MC,
                            reason="translation-invariant deformation family",
@@ -426,7 +447,7 @@ def cmd_mc_check(args) -> int:
 
 def cmd_report(args) -> int:
     doc = {
-        "ruled": ruled_table(args.m_max),
+        "ruled": ruled_table(_m_max(args)),
         "hopf": hopf_tables(_degree_cap(args), hopf.DEFAULT_P),
         "products": products_tables(),
         "families": {name: verify_family_report(name) for name in FAMILY_NAMES},

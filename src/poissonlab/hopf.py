@@ -9,12 +9,23 @@ automorphism kernels, family checks and obstruction certificates.
 Each (type, p, registry, cap) cover model is built once per process.
 It holds both id - f_* matrices and carries the invariant fields and
 bivectors, their kernels, computed at most once on first use.
+
+Every id - f_* matrix is triangular up to a permutation: f_* sends a
+monomial field to itself times a parameter monomial plus fields that
+come earlier in an order the contraction fixes, as in Poincare-Dulac
+normal forms.  The model derives that order once from each matrix's own
+nonzero pattern (`triangular_order`) and eliminates in it: image
+columns with a nonzero diagonal entry 1 - alpha^a delta^b enter on that
+entry with no row combination, and the kernels are computed on the
+matrix permuted to upper triangular form.  Only the few resonant
+columns, those with a zero diagonal entry, need any elimination work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Sequence
 
 from .laurent import LaurentPoly, VarRegistry
@@ -162,14 +173,11 @@ def truncated_space(ctx: HopfContext, grade: int, cap: int) -> TruncatedSpace:
 def _truncate(ctx: HopfContext, mv: MultiVector, cap: int) -> MultiVector:
     comps = {}
     for idx, poly in mv.components.items():
-        kept = LaurentPoly.zero(ctx.registry)
-        for key, coeff in poly.terms.items():
-            kd = dict(key)
-            deg = kd.get(0, 0) + kd.get(1, 0)  # z and w are indices 0, 1
-            if deg <= cap:
-                kept = kept + LaurentPoly(ctx.registry, {key: coeff})
-        if not kept.is_zero():
-            comps[idx] = kept
+        # z and w are the variables with indices 0 and 1
+        kept = {key: coeff for key, coeff in poly.terms.items()
+                if sum(e for i, e in key if i < 2) <= cap}
+        if kept:
+            comps[idx] = LaurentPoly._of_terms(ctx.registry, kept)
     return MultiVector(ctx.chart, ctx.registry, comps)
 
 
@@ -182,9 +190,10 @@ def mono_coords(ctx: HopfContext, space: TruncatedSpace) -> Reducer:
         kd = dict(mk)
         pos[(idx, kd.get(0, 0), kd.get(1, 0))] = (k, mc)
     n = len(space.basis)
+    zero = LaurentPoly.zero(ctx.registry)
 
     def fn(v: MultiVector):
-        coords = [LaurentPoly.zero(ctx.registry) for _ in range(n)]
+        coords = [zero] * n
         for idx, poly in v.components.items():
             for key, coeff in poly.terms.items():
                 kd = dict(key)
@@ -213,6 +222,54 @@ def id_minus_fstar(ctx: HopfContext, space: TruncatedSpace) -> LinMap:
         cols.append(red(image))
     rows = [[cols[j][i] for j in range(len(space.basis))] for i in range(len(space.basis))]
     return LinMap(space.basis, space.basis, rows, ctx.registry)
+
+
+def triangular_order(mat: LinMap) -> tuple[int, ...]:
+    """The indices of a square matrix ordered so that it is upper
+    triangular: i comes before j whenever entry (i, j) is nonzero.
+
+    Every id - f_* matrix has such an order; a cycle in its nonzero
+    pattern is an internal error."""
+    graph = {j: {i for i in range(mat.n_rows) if i != j and mat.rows[i][j].terms}
+             for j in range(mat.n_cols)}
+    try:
+        return tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        raise RuntimeError(f"{mat.domain.space_name}: id - f_* is not triangular "
+                           f"up to a permutation, cycle {exc.args[1]}") from None
+
+
+def _triangular_kernel(mat: LinMap, order: Sequence[int]) -> list[list[LaurentPoly]]:
+    """kernel_basis(mat), eliminated on mat permuted to upper triangular form.
+
+    Back substitution leaves every entry after a vector's free column 0,
+    so that column is its last nonzero entry in `order`; the vectors are
+    listed by free column in the original coordinates, as kernel_basis
+    lists them."""
+    basis = LabeledBasis(mat.domain.space_name, tuple(mat.domain[j] for j in order))
+    permuted = LinMap(basis, basis, [[mat.rows[i][j] for j in order] for i in order],
+                      mat.registry)
+    out = []
+    for vec in kernel_basis(permuted):
+        back = [None] * len(order)
+        for k, j in enumerate(order):
+            back[j] = vec[k]
+        free = max(k for k, p in enumerate(vec) if p.terms)
+        out.append((order[free], back))
+    return [back for _, back in sorted(out, key=lambda fv: fv[0])]
+
+
+def _triangular_image_space(mat: LinMap, order: Sequence[int]) -> ColumnSpace:
+    """The column span of mat, pivoting in its triangular order.
+
+    Columns with a nonzero diagonal entry enter first, the last in the
+    order first, so each meets only pivots on entries where it is zero and
+    pivots on its own diagonal entry; the resonant columns follow."""
+    space = ColumnSpace(mat.n_rows, mat.registry, order)
+    cols = mat.columns()
+    for j in sorted(order[::-1], key=lambda j: mat.rows[j][j].is_zero()):
+        space.add(cols[j])
+    return space
 
 
 def _combination(coeffs, basis) -> MultiVector:
@@ -257,9 +314,10 @@ class CoverModel:
     """Truncated cover model at one degree cap: spaces, images, M1/M2,
     and the invariant fields and bivectors (the kernels of mat1, mat2).
 
-    m1_space and m2_space hold the eliminated images of mat1 and mat2
-    with the M1/M2 representatives registered; every class reduction
-    solves against them."""
+    order1 and order2 are the triangular orders of mat1 and mat2.
+    m1_space and m2_space hold the images of mat1 and mat2, eliminated in
+    those orders, with the M1/M2 representatives registered; every class
+    reduction solves against them."""
 
     ctx: HopfContext
     cap: int
@@ -267,6 +325,8 @@ class CoverModel:
     space2: TruncatedSpace
     mat1: LinMap
     mat2: LinMap
+    order1: tuple[int, ...]
+    order2: tuple[int, ...]
     m1: LabeledBasis
     m2: LabeledBasis
     m1_space: ColumnSpace
@@ -282,13 +342,14 @@ class CoverModel:
     @cached_property
     def fields(self) -> tuple[MultiVector, ...]:
         """Invariant fields: the kernel of mat1."""
-        return tuple(_combination(v, self.space1.basis) for v in kernel_basis(self.mat1))
+        return tuple(_combination(v, self.space1.basis)
+                     for v in _triangular_kernel(self.mat1, self.order1))
 
     @cached_property
     def _bivector_space(self) -> ColumnSpace:
         """The kernel vectors of mat2, registered as representatives."""
-        return quotient_space((), kernel_basis(self.mat2), len(self.space2.basis),
-                              self.ctx.registry)
+        return quotient_space((), _triangular_kernel(self.mat2, self.order2),
+                              len(self.space2.basis), self.ctx.registry)
 
     @cached_property
     def bivectors(self) -> tuple[MultiVector, ...]:
@@ -328,10 +389,13 @@ def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
     space2 = truncated_space(ctx, 2, cap)
     mat1 = id_minus_fstar(ctx, space1)
     mat2 = id_minus_fstar(ctx, space2)
+    order1 = triangular_order(mat1)
+    order2 = triangular_order(mat2)
     m1, m2 = _named_m_reps(ctx)
     quots = []
-    for space, mat, elems, label in ((space1, mat1, m1, "M1"), (space2, mat2, m2, "M2")):
-        quot = image_space(mat)
+    for space, mat, order, elems, label in ((space1, mat1, order1, m1, "M1"),
+                                            (space2, mat2, order2, m2, "M2")):
+        quot = _triangular_image_space(mat, order)
         corank = len(space.basis) - quot.rank
         if corank != len(elems):
             raise TruncationUnstable(
@@ -347,7 +411,7 @@ def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
                     f"{label} representative {e} is dependent modulo the image") from None
         quots.append(quot)
     return CoverModel(
-        ctx, cap, space1, space2, mat1, mat2,
+        ctx, cap, space1, space2, mat1, mat2, order1, order2,
         LabeledBasis(f"M1({ctx.type.label()})", tuple(m1)),
         LabeledBasis(f"M2({ctx.type.label()})", tuple(m2)),
         *quots,

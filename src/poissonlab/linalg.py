@@ -14,6 +14,10 @@ pivot rows, and the stored rows then answer span membership, cokernel
 representatives and quotient coordinates.  Representatives are
 registered with tag slots, so `quotient_coords` solves a target by one
 reduction against the stored rows, with no rational-function scalars.
+Each reduced vector pivots on its last nonzero coordinate in the
+space's pivot order: the highest index by default, or a caller's order,
+such as one in which a matrix is upper triangular, so that its columns
+enter on their own diagonal entries without row combinations.
 Rank and kernels use `_echelon`, whose back substitution is the only
 user of the `_Frac` scalars.
 """
@@ -43,11 +47,8 @@ class LabeledBasis:
     elements: tuple
 
     def __post_init__(self):
-        seen = []
-        for e in self.elements:
-            if any(e == s for s in seen):
-                raise ValueError(f"duplicate basis element in {self.space_name}")
-            seen.append(e)
+        if len(set(self.elements)) != len(self.elements):
+            raise ValueError(f"duplicate basis element in {self.space_name}")
 
     def __len__(self):
         return len(self.elements)
@@ -87,7 +88,8 @@ class LinMap:
             if len(r) != len(domain):
                 raise ValueError("column count must match domain dimension")
             for entry in r:
-                if not entry.uses_only(entry.registry.param_vars):
+                # a zero entry uses no variable
+                if entry.terms and not entry.uses_only(entry.registry.param_vars):
                     raise ValueError(f"matrix entry contains chart variables: {entry}")
                 if registry is None:
                     registry = entry.registry
@@ -133,11 +135,11 @@ class _Frac:
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if den is None:
             den = LaurentPoly.const(num.registry, 1)
-        if den.is_zero():
+        elif den.is_zero():
             raise ZeroDivisionError
         if num.is_zero():
             den = LaurentPoly.const(num.registry, 1)
-        else:
+        elif not _is_one(den):
             try:
                 num = num.exact_div(den)
                 den = LaurentPoly.const(num.registry, 1)
@@ -165,6 +167,10 @@ class _Frac:
 
     def __neg__(self):
         return _Frac(-self.num, self.den)
+
+
+def _is_one(p: LaurentPoly) -> bool:
+    return len(p.terms) == 1 and p.terms.get(()) == ONE
 
 
 def _row_content_normalize(row: list[LaurentPoly]) -> list[LaurentPoly]:
@@ -273,24 +279,26 @@ def kernel_basis(m: LinMap) -> list[list[LaurentPoly]]:
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(m.n_cols) if c not in pivot_cols]
     out = []
+    fzero = _Frac(zero)
     for fc in free_cols:
-        x: list[_Frac] = [_Frac(zero) for _ in range(m.n_cols)]
+        x: list[_Frac] = [fzero] * m.n_cols
         x[fc] = _Frac(one)
         for (ri, ci) in reversed(pivots):
-            s = _Frac(zero)
+            s = None
             for k in range(ci + 1, m.n_cols):
-                if not ech[ri][k].is_zero() and not x[k].is_zero():
-                    s = s + _Frac(ech[ri][k]) * x[k]
-            x[ci] = -(s / _Frac(ech[ri][ci]))
+                if ech[ri][k].terms and not x[k].is_zero():
+                    t = _Frac(ech[ri][k]) * x[k]
+                    s = t if s is None else s + t
+            # a pivot variable with no nonzero term stays 0
+            if s is not None:
+                x[ci] = -(s / _Frac(ech[ri][ci]))
         # clear denominators
         den = one
         for xf in x:
-            if not xf.den == one:
+            if not _is_one(xf.den):
                 den = den * xf.den
-        vec = []
-        for xf in x:
-            vec.append((xf.num * den).exact_div(xf.den))
-        out.append(primitive_vector(vec))
+        out.append(primitive_vector([xf.num * den if _is_one(xf.den)
+                                     else (xf.num * den).exact_div(xf.den) for xf in x]))
     return out
 
 
@@ -312,7 +320,13 @@ def primitive_vector(vec: list[LaurentPoly]) -> list[LaurentPoly]:
 # column-space elimination (image side)
 
 class ColumnSpace:
-    """Incremental span of coordinate vectors with highest-index pivoting.
+    """Incremental span of coordinate vectors.
+
+    A reduced vector pivots on its last nonzero coordinate in `order`, a
+    permutation of range(dim) that defaults to the identity: highest-index
+    pivoting.  Vectors and stored rows stay in the original coordinates;
+    the order only decides which entry each row pivots on and the order
+    in which `_reduce` clears them, the latest pivot first.
 
     A stored row is a vector of length `dim`, then a multiplier slot for
     a reduced target, then one tag slot per registered representative.
@@ -321,9 +335,13 @@ class ColumnSpace:
     which multiple of each representative it contains.
     """
 
-    def __init__(self, dim: int, registry: VarRegistry):
+    def __init__(self, dim: int, registry: VarRegistry, order: Sequence[int] | None = None):
         self.dim = dim
         self.registry = registry
+        self.order = tuple(range(dim)) if order is None else tuple(order)
+        if sorted(self.order) != list(range(dim)):
+            raise ValueError(f"pivot order must be a permutation of range({dim})")
+        self._rank = {idx: k for k, idx in enumerate(self.order)}
         self.pivot_rows: dict[int, list[LaurentPoly]] = {}
         self.reps: list[list[LaurentPoly]] = []
 
@@ -337,7 +355,7 @@ class ColumnSpace:
         return row
 
     def _reduce(self, vec: list[LaurentPoly]) -> list[LaurentPoly]:
-        for idx in sorted(self.pivot_rows, reverse=True):
+        for idx in sorted(self.pivot_rows, key=self._rank.__getitem__, reverse=True):
             if vec[idx].is_zero():
                 continue
             pivot = self.pivot_rows[idx]
@@ -359,7 +377,7 @@ class ColumnSpace:
                 row.append(zero)
         red = self._reduce(self._row(vec, len(self.reps) if rep else None))
         top = None
-        for idx in range(self.dim - 1, -1, -1):
+        for idx in reversed(self.order):
             if not red[idx].is_zero():
                 top = idx
                 break

@@ -149,7 +149,7 @@ class MultiVector:
                 and self.components == other.components)
 
     def __hash__(self):
-        return hash((self.chart, tuple(sorted(self.components))))
+        return hash((self.chart, frozenset(self.components.items())))
 
     def map_coefficients(self, fn) -> "MultiVector":
         return MultiVector(self.chart, self.registry,
@@ -442,6 +442,9 @@ class FormedMultiVector:
             return NotImplemented
         return (self.chart == other.chart and self.dbar_vars == other.dbar_vars
                 and self.parts == other.parts)
+
+    def __hash__(self):
+        return hash((self.chart, self.dbar_vars, frozenset(self.parts.items())))
 
     def __str__(self):
         if not self.parts:

@@ -132,6 +132,25 @@ def test_bad_hopf_spec_is_a_usage_error(spec, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "ruled", "--poisson", "z*@z^@xi"),
+    ("classify", "torus", "--poisson", "1"),
+    ("classify", "ruled:x", "--poisson", "z*@z^@xi"),
+    ("classify", "ruled:13", "--poisson", "z*@z^@xi"),
+    ("classify", "ruled:4:5", "--poisson", "z*@z^@xi"),
+    ("classify", "torus:x", "--poisson", "@z1^@z2"),
+    ("classify", "torus:0", "--poisson", "@z1^@z2"),
+    ("tables", "ruled", "--m-max", "13"),
+    ("tables", "ruled", "--m-max", "-1"),
+    ("report", "--m-max", "13"),
+])
+def test_bad_manifold_spec_or_m_max_is_a_usage_error(argv, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_degree_cap_env_not_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "five")
     code, out = run_cli("verify-family", "hopf-iic")

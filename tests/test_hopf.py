@@ -1,7 +1,8 @@
 import pytest
 
 import poissonlab.hopf as hopf_mod
-from poissonlab.linalg import generic_rank
+from poissonlab.linalg import (NotInSpan, generic_rank, image_space, kernel_basis,
+                               quotient_coords)
 from poissonlab.multivector import pushforward, schouten
 from poissonlab.obstruction import OBSTRUCTED, UNDETERMINED
 from poissonlab.hopf import (H95_CASES, HopfType, MembershipFails, STRATA,
@@ -305,3 +306,62 @@ def test_invariant_lists_do_not_share_the_model_copy():
     bivs.append(bivs[0])
     assert [str(f) for f in invariant_fields(ctx, cap)] == ["z*@z", "w*@w"]
     assert [str(b) for b in invariant_bivectors(ctx, cap)] == ["z*w*(@z^@w)"]
+
+
+# the five types, the resonant ones at p = 2, 3, 5
+TYPES_AT_P = (HopfType("IV"), HopfType("IIb"), HopfType("IIc"),
+              *(HopfType(tag, p) for tag in ("III", "IIa") for p in (2, 3, 5)))
+# zero diagonal entries of id - f_* on grade 1 and grade 2, once the cap
+# reaches every resonant monomial (degree p + 1)
+ZERO_DIAGONALS = {"IV": (4, 3), "III": (3, 2), "IIa": (3, 2), "IIb": (4, 3), "IIc": (2, 1)}
+
+
+@pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
+def test_cover_matrices_are_triangular_up_to_a_permutation(t):
+    ctx = make_context(t)
+    for cap in range(3, 13):
+        for grade in (1, 2):
+            mat = id_minus_fstar(ctx, truncated_space(ctx, grade, cap))
+            order = hopf_mod.triangular_order(mat)
+            assert sorted(order) == list(range(mat.n_rows))
+            pos = {j: k for k, j in enumerate(order)}
+            # an order with every nonzero entry on or above the diagonal
+            # exists exactly when the off-diagonal pattern is acyclic
+            assert all(pos[i] <= pos[j] for i, row in enumerate(mat.rows)
+                       for j, entry in enumerate(row) if not entry.is_zero())
+            if cap >= ctx.p + 1:
+                zeros = sum(mat.rows[k][k].is_zero() for k in range(mat.n_rows))
+                assert zeros == ZERO_DIAGONALS[t.tag][grade - 1]
+
+
+@pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
+def test_triangular_kernels_equal_kernel_basis(t):
+    ctx = make_context(t)
+    for cap in range(max(hopf_mod.MIN_CAP, ctx.p + 1), 13):
+        model = cover_model(ctx, cap)
+        for found, mat, basis in ((model.fields, model.mat1, model.space1.basis),
+                                  (model.bivectors, model.mat2, model.space2.basis)):
+            expected = [hopf_mod._combination(v, basis) for v in kernel_basis(mat)]
+            assert list(found) == expected
+
+
+@pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
+def test_ordered_quotients_equal_unordered_ones(t):
+    ctx = make_context(t)
+    model = cover_model(ctx, default_cap(t) + 1)
+    zero, one = ctx.const(0), ctx.const(1)
+
+    def coords(space, k):
+        unit = [one if j == k else zero for j in range(space.dim)]
+        try:
+            return quotient_coords(space, unit)
+        except NotInSpan as exc:
+            return str(exc)
+
+    for ordered, mat in ((model.m1_space, model.mat1), (model.m2_space, model.mat2)):
+        plain = image_space(mat)
+        for rep in ordered.reps:
+            plain.add(rep, rep=True)
+        assert plain.rank == ordered.rank
+        for k in range(ordered.dim):
+            assert coords(ordered, k) == coords(plain, k)

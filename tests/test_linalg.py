@@ -270,3 +270,17 @@ def test_column_space_contains():
     space.add([Z, B, Z])
     assert space.contains([A * 2, B * 2, C * 2])
     assert not space.contains([Z, Z, const(1)])
+
+
+def test_column_space_pivot_order():
+    # pivots fall on the last nonzero entry in the order, not the highest index
+    space = ColumnSpace(3, REG, (2, 0, 1))
+    assert space.add([A, B, Z]) and list(space.pivot_rows) == [1]
+    assert space.add([C, Z, const(1)]) and sorted(space.pivot_rows) == [0, 1]
+    assert not space.add([A * C * 2, B * C, A])
+    assert space.contains([A + C, B, const(1)]) and not space.contains([Z, Z, const(1)])
+    default = ColumnSpace(3, REG)
+    default.add([A, B, Z])
+    assert list(default.pivot_rows) == [1] and default.order == (0, 1, 2)
+    with pytest.raises(ValueError):
+        ColumnSpace(3, REG, (0, 0, 1))

@@ -285,3 +285,22 @@ def test_mc_defect_zero_element():
     lam0 = MultiVector.term(ch, reg, LaurentPoly.var(reg, "A"), ("z", "xi"))
     el = FormedMultiVector.zero(ch, reg, ("z",))
     assert mc_defect(lam0, el).is_zero()
+
+
+def test_equal_fields_hash_equal_and_duplicates_are_found():
+    from poissonlab.linalg import LabeledBasis
+
+    x, y = LaurentPoly.var(REG, "x"), LaurentPoly.var(REG, "y")
+    a = MultiVector.term(CH, REG, x, ("x",)) + MultiVector.term(CH, REG, y, ("y",))
+    b = MultiVector.term(CH, REG, y, ("y",)) + MultiVector.term(CH, REG, x, ("x",))
+    assert a == b and hash(a) == hash(b)
+    fa, fb = FormedMultiVector.of(a, ("x",), ("x",)), FormedMultiVector.of(b, ("x",), ("x",))
+    assert fa == fb and hash(fa) == hash(fb)
+    # the coefficients take part: x d/dx and y d/dx are told apart
+    fields = [MultiVector.term(CH, REG, p, ("x",)) for p in (x, y, x * y)]
+    assert len(set(fields)) == 3 and len({hash(f) for f in fields}) == 3
+    assert len(LabeledBasis("fields", tuple(fields))) == 3
+    with pytest.raises(ValueError):
+        LabeledBasis("fields", (a, fields[1], b))
+    with pytest.raises(ValueError):
+        LabeledBasis("formed", (fa, fb))
