@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import hopf, products, ruled
 from .expr import ParseError, UnknownSymbol, context_for, eval_str, parse
 from .laurent import LaurentPoly
+from .linalg import NotInSpan
 from .multivector import schouten_formed
 from .obstruction import (OBSTRUCTED, UNDETERMINED, UNOBSTRUCTED_MC, Certificate)
 
@@ -268,6 +269,11 @@ def _ep1_coeffs(src: str):
     mv = _require_bivector(eval_str(src, ctx).part(()))
     coeff = mv.coefficient(("z", "xi"))
     buckets = coeff.coefficients_in("xi")
+    # a global bivector on ExP1 has xi-degree 0..2 in this chart
+    outside = sorted(set(buckets) - {0, 1, 2})
+    if outside:
+        raise UsageError(f"{src!r} is not a global bivector on ExP1: "
+                         f"xi-degree {outside[0]} lies outside 0..2")
     out = []
     for k in (0, 1, 2):
         poly = buckets.get(k, LaurentPoly.zero(ctx.registry))
@@ -310,6 +316,11 @@ def _classify_hopf(parts, args) -> Certificate:
             raise UnknownSymbol(n)
     ectx = EvalContext(ctx.chart, ctx.registry, ())
     mv = _require_bivector(eval_str(args.poisson, ectx).part(()))
+    try:
+        hopf.cover_model(ctx, hopf.default_cap(t)).bivector_coords(mv)
+    except NotInSpan:
+        raise UsageError(f"{args.poisson!r} is not an invariant bivector "
+                         f"on the Hopf surface of type {t.label()}") from None
     coeff = mv.coefficient(("z", "w"))
     pp = ctx.p
 

@@ -8,7 +8,9 @@ automorphism kernels, family checks and obstruction certificates.
 
 Each (type, p, registry, cap) cover model is built once per process.
 It holds both id - f_* matrices and carries the invariant fields and
-bivectors, their kernels, computed at most once on first use.
+bivectors, their kernels, computed at most once on first use.  A matrix
+is built from f_*(g * e) = (g o f^-1) * f_*(e), from the frames e pushed
+forward once and monomials g composed with f^-1 (`id_minus_fstar`).
 
 Every id - f_* matrix is triangular up to a permutation: f_* sends a
 monomial field to itself times a parameter monomial plus fields that
@@ -16,9 +18,10 @@ come earlier in an order the contraction fixes, as in Poincare-Dulac
 normal forms.  The model derives that order once from each matrix's own
 nonzero pattern (`triangular_order`) and eliminates in it: image
 columns with a nonzero diagonal entry 1 - alpha^a delta^b enter on that
-entry with no row combination, and the kernels are computed on the
-matrix permuted to upper triangular form.  Only the few resonant
-columns, those with a zero diagonal entry, need any elimination work.
+entry with no row combination and are stored as they are, and the
+kernels are computed on the matrix permuted to upper triangular form.
+Only the few resonant columns, those with a zero diagonal entry, need
+any elimination work.
 """
 
 from __future__ import annotations
@@ -170,15 +173,17 @@ def truncated_space(ctx: HopfContext, grade: int, cap: int) -> TruncatedSpace:
     return TruncatedSpace(grade, cap, LabeledBasis(name, tuple(elems)))
 
 
-def _truncate(ctx: HopfContext, mv: MultiVector, cap: int) -> MultiVector:
-    comps = {}
-    for idx, poly in mv.components.items():
-        # z and w are the variables with indices 0 and 1
-        kept = {key: coeff for key, coeff in poly.terms.items()
-                if sum(e for i, e in key if i < 2) <= cap}
-        if kept:
-            comps[idx] = LaurentPoly._of_terms(ctx.registry, kept)
-    return MultiVector(ctx.chart, ctx.registry, comps)
+def _low_degree(poly: LaurentPoly, cap: int) -> LaurentPoly:
+    """The terms of `poly` of total (z, w) degree at most `cap`."""
+    # z and w are the variables with indices 0 and 1
+    return LaurentPoly._of_terms(poly.registry, {
+        key: coeff for key, coeff in poly.terms.items()
+        if sum(e for i, e in key if i < 2) <= cap})
+
+
+def _truncate(mv: MultiVector, cap: int) -> MultiVector:
+    """The terms of `mv` of total (z, w) degree at most `cap`."""
+    return mv.map_coefficients(lambda poly: _low_degree(poly, cap))
 
 
 def mono_coords(ctx: HopfContext, space: TruncatedSpace) -> Reducer:
@@ -212,14 +217,26 @@ def mono_coords(ctx: HopfContext, space: TruncatedSpace) -> Reducer:
 def id_minus_fstar(ctx: HopfContext, space: TruncatedSpace) -> LinMap:
     """Matrix of v -> v - f_* v on the truncated basis.
 
-    The contractions never lower total degree, so the truncated matrix
-    is the degree-filtered block of the full operator.
+    f_*(g * e) = (g o f^-1) * f_*(e) for a function g and a frame e, one
+    of d/dz, d/dw (grade 1) or d/dz ^ d/dw (grade 2).  So each frame is
+    pushed forward once, and the image (z^mu w^nu) o f^-1 of each basis
+    monomial is that of an earlier one times f^-1(z) or f^-1(w).  The
+    contractions never lower total degree and the pushed frames are
+    polynomial, so truncating every product at the cap as it is formed
+    gives exactly the degree-filtered block of the full operator.
     """
+    cap, inv = space.cap, ctx.contraction.inverse
+    images = {(0, 0): ctx.const(1)}
+    for mu, nu in list(monomials_upto(cap))[1:]:
+        prev, var = ((mu - 1, nu), "z") if mu else ((0, nu - 1), "w")
+        images[mu, nu] = _low_degree(images[prev] * inv[var], cap)
+    frames = [pushforward(ctx.contraction, ctx.mv(ctx.const(1), idx))
+              for idx in ((("z",), ("w",)) if space.grade == 1 else (("z", "w"),))]
+    # truncated_space lists, for each frame, its monomials in monomials_upto order
+    pushed = [frame.scale(image) for frame in frames for image in images.values()]
     red = mono_coords(ctx, space)
-    cols = []
-    for v in space.basis:
-        image = v - _truncate(ctx, pushforward(ctx.contraction, v), space.cap)
-        cols.append(red(image))
+    cols = [red(v - _truncate(image, cap))
+            for v, image in zip(space.basis, pushed, strict=True)]
     rows = [[cols[j][i] for j in range(len(space.basis))] for i in range(len(space.basis))]
     return LinMap(space.basis, space.basis, rows, ctx.registry)
 

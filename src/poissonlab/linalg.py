@@ -332,7 +332,9 @@ class ColumnSpace:
     a reduced target, then one tag slot per registered representative.
     Image columns enter with zero tags and representative i with tag i
     set to 1; row operations act on the tags too, so every row records
-    which multiple of each representative it contains.
+    which multiple of each representative it contains.  A row that
+    `_reduce` combined is stored content-normalized; a vector that met no
+    pivot is stored as given.
     """
 
     def __init__(self, dim: int, registry: VarRegistry, order: Sequence[int] | None = None):
@@ -389,7 +391,7 @@ class ColumnSpace:
                 raise NotInSpan("representative lies in the span of the image "
                                 "and the earlier representatives")
             return False
-        self.pivot_rows[top] = _row_content_normalize(red)
+        self.pivot_rows[top] = red
         return True
 
     def contains(self, vec: Sequence[LaurentPoly]) -> bool:

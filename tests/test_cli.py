@@ -176,3 +176,35 @@ def test_report_matches_golden_and_is_deterministic():
     code, second = run_cli("report", "--m-max", "8")
     assert first == second
     assert first == (GOLDEN / "report.json").read_text()
+
+
+@pytest.mark.parametrize("spec,src", [
+    ("hopf:IV", "z^3*@z^@w"),
+    ("hopf:III:p=2", "z^2*@z^@w"),
+    ("hopf:IIc", "z^5*@z^@w"),
+    ("ep1", "xi^3*@z^@xi"),
+    ("ep1", "xi^-1*@z^@xi"),
+])
+def test_bivector_that_is_not_global_is_a_usage_error(spec, src, capsys):
+    code, out = run_cli("classify", spec, "--poisson", src)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# the verdict on each Hopf stratum's invariant bivector form
+STRATUM_VERDICTS = {("IV", "zero"): "obstructed", ("III", "zero"): "obstructed",
+                    ("III", "B"): "undetermined"}
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_every_hopf_stratum_form_is_accepted(p):
+    from poissonlab import hopf
+
+    for t, stratum in hopf.strata(p):
+        spec = f"hopf:{t.tag}" + (f":p={p}" if t.p else "")
+        src = str(hopf.stratum_bivector(hopf.make_context(t), stratum))
+        code, out = run_cli("classify", spec, "--poisson", src)
+        assert code == 0
+        expected = STRATUM_VERDICTS.get((t.tag, stratum), "unobstructed_mc")
+        assert json.loads(out)["verdict"] == expected, (spec, src)

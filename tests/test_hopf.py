@@ -365,3 +365,33 @@ def test_ordered_quotients_equal_unordered_ones(t):
         assert plain.rank == ordered.rank
         for k in range(ordered.dim):
             assert coords(ordered, k) == coords(plain, k)
+
+
+@pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
+def test_id_minus_fstar_equals_the_pushforward_of_each_basis_field(t):
+    # the matrix built from pushed frames and monomial images equals, column
+    # by column, v - f_* v pushed forward whole and truncated at the cap
+    ctx = make_context(t)
+    for cap in range(3, 13):
+        for grade in (1, 2):
+            space = truncated_space(ctx, grade, cap)
+            mat = id_minus_fstar(ctx, space)
+            red = hopf_mod.mono_coords(ctx, space)
+            for j, v in enumerate(space.basis):
+                image = hopf_mod._truncate(pushforward(ctx.contraction, v), cap)
+                assert mat.column(j) == red(v - image)
+
+
+def test_hopf_tables_push_each_frame_once(monkeypatch):
+    from poissonlab import cli
+
+    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    calls = {"id_minus_fstar": 0, "pushforward": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(hopf_mod, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(hopf_mod, name, counted)
+    cli.hopf_tables(None, 2)
+    # d/dz and d/dw for mat1 and d/dz ^ d/dw for mat2, in each of five models
+    assert calls == {"id_minus_fstar": 10, "pushforward": 15}

@@ -284,3 +284,14 @@ def test_column_space_pivot_order():
     assert list(default.pivot_rows) == [1] and default.order == (0, 1, 2)
     with pytest.raises(ValueError):
         ColumnSpace(3, REG, (0, 0, 1))
+
+
+def test_column_space_stores_an_uncombined_column_as_given():
+    space = ColumnSpace(3, REG)
+    col = [A * 2, Z, B * C * 2]
+    assert space.add(col)
+    assert all(stored is entry for stored, entry in zip(space.pivot_rows[2], col))
+    # a combined row is stored content-normalized, as _reduce leaves it:
+    # 2*B*C*(A, 4*B, B*C) - B*C*(2*A, 0, 2*B*C) = (0, 8*B^2*C, 0)
+    assert space.add([A, B * 4, B * C])
+    assert [str(p) for p in space.pivot_rows[1][:3]] == ["0", "1", "0"]
