@@ -198,6 +198,9 @@ def cmd_tables(args) -> int:
 
 def cmd_bracket(args) -> int:
     chart_vars = tuple(args.chart.split(","))
+    if "" in chart_vars or len(set(chart_vars)) != len(chart_vars):
+        raise UsageError(f"--chart {args.chart!r}: the chart variables must be "
+                         "nonempty and distinct")
     dbar = tuple(args.dbar.split(",")) if args.dbar else ()
     ctx = context_for([args.left, args.right], chart_vars, dbar)
     a = eval_str(args.left, ctx)
@@ -225,11 +228,19 @@ def cmd_classify(args) -> int:
         m = _spec_number(parts, 0, ruled.MAX_M)
         src = args.poisson
         names = sorted(n for n in _free_names(src) if n not in ("z", "xi"))
+        for n in names:
+            if n in ("zp", "xip"):
+                raise UsageError(f"{src!r}: {n!r} is a coordinate of the chart U2; "
+                                 "write the bivector in the U1 coordinates z, xi")
         rs = ruled.make_surface(m, tuple(names))
         from .expr import EvalContext
         ectx = EvalContext(rs.chart1, rs.registry, ())
         mv = eval_str(src, ectx).part(())
-        pois = ruled.poisson_from_bivector(rs, mv)
+        try:
+            pois = ruled.poisson_from_bivector(rs, mv)
+        except ValueError as exc:
+            raise UsageError(f"{src!r} is not a global Poisson structure on F{m}: "
+                             f"{exc}") from None
         row = ruled.table1_verdict(rs, pois)
         cert = row.certificate
         cert.data["dim_h2"] = row.dim_h2

@@ -5,11 +5,11 @@ indices, an exact Laurent-polynomial coefficient.  On top of that,
 FormedMultiVector attaches antiholomorphic exterior generators (the
 "dbar" factors) so Dolbeault-type elements can be summed and bracketed.
 
-The Schouten bracket is computed recursively from the graded Leibniz
-rules with the Lie bracket and directional derivative as base cases.
-The resulting sign convention satisfies, for a bivector L and a vector
-field X, [L, X] = -Lie_X L; this is the convention every worked
-identity in scope pins down.
+The Schouten bracket is computed in one pass over each pair of terms,
+from the coordinate formula for the bracket of two decomposable
+multivectors (see `schouten`).  Its sign convention satisfies, for a
+bivector L and a vector field X, [L, X] = -Lie_X L; this is the
+convention every worked identity in scope pins down.
 """
 
 from __future__ import annotations
@@ -215,67 +215,47 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
 # ----------------------------------------------------------------------
 # Schouten bracket
 
-def _lie_terms(chart, reg, f, i, g, j):
-    """[f d_i, g d_j] for single coordinate directions."""
-    vi, vj = chart.vars[i], chart.vars[j]
-    comps: dict[tuple[int, ...], LaurentPoly] = {}
-    t1 = f * g.partial(vi)
-    t2 = g * f.partial(vj)
-    for idx, p in ((  (j,), t1), ((i,), -t2)):
-        if p.is_zero():
-            continue
-        s = comps.get(idx)
-        s = p if s is None else s + p
-        if s.is_zero():
-            comps.pop(idx, None)
-        else:
-            comps[idx] = s
-    return MultiVector(chart, reg, comps)
-
-
-def _sch_terms(chart, reg, f, I, g, J) -> MultiVector:
-    """Bracket of single terms f*d_I and g*d_J, by graded Leibniz recursion."""
-    p, q = len(I), len(J)
-    one = LaurentPoly.const(reg, 1)
-
-    def mv(coeff, idx):
-        return MultiVector(chart, reg, {idx: coeff})
-
-    if p == 0 and q == 0:
-        return MultiVector.zero(chart, reg)
-    if p == 1:
-        if q == 0:
-            return MultiVector(chart, reg, {(): f * g.partial(chart.vars[I[0]])})
-        if q == 1:
-            return _lie_terms(chart, reg, f, I[0], g, J[0])
-        # second-slot Leibniz, |a| = 1 so no sign
-        head = _sch_terms(chart, reg, f, I, g, (J[0],))
-        rest = _sch_terms(chart, reg, f, I, one, J[1:])
-        return wedge(head, mv(one, J[1:])) + wedge(mv(g, (J[0],)), rest)
-    if p == 0:
-        # [f, t1 ^ rest] = [f, t1] ^ rest - t1 ^ [f, rest]
-        head = MultiVector(chart, reg, {(): -(g * f.partial(chart.vars[J[0]]))})
-        rest = _sch_terms(chart, reg, f, (), one, J[1:])
-        return wedge(head, mv(one, J[1:])) - wedge(mv(g, (J[0],)), rest)
-    # p >= 2: first-slot Leibniz
-    # [a ^ b, c] = a ^ [b, c] + (-1)^{(p-1)(q-1)} [a, c] ^ b
-    bpart = _sch_terms(chart, reg, one, I[1:], g, J)
-    apart = _sch_terms(chart, reg, f, (I[0],), g, J)
-    out = wedge(mv(f, (I[0],)), bpart)
-    tail = wedge(apart, mv(one, I[1:]))
-    if ((p - 1) * (q - 1)) % 2:
-        tail = -tail
-    return out + tail
-
-
 def schouten(a: MultiVector, b: MultiVector) -> MultiVector:
-    """Schouten-Nijenhuis bracket; restricts to the Lie bracket on fields."""
+    """Schouten-Nijenhuis bracket; restricts to the Lie bracket on fields.
+
+    For single terms A = f d_I and B = g d_J with p = |I|, q = |J| and
+    0-based positions r, s (Marle, J. Geom. Phys. 23, 1997):
+
+        [A, B] = sum_r (-1)^(p-1-r) f d_{i_r}g d_{I - i_r} ^ d_J
+                 - (-1)^((p-1)(q-1)) sum_s (-1)^(q-1-s) g d_{j_s}f d_{J - j_s} ^ d_I
+
+    Every pair of terms adds into one component dict.  For a bivector L
+    and a vector field X this gives [L, X] = -Lie_X L.
+    """
     a._check(b)
-    out = MultiVector.zero(a.chart, a.registry)
-    for ia, pa in a.components.items():
-        for ib, pb in b.components.items():
-            out = out + _sch_terms(a.chart, a.registry, pa, ia, pb, ib)
-    return out
+    names = a.chart.vars
+    out: dict[tuple[int, ...], LaurentPoly] = {}
+
+    def add(coeff, other, var, idx, sign):
+        # sign * coeff * d(other)/d(var) on d_idx, which is 0 if idx repeats
+        s, key = _sort_index_tuple(idx)
+        if s == 0:
+            return
+        deriv = other.partial(names[var])
+        if deriv.is_zero():
+            return
+        term = coeff * deriv
+        prev = out.get(key)
+        if s * sign > 0:
+            out[key] = term if prev is None else prev + term
+        else:
+            out[key] = -term if prev is None else prev - term
+
+    for I, f in a.components.items():
+        p = len(I)
+        for J, g in b.components.items():
+            q = len(J)
+            for r, i in enumerate(I):
+                add(f, g, i, I[:r] + I[r + 1:] + J, -1 if (p - 1 - r) % 2 else 1)
+            flip = 1 if ((p - 1) * (q - 1)) % 2 else -1
+            for s, j in enumerate(J):
+                add(g, f, j, J[:s] + J[s + 1:] + I, -flip if (q - 1 - s) % 2 else flip)
+    return MultiVector(a.chart, a.registry, out)
 
 
 # ----------------------------------------------------------------------

@@ -255,6 +255,22 @@ def split_theta(rs: RuledSurface, v: MultiVector):
     return part1, part2, window
 
 
+def _bivector_xi_parts(rs: RuledSurface, v: MultiVector) -> dict[int, LaurentPoly]:
+    """The xi-degree parts of the coefficient of a bivector overlap section.
+
+    Raises NotInSpan unless v lies on U1, is a pure bivector and has
+    xi-degree in 0..2.
+    """
+    if v.chart != rs.chart1:
+        raise NotInSpan("overlap sections are expressed on U1")
+    if any(len(idx) != 2 for idx in v.components):
+        raise NotInSpan("expected a pure bivector")
+    parts_by_xi = v.coefficient(("z", "xi")).coefficients_in("xi")
+    if any(k not in (0, 1, 2) for k in parts_by_xi):
+        raise NotInSpan("bivector coefficient must have xi-degree at most 2")
+    return parts_by_xi
+
+
 def split_sq(rs: RuledSurface, v: MultiVector):
     """Same as split_theta for bivector overlap sections.
 
@@ -263,16 +279,8 @@ def split_sq(rs: RuledSurface, v: MultiVector):
     <= 2-m.
     """
     m = rs.m
-    reg = rs.registry
-    if v.chart != rs.chart1:
-        raise NotInSpan("overlap sections are expressed on U1")
-    if any(len(idx) not in (2,) for idx in v.components):
-        raise NotInSpan("expected a pure bivector")
-    coeff = v.coefficient(("z", "xi"))
-    parts_by_xi = coeff.coefficients_in("xi")
-    if any(k not in (0, 1, 2) for k in parts_by_xi):
-        raise NotInSpan("bivector coefficient must have xi-degree at most 2")
-    zero = LaurentPoly.zero(reg)
+    parts_by_xi = _bivector_xi_parts(rs, v)
+    zero = LaurentPoly.zero(rs.registry)
     d = parts_by_xi.get(0, zero)
     e = parts_by_xi.get(1, zero)
     f = parts_by_xi.get(2, zero)
@@ -287,23 +295,14 @@ def split_sq(rs: RuledSurface, v: MultiVector):
     return part1, part2, window
 
 
-def _window_coords(rs, window: dict, count: int) -> list[LaurentPoly]:
-    zero = LaurentPoly.zero(rs.registry)
-    return [window.get(k, zero) for k in range(1, count + 1)]
-
-
-def reduce_h1_theta(rs: RuledSurface) -> Reducer:
-    def fn(v: MultiVector):
-        _, _, window = split_theta(rs, v)
-        return _window_coords(rs, window, rs.m - 1)
-
-    return Reducer(f"H1(F{rs.m},Theta) classes", fn)
-
-
 def reduce_h1_sq(rs: RuledSurface) -> Reducer:
+    """Coordinates in the H1 window: the z^-k coefficients, k = 1 .. m-3,
+    of the xi-free part (the window of split_sq, without its chart parts)."""
+    zero = LaurentPoly.zero(rs.registry)
+
     def fn(v: MultiVector):
-        _, _, window = split_sq(rs, v)
-        return _window_coords(rs, window, rs.m - 3)
+        by_z = _bivector_xi_parts(rs, v).get(0, zero).coefficients_in("z")
+        return [by_z.get(-k, zero) for k in range(1, rs.m - 2)]
 
     return Reducer(f"H1(F{rs.m},Wedge2Theta) classes", fn)
 
@@ -487,7 +486,8 @@ def hyper_class_coords(model: H1Model, lam1: MultiVector, lam2_primed: MultiVect
     if not cocycle.is_zero():
         raise NotACocycle("lam2 - lam1 + [lam0, theta12] != 0 on the overlap")
     part1, part2, window = split_theta(rs, theta12)
-    ker_window = _window_coords(rs, window, rs.m - 1)
+    zero = LaurentPoly.zero(rs.registry)
+    ker_window = [window.get(k, zero) for k in range(1, rs.m)]
     # class must sit inside the kernel of the H1 bracket map
     bracket_cls = reduce_h1_sq(rs)(schouten(lam0, theta12))
     if not all(p.is_zero() for p in bracket_cls):

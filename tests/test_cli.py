@@ -192,6 +192,21 @@ def test_bivector_that_is_not_global_is_a_usage_error(spec, src, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "ruled:5", "--poisson", "z^-1*@z^@xi"),
+    ("classify", "ruled:5", "--poisson", "z^8*xi^2*@z^@xi"),
+    ("classify", "ruled:5", "--poisson", "xi^3*@z^@xi"),
+    ("classify", "ruled:5", "--poisson", "@z"),
+    ("classify", "ruled:5", "--poisson", "zp*@z^@xi"),
+    ("bracket", "z*@z", "w*@w", "--chart", "z,z"),
+])
+def test_ruled_bivector_that_is_not_global_or_bad_chart_is_a_usage_error(argv, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # the verdict on each Hopf stratum's invariant bivector form
 STRATUM_VERDICTS = {("IV", "zero"): "obstructed", ("III", "zero"): "obstructed",
                     ("III", "B"): "undetermined"}

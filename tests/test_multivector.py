@@ -148,6 +148,85 @@ def test_bracket_axioms(a, b, c):
     assert leib_l == leib_r + (tail if s2 == 1 else -tail)
 
 
+# Reference: the bracket of single terms f d_I and g d_J by the graded
+# Leibniz recursion, with the Lie bracket and the directional derivative
+# as base cases.  `schouten` computes the same thing in one pass.
+
+def _lie_terms(chart, reg, f, i, g, j):
+    """[f d_i, g d_j] for single coordinate directions."""
+    vi, vj = chart.vars[i], chart.vars[j]
+    return MultiVector(chart, reg, {(j,): f * g.partial(vi)}) - MultiVector(
+        chart, reg, {(i,): g * f.partial(vj)})
+
+
+def _sch_terms(chart, reg, f, I, g, J) -> MultiVector:
+    """[f d_I, g d_J] by graded Leibniz recursion."""
+    p, q = len(I), len(J)
+    one = LaurentPoly.const(reg, 1)
+
+    def mv(coeff, idx):
+        return MultiVector(chart, reg, {idx: coeff})
+
+    if p == 0 and q == 0:
+        return MultiVector.zero(chart, reg)
+    if p == 1:
+        if q == 0:
+            return MultiVector(chart, reg, {(): f * g.partial(chart.vars[I[0]])})
+        if q == 1:
+            return _lie_terms(chart, reg, f, I[0], g, J[0])
+        # second-slot Leibniz, |a| = 1 so no sign
+        head = _sch_terms(chart, reg, f, I, g, (J[0],))
+        rest = _sch_terms(chart, reg, f, I, one, J[1:])
+        return wedge(head, mv(one, J[1:])) + wedge(mv(g, (J[0],)), rest)
+    if p == 0:
+        # [f, t1 ^ rest] = [f, t1] ^ rest - t1 ^ [f, rest]
+        head = MultiVector(chart, reg, {(): -(g * f.partial(chart.vars[J[0]]))})
+        rest = _sch_terms(chart, reg, f, (), one, J[1:])
+        return wedge(head, mv(one, J[1:])) - wedge(mv(g, (J[0],)), rest)
+    # p >= 2: first-slot Leibniz
+    # [a ^ b, c] = a ^ [b, c] + (-1)^{(p-1)(q-1)} [a, c] ^ b
+    bpart = _sch_terms(chart, reg, one, I[1:], g, J)
+    apart = _sch_terms(chart, reg, f, (I[0],), g, J)
+    out = wedge(mv(f, (I[0],)), bpart)
+    tail = wedge(apart, mv(one, I[1:]))
+    if ((p - 1) * (q - 1)) % 2:
+        tail = -tail
+    return out + tail
+
+
+REG4 = VarRegistry(("x", "y", "u", "v"), ("a", "b"))
+CH4 = Chart("C4", ("x", "y", "u", "v"))
+
+
+@st.composite
+def param_polys(draw, reg):
+    """Laurent polynomials in every chart variable and parameter of reg."""
+    out = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = {}
+        for idx in range(len(reg.names)):
+            e = draw(st.integers(-2, 2))
+            if e:
+                key[idx] = e
+        out[tuple(sorted(key.items()))] = GaussianRational(draw(st.integers(-3, 3)),
+                                                           draw(st.integers(-1, 1)))
+    return LaurentPoly(reg, out)
+
+
+@pytest.mark.parametrize("chart,reg,p,q", [
+    (chart, reg, p, q)
+    for chart, reg in ((CH, REG), (CH4, REG4))
+    for p in range(chart.dim + 1) for q in range(chart.dim + 1)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_schouten_matches_leibniz_reference_on_single_terms(chart, reg, p, q, data):
+    I = tuple(sorted(data.draw(st.permutations(range(chart.dim)))[:p]))
+    J = tuple(sorted(data.draw(st.permutations(range(chart.dim)))[:q]))
+    f, g = data.draw(param_polys(reg)), data.draw(param_polys(reg))
+    got = schouten(MultiVector(chart, reg, {I: f}), MultiVector(chart, reg, {J: g}))
+    assert got == _sch_terms(chart, reg, f, I, g, J)
+
+
 def _fm_surface(m):
     reg = VarRegistry(("z", "xi", "zp", "xip"), ("a", "b"))
     U1, U2 = Chart("U1", ("z", "xi")), Chart("U2", ("zp", "xip"))

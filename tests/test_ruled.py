@@ -291,3 +291,37 @@ def test_poisson_from_bivector_validates():
     bad2 = rs.mv1(rs.z(5), ("z", "xi"))  # too deep for m = 4 (d must vanish)
     with pytest.raises(ValueError):
         poisson_from_bivector(rs, bad2)
+
+
+def _random_bivector_section(rs, rng):
+    """A bivector on U1 with z-degrees -(m+3)..m+3, xi-degrees 0..2 and
+    parameter coefficients."""
+    coeff = zero(rs)
+    for _ in range(8):
+        c = rs.const(rng.randint(-3, 3)) + rs.param("a") * rng.randint(-2, 2)
+        coeff = coeff + c * rs.z(rng.randint(-rs.m - 3, rs.m + 3)) * rs.xi(rng.randint(0, 2))
+    return rs.mv1(coeff, ("z", "xi"))
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_reduce_h1_sq_reads_the_split_sq_window(m):
+    rng = random.Random(100 + m)
+    rs = make_surface(m, ("a",))
+    red = reduce_h1_sq(rs)
+    for _ in range(10):
+        v = _random_bivector_section(rs, rng)
+        _, _, window = split_sq(rs, v)
+        assert red(v) == [window.get(k, zero(rs)) for k in range(1, m - 2)]
+
+
+def test_reduce_h1_sq_rejects_malformed_sections():
+    rs = make_surface(5)
+    red = reduce_h1_sq(rs)
+    on_u2 = MultiVector.term(rs.chart2, rs.registry, rs.const(1), ("zp", "xip"))
+    field = rs.mv1(rs.z(-1), ("xi",))
+    cubic = rs.mv1(rs.z(-1) * rs.xi(3), ("z", "xi"))
+    for bad in (on_u2, field, cubic):
+        with pytest.raises(NotInSpan):
+            red(bad)
+        with pytest.raises(NotInSpan):
+            split_sq(rs, bad)
