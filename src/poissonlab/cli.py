@@ -3,7 +3,7 @@
 Subcommands reproduce the dimension tables, print Schouten brackets of
 parsed expressions, classify Poisson structures into deformation
 verdicts, and re-run the family and Maurer-Cartan verifications.  All
-verification failures exit nonzero; --json output is key-sorted and
+verification failures exit nonzero; JSON output is key-sorted and
 deterministic.
 """
 
@@ -19,7 +19,7 @@ from . import hopf, products, ruled
 from .expr import ParseError, UnknownSymbol, context_for, eval_str, parse
 from .laurent import LaurentPoly
 from .linalg import NotInSpan
-from .multivector import schouten_formed
+from .multivector import ChartFrame, schouten_formed
 from .obstruction import (OBSTRUCTED, UNDETERMINED, UNOBSTRUCTED_MC, Certificate)
 
 EXIT_OK = 0
@@ -233,9 +233,7 @@ def cmd_classify(args) -> int:
                 raise UsageError(f"{src!r}: {n!r} is a coordinate of the chart U2; "
                                  "write the bivector in the U1 coordinates z, xi")
         rs = ruled.make_surface(m, tuple(names))
-        from .expr import EvalContext
-        ectx = EvalContext(rs.chart1, rs.registry, ())
-        mv = eval_str(src, ectx).part(())
+        mv = eval_str(src, rs).part(())
         try:
             pois = ruled.poisson_from_bivector(rs, mv)
         except ValueError as exc:
@@ -253,7 +251,7 @@ def cmd_classify(args) -> int:
         cert = _classify_tp1(args.poisson)
     elif kind == "torus":
         n = _spec_number(parts, 1)
-        dim = products.torus_dims(n)
+        dim = products.torus_dims(n, _torus_coeffs(args.poisson, n))
         cert = Certificate(f"T{n}", "constant", UNOBSTRUCTED_MC,
                            reason="translation-invariant deformation family",
                            data={"dim_h1": dim})
@@ -275,24 +273,43 @@ def _require_bivector(mv):
     return mv
 
 
+def _rationals(polys):
+    out = [_rational_or_none(p) for p in polys]
+    if None in out:
+        raise UnknownSymbol("classification needs exact rational coefficients")
+    return out
+
+
+def _xi_quadratic(src: str, poly: LaurentPoly, manifold: str):
+    """The rational coefficients of xi^0, xi^1, xi^2 in `poly`.
+
+    A global bivector on a product with the projective line has xi-degree
+    0..2 in this chart; any other degree is a usage error."""
+    buckets = poly.coefficients_in("xi")
+    outside = sorted(set(buckets) - {0, 1, 2})
+    if outside:
+        raise UsageError(f"{src!r} is not a global bivector on {manifold}: "
+                         f"xi-degree {outside[0]} lies outside 0..2")
+    return _rationals(buckets.get(k, LaurentPoly.zero(poly.registry)) for k in (0, 1, 2))
+
+
 def _ep1_coeffs(src: str):
     ctx = context_for([src], ("z", "xi"), ("z",))
     mv = _require_bivector(eval_str(src, ctx).part(()))
-    coeff = mv.coefficient(("z", "xi"))
-    buckets = coeff.coefficients_in("xi")
-    # a global bivector on ExP1 has xi-degree 0..2 in this chart
-    outside = sorted(set(buckets) - {0, 1, 2})
-    if outside:
-        raise UsageError(f"{src!r} is not a global bivector on ExP1: "
-                         f"xi-degree {outside[0]} lies outside 0..2")
-    out = []
-    for k in (0, 1, 2):
-        poly = buckets.get(k, LaurentPoly.zero(ctx.registry))
-        val = _rational_or_none(poly)
-        if val is None:
-            raise UnknownSymbol("classification needs exact rational coefficients")
-        out.append(val)
-    return out
+    return _xi_quadratic(src, mv.coefficient(("z", "xi")), "ExP1")
+
+
+def _torus_coeffs(src: str, n: int) -> dict:
+    """The constant coefficients b_ij of a bivector on the chart z1..zN."""
+    names = tuple(f"z{i}" for i in range(1, n + 1))
+    ctx = context_for([src], names)
+    mv = _require_bivector(eval_str(src, ctx).part(()))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    values = [_rational_or_none(mv.coefficient((f"z{i}", f"z{j}"))) for i, j in pairs]
+    if None in values:
+        raise UsageError(f"{src!r} is not a constant Poisson structure on T{n}: "
+                         "the coefficients must be rational constants")
+    return {f"b{i}{j}": v for (i, j), v in zip(pairs, values)}
 
 
 def _hopf_type(parts) -> hopf.HopfType:
@@ -320,13 +337,11 @@ def _classify_hopf(parts, args) -> Certificate:
     t = _hopf_type(parts)
     tag = t.tag
     ctx = hopf.make_context(t)
-    from .expr import EvalContext
     names = sorted(n for n in _free_names(args.poisson) if n not in ("z", "w"))
     for n in names:
         if n not in ctx.registry.param_vars:
             raise UnknownSymbol(n)
-    ectx = EvalContext(ctx.chart, ctx.registry, ())
-    mv = _require_bivector(eval_str(args.poisson, ectx).part(()))
+    mv = _require_bivector(eval_str(args.poisson, ctx).part(()))
     try:
         hopf.cover_model(ctx, hopf.default_cap(t)).bivector_coords(mv)
     except NotInSpan:
@@ -372,18 +387,11 @@ def _classify_hopf(parts, args) -> Certificate:
 
 def _classify_tp1(src: str) -> Certificate:
     ctx = products.tp1_context()
-    from .expr import EvalContext
-    ectx = EvalContext(ctx.chart, ctx.registry, ())
-    mv = _require_bivector(eval_str(src, ectx).part(()))
-    d = _rational_or_none(mv.coefficient(("z1", "z2")))
-    bpoly = mv.coefficient(("z2", "xi"))
-    cpoly = -mv.coefficient(("z1", "xi"))
-    bs = [_rational_or_none(bpoly.coefficients_in("xi").get(k, LaurentPoly.zero(ctx.registry)))
-          for k in (0, 1, 2)]
-    cs = [_rational_or_none(cpoly.coefficients_in("xi").get(k, LaurentPoly.zero(ctx.registry)))
-          for k in (0, 1, 2)]
-    if d is None or None in bs or None in cs:
-        raise UnknownSymbol("classification needs exact rational coefficients")
+    # no dbar generators: a Poisson structure has no form part
+    mv = _require_bivector(eval_str(src, ChartFrame(ctx.chart, ctx.registry)).part(()))
+    (d,) = _rationals([mv.coefficient(("z1", "z2"))])
+    bs = _xi_quadratic(src, mv.coefficient(("z2", "xi")), "TxP1")
+    cs = _xi_quadratic(src, -mv.coefficient(("z1", "xi")), "TxP1")
     if all(v == 0 for v in bs) and all(v == 0 for v in cs):
         cls = products.TP1PoissonClass(1, {"D": d})
     elif any(v != 0 for v in bs):
@@ -489,9 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--m-max", type=int, default=10)
     tables.add_argument("--degree", type=int, default=None)
     tables.add_argument("--p", type=int, default=hopf.DEFAULT_P)
-    fmt = tables.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--md", action="store_true", default=False)
+    tables.add_argument("--md", action="store_true", default=False)
     tables.set_defaults(func=cmd_tables)
 
     bracket = sub.add_parser("bracket", help="Schouten bracket of two expressions")

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, VarRegistry
-from .multivector import Chart, FormedMultiVector, MultiVector, wedge
+from .laurent import VarRegistry
+from .multivector import Chart, ChartFrame, FormedMultiVector, wedge
 from .rational import GaussianRational
 
 
@@ -280,39 +280,24 @@ def fmv_product(a: FormedMultiVector, b: FormedMultiVector) -> FormedMultiVector
     return out
 
 
-@dataclass(frozen=True)
-class EvalContext:
-    chart: Chart
-    registry: VarRegistry
-    dbar_vars: tuple[str, ...]
-
-    def constant(self, value: GaussianRational) -> FormedMultiVector:
-        mv = MultiVector.function(self.chart, self.registry,
-                                  LaurentPoly.const(self.registry, value))
-        return FormedMultiVector.of(mv, self.dbar_vars)
+EvalContext = ChartFrame
 
 
 def evaluate(node, ctx: EvalContext) -> FormedMultiVector:
     if isinstance(node, Num):
-        return ctx.constant(node.value)
+        return ctx.formed(ctx.mv(ctx.const(node.value)))
     if isinstance(node, Sym):
         if node.name not in ctx.registry:
             raise UnknownSymbol(node.name)
-        mv = MultiVector.function(ctx.chart, ctx.registry,
-                                  LaurentPoly.var(ctx.registry, node.name))
-        return FormedMultiVector.of(mv, ctx.dbar_vars)
+        return ctx.formed(ctx.mv(ctx.param(node.name)))
     if isinstance(node, Vec):
         if node.name not in ctx.chart.vars:
             raise UnknownSymbol(f"@{node.name}")
-        mv = MultiVector.term(ctx.chart, ctx.registry,
-                              LaurentPoly.const(ctx.registry, 1), (node.name,))
-        return FormedMultiVector.of(mv, ctx.dbar_vars)
+        return ctx.formed(ctx.mv(ctx.const(1), (node.name,)))
     if isinstance(node, Dbar):
-        if node.name not in ctx.dbar_vars:
+        if node.name not in ctx.dbar:
             raise UnknownSymbol(f"~{node.name}")
-        mv = MultiVector.function(ctx.chart, ctx.registry,
-                                  LaurentPoly.const(ctx.registry, 1))
-        return FormedMultiVector.of(mv, ctx.dbar_vars, (node.name,))
+        return ctx.formed(ctx.mv(ctx.const(1)), (node.name,))
     if isinstance(node, Neg):
         return -evaluate(node.arg, ctx)
     if isinstance(node, Add):
@@ -329,9 +314,8 @@ def evaluate(node, ctx: EvalContext) -> FormedMultiVector:
         mv = base.part(())
         if set(mv.components) not in (set(), {()}):
             raise UnknownSymbol("powers only apply to scalar expressions")
-        poly = mv.components.get((), LaurentPoly.zero(ctx.registry))
-        out = MultiVector.function(ctx.chart, ctx.registry, poly ** node.exponent)
-        return FormedMultiVector.of(out, ctx.dbar_vars)
+        poly = mv.components.get((), ctx.const(0))
+        return ctx.formed(ctx.mv(poly ** node.exponent))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -347,7 +331,7 @@ def context_for(src_list, chart_vars: tuple[str, ...],
         names |= collect_names(parse(src))
     params = tuple(sorted(names - set(chart_vars)))
     reg = VarRegistry(chart_vars, params)
-    return EvalContext(Chart("chart", chart_vars), reg, dbar_vars)
+    return ChartFrame(Chart("chart", chart_vars), reg, dbar_vars)
 
 
 def print_formed(fmv: FormedMultiVector) -> str:

@@ -35,7 +35,8 @@ from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer,
                      generic_rank, image_space, kernel_basis, matrix_of_map,
                      quotient_coords, quotient_space)
-from .multivector import Chart, ChartMap, MultiVector, pushforward, schouten
+from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
+                          pushforward, schouten)
 from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel,
                           r4_search)
 
@@ -70,30 +71,10 @@ class HopfType:
         return self.tag if self.p is None else f"{self.tag}(p={self.p})"
 
 
-@dataclass(frozen=True)
-class HopfContext:
+@dataclass(frozen=True, kw_only=True)
+class HopfContext(ChartFrame):
     type: HopfType
-    registry: VarRegistry
-    chart: Chart
     contraction: ChartMap
-
-    def z(self, power=1):
-        return LaurentPoly.var(self.registry, "z", power)
-
-    def w(self, power=1):
-        return LaurentPoly.var(self.registry, "w", power)
-
-    def param(self, name):
-        return LaurentPoly.var(self.registry, name)
-
-    def const(self, value):
-        return LaurentPoly.const(self.registry, value)
-
-    def mv(self, coeff, vars):
-        return MultiVector.term(self.chart, self.registry, coeff, vars)
-
-    def zero_mv(self):
-        return MultiVector.zero(self.chart, self.registry)
 
     @property
     def p(self) -> int:
@@ -139,7 +120,7 @@ def _build_context(t: HopfType, extra_params: Sequence[str] = ()) -> HopfContext
         fwd = {"z": alpha * z, "w": delta * w}
         inv = {"z": alpha ** -1 * z, "w": delta ** -1 * w}
     contraction = ChartMap(chart, chart, fwd, inv)
-    return HopfContext(t, reg, chart, contraction)
+    return HopfContext(chart, reg, type=t, contraction=contraction)
 
 
 # ----------------------------------------------------------------------
@@ -289,16 +270,6 @@ def _triangular_image_space(mat: LinMap, order: Sequence[int]) -> ColumnSpace:
     return space
 
 
-def _combination(coeffs, basis) -> MultiVector:
-    """sum of c * e over the nonzero coefficients; at least one is nonzero."""
-    elem = None
-    for c, e in zip(coeffs, basis):
-        if not c.is_zero():
-            piece = e.scale(c)
-            elem = piece if elem is None else elem + piece
-    return elem
-
-
 # ----------------------------------------------------------------------
 # M1 / M2: cokernel models for H1
 
@@ -359,7 +330,7 @@ class CoverModel:
     @cached_property
     def fields(self) -> tuple[MultiVector, ...]:
         """Invariant fields: the kernel of mat1."""
-        return tuple(_combination(v, self.space1.basis)
+        return tuple(combination(v, self.space1.basis)
                      for v in _triangular_kernel(self.mat1, self.order1))
 
     @cached_property
@@ -371,7 +342,7 @@ class CoverModel:
     @cached_property
     def bivectors(self) -> tuple[MultiVector, ...]:
         """Invariant bivectors: the kernel of mat2."""
-        return tuple(_combination(v, self.space2.basis) for v in self._bivector_space.reps)
+        return tuple(combination(v, self.space2.basis) for v in self._bivector_space.reps)
 
     def bivector_coords(self, v: MultiVector) -> list[LaurentPoly]:
         """Coordinates of an invariant bivector on `bivectors`."""
@@ -470,7 +441,7 @@ def stratum_bivector(ctx: HopfContext, stratum: str) -> MultiVector:
         coeff = table[(tag, stratum)]
     except KeyError:
         raise ValueError(f"unknown stratum {stratum!r} for type {tag}") from None
-    return ctx.mv(coeff, ("z", "w")) if not coeff.is_zero() else ctx.zero_mv()
+    return ctx.mv(coeff, ("z", "w")) if not coeff.is_zero() else ctx.zero()
 
 
 def strata(p: int) -> tuple:
@@ -648,7 +619,7 @@ def membership_pairs(t: HopfType, ctx: HopfContext):
     alpha, delta = ctx.param("alpha"), ctx.param("delta")
     A, B, C = ctx.param("A"), ctx.param("B"), ctx.param("C")
     p = ctx.p
-    zero = ctx.zero_mv()
+    zero = ctx.zero()
     tag = t.tag
     ai = alpha ** -1
     di = delta ** -1
@@ -743,8 +714,6 @@ def deformation_model(t: HopfType, stratum: str, cap: int | None = None) -> Defo
         lam0 = stratum_bivector(ctx, stratum)
         stratum_label = stratum
     model = cover_model(ctx, cap)
-    mm = m_bracket_matrix(ctx, model, lam0)
-    h2 = mm.n_rows - generic_rank(mm)
     return DeformationComplexModel(
         name=f"Hopf {t.label()}",
         stratum=stratum_label,
@@ -754,8 +723,7 @@ def deformation_model(t: HopfType, stratum: str, cap: int | None = None) -> Defo
         h1_sq=model.m2,
         bracket=schouten,
         reduce_h1_sq=model.reduce_m(2),
-        h1_matrix=mm,
-        h2_dim=h2,
+        h1_matrix=m_bracket_matrix(ctx, model, lam0),
     )
 
 
@@ -790,7 +758,7 @@ def obstruction_certificate_hopf(t: HopfType, constants: dict) -> Certificate:
         raise ValueError("chosen constants give a vanishing bracket class")
     return Certificate(model.name, "zero", OBSTRUCTED,
                        witness={"a": str(a), "b": str(b)},
-                       class_repr=str(_combination(cls, model.h1_sq)))
+                       class_repr=str(combination(cls, model.h1_sq)))
 
 
 H95_CASES = ("iv-discriminant-zero", "iii-b-nonzero")

@@ -10,12 +10,16 @@ from the coordinate formula for the bracket of two decomposable
 multivectors (see `schouten`).  Its sign convention satisfies, for a
 bivector L and a vector field X, [L, X] = -Lie_X L; this is the
 convention every worked identity in scope pins down.
+
+A ChartFrame bundles a chart, its registry and its dbar generators with
+the shorthands each geometry builds its fields from, and `combination`
+rebuilds an element from its coordinates in a basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .laurent import LaurentPoly, VarRegistry
 from .rational import GaussianRational
@@ -469,6 +473,50 @@ def schouten_formed(a: FormedMultiVector, b: FormedMultiVector) -> FormedMultiVe
                     piece = -piece
                 out = out + FormedMultiVector.of(piece, a.dbar_vars, key)
     return out
+
+
+@dataclass(frozen=True)
+class ChartFrame:
+    """A chart with its variable registry and antiholomorphic generators,
+    and the shorthands every geometry builds its fields from."""
+
+    chart: Chart
+    registry: VarRegistry
+    dbar: tuple[str, ...] = ()
+
+    def param(self, name, power=1) -> LaurentPoly:
+        return LaurentPoly.var(self.registry, name, power)
+
+    def z(self, power=1) -> LaurentPoly:
+        return self.param("z", power)
+
+    def w(self, power=1) -> LaurentPoly:
+        return self.param("w", power)
+
+    def xi(self, power=1) -> LaurentPoly:
+        return self.param("xi", power)
+
+    def const(self, value) -> LaurentPoly:
+        return LaurentPoly.const(self.registry, value)
+
+    def mv(self, coeff: LaurentPoly, vars: Iterable[str] = ()) -> MultiVector:
+        return MultiVector.term(self.chart, self.registry, coeff, vars)
+
+    def zero(self) -> MultiVector:
+        return MultiVector.zero(self.chart, self.registry)
+
+    def formed(self, mv: MultiVector, factor: tuple[str, ...] = ()) -> FormedMultiVector:
+        return FormedMultiVector.of(mv, self.dbar, factor)
+
+    def zero_formed(self) -> FormedMultiVector:
+        return FormedMultiVector.zero(self.chart, self.registry, self.dbar)
+
+
+def combination(coeffs: Sequence[LaurentPoly], basis):
+    """The sum of c * e over the nonzero coefficients c, each paired with
+    the basis element e in its position; None if every c is zero."""
+    pieces = [e.scale(c) for c, e in zip(coeffs, basis) if not c.is_zero()]
+    return sum(pieces[1:], pieces[0]) if pieces else None
 
 
 def mc_defect(lambda0: MultiVector, el: FormedMultiVector) -> FormedMultiVector:

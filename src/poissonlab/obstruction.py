@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable
 
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, image_space,
                      kernel_basis)
-from .multivector import FormedMultiVector, MultiVector, schouten_formed
+from .multivector import FormedMultiVector, MultiVector, combination, schouten_formed
 
 TOOL_VERSION = "0.1.0"
 
@@ -38,7 +39,8 @@ class DeformationComplexModel:
     h1_theta the H1(Theta) class representatives, h1_sq the H1(wedge^2)
     class representatives; h1_matrix is the bracket map between the two
     H1 models and reduce_h1_sq sends a raw bivector-valued object to
-    h1_sq coordinates.
+    h1_sq coordinates.  The kernel of h1_matrix is eliminated once, on
+    first use, and also gives dim H2, the corank of h1_matrix.
     """
 
     name: str
@@ -50,24 +52,24 @@ class DeformationComplexModel:
     bracket: Callable
     reduce_h1_sq: Reducer
     h1_matrix: LinMap | None
-    h2_dim: int
     compose_check: Callable | None = None
+
+    @cached_property
+    def h1_kernel(self) -> list[list[LaurentPoly]]:
+        """Kernel vectors of the H1 bracket map."""
+        return [] if self.h1_matrix is None else kernel_basis(self.h1_matrix)
+
+    @property
+    def h2_dim(self) -> int:
+        if self.h1_matrix is None:
+            return len(self.h1_sq)
+        return self.h1_matrix.n_rows - self.h1_matrix.n_cols + len(self.h1_kernel)
 
     def h1_kernel_elements(self):
         """Kernel of the H1 bracket map, assembled as model elements."""
-        if self.h1_matrix is None or len(self.h1_theta) == 0:
+        if self.h1_matrix is None:
             return [(e, None) for e in self.h1_theta]
-        out = []
-        for vec in kernel_basis(self.h1_matrix):
-            elem = None
-            for coeff, base in zip(vec, self.h1_theta):
-                if coeff.is_zero():
-                    continue
-                piece = base.scale(coeff)
-                elem = piece if elem is None else elem + piece
-            if elem is not None:
-                out.append((elem, vec))
-        return out
+        return [(combination(vec, self.h1_theta), vec) for vec in self.h1_kernel]
 
     def h1_image_space(self) -> ColumnSpace:
         if self.h1_matrix is None:
@@ -136,13 +138,16 @@ def r4_search(model: DeformationComplexModel) -> Certificate:
                 continue
             if image.contains(list(cls)):
                 continue
-            class_elem = _assemble(model.h1_sq, cls)
+            if all(isinstance(e, (MultiVector, FormedMultiVector)) for e in model.h1_sq):
+                class_repr = str(combination(cls, model.h1_sq))
+            else:  # a basis of labels: print the coordinates
+                class_repr = "(" + ", ".join(str(c) for c in cls) + ")"
             return Certificate(
                 manifold=model.name,
                 stratum=model.stratum,
                 verdict=OBSTRUCTED,
                 witness={"a": str(a), "b": str(b)},
-                class_repr=str(class_elem) if class_elem is not None else _coords_str(cls),
+                class_repr=class_repr,
             )
     if model.h2_dim == 0:
         return Certificate(model.name, model.stratum, UNOBSTRUCTED_H2_ZERO)
@@ -167,22 +172,6 @@ def verify_certificate(cert: Certificate, model: DeformationComplexModel,
     if all(p.is_zero() for p in cls):
         return False
     return not model.h1_image_space().contains(list(cls))
-
-
-def _assemble(basis: LabeledBasis, coords: Sequence[LaurentPoly]):
-    elem = None
-    for c, e in zip(coords, basis):
-        if c.is_zero():
-            continue
-        if not isinstance(e, (MultiVector, FormedMultiVector)):
-            return None
-        piece = e.scale(c)
-        elem = piece if elem is None else elem + piece
-    return elem
-
-
-def _coords_str(coords) -> str:
-    return "(" + ", ".join(str(c) for c in coords) + ")"
 
 
 # ----------------------------------------------------------------------

@@ -12,17 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (LabeledBasis, LinMap, NotInSpan, Reducer, cokernel_rep,
-                     cokernel_space, generic_rank, image_space, kernel_basis,
-                     matrix_of_map, quotient_coords, quotient_space)
-from .multivector import (Chart, FormedMultiVector, MultiVector, mc_defect,
+from .linalg import (ConstraintViolation, LabeledBasis, LinMap, NotInSpan, Reducer,
+                     cokernel_rep, cokernel_space, generic_rank, image_space,
+                     kernel_basis, matrix_of_map, quotient_coords, quotient_space)
+from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, mc_defect,
                           schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate,
                           DolbeaultModel)
-
-
-class ConstraintViolation(Exception):
-    pass
 
 
 # ----------------------------------------------------------------------
@@ -31,34 +27,9 @@ class ConstraintViolation(Exception):
 EP1_PARAMS = ("A", "B", "C", "F0", "F1", "F2", "t0", "t1", "t2", "s")
 
 
-@dataclass(frozen=True)
-class EP1Context:
-    registry: VarRegistry
-    chart: Chart
-    dbar: tuple[str, ...]
-
-    def xi(self, power=1):
-        return LaurentPoly.var(self.registry, "xi", power)
-
-    def param(self, name):
-        return LaurentPoly.var(self.registry, name)
-
-    def const(self, v):
-        return LaurentPoly.const(self.registry, v)
-
-    def mv(self, coeff, vars):
-        return MultiVector.term(self.chart, self.registry, coeff, vars)
-
-    def formed(self, mv, factor=()):
-        return FormedMultiVector.of(mv, self.dbar, factor)
-
-    def zero_formed(self):
-        return FormedMultiVector.zero(self.chart, self.registry, self.dbar)
-
-
-def ep1_context(extra_params=()) -> EP1Context:
+def ep1_context(extra_params=()) -> ChartFrame:
     reg = VarRegistry(("z", "xi"), EP1_PARAMS + tuple(extra_params))
-    return EP1Context(reg, Chart("ExP1", ("z", "xi")), ("z",))
+    return ChartFrame(Chart("ExP1", ("z", "xi")), reg, ("z",))
 
 
 def _xi_quadratic_coords(ctx, poly: LaurentPoly, registry_names) -> list[LaurentPoly]:
@@ -72,7 +43,7 @@ def _xi_quadratic_coords(ctx, poly: LaurentPoly, registry_names) -> list[Laurent
     return [buckets.get(k, zero) for k in (0, 1, 2)]
 
 
-def ep1_bases(ctx: EP1Context) -> dict:
+def ep1_bases(ctx: ChartFrame) -> dict:
     one = ctx.const(1)
     theta = (ctx.mv(one, ("z",)), ctx.mv(one, ("xi",)),
              ctx.mv(ctx.xi(), ("xi",)), ctx.mv(ctx.xi(2), ("xi",)))
@@ -101,7 +72,7 @@ def _ep1_sq_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
     return _xi_quadratic_coords(ctx, mv.coefficient(("z", "xi")), params)
 
 
-def ep1_lambda0(ctx: EP1Context, a=None, b=None, c=None) -> MultiVector:
+def ep1_lambda0(ctx: ChartFrame, a=None, b=None, c=None) -> MultiVector:
     """(A + B xi + C xi^2) dz ^ dxi with symbolic defaults."""
     A = ctx.param("A") if a is None else ctx.const(a)
     B = ctx.param("B") if b is None else ctx.const(b)
@@ -181,7 +152,7 @@ def ep1_h1_model(a=None, b=None, c=None):
         "coker_space": coker,
         "ker_space": quotient_space((), kers, m_h1.n_cols, ctx.registry),
         "dim_h1": len(coker.reps) + len(kers),
-        "dim_h2": m_h1.n_rows - generic_rank(m_h1),
+        "dim_h2": m_h1.n_rows - (m_h1.n_cols - len(kers)),
     }
 
 
@@ -262,31 +233,9 @@ TP1_PARAMS = ("D", "A", "B", "C", "k", "F0", "F1", "F2",
               "t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "s")
 
 
-@dataclass(frozen=True)
-class TP1Context:
-    registry: VarRegistry
-    chart: Chart
-    dbar: tuple[str, ...]
-
-    def xi(self, power=1):
-        return LaurentPoly.var(self.registry, "xi", power)
-
-    def param(self, name):
-        return LaurentPoly.var(self.registry, name)
-
-    def const(self, v):
-        return LaurentPoly.const(self.registry, v)
-
-    def mv(self, coeff, vars):
-        return MultiVector.term(self.chart, self.registry, coeff, vars)
-
-    def formed(self, mv, factor=()):
-        return FormedMultiVector.of(mv, self.dbar, factor)
-
-
-def tp1_context(extra_params=()) -> TP1Context:
+def tp1_context(extra_params=()) -> ChartFrame:
     reg = VarRegistry(("z1", "z2", "xi"), TP1_PARAMS + tuple(extra_params))
-    return TP1Context(reg, Chart("TxP1", ("z1", "z2", "xi")), ("z1", "z2"))
+    return ChartFrame(Chart("TxP1", ("z1", "z2", "xi")), reg, ("z1", "z2"))
 
 
 @dataclass(frozen=True)
@@ -306,7 +255,7 @@ class TP1PoissonClass:
                 raise ConstraintViolation("(A,B,C) must not vanish on this class")
 
 
-def tp1_lambda0(ctx: TP1Context, cls: TP1PoissonClass) -> MultiVector:
+def tp1_lambda0(ctx: ChartFrame, cls: TP1PoissonClass) -> MultiVector:
     def take(name, default_symbolic=True):
         if name in cls.coeffs and cls.coeffs[name] is not None:
             return ctx.const(cls.coeffs[name])
@@ -324,7 +273,7 @@ def tp1_lambda0(ctx: TP1Context, cls: TP1PoissonClass) -> MultiVector:
     return out - ctx.mv(K, ("z1", "xi"))
 
 
-def tp1_bases(ctx: TP1Context) -> dict:
+def tp1_bases(ctx: ChartFrame) -> dict:
     one = ctx.const(1)
     xis = (one, ctx.xi(), ctx.xi(2))
     theta = [ctx.mv(one, ("z1",)), ctx.mv(one, ("z2",))] + [ctx.mv(x, ("xi",)) for x in xis]
@@ -585,16 +534,15 @@ def torus_dims(n: int, coeffs: dict | None = None) -> int:
     names = tuple(f"z{i}" for i in range(1, n + 1))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     params = tuple(f"b{i+1}{j+1}" for i, j in pairs)
-    reg = VarRegistry(names, params)
-    chart = Chart("T", names)
-    lam0 = MultiVector.zero(chart, reg)
+    frame = ChartFrame(Chart("T", names), VarRegistry(names, params))
+    lam0 = frame.zero()
     for (i, j), pname in zip(pairs, params):
         val = None if coeffs is None else coeffs.get(pname)
-        coeff = LaurentPoly.var(reg, pname) if val is None else LaurentPoly.const(reg, val)
-        lam0 = lam0 + MultiVector.term(chart, reg, coeff, (names[i], names[j]))
-    one = LaurentPoly.const(reg, 1)
-    fields = [MultiVector.term(chart, reg, one, (v,)) for v in names]
-    bivs = [MultiVector.term(chart, reg, one, (names[i], names[j])) for i, j in pairs]
+        coeff = frame.param(pname) if val is None else frame.const(val)
+        lam0 = lam0 + frame.mv(coeff, (names[i], names[j]))
+    one = frame.const(1)
+    fields = [frame.mv(one, (v,)) for v in names]
+    bivs = [frame.mv(one, (names[i], names[j])) for i, j in pairs]
     for x in fields + bivs:
         if not schouten(lam0, x).is_zero():
             raise AssertionError("bracket map is nonzero on a constant field")
@@ -602,7 +550,7 @@ def torus_dims(n: int, coeffs: dict | None = None) -> int:
         raise AssertionError("constant bivector failed the Poisson identity")
     # invariance under lattice translations: constant coefficients are
     # untouched by z -> z + c
-    shift = {v: LaurentPoly.var(reg, v) + one for v in names}
+    shift = {v: frame.param(v) + one for v in names}
     if lam0.map_coefficients(lambda p: p.substitute(shift)) != lam0:
         raise AssertionError("translation invariance failed")
     return n * n + n * (n - 1) // 2

@@ -18,7 +18,8 @@ from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer,
                      cokernel_space, generic_rank, kernel_basis, matrix_of_map,
                      quotient_coords, quotient_space)
-from .multivector import (Chart, ChartMap, MultiVector, pushforward, schouten)
+from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
+                          pushforward, schouten)
 from .obstruction import (OBSTRUCTED, Certificate,
                           DeformationComplexModel, NotACocycle, r4_search)
 
@@ -41,31 +42,17 @@ class NotObstructedStratum(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RuledSurface:
+@dataclass(frozen=True, kw_only=True)
+class RuledSurface(ChartFrame):
+    """F_m; the frame's chart is U1, on which every field is built."""
+
     m: int
-    registry: VarRegistry
-    chart1: Chart
     chart2: Chart
     transition: ChartMap
 
-    def z(self, power=1):
-        return LaurentPoly.var(self.registry, "z", power)
-
-    def xi(self, power=1):
-        return LaurentPoly.var(self.registry, "xi", power)
-
-    def param(self, name):
-        return LaurentPoly.var(self.registry, name)
-
-    def const(self, value):
-        return LaurentPoly.const(self.registry, value)
-
-    def mv1(self, coeff, vars):
-        return MultiVector.term(self.chart1, self.registry, coeff, vars)
-
-    def zero1(self):
-        return MultiVector.zero(self.chart1, self.registry)
+    @property
+    def chart1(self) -> Chart:
+        return self.chart
 
 
 def make_surface(m: int, params: Sequence[str] = ()) -> RuledSurface:
@@ -81,7 +68,7 @@ def make_surface(m: int, params: Sequence[str] = ()) -> RuledSurface:
     trans = ChartMap(chart1, chart2,
                      {"zp": z ** -1, "xip": z ** m * xi},
                      {"z": zp ** -1, "xi": zp ** m * xip})
-    return RuledSurface(m, reg, chart1, chart2, trans)
+    return RuledSurface(chart1, reg, m=m, chart2=chart2, transition=trans)
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +102,7 @@ class RuledPoisson:
     def bivector(self) -> MultiVector:
         s = self.surface
         coeff = self.d + self.e * s.xi() + self.f * s.xi(2)
-        return s.mv1(coeff, ("z", "xi"))
+        return s.mv(coeff, ("z", "xi"))
 
     def e_is_zero(self) -> bool:
         return self.e.is_zero()
@@ -147,28 +134,28 @@ def h_bases(rs: RuledSurface) -> dict:
     theta = []
     if m == 0:
         for k in range(3):
-            theta.append(rs.mv1(rs.z(k) if k else one, ("z",)))
-        theta.append(rs.mv1(one, ("xi",)))
-        theta.append(rs.mv1(rs.xi(), ("xi",)))
-        theta.append(rs.mv1(rs.xi(2), ("xi",)))
+            theta.append(rs.mv(rs.z(k) if k else one, ("z",)))
+        theta.append(rs.mv(one, ("xi",)))
+        theta.append(rs.mv(rs.xi(), ("xi",)))
+        theta.append(rs.mv(rs.xi(2), ("xi",)))
     else:
-        theta.append(rs.mv1(one, ("z",)))
-        theta.append(rs.mv1(rs.z(), ("z",)))
+        theta.append(rs.mv(one, ("z",)))
+        theta.append(rs.mv(rs.z(), ("z",)))
         # the z^2 d/dz direction only extends together with -m z xi d/dxi
-        theta.append(rs.mv1(rs.z(2), ("z",)) + rs.mv1(rs.z() * rs.xi() * (-m), ("xi",)))
-        theta.append(rs.mv1(rs.xi(), ("xi",)))
+        theta.append(rs.mv(rs.z(2), ("z",)) + rs.mv(rs.z() * rs.xi() * (-m), ("xi",)))
+        theta.append(rs.mv(rs.xi(), ("xi",)))
         for j in range(m + 1):
-            theta.append(rs.mv1(rs.z(j) * rs.xi(2), ("xi",)))
+            theta.append(rs.mv(rs.z(j) * rs.xi(2), ("xi",)))
     sq = []
     if m <= 2:
         for j in range(2 - m + 1):
-            sq.append(rs.mv1(rs.z(j), ("z", "xi")))
+            sq.append(rs.mv(rs.z(j), ("z", "xi")))
     for j in range(3):
-        sq.append(rs.mv1(rs.z(j) * rs.xi(), ("z", "xi")))
+        sq.append(rs.mv(rs.z(j) * rs.xi(), ("z", "xi")))
     for j in range(m + 3):
-        sq.append(rs.mv1(rs.z(j) * rs.xi(2), ("z", "xi")))
-    h1_theta = [rs.mv1(rs.z(-k), ("xi",)) for k in range(1, m)]
-    h1_sq = [rs.mv1(rs.z(-k), ("z", "xi")) for k in range(1, m - 2)]
+        sq.append(rs.mv(rs.z(j) * rs.xi(2), ("z", "xi")))
+    h1_theta = [rs.mv(rs.z(-k), ("xi",)) for k in range(1, m)]
+    h1_sq = [rs.mv(rs.z(-k), ("z", "xi")) for k in range(1, m - 2)]
     return {
         "h0_theta": LabeledBasis(f"H0(F{m},Theta)", tuple(theta)),
         "h0_sq": LabeledBasis(f"H0(F{m},Wedge2Theta)", tuple(sq)),
@@ -231,27 +218,27 @@ def split_theta(rs: RuledSurface, v: MultiVector):
     b = parts_by_xi.get(1, zero)
     c = parts_by_xi.get(2, zero)
 
-    part1 = rs.zero1()
-    part2 = rs.zero1()
+    part1 = rs.zero()
+    part2 = rs.zero()
     # d/dz block: absorbing z^n dz into U2 (n < 0) drags in -m z^{n-1} xi dxi
     for n, coeff in gcoef.coefficients_in("z").items():
         seg = coeff * rs.z(n) if n else coeff
         if n >= 0:
-            part1 = part1 + rs.mv1(seg, ("z",))
+            part1 = part1 + rs.mv(seg, ("z",))
         else:
             companion = coeff * rs.z(n - 1) * (-m)
-            part2 = part2 + rs.mv1(seg, ("z",)) + rs.mv1(companion * rs.xi(), ("xi",))
+            part2 = part2 + rs.mv(seg, ("z",)) + rs.mv(companion * rs.xi(), ("xi",))
             b = b - companion
     # xi-free d/dxi block carries the class window
     a1, window, a2 = _split_poly(a, -(m - 1), -1)
-    part1 = part1 + rs.mv1(a1, ("xi",))
-    part2 = part2 + rs.mv1(a2, ("xi",))
+    part1 = part1 + rs.mv(a1, ("xi",))
+    part2 = part2 + rs.mv(a2, ("xi",))
     # xi and xi^2 blocks are fully absorbable
     for poly, xipow in ((b, 1), (c, 2)):
         nonneg, win, low = _split_poly(poly, 0, -1)
         assert not win
-        part1 = part1 + rs.mv1(nonneg * rs.xi(xipow), ("xi",))
-        part2 = part2 + rs.mv1(low * rs.xi(xipow), ("xi",))
+        part1 = part1 + rs.mv(nonneg * rs.xi(xipow), ("xi",))
+        part2 = part2 + rs.mv(low * rs.xi(xipow), ("xi",))
     return part1, part2, window
 
 
@@ -285,13 +272,13 @@ def split_sq(rs: RuledSurface, v: MultiVector):
     e = parts_by_xi.get(1, zero)
     f = parts_by_xi.get(2, zero)
     d1, window, d2 = _split_poly(d, -(m - 3), -1)
-    part1 = rs.mv1(d1, ("z", "xi"))
-    part2 = rs.mv1(d2, ("z", "xi"))
+    part1 = rs.mv(d1, ("z", "xi"))
+    part2 = rs.mv(d2, ("z", "xi"))
     for poly, xipow in ((e, 1), (f, 2)):
         nonneg, win, low = _split_poly(poly, 0, -1)
         assert not win
-        part1 = part1 + rs.mv1(nonneg * rs.xi(xipow), ("z", "xi"))
-        part2 = part2 + rs.mv1(low * rs.xi(xipow), ("z", "xi"))
+        part1 = part1 + rs.mv(nonneg * rs.xi(xipow), ("z", "xi"))
+        part2 = part2 + rs.mv(low * rs.xi(xipow), ("z", "xi"))
     return part1, part2, window
 
 
@@ -338,25 +325,21 @@ def reduce_h0_sq(rs: RuledSurface) -> Reducer:
 # ----------------------------------------------------------------------
 # the bracket matrices and Table 1
 
-def h1_bracket_matrix(rs: RuledSurface, lam0: MultiVector) -> LinMap:
-    bases = h_bases(rs)
-    red = reduce_h1_sq(rs)
+def h1_bracket_matrix(rs: RuledSurface, bases: dict, lam0: MultiVector) -> LinMap:
+    """[lam0, -] on the H1 models; `bases` is h_bases(rs)."""
     return matrix_of_map(lambda b: schouten(lam0, b), bases["h1_theta"], bases["h1_sq"],
-                         red, rs.registry)
+                         reduce_h1_sq(rs), rs.registry)
 
 
-def h0_bracket_matrix(rs: RuledSurface, lam0: MultiVector) -> LinMap:
-    bases = h_bases(rs)
-    red = reduce_h0_sq(rs)
+def h0_bracket_matrix(rs: RuledSurface, bases: dict, lam0: MultiVector) -> LinMap:
+    """[lam0, -] on global sections; `bases` is h_bases(rs)."""
     return matrix_of_map(lambda b: schouten(lam0, b), bases["h0_theta"], bases["h0_sq"],
-                         red, rs.registry)
+                         reduce_h0_sq(rs), rs.registry)
 
 
 def complex_model(rs: RuledSurface, pois: RuledPoisson) -> DeformationComplexModel:
     bases = h_bases(rs)
     lam0 = pois.bivector()
-    mat = h1_bracket_matrix(rs, lam0) if len(bases["h1_theta"]) else None
-    h2 = len(bases["h1_sq"]) - (generic_rank(mat) if mat is not None else 0)
 
     def compose_check():
         # the complex property [lam0, [lam0, x]] = 0; trivially graded away
@@ -375,8 +358,7 @@ def complex_model(rs: RuledSurface, pois: RuledPoisson) -> DeformationComplexMod
         h1_sq=bases["h1_sq"],
         bracket=schouten,
         reduce_h1_sq=reduce_h1_sq(rs),
-        h1_matrix=mat,
-        h2_dim=h2,
+        h1_matrix=h1_bracket_matrix(rs, bases, lam0) if len(bases["h1_theta"]) else None,
         compose_check=compose_check,
     )
 
@@ -402,22 +384,17 @@ def lemma_r4_certificate(rs: RuledSurface, pois: RuledPoisson) -> Certificate:
     b = z^-1 dxi, whose class survives in the H1 window."""
     if rs.m < 4 or not pois.e_is_zero():
         raise NotObstructedStratum(f"F{rs.m} with stratum {pois.stratum()!r}")
-    a = rs.mv1(rs.xi(), ("z", "xi"))
-    b = rs.mv1(rs.z(-1), ("xi",))
+    a = rs.mv(rs.xi(), ("z", "xi"))
+    b = rs.mv(rs.z(-1), ("xi",))
     cls = reduce_h1_sq(rs)(schouten(a, b))
     if all(p.is_zero() for p in cls):
         raise AssertionError("canonical witness class vanished")
     model = complex_model(rs, pois)
     if model.h1_image_space().contains(list(cls)):
         raise AssertionError("canonical witness class lies in the bracket image")
-    class_elem = None
-    for c, e in zip(cls, h_bases(rs)["h1_sq"]):
-        if not c.is_zero():
-            piece = e.scale(c)
-            class_elem = piece if class_elem is None else class_elem + piece
     return Certificate(f"F{rs.m}", pois.stratum(), OBSTRUCTED,
                        witness={"a": str(a), "b": str(b)},
-                       class_repr=str(class_elem))
+                       class_repr=str(combination(cls, model.h1_sq)))
 
 
 # ----------------------------------------------------------------------
@@ -443,30 +420,11 @@ class H1Model:
 def hyper_h1(rs: RuledSurface, pois: RuledPoisson) -> H1Model:
     bases = h_bases(rs)
     lam0 = pois.bivector()
-    h0m = h0_bracket_matrix(rs, lam0)
-    coker_space = cokernel_space(h0m)
-    reps = []
-    for vec in coker_space.reps:
-        elem = None
-        for c, e in zip(vec, bases["h0_sq"]):
-            if c.is_zero():
-                continue
-            piece = e.scale(c)
-            elem = piece if elem is None else elem + piece
-        reps.append(elem)
-    ker_vectors = []
-    ker_elements = []
-    if len(bases["h1_theta"]):
-        mat = h1_bracket_matrix(rs, lam0)
-        for vec in kernel_basis(mat):
-            elem = None
-            for c, e in zip(vec, bases["h1_theta"]):
-                if c.is_zero():
-                    continue
-                piece = e.scale(c)
-                elem = piece if elem is None else elem + piece
-            ker_vectors.append(vec)
-            ker_elements.append(elem)
+    coker_space = cokernel_space(h0_bracket_matrix(rs, bases, lam0))
+    reps = [combination(vec, bases["h0_sq"]) for vec in coker_space.reps]
+    ker_vectors = (kernel_basis(h1_bracket_matrix(rs, bases, lam0))
+                   if len(bases["h1_theta"]) else [])
+    ker_elements = [combination(vec, bases["h1_theta"]) for vec in ker_vectors]
     return H1Model(rs, lam0, reps, coker_space, ker_elements,
                    quotient_space((), ker_vectors, len(bases["h1_theta"]), rs.registry))
 
@@ -495,10 +453,10 @@ def hyper_class_coords(model: H1Model, lam1: MultiVector, lam2_primed: MultiVect
     # strip the kernel-window part, then the remaining residual is a
     # coboundary rho = part1 + part2 split above... recompute residual split
     residual = theta12
-    nu1_total = rs.zero1()
-    nu2_total = rs.zero1()
+    nu1_total = rs.zero()
+    nu2_total = rs.zero()
     for k, coeff in sorted(window.items()):
-        bk = rs.mv1(rs.z(-k), ("xi",))
+        bk = rs.mv(rs.z(-k), ("xi",))
         residual = residual - bk.scale(coeff)
         n1, n2, w = split_sq(rs, schouten(lam0, bk))
         if w:
@@ -534,17 +492,10 @@ class RuledFamily:
     lambda_t: MultiVector
     base: RuledPoisson
 
-    def at_zero(self, poly: LaurentPoly) -> LaurentPoly:
-        zero = {t: LaurentPoly.const(self.surface.registry, 0) for t in self.params}
-        return poly.substitute(zero)
-
 
 def _family_transition(rs: RuledSurface, correction: LaurentPoly) -> ChartMap:
-    reg = rs.registry
     m = rs.m
-    z = rs.z()
-    zp = LaurentPoly.var(reg, "zp")
-    xip = LaurentPoly.var(reg, "xip")
+    z, zp, xip = rs.z(), rs.param("zp"), rs.param("xip")
     corr_p = correction.substitute({"z": zp ** -1})
     return ChartMap(rs.chart1, rs.chart2,
                     {"zp": z ** -1, "xip": z ** m * rs.xi() + correction},
@@ -579,7 +530,7 @@ def build_family(m: int, params: Sequence[str], correction_coeff, seed_coeff,
     corr = correction_coeff(rs)
     seed = seed_coeff(rs)
     trans = _family_transition(rs, corr)
-    pi = rs.mv1(seed, ("z", "xi"))
+    pi = rs.mv(seed, ("z", "xi"))
     lam = pi
     if corrected:
         pushed = pushforward(trans, pi)
@@ -710,7 +661,7 @@ def verify_family(fam: RuledFamily, expected_basis: Sequence[str] | None = None
         lam2 = pushed.map_coefficients(lambda p: p.partial(tname).substitute(zero_t))
         # theta21 from the transition derivative, in the U1 frame at t = 0
         dxi = xip_expr.partial(tname).substitute(zero_t)
-        theta21 = rs.mv1(dxi * rs.z(-rs.m), ("xi",))
+        theta21 = rs.mv(dxi * rs.z(-rs.m), ("xi",))
         theta12 = -theta21
         columns.append(hyper_class_coords(model, lam1, lam2, theta12))
     dim = model.dim
@@ -773,39 +724,21 @@ def random_cocycle(rs: RuledSurface, pois: RuledPoisson, rng: random.Random):
     lam0 = pois.bivector()
 
     def rand_comb(basis):
-        elem = None
-        for e in basis:
-            c = rng.randint(-2, 2)
-            if not c:
-                continue
-            piece = e.scale(rs.const(c))
-            elem = piece if elem is None else elem + piece
-        return elem if elem is not None else rs.zero1()
+        """A combination with coefficients drawn in basis order; None if all are 0."""
+        return combination([rs.const(rng.randint(-2, 2)) for _ in basis], basis)
 
-    u1 = rand_comb(bases["h0_theta"])
+    u1 = rand_comb(bases["h0_theta"]) or rs.zero()
     # a chart-2 holomorphic field, expressed on U1 by pulling it back
-    rs2_basis = []
-    reg = rs.registry
-    one = rs.const(1)
-    zp = LaurentPoly.var(reg, "zp")
-    xip = LaurentPoly.var(reg, "xip")
-    for coeff, vars in (
+    one, zp, xip = rs.const(1), rs.param("zp"), rs.param("xip")
+    u2_basis = [MultiVector.term(rs.chart2, rs.registry, coeff, vars) for coeff, vars in (
         (one, ("zp",)), (zp, ("zp",)),
-        (xip, ("xip",)), (xip * xip, ("xip",)), (zp * xip * xip, ("xip",)),
-    ):
-        rs2_basis.append(MultiVector.term(rs.chart2, reg, coeff, vars))
-    u2p = None
-    for e in rs2_basis:
-        c = rng.randint(-2, 2)
-        if not c:
-            continue
-        piece = e.scale(rs.const(c))
-        u2p = piece if u2p is None else u2p + piece
+        (xip, ("xip",)), (xip * xip, ("xip",)), (zp * xip * xip, ("xip",)))]
+    u2p = rand_comb(u2_basis)
     u2 = (pushforward(rs.transition.inverse_map(), u2p)
-          if u2p is not None else rs.zero1())
+          if u2p is not None else rs.zero())
     theta = u2 - u1
-    nu1 = rs.zero1()
-    nu2 = rs.zero1()
+    nu1 = rs.zero()
+    nu2 = rs.zero()
     model = hyper_h1(rs, pois)
     for elem in model.ker_elements:
         c = rng.randint(-2, 2)
@@ -816,7 +749,7 @@ def random_cocycle(rs: RuledSurface, pois: RuledPoisson, rng: random.Random):
         assert not w
         nu1 = nu1 + n1
         nu2 = nu2 + n2
-    v = rand_comb(bases["h0_sq"])
+    v = rand_comb(bases["h0_sq"]) or rs.zero()
     lam1 = v - schouten(lam0, u1) + nu1
     lam2_unprimed = v - schouten(lam0, u2) - nu2
     lam2 = pushforward(rs.transition, lam2_unprimed)

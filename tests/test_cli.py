@@ -32,7 +32,7 @@ def test_bracket_parse_error_exits_nonzero():
 
 
 def test_tables_ruled_json():
-    code, out = run_cli("tables", "ruled", "--m-max", "4", "--json")
+    code, out = run_cli("tables", "ruled", "--m-max", "4")
     assert code == 0
     rows = json.loads(out)
     f4 = [r for r in rows if r["manifold"] == "F4" and r["stratum"] == "e=0"]
@@ -184,6 +184,15 @@ def test_report_matches_golden_and_is_deterministic():
     ("hopf:IIc", "z^5*@z^@w"),
     ("ep1", "xi^3*@z^@xi"),
     ("ep1", "xi^-1*@z^@xi"),
+    ("tp1", "xi^3*@z1^@xi"),
+    ("tp1", "xi^-1*(@z2^@xi)"),
+    ("tp1", "(@z1^@z2) + (1 + xi^4)*(@z2^@xi)"),
+    ("torus:2", "z1*@z1^@z2"),
+    ("torus:2", "A*@z1^@z2"),
+    ("torus:2", "i*@z1^@z2"),
+    ("torus:2", "@z1"),
+    ("torus:3", "@z1^@z2^@z3"),
+    ("torus:2", "@z1^@z3"),
 ])
 def test_bivector_that_is_not_global_is_a_usage_error(spec, src, capsys):
     code, out = run_cli("classify", spec, "--poisson", src)
@@ -223,3 +232,25 @@ def test_every_hopf_stratum_form_is_accepted(p):
         assert code == 0
         expected = STRATUM_VERDICTS.get((t.tag, stratum), "unobstructed_mc")
         assert json.loads(out)["verdict"] == expected, (spec, src)
+
+
+def test_tables_json_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("tables", "ruled", "--m-max", "4", "--json")
+    assert exc.value.code == 2
+
+
+def test_torus_passes_its_coefficients_on(monkeypatch):
+    from fractions import Fraction
+
+    from poissonlab import products
+    seen, real = [], products.torus_dims
+
+    def torus_dims(n, coeffs=None):
+        seen.append((n, coeffs))
+        return real(n, coeffs)
+
+    monkeypatch.setattr(products, "torus_dims", torus_dims)
+    code, out = run_cli("classify", "torus:3", "--poisson", "(@z1^@z2) - 1/2*(@z2^@z3)")
+    assert code == 0 and json.loads(out)["data"]["dim_h1"] == 12
+    assert seen == [(3, {"b12": 1, "b13": 0, "b23": Fraction(-1, 2)})]

@@ -108,7 +108,7 @@ def _random_formed(rng, ctx):
                     comps[idx] = poly
         if comps:
             parts[key] = MultiVector(ctx.chart, reg, comps)
-    return FormedMultiVector(ctx.chart, reg, ctx.dbar_vars, parts)
+    return FormedMultiVector(ctx.chart, reg, ctx.dbar, parts)
 
 
 def test_print_parse_round_trip_100_random():

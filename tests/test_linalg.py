@@ -295,3 +295,13 @@ def test_column_space_stores_an_uncombined_column_as_given():
     # 2*B*C*(A, 4*B, B*C) - B*C*(2*A, 0, 2*B*C) = (0, 8*B^2*C, 0)
     assert space.add([A, B * 4, B * C])
     assert [str(p) for p in space.pivot_rows[1][:3]] == ["0", "1", "0"]
+
+
+def test_kernel_basis_normalization_over_several_parameters():
+    # today's kernel vectors; a kernel read off ColumnSpace column relations
+    # gives (A+B)(B+C), -(A+B)(A+C) for the second matrix instead
+    one_row = LinMap(_basis("x", 2), _basis("y", 1), [[A + C, (A + B) * (A + C)]])
+    assert [[str(p) for p in v] for v in kernel_basis(one_row)] == [["A + B", "-1"]]
+    two_rows = LinMap(_basis("x", 2), _basis("y", 2),
+                      [[A + C, B + C], [(A + B) * (A + C), (A + B) * (B + C)]])
+    assert [[str(p) for p in v] for v in kernel_basis(two_rows)] == [["B + C", "-A - C"]]

@@ -47,7 +47,7 @@ def test_h1_theta_pushforward_normal_form():
     for m in (2, 4, 6):
         rs = make_surface(m)
         for k in range(1, m):
-            v = rs.mv1(rs.z(-k), ("xi",))
+            v = rs.mv(rs.z(-k), ("xi",))
             pushed = pushforward(rs.transition, v)
             zp = LaurentPoly.var(rs.registry, "zp")
             want = MultiVector.term(rs.chart2, rs.registry, zp ** (k - m), ("xip",))
@@ -56,13 +56,13 @@ def test_h1_theta_pushforward_normal_form():
 
 def test_split_reconstructs_and_parts_live_on_their_charts():
     rs = make_surface(5)
-    v = (rs.mv1(rs.z(-2) + rs.z(3), ("z",))
-         + rs.mv1(rs.z(-4) + rs.z(-2) + rs.const(7) + rs.z(-1) * rs.xi()
+    v = (rs.mv(rs.z(-2) + rs.z(3), ("z",))
+         + rs.mv(rs.z(-4) + rs.z(-2) + rs.const(7) + rs.z(-1) * rs.xi()
                   + rs.z(-3) * rs.xi(2), ("xi",)))
     p1, p2, window = split_theta(rs, v)
     rebuilt = p1 + p2
     for k, coeff in window.items():
-        rebuilt = rebuilt + rs.mv1(coeff * rs.z(-k), ("xi",))
+        rebuilt = rebuilt + rs.mv(coeff * rs.z(-k), ("xi",))
     assert rebuilt == v
     assert set(window) == {2, 4}
     for poly in p1.components.values():
@@ -74,7 +74,7 @@ def test_split_reconstructs_and_parts_live_on_their_charts():
 
 def test_split_sq_windows():
     rs = make_surface(6)
-    v = rs.mv1(rs.z(-1) + rs.z(-3) + rs.z(-5) + rs.z(2), ("z", "xi"))
+    v = rs.mv(rs.z(-1) + rs.z(-3) + rs.z(-5) + rs.z(2), ("z", "xi"))
     p1, p2, window = split_sq(rs, v)
     assert set(window) == {1, 3}
     pushed = pushforward(rs.transition, p2)
@@ -84,10 +84,10 @@ def test_split_sq_windows():
 
 def test_reduce_rejects_malformed_sections():
     rs = make_surface(4)
-    bad = rs.mv1(rs.xi(3), ("xi",))
+    bad = rs.mv(rs.xi(3), ("xi",))
     with pytest.raises(NotInSpan):
         split_theta(rs, bad)
-    bad2 = rs.mv1(rs.xi() * rs.z(), ("z",))
+    bad2 = rs.mv(rs.xi() * rs.z(), ("z",))
     with pytest.raises(NotInSpan):
         split_theta(rs, bad2)
 
@@ -96,7 +96,7 @@ def test_banded_matrix_shape():
     rs = make_surface(7, ("e0", "e1", "e2"))
     e = rs.param("e0") + rs.param("e1") * rs.z() + rs.param("e2") * rs.z(2)
     pois = RuledPoisson(rs, zero(rs), e, zero(rs))
-    mat = h1_bracket_matrix(rs, pois.bivector())
+    mat = h1_bracket_matrix(rs, h_bases(rs), pois.bivector())
     # the bracket map matrix is minus the shifted coefficient band
     for i in range(mat.n_rows):
         for j in range(mat.n_cols):
@@ -138,8 +138,8 @@ def test_lemma_r4_certificate_and_stratum_guard():
     rs5 = make_surface(5)
     pois5 = RuledPoisson(rs5, zero(rs5), zero(rs5), rs5.z(2))
     cert5 = lemma_r4_certificate(rs5, pois5)
-    cls = reduce_h1_sq(rs5)(schouten(rs5.mv1(rs5.xi(), ("z", "xi")),
-                                     rs5.mv1(rs5.z(-1), ("xi",))))
+    cls = reduce_h1_sq(rs5)(schouten(rs5.mv(rs5.xi(), ("z", "xi")),
+                                     rs5.mv(rs5.z(-1), ("xi",))))
     assert not all(p.is_zero() for p in cls)
     rs3 = make_surface(3)
     with pytest.raises(NotObstructedStratum):
@@ -232,20 +232,20 @@ def test_family_poisson_identity():
 
 def test_cech_square_example():
     rs = make_surface(4)
-    lam0 = rs.zero1()
-    lam1 = rs.mv1(rs.xi(), ("z", "xi"))
+    lam0 = rs.zero()
+    lam1 = rs.mv(rs.xi(), ("z", "xi"))
     lam2 = pushforward(rs.transition, lam1)
-    theta = rs.mv1(rs.z(-1), ("xi",))
+    theta = rs.mv(rs.z(-1), ("xi",))
     sq = cech_square(rs, lam0, lam1, lam2, theta)
-    assert sq.eta12 == rs.mv1(rs.z(-1) * 2, ("z", "xi"))
+    assert sq.eta12 == rs.mv(rs.z(-1) * 2, ("z", "xi"))
     assert sq.gamma1.is_zero()
 
 
 def test_cech_square_trivial():
     rs = make_surface(4)
-    lam0 = rs.zero1()
-    theta = rs.mv1(rs.z(2), ("xi",))  # holomorphic on both charts
-    sq = cech_square(rs, lam0, rs.zero1(),
+    lam0 = rs.zero()
+    theta = rs.mv(rs.z(2), ("xi",))  # holomorphic on both charts
+    sq = cech_square(rs, lam0, rs.zero(),
                      MultiVector.zero(rs.chart2, rs.registry), theta)
     assert sq.eta12.is_zero() and sq.gamma1.is_zero()
 
@@ -254,10 +254,10 @@ def test_cech_square_rejects_non_cocycles():
     rs = make_surface(4)
     pois = RuledPoisson(rs, zero(rs), rs.z(), zero(rs))
     lam0 = pois.bivector()
-    theta = rs.mv1(rs.z(-1), ("xi",))
+    theta = rs.mv(rs.z(-1), ("xi",))
     # lam_j = 0 does not satisfy the middle cocycle identity here
     with pytest.raises(NotACocycle):
-        cech_square(rs, lam0, rs.zero1(),
+        cech_square(rs, lam0, rs.zero(),
                     MultiVector.zero(rs.chart2, rs.registry), theta)
 
 
@@ -282,13 +282,13 @@ def test_complex_model_compose_check():
 
 def test_poisson_from_bivector_validates():
     rs = make_surface(4)
-    ok = rs.mv1(rs.z() * rs.xi(), ("z", "xi"))
+    ok = rs.mv(rs.z() * rs.xi(), ("z", "xi"))
     pois = poisson_from_bivector(rs, ok)
     assert pois.e == rs.z()
-    bad = rs.mv1(rs.xi(3), ("z", "xi"))
+    bad = rs.mv(rs.xi(3), ("z", "xi"))
     with pytest.raises(ValueError):
         poisson_from_bivector(rs, bad)
-    bad2 = rs.mv1(rs.z(5), ("z", "xi"))  # too deep for m = 4 (d must vanish)
+    bad2 = rs.mv(rs.z(5), ("z", "xi"))  # too deep for m = 4 (d must vanish)
     with pytest.raises(ValueError):
         poisson_from_bivector(rs, bad2)
 
@@ -300,7 +300,7 @@ def _random_bivector_section(rs, rng):
     for _ in range(8):
         c = rs.const(rng.randint(-3, 3)) + rs.param("a") * rng.randint(-2, 2)
         coeff = coeff + c * rs.z(rng.randint(-rs.m - 3, rs.m + 3)) * rs.xi(rng.randint(0, 2))
-    return rs.mv1(coeff, ("z", "xi"))
+    return rs.mv(coeff, ("z", "xi"))
 
 
 @pytest.mark.parametrize("m", range(13))
@@ -318,8 +318,8 @@ def test_reduce_h1_sq_rejects_malformed_sections():
     rs = make_surface(5)
     red = reduce_h1_sq(rs)
     on_u2 = MultiVector.term(rs.chart2, rs.registry, rs.const(1), ("zp", "xip"))
-    field = rs.mv1(rs.z(-1), ("xi",))
-    cubic = rs.mv1(rs.z(-1) * rs.xi(3), ("z", "xi"))
+    field = rs.mv(rs.z(-1), ("xi",))
+    cubic = rs.mv(rs.z(-1) * rs.xi(3), ("z", "xi"))
     for bad in (on_u2, field, cubic):
         with pytest.raises(NotInSpan):
             red(bad)
