@@ -10,6 +10,7 @@ deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -146,7 +147,7 @@ def products_tables() -> dict:
     for cid in (1, 2, 3):
         cls = products.TP1PoissonClass(cid, {})
         cert = products.tp1_classify(cls)
-        tp1_rows.append({"class": cid, "dim_h1": products.tp1_dims(cls)["dim_h1"],
+        tp1_rows.append({"class": cid, "dim_h1": cert.data["dim_h1"],
                          "verdict": cert.verdict})
     torus_rows = [{"n": n, "dim_h1": products.torus_dims(n)} for n in (1, 2, 3)]
     return {"curve_products": curve_rows, "tp1": tp1_rows, "torus": torus_rows}
@@ -463,7 +464,9 @@ def cmd_mc_check(args) -> int:
         doc = {"solution": name, "defect_zero": defect.is_zero(),
                "defect": str(defect)}
     elif name == "tp1":
-        sol = products.tp1_mc_solution(products.TP1PoissonClass(2, {}))
+        ctx = products.tp1_context()
+        lam0 = products.tp1_lambda0(ctx, products.TP1PoissonClass(2, {}))
+        sol = products.tp1_mc_solution(products.tp1_matrices(ctx, lam0))
         pieces = products.tp1_integrability(sol)
         doc = {"solution": name,
                "defect_zero": all(v.is_zero() for v in pieces.values()),
@@ -486,7 +489,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once, on the first `main` call; `parse_args` never changes it
+    (no append actions, no mutable defaults), so every call shares it."""
     ap = argparse.ArgumentParser(
         prog="poissonlab",
         description="exact deformation calculus for holomorphic Poisson surfaces")
@@ -529,8 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, UnknownSymbol, UsageError, hopf.TruncationUnstable) as exc:

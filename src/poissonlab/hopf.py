@@ -752,13 +752,13 @@ def obstruction_certificate_hopf(t: HopfType, constants: dict) -> Certificate:
     else:
         a = ctx.mv(g("A") * z * w + g("B") * w ** (p + 1), ("z", "w"))
         b = ctx.mv(g("d") * z + g("e") * w ** p, ("z",)) + ctx.mv(g("f") * w, ("w",))
-    model = deformation_model(t, "zero")
-    cls = model.reduce_h1_sq(schouten(a, b))
+    model = cover_model(ctx, default_cap(t))
+    cls = model.reduce_m(2)(schouten(a, b))
     if all(x.is_zero() for x in cls):
         raise ValueError("chosen constants give a vanishing bracket class")
-    return Certificate(model.name, "zero", OBSTRUCTED,
+    return Certificate(f"Hopf {t.label()}", "zero", OBSTRUCTED,
                        witness={"a": str(a), "b": str(b)},
-                       class_repr=str(combination(cls, model.h1_sq)))
+                       class_repr=str(combination(cls, model.m2)))
 
 
 H95_CASES = ("iv-discriminant-zero", "iii-b-nonzero")

@@ -128,7 +128,13 @@ class Certificate:
 
 def r4_search(model: DeformationComplexModel) -> Certificate:
     """Search for an obstructed pair (a, b): a global bivector class and a
-    kernel class whose bracket class escapes the H1 bracket image."""
+    kernel class whose bracket class escapes the H1 bracket image.
+
+    With H2 = 0 the image is the whole H1 window, so no class escapes it
+    and the structure is unobstructed without a search.
+    """
+    if model.h2_dim == 0:
+        return Certificate(model.name, model.stratum, UNOBSTRUCTED_H2_ZERO)
     image = model.h1_image_space()
     kernel = model.h1_kernel_elements()
     for a in model.h0_sq:
@@ -149,8 +155,6 @@ def r4_search(model: DeformationComplexModel) -> Certificate:
                 witness={"a": str(a), "b": str(b)},
                 class_repr=class_repr,
             )
-    if model.h2_dim == 0:
-        return Certificate(model.name, model.stratum, UNOBSTRUCTED_H2_ZERO)
     return Certificate(
         model.name, model.stratum, UNDETERMINED,
         reason="nonzero second cohomology but no witness pair in the model",

@@ -346,7 +346,21 @@ def tp1_cube_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
     return _tp1_xi_coords(ctx, mv.coefficient(("z1", "z2", "xi")))
 
 
-def tp1_matrices(ctx, lam0):
+@dataclass(frozen=True)
+class TP1Matrices:
+    """The bracket maps of lam0 on the bases, built once per structure:
+    H0(Theta) -> H0(wedge2), H0(wedge2) -> H0(wedge3) and
+    H1(Theta) -> H1(wedge2)."""
+
+    ctx: ChartFrame
+    lam0: MultiVector
+    bases: dict
+    m_h0: LinMap
+    m_sq_cube: LinMap
+    m_h1: LinMap
+
+
+def tp1_matrices(ctx, lam0) -> TP1Matrices:
     bases = tp1_bases(ctx)
     lam0f = FormedMultiVector.of(lam0, ctx.dbar)
 
@@ -365,17 +379,15 @@ def tp1_matrices(ctx, lam0):
     m_h1 = matrix_of_map(lambda x: schouten_formed(lam0f, x), bases["h1_theta"],
                          bases["h1_sq"], Reducer("formed sq coords", red_sq_formed),
                          ctx.registry)
-    return bases, m_h0, m_sq_cube, m_h1
+    return TP1Matrices(ctx, lam0, bases, m_h0, m_sq_cube, m_h1)
 
 
-def tp1_dims(cls: TP1PoissonClass) -> dict:
-    ctx = tp1_context()
-    lam0 = tp1_lambda0(ctx, cls)
-    bases, m_h0, m_sq_cube, m_h1 = tp1_matrices(ctx, lam0)
-    r0 = generic_rank(m_h0)
-    middle_ker = len(bases["h0_sq"]) - generic_rank(m_sq_cube)
+def tp1_dims(mats: TP1Matrices) -> dict:
+    bases = mats.bases
+    r0 = generic_rank(mats.m_h0)
+    middle_ker = len(bases["h0_sq"]) - generic_rank(mats.m_sq_cube)
     h1_block = middle_ker - r0
-    ker1 = len(bases["h1_theta"]) - generic_rank(m_h1)
+    ker1 = len(bases["h1_theta"]) - generic_rank(mats.m_h1)
     return {
         "dim_h0": len(bases["h0_theta"]) - r0,
         "dim_h1": h1_block + ker1,
@@ -384,15 +396,13 @@ def tp1_dims(cls: TP1PoissonClass) -> dict:
     }
 
 
-def tp1_mc_solution(cls: TP1PoissonClass, f_coeffs=None) -> MCSolution:
+def tp1_mc_solution(mats: TP1Matrices, f_coeffs=None) -> MCSolution:
     """The corrected class-2 solution, fully symbolic in t0..t8."""
-    if cls.class_id != 2:
+    ctx, lam0, m_h0 = mats.ctx, mats.lam0, mats.m_h0
+    kk = lam0.coefficient(("z2", "xi"))  # the K polynomial, zero off class 2
+    if kk.is_zero():
         raise ConstraintViolation("polynomial solutions are built on class 2")
-    ctx = tp1_context()
-    lam0 = tp1_lambda0(ctx, cls)
-    bases, m_h0, m_sq_cube, m_h1 = tp1_matrices(ctx, lam0)
-    kk = lam0.coefficient(("z2", "xi"))  # the K polynomial
-    kpar = -lam0.coefficient(("z1", "xi")).exact_div(kk) if not kk.is_zero() else ctx.param("k")
+    kpar = -lam0.coefficient(("z1", "xi")).exact_div(kk)
     if f_coeffs is None:
         gamma_map = [[m_h0.rows[i][j] for j in (2, 3, 4)] for i in (1, 2, 3)]
         gm = LinMap(LabeledBasis("gamma", ("g0", "g1", "g2")),
@@ -438,11 +448,10 @@ def tp1_integrability(sol: MCSolution) -> dict:
     return {"p14": p14, "p15": p15, "p16": p16}
 
 
-def tp1_ks_matrix(sol: MCSolution) -> list[list[LaurentPoly]]:
-    """Tangent directions of the solution in the 9-dimensional H1 model."""
-    ctx = tp1_context()
-    lam0 = sol.lambda0
-    bases, m_h0, m_sq_cube, m_h1 = tp1_matrices(ctx, lam0)
+def tp1_ks_matrix(sol: MCSolution, mats: TP1Matrices) -> list[list[LaurentPoly]]:
+    """Tangent directions of the solution in the 9-dimensional H1 model;
+    `mats` are the bracket maps of the solution's lambda0."""
+    ctx, lam0, m_h0, m_h1 = mats.ctx, sol.lambda0, mats.m_h0, mats.m_h1
     reg = ctx.registry
     # quotient representatives for the bivector block: dz1^dz2, the
     # F-direction, and K dxi^dz1
@@ -478,7 +487,7 @@ def tp1_classify(cls: TP1PoissonClass) -> Certificate:
     if not schouten(lam0, lam0).is_zero():
         raise ConstraintViolation("the bivector is not Poisson")
     if cls.class_id == 1:
-        dims = tp1_dims(cls)
+        dims = tp1_dims(tp1_matrices(ctx, lam0))
         if dims["dim_h1"] != 17:
             raise AssertionError("class-1 first cohomology should have dimension 17")
         return Certificate(
@@ -486,27 +495,29 @@ def tp1_classify(cls: TP1PoissonClass) -> Certificate:
             reason="obstructed already in complex deformations; the bracket "
                    "differentials vanish so deformations of the complex "
                    "structure embed untouched",
-            data={"dim_h1": 17},
+            data={"dim_h1": dims["dim_h1"]},
         )
-    work = cls if cls.class_id == 2 else _swap_to_class2(cls)
-    sol = tp1_mc_solution(work)
+    if cls.class_id == 3:
+        lam0 = tp1_lambda0(ctx, _swap_to_class2(cls))
+    mats = tp1_matrices(ctx, lam0)
+    sol = tp1_mc_solution(mats)
     pieces = tp1_integrability(sol)
     for name, val in pieces.items():
         if not val.is_zero():
             raise AssertionError(f"integrability piece {name} did not vanish")
-    rows = tp1_ks_matrix(sol)
+    rows = tp1_ks_matrix(sol, mats)
     ks = LinMap(LabeledBasis("t", sol.params),
                 LabeledBasis("H1", tuple(f"c{i}" for i in range(len(rows)))),
                 rows, ctx.registry)
     if generic_rank(ks) != 9:
         raise AssertionError("tangent map does not fill the 9 directions")
-    dims = tp1_dims(work)
+    dims = tp1_dims(mats)
     if dims["dim_h1"] != 9:
         raise AssertionError("expected dim H1 = 9 on this class")
     return Certificate(
         "TxP1", f"class-{cls.class_id}", UNOBSTRUCTED_MC,
         reason="verified polynomial Maurer-Cartan solution",
-        data={"dim_h1": 9},
+        data={"dim_h1": dims["dim_h1"]},
     )
 
 

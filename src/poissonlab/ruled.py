@@ -76,7 +76,15 @@ def make_surface(m: int, params: Sequence[str] = ()) -> RuledSurface:
 
 @dataclass
 class RuledPoisson:
-    """Global bivector (d(z) + e(z) xi + f(z) xi^2) dz ^ dxi."""
+    """Global bivector (d(z) + e(z) xi + f(z) xi^2) dz ^ dxi.
+
+    The degree caps decide extension to U2.  There dz ^ dxi =
+    -zp^(2-m) dzp ^ dxip and xi = zp^m xip, so d_k z^k becomes a multiple
+    of zp^(2-m-k), e_k z^k xi one of zp^(2-k) xip and f_k z^k xi^2 one of
+    zp^(m+2-k) xip^2.  Distinct terms land on distinct monomials, so the
+    bivector is holomorphic on U2 exactly when k <= 2-m, 2 and m+2 for
+    the three parts, and on U1 when they are polynomials in z.
+    """
 
     surface: RuledSurface
     d: LaurentPoly
@@ -94,10 +102,6 @@ class RuledPoisson:
             lo, hi = poly.degree_range("z")
             if lo < 0 or hi > caps[name]:
                 raise ValueError(f"{name}(z) violates the degree cap for m={m}")
-        pushed = pushforward(self.surface.transition, self.bivector())
-        for poly in pushed.components.values():
-            if not poly.is_holomorphic(("zp", "xip")):
-                raise ValueError("bivector does not extend holomorphically to U2")
 
     def bivector(self) -> MultiVector:
         s = self.surface

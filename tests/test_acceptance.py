@@ -241,14 +241,16 @@ def test_11_elliptic_times_line():
 
 
 def test_12_torus_times_line():
-    assert products.tp1_dims(products.TP1PoissonClass(1, {}))["dim_h1"] == 17
-    assert products.tp1_dims(products.TP1PoissonClass(2, {}))["dim_h1"] == 9
-    assert products.tp1_dims(products.TP1PoissonClass(3, {}))["dim_h1"] == 9
-    sol = products.tp1_mc_solution(products.TP1PoissonClass(2, {}))
+    ctx = products.tp1_context()
+    mats = {cid: products.tp1_matrices(ctx, products.tp1_lambda0(
+        ctx, products.TP1PoissonClass(cid, {}))) for cid in (1, 2, 3)}
+    assert products.tp1_dims(mats[1])["dim_h1"] == 17
+    assert products.tp1_dims(mats[2])["dim_h1"] == 9
+    assert products.tp1_dims(mats[3])["dim_h1"] == 9
+    sol = products.tp1_mc_solution(mats[2])
     pieces = products.tp1_integrability(sol)
     assert all(v.is_zero() for v in pieces.values())
     # deletion residuals: strip each correction and recheck
-    ctx = products.tp1_context()
     reg = ctx.registry
     z0 = {f"t{i}": LaurentPoly.const(reg, 0) for i in range(9)}
 

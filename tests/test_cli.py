@@ -1,6 +1,6 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -254,3 +254,36 @@ def test_torus_passes_its_coefficients_on(monkeypatch):
     code, out = run_cli("classify", "torus:3", "--poisson", "(@z1^@z2) - 1/2*(@z2^@z3)")
     assert code == 0 and json.loads(out)["data"]["dim_h1"] == 12
     assert seen == [(3, {"b12": 1, "b13": 0, "b23": Fraction(-1, 2)})]
+
+
+REUSE_SEQUENCE = (
+    ("tables", "ruled", "--m-max", "4"),
+    ("tables", "nope"),
+    ("tables", "ruled", "--md"),
+    ("classify", "ruled:5"),
+    ("classify", "ruled:4", "--poisson", "(z*xi + z*xi^2)*@z^@xi"),
+    ("tables", "products", "--md"),
+)
+
+
+def _served(argv):
+    """Exit code, stdout and stderr of one `main` call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_and_reused_safely(monkeypatch):
+    from poissonlab import cli
+
+    cli.build_parser.cache_clear()
+    reused = [_served(argv) for argv in REUSE_SEQUENCE]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [r[0] for r in reused] == [0, 2, 0, 2, 0, 0]
+    # the same calls, each on a parser of its own
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [_served(argv) for argv in REUSE_SEQUENCE] == reused

@@ -395,3 +395,40 @@ def test_hopf_tables_push_each_frame_once(monkeypatch):
     cli.hopf_tables(None, 2)
     # d/dz and d/dw for mat1 and d/dz ^ d/dw for mat2, in each of five models
     assert calls == {"id_minus_fstar": 10, "pushforward": 15}
+
+
+def test_zero_structure_certificate_brackets_only_its_witness(monkeypatch):
+    # with the cover model built, the certificate behind
+    # `classify hopf:IV --poisson "0*@z^@w"` brackets and reduces the witness
+    # pair once and builds no M1 -> M2 bracket matrix
+    import io
+    import json
+    from contextlib import redirect_stdout
+
+    from poissonlab import cli
+
+    argv = ["classify", "hopf:IV", "--poisson", "0*@z^@w"]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    calls = {"schouten": 0, "quotient_coords": 0}
+    inside = []
+    for name in calls:
+        def counted(*args, _orig=getattr(hopf_mod, name), _name=name):
+            calls[_name] += bool(inside)
+            return _orig(*args)
+        monkeypatch.setattr(hopf_mod, name, counted)
+
+    def certificate(*args, _orig=hopf_mod.obstruction_certificate_hopf):
+        inside.append(True)
+        try:
+            return _orig(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(hopf_mod, "obstruction_certificate_hopf", certificate)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    doc = json.loads(out.getvalue())
+    assert (doc["manifold"], doc["verdict"], doc["class"]) == (
+        "Hopf IV", OBSTRUCTED, "-z^2*(@z^@w)")
+    assert calls == {"schouten": 1, "quotient_coords": 1}

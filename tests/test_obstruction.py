@@ -166,6 +166,31 @@ def test_h1_kernel_computed_once_per_search(monkeypatch):
     assert len(kernels) == sum(searches) == 20
 
 
+
+def test_r4_search_brackets_nothing_when_h2_is_zero(monkeypatch):
+    from poissonlab import obstruction, ruled
+    seen = []
+
+    def search(model):
+        brackets = []
+        bracket = model.bracket
+        model.bracket = lambda a, b: brackets.append(1) or bracket(a, b)
+        cert = obstruction.r4_search(model)
+        seen.append((model, cert.verdict, len(brackets)))
+        return cert
+
+    monkeypatch.setattr(ruled, "r4_search", search)
+    ruled.table1_sweep(12)
+    decided = [(model, verdict, n) for model, verdict, n in seen if model.h2_dim == 0]
+    assert len(decided) == 13
+    for model, verdict, n in decided:
+        assert (verdict, n) == ("unobstructed_h2_zero", 0)
+        # the fact the early return rests on: the H1 image is the whole window
+        assert model.h1_image_space().rank == len(model.h1_sq)
+    # the e = 0 rows still search, and find their witness by bracketing
+    assert all(verdict == OBSTRUCTED and n > 0
+               for model, verdict, n in seen if model.h2_dim > 0)
+
 def test_certificate_json_round_trip_stable():
     cert = Certificate("F6", "e=0", OBSTRUCTED,
                        witness={"a": "xi*(@z^@xi)", "b": "(z^-1)*@xi"},

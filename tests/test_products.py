@@ -11,8 +11,13 @@ from poissonlab.products import (ConstraintViolation, TP1PoissonClass,
                                  ep1_lambda0, ep1_mc_solution, torus_dims,
                                  tp1_bases, tp1_classify, tp1_context,
                                  tp1_dims, tp1_integrability, tp1_ks_matrix,
-                                 tp1_lambda0, tp1_mc_solution)
+                                 tp1_lambda0, tp1_matrices, tp1_mc_solution)
 from poissonlab.rational import GaussianRational
+
+
+def _tp1_mats(class_id):
+    ctx = tp1_context()
+    return tp1_matrices(ctx, tp1_lambda0(ctx, TP1PoissonClass(class_id, {})))
 
 
 def test_basis_dimensions():
@@ -152,13 +157,13 @@ def test_tp1_lambda0_is_poisson_per_class():
 
 
 def test_tp1_dims_table():
-    assert tp1_dims(TP1PoissonClass(1, {}))["dim_h1"] == 17
-    assert tp1_dims(TP1PoissonClass(2, {}))["dim_h1"] == 9
-    assert tp1_dims(TP1PoissonClass(3, {}))["dim_h1"] == 9
+    assert tp1_dims(_tp1_mats(1))["dim_h1"] == 17
+    assert tp1_dims(_tp1_mats(2))["dim_h1"] == 9
+    assert tp1_dims(_tp1_mats(3))["dim_h1"] == 9
 
 
 def test_tp1_integrability_identities():
-    sol = tp1_mc_solution(TP1PoissonClass(2, {}))
+    sol = tp1_mc_solution(_tp1_mats(2))
     pieces = tp1_integrability(sol)
     assert all(v.is_zero() for v in pieces.values())
 
@@ -193,7 +198,7 @@ def _tp1_split_linear(sol):
 
 
 def test_tp1_deletion_residuals():
-    sol = tp1_mc_solution(TP1PoissonClass(2, {}))
+    sol = tp1_mc_solution(_tp1_mats(2))
     ctx, lam_lin, lam_corr, phi_lin, phi_corr = _tp1_split_linear(sol)
     lam0 = sol.lambda0
     lam0f = FormedMultiVector.of(lam0, sol.beta.dbar_vars)
@@ -222,8 +227,9 @@ def test_tp1_deletion_residuals():
 
 
 def test_tp1_ks_matrix_full_rank():
-    sol = tp1_mc_solution(TP1PoissonClass(2, {}))
-    rows = tp1_ks_matrix(sol)
+    mats = _tp1_mats(2)
+    sol = tp1_mc_solution(mats)
+    rows = tp1_ks_matrix(sol, mats)
     assert len(rows) == 9
     from poissonlab.linalg import LabeledBasis, LinMap
     ctx = tp1_context()

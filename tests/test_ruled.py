@@ -293,6 +293,30 @@ def test_poisson_from_bivector_validates():
         poisson_from_bivector(rs, bad2)
 
 
+
+@pytest.mark.parametrize("m", range(13))
+def test_degree_caps_decide_extension_to_the_second_chart(m):
+    # RuledPoisson checks only the z-degree caps; a monomial part passes them
+    # exactly when its bivector is holomorphic on U1 and its pushforward
+    # is holomorphic in zp, xip
+    rs = make_surface(m)
+    for part in ("d", "e", "f"):
+        for k in range(-1, m + 5):
+            parts = {name: zero(rs) for name in "def"}
+            parts[part] = rs.z(k)
+            biv = rs.mv(parts["d"] + parts["e"] * rs.xi() + parts["f"] * rs.xi(2),
+                        ("z", "xi"))
+            pushed = pushforward(rs.transition, biv)
+            extends = (all(p.is_holomorphic(("z", "xi")) for p in biv.components.values())
+                       and all(p.is_holomorphic(("zp", "xip"))
+                               for p in pushed.components.values()))
+            try:
+                RuledPoisson(rs, parts["d"], parts["e"], parts["f"])
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == extends, (part, k)
+
 def _random_bivector_section(rs, rng):
     """A bivector on U1 with z-degrees -(m+3)..m+3, xi-degrees 0..2 and
     parameter coefficients."""
