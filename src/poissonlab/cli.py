@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import hopf, products, ruled
-from .expr import ParseError, UnknownSymbol, context_for, eval_str, parse
+from .expr import ParseError, UnknownSymbol, context_for, eval_str, free_names
 from .laurent import LaurentPoly
 from .linalg import NotInSpan
 from .multivector import ChartFrame, schouten_formed
@@ -228,7 +228,7 @@ def cmd_classify(args) -> int:
     if kind == "ruled":
         m = _spec_number(parts, 0, ruled.MAX_M)
         src = args.poisson
-        names = sorted(n for n in _free_names(src) if n not in ("z", "xi"))
+        names = sorted(n for n in free_names(src) if n not in ("z", "xi"))
         for n in names:
             if n in ("zp", "xip"):
                 raise UsageError(f"{src!r}: {n!r} is a coordinate of the chart U2; "
@@ -261,11 +261,6 @@ def cmd_classify(args) -> int:
         return EXIT_USAGE
     print(cert.to_json())
     return EXIT_OK if cert.verdict != "error" else EXIT_FAIL
-
-
-def _free_names(src: str):
-    from .expr import collect_names
-    return collect_names(parse(src))
 
 
 def _require_bivector(mv):
@@ -338,7 +333,7 @@ def _classify_hopf(parts, args) -> Certificate:
     t = _hopf_type(parts)
     tag = t.tag
     ctx = hopf.make_context(t)
-    names = sorted(n for n in _free_names(args.poisson) if n not in ("z", "w"))
+    names = sorted(n for n in free_names(args.poisson) if n not in ("z", "w"))
     for n in names:
         if n not in ctx.registry.param_vars:
             raise UnknownSymbol(n)
@@ -366,24 +361,26 @@ def _classify_hopf(parts, args) -> Certificate:
             return hopf.undetermined_certificate("iv-discriminant-zero")
         else:
             stratum = "generic"
-        hopf.family_invariance(t)
-        hopf.d_membership(t)
-        return Certificate(f"Hopf {t.label()}", stratum, UNOBSTRUCTED_MC,
-                           reason="verified contraction family", data={"dim_h1": 3})
+        return _hopf_family_certificate(t, stratum)
     if tag == "III":
         a, b = num(1, 1), num(0, pp + 1)
         if (a, b) == (0, 0):
             return hopf.obstruction_certificate_hopf(t, {"B": 1, "d": 1})
         if a == 0:
             return hopf.undetermined_certificate("iii-b-nonzero")
-        hopf.family_invariance(t)
-        hopf.d_membership(t)
-        return Certificate(f"Hopf {t.label()}", "A", UNOBSTRUCTED_MC,
-                           reason="verified contraction family", data={"dim_h1": 3})
-    hopf.family_invariance(t)
-    hopf.d_membership(t)
-    return Certificate(f"Hopf {t.label()}", "any", UNOBSTRUCTED_MC,
-                       reason="verified contraction family", data={"dim_h1": 3})
+        return _hopf_family_certificate(t, "A")
+    return _hopf_family_certificate(t, "any")
+
+
+def _hopf_family_certificate(t: hopf.HopfType, stratum: str) -> Certificate:
+    """The unobstructed verdict, once the contraction family of type `t`
+    is verified invariant and its tangent pairs fill H1."""
+    if not hopf.family_invariance(t):
+        raise hopf.MembershipFails(f"the contraction family of type {t.label()} "
+                                   "is not invariant")
+    dim_h1 = hopf.d_membership(t)["h1_dim"]
+    return Certificate(f"Hopf {t.label()}", stratum, UNOBSTRUCTED_MC,
+                       reason="verified contraction family", data={"dim_h1": dim_h1})
 
 
 def _classify_tp1(src: str) -> Certificate:
@@ -542,7 +539,8 @@ def main(argv=None) -> int:
         # a cover model that fails validation means the degree cap is too small
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ruled.NotObstructedStratum, products.ConstraintViolation, ValueError) as exc:
+    except (ruled.NotObstructedStratum, products.ConstraintViolation, hopf.MembershipFails,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

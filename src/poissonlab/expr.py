@@ -5,6 +5,9 @@ generator d/dv, `~v` an antiholomorphic generator, `^` is the exterior
 product except directly before an integer where it is a power, and `*`
 multiplies anything.  Wedge binds loosest, then +/-, then *, with
 powers tightest; no floats exist in the grammar.
+
+Evaluation stays in the Laurent ring for subtrees without @v or ~v and
+lifts to a FormedMultiVector only where a field generator enters.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import VarRegistry
+from .laurent import LaurentPoly, VarRegistry
 from .multivector import Chart, ChartFrame, FormedMultiVector, wedge
 from .rational import GaussianRational
 
@@ -247,16 +250,10 @@ def parse(src: str):
     return node
 
 
-def collect_names(node) -> set[str]:
-    if isinstance(node, Sym):
-        return {node.name}
-    if isinstance(node, (Num, Vec, Dbar)):
-        return set()
-    if isinstance(node, Neg):
-        return collect_names(node.arg)
-    if isinstance(node, Pow):
-        return collect_names(node.base)
-    return collect_names(node.left) | collect_names(node.right)
+def free_names(src: str) -> set[str]:
+    """The names `src` mentions, without `i`: every name token becomes a
+    `Sym`, so this is the set of `Sym` names of parse(src) when it parses."""
+    return {tok[1] for tok in _tokenize(src) if tok[0] == "name" and tok[1] != "i"}
 
 
 # ----------------------------------------------------------------------
@@ -283,13 +280,21 @@ def fmv_product(a: FormedMultiVector, b: FormedMultiVector) -> FormedMultiVector
 EvalContext = ChartFrame
 
 
-def evaluate(node, ctx: EvalContext) -> FormedMultiVector:
+def _lift(value, ctx: EvalContext) -> FormedMultiVector:
+    if isinstance(value, FormedMultiVector):
+        return value
+    return ctx.formed(ctx.mv(value))
+
+
+def _value(node, ctx: EvalContext):
+    """A LaurentPoly for a subtree without @v or ~v, else a FormedMultiVector;
+    operands evaluate left to right."""
     if isinstance(node, Num):
-        return ctx.formed(ctx.mv(ctx.const(node.value)))
+        return ctx.const(node.value)
     if isinstance(node, Sym):
         if node.name not in ctx.registry:
             raise UnknownSymbol(node.name)
-        return ctx.formed(ctx.mv(ctx.param(node.name)))
+        return ctx.param(node.name)
     if isinstance(node, Vec):
         if node.name not in ctx.chart.vars:
             raise UnknownSymbol(f"@{node.name}")
@@ -299,24 +304,33 @@ def evaluate(node, ctx: EvalContext) -> FormedMultiVector:
             raise UnknownSymbol(f"~{node.name}")
         return ctx.formed(ctx.mv(ctx.const(1)), (node.name,))
     if isinstance(node, Neg):
-        return -evaluate(node.arg, ctx)
-    if isinstance(node, Add):
-        return evaluate(node.left, ctx) + evaluate(node.right, ctx)
-    if isinstance(node, Sub):
-        return evaluate(node.left, ctx) - evaluate(node.right, ctx)
+        return -_value(node.arg, ctx)
+    if isinstance(node, (Add, Sub)):
+        a, b = _value(node.left, ctx), _value(node.right, ctx)
+        if isinstance(a, LaurentPoly) is not isinstance(b, LaurentPoly):
+            a, b = _lift(a, ctx), _lift(b, ctx)
+        return a + b if isinstance(node, Add) else a - b
     if isinstance(node, (Mul, WedgeOp)):
-        return fmv_product(evaluate(node.left, ctx), evaluate(node.right, ctx))
+        a, b = _value(node.left, ctx), _value(node.right, ctx)
+        if isinstance(a, LaurentPoly):
+            return a * b if isinstance(b, LaurentPoly) else b.scale(a)
+        return a.scale(b) if isinstance(b, LaurentPoly) else fmv_product(a, b)
     if isinstance(node, Pow):
-        base = evaluate(node.base, ctx)
-        keys = set(base.parts)
-        if keys and keys != {()}:
-            raise UnknownSymbol("powers only apply to scalar expressions")
-        mv = base.part(())
-        if set(mv.components) not in (set(), {()}):
-            raise UnknownSymbol("powers only apply to scalar expressions")
-        poly = mv.components.get((), ctx.const(0))
-        return ctx.formed(ctx.mv(poly ** node.exponent))
+        base = _value(node.base, ctx)
+        if isinstance(base, FormedMultiVector):
+            keys = set(base.parts)
+            if keys and keys != {()}:
+                raise UnknownSymbol("powers only apply to scalar expressions")
+            mv = base.part(())
+            if set(mv.components) not in (set(), {()}):
+                raise UnknownSymbol("powers only apply to scalar expressions")
+            base = mv.components.get((), ctx.const(0))
+        return base ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def evaluate(node, ctx: EvalContext) -> FormedMultiVector:
+    return _lift(_value(node, ctx), ctx)
 
 
 def eval_str(src: str, ctx: EvalContext) -> FormedMultiVector:
@@ -328,7 +342,7 @@ def context_for(src_list, chart_vars: tuple[str, ...],
     """Build an evaluation context, auto-registering free names as parameters."""
     names = set()
     for src in src_list:
-        names |= collect_names(parse(src))
+        names |= free_names(src)
     params = tuple(sorted(names - set(chart_vars)))
     reg = VarRegistry(chart_vars, params)
     return ChartFrame(Chart("chart", chart_vars), reg, dbar_vars)

@@ -105,6 +105,18 @@ def _accumulate(out: dict, terms: dict):
                 out[key] = s
 
 
+def _power(x, n: int):
+    """x ** n for n >= 1 by repeated squaring, with no product by 1."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
 _alloc = object.__new__
 
 
@@ -225,14 +237,15 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             return self.monomial_inverse() ** (-n)
-        result = LaurentPoly.const(self.registry, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return LaurentPoly.const(self.registry, 1)
+        if len(self.terms) != 1:
+            return _power(self, n)
+        # a monomial: scale its exponents, raise its coefficient
+        (key, coef), = self.terms.items()
+        return LaurentPoly._of_terms(
+            self.registry,
+            {tuple((idx, e * n) for idx, e in key): coef if coef.is_one() else _power(coef, n)})
 
     def monomial_inverse(self) -> "LaurentPoly":
         """Inverse of a single-term polynomial."""

@@ -58,6 +58,9 @@ def _sort_index_tuple(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (-1 if inv % 2 else 1), tuple(sorted(idx))
 
 
+_alloc = object.__new__
+
+
 class MultiVector:
     """Sum of terms f * d/dv_{i1} ^ ... ^ d/dv_{ik} on one chart."""
 
@@ -86,6 +89,16 @@ class MultiVector:
                     clean[sidx] = p
         self.components = clean
 
+    @staticmethod
+    def _of(chart: Chart, registry: VarRegistry, components: dict) -> "MultiVector":
+        """Wrap `components`, which the caller owns and knows to have sorted
+        index tuples and nonzero coefficients only."""
+        mv = _alloc(MultiVector)
+        mv.chart = chart
+        mv.registry = registry
+        mv.components = components
+        return mv
+
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -112,8 +125,8 @@ class MultiVector:
         return {len(idx) for idx in self.components}
 
     def grade_part(self, k: int) -> "MultiVector":
-        return MultiVector(self.chart, self.registry,
-                           {idx: p for idx, p in self.components.items() if len(idx) == k})
+        return MultiVector._of(self.chart, self.registry,
+                               {idx: p for idx, p in self.components.items() if len(idx) == k})
 
     def coefficient(self, vars: Iterable[str]) -> LaurentPoly:
         idx = tuple(sorted(self.chart.vars.index(v) for v in vars))
@@ -132,19 +145,23 @@ class MultiVector:
                 out.pop(idx, None)
             else:
                 out[idx] = s
-        return MultiVector(self.chart, self.registry, out)
+        return MultiVector._of(self.chart, self.registry, out)
 
     def __neg__(self) -> "MultiVector":
-        return MultiVector(self.chart, self.registry,
-                           {idx: -p for idx, p in self.components.items()})
+        return MultiVector._of(self.chart, self.registry,
+                               {idx: -p for idx, p in self.components.items()})
 
     def __sub__(self, other: "MultiVector") -> "MultiVector":
         return self + (-other)
 
     def scale(self, factor) -> "MultiVector":
         """Multiply by a scalar or a LaurentPoly."""
-        return MultiVector(self.chart, self.registry,
-                           {idx: p * factor for idx, p in self.components.items()})
+        out = {}
+        for idx, p in self.components.items():
+            prod = p * factor
+            if not prod.is_zero():
+                out[idx] = prod
+        return MultiVector._of(self.chart, self.registry, out)
 
     def __eq__(self, other):
         if not isinstance(other, MultiVector):
@@ -213,7 +230,7 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
                 out.pop(idx, None)
             else:
                 out[idx] = s
-    return MultiVector(a.chart, a.registry, out)
+    return MultiVector._of(a.chart, a.registry, out)
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +276,8 @@ def schouten(a: MultiVector, b: MultiVector) -> MultiVector:
             flip = 1 if ((p - 1) * (q - 1)) % 2 else -1
             for s, j in enumerate(J):
                 add(g, f, j, J[:s] + J[s + 1:] + I, -flip if (q - 1 - s) % 2 else flip)
-    return MultiVector(a.chart, a.registry, out)
+    return MultiVector._of(a.chart, a.registry,
+                           {key: p for key, p in out.items() if not p.is_zero()})
 
 
 # ----------------------------------------------------------------------
@@ -376,6 +394,18 @@ class FormedMultiVector:
         self.parts = clean
 
     @staticmethod
+    def _of(chart: Chart, registry: VarRegistry, dbar_vars: tuple[str, ...],
+            parts: dict) -> "FormedMultiVector":
+        """Wrap `parts`, which the caller owns and knows to have sorted keys
+        of known generators and nonzero fields only."""
+        fmv = _alloc(FormedMultiVector)
+        fmv.chart = chart
+        fmv.registry = registry
+        fmv.dbar_vars = dbar_vars
+        fmv.parts = parts
+        return fmv
+
+    @staticmethod
     def zero(chart, registry, dbar_vars):
         return FormedMultiVector(chart, registry, dbar_vars)
 
@@ -404,11 +434,11 @@ class FormedMultiVector:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return FormedMultiVector(self.chart, self.registry, self.dbar_vars, out)
+        return FormedMultiVector._of(self.chart, self.registry, self.dbar_vars, out)
 
     def __neg__(self):
-        return FormedMultiVector(self.chart, self.registry, self.dbar_vars,
-                                 {k: -v for k, v in self.parts.items()})
+        return FormedMultiVector._of(self.chart, self.registry, self.dbar_vars,
+                                     {k: -v for k, v in self.parts.items()})
 
     def __sub__(self, other):
         return self + (-other)

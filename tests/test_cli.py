@@ -178,6 +178,25 @@ def test_report_matches_golden_and_is_deterministic():
     assert first == (GOLDEN / "report.json").read_text()
 
 
+def test_requests_replay_golden():
+    """The requests of golden/requests.json, served one after another in
+    this process, give their recorded exit codes, stdout and stderr; an
+    exception that escapes `main` is recorded as `uncaught`."""
+    for want in json.loads((GOLDEN / "requests.json").read_text()):
+        out, err = io.StringIO(), io.StringIO()
+        got = {"argv": want["argv"]}
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                got["exit"] = main(list(want["argv"]))
+        except SystemExit as exc:
+            got["exit"] = exc.code
+        except Exception as exc:
+            got["exit"] = None
+            got["uncaught"] = f"{type(exc).__name__}: {exc}"
+        got["stdout"], got["stderr"] = out.getvalue(), err.getvalue()
+        assert got == want
+
+
 @pytest.mark.parametrize("spec,src", [
     ("hopf:IV", "z^3*@z^@w"),
     ("hopf:III:p=2", "z^2*@z^@w"),
@@ -287,3 +306,26 @@ def test_parser_is_built_once_and_reused_safely(monkeypatch):
     # the same calls, each on a parser of its own
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert [_served(argv) for argv in REUSE_SEQUENCE] == reused
+
+
+def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):
+    from poissonlab import hopf
+
+    argv = ("classify", "hopf:IIc", "--poisson", "z*w*@z^@w")
+    code, out = run_cli(*argv)
+    assert code == 0 and json.loads(out)["data"]["dim_h1"] == 3
+    capsys.readouterr()
+    monkeypatch.setattr(hopf, "family_invariance", lambda t: False)
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == "error: the contraction family of type IIc is not invariant\n"
+    monkeypatch.undo()
+
+    def fails(t, cap=None):
+        raise hopf.MembershipFails("bivector direction dies in the H0 cokernel")
+
+    monkeypatch.setattr(hopf, "d_membership", fails)
+    code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: bivector direction dies in the H0 cokernel\n"

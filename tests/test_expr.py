@@ -1,11 +1,14 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from poissonlab.expr import (EvalContext, ParseError, UnknownSymbol,
-                             collect_names, context_for, eval_str, parse,
-                             print_formed)
+from poissonlab.expr import (Add, Dbar, EvalContext, Mul, Neg, Num, ParseError,
+                             Pow, Sub, Sym, UnknownSymbol, Vec, WedgeOp,
+                             context_for, eval_str, evaluate, fmv_product,
+                             free_names, parse, print_formed)
 from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.multivector import Chart, FormedMultiVector, MultiVector
 from poissonlab.rational import GaussianRational
@@ -79,7 +82,7 @@ def test_unknown_symbols():
 def test_context_for_autoregisters_parameters():
     ctx = context_for(["(A*z^2+B0*z)*@z"], ("z", "w"))
     assert "A" in ctx.registry.param_vars and "B0" in ctx.registry.param_vars
-    assert collect_names(parse("A*z + Q7")) == {"A", "z", "Q7"}
+    assert free_names("A*z + Q7") == {"A", "z", "Q7"}
 
 
 def _random_formed(rng, ctx):
@@ -121,3 +124,127 @@ def test_print_parse_round_trip_100_random():
         assert again == v, printed
         # canonical strings are fixed points of print(parse(-))
         assert print_formed(again) == printed
+
+
+# ----------------------------------------------------------------------
+# the scalar-ring evaluator against the all-field reference
+
+def _reference_evaluate(node, ctx):
+    """Every node evaluated as a FormedMultiVector, products by fmv_product."""
+    if isinstance(node, Num):
+        return ctx.formed(ctx.mv(ctx.const(node.value)))
+    if isinstance(node, Sym):
+        if node.name not in ctx.registry:
+            raise UnknownSymbol(node.name)
+        return ctx.formed(ctx.mv(ctx.param(node.name)))
+    if isinstance(node, Vec):
+        if node.name not in ctx.chart.vars:
+            raise UnknownSymbol(f"@{node.name}")
+        return ctx.formed(ctx.mv(ctx.const(1), (node.name,)))
+    if isinstance(node, Dbar):
+        if node.name not in ctx.dbar:
+            raise UnknownSymbol(f"~{node.name}")
+        return ctx.formed(ctx.mv(ctx.const(1)), (node.name,))
+    if isinstance(node, Neg):
+        return -_reference_evaluate(node.arg, ctx)
+    if isinstance(node, Add):
+        return _reference_evaluate(node.left, ctx) + _reference_evaluate(node.right, ctx)
+    if isinstance(node, Sub):
+        return _reference_evaluate(node.left, ctx) - _reference_evaluate(node.right, ctx)
+    if isinstance(node, (Mul, WedgeOp)):
+        return fmv_product(_reference_evaluate(node.left, ctx),
+                           _reference_evaluate(node.right, ctx))
+    if isinstance(node, Pow):
+        base = _reference_evaluate(node.base, ctx)
+        keys = set(base.parts)
+        if keys and keys != {()}:
+            raise UnknownSymbol("powers only apply to scalar expressions")
+        mv = base.part(())
+        if set(mv.components) not in (set(), {()}):
+            raise UnknownSymbol("powers only apply to scalar expressions")
+        poly = mv.components.get((), ctx.const(0))
+        return ctx.formed(ctx.mv(poly ** node.exponent))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+_numbers = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-3, 3), st.sampled_from((0, 0, 1, -2)), st.sampled_from((1, 1, 2, 3)))
+_leaves = st.one_of(
+    st.builds(Num, _numbers),
+    # chart variables, parameters and one unknown name
+    st.builds(Sym, st.sampled_from(("z", "xi", "z", "xi", "A", "B", "t1", "qq"))),
+    st.builds(Vec, st.sampled_from(("z", "xi", "z", "xi", "w"))),
+    # z is the one dbar generator of _ctx()
+    st.builds(Dbar, st.sampled_from(("z", "z", "z", "xi"))),
+)
+
+
+def _compound(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        *(st.builds(op, children, children) for op in (Add, Sub, Mul, WedgeOp)),
+        st.builds(Pow, children, st.integers(-2, 3)),
+    )
+
+
+expr_trees = st.recursive(_leaves, _compound, max_leaves=8)
+
+
+def _outcome(fn, tree, ctx):
+    try:
+        return fn(tree, ctx)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(expr_trees)
+def test_evaluate_matches_the_all_field_reference(tree):
+    ctx = _ctx()
+    got, want = _outcome(evaluate, tree, ctx), _outcome(_reference_evaluate, tree, ctx)
+    assert got == want
+    if isinstance(got, FormedMultiVector):
+        assert str(got) == str(want)
+        for mv in got.parts.values():
+            assert mv == MultiVector(mv.chart, mv.registry, dict(mv.components))
+            assert not any(p.is_zero() for p in mv.components.values())
+
+
+def _collect_names(node) -> set[str]:
+    """The Sym names of a parsed tree (the tree walk free_names replaces)."""
+    if isinstance(node, Sym):
+        return {node.name}
+    if isinstance(node, (Num, Vec, Dbar)):
+        return set()
+    if isinstance(node, Neg):
+        return _collect_names(node.arg)
+    if isinstance(node, Pow):
+        return _collect_names(node.base)
+    return _collect_names(node.left) | _collect_names(node.right)
+
+
+def _source(node) -> str:
+    """Surface syntax for a tree, parenthesized throughout."""
+    if isinstance(node, Num):
+        v = node.value
+        return f"({v.re} + ({v.im})*i)"
+    if isinstance(node, Sym):
+        return node.name
+    if isinstance(node, Vec):
+        return f"@{node.name}"
+    if isinstance(node, Dbar):
+        return f"~{node.name}"
+    if isinstance(node, Neg):
+        return f"-({_source(node.arg)})"
+    if isinstance(node, Pow):
+        return f"({_source(node.base)})^{node.exponent}"
+    op = {Add: "+", Sub: "-", Mul: "*", WedgeOp: "^"}[type(node)]
+    return f"({_source(node.left)}) {op} ({_source(node.right)})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr_trees)
+def test_free_names_are_the_names_of_the_parsed_tree(tree):
+    src = _source(tree)
+    assert free_names(src) == _collect_names(parse(src)) == _collect_names(tree)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from poissonlab.laurent import (InexactDivision, LaurentError, LaurentPoly,
@@ -192,3 +194,16 @@ def test_coefficients_in():
     assert set(buckets) == {0, 1}
     assert buckets[1] == var("z", -1) + const(3)
     assert buckets[0] == var("w")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 6), st.integers(-3, 3)),
+       st.sampled_from([GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+                        GaussianRational(2, 0), GaussianRational(Fraction(2, 3), -1)]))
+def test_monomial_powers_equal_repeated_products(exps, coeff):
+    key = tuple(sorted((idx, e) for idx, e in exps.items() if e))
+    p = LaurentPoly(REG, {key: coeff})
+    product = const(1)
+    for n in range(9):
+        assert p ** n == product
+        product = product * p

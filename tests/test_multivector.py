@@ -383,3 +383,43 @@ def test_equal_fields_hash_equal_and_duplicates_are_found():
         LabeledBasis("fields", (a, fields[1], b))
     with pytest.raises(ValueError):
         LabeledBasis("formed", (fa, fb))
+
+
+# ----------------------------------------------------------------------
+# results of internal operations are built canonical
+
+def _assert_canonical(x):
+    if isinstance(x, FormedMultiVector):
+        assert x == FormedMultiVector(x.chart, x.registry, x.dbar_vars, dict(x.parts))
+        for part in x.parts.values():
+            assert not part.is_zero()
+            _assert_canonical(part)
+        return
+    assert not any(p.is_zero() for p in x.components.values())
+    assert x == MultiVector(x.chart, x.registry, dict(x.components))
+
+
+@st.composite
+def formed(draw):
+    dbar = ("x", "y")
+    parts = {key: draw(multivectors()) for key in ((), ("x",), ("y",), ("x", "y"))
+             if draw(st.booleans())}
+    return FormedMultiVector(CH, REG, dbar, parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multivectors(), multivectors(), small_polys(), st.integers(-2, 2))
+def test_multivector_results_are_canonical(a, b, f, c):
+    results = [a + b, a - b, a + (-a), -a, a.scale(f), a.scale(c), a.scale(0),
+               a.scale(LaurentPoly.zero(REG)), wedge(a, b), schouten(a, b),
+               schouten(a, a)]
+    results += [a.grade_part(k) for k in range(4)]
+    for x in results:
+        _assert_canonical(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(formed(), formed())
+def test_formed_multivector_sums_are_canonical(a, b):
+    for x in (a + b, a - b, a - a, -a):
+        _assert_canonical(x)
