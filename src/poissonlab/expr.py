@@ -325,6 +325,8 @@ def _value(node, ctx: EvalContext):
             if set(mv.components) not in (set(), {()}):
                 raise UnknownSymbol("powers only apply to scalar expressions")
             base = mv.components.get((), ctx.const(0))
+        if node.exponent < 0 and len(base.terms) != 1:
+            raise UnknownSymbol(f"negative powers only apply to monomials, not to {base}")
         return base ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")
 

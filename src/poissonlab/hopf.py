@@ -18,10 +18,10 @@ come earlier in an order the contraction fixes, as in Poincare-Dulac
 normal forms.  The model derives that order once from each matrix's own
 nonzero pattern (`triangular_order`) and eliminates in it: image
 columns with a nonzero diagonal entry 1 - alpha^a delta^b enter on that
-entry with no row combination and are stored as they are, and the
-kernels are computed on the matrix permuted to upper triangular form.
-Only the few resonant columns, those with a zero diagonal entry, need
-any elimination work.
+entry with no row combination and are stored as they are, and
+`kernel_basis` takes the stored order, so rows enter on their diagonal
+entries the same way.  Only the few resonant columns and rows, those
+with a zero diagonal entry, need any elimination work.
 """
 
 from __future__ import annotations
@@ -237,26 +237,6 @@ def triangular_order(mat: LinMap) -> tuple[int, ...]:
                            f"up to a permutation, cycle {exc.args[1]}") from None
 
 
-def _triangular_kernel(mat: LinMap, order: Sequence[int]) -> list[list[LaurentPoly]]:
-    """kernel_basis(mat), eliminated on mat permuted to upper triangular form.
-
-    Back substitution leaves every entry after a vector's free column 0,
-    so that column is its last nonzero entry in `order`; the vectors are
-    listed by free column in the original coordinates, as kernel_basis
-    lists them."""
-    basis = LabeledBasis(mat.domain.space_name, tuple(mat.domain[j] for j in order))
-    permuted = LinMap(basis, basis, [[mat.rows[i][j] for j in order] for i in order],
-                      mat.registry)
-    out = []
-    for vec in kernel_basis(permuted):
-        back = [None] * len(order)
-        for k, j in enumerate(order):
-            back[j] = vec[k]
-        free = max(k for k, p in enumerate(vec) if p.terms)
-        out.append((order[free], back))
-    return [back for _, back in sorted(out, key=lambda fv: fv[0])]
-
-
 def _triangular_image_space(mat: LinMap, order: Sequence[int]) -> ColumnSpace:
     """The column span of mat, pivoting in its triangular order.
 
@@ -302,10 +282,10 @@ class CoverModel:
     """Truncated cover model at one degree cap: spaces, images, M1/M2,
     and the invariant fields and bivectors (the kernels of mat1, mat2).
 
-    order1 and order2 are the triangular orders of mat1 and mat2.
-    m1_space and m2_space hold the images of mat1 and mat2, eliminated in
-    those orders, with the M1/M2 representatives registered; every class
-    reduction solves against them."""
+    order1 and order2 are the triangular orders of mat1 and mat2; the
+    kernels are taken in them.  m1_space and m2_space hold the images of
+    mat1 and mat2, eliminated in those orders, with the M1/M2
+    representatives registered; every class reduction solves against them."""
 
     ctx: HopfContext
     cap: int
@@ -331,12 +311,12 @@ class CoverModel:
     def fields(self) -> tuple[MultiVector, ...]:
         """Invariant fields: the kernel of mat1."""
         return tuple(combination(v, self.space1.basis)
-                     for v in _triangular_kernel(self.mat1, self.order1))
+                     for v in kernel_basis(self.mat1, self.order1))
 
     @cached_property
     def _bivector_space(self) -> ColumnSpace:
         """The kernel vectors of mat2, registered as representatives."""
-        return quotient_space((), _triangular_kernel(self.mat2, self.order2),
+        return quotient_space((), kernel_basis(self.mat2, self.order2),
                               len(self.space2.basis), self.ctx.registry)
 
     @cached_property

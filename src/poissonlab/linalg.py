@@ -1,25 +1,24 @@
 """Exact linear algebra over parameter Laurent polynomials.
 
-Matrices of bracket maps with labeled bases, generic rank by
-fraction-free elimination, kernels, cokernel representatives and
-specialization to parameter strata.  "Generic" always means: over the
-fraction field of the parameter ring, any nonzero polynomial is a
-valid pivot.  Degenerate strata are handled only by explicit
-specialization, mirroring the case splits of the computations this
-package reproduces.
+Matrices of bracket maps with labeled bases, generic rank, kernels,
+cokernel representatives and specialization to parameter strata.
+"Generic" always means: over the fraction field of the parameter ring,
+any nonzero polynomial is a valid pivot.  Degenerate strata are handled
+only by explicit specialization, mirroring the case splits of the
+computations this package reproduces.
 
-Everything on the image side runs on one fraction-free elimination
-core, `ColumnSpace`: a matrix's columns are eliminated once into
-pivot rows, and the stored rows then answer span membership, cokernel
-representatives and quotient coordinates.  Representatives are
-registered with tag slots, so `quotient_coords` solves a target by one
-reduction against the stored rows, with no rational-function scalars.
-Each reduced vector pivots on its last nonzero coordinate in the
-space's pivot order: the highest index by default, or a caller's order,
-such as one in which a matrix is upper triangular, so that its columns
-enter on their own diagonal entries without row combinations.
-Rank and kernels use `_echelon`, whose back substitution is the only
-user of the `_Frac` scalars.
+Everything runs on one fraction-free elimination core, `ColumnSpace`:
+vectors are eliminated once into pivot rows, and the stored rows then
+answer rank, span membership, cokernel representatives and quotient
+coordinates.  Representatives are registered with tag slots, so
+`quotient_coords` solves a target by one reduction against the stored
+rows, with no rational-function scalars.  Each reduced vector pivots on
+its last nonzero coordinate in the space's pivot order: the highest
+index by default, or a caller's order, such as one in which a matrix is
+upper triangular, so that its columns enter on their own diagonal
+entries without row combinations.  `kernel_basis` enters a matrix's
+rows into such a space and reads each kernel vector off the stored
+pivot rows by fraction-free back substitution.
 """
 
 from __future__ import annotations
@@ -126,53 +125,6 @@ class LinMap:
         return f"LinMap({self.domain.space_name} -> {self.codomain.space_name}: {body})"
 
 
-# ----------------------------------------------------------------------
-# internal rational-function scalars for back substitution
-
-class _Frac:
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.const(num.registry, 1)
-        elif den.is_zero():
-            raise ZeroDivisionError
-        if num.is_zero():
-            den = LaurentPoly.const(num.registry, 1)
-        elif not _is_one(den):
-            try:
-                num = num.exact_div(den)
-                den = LaurentPoly.const(num.registry, 1)
-            except InexactDivision:
-                pass
-        self.num = num
-        self.den = den
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return _Frac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.num.is_zero():
-            raise ZeroDivisionError
-        return _Frac(self.num * other.den, self.den * other.num)
-
-    def __neg__(self):
-        return _Frac(-self.num, self.den)
-
-
-def _is_one(p: LaurentPoly) -> bool:
-    return len(p.terms) == 1 and p.terms.get(()) == ONE
-
-
 def _row_content_normalize(row: list[LaurentPoly]) -> list[LaurentPoly]:
     """Divide a polynomial row by its common monomial and numeric content."""
     nz = [p for p in row if p.terms]
@@ -222,83 +174,62 @@ def _combine(p: LaurentPoly, a: Sequence[LaurentPoly], q: LaurentPoly,
     return out
 
 
-def _echelon(rows: list[list[LaurentPoly]]):
-    """Fraction-free row echelon; returns (rows, pivot positions).
-
-    Rows with a zero entry in the pivot column are left untouched and
-    each combined row is divided by its content, which keeps the sparse
-    near-diagonal matrices in scope from blowing up.  Only invertible
-    row operations over the parameter fraction field are used, so ranks
-    and kernels are exact.
-    """
-    rows = [list(r) for r in rows]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n_cols):
-        pr = None
-        for i in range(r, n_rows):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, n_rows):
-            factor = rows[i][c]
-            if factor.is_zero():
-                continue
-            rows[i] = _row_content_normalize(_combine(piv, rows[i], factor, rows[r]))
-        pivots.append((r, c))
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
-
-
 def generic_rank(m: LinMap) -> int:
-    if not m.rows or m.n_cols == 0:
-        return 0
-    _, pivots = _echelon([list(r) for r in m.rows])
-    return len(pivots)
+    return image_space(m).rank
 
 
-def kernel_basis(m: LinMap) -> list[list[LaurentPoly]]:
-    """Spanning set of the generic kernel, denominator-cleared and primitive."""
+def kernel_basis(m: LinMap, order: Sequence[int] | None = None) -> list[list[LaurentPoly]]:
+    """Spanning set of the generic kernel, one primitive vector per free
+    column, listed by free column.
+
+    The rows of `m` enter a `ColumnSpace` that pivots each on its first
+    nonzero column in `order` (by default the index order); with an
+    order, which needs a square matrix, they enter in it too, so a
+    matrix upper triangular in `order` combines rows only where a
+    diagonal entry is zero.  The free columns are those that lead no
+    row.  For a free column fc, x starts as the unit vector at fc, and
+    each pivot row, the last in `order` first, fixes its own entry by
+    fraction-free back substitution; x is then divided by x[fc] where
+    that division is exact.
+    """
     reg = m.registry
-    one = LaurentPoly.const(reg, 1)
-    zero = LaurentPoly.zero(reg)
-    if m.n_cols == 0:
-        return []
-    if not m.rows:
-        ech, pivots = [], []
+    n = m.n_cols
+    rows = m.rows
+    if order is None:
+        order = range(n)
+    elif m.n_rows != n:
+        raise ValueError("a pivot order needs a square matrix")
     else:
-        ech, pivots = _echelon([list(r) for r in m.rows])
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(m.n_cols) if c not in pivot_cols]
+        rows = [rows[i] for i in order]
+    space = ColumnSpace(n, reg, order[::-1])
+    for row in rows:
+        space.add(row)
+    # the space's order is `order` reversed, so this puts the last pivot in `order` first
+    pivots = sorted(space.pivot_rows.items(), key=lambda cr: space._rank[cr[0]])
+    zero = LaurentPoly.zero(reg)
     out = []
-    fzero = _Frac(zero)
-    for fc in free_cols:
-        x: list[_Frac] = [fzero] * m.n_cols
-        x[fc] = _Frac(one)
-        for (ri, ci) in reversed(pivots):
+    for fc in range(n):
+        if fc in space.pivot_rows:
+            continue
+        x = [zero] * n
+        x[fc] = LaurentPoly.const(reg, 1)
+        scaled = False
+        for c, row in pivots:
             s = None
-            for k in range(ci + 1, m.n_cols):
-                if ech[ri][k].terms and not x[k].is_zero():
-                    t = _Frac(ech[ri][k]) * x[k]
+            for k in range(n):
+                if row[k].terms and x[k].terms:
+                    t = row[k] * x[k]
                     s = t if s is None else s + t
-            # a pivot variable with no nonzero term stays 0
-            if s is not None:
-                x[ci] = -(s / _Frac(ech[ri][ci]))
-        # clear denominators
-        den = one
-        for xf in x:
-            if not _is_one(xf.den):
-                den = den * xf.den
-        out.append(primitive_vector([xf.num * den if _is_one(xf.den)
-                                     else (xf.num * den).exact_div(xf.den) for xf in x]))
+            if s is not None and s.terms:
+                x = [row[c] * p if p.terms else p for p in x]
+                x[c] = -s
+                scaled = True
+        if scaled:
+            try:
+                x = [p.exact_div(x[fc]) if p.terms else p for p in x]
+            except InexactDivision:
+                pass
+        out.append(primitive_vector(x))
     return out
 
 
@@ -440,12 +371,6 @@ def cokernel_space(m: LinMap, preferred: Sequence[Sequence[LaurentPoly]] | None 
     for vec in preferred:
         space.add(vec, rep=True)
     return space
-
-
-def cokernel_rep(m: LinMap, preferred: Sequence[Sequence[LaurentPoly]] | None = None
-                 ) -> list[list[LaurentPoly]]:
-    """The representatives of `cokernel_space(m, preferred)`."""
-    return [list(v) for v in cokernel_space(m, preferred).reps]
 
 
 def quotient_coords(space: ColumnSpace, target: Sequence[LaurentPoly]) -> list[LaurentPoly]:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ConstraintViolation, LabeledBasis, LinMap, NotInSpan, Reducer,
-                     cokernel_rep, cokernel_space, generic_rank, image_space,
-                     kernel_basis, matrix_of_map, quotient_coords, quotient_space)
+                     cokernel_space, generic_rank, image_space, kernel_basis,
+                     matrix_of_map, quotient_coords, quotient_space)
 from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, mc_defect,
                           schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate,
@@ -122,7 +122,7 @@ def ep1_mc_solution(a=None, b=None, c=None, f_coeffs=None) -> MCSolution:
     lam0 = ep1_lambda0(ctx, a, b, c)
     _, m_h0 = ep1_bracket_matrices(a, b, c)
     if f_coeffs is None:
-        reps = cokernel_rep(m_h0)
+        reps = cokernel_space(m_h0).reps
         if len(reps) != 1:
             raise ConstraintViolation("expected a one-dimensional cokernel")
         fvec = reps[0]
@@ -408,7 +408,7 @@ def tp1_mc_solution(mats: TP1Matrices, f_coeffs=None) -> MCSolution:
         gm = LinMap(LabeledBasis("gamma", ("g0", "g1", "g2")),
                     LabeledBasis("K-multiples", ("x0", "x1", "x2")),
                     gamma_map, ctx.registry)
-        reps = cokernel_rep(gm)
+        reps = cokernel_space(gm).reps
         if len(reps) != 1:
             raise ConstraintViolation("expected a one-dimensional cokernel")
         fvec = reps[0]

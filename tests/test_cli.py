@@ -113,6 +113,9 @@ def test_degree_cap_env_below_minimum(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ("tables", "hopf", "--p", "1"),
     ("tables", "hopf", "--p", "-3", "--degree", "5"),
+    # a negative power of a base that is not a monomial
+    ("bracket", "0^-1*@z", "@w"),
+    ("bracket", "(1+z)^-1*@z", "@w"),
 ])
 def test_bad_exponent_is_a_usage_error(argv, capsys):
     code, out = run_cli(*argv)

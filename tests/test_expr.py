@@ -163,6 +163,8 @@ def _reference_evaluate(node, ctx):
         if set(mv.components) not in (set(), {()}):
             raise UnknownSymbol("powers only apply to scalar expressions")
         poly = mv.components.get((), ctx.const(0))
+        if node.exponent < 0 and len(poly.terms) != 1:
+            raise UnknownSymbol(f"negative powers only apply to monomials, not to {poly}")
         return ctx.formed(ctx.mv(poly ** node.exponent))
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poissonlab import hopf
-from poissonlab.laurent import LaurentPoly, VarRegistry
+from poissonlab.laurent import InexactDivision, LaurentPoly, VarRegistry
 from poissonlab.linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan,
-                               Reducer, cokernel_rep, generic_rank,
+                               Reducer, cokernel_space, generic_rank,
                                kernel_basis, matrix_of_map, primitive_vector,
                                quotient_coords, quotient_space, specialize,
-                               ConstraintViolation)
+                               ConstraintViolation, _combine, _row_content_normalize)
+from poissonlab.rational import ONE, GaussianRational
 REG = VarRegistry((), ("A", "B", "C", "e0", "e1", "e2"))
 
 
@@ -123,21 +125,21 @@ def test_specialize_monomial_assignment():
 
 
 def test_cokernel_default_and_preferred():
-    reps = cokernel_rep(c5_matrix())
+    reps = cokernel_space(c5_matrix()).reps
     assert [[str(p) for p in v] for v in reps] == [["1", "0", "0"]]
     surj = LinMap(_basis("x", 3), _basis("y", 2),
                   [[const(1), Z, Z], [Z, const(1), Z]])
-    assert cokernel_rep(surj) == []
+    assert cokernel_space(surj).reps == []
     pref = [[A, B * 2, Z]]
-    got = cokernel_rep(c5_matrix(), preferred=pref)
+    got = cokernel_space(c5_matrix(), preferred=pref).reps
     assert got == [[A, B * 2, Z]]
     with pytest.raises(NotInSpan):
-        cokernel_rep(c5_matrix(), preferred=[list(c5_matrix().column(1))])
+        cokernel_space(c5_matrix(), preferred=[list(c5_matrix().column(1))])
 
 
 def test_quotient_coords_and_membership():
     mat = c5_matrix()
-    reps = cokernel_rep(mat)
+    reps = cokernel_space(mat).reps
     space = quotient_space(mat.columns(), reps, 3, REG)
     coords = quotient_coords(space, [const(1), Z, Z])
     assert [str(p) for p in coords] == ["1"]
@@ -305,3 +307,200 @@ def test_kernel_basis_normalization_over_several_parameters():
     two_rows = LinMap(_basis("x", 2), _basis("y", 2),
                       [[A + C, B + C], [(A + B) * (A + C), (A + B) * (B + C)]])
     assert [[str(p) for p in v] for v in kernel_basis(two_rows)] == [["B + C", "-A - C"]]
+
+
+def test_kernel_basis_order_needs_a_square_matrix():
+    with pytest.raises(ValueError):
+        kernel_basis(c5_matrix(), (0, 1, 2, 3))
+
+
+# ----------------------------------------------------------------------
+# the row-echelon kernel that kernel_basis replaced, kept as a reference:
+# echelon form by row swaps, back substitution over rational functions
+
+
+class _Frac:
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        if den is None:
+            den = LaurentPoly.const(num.registry, 1)
+        elif den.is_zero():
+            raise ZeroDivisionError
+        if num.is_zero():
+            den = LaurentPoly.const(num.registry, 1)
+        elif not _is_one(den):
+            try:
+                num = num.exact_div(den)
+                den = LaurentPoly.const(num.registry, 1)
+            except InexactDivision:
+                pass
+        self.num = num
+        self.den = den
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __add__(self, other):
+        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return _Frac(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        return _Frac(self.num * other.den, self.den * other.num)
+
+    def __neg__(self):
+        return _Frac(-self.num, self.den)
+
+
+def _is_one(p):
+    return len(p.terms) == 1 and p.terms.get(()) == ONE
+
+
+def _echelon(rows):
+    rows = [list(r) for r in rows]
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(n_cols):
+        pr = next((i for i in range(r, n_rows) if not rows[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, n_rows):
+            if not rows[i][c].is_zero():
+                rows[i] = _row_content_normalize(_combine(piv, rows[i], rows[i][c], rows[r]))
+        pivots.append((r, c))
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def _reference_kernel(m):
+    """(free columns, kernel vectors) of m, one vector per free column."""
+    one, zero = LaurentPoly.const(m.registry, 1), LaurentPoly.zero(m.registry)
+    ech, pivots = _echelon(m.rows) if m.rows else ([], [])
+    free_cols = [c for c in range(m.n_cols) if c not in {c for _, c in pivots}]
+    out = []
+    for fc in free_cols:
+        x = [_Frac(zero)] * m.n_cols
+        x[fc] = _Frac(one)
+        for ri, ci in reversed(pivots):
+            s = None
+            for k in range(ci + 1, m.n_cols):
+                if ech[ri][k].terms and not x[k].is_zero():
+                    t = _Frac(ech[ri][k]) * x[k]
+                    s = t if s is None else s + t
+            if s is not None:
+                x[ci] = -(s / _Frac(ech[ri][ci]))
+        den = one
+        for xf in x:
+            if not _is_one(xf.den):
+                den = den * xf.den
+        out.append(primitive_vector([xf.num * den if _is_one(xf.den)
+                                     else (xf.num * den).exact_div(xf.den) for xf in x]))
+    return free_cols, out
+
+
+@st.composite
+def ab_polys(draw):
+    """Polynomials in A and B over Q(i), zero a third of the time."""
+    if draw(st.integers(0, 2)) == 0:
+        return Z
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        key = tuple((idx, e) for idx, e in enumerate(draw(st.tuples(st.integers(0, 2),
+                                                                   st.integers(0, 1)))) if e)
+        terms[key] = GaussianRational(draw(st.integers(-3, 3).filter(bool)),
+                                      draw(st.integers(-1, 1)))
+    return LaurentPoly(REG, terms)
+
+
+def _check_kernel(m, got, free_cols, expected, order):
+    """got matches the reference kernel: the same free columns, each free
+    column the vector's last nonzero entry in `order`, the vectors
+    proportional to the reference ones, in the kernel and normalized."""
+    assert len(got) == len(expected) == len(free_cols)
+    for v, r, fc in zip(got, expected, free_cols):
+        assert [k for k in order if v[k].terms][-1] == fc
+        assert all(v[k].is_zero() for k in free_cols if k != fc)
+        assert all(a * r[fc] == b * v[fc] for a, b in zip(v, r))
+        assert all(p.is_zero() for p in m.apply(v))
+        assert primitive_vector(v) == v
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_basis_matches_the_reference_kernel(data):
+    n_rows, n_cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    cols = [[data.draw(ab_polys()) for _ in range(n_rows)] for _ in range(n_cols)]
+    # dependent columns: a column becomes p * (an earlier column) + q * (another)
+    for j in range(1, n_cols):
+        if data.draw(st.booleans()):
+            i, k = data.draw(st.integers(0, j - 1)), data.draw(st.integers(0, j - 1))
+            p, q = data.draw(ab_polys()), data.draw(ab_polys())
+            cols[j] = [p * x + q * y for x, y in zip(cols[i], cols[k])]
+    zero_col = data.draw(st.integers(-1, n_cols - 1))
+    if zero_col >= 0:
+        cols[zero_col] = [Z] * n_rows
+    rows = [[cols[j][i] for j in range(n_cols)] for i in range(n_rows)]
+    zero_row = data.draw(st.integers(-1, n_rows - 1))
+    if zero_row >= 0:
+        rows[zero_row] = [Z] * n_cols
+    m = LinMap(_basis("x", n_cols), _basis("y", n_rows), rows, REG)
+    free_cols, expected = _reference_kernel(m)
+    _check_kernel(m, kernel_basis(m), free_cols, expected, range(n_cols))
+
+
+def _upper_triangular_in(order, entries):
+    """The square matrix with entry (order[i], order[j]) = entries[i][j]
+    for i <= j and 0 below the diagonal in `order`."""
+    n = len(order)
+    rows = [[Z] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[order[i]][order[j]] = entries[i][j]
+    return LinMap(_basis("x", n), _basis("x", n), rows, REG)
+
+
+def _check_ordered_kernel(m, order):
+    """kernel_basis(m, order) against the reference kernel of m permuted
+    to upper triangular form, mapped back and listed by free column."""
+    permuted = LinMap(m.domain, m.codomain,
+                      [[m.rows[i][j] for j in order] for i in order], REG)
+    free_k, vecs = _reference_kernel(permuted)
+    back = sorted((order[k], [vec[order.index(j)] for j in range(len(order))])
+                  for k, vec in zip(free_k, vecs))
+    free_cols = [fc for fc, _ in back]
+    _check_kernel(m, kernel_basis(m, order), free_cols, [v for _, v in back], order)
+    return free_cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ordered_kernel_basis_matches_the_reference_on_the_permuted_matrix(data):
+    n = data.draw(st.integers(1, 6))
+    order = data.draw(st.permutations(range(n)))
+    entries = [[data.draw(ab_polys()) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        if data.draw(st.booleans()):  # a nonzero diagonal 1 - A^a B^b
+            a, b = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+            entries[i][i] = const(1) - A ** a * B ** b if a or b else const(1)
+        else:
+            entries[i][i] = Z
+    _check_ordered_kernel(_upper_triangular_in(order, entries), order)
+
+
+def test_ordered_kernel_when_a_zero_diagonal_column_is_a_pivot():
+    # in order (3, 1, 0, 2) rows 3 and 1 have zero diagonal entries; row 3
+    # leads in column 1, so column 1 is a pivot though its diagonal is 0
+    order = [3, 1, 0, 2]
+    entries = [[Z, A, B, const(1)],
+               [Z, Z, Z, A + B],
+               [Z, Z, const(1) - A, B],
+               [Z, Z, Z, const(1) - A * B]]
+    m = _upper_triangular_in(order, entries)
+    assert [k for k in range(4) if m.rows[k][k].is_zero()] == [1, 3]
+    assert _check_ordered_kernel(m, order) == [3]
