@@ -12,12 +12,11 @@ lifts to a FormedMultiVector only where a field generator enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import LaurentPoly, VarRegistry
 from .multivector import Chart, ChartFrame, FormedMultiVector, wedge
-from .rational import GaussianRational
+from .rational import Frozen, GaussianRational
 
 
 class ParseError(Exception):
@@ -31,59 +30,72 @@ class UnknownSymbol(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Num:
-    value: GaussianRational
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Num(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: GaussianRational):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Vec:
-    name: str
+class _Named(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Dbar:
-    name: str
+class Sym(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Vec(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Dbar(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Neg(Frozen):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class _Binary(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class WedgeOp:
-    left: object
-    right: object
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Sub(_Binary):
+    __slots__ = ()
+
+
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class WedgeOp(_Binary):
+    __slots__ = ()
+
+
+class Pow(Frozen):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
 _OPS = set("+-*^/()")
@@ -144,6 +156,10 @@ def _tokenize(src: str):
     return tokens
 
 
+def _found(tok) -> str:
+    return "end of input" if tok[0] == "end" else repr(tok[1])
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -161,7 +177,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
+            raise ParseError(f"expected {kind!r}, found {_found(tok)}", tok[2], tok[3])
         return tok
 
     def error(self, message):
@@ -238,6 +254,8 @@ class _Parser:
             node = self.parse_expr()
             self.expect(")")
             return node
+        if kind == "end":
+            raise ParseError("unexpected end of input", tok[2], tok[3])
         raise ParseError(f"unexpected token {value!r}", tok[2], tok[3])
 
 
@@ -348,9 +366,3 @@ def context_for(src_list, chart_vars: tuple[str, ...],
     params = tuple(sorted(names - set(chart_vars)))
     reg = VarRegistry(chart_vars, params)
     return ChartFrame(Chart("chart", chart_vars), reg, dbar_vars)
-
-
-def print_formed(fmv: FormedMultiVector) -> str:
-    """Canonical printable form; parse(print(x)) evaluates back to x."""
-    return str(fmv)
-

@@ -26,10 +26,9 @@ with a zero diagonal entry, need any elimination work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from typing import Sequence
 
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer,
@@ -39,6 +38,9 @@ from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
 from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel,
                           r4_search)
+from .rational import Frozen
+
+_set = object.__setattr__
 
 TYPE_TAGS = ("IV", "III", "IIa", "IIb", "IIc")
 DEFAULT_P = 2
@@ -53,28 +55,43 @@ class MembershipFails(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class HopfType:
-    tag: str
-    p: int | None = None
+class HopfType(Frozen):
+    __slots__ = ("tag", "p")
 
-    def __post_init__(self):
-        if self.tag not in TYPE_TAGS:
-            raise ValueError(f"unknown Hopf type {self.tag!r}")
-        needs_p = self.tag in ("III", "IIa")
-        if needs_p and (self.p is None or self.p < 2):
-            raise ValueError(f"type {self.tag} needs an integer p >= 2")
-        if not needs_p and self.p is not None:
-            raise ValueError(f"type {self.tag} takes no exponent p")
+    def __init__(self, tag: str, p: int | None = None):
+        if tag not in TYPE_TAGS:
+            raise ValueError(f"unknown Hopf type {tag!r}")
+        needs_p = tag in ("III", "IIa")
+        if needs_p and (p is None or p < 2):
+            raise ValueError(f"type {tag} needs an integer p >= 2")
+        if not needs_p and p is not None:
+            raise ValueError(f"type {tag} takes no exponent p")
+        _set(self, "tag", tag)
+        _set(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is not HopfType:
+            return NotImplemented
+        return self.tag == other.tag and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.tag, self.p))
 
     def label(self) -> str:
         return self.tag if self.p is None else f"{self.tag}(p={self.p})"
 
 
-@dataclass(frozen=True, kw_only=True)
 class HopfContext(ChartFrame):
-    type: HopfType
-    contraction: ChartMap
+    __slots__ = ("type", "contraction")
+
+    def __init__(self, chart: Chart, registry: VarRegistry, dbar: tuple[str, ...] = (), *,
+                 type: HopfType, contraction: ChartMap):
+        ChartFrame.__init__(self, chart, registry, dbar)
+        _set(self, "type", type)
+        _set(self, "contraction", contraction)
+
+    def _key(self) -> tuple:
+        return self.chart, self.registry, self.dbar, self.type, self.contraction
 
     @property
     def p(self) -> int:
@@ -126,11 +143,13 @@ def _build_context(t: HopfType, extra_params: Sequence[str] = ()) -> HopfContext
 # ----------------------------------------------------------------------
 # truncated polynomial field spaces
 
-@dataclass(frozen=True)
-class TruncatedSpace:
-    grade: int
-    cap: int
-    basis: LabeledBasis
+class TruncatedSpace(Frozen):
+    __slots__ = ("grade", "cap", "basis")
+
+    def __init__(self, grade: int, cap: int, basis: LabeledBasis):
+        _set(self, "grade", grade)
+        _set(self, "cap", cap)
+        _set(self, "basis", basis)
 
 
 def monomials_upto(cap: int):
@@ -277,7 +296,6 @@ def _named_m_reps(ctx: HopfContext):
     return m1, m2
 
 
-@dataclass
 class CoverModel:
     """Truncated cover model at one degree cap: spaces, images, M1/M2,
     and the invariant fields and bivectors (the kernels of mat1, mat2).
@@ -287,18 +305,22 @@ class CoverModel:
     mat1 and mat2, eliminated in those orders, with the M1/M2
     representatives registered; every class reduction solves against them."""
 
-    ctx: HopfContext
-    cap: int
-    space1: TruncatedSpace
-    space2: TruncatedSpace
-    mat1: LinMap
-    mat2: LinMap
-    order1: tuple[int, ...]
-    order2: tuple[int, ...]
-    m1: LabeledBasis
-    m2: LabeledBasis
-    m1_space: ColumnSpace
-    m2_space: ColumnSpace
+    def __init__(self, ctx: HopfContext, cap: int, space1: TruncatedSpace,
+                 space2: TruncatedSpace, mat1: LinMap, mat2: LinMap,
+                 order1: tuple[int, ...], order2: tuple[int, ...], m1: LabeledBasis,
+                 m2: LabeledBasis, m1_space: ColumnSpace, m2_space: ColumnSpace):
+        self.ctx = ctx
+        self.cap = cap
+        self.space1 = space1
+        self.space2 = space2
+        self.mat1 = mat1
+        self.mat2 = mat2
+        self.order1 = order1
+        self.order2 = order2
+        self.m1 = m1
+        self.m2 = m2
+        self.m1_space = m1_space
+        self.m2_space = m2_space
 
     def reduce_m(self, grade: int) -> Reducer:
         """Class coordinates in M1 or M2, modulo im(id - f_*)."""

@@ -8,8 +8,8 @@ sparsely as tuples of (variable index, exponent) pairs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .rational import GaussianRational
 

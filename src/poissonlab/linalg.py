@@ -1,10 +1,10 @@
 """Exact linear algebra over parameter Laurent polynomials.
 
-Matrices of bracket maps with labeled bases, generic rank, kernels,
-cokernel representatives and specialization to parameter strata.
-"Generic" always means: over the fraction field of the parameter ring,
-any nonzero polynomial is a valid pivot.  Degenerate strata are handled
-only by explicit specialization, mirroring the case splits of the
+Matrices of bracket maps with labeled bases, generic rank, kernels and
+cokernel representatives.  "Generic" always means: over the fraction
+field of the parameter ring, any nonzero polynomial is a valid pivot.
+Degenerate strata are handled by building their matrices with the
+stratum's parameter values, mirroring the case splits of the
 computations this package reproduces.
 
 Everything runs on one fraction-free elimination core, `ColumnSpace`:
@@ -23,11 +23,12 @@ pivot rows by fraction-free back substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .laurent import InexactDivision, LaurentPoly, VarRegistry, univar_gcd
-from .rational import ONE, content
+from .rational import ONE, Frozen, content
+
+_set = object.__setattr__
 
 
 class NotInSpan(Exception):
@@ -38,16 +39,16 @@ class ConstraintViolation(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class LabeledBasis:
+class LabeledBasis(Frozen):
     """Ordered basis; the list order defines coordinates."""
 
-    space_name: str
-    elements: tuple
+    __slots__ = ("space_name", "elements")
 
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError(f"duplicate basis element in {self.space_name}")
+    def __init__(self, space_name: str, elements: tuple):
+        if len(set(elements)) != len(elements):
+            raise ValueError(f"duplicate basis element in {space_name}")
+        _set(self, "space_name", space_name)
+        _set(self, "elements", elements)
 
     def __len__(self):
         return len(self.elements)
@@ -408,16 +409,3 @@ def matrix_of_map(op: Callable, dom: LabeledBasis, cod: LabeledBasis, red: Reduc
         columns.append(list(coords))
     rows = [[columns[j][i] for j in range(len(dom))] for i in range(len(cod))]
     return LinMap(dom, cod, rows, registry)
-
-
-def specialize(m: LinMap, assignment: dict, nonzero: Iterable[str] = ()) -> LinMap:
-    """Evaluate parameters exactly; `nonzero` names may not be sent to 0."""
-    reg = m.registry
-    subs = {}
-    for name, value in assignment.items():
-        poly = value if isinstance(value, LaurentPoly) else LaurentPoly.const(reg, value)
-        if name in set(nonzero) and poly.is_zero():
-            raise ConstraintViolation(f"parameter {name} must stay nonzero on this stratum")
-        subs[name] = poly
-    rows = [[e.substitute(subs) for e in r] for r in m.rows]
-    return LinMap(m.domain, m.codomain, rows)

@@ -18,27 +18,38 @@ rebuilds an element from its coordinates in a basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .laurent import LaurentPoly, VarRegistry
-from .rational import GaussianRational
+from .rational import Frozen, GaussianRational
+
+_set = object.__setattr__
 
 
 class ChartMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Frozen):
     """Named chart with an ordered tuple of coordinate variables."""
 
-    name: str
-    vars: tuple[str, ...]
+    __slots__ = ("name", "vars")
 
-    def __post_init__(self):
-        if not self.vars or len(set(self.vars)) != len(self.vars):
+    def __init__(self, name: str, vars: tuple[str, ...]):
+        if not vars or len(set(vars)) != len(vars):
             raise ValueError("chart variables must be nonempty and distinct")
+        _set(self, "name", name)
+        _set(self, "vars", vars)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Chart:
+            return NotImplemented
+        return self.name == other.name and self.vars == other.vars
+
+    def __hash__(self):
+        return hash((self.name, self.vars))
 
     @property
     def dim(self) -> int:
@@ -283,22 +294,29 @@ def schouten(a: MultiVector, b: MultiVector) -> MultiVector:
 # ----------------------------------------------------------------------
 # chart maps and pushforward
 
-@dataclass(frozen=True)
-class ChartMap:
+class ChartMap(Frozen):
     """Coordinate change: target variables as polynomials in source ones."""
 
-    source: Chart
-    target: Chart
-    forward: Mapping[str, LaurentPoly]
-    inverse: Mapping[str, LaurentPoly] | None = None
+    __slots__ = ("source", "target", "forward", "inverse")
 
-    def __post_init__(self):
-        if set(self.forward) != set(self.target.vars):
+    def __init__(self, source: Chart, target: Chart, forward: Mapping[str, LaurentPoly],
+                 inverse: Mapping[str, LaurentPoly] | None = None):
+        if set(forward) != set(target.vars):
             raise ValueError("forward map must define every target variable")
-        if self.inverse is not None:
-            if set(self.inverse) != set(self.source.vars):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "forward", forward)
+        _set(self, "inverse", inverse)
+        if inverse is not None:
+            if set(inverse) != set(source.vars):
                 raise ValueError("inverse map must define every source variable")
             self.check_inverse()
+
+    def __eq__(self, other):
+        if other.__class__ is not ChartMap:
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.forward == other.forward and self.inverse == other.inverse)
 
     def check_inverse(self):
         for tv, expr in self.forward.items():
@@ -311,16 +329,6 @@ class ChartMap:
         if self.inverse is None:
             raise ValueError("chart map has no inverse data")
         return ChartMap(self.target, self.source, dict(self.inverse), dict(self.forward))
-
-    def compose(self, inner: "ChartMap") -> "ChartMap":
-        """self o inner: a map inner.source -> self.target."""
-        if inner.target != self.source:
-            raise ChartMismatch("composition chart mismatch")
-        fwd = {tv: expr.substitute(dict(inner.forward)) for tv, expr in self.forward.items()}
-        inv = None
-        if self.inverse is not None and inner.inverse is not None:
-            inv = {sv: expr.substitute(dict(self.inverse)) for sv, expr in inner.inverse.items()}
-        return ChartMap(inner.source, self.target, fwd, inv)
 
 
 def pushforward(cm: ChartMap, a: MultiVector) -> MultiVector:
@@ -505,14 +513,30 @@ def schouten_formed(a: FormedMultiVector, b: FormedMultiVector) -> FormedMultiVe
     return out
 
 
-@dataclass(frozen=True)
-class ChartFrame:
+class ChartFrame(Frozen):
     """A chart with its variable registry and antiholomorphic generators,
-    and the shorthands every geometry builds its fields from."""
+    and the shorthands every geometry builds its fields from.
 
-    chart: Chart
-    registry: VarRegistry
-    dbar: tuple[str, ...] = ()
+    Frames are equal when their fields are; a subclass adds its own
+    fields to `_key`.  The hash covers the frame fields only."""
+
+    __slots__ = ("chart", "registry", "dbar")
+
+    def __init__(self, chart: Chart, registry: VarRegistry, dbar: tuple[str, ...] = ()):
+        _set(self, "chart", chart)
+        _set(self, "registry", registry)
+        _set(self, "dbar", dbar)
+
+    def _key(self) -> tuple:
+        return self.chart, self.registry, self.dbar
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((self.chart, self.registry, self.dbar))
 
     def param(self, name, power=1) -> LaurentPoly:
         return LaurentPoly.var(self.registry, name, power)

@@ -10,9 +10,8 @@ machine-checkable certificates with a stable JSON form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable
 
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, image_space,
@@ -31,7 +30,6 @@ class NotACocycle(Exception):
     pass
 
 
-@dataclass
 class DeformationComplexModel:
     """Finite model of the degree-1/degree-2 part of a deformation complex.
 
@@ -43,16 +41,20 @@ class DeformationComplexModel:
     first use, and also gives dim H2, the corank of h1_matrix.
     """
 
-    name: str
-    stratum: str
-    registry: VarRegistry
-    h0_sq: LabeledBasis
-    h1_theta: LabeledBasis
-    h1_sq: LabeledBasis
-    bracket: Callable
-    reduce_h1_sq: Reducer
-    h1_matrix: LinMap | None
-    compose_check: Callable | None = None
+    def __init__(self, name: str, stratum: str, registry: VarRegistry,
+                 h0_sq: LabeledBasis, h1_theta: LabeledBasis, h1_sq: LabeledBasis,
+                 bracket: Callable, reduce_h1_sq: Reducer, h1_matrix: LinMap | None,
+                 compose_check: Callable | None = None):
+        self.name = name
+        self.stratum = stratum
+        self.registry = registry
+        self.h0_sq = h0_sq
+        self.h1_theta = h1_theta
+        self.h1_sq = h1_sq
+        self.bracket = bracket
+        self.reduce_h1_sq = reduce_h1_sq
+        self.h1_matrix = h1_matrix
+        self.compose_check = compose_check
 
     @cached_property
     def h1_kernel(self) -> list[list[LaurentPoly]]:
@@ -81,18 +83,24 @@ class DeformationComplexModel:
             self.compose_check()
 
 
-@dataclass
 class Certificate:
     """Machine-checkable deformation verdict."""
 
-    manifold: str
-    stratum: str
-    verdict: str
-    witness: dict | None = None
-    class_repr: str | None = None
-    reason: str | None = None
-    data: dict = field(default_factory=dict)
-    tool_version: str = TOOL_VERSION
+    __slots__ = ("manifold", "stratum", "verdict", "witness", "class_repr", "reason",
+                 "data", "tool_version")
+
+    def __init__(self, manifold: str, stratum: str, verdict: str,
+                 witness: dict | None = None, class_repr: str | None = None,
+                 reason: str | None = None, data: dict | None = None,
+                 tool_version: str = TOOL_VERSION):
+        self.manifold = manifold
+        self.stratum = stratum
+        self.verdict = verdict
+        self.witness = witness
+        self.class_repr = class_repr
+        self.reason = reason
+        self.data = {} if data is None else data
+        self.tool_version = tool_version
 
     def to_json(self) -> str:
         doc = {
@@ -181,7 +189,6 @@ def verify_certificate(cert: Certificate, model: DeformationComplexModel,
 # ----------------------------------------------------------------------
 # Dolbeault-side primary obstruction
 
-@dataclass
 class DolbeaultModel:
     """Model for the degree-2 classes of a Dolbeault resolution.
 
@@ -190,10 +197,14 @@ class DolbeaultModel:
     from the map must vanish identically for a class to be well formed.
     """
 
-    name: str
-    lambda0: MultiVector
-    dbar_vars: tuple[str, ...]
-    class_reducers: dict
+    __slots__ = ("name", "lambda0", "dbar_vars", "class_reducers")
+
+    def __init__(self, name: str, lambda0: MultiVector, dbar_vars: tuple[str, ...],
+                 class_reducers: dict):
+        self.name = name
+        self.lambda0 = lambda0
+        self.dbar_vars = dbar_vars
+        self.class_reducers = class_reducers
 
     def reduce_two_class(self, fmv: FormedMultiVector) -> dict:
         out = {}

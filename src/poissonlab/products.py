@@ -9,8 +9,6 @@ parameters and are verified as exact identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ConstraintViolation, LabeledBasis, LinMap, NotInSpan, Reducer,
                      cokernel_space, generic_rank, image_space, kernel_basis,
@@ -19,6 +17,9 @@ from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, mc_
                           schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate,
                           DolbeaultModel)
+from .rational import Frozen
+
+_set = object.__setattr__
 
 
 # ----------------------------------------------------------------------
@@ -95,15 +96,18 @@ def ep1_bracket_matrices(a=None, b=None, c=None):
     return m_h1, m_h0
 
 
-@dataclass
 class MCSolution:
     """A polynomial Maurer-Cartan solution: bivector part and (0,1) part."""
 
-    name: str
-    lambda0: MultiVector
-    beta: FormedMultiVector
-    alpha: FormedMultiVector
-    params: tuple[str, ...]
+    __slots__ = ("name", "lambda0", "beta", "alpha", "params")
+
+    def __init__(self, name: str, lambda0: MultiVector, beta: FormedMultiVector,
+                 alpha: FormedMultiVector, params: tuple[str, ...]):
+        self.name = name
+        self.lambda0 = lambda0
+        self.beta = beta
+        self.alpha = alpha
+        self.params = params
 
     def element(self) -> FormedMultiVector:
         return self.beta + self.alpha
@@ -238,21 +242,22 @@ def tp1_context(extra_params=()) -> ChartFrame:
     return ChartFrame(Chart("TxP1", ("z1", "z2", "xi")), reg, ("z1", "z2"))
 
 
-@dataclass(frozen=True)
-class TP1PoissonClass:
+class TP1PoissonClass(Frozen):
     """One of the three families of Poisson structures on the product."""
 
-    class_id: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("class_id", "coeffs")
 
-    def __post_init__(self):
-        if self.class_id not in (1, 2, 3):
+    def __init__(self, class_id: int, coeffs: dict | None = None):
+        coeffs = {} if coeffs is None else coeffs
+        if class_id not in (1, 2, 3):
             raise ValueError("class_id must be 1, 2 or 3")
-        if self.class_id in (2, 3):
-            vals = [self.coeffs.get(n) for n in ("A", "B", "C")]
+        if class_id in (2, 3):
+            vals = [coeffs.get(n) for n in ("A", "B", "C")]
             if all(v == 0 for v in vals if v is not None) and any(
                     v is not None for v in vals):
                 raise ConstraintViolation("(A,B,C) must not vanish on this class")
+        _set(self, "class_id", class_id)
+        _set(self, "coeffs", coeffs)
 
 
 def tp1_lambda0(ctx: ChartFrame, cls: TP1PoissonClass) -> MultiVector:
@@ -346,18 +351,21 @@ def tp1_cube_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
     return _tp1_xi_coords(ctx, mv.coefficient(("z1", "z2", "xi")))
 
 
-@dataclass(frozen=True)
-class TP1Matrices:
+class TP1Matrices(Frozen):
     """The bracket maps of lam0 on the bases, built once per structure:
     H0(Theta) -> H0(wedge2), H0(wedge2) -> H0(wedge3) and
     H1(Theta) -> H1(wedge2)."""
 
-    ctx: ChartFrame
-    lam0: MultiVector
-    bases: dict
-    m_h0: LinMap
-    m_sq_cube: LinMap
-    m_h1: LinMap
+    __slots__ = ("ctx", "lam0", "bases", "m_h0", "m_sq_cube", "m_h1")
+
+    def __init__(self, ctx: ChartFrame, lam0: MultiVector, bases: dict, m_h0: LinMap,
+                 m_sq_cube: LinMap, m_h1: LinMap):
+        _set(self, "ctx", ctx)
+        _set(self, "lam0", lam0)
+        _set(self, "bases", bases)
+        _set(self, "m_h0", m_h0)
+        _set(self, "m_sq_cube", m_sq_cube)
+        _set(self, "m_h1", m_h1)
 
 
 def tp1_matrices(ctx, lam0) -> TP1Matrices:

@@ -16,6 +16,20 @@ from math import gcd, lcm
 _alloc = object.__new__
 
 
+class Frozen:
+    """Base of the package's immutable value classes, in every layer.
+    Each subclass writes its own `__init__`, which stores the fields with
+    `object.__setattr__`; any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _raw(a: int, b: int, d: int) -> "GaussianRational":
     """(a + b*i)/d for a triple already in normal form."""
     z = _alloc(GaussianRational)

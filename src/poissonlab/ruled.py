@@ -10,9 +10,7 @@ computation here.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer,
@@ -22,6 +20,8 @@ from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
 from .obstruction import (OBSTRUCTED, Certificate,
                           DeformationComplexModel, NotACocycle, r4_search)
+
+_set = object.__setattr__
 
 MAX_M = 12
 
@@ -42,13 +42,20 @@ class NotObstructedStratum(Exception):
     pass
 
 
-@dataclass(frozen=True, kw_only=True)
 class RuledSurface(ChartFrame):
     """F_m; the frame's chart is U1, on which every field is built."""
 
-    m: int
-    chart2: Chart
-    transition: ChartMap
+    __slots__ = ("m", "chart2", "transition")
+
+    def __init__(self, chart: Chart, registry: VarRegistry, dbar: tuple[str, ...] = (), *,
+                 m: int, chart2: Chart, transition: ChartMap):
+        ChartFrame.__init__(self, chart, registry, dbar)
+        _set(self, "m", m)
+        _set(self, "chart2", chart2)
+        _set(self, "transition", transition)
+
+    def _key(self) -> tuple:
+        return self.chart, self.registry, self.dbar, self.m, self.chart2, self.transition
 
     @property
     def chart1(self) -> Chart:
@@ -74,7 +81,6 @@ def make_surface(m: int, params: Sequence[str] = ()) -> RuledSurface:
 # ----------------------------------------------------------------------
 # Poisson structures
 
-@dataclass
 class RuledPoisson:
     """Global bivector (d(z) + e(z) xi + f(z) xi^2) dz ^ dxi.
 
@@ -86,22 +92,23 @@ class RuledPoisson:
     the three parts, and on U1 when they are polynomials in z.
     """
 
-    surface: RuledSurface
-    d: LaurentPoly
-    e: LaurentPoly
-    f: LaurentPoly
+    __slots__ = ("surface", "d", "e", "f")
 
-    def __post_init__(self):
-        m = self.surface.m
+    def __init__(self, surface: RuledSurface, d: LaurentPoly, e: LaurentPoly, f: LaurentPoly):
+        m = surface.m
         caps = {"d": 2 - m, "e": 2, "f": m + 2}
-        for name, poly in (("d", self.d), ("e", self.e), ("f", self.f)):
+        for name, poly in (("d", d), ("e", e), ("f", f)):
             if poly.is_zero():
                 continue
-            if not poly.uses_only(("z",) + self.surface.registry.param_vars):
+            if not poly.uses_only(("z",) + surface.registry.param_vars):
                 raise ValueError(f"{name}(z) may only involve z and parameters")
             lo, hi = poly.degree_range("z")
             if lo < 0 or hi > caps[name]:
                 raise ValueError(f"{name}(z) violates the degree cap for m={m}")
+        self.surface = surface
+        self.d = d
+        self.e = e
+        self.f = f
 
     def bivector(self) -> MultiVector:
         s = self.surface
@@ -166,12 +173,6 @@ def h_bases(rs: RuledSurface) -> dict:
         "h1_theta": LabeledBasis(f"H1(F{m},Theta)", tuple(h1_theta)),
         "h1_sq": LabeledBasis(f"H1(F{m},Wedge2Theta)", tuple(h1_sq)),
     }
-
-
-def h_dims(m: int) -> tuple[int, int, int, int]:
-    rs = make_surface(m)
-    b = h_bases(rs)
-    return (len(b["h0_theta"]), len(b["h0_sq"]), len(b["h1_theta"]), len(b["h1_sq"]))
 
 
 # ----------------------------------------------------------------------
@@ -367,13 +368,16 @@ def complex_model(rs: RuledSurface, pois: RuledPoisson) -> DeformationComplexMod
     )
 
 
-@dataclass
 class Table1Row:
-    m: int
-    stratum: str
-    dim_h2: int
-    obstructed: bool
-    certificate: Certificate
+    __slots__ = ("m", "stratum", "dim_h2", "obstructed", "certificate")
+
+    def __init__(self, m: int, stratum: str, dim_h2: int, obstructed: bool,
+                 certificate: Certificate):
+        self.m = m
+        self.stratum = stratum
+        self.dim_h2 = dim_h2
+        self.obstructed = obstructed
+        self.certificate = certificate
 
 
 def table1_verdict(rs: RuledSurface, pois: RuledPoisson) -> Table1Row:
@@ -404,14 +408,17 @@ def lemma_r4_certificate(rs: RuledSurface, pois: RuledPoisson) -> Certificate:
 # ----------------------------------------------------------------------
 # hypercohomology H1 model and class coordinates
 
-@dataclass
 class H1Model:
-    surface: RuledSurface
-    lam0: MultiVector
-    coker_reps: list
-    coker_space: ColumnSpace
-    ker_elements: list
-    ker_space: ColumnSpace
+    __slots__ = ("surface", "lam0", "coker_reps", "coker_space", "ker_elements", "ker_space")
+
+    def __init__(self, surface: RuledSurface, lam0: MultiVector, coker_reps: list,
+                 coker_space: ColumnSpace, ker_elements: list, ker_space: ColumnSpace):
+        self.surface = surface
+        self.lam0 = lam0
+        self.coker_reps = coker_reps
+        self.coker_space = coker_space
+        self.ker_elements = ker_elements
+        self.ker_space = ker_space
 
     @property
     def dim(self):
@@ -488,13 +495,16 @@ def hyper_class_coords(model: H1Model, lam1: MultiVector, lam2_primed: MultiVect
 # ----------------------------------------------------------------------
 # explicit Poisson analytic families
 
-@dataclass
 class RuledFamily:
-    surface: RuledSurface
-    params: tuple[str, ...]
-    transition_t: ChartMap
-    lambda_t: MultiVector
-    base: RuledPoisson
+    __slots__ = ("surface", "params", "transition_t", "lambda_t", "base")
+
+    def __init__(self, surface: RuledSurface, params: tuple[str, ...],
+                 transition_t: ChartMap, lambda_t: MultiVector, base: RuledPoisson):
+        self.surface = surface
+        self.params = params
+        self.transition_t = transition_t
+        self.lambda_t = lambda_t
+        self.base = base
 
 
 def _family_transition(rs: RuledSurface, correction: LaurentPoly) -> ChartMap:
@@ -624,13 +634,15 @@ def family_f5(corrected=True) -> RuledFamily:
 FAMILIES = {"f2": family_f2, "f3": family_f3, "f4": family_f4, "f5": family_f5}
 
 
-@dataclass
 class FamilyReport:
-    name: str
-    dim_h1: int
-    n_params: int
-    ks_matrix: list
-    basis: list
+    __slots__ = ("name", "dim_h1", "n_params", "ks_matrix", "basis")
+
+    def __init__(self, name: str, dim_h1: int, n_params: int, ks_matrix: list, basis: list):
+        self.name = name
+        self.dim_h1 = dim_h1
+        self.n_params = n_params
+        self.ks_matrix = ks_matrix
+        self.basis = basis
 
     @property
     def ok(self):
@@ -687,103 +699,7 @@ def verify_family(fam: RuledFamily, expected_basis: Sequence[str] | None = None
 
 
 # ----------------------------------------------------------------------
-# the two-chart Cech square of a 1-cocycle
-
-@dataclass
-class CechSquare:
-    gamma1: MultiVector
-    gamma2: MultiVector
-    eta12: MultiVector
-
-
-def cech_square(rs: RuledSurface, lam0: MultiVector, lam1: MultiVector,
-                lam2_primed: MultiVector, theta12: MultiVector) -> CechSquare:
-    """Square a 1-cocycle ({lam_j}, theta12) into the 2-cochain (gamma, eta).
-
-    Preconditions are the cocycle identities; the returned data is
-    checked against the two squared identities, everything exact.
-    """
-    pull = pushforward(rs.transition.inverse_map(), lam2_primed)
-    for lam, label in ((lam1, "lam1"), (pull, "lam2")):
-        if not schouten(lam0, lam).is_zero():
-            raise NotACocycle(f"[lam0, {label}] != 0")
-    if not (pull - lam1 + schouten(lam0, theta12)).is_zero():
-        raise NotACocycle("lam2 - lam1 + [lam0, theta12] != 0")
-    gamma1 = -schouten(lam1, lam1)
-    gamma2_primed = -schouten(lam2_primed, lam2_primed)
-    eta12 = -schouten(lam1 + pull, theta12)
-    # squared identities, all computed exactly
-    if not schouten(lam0, gamma1).is_zero():
-        raise AssertionError("[lam0, gamma1] != 0")
-    gamma2_pull = pushforward(rs.transition.inverse_map(), gamma2_primed)
-    check = gamma1 - gamma2_pull + schouten(lam0, eta12)
-    if not check.is_zero():
-        raise AssertionError("-delta(gamma) + [lam0, eta] != 0")
-    return CechSquare(gamma1, gamma2_primed, eta12)
-
-
-def random_cocycle(rs: RuledSurface, pois: RuledPoisson, rng: random.Random):
-    """A random valid 1-cocycle ({lam1, lam2}, theta12) for property tests."""
-    bases = h_bases(rs)
-    lam0 = pois.bivector()
-
-    def rand_comb(basis):
-        """A combination with coefficients drawn in basis order; None if all are 0."""
-        return combination([rs.const(rng.randint(-2, 2)) for _ in basis], basis)
-
-    u1 = rand_comb(bases["h0_theta"]) or rs.zero()
-    # a chart-2 holomorphic field, expressed on U1 by pulling it back
-    one, zp, xip = rs.const(1), rs.param("zp"), rs.param("xip")
-    u2_basis = [MultiVector.term(rs.chart2, rs.registry, coeff, vars) for coeff, vars in (
-        (one, ("zp",)), (zp, ("zp",)),
-        (xip, ("xip",)), (xip * xip, ("xip",)), (zp * xip * xip, ("xip",)))]
-    u2p = rand_comb(u2_basis)
-    u2 = (pushforward(rs.transition.inverse_map(), u2p)
-          if u2p is not None else rs.zero())
-    theta = u2 - u1
-    nu1 = rs.zero()
-    nu2 = rs.zero()
-    model = hyper_h1(rs, pois)
-    for elem in model.ker_elements:
-        c = rng.randint(-2, 2)
-        if not c:
-            continue
-        theta = theta + elem.scale(rs.const(c))
-        n1, n2, w = split_sq(rs, schouten(lam0, elem.scale(rs.const(c))))
-        assert not w
-        nu1 = nu1 + n1
-        nu2 = nu2 + n2
-    v = rand_comb(bases["h0_sq"]) or rs.zero()
-    lam1 = v - schouten(lam0, u1) + nu1
-    lam2_unprimed = v - schouten(lam0, u2) - nu2
-    lam2 = pushforward(rs.transition, lam2_unprimed)
-    return lam1, lam2, theta
-
-
-# ----------------------------------------------------------------------
 # sweeps
-
-def random_poisson(rs: RuledSurface, rng: random.Random, force_e_zero=None) -> RuledPoisson:
-    m = rs.m
-    reg = rs.registry
-
-    def rand_poly(cap):
-        out = LaurentPoly.zero(reg)
-        if cap < 0:
-            return out
-        for j in range(cap + 1):
-            out = out + LaurentPoly.const(reg, rng.randint(-3, 3)) * rs.z(j)
-        return out
-
-    d = rand_poly(2 - m)
-    e = rand_poly(2)
-    f = rand_poly(m + 2)
-    if force_e_zero is True:
-        e = LaurentPoly.zero(reg)
-    elif force_e_zero is False and e.is_zero():
-        e = rs.const(1)
-    return RuledPoisson(rs, d, e, f)
-
 
 def table1_sweep(m_max: int) -> list[Table1Row]:
     """One row per stratum of Table 1, with symbolic stratum parameters."""

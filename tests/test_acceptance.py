@@ -24,6 +24,7 @@ from poissonlab.obstruction import (OBSTRUCTED, UNDETERMINED,
                                     UNOBSTRUCTED_H2_ZERO, UNOBSTRUCTED_MC,
                                     verify_certificate)
 from poissonlab.rational import GaussianRational
+from ruled_cochains import cech_square, random_cocycle
 
 
 def report(n, label):
@@ -302,8 +303,8 @@ def test_14_cech_squares_randomized():
     zero = LaurentPoly.zero(rs.registry)
     pois = ruled.RuledPoisson(rs, zero, zero, rs.z(3) + rs.const(2))
     for _ in range(20):
-        lam1, lam2, theta = ruled.random_cocycle(rs, pois, rng)
-        ruled.cech_square(rs, pois.bivector(), lam1, lam2, theta)
+        lam1, lam2, theta = random_cocycle(rs, pois, rng)
+        cech_square(rs, pois.bivector(), lam1, lam2, theta)
     report(14, "two-chart squared cocycles, 20 random trials")
 
 

@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -122,6 +124,34 @@ def test_bad_exponent_is_a_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bracket", "(@z", "@w"), "expected ')', found end of input"),
+    (("bracket", "@z+", "@w"), "unexpected end of input"),
+    (("classify", "ep1", "--poisson", "   "), "unexpected end of input"),
+], ids=("open-paren", "trailing-plus", "blank"))
+def test_input_that_stops_early_names_the_end_of_input(argv, message, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: {message} at line 1, column 4\n"
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    """A fresh interpreter (without `site`, so nothing is preloaded) that
+    imports the CLI has loaded every layer module, as the benchmark's
+    tracer needs, and neither `dataclasses` nor the `inspect` it pulls in."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import poissonlab.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    layers = ("rational", "laurent", "multivector", "linalg", "obstruction",
+              "ruled", "hopf", "products", "expr")
+    assert {f"poissonlab.{m}" for m in layers} <= loaded
 
 
 @pytest.mark.parametrize("spec", [

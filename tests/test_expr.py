@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from poissonlab.expr import (Add, Dbar, EvalContext, Mul, Neg, Num, ParseError,
                              Pow, Sub, Sym, UnknownSymbol, Vec, WedgeOp,
                              context_for, eval_str, evaluate, fmv_product,
-                             free_names, parse, print_formed)
+                             free_names, parse)
 from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.multivector import Chart, FormedMultiVector, MultiVector
 from poissonlab.rational import GaussianRational
@@ -65,6 +65,14 @@ def test_parse_errors_carry_positions():
         parse("(z + w")
     with pytest.raises(ParseError):
         parse("@2x")
+    # input that stops early names the end of input, at its position
+    for src, message in (("(@z", "expected ')', found end of input"),
+                         ("@z+", "unexpected end of input"),
+                         ("   ", "unexpected end of input")):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert str(err.value) == f"{message} at line 1, column 4"
+        assert (err.value.line, err.value.col) == (1, 4)
 
 
 def test_unknown_symbols():
@@ -119,11 +127,12 @@ def test_print_parse_round_trip_100_random():
     rng = random.Random(42)
     for _ in range(100):
         v = _random_formed(rng, ctx)
-        printed = print_formed(v)
+        # str is the canonical printed form: parsing it gives v back
+        printed = str(v)
         again = eval_str(printed, ctx)
         assert again == v, printed
         # canonical strings are fixed points of print(parse(-))
-        assert print_formed(again) == printed
+        assert str(again) == printed
 
 
 # ----------------------------------------------------------------------

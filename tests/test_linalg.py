@@ -10,7 +10,7 @@ from poissonlab.laurent import InexactDivision, LaurentPoly, VarRegistry
 from poissonlab.linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan,
                                Reducer, cokernel_space, generic_rank,
                                kernel_basis, matrix_of_map, primitive_vector,
-                               quotient_coords, quotient_space, specialize,
+                               quotient_coords, quotient_space,
                                ConstraintViolation, _combine, _row_content_normalize)
 from poissonlab.rational import ONE, GaussianRational
 REG = VarRegistry((), ("A", "B", "C", "e0", "e1", "e2"))
@@ -27,6 +27,19 @@ def const(v):
 Z = LaurentPoly.zero(REG)
 A, B, C = var("A"), var("B"), var("C")
 E0, E1, E2 = var("e0"), var("e1"), var("e2")
+
+
+def specialize(m: LinMap, assignment: dict, nonzero=()) -> LinMap:
+    """Evaluate parameters exactly; `nonzero` names may not be sent to 0."""
+    reg = m.registry
+    subs = {}
+    for name, value in assignment.items():
+        poly = value if isinstance(value, LaurentPoly) else LaurentPoly.const(reg, value)
+        if name in set(nonzero) and poly.is_zero():
+            raise ConstraintViolation(f"parameter {name} must stay nonzero on this stratum")
+        subs[name] = poly
+    rows = [[e.substitute(subs) for e in r] for r in m.rows]
+    return LinMap(m.domain, m.codomain, rows)
 
 
 def _basis(name, n):

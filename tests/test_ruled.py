@@ -7,17 +7,22 @@ from poissonlab.linalg import NotInSpan, generic_rank
 from poissonlab.multivector import MultiVector, pushforward, schouten
 from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_H2_ZERO, NotACocycle
 from poissonlab.ruled import (FAMILIES, NotObstructedStratum,
-                              RationalPartSurvives, RuledPoisson, cech_square,
-                              complex_model, h1_bracket_matrix, h_bases, h_dims,
-                              hyper_h1, lemma_r4_certificate, make_surface,
-                              poisson_from_bivector, random_cocycle,
-                              random_poisson, reduce_h1_sq, split_sq,
+                              RationalPartSurvives, RuledPoisson, complex_model,
+                              h1_bracket_matrix, h_bases, hyper_h1,
+                              lemma_r4_certificate, make_surface,
+                              poisson_from_bivector, reduce_h1_sq, split_sq,
                               split_theta, table1_sweep, table1_verdict,
                               verify_family)
+from ruled_cochains import cech_square, random_cocycle, random_poisson
 
 
 def zero(rs):
     return LaurentPoly.zero(rs.registry)
+
+
+def h_dims(m: int) -> tuple[int, int, int, int]:
+    b = h_bases(make_surface(m))
+    return (len(b["h0_theta"]), len(b["h0_sq"]), len(b["h1_theta"]), len(b["h1_sq"]))
 
 
 def test_h_dims_against_formulas():
