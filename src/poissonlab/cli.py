@@ -98,18 +98,9 @@ def hopf_types(p: int):
 
 
 def hopf_tables(cap: int | None, p: int) -> dict:
-    classification = []
-    for t in hopf_types(p):
-        row = hopf.table_dims(t, cap)
-        classification.append(row)
-    cohomology = []
-    for t, stratum in hopf.strata(p):
-        h0, h1, h2 = hopf.table5_dims(t, stratum, cap)
-        cohomology.append({
-            "type": t.label(), "stratum": stratum,
-            "dim_h0": h0, "dim_h1": h1, "dim_h2": h2,
-            "automorphism_basis_verified": hopf.verify_table4(t, stratum, cap),
-        })
+    models = {t: hopf.model_for(t, cap) for t in hopf_types(p)}
+    classification = [hopf.table_dims(model) for model in models.values()]
+    cohomology = [hopf.stratum_row(models[t], stratum) for t, stratum in hopf.strata(p)]
     families = []
     verdicts = {
         ("IV", "zero"): OBSTRUCTED, ("III", "zero"): OBSTRUCTED,
@@ -122,7 +113,7 @@ def hopf_tables(cap: int | None, p: int) -> dict:
         key = (t.tag, stratum)
         entry = {"type": t.label(), "stratum": stratum, "verdict": verdicts[key]}
         if verdicts[key] == UNOBSTRUCTED_MC:
-            entry["family_invariance"] = hopf.family_invariance(t)
+            entry["family_invariance"] = hopf.family_invariance(models[t].ctx)
         families.append(entry)
     families.append({"type": hopf.HopfType("IV").label(), "stratum": "4AC-B^2=0",
                      "verdict": UNDETERMINED})
@@ -332,14 +323,15 @@ def _hopf_type(parts) -> hopf.HopfType:
 def _classify_hopf(parts, args) -> Certificate:
     t = _hopf_type(parts)
     tag = t.tag
-    ctx = hopf.make_context(t)
+    model = hopf.model_for(t)
+    ctx = model.ctx
     names = sorted(n for n in free_names(args.poisson) if n not in ("z", "w"))
     for n in names:
         if n not in ctx.registry.param_vars:
             raise UnknownSymbol(n)
     mv = _require_bivector(eval_str(args.poisson, ctx).part(()))
     try:
-        hopf.cover_model(ctx, hopf.default_cap(t)).bivector_coords(mv)
+        model.bivector_coords(mv)
     except NotInSpan:
         raise UsageError(f"{args.poisson!r} is not an invariant bivector "
                          f"on the Hopf surface of type {t.label()}") from None
@@ -354,33 +346,29 @@ def _classify_hopf(parts, args) -> Certificate:
     if tag == "IV":
         a, b, c = num(2, 0), num(1, 1), num(0, 2)
         if (a, b, c) == (0, 0, 0):
-            return hopf.obstruction_certificate_hopf(t, {"A": 1, "d": 1})
+            return hopf.obstruction_certificate_hopf(model, {"A": 1, "d": 1})
         if None in (a, b, c):
             stratum = "generic"
         elif 4 * a * c - b * b == 0:
             return hopf.undetermined_certificate("iv-discriminant-zero")
         else:
             stratum = "generic"
-        return _hopf_family_certificate(t, stratum)
+        return _hopf_family_certificate(model, stratum)
     if tag == "III":
         a, b = num(1, 1), num(0, pp + 1)
         if (a, b) == (0, 0):
-            return hopf.obstruction_certificate_hopf(t, {"B": 1, "d": 1})
+            return hopf.obstruction_certificate_hopf(model, {"B": 1, "d": 1})
         if a == 0:
             return hopf.undetermined_certificate("iii-b-nonzero")
-        return _hopf_family_certificate(t, "A")
-    return _hopf_family_certificate(t, "any")
+        return _hopf_family_certificate(model, "A")
+    return _hopf_family_certificate(model, "any")
 
 
-def _hopf_family_certificate(t: hopf.HopfType, stratum: str) -> Certificate:
-    """The unobstructed verdict, once the contraction family of type `t`
-    is verified invariant and its tangent pairs fill H1."""
-    if not hopf.family_invariance(t):
-        raise hopf.MembershipFails(f"the contraction family of type {t.label()} "
-                                   "is not invariant")
-    dim_h1 = hopf.d_membership(t)["h1_dim"]
-    return Certificate(f"Hopf {t.label()}", stratum, UNOBSTRUCTED_MC,
-                       reason="verified contraction family", data={"dim_h1": dim_h1})
+def _hopf_family_certificate(model: hopf.CoverModel, stratum: str) -> Certificate:
+    """The unobstructed verdict, once the contraction family of the model's
+    type is verified invariant and its tangent pairs fill H1."""
+    return Certificate(f"Hopf {model.ctx.type.label()}", stratum, UNOBSTRUCTED_MC,
+                       reason="verified contraction family", data={"dim_h1": model.dim_h1})
 
 
 def _classify_tp1(src: str) -> Certificate:
@@ -437,9 +425,9 @@ def verify_family_report(name: str, cap: int | None = None) -> dict:
         tag = {"hopf-iv": ("IV", None), "hopf-iii": ("III", hopf.DEFAULT_P),
                "hopf-iia": ("IIa", hopf.DEFAULT_P), "hopf-iib": ("IIb", None),
                "hopf-iic": ("IIc", None)}[name]
-        t = hopf.HopfType(*tag)
-        inv = hopf.family_invariance(t)
-        mem = hopf.d_membership(t, cap)
+        model = hopf.model_for(hopf.HopfType(*tag), cap)
+        inv = hopf.family_invariance(model.ctx)
+        mem = hopf.d_membership(model)
         return {"family": name, "ok": bool(inv), "invariance": inv,
                 "h1_dim": mem["h1_dim"], "pairs": mem["pairs"]}
     if name == "ep1":

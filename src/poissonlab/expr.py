@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentPoly, VarRegistry
-from .multivector import Chart, ChartFrame, FormedMultiVector, wedge
+from .multivector import Chart, ChartFrame, FormedMultiVector, _sort_key_names, wedge
 from .rational import Frozen, GaussianRational
 
 
@@ -283,8 +283,6 @@ def fmv_product(a: FormedMultiVector, b: FormedMultiVector) -> FormedMultiVector
         for kb, mvb in b.parts.items():
             if set(ka) & set(kb):
                 continue
-            from .multivector import _sort_key_names
-
             sign, key = _sort_key_names(ka + kb, a.dbar_vars)
             if sign == 0:
                 continue

@@ -6,11 +6,17 @@ invariant (global) fields, its cokernel models first cohomology, and
 the bracket maps between those models drive the dimension tables,
 automorphism kernels, family checks and obstruction certificates.
 
-Each (type, p, registry, cap) cover model is built once per process.
-It holds both id - f_* matrices and carries the invariant fields and
-bivectors, their kernels, computed at most once on first use.  A matrix
-is built from f_*(g * e) = (g o f^-1) * f_*(e), from the frames e pushed
-forward once and monomials g composed with f^-1 (`id_minus_fstar`).
+One cover model per type and degree cap is the input of every Hopf
+computation: `model_for` is the one place that turns a type and a cap
+into a model, and every other function takes the model it is given.
+The model store `_MODEL_CACHE` is the module's only per-process state:
+a process serving a stream of classify requests reuses each model
+across requests, where rebuilding it would cost more than the rest of
+a request.  A model holds both id - f_* matrices and carries the
+invariant fields and bivectors, their kernels, computed at most once on
+first use.  A matrix is built from f_*(g * e) = (g o f^-1) * f_*(e),
+from the frames e pushed forward once and monomials g composed with
+f^-1 (`id_minus_fstar`).
 
 Every id - f_* matrix is triangular up to a permutation: f_* sends a
 monomial field to itself times a parameter monomial plus fields that
@@ -100,18 +106,10 @@ class HopfContext(ChartFrame):
 
 BASE_PARAMS = ("alpha", "delta", "beta", "A", "B", "C", "t")
 
-_CONTEXT_CACHE: dict = {}
 _MODEL_CACHE: dict = {}
 
 
 def make_context(t: HopfType, extra_params: Sequence[str] = ()) -> HopfContext:
-    key = (t.tag, t.p, tuple(extra_params))
-    if key not in _CONTEXT_CACHE:
-        _CONTEXT_CACHE[key] = _build_context(t, extra_params)
-    return _CONTEXT_CACHE[key]
-
-
-def _build_context(t: HopfType, extra_params: Sequence[str] = ()) -> HopfContext:
     reg = VarRegistry(("z", "w"), BASE_PARAMS + tuple(extra_params))
     chart = Chart("W", ("z", "w"))
     z = LaurentPoly.var(reg, "z")
@@ -350,6 +348,16 @@ class CoverModel:
         """Coordinates of an invariant bivector on `bivectors`."""
         return quotient_coords(self._bivector_space, mono_coords(self.ctx, self.space2)(v))
 
+    @cached_property
+    def dim_h1(self) -> int:
+        """dim H1 filled by the type's contraction family, once the family
+        is verified invariant and its tangent pairs pass `d_membership`.
+        A failed check raises on every use: nothing is stored then."""
+        if not family_invariance(self.ctx):
+            raise MembershipFails(f"the contraction family of type {self.ctx.type.label()} "
+                                  "is not invariant")
+        return d_membership(self)["h1_dim"]
+
 
 def default_cap(t: HopfType) -> int:
     return max((t.p or 1) + 3, 3)
@@ -362,6 +370,14 @@ def cover_model(ctx: HopfContext, cap: int) -> CoverModel:
     if key not in _MODEL_CACHE:
         _MODEL_CACHE[key] = _build_cover_model(ctx, cap)
     return _MODEL_CACHE[key]
+
+
+def model_for(t: HopfType, cap: int | None = None) -> CoverModel:
+    """The cover model of type `t` at `cap`, the type's default cap if None."""
+    cap = default_cap(t) if cap is None else cap
+    if cap < MIN_CAP:
+        raise ValueError(f"degree cap must be at least {MIN_CAP}")
+    return cover_model(make_context(t), cap)
 
 
 def invariant_fields(ctx: HopfContext, cap: int) -> list[MultiVector]:
@@ -410,13 +426,9 @@ def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
 
 def m1_m2_bases(t: HopfType, cap: int | None = None, stability_check: bool = True):
     """The named H1 models, validated at `cap` and re-validated at cap + 2."""
-    ctx = make_context(t)
-    cap = default_cap(t) if cap is None else cap
-    if cap < MIN_CAP:
-        raise ValueError(f"degree cap must be at least {MIN_CAP}")
-    model = cover_model(ctx, cap)
+    model = model_for(t, cap)
     if stability_check:
-        cover_model(ctx, cap + 2)
+        model_for(t, model.cap + 2)
     return model
 
 
@@ -432,6 +444,8 @@ def stratum_bivector(ctx: HopfContext, stratum: str) -> MultiVector:
     table = {
         ("IV", "zero"): zero,
         ("IV", "generic"): A * z * z + B * z * w + C * w * w,
+        # the discriminant-zero representative A = 1, B = C = 0
+        ("IV", "degenerate"): z * z,
         ("III", "zero"): zero,
         ("III", "B"): B * w ** (p + 1),
         ("III", "A"): A * z * w + B * w ** (p + 1),
@@ -463,49 +477,58 @@ def strata(p: int) -> tuple:
 STRATA = strata(DEFAULT_P)
 
 
-def h0_bracket_matrix(ctx: HopfContext, lam0: MultiVector, cap: int) -> LinMap:
+def h0_bracket_matrix(model: CoverModel, lam0: MultiVector) -> LinMap:
     """[lam0, -] from invariant fields to invariant bivectors."""
-    model = cover_model(ctx, cap)
-    dom = LabeledBasis(f"H0({ctx.type.label()},Theta)", model.fields)
-    cod = LabeledBasis(f"H0({ctx.type.label()},Wedge2Theta)", model.bivectors)
+    label = model.ctx.type.label()
+    dom = LabeledBasis(f"H0({label},Theta)", model.fields)
+    cod = LabeledBasis(f"H0({label},Wedge2Theta)", model.bivectors)
     return matrix_of_map(lambda x: schouten(lam0, x), dom, cod,
                          Reducer("invariant bivector coords", model.bivector_coords),
-                         ctx.registry)
+                         model.ctx.registry)
 
 
-def _dies_in_h0_cokernel(ctx: HopfContext, lam0: MultiVector, direction: MultiVector,
-                         cap: int) -> bool:
+def _dies_in_h0_cokernel(model: CoverModel, lam0: MultiVector, direction: MultiVector) -> bool:
     """Whether an invariant bivector lies in the image of [lam0, -] on H0."""
-    coords = cover_model(ctx, cap).bivector_coords(direction)
-    return image_space(h0_bracket_matrix(ctx, lam0, cap)).contains(coords)
+    coords = model.bivector_coords(direction)
+    return image_space(h0_bracket_matrix(model, lam0)).contains(coords)
 
 
-def m_bracket_matrix(ctx: HopfContext, model: CoverModel, lam0: MultiVector) -> LinMap:
-    red = model.reduce_m(2)
-    return matrix_of_map(lambda x: schouten(lam0, x), model.m1, model.m2, red, ctx.registry)
+def m_bracket_matrix(model: CoverModel, lam0: MultiVector) -> LinMap:
+    return matrix_of_map(lambda x: schouten(lam0, x), model.m1, model.m2, model.reduce_m(2),
+                         model.ctx.registry)
 
 
-def table5_dims(t: HopfType, stratum: str, cap: int | None = None) -> tuple[int, int, int]:
-    """(dim H^0, dim H^1, dim H^2) of the deformation complex on a stratum."""
-    ctx = make_context(t)
-    cap = default_cap(t) if cap is None else cap
+def stratum_row(model: CoverModel, stratum: str) -> dict:
+    """The cohomology table row of a stratum: (dim H^0, dim H^1, dim H^2)
+    of the deformation complex, and whether the listed automorphism basis
+    is verified: each field kills the stratum bivector, the set is free,
+    and it has the full dimension H^0 of the automorphism kernel."""
+    ctx = model.ctx
     lam0 = stratum_bivector(ctx, stratum)
-    model = cover_model(ctx, cap)
-    h0m = h0_bracket_matrix(ctx, lam0, cap)
+    h0m = h0_bracket_matrix(model, lam0)
     rank0 = generic_rank(h0m)
-    h0 = h0m.n_cols - rank0
-    mm = m_bracket_matrix(ctx, model, lam0)
+    mm = m_bracket_matrix(model, lam0)
     rank1 = generic_rank(mm)
-    h1 = (h0m.n_rows - rank0) + (mm.n_cols - rank1)
-    h2 = mm.n_rows - rank1
-    return (h0, h1, h2)
+    h0 = h0m.n_cols - rank0
+    basis = table4_basis(ctx, stratum)
+    mono = mono_coords(ctx, model.space1)
+    span = ColumnSpace(len(model.space1.basis), ctx.registry)
+    return {
+        "type": ctx.type.label(),
+        "stratum": stratum,
+        "dim_h0": h0,
+        "dim_h1": (h0m.n_rows - rank0) + (mm.n_cols - rank1),
+        "dim_h2": mm.n_rows - rank1,
+        "automorphism_basis_verified": (
+            all(schouten(lam0, v).is_zero() for v in basis)
+            and all(span.add(mono(v)) for v in basis) and len(basis) == h0),
+    }
 
 
 # ----------------------------------------------------------------------
 # Table 4: infinitesimal Poisson automorphisms
 
-def table4_basis(t: HopfType, stratum: str) -> list[MultiVector]:
-    ctx = make_context(t)
+def table4_basis(ctx: HopfContext, stratum: str) -> list[MultiVector]:
     z, w = ctx.z(), ctx.w()
     A, B = ctx.param("A"), ctx.param("B")
     C = ctx.param("C")
@@ -533,38 +556,17 @@ def table4_basis(t: HopfType, stratum: str) -> list[MultiVector]:
     return out
 
 
-def verify_table4(t: HopfType, stratum: str, cap: int | None = None) -> bool:
-    """Each listed field kills the stratum bivector, the set is free, and
-    it has the full dimension of the automorphism kernel."""
-    ctx = make_context(t)
-    cap = default_cap(t) if cap is None else cap
-    lam0 = stratum_bivector(ctx, stratum)
-    basis = table4_basis(t, stratum)
-    for v in basis:
-        if not schouten(lam0, v).is_zero():
-            return False
-    space1 = cover_model(ctx, cap).space1
-    mono = mono_coords(ctx, space1)
-    span = ColumnSpace(len(space1.basis), ctx.registry)
-    for v in basis:
-        if not span.add(mono(v)):
-            return False
-    h0m = h0_bracket_matrix(ctx, lam0, cap)
-    expected = h0m.n_cols - generic_rank(h0m)
-    return len(basis) == expected
-
-
 # ----------------------------------------------------------------------
 # Table 6 families: invariance under the group generator
 
-def family_data(t: HopfType, ctx: HopfContext):
+def family_data(ctx: HopfContext):
     """(bivector coefficient, map components) of the deformation family."""
     z, w = ctx.z(), ctx.w()
     alpha, delta, beta = ctx.param("alpha"), ctx.param("delta"), ctx.param("beta")
     A, B, C, tt = ctx.param("A"), ctx.param("B"), ctx.param("C"), ctx.param("t")
     p = ctx.p
     one = ctx.const(1)
-    tag = t.tag
+    tag = ctx.type.tag
     if tag == "IV":
         lam = (one + tt) * (A * z * z + B * z * w + C * w * w)
         F = {"z": (alpha + beta * B) * z + beta * C * w, "w": -(beta * A) * z + alpha * w}
@@ -583,10 +585,9 @@ def family_data(t: HopfType, ctx: HopfContext):
     return lam, F
 
 
-def family_invariance(t: HopfType) -> bool:
+def family_invariance(ctx: HopfContext) -> bool:
     """Exact identity lam(F1, F2) = lam(z, w) * det(Jacobian of F)."""
-    ctx = make_context(t)
-    lam, F = family_data(t, ctx)
+    lam, F = family_data(ctx)
     jac = (F["z"].partial("z") * F["w"].partial("w")
            - F["z"].partial("w") * F["w"].partial("z"))
     pushed = lam.substitute({"z": F["z"], "w": F["w"]})
@@ -596,47 +597,33 @@ def family_invariance(t: HopfType) -> bool:
 # ----------------------------------------------------------------------
 # Lemma-style D membership and the sigma images
 
-def base_point_bivector(t: HopfType, ctx: HopfContext) -> MultiVector:
-    """The family bivector at the distinguished base point."""
-    tag = t.tag
-    z, w = ctx.z(), ctx.w()
-    A, B, C = ctx.param("A"), ctx.param("B"), ctx.param("C")
-    p = ctx.p
-    if tag == "IV":
-        coeff = A * z * z + B * z * w + C * w * w
-    elif tag == "III":
-        coeff = A * z * w + B * w ** (p + 1)
-    elif tag == "IIa":
-        coeff = A * w ** (p + 1)
-    elif tag == "IIb":
-        coeff = A * w * w
-    else:
-        coeff = A * z * w
-    return ctx.mv(coeff, ("z", "w"))
+def family_stratum(t: HopfType) -> str:
+    """The stratum of the deformation family's base point."""
+    return {"IV": "generic", "III": "A"}.get(t.tag, "any")
 
 
-def membership_pairs(t: HopfType, ctx: HopfContext):
+def membership_pairs(ctx: HopfContext):
     """The (B, A) tangent images of the family at the base point."""
     z, w = ctx.z(), ctx.w()
     alpha, delta = ctx.param("alpha"), ctx.param("delta")
     A, B, C = ctx.param("A"), ctx.param("B"), ctx.param("C")
     p = ctx.p
     zero = ctx.zero()
-    tag = t.tag
+    tag = ctx.type.tag
     ai = alpha ** -1
     di = delta ** -1
     if tag == "IV":
         pairs = [
             (zero, ctx.mv(ai * z, ("z",)) + ctx.mv(ai * w, ("w",))),
             (zero, ctx.mv(ai * (B * z + C * w), ("z",)) + ctx.mv(-(ai * A * z), ("w",))),
-            (base_point_bivector(t, ctx), zero),
+            (stratum_bivector(ctx, "generic"), zero),
         ]
     elif tag == "III":
         BA = B * A ** -1
         pairs = [
             (zero, ctx.mv(delta ** -p * (z + BA * w ** p), ("z",))),
             (zero, ctx.mv(-(di * BA * p) * w ** p, ("z",)) + ctx.mv(di * w, ("w",))),
-            (base_point_bivector(t, ctx), zero),
+            (stratum_bivector(ctx, "A"), zero),
         ]
     elif tag == "IIa":
         pairs = [
@@ -662,25 +649,24 @@ def membership_pairs(t: HopfType, ctx: HopfContext):
     return pairs
 
 
-def d_membership(t: HopfType, cap: int | None = None) -> dict:
+def d_membership(model: CoverModel) -> dict:
     """Verify the tangent pairs land in D and their classes fill H1.
 
     Each pair must satisfy (id - f_*)(B) = [lam_s, A] exactly; the field
     parts must give independent kernel classes in M1 and the pure
     bivector pair a nonzero class in the H0 cokernel.
     """
-    ctx = make_context(t)
-    cap = default_cap(t) if cap is None else cap
-    lam_s = base_point_bivector(t, ctx)
-    pairs = membership_pairs(t, ctx)
+    ctx = model.ctx
+    t = ctx.type
+    lam_s = stratum_bivector(ctx, family_stratum(t))
+    pairs = membership_pairs(ctx)
     for k, (bv, av) in enumerate(pairs):
         lhs = bv - pushforward(ctx.contraction, bv)
         rhs = schouten(lam_s, av)
         if lhs != rhs:
             raise MembershipFails(f"pair {k} of type {t.label()}: (id-f_*)B != [lam_s, A]")
-    model = cover_model(ctx, cap)
     red1 = model.reduce_m(1)
-    mm = m_bracket_matrix(ctx, model, lam_s)
+    mm = m_bracket_matrix(model, lam_s)
     field_classes = []
     for bv, av in pairs[:2]:
         coords = red1(av)
@@ -693,7 +679,7 @@ def d_membership(t: HopfType, cap: int | None = None) -> dict:
         if not span.add(list(coords)):
             raise MembershipFails("sigma images of the field directions are dependent")
     # the bivector direction must be nonzero in the H0 cokernel
-    if _dies_in_h0_cokernel(ctx, lam_s, pairs[2][0], cap):
+    if _dies_in_h0_cokernel(model, lam_s, pairs[2][0]):
         raise MembershipFails("bivector direction dies in the H0 cokernel")
     return {
         "type": t.label(),
@@ -705,31 +691,22 @@ def d_membership(t: HopfType, cap: int | None = None) -> dict:
 # ----------------------------------------------------------------------
 # obstruction certificates and the undetermined strata
 
-def deformation_model(t: HopfType, stratum: str, cap: int | None = None) -> DeformationComplexModel:
-    ctx = make_context(t)
-    cap = default_cap(t) if cap is None else cap
-    if (t.tag, stratum) == ("IV", "degenerate"):
-        # discriminant-zero representative: A = 1, B = C = 0
-        lam0 = ctx.mv(ctx.z(2), ("z", "w"))
-        stratum_label = "4AC-B^2=0"
-    else:
-        lam0 = stratum_bivector(ctx, stratum)
-        stratum_label = stratum
-    model = cover_model(ctx, cap)
+def deformation_model(model: CoverModel, stratum: str) -> DeformationComplexModel:
+    label = model.ctx.type.label()
     return DeformationComplexModel(
-        name=f"Hopf {t.label()}",
-        stratum=stratum_label,
-        registry=ctx.registry,
-        h0_sq=LabeledBasis(f"H0({t.label()},Wedge2Theta)", model.bivectors),
+        name=f"Hopf {label}",
+        stratum="4AC-B^2=0" if stratum == "degenerate" else stratum,
+        registry=model.ctx.registry,
+        h0_sq=LabeledBasis(f"H0({label},Wedge2Theta)", model.bivectors),
         h1_theta=model.m1,
         h1_sq=model.m2,
         bracket=schouten,
         reduce_h1_sq=model.reduce_m(2),
-        h1_matrix=m_bracket_matrix(ctx, model, lam0),
+        h1_matrix=m_bracket_matrix(model, stratum_bivector(model.ctx, stratum)),
     )
 
 
-def obstruction_certificate_hopf(t: HopfType, constants: dict) -> Certificate:
+def obstruction_certificate_hopf(model: CoverModel, constants: dict) -> Certificate:
     """Witness for obstructedness of the zero Poisson structure on the
     types with non-simple invariant bivectors.
 
@@ -737,11 +714,12 @@ def obstruction_certificate_hopf(t: HopfType, constants: dict) -> Certificate:
     and the field constants (d, e, f, g); the resulting bracket class
     must be nonzero in M2.
     """
+    ctx = model.ctx
+    t = ctx.type
     if t.tag not in ("IV", "III"):
         raise ValueError("the zero structure is only obstructed for types IV and III")
     if all(v == 0 for v in constants.values()):
         raise ValueError("degenerate input: all witness constants vanish")
-    ctx = make_context(t)
     z, w = ctx.z(), ctx.w()
     p = ctx.p
     c = {k: ctx.const(v) for k, v in constants.items()}
@@ -754,7 +732,6 @@ def obstruction_certificate_hopf(t: HopfType, constants: dict) -> Certificate:
     else:
         a = ctx.mv(g("A") * z * w + g("B") * w ** (p + 1), ("z", "w"))
         b = ctx.mv(g("d") * z + g("e") * w ** p, ("z",)) + ctx.mv(g("f") * w, ("w",))
-    model = cover_model(ctx, default_cap(t))
     cls = model.reduce_m(2)(schouten(a, b))
     if all(x.is_zero() for x in cls):
         raise ValueError("chosen constants give a vanishing bracket class")
@@ -766,54 +743,46 @@ def obstruction_certificate_hopf(t: HopfType, constants: dict) -> Certificate:
 H95_CASES = ("iv-discriminant-zero", "iii-b-nonzero")
 
 
+def _h95_stratum(case: str) -> tuple[HopfType, str]:
+    """The type and stratum of a candidate family with no verdict, or of
+    the IIc control."""
+    cases = {"iv-discriminant-zero": (HopfType("IV"), "degenerate"),
+             "iii-b-nonzero": (HopfType("III", DEFAULT_P), "B"),
+             "iic-control": (HopfType("IIc"), "any")}
+    if case not in cases:
+        raise ValueError(f"unknown case {case!r}")
+    return cases[case]
+
+
 def h95_degeneracy(case: str, cap: int | None = None) -> bool:
     """Whether the candidate family's t-direction dies in first cohomology.
 
-    True reproduces the degenerate-family computation on the two strata
-    with no verdict; the IIc analogue returns False as a control.
+    The family (1 + t) lam0 on the stratum bivector lam0 moves in the
+    direction lam0.  True reproduces the degenerate-family computation on
+    the two strata with no verdict; the IIc analogue returns False as a
+    control.
     """
-    if case == "iv-discriminant-zero":
-        t = HopfType("IV")
-        ctx = make_context(t)
-        lam0 = ctx.mv(ctx.z(2), ("z", "w"))
-        direction = ctx.mv(ctx.z(2), ("z", "w"))
-    elif case == "iii-b-nonzero":
-        t = HopfType("III", DEFAULT_P)
-        ctx = make_context(t)
-        lam0 = ctx.mv(ctx.param("B") * ctx.w(ctx.p + 1), ("z", "w"))
-        direction = ctx.mv(ctx.w(ctx.p + 1), ("z", "w"))
-    elif case == "iic-control":
-        t = HopfType("IIc")
-        ctx = make_context(t)
-        lam0 = ctx.mv(ctx.param("A") * ctx.z() * ctx.w(), ("z", "w"))
-        direction = ctx.mv(ctx.z() * ctx.w(), ("z", "w"))
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    cap = default_cap(t) if cap is None else cap
-    return _dies_in_h0_cokernel(ctx, lam0, direction, cap)
+    t, stratum = _h95_stratum(case)
+    model = model_for(t, cap)
+    lam0 = stratum_bivector(model.ctx, stratum)
+    return _dies_in_h0_cokernel(model, lam0, lam0)
 
 
 def undetermined_certificate(case: str) -> Certificate:
-    if case == "iv-discriminant-zero":
-        model = deformation_model(HopfType("IV"), "degenerate")
-    elif case == "iii-b-nonzero":
-        model = deformation_model(HopfType("III", DEFAULT_P), "B")
-    else:
+    if case not in H95_CASES:
         raise ValueError(f"unknown case {case!r}")
-    return r4_search(model)
+    t, stratum = _h95_stratum(case)
+    return r4_search(deformation_model(model_for(t), stratum))
 
 
 # ----------------------------------------------------------------------
 # summary rows for the table commands
 
-def table_dims(t: HopfType, cap: int | None = None) -> dict:
-    ctx = make_context(t)
-    cap = default_cap(t) if cap is None else cap
-    fields = invariant_fields(ctx, cap)
-    bivs = invariant_bivectors(ctx, cap)
-    model = cover_model(ctx, cap)
+def table_dims(model: CoverModel) -> dict:
+    fields = invariant_fields(model.ctx, model.cap)
+    bivs = invariant_bivectors(model.ctx, model.cap)
     return {
-        "type": t.label(),
+        "type": model.ctx.type.label(),
         "dim_h0_theta": len(fields),
         "dim_h0_sq": len(bivs),
         "h0_sq_basis": [str(b) for b in bivs],

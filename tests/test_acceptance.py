@@ -168,7 +168,7 @@ def test_05_hopf_field_tables():
     assert dims_theta == [4, 3, 2, 2, 2]
     assert dims_sq == [3, 2, 1, 1, 1]
     for t, stratum in hopf.STRATA:
-        assert hopf.verify_table4(t, stratum)
+        assert hopf.stratum_row(hopf.model_for(t), stratum)["automorphism_basis_verified"]
     report(5, "Hopf field dims and automorphism bases")
 
 
@@ -189,20 +189,21 @@ def test_06_m_bases_match_and_truncation_stable():
 def test_07_table5_triples():
     expected = [(4, 7, 3), (2, 3, 1), (3, 5, 2), (2, 3, 1),
                 (2, 3, 1), (2, 3, 1), (2, 3, 1), (2, 3, 1)]
-    got = [hopf.table5_dims(t, s) for t, s in hopf.STRATA]
+    rows = [hopf.stratum_row(hopf.model_for(t), s) for t, s in hopf.STRATA]
+    got = [(r["dim_h0"], r["dim_h1"], r["dim_h2"]) for r in rows]
     assert got == expected
     report(7, "all eight cohomology triples")
 
 
 def test_08_family_invariance():
     for t in HOPF_TYPES:
-        assert hopf.family_invariance(t)
+        assert hopf.family_invariance(hopf.make_context(t))
     report(8, "five family structures invariant under the group generator")
 
 
 def test_09_membership_and_sigma_independence():
     for t in HOPF_TYPES:
-        rep = hopf.d_membership(t)
+        rep = hopf.d_membership(hopf.model_for(t))
         assert rep["h1_dim"] == 3
     report(9, "tangent pairs satisfy the defining equation and fill H1")
 

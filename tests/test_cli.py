@@ -348,6 +348,7 @@ def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):
     code, out = run_cli(*argv)
     assert code == 0 and json.loads(out)["data"]["dim_h1"] == 3
     capsys.readouterr()
+    monkeypatch.setattr(hopf, "_MODEL_CACHE", {})
     monkeypatch.setattr(hopf, "family_invariance", lambda t: False)
     code, out = run_cli(*argv)
     err = capsys.readouterr().err
@@ -358,6 +359,7 @@ def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):
     def fails(t, cap=None):
         raise hopf.MembershipFails("bivector direction dies in the H0 cokernel")
 
+    monkeypatch.setattr(hopf, "_MODEL_CACHE", {})
     monkeypatch.setattr(hopf, "d_membership", fails)
     code, out = run_cli(*argv)
     assert code == 1 and out == ""

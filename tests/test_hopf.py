@@ -7,13 +7,13 @@ from poissonlab.multivector import combination, pushforward, schouten
 from poissonlab.obstruction import OBSTRUCTED, UNDETERMINED
 from poissonlab.hopf import (H95_CASES, HopfType, MembershipFails, STRATA,
                              cover_model, d_membership, default_cap,
-                             family_data, family_invariance, h95_degeneracy,
-                             id_minus_fstar, invariant_bivectors,
+                             family_data, family_invariance, family_stratum,
+                             h95_degeneracy, id_minus_fstar, invariant_bivectors,
                              invariant_fields, m1_m2_bases, make_context,
-                             membership_pairs, obstruction_certificate_hopf,
-                             stratum_bivector, table4_basis, table5_dims,
-                             truncated_space, undetermined_certificate,
-                             verify_table4)
+                             membership_pairs, model_for,
+                             obstruction_certificate_hopf, stratum_bivector,
+                             stratum_row, table4_basis, truncated_space,
+                             undetermined_certificate)
 
 ALL_TYPES = (HopfType("IV"), HopfType("III", 2), HopfType("IIa", 2),
              HopfType("IIb"), HopfType("IIc"))
@@ -155,6 +155,11 @@ TABLE5 = {
 }
 
 
+def table5_dims(t, stratum):
+    row = stratum_row(model_for(t), stratum)
+    return row["dim_h0"], row["dim_h1"], row["dim_h2"]
+
+
 def test_table5_dims():
     for t, stratum in STRATA:
         assert table5_dims(t, stratum) == TABLE5[(t.tag, stratum)]
@@ -170,15 +175,13 @@ def test_table5_specializations_agree():
     # the generic type-IV stratum keeps its dimensions at special
     # nonzero points, including the discriminant-zero ones
     from poissonlab.hopf import h0_bracket_matrix, m_bracket_matrix
-    t = HopfType("IV")
-    ctx = make_context(t)
-    cap = default_cap(t)
-    model = cover_model(ctx, cap)
+    model = model_for(HopfType("IV"))
+    ctx = model.ctx
     for a, b, c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 1)):
         lam0 = ctx.mv(ctx.const(a) * ctx.z(2) + ctx.const(b) * ctx.z() * ctx.w()
                       + ctx.const(c) * ctx.w(2), ("z", "w"))
-        h0m = h0_bracket_matrix(ctx, lam0, cap)
-        mm = m_bracket_matrix(ctx, model, lam0)
+        h0m = h0_bracket_matrix(model, lam0)
+        mm = m_bracket_matrix(model, lam0)
         r0, r1 = generic_rank(h0m), generic_rank(mm)
         assert (h0m.n_cols - r0, (h0m.n_rows - r0) + (mm.n_cols - r1),
                 mm.n_rows - r1) == (2, 3, 1)
@@ -186,24 +189,24 @@ def test_table5_specializations_agree():
 
 def test_table4_all_rows():
     for t, stratum in STRATA:
-        assert verify_table4(t, stratum)
+        assert stratum_row(model_for(t), stratum)["automorphism_basis_verified"]
 
 
 def test_table4_explicit_generic_iv():
-    basis = table4_basis(HopfType("IV"), "generic")
+    basis = table4_basis(make_context(HopfType("IV")), "generic")
     assert [str(b) for b in basis] == ["z*@z + w*@w", "(z*B + w*C)*@z - z*A*@w"]
 
 
 def test_family_invariance_all_types():
     for t in ALL_TYPES:
-        assert family_invariance(t)
+        assert family_invariance(make_context(t))
 
 
 def test_family_invariance_is_nontrivial():
     # perturbing the map breaks the identity
     t = HopfType("IIa", 2)
     ctx = make_context(t)
-    lam, F = family_data(t, ctx)
+    lam, F = family_data(ctx)
     F_bad = dict(F)
     F_bad["z"] = F["z"] + ctx.w()
     jac = (F_bad["z"].partial("z") * F_bad["w"].partial("w")
@@ -213,7 +216,7 @@ def test_family_invariance_is_nontrivial():
 
 def test_d_membership_all_types():
     for t in ALL_TYPES:
-        rep = d_membership(t)
+        rep = d_membership(model_for(t))
         assert rep["h1_dim"] == 3
 
 
@@ -227,14 +230,14 @@ def test_d_membership_fails_on_wrong_field():
     assert lhs != rhs  # the membership equation fails
     orig = hopf_mod.membership_pairs
 
-    def tampered(tt, cctx):
-        pairs = orig(tt, cctx)
+    def tampered(cctx):
+        pairs = orig(cctx)
         return [(pairs[0][0], bad_field)] + pairs[1:]
 
     hopf_mod.membership_pairs = tampered
     try:
         with pytest.raises(MembershipFails):
-            d_membership(t)
+            d_membership(model_for(t))
     finally:
         hopf_mod.membership_pairs = orig
 
@@ -252,22 +255,21 @@ def test_undetermined_certificates():
 
 
 def test_obstruction_certificates():
-    cert = obstruction_certificate_hopf(HopfType("IV"), {"A": 1, "d": 1})
+    cert = obstruction_certificate_hopf(model_for(HopfType("IV")), {"A": 1, "d": 1})
     assert cert.verdict == OBSTRUCTED
     assert cert.class_repr == "-z^2*(@z^@w)"
-    cert = obstruction_certificate_hopf(HopfType("III", 2), {"B": 1, "d": 1})
+    cert = obstruction_certificate_hopf(model_for(HopfType("III", 2)), {"B": 1, "d": 1})
     assert cert.verdict == OBSTRUCTED
     assert cert.class_repr == "w^3*(@z^@w)"
     with pytest.raises(ValueError):
-        obstruction_certificate_hopf(HopfType("IV"), {"A": 0, "d": 0})
+        obstruction_certificate_hopf(model_for(HopfType("IV")), {"A": 0, "d": 0})
 
 
 def test_membership_equations_hold_exactly():
     for t in ALL_TYPES:
         ctx = make_context(t)
-        from poissonlab.hopf import base_point_bivector
-        lam_s = base_point_bivector(t, ctx)
-        for bv, av in membership_pairs(t, ctx):
+        lam_s = stratum_bivector(ctx, family_stratum(t))
+        for bv, av in membership_pairs(ctx):
             assert (bv - pushforward(ctx.contraction, bv)) == schouten(lam_s, av)
 
 
@@ -295,6 +297,52 @@ def test_hopf_tables_build_each_cover_matrix_and_kernel_once(monkeypatch):
     assert calls == {"id_minus_fstar": 10, "kernel_basis": 10}
     cli.hopf_tables(None, 2)
     assert calls == {"id_minus_fstar": 10, "kernel_basis": 10}
+
+
+def test_hopf_tables_build_each_h0_bracket_matrix_once(monkeypatch):
+    from poissonlab import cli
+
+    built = []
+    real = hopf_mod.h0_bracket_matrix
+    monkeypatch.setattr(hopf_mod, "h0_bracket_matrix",
+                        lambda *args: built.append(args) or real(*args))
+    cli.hopf_tables(None, 2)
+    # one per stratum: its ranks give both the triple and the automorphism check
+    assert len(built) == len(hopf_mod.strata(2)) == 8
+
+
+def test_repeated_family_classify_verifies_the_family_once(monkeypatch):
+    import io
+    from contextlib import redirect_stdout
+
+    from poissonlab import cli
+
+    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    calls = []
+    real = hopf_mod.d_membership
+    monkeypatch.setattr(hopf_mod, "d_membership",
+                        lambda model: calls.append(model) or real(model))
+    argv = ["classify", "hopf:IIc", "--poisson", "z*w*@z^@w"]
+    outs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        outs.append(out.getvalue())
+        assert len(calls) == 1
+    assert outs[0] == outs[1]
+
+
+def test_the_model_store_is_the_only_module_state():
+    assert not hasattr(hopf_mod, "_CONTEXT_CACHE")
+    mutable = [name for name, value in vars(hopf_mod).items()
+               if not name.startswith("__") and isinstance(value, (dict, list, set))]
+    assert mutable == ["_MODEL_CACHE"]
+    # contexts are built fresh; equal ones still share one model
+    t = HopfType("IIb")
+    a, b = make_context(t), make_context(t)
+    assert a is not b and a == b
+    assert cover_model(a, 4) is cover_model(b, 4) is model_for(t, 4)
 
 
 def test_invariant_lists_do_not_share_the_model_copy():

@@ -140,8 +140,8 @@ def test_r4_search_unobstructed_and_undetermined():
     zero = LaurentPoly.zero(rs.registry)
     model = complex_model(rs, RuledPoisson(rs, zero, zero, zero))
     assert r4_search(model).verdict == "unobstructed_h2_zero"
-    from poissonlab.hopf import HopfType, deformation_model
-    cert = r4_search(deformation_model(HopfType("IV"), "degenerate"))
+    from poissonlab.hopf import HopfType, deformation_model, model_for
+    cert = r4_search(deformation_model(model_for(HopfType("IV")), "degenerate"))
     assert cert.verdict == UNDETERMINED
 
 

@@ -66,7 +66,7 @@ def _pairs():
         "HopfType": (t, hopf.HopfType("IIa", 3)),
         "Chart": (W, Chart("W", ("z", "w"))),
         "ChartFrame": (ChartFrame(W, REG, ("z",)), ChartFrame(Chart("W", ("z", "w")), REG, ("z",))),
-        "HopfContext": (hopf.make_context(t), hopf._build_context(t)),
+        "HopfContext": (hopf.make_context(t), hopf.make_context(t)),
         "RuledSurface": (ruled.make_surface(4, ("e0",)), ruled.make_surface(4, ("e0",))),
     }
 
