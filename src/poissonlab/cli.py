@@ -224,7 +224,7 @@ def cmd_classify(args) -> int:
             if n in ("zp", "xip"):
                 raise UsageError(f"{src!r}: {n!r} is a coordinate of the chart U2; "
                                  "write the bivector in the U1 coordinates z, xi")
-        rs = ruled.make_surface(m, tuple(names))
+        rs = ruled.surface_for(m, names)
         mv = eval_str(src, rs).part(())
         try:
             pois = ruled.poisson_from_bivector(rs, mv)
@@ -296,7 +296,7 @@ def _torus_coeffs(src: str, n: int) -> dict:
     if None in values:
         raise UsageError(f"{src!r} is not a constant Poisson structure on T{n}: "
                          "the coefficients must be rational constants")
-    return {f"b{i}{j}": v for (i, j), v in zip(pairs, values)}
+    return {f"b_{i}_{j}": v for (i, j), v in zip(pairs, values)}
 
 
 def _hopf_type(parts) -> hopf.HopfType:
@@ -444,7 +444,7 @@ def verify_family_report(name: str, cap: int | None = None) -> dict:
 def cmd_mc_check(args) -> int:
     name = args.name
     if name == "ep1":
-        sol = products.ep1_mc_solution()
+        sol = products.ep1_mc_solution(products.ep1_bracket_matrices())
         defect = sol.defect()
         doc = {"solution": name, "defect_zero": defect.is_zero(),
                "defect": str(defect)}

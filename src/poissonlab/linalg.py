@@ -206,7 +206,7 @@ def kernel_basis(m: LinMap, order: Sequence[int] | None = None) -> list[list[Lau
     for row in rows:
         space.add(row)
     # the space's order is `order` reversed, so this puts the last pivot in `order` first
-    pivots = sorted(space.pivot_rows.items(), key=lambda cr: space._rank[cr[0]])
+    pivots = [(c, space.pivot_rows[c]) for c in reversed(space.pivots)]
     zero = LaurentPoly.zero(reg)
     out = []
     for fc in range(n):
@@ -277,6 +277,8 @@ class ColumnSpace:
             raise ValueError(f"pivot order must be a permutation of range({dim})")
         self._rank = {idx: k for k, idx in enumerate(self.order)}
         self.pivot_rows: dict[int, list[LaurentPoly]] = {}
+        # the pivot indices, latest in the order first: the order `_reduce` clears them in
+        self.pivots: list[int] = []
         self.reps: list[list[LaurentPoly]] = []
 
     def _row(self, vec: Sequence[LaurentPoly], slot: int | None = None) -> list[LaurentPoly]:
@@ -289,7 +291,7 @@ class ColumnSpace:
         return row
 
     def _reduce(self, vec: list[LaurentPoly]) -> list[LaurentPoly]:
-        for idx in sorted(self.pivot_rows, key=self._rank.__getitem__, reverse=True):
+        for idx in self.pivots:
             if vec[idx].is_zero():
                 continue
             pivot = self.pivot_rows[idx]
@@ -323,6 +325,11 @@ class ColumnSpace:
                 raise NotInSpan("representative lies in the span of the image "
                                 "and the earlier representatives")
             return False
+        # behind every pivot later in the order; most new pivots go last
+        k, rank = len(self.pivots), self._rank
+        while k and rank[self.pivots[k - 1]] < rank[top]:
+            k -= 1
+        self.pivots.insert(k, top)
         self.pivot_rows[top] = red
         return True
 

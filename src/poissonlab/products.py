@@ -5,13 +5,20 @@ an elliptic-curve factor contributes antiholomorphic generators, the
 projective-line factor contributes the quadratic xi-direction.  All
 Maurer-Cartan solutions here are polynomials in the deformation
 parameters and are verified as exact identities.
+
+The frame store `_FRAME_CACHE` is the module's only per-process state.
+It holds the ExP1 frame with the bases built by `ep1_bases`, and the
+TxP1 frame with the bases built by `tp1_bases`, each built on first use:
+`ep1_context()` and `tp1_context()` hand out the stored frames, and a
+process serving a stream of classify requests reuses frames and bases
+across requests.
 """
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ConstraintViolation, LabeledBasis, LinMap, NotInSpan, Reducer,
-                     cokernel_space, generic_rank, image_space, kernel_basis,
+from .linalg import (ColumnSpace, ConstraintViolation, LabeledBasis, LinMap, NotInSpan,
+                     Reducer, cokernel_space, generic_rank, image_space, kernel_basis,
                      matrix_of_map, quotient_coords, quotient_space)
 from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, mc_defect,
                           schouten, schouten_formed)
@@ -21,6 +28,22 @@ from .rational import Frozen
 
 _set = object.__setattr__
 
+_FRAME_CACHE: dict = {}
+
+
+def _stored(name: str) -> tuple[ChartFrame, dict]:
+    """The frame of the product `name`, "ExP1" or "TxP1", and its bases."""
+    if name not in _FRAME_CACHE:
+        if name == "ExP1":
+            ctx = ChartFrame(Chart("ExP1", ("z", "xi")), VarRegistry(("z", "xi"), EP1_PARAMS),
+                             ("z",))
+            _FRAME_CACHE[name] = ctx, ep1_bases(ctx)
+        else:
+            ctx = ChartFrame(Chart("TxP1", ("z1", "z2", "xi")),
+                             VarRegistry(("z1", "z2", "xi"), TP1_PARAMS), ("z1", "z2"))
+            _FRAME_CACHE[name] = ctx, tp1_bases(ctx)
+    return _FRAME_CACHE[name]
+
 
 # ----------------------------------------------------------------------
 # elliptic curve times the projective line
@@ -28,9 +51,9 @@ _set = object.__setattr__
 EP1_PARAMS = ("A", "B", "C", "F0", "F1", "F2", "t0", "t1", "t2", "s")
 
 
-def ep1_context(extra_params=()) -> ChartFrame:
-    reg = VarRegistry(("z", "xi"), EP1_PARAMS + tuple(extra_params))
-    return ChartFrame(Chart("ExP1", ("z", "xi")), reg, ("z",))
+def ep1_context() -> ChartFrame:
+    """The stored ExP1 frame."""
+    return _stored("ExP1")[0]
 
 
 def _xi_quadratic_coords(ctx, poly: LaurentPoly, registry_names) -> list[LaurentPoly]:
@@ -81,11 +104,26 @@ def ep1_lambda0(ctx: ChartFrame, a=None, b=None, c=None) -> MultiVector:
     return ctx.mv(A + B * ctx.xi() + C * ctx.xi(2), ("z", "xi"))
 
 
-def ep1_bracket_matrices(a=None, b=None, c=None):
-    """The bracket matrices on first cohomology and on global sections."""
-    ctx = ep1_context()
+class EP1Matrices(Frozen):
+    """The bracket maps of lam0 on first cohomology and on global sections,
+    and the cokernel of the second, built once per structure."""
+
+    __slots__ = ("ctx", "lam0", "m_h1", "m_h0", "coker")
+
+    def __init__(self, ctx: ChartFrame, lam0: MultiVector, m_h1: LinMap, m_h0: LinMap,
+                 coker: ColumnSpace):
+        _set(self, "ctx", ctx)
+        _set(self, "lam0", lam0)
+        _set(self, "m_h1", m_h1)
+        _set(self, "m_h0", m_h0)
+        _set(self, "coker", coker)
+
+
+def ep1_bracket_matrices(a=None, b=None, c=None) -> EP1Matrices:
+    """The bracket matrices of (A + B xi + C xi^2) dz ^ dxi, symbolic in
+    each coefficient given as None."""
+    ctx, bases = _stored("ExP1")
     lam0 = ep1_lambda0(ctx, a, b, c)
-    bases = ep1_bases(ctx)
     red_sq = Reducer("H1 wedge2 coords",
                      lambda f: _ep1_sq_coords(ctx, f.part(("z",))))
     m_h1 = matrix_of_map(lambda x: schouten_formed(FormedMultiVector.of(lam0, ctx.dbar), x),
@@ -93,7 +131,7 @@ def ep1_bracket_matrices(a=None, b=None, c=None):
     red0 = Reducer("H0 wedge2 coords", lambda v: _ep1_sq_coords(ctx, v))
     m_h0 = matrix_of_map(lambda x: schouten(lam0, x),
                          bases["h0_theta"], bases["h0_sq"], red0, ctx.registry)
-    return m_h1, m_h0
+    return EP1Matrices(ctx, lam0, m_h1, m_h0, cokernel_space(m_h0))
 
 
 class MCSolution:
@@ -116,23 +154,22 @@ class MCSolution:
         return mc_defect(self.lambda0, self.element())
 
 
-def ep1_mc_solution(a=None, b=None, c=None, f_coeffs=None) -> MCSolution:
-    """The corrected family on the nonzero stratum.
+def ep1_mc_solution(mats: EP1Matrices, f_coeffs=None) -> MCSolution:
+    """The corrected family on the nonzero stratum; `mats` are the bracket
+    maps of its lambda0.
 
     f_coeffs overrides the cokernel representative (F0, F1, F2); the
     override is validated to lie outside the bracket image.
     """
-    ctx = ep1_context()
-    lam0 = ep1_lambda0(ctx, a, b, c)
-    _, m_h0 = ep1_bracket_matrices(a, b, c)
+    ctx, lam0 = mats.ctx, mats.lam0
     if f_coeffs is None:
-        reps = cokernel_space(m_h0).reps
+        reps = mats.coker.reps
         if len(reps) != 1:
             raise ConstraintViolation("expected a one-dimensional cokernel")
         fvec = reps[0]
     else:
         fvec = [ctx.const(v) for v in f_coeffs]
-        if image_space(m_h0).contains(fvec):
+        if image_space(mats.m_h0).contains(fvec):
             raise ConstraintViolation("(F0,F1,F2) lies in the bracket image")
     fpoly = fvec[0] + fvec[1] * ctx.xi() + fvec[2] * ctx.xi(2)
     kpoly = lam0.coefficient(("z", "xi"))
@@ -145,11 +182,9 @@ def ep1_mc_solution(a=None, b=None, c=None, f_coeffs=None) -> MCSolution:
     return MCSolution("ExP1", lam0, beta, alpha, ("t0", "t1", "t2"))
 
 
-def ep1_h1_model(a=None, b=None, c=None):
+def ep1_h1_model(mats: EP1Matrices):
     """Cokernel representative plus kernel elements; dimension data."""
-    ctx = ep1_context()
-    m_h1, m_h0 = ep1_bracket_matrices(a, b, c)
-    coker = cokernel_space(m_h0)
+    ctx, m_h1, coker = mats.ctx, mats.m_h1, mats.coker
     kers = kernel_basis(m_h1)
     return {
         "ctx": ctx,
@@ -180,10 +215,9 @@ def ep1_ks_matrix(sol: MCSolution, model) -> list[list[LaurentPoly]]:
 
 def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
     """Second-cohomology model used by the primary obstruction class."""
-    ctx = ep1_context()
-    lam0 = ep1_lambda0(ctx, a, b, c)
-    m_h1, _ = ep1_bracket_matrices(a, b, c)
-    space = cokernel_space(m_h1)
+    mats = ep1_bracket_matrices(a, b, c)
+    ctx = mats.ctx
+    space = cokernel_space(mats.m_h1)
 
     def reduce_11(arg):
         key, piece = arg
@@ -191,7 +225,7 @@ def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
 
     return DolbeaultModel(
         name="ExP1",
-        lambda0=lam0,
+        lambda0=mats.lam0,
         dbar_vars=ctx.dbar,
         class_reducers={(1, 2): Reducer("H1 wedge2 classes", reduce_11)},
     )
@@ -199,8 +233,8 @@ def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
 
 def ep1_classify(a, b, c) -> Certificate:
     """Verdict for (A + B xi + C xi^2) dz^dxi; exact rational input."""
-    ctx = ep1_context()
     if a == 0 and b == 0 and c == 0:
+        ctx = ep1_context()
         witness_a = ctx.mv(ctx.const(1), ("z", "xi"))
         witness_b = ctx.formed(ctx.mv(ctx.xi(), ("xi",)), ("z",))
         cls = schouten_formed(ctx.formed(witness_a), witness_b)
@@ -212,15 +246,16 @@ def ep1_classify(a, b, c) -> Certificate:
             class_repr=str(cls),
             data={"dim_h1": 7, "dim_h2": 3},
         )
-    sol = ep1_mc_solution(a, b, c)
+    mats = ep1_bracket_matrices(a, b, c)
+    sol = ep1_mc_solution(mats)
     defect = sol.defect()
     if not defect.is_zero():
         raise AssertionError("Maurer-Cartan defect did not vanish")
-    model = ep1_h1_model(a, b, c)
+    model = ep1_h1_model(mats)
     rows = ep1_ks_matrix(sol, model)
     ks = LinMap(LabeledBasis("t", sol.params),
                 LabeledBasis("H1", tuple(f"c{i}" for i in range(len(rows)))),
-                rows, ctx.registry)
+                rows, mats.ctx.registry)
     if generic_rank(ks) != model["dim_h1"]:
         raise AssertionError("tangent map is not onto first cohomology")
     return Certificate(
@@ -237,9 +272,9 @@ TP1_PARAMS = ("D", "A", "B", "C", "k", "F0", "F1", "F2",
               "t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "s")
 
 
-def tp1_context(extra_params=()) -> ChartFrame:
-    reg = VarRegistry(("z1", "z2", "xi"), TP1_PARAMS + tuple(extra_params))
-    return ChartFrame(Chart("TxP1", ("z1", "z2", "xi")), reg, ("z1", "z2"))
+def tp1_context() -> ChartFrame:
+    """The stored TxP1 frame."""
+    return _stored("TxP1")[0]
 
 
 class TP1PoissonClass(Frozen):
@@ -369,7 +404,8 @@ class TP1Matrices(Frozen):
 
 
 def tp1_matrices(ctx, lam0) -> TP1Matrices:
-    bases = tp1_bases(ctx)
+    """The bracket maps of lam0; `ctx` is tp1_context()."""
+    bases = _stored("TxP1")[1]
     lam0f = FormedMultiVector.of(lam0, ctx.dbar)
 
     def red_sq_formed(f: FormedMultiVector):
@@ -552,7 +588,7 @@ def torus_dims(n: int, coeffs: dict | None = None) -> int:
         raise ValueError("torus dimension must be positive")
     names = tuple(f"z{i}" for i in range(1, n + 1))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    params = tuple(f"b{i+1}{j+1}" for i, j in pairs)
+    params = tuple(f"b_{i+1}_{j+1}" for i, j in pairs)
     frame = ChartFrame(Chart("T", names), VarRegistry(names, params))
     lam0 = frame.zero()
     for (i, j), pname in zip(pairs, params):

@@ -6,6 +6,14 @@ computed on this two-chart cover: an overlap section splits into a
 U1-holomorphic part, a U2-holomorphic part and a finite class window of
 negative z-powers, which is exactly the coordinate model used for every
 computation here.
+
+The surface store `_SURFACE_CACHE` is the module's only per-process
+state.  It holds, per twist m and parameter names, the surface built by
+`make_surface` and its four H-bases built by `h_bases`: `surface_for`
+hands out the surface and `bases_for` its bases, so a process serving a
+stream of classify requests builds each F_m and its bases once and
+reuses them across requests.  `make_surface` stays the constructor of a
+fresh surface.
 """
 
 from __future__ import annotations
@@ -76,6 +84,28 @@ def make_surface(m: int, params: Sequence[str] = ()) -> RuledSurface:
                      {"zp": z ** -1, "xip": z ** m * xi},
                      {"z": zp ** -1, "xi": zp ** m * xip})
     return RuledSurface(chart1, reg, m=m, chart2=chart2, transition=trans)
+
+
+_SURFACE_CACHE: dict = {}
+
+
+def _stored(m: int, params: tuple[str, ...]) -> tuple[RuledSurface, dict]:
+    """F_m with parameters `params` and its h_bases, built on first use."""
+    key = (m, params)
+    if key not in _SURFACE_CACHE:
+        rs = make_surface(m, params)
+        _SURFACE_CACHE[key] = rs, h_bases(rs)
+    return _SURFACE_CACHE[key]
+
+
+def surface_for(m: int, params: Sequence[str] = ()) -> RuledSurface:
+    """F_m with parameters `params` from the store, built on first use."""
+    return _stored(m, tuple(params))[0]
+
+
+def bases_for(rs: RuledSurface) -> dict:
+    """The stored h_bases of the surface equal to `rs`."""
+    return _stored(rs.m, rs.registry.param_vars)[1]
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +373,7 @@ def h0_bracket_matrix(rs: RuledSurface, bases: dict, lam0: MultiVector) -> LinMa
 
 
 def complex_model(rs: RuledSurface, pois: RuledPoisson) -> DeformationComplexModel:
-    bases = h_bases(rs)
+    bases = bases_for(rs)
     lam0 = pois.bivector()
 
     def compose_check():
@@ -429,7 +459,7 @@ class H1Model:
 
 
 def hyper_h1(rs: RuledSurface, pois: RuledPoisson) -> H1Model:
-    bases = h_bases(rs)
+    bases = bases_for(rs)
     lam0 = pois.bivector()
     coker_space = cokernel_space(h0_bracket_matrix(rs, bases, lam0))
     reps = [combination(vec, bases["h0_sq"]) for vec in coker_space.reps]
@@ -540,7 +570,7 @@ def build_family(m: int, params: Sequence[str], correction_coeff, seed_coeff,
     subtracted, which is exactly the construction that makes the family
     global; with corrected=False verification fails by design.
     """
-    rs = make_surface(m, params)
+    rs = surface_for(m, params)
     corr = correction_coeff(rs)
     seed = seed_coeff(rs)
     trans = _family_transition(rs, corr)
@@ -705,7 +735,7 @@ def table1_sweep(m_max: int) -> list[Table1Row]:
     """One row per stratum of Table 1, with symbolic stratum parameters."""
     rows = []
     for m in range(m_max + 1):
-        rs = make_surface(m, ("e0", "e1", "e2") + tuple(f"f{j}" for j in range(m + 3)))
+        rs = surface_for(m, ("e0", "e1", "e2") + tuple(f"f{j}" for j in range(m + 3)))
         zero = LaurentPoly.zero(rs.registry)
         f_sym = sum((rs.param(f"f{j}") * rs.z(j) for j in range(m + 3)), zero)
         e_sym = rs.param("e0") + rs.param("e1") * rs.z() + rs.param("e2") * rs.z(2)

@@ -218,7 +218,8 @@ def test_10_undetermined_strata():
 
 
 def test_11_elliptic_times_line():
-    m_h1, m_h0 = products.ep1_bracket_matrices()
+    mats = products.ep1_bracket_matrices()
+    m_h1, m_h0 = mats.m_h1, mats.m_h0
     rows = [[str(e) for e in r] for r in m_h1.rows]
     assert rows == [["0", "-B", "A", "0"], ["0", "-2*C", "0", "2*A"],
                     ["0", "0", "-C", "B"]]
@@ -226,7 +227,7 @@ def test_11_elliptic_times_line():
     assert generic_rank(m_h1) == 2
     assert [[str(p) for p in v] for v in kernel_basis(m_h1)] == [
         ["1", "0", "0", "0"], ["0", "A", "B", "C"]]
-    sol = products.ep1_mc_solution()
+    sol = products.ep1_mc_solution(mats)
     assert sol.defect().is_zero()
     cert = products.ep1_classify(1, 0, 0)
     assert cert.verdict == UNOBSTRUCTED_MC

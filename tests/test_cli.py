@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -305,7 +306,7 @@ def test_torus_passes_its_coefficients_on(monkeypatch):
     monkeypatch.setattr(products, "torus_dims", torus_dims)
     code, out = run_cli("classify", "torus:3", "--poisson", "(@z1^@z2) - 1/2*(@z2^@z3)")
     assert code == 0 and json.loads(out)["data"]["dim_h1"] == 12
-    assert seen == [(3, {"b12": 1, "b13": 0, "b23": Fraction(-1, 2)})]
+    assert seen == [(3, {"b_1_2": 1, "b_1_3": 0, "b_2_3": Fraction(-1, 2)})]
 
 
 REUSE_SEQUENCE = (
@@ -339,6 +340,50 @@ def test_parser_is_built_once_and_reused_safely(monkeypatch):
     # the same calls, each on a parser of its own
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert [_served(argv) for argv in REUSE_SEQUENCE] == reused
+
+
+def test_torus_parameter_names_stay_distinct_for_large_n():
+    # the pairs (1, 112) and (11, 12) once both named their parameter b1112
+    n = 112
+    code, out = run_cli("classify", f"torus:{n}", "--poisson", "@z1^@z2")
+    assert code == 0
+    assert json.loads(out)["data"]["dim_h1"] == n * n + n * (n - 1) // 2
+
+
+STORED_GEOMETRY_REQUESTS = (
+    ("classify", "ruled:7", "--poisson", "((z + 2*z^2)*xi + xi^2)*@z^@xi"),
+    ("classify", "ruled:7", "--poisson", "(1 - z^9)*xi^2*@z^@xi"),
+    ("classify", "ep1", "--poisson", "(1 + xi)*@z^@xi"),
+    ("classify", "tp1", "--poisson", "(@z1^@z2) + (1 + xi^2)*(@z2^@xi)"),
+)
+
+
+def test_classify_builds_each_geometry_once_per_process(monkeypatch):
+    """Two ruled:7 requests, then an ep1 and a tp1 request served twice, in
+    one process: each geometry's bases are built once, and every request
+    prints what it prints in a fresh process."""
+    from poissonlab import products, ruled
+
+    monkeypatch.setattr(ruled, "_SURFACE_CACHE", {})
+    monkeypatch.setattr(products, "_FRAME_CACHE", {})
+    built = []
+    for module, name in ((ruled, "h_bases"), (products, "ep1_bases"), (products, "tp1_bases")):
+        def counted(frame, real=getattr(module, name), name=name):
+            built.append(name)
+            return real(frame)
+        monkeypatch.setattr(module, name, counted)
+    argvs = STORED_GEOMETRY_REQUESTS + STORED_GEOMETRY_REQUESTS[2:]
+    served = [_served(argv) for argv in argvs]
+    assert sorted(built) == ["ep1_bases", "h_bases", "tp1_bases"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv in STORED_GEOMETRY_REQUESTS:
+        fresh = subprocess.run([sys.executable, "-m", "poissonlab.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert fresh.returncode == 0
+        outputs = [s for a, s in zip(argvs, served) if a == argv]
+        assert outputs == [(0, fresh.stdout, fresh.stderr)] * len(outputs)
 
 
 def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):

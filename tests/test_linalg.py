@@ -301,6 +301,17 @@ def test_column_space_pivot_order():
         ColumnSpace(3, REG, (0, 0, 1))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(5)),
+       st.lists(st.lists(st.sampled_from((0, 1, -2)), min_size=5, max_size=5), max_size=7))
+def test_column_space_keeps_its_pivots_in_reduction_order(order, vectors):
+    # `pivots` lists the pivot indices latest in the order first, as add goes
+    space = ColumnSpace(5, REG, order)
+    for vec in vectors:
+        space.add([const(v) if v else Z for v in vec])
+        assert space.pivots == sorted(space.pivot_rows, key=order.index, reverse=True)
+
+
 def test_column_space_stores_an_uncombined_column_as_given():
     space = ColumnSpace(3, REG)
     col = [A * 2, Z, B * C * 2]

@@ -11,7 +11,8 @@ from poissonlab.obstruction import (OBSTRUCTED, UNDETERMINED, Certificate,
                                     DolbeaultModel, NotACocycle, class_is_zero,
                                     primary_obstruction, r4_search,
                                     verify_certificate)
-from poissonlab.products import ep1_context, ep1_dolbeault_model, ep1_mc_solution
+from poissonlab.products import (ep1_bracket_matrices, ep1_context, ep1_dolbeault_model,
+                                 ep1_mc_solution)
 from poissonlab.ruled import RuledPoisson, complex_model, make_surface
 
 
@@ -29,7 +30,7 @@ def test_primary_obstruction_ep1_witness():
 def test_primary_obstruction_vanishes_on_mc_tangent():
     # the first-order term of a verified solution has vanishing square class
     model = ep1_dolbeault_model()
-    sol = ep1_mc_solution()
+    sol = ep1_mc_solution(ep1_bracket_matrices())
     ctx = ep1_context()
     reg = ctx.registry
     zero_t = {t: LaurentPoly.const(reg, 0) for t in sol.params}

@@ -13,6 +13,7 @@ from poissonlab.products import (ConstraintViolation, TP1PoissonClass,
                                  tp1_dims, tp1_integrability, tp1_ks_matrix,
                                  tp1_lambda0, tp1_matrices, tp1_mc_solution)
 from poissonlab.rational import GaussianRational
+import poissonlab.products as products_mod
 
 
 def _tp1_mats(class_id):
@@ -33,7 +34,8 @@ def test_basis_dimensions():
 
 
 def test_ep1_matrices_match_displayed_form():
-    m_h1, m_h0 = ep1_bracket_matrices()
+    mats = ep1_bracket_matrices()
+    m_h1, m_h0 = mats.m_h1, mats.m_h0
     rows = [[str(e) for e in r] for r in m_h1.rows]
     assert rows == [["0", "-B", "A", "0"],
                     ["0", "-2*C", "0", "2*A"],
@@ -46,16 +48,37 @@ def test_ep1_matrices_match_displayed_form():
 
 
 def test_ep1_specialized_ranks():
-    m_h1, _ = ep1_bracket_matrices(0, 0, 0)
+    m_h1 = ep1_bracket_matrices(0, 0, 0).m_h1
     assert generic_rank(m_h1) == 0
-    m_h1, _ = ep1_bracket_matrices(1, 2, 1)
+    m_h1 = ep1_bracket_matrices(1, 2, 1).m_h1
     assert generic_rank(m_h1) == 2
-    m_h1, m_h0 = ep1_bracket_matrices(1, 0, 0)
+    m_h0 = ep1_bracket_matrices(1, 0, 0).m_h0
     assert generic_rank(m_h0) == 2
 
 
+def test_nonzero_ep1_classify_builds_its_matrices_once(monkeypatch):
+    calls, real = [], products_mod.ep1_bracket_matrices
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(products_mod, "ep1_bracket_matrices", counted)
+    assert ep1_classify(1, 2, 0).verdict == UNOBSTRUCTED_MC
+    assert calls == [(1, 2, 0)]
+
+
+def test_the_frame_store_is_the_only_module_state():
+    mutable = [name for name, value in vars(products_mod).items()
+               if not name.startswith("__") and isinstance(value, (dict, list, set))]
+    assert mutable == ["_FRAME_CACHE"]
+    assert ep1_context() is ep1_context() and tp1_context() is tp1_context()
+    assert ep1_bracket_matrices().ctx is ep1_context()
+    assert _tp1_mats(1).bases is _tp1_mats(2).bases
+
+
 def test_ep1_mc_defect_vanishes_symbolically():
-    sol = ep1_mc_solution()
+    sol = ep1_mc_solution(ep1_bracket_matrices())
     assert sol.defect().is_zero()
 
 
@@ -63,7 +86,7 @@ def test_ep1_mc_defect_vanishes_with_symbolic_cokernel_choice():
     # any (F0,F1,F2) kills the defect; the cokernel condition only
     # matters for the tangent map
     ctx = ep1_context()
-    sol = ep1_mc_solution()
+    sol = ep1_mc_solution(ep1_bracket_matrices())
     fsym = (ctx.param("F0"), ctx.param("F1"), ctx.param("F2"))
     lam0 = ep1_lambda0(ctx)
     kpoly = lam0.coefficient(("z", "xi"))
@@ -79,7 +102,7 @@ def test_ep1_mc_defect_vanishes_with_symbolic_cokernel_choice():
 
 
 def test_ep1_mc_t2_zero_slice():
-    sol = ep1_mc_solution()
+    sol = ep1_mc_solution(ep1_bracket_matrices())
     reg = sol.lambda0.registry
     slice_sub = {"t2": LaurentPoly.const(reg, 0)}
     el = sol.element().map_coefficients(lambda p: p.substitute(slice_sub))
@@ -90,7 +113,7 @@ def test_ep1_mc_t2_zero_slice():
 def test_ep1_defect_residual_without_correction():
     ctx = ep1_context()
     lam0 = ep1_lambda0(ctx)
-    sol = ep1_mc_solution()
+    sol = ep1_mc_solution(ep1_bracket_matrices())
     # drop the t0 t2 correction: the defect equals -t0 t2 [lam0, F dxi dzbar]
     corr = ctx.formed(ctx.mv(ctx.param("t0") * ctx.param("t2") * ctx.const(1), ("xi",)), ("z",))
     reps = sol.beta.part(()).coefficient(("z", "xi"))
@@ -105,8 +128,9 @@ def test_ep1_defect_residual_without_correction():
 
 
 def test_ep1_ks_identity_pattern():
-    sol = ep1_mc_solution()
-    model = ep1_h1_model()
+    mats = ep1_bracket_matrices()
+    sol = ep1_mc_solution(mats)
+    model = ep1_h1_model(mats)
     rows = ep1_ks_matrix(sol, model)
     n = len(rows)
     assert n == 3
@@ -259,4 +283,4 @@ def test_torus_dims():
     assert torus_dims(1) == 1
     assert torus_dims(2) == 5
     assert torus_dims(3) == 12
-    assert torus_dims(2, {"b12": 7}) == 5
+    assert torus_dims(2, {"b_1_2": 7}) == 5

@@ -8,11 +8,12 @@ from poissonlab.multivector import MultiVector, pushforward, schouten
 from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_H2_ZERO, NotACocycle
 from poissonlab.ruled import (FAMILIES, NotObstructedStratum,
                               RationalPartSurvives, RuledPoisson, complex_model,
-                              h1_bracket_matrix, h_bases, hyper_h1,
+                              bases_for, h1_bracket_matrix, h_bases, hyper_h1,
                               lemma_r4_certificate, make_surface,
                               poisson_from_bivector, reduce_h1_sq, split_sq,
-                              split_theta, table1_sweep, table1_verdict,
-                              verify_family)
+                              split_theta, surface_for, table1_sweep,
+                              table1_verdict, verify_family)
+import poissonlab.ruled as ruled_mod
 from ruled_cochains import cech_square, random_cocycle, random_poisson
 
 
@@ -108,6 +109,35 @@ def test_banded_matrix_shape():
             want = {i: "-e0", i + 1: "-e1", i + 2: "-e2"}.get(j, "0")
             assert str(mat.rows[i][j]) == want
     assert generic_rank(mat) == 4
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_h1_bracket_matrix_is_banded_toeplitz_in_e(m):
+    # on the stored F_m with symbolic e and f, [lam0, -] on the H1 windows
+    # is the (m-3) x (m-1) matrix whose row j holds -e0, -e1, -e2 in
+    # columns j, j+1, j+2; f drops out
+    rs = surface_for(m, ("e0", "e1", "e2") + tuple(f"f{j}" for j in range(m + 3)))
+    e = [rs.param(f"e{k}") for k in range(3)]
+    e_sym = e[0] + e[1] * rs.z() + e[2] * rs.z(2)
+    f_sym = sum((rs.param(f"f{j}") * rs.z(j) for j in range(m + 3)), zero(rs))
+    mat = h1_bracket_matrix(rs, bases_for(rs), RuledPoisson(rs, zero(rs), e_sym, f_sym).bivector())
+    want = [[-e[col - row] if 0 <= col - row <= 2 else zero(rs) for col in range(m - 1)]
+            for row in range(m - 3)]
+    assert [list(r) for r in mat.rows] == want
+
+
+def test_the_surface_store_is_the_only_module_state():
+    mutable = sorted(name for name, value in vars(ruled_mod).items()
+                     if not name.startswith("__") and isinstance(value, (dict, list, set)))
+    # FAMILIES is the fixed table of family builders
+    assert mutable == ["FAMILIES", "_SURFACE_CACHE"]
+    # make_surface builds a fresh surface; equal ones share the stored bases
+    a, b = make_surface(5, ("a",)), make_surface(5, ("a",))
+    assert a is not b and a == b
+    stored = surface_for(5, ("a",))
+    assert stored is surface_for(5, ["a"]) and stored == a
+    assert bases_for(a) is bases_for(b) is bases_for(stored)
+    assert surface_for(5) is not stored and bases_for(surface_for(5)) is not bases_for(a)
 
 
 def test_table1_matches_stratification():

@@ -39,6 +39,7 @@ def _frozen_values():
         "ChartFrame": (ChartFrame(W, REG), "dbar"),
         "TP1PoissonClass": (products.TP1PoissonClass(2, {"A": 1}), "coeffs"),
         "TP1Matrices": (products.tp1_matrices(ctx, lam0), "m_h1"),
+        "EP1Matrices": (products.ep1_bracket_matrices(1, 0, 0), "coker"),
         "RuledSurface": (ruled.make_surface(3), "m"),
     }
 
