@@ -99,6 +99,11 @@ class Pow(Frozen):
 
 
 _OPS = set("+-*^/()")
+# ASCII only: str.isdigit and str.isalpha also accept superscripts, circled
+# digits and other letters, which int() and the grammar reject
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 
 def _tokenize(src: str):
@@ -121,9 +126,9 @@ def _tokenize(src: str):
             k += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = k
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
             if j < len(src) and (src[j] == "." or src[j] == "e"):
                 raise ParseError("decimal literals are not accepted; use rationals",
@@ -134,18 +139,18 @@ def _tokenize(src: str):
             continue
         if ch in ("@", "~"):
             j = k + 1
-            if j >= len(src) or not (src[j].isalpha() or src[j] == "_"):
+            if j >= len(src) or src[j] not in _NAME_START:
                 raise ParseError(f"{ch!r} must be followed by a variable name", line, col)
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+            while j < len(src) and src[j] in _NAME_CHARS:
                 j += 1
             kind = "vec" if ch == "@" else "dbar"
             tokens.append((kind, src[k + 1:j], line, col))
             col += j - k
             k = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = k
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+            while j < len(src) and src[j] in _NAME_CHARS:
                 j += 1
             tokens.append(("name", src[k:j], line, col))
             col += j - k

@@ -205,8 +205,10 @@ def kernel_basis(m: LinMap, order: Sequence[int] | None = None) -> list[list[Lau
     space = ColumnSpace(n, reg, order[::-1])
     for row in rows:
         space.add(row)
-    # the space's order is `order` reversed, so this puts the last pivot in `order` first
+    # the space's order is `order` reversed, so this puts the last pivot in `order` first;
+    # each pivot row comes with its nonzero columns, listed once
     pivots = [(c, space.pivot_rows[c]) for c in reversed(space.pivots)]
+    pivots = [(c, row, [k for k, p in enumerate(row) if p.terms]) for c, row in pivots]
     zero = LaurentPoly.zero(reg)
     out = []
     for fc in range(n):
@@ -215,10 +217,10 @@ def kernel_basis(m: LinMap, order: Sequence[int] | None = None) -> list[list[Lau
         x = [zero] * n
         x[fc] = LaurentPoly.const(reg, 1)
         scaled = False
-        for c, row in pivots:
+        for c, row, support in pivots:
             s = None
-            for k in range(n):
-                if row[k].terms and x[k].terms:
+            for k in support:
+                if x[k].terms:
                     t = row[k] * x[k]
                     s = t if s is None else s + t
             if s is not None and s.terms:

@@ -562,9 +562,6 @@ class ChartFrame(Frozen):
     def formed(self, mv: MultiVector, factor: tuple[str, ...] = ()) -> FormedMultiVector:
         return FormedMultiVector.of(mv, self.dbar, factor)
 
-    def zero_formed(self) -> FormedMultiVector:
-        return FormedMultiVector.zero(self.chart, self.registry, self.dbar)
-
 
 def combination(coeffs: Sequence[LaurentPoly], basis):
     """The sum of c * e over the nonzero coefficients c, each paired with

@@ -43,8 +43,7 @@ class DeformationComplexModel:
 
     def __init__(self, name: str, stratum: str, registry: VarRegistry,
                  h0_sq: LabeledBasis, h1_theta: LabeledBasis, h1_sq: LabeledBasis,
-                 bracket: Callable, reduce_h1_sq: Reducer, h1_matrix: LinMap | None,
-                 compose_check: Callable | None = None):
+                 bracket: Callable, reduce_h1_sq: Reducer, h1_matrix: LinMap | None):
         self.name = name
         self.stratum = stratum
         self.registry = registry
@@ -54,7 +53,6 @@ class DeformationComplexModel:
         self.bracket = bracket
         self.reduce_h1_sq = reduce_h1_sq
         self.h1_matrix = h1_matrix
-        self.compose_check = compose_check
 
     @cached_property
     def h1_kernel(self) -> list[list[LaurentPoly]]:
@@ -77,10 +75,6 @@ class DeformationComplexModel:
         if self.h1_matrix is None:
             return ColumnSpace(len(self.h1_sq), self.registry)
         return image_space(self.h1_matrix)
-
-    def verify_complex(self):
-        if self.compose_check is not None:
-            self.compose_check()
 
 
 class Certificate:

@@ -139,6 +139,18 @@ def test_input_that_stops_early_names_the_end_of_input(argv, message, capsys):
     assert err == f"error: {message} at line 1, column 4\n"
 
 
+@pytest.mark.parametrize("source, char, col", [
+    ("2²", "²", 2),
+    ("z²*@z", "²", 2),
+    ("①", "①", 1),
+], ids=("superscript-digit", "superscript-after-name", "circled-digit"))
+def test_non_ascii_digits_and_names_are_usage_errors(source, char, col, capsys):
+    code, out = run_cli("bracket", source, "@z", "--chart", "z")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: unexpected character {char!r} at line 1, column {col}\n"
+
+
 def test_cli_import_loads_every_layer_and_no_dataclasses():
     """A fresh interpreter (without `site`, so nothing is preloaded) that
     imports the CLI has loaded every layer module, as the benchmark's

@@ -75,6 +75,31 @@ def test_parse_errors_carry_positions():
         assert (err.value.line, err.value.col) == (1, 4)
 
 
+@pytest.mark.parametrize("src, char, col", [
+    ("2²", "²", 2),
+    ("z²*@z", "²", 2),
+    ("①", "①", 1),
+], ids=("superscript-digit", "superscript-after-name", "circled-digit"))
+def test_numbers_and_names_are_ascii_only(src, char, col):
+    # str.isdigit accepts these, but int() and the grammar do not
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == f"unexpected character {char!r} at line 1, column {col}"
+    with pytest.raises(ParseError) as err:
+        free_names(src)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_field_generators_need_an_ascii_name():
+    for src in ("@ξ", "~é"):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert str(err.value) == f"{src[0]!r} must be followed by a variable name at line 1, column 1"
+    with pytest.raises(ParseError) as err:
+        parse("@zé")
+    assert str(err.value) == "unexpected character 'é' at line 1, column 3"
+
+
 def test_unknown_symbols():
     ctx = _ctx()
     with pytest.raises(UnknownSymbol):

@@ -61,7 +61,7 @@ def test_primary_obstruction_cocycle_guard():
     model = ep1_dolbeault_model()  # symbolic nonzero structure
     ctx = ep1_context()
     # on a surface every bivector is closed, but this form part is not
-    lam = ctx.zero_formed()
+    lam = FormedMultiVector.zero(ctx.chart, ctx.registry, ctx.dbar)
     theta = ctx.formed(ctx.mv(ctx.xi(), ("xi",)), ("z",))
     with pytest.raises(NotACocycle):
         primary_obstruction(model, lam, theta)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from poissonlab.laurent import LaurentPoly
-from poissonlab.linalg import NotInSpan, generic_rank
+from poissonlab.linalg import NotInSpan, generic_rank, matrix_of_map
 from poissonlab.multivector import MultiVector, pushforward, schouten
 from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_H2_ZERO, NotACocycle
 from poissonlab.ruled import (FAMILIES, NotObstructedStratum,
@@ -102,7 +102,7 @@ def test_banded_matrix_shape():
     rs = make_surface(7, ("e0", "e1", "e2"))
     e = rs.param("e0") + rs.param("e1") * rs.z() + rs.param("e2") * rs.z(2)
     pois = RuledPoisson(rs, zero(rs), e, zero(rs))
-    mat = h1_bracket_matrix(rs, h_bases(rs), pois.bivector())
+    mat = h1_bracket_matrix(rs, h_bases(rs), pois)
     # the bracket map matrix is minus the shifted coefficient band
     for i in range(mat.n_rows):
         for j in range(mat.n_cols):
@@ -111,7 +111,7 @@ def test_banded_matrix_shape():
     assert generic_rank(mat) == 4
 
 
-@pytest.mark.parametrize("m", range(4, 13))
+@pytest.mark.parametrize("m", range(4, ruled_mod.MAX_M + 1))
 def test_h1_bracket_matrix_is_banded_toeplitz_in_e(m):
     # on the stored F_m with symbolic e and f, [lam0, -] on the H1 windows
     # is the (m-3) x (m-1) matrix whose row j holds -e0, -e1, -e2 in
@@ -120,10 +120,36 @@ def test_h1_bracket_matrix_is_banded_toeplitz_in_e(m):
     e = [rs.param(f"e{k}") for k in range(3)]
     e_sym = e[0] + e[1] * rs.z() + e[2] * rs.z(2)
     f_sym = sum((rs.param(f"f{j}") * rs.z(j) for j in range(m + 3)), zero(rs))
-    mat = h1_bracket_matrix(rs, bases_for(rs), RuledPoisson(rs, zero(rs), e_sym, f_sym).bivector())
+    mat = h1_bracket_matrix(rs, bases_for(rs), RuledPoisson(rs, zero(rs), e_sym, f_sym))
     want = [[-e[col - row] if 0 <= col - row <= 2 else zero(rs) for col in range(m - 1)]
             for row in range(m - 3)]
     assert [list(r) for r in mat.rows] == want
+
+
+@pytest.mark.parametrize("e_zero", (False, True), ids=("symbolic-e", "e=0"))
+@pytest.mark.parametrize("m", range(ruled_mod.MAX_M + 1))
+def test_h1_bracket_matrix_equals_the_full_bracket(m, e_zero):
+    # h1_bracket_matrix brackets only the xi-degree <= 1 part of lam0; the
+    # reference brackets the whole lam0 = (d + e xi + f xi^2) dz ^ dxi with
+    # symbolic d (where its degree cap 2 - m allows one), e and f
+    d_names = tuple(f"d{k}" for k in range(3 - m))
+    f_names = tuple(f"f{j}" for j in range(m + 3))
+    rs = surface_for(m, d_names + ("e0", "e1", "e2") + f_names)
+    d_sym = sum((rs.param(name) * rs.z(k) for k, name in enumerate(d_names)), zero(rs))
+    e_sym = (zero(rs) if e_zero else
+             rs.param("e0") + rs.param("e1") * rs.z() + rs.param("e2") * rs.z(2))
+    f_sym = sum((rs.param(name) * rs.z(j) for j, name in enumerate(f_names)), zero(rs))
+    pois = RuledPoisson(rs, d_sym, e_sym, f_sym)
+    lam0 = pois.bivector()
+    bases = bases_for(rs)
+    full = matrix_of_map(lambda b: schouten(lam0, b), bases["h1_theta"], bases["h1_sq"],
+                         reduce_h1_sq(rs), rs.registry)
+    mat = h1_bracket_matrix(rs, bases, pois)
+    assert (mat.n_rows, mat.n_cols) == (full.n_rows, full.n_cols) == (max(m - 3, 0), max(m - 1, 0))
+    assert [list(r) for r in mat.rows] == [list(r) for r in full.rows]
+    # the comparison is not vacuous: with e != 0 the window sees e
+    nonzero = any(not p.is_zero() for r in full.rows for p in r)
+    assert nonzero == (m >= 4 and not e_zero)
 
 
 def test_the_surface_store_is_the_only_module_state():
@@ -310,9 +336,14 @@ def test_cech_square_randomized_f6():
 
 
 def test_complex_model_compose_check():
+    # the complex property [lam0, [lam0, x]] = 0 on the global fields of
+    # the model; trivially graded away on a surface chart but computed anyway
     rs = make_surface(4)
     pois = RuledPoisson(rs, zero(rs), rs.z(), rs.z())
-    complex_model(rs, pois).verify_complex()
+    complex_model(rs, pois)
+    lam0 = pois.bivector()
+    for x in bases_for(rs)["h0_theta"]:
+        assert schouten(lam0, schouten(lam0, x)).is_zero()
 
 
 def test_poisson_from_bivector_validates():
