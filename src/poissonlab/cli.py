@@ -224,7 +224,8 @@ def cmd_classify(args) -> int:
             if n in ("zp", "xip"):
                 raise UsageError(f"{src!r}: {n!r} is a coordinate of the chart U2; "
                                  "write the bivector in the U1 coordinates z, xi")
-        rs = ruled.surface_for(m, names)
+        # one with its own parameter names is never stored: names cannot grow the store
+        rs = ruled.make_surface(m, names) if names else ruled.surface_for(m)
         mv = eval_str(src, rs).part(())
         try:
             pois = ruled.poisson_from_bivector(rs, mv)

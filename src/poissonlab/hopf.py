@@ -18,16 +18,19 @@ first use.  A matrix is built from f_*(g * e) = (g o f^-1) * f_*(e),
 from the frames e pushed forward once and monomials g composed with
 f^-1 (`id_minus_fstar`).
 
-Every id - f_* matrix is triangular up to a permutation: f_* sends a
-monomial field to itself times a parameter monomial plus fields that
-come earlier in an order the contraction fixes, as in Poincare-Dulac
-normal forms.  The model derives that order once from each matrix's own
-nonzero pattern (`triangular_order`) and eliminates in it: image
-columns with a nonzero diagonal entry 1 - alpha^a delta^b enter on that
-entry with no row combination and are stored as they are, and
-`kernel_basis` takes the stored order, so rows enter on their diagonal
-entries the same way.  Only the few resonant columns and rows, those
-with a zero diagonal entry, need any elimination work.
+Every id - f_* matrix is block diagonal by weighted degree, with
+wt(z) = p, wt(w) = 1 for III and IIa and 1, 1 for the other types, and
+triangular up to a permutation: f_* sends a monomial field to itself
+times a parameter monomial plus fields of its weight that come earlier
+in an order the contraction fixes.  A diagonal entry 1 - alpha^a delta^b
+is zero only where the field is resonant, and every resonant field has
+weight 0: the resonance condition of Poincare-Dulac normal forms.
+`id_minus_fstar` checks these facts from the column supports as it
+builds a matrix, so every block off weight 0 is invertible, and the
+model eliminates only the weight-0 block, 3 or 4 columns at any cap:
+its kernel and cokernel are those of the whole matrix, and a class
+depends only on its weight-0 coordinates.  That block is complete from
+cap p + 1 on, so above it the model cannot change with the cap.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
 from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel,
                           r4_search)
-from .rational import Frozen
+from .rational import ONE, Frozen
 
 _set = object.__setattr__
 
@@ -141,13 +144,26 @@ def make_context(t: HopfType, extra_params: Sequence[str] = ()) -> HopfContext:
 # ----------------------------------------------------------------------
 # truncated polynomial field spaces
 
-class TruncatedSpace(Frozen):
-    __slots__ = ("grade", "cap", "basis")
+# the frames of grades 1 and 2 as component index tuples: d/dz, d/dw; d/dz ^ d/dw
+FRAMES = (((0,), (1,)), ((0, 1),))
 
-    def __init__(self, grade: int, cap: int, basis: LabeledBasis):
+
+class TruncatedSpace(Frozen):
+    """The fields z^mu w^nu e of one grade, e a frame, up to total degree
+    `cap`.  `index` maps (component, mu, nu) to the field's position in
+    `basis`, `weights` holds each field's weighted degree, and `resonant`
+    the positions of weight 0."""
+
+    __slots__ = ("grade", "cap", "basis", "index", "weights", "resonant")
+
+    def __init__(self, grade: int, cap: int, basis: LabeledBasis, index: dict,
+                 weights: tuple[int, ...]):
         _set(self, "grade", grade)
         _set(self, "cap", cap)
         _set(self, "basis", basis)
+        _set(self, "index", index)
+        _set(self, "weights", weights)
+        _set(self, "resonant", tuple(k for k, wt in enumerate(weights) if not wt))
 
 
 def monomials_upto(cap: int):
@@ -157,18 +173,21 @@ def monomials_upto(cap: int):
 
 
 def truncated_space(ctx: HopfContext, grade: int, cap: int) -> TruncatedSpace:
-    elems = []
-    if grade == 1:
-        for comp in ("z", "w"):
-            for mu, nu in monomials_upto(cap):
-                elems.append(ctx.mv(ctx.z(mu) * ctx.w(nu), (comp,)))
-    elif grade == 2:
-        for mu, nu in monomials_upto(cap):
-            elems.append(ctx.mv(ctx.z(mu) * ctx.w(nu), ("z", "w")))
-    else:
+    """The fields of one grade up to degree `cap`; z^mu w^nu e has weight
+    wt(z) mu + wt(w) nu - wt(e), where d/dz ^ d/dw weighs wt(z) + wt(w)."""
+    if grade not in (1, 2):
         raise ValueError("grade must be 1 or 2")
+    wt = (ctx.p, 1) if ctx.type.tag in ("III", "IIa") else (1, 1)
+    reg, elems, index, weights = ctx.registry, [], {}, []
+    for comp in FRAMES[grade - 1]:
+        for mu, nu in monomials_upto(cap):
+            index[comp, mu, nu] = len(elems)
+            key = tuple((i, e) for i, e in ((0, mu), (1, nu)) if e)
+            elems.append(MultiVector._of(ctx.chart, reg,
+                                         {comp: LaurentPoly._of_terms(reg, {key: ONE})}))
+            weights.append(wt[0] * mu + wt[1] * nu - sum(wt[i] for i in comp))
     name = f"{ctx.type.label()} grade-{grade} fields up to degree {cap}"
-    return TruncatedSpace(grade, cap, LabeledBasis(name, tuple(elems)))
+    return TruncatedSpace(grade, cap, LabeledBasis(name, tuple(elems)), index, tuple(weights))
 
 
 def _low_degree(poly: LaurentPoly, cap: int) -> LaurentPoly:
@@ -179,63 +198,98 @@ def _low_degree(poly: LaurentPoly, cap: int) -> LaurentPoly:
         if sum(e for i, e in key if i < 2) <= cap})
 
 
-def _truncate(mv: MultiVector, cap: int) -> MultiVector:
-    """The terms of `mv` of total (z, w) degree at most `cap`."""
-    return mv.map_coefficients(lambda poly: _low_degree(poly, cap))
+def _split(key: tuple) -> tuple[int, int, tuple]:
+    """The z and w exponents and the parameter part of a sorted term key."""
+    mu = nu = k = 0
+    if key and key[0][0] == 0:
+        mu, k = key[0][1], 1
+    if k < len(key) and key[k][0] == 1:
+        nu, k = key[k][1], k + 1
+    return mu, nu, key[k:]
 
 
 def mono_coords(ctx: HopfContext, space: TruncatedSpace) -> Reducer:
     """Coordinates in the truncated monomial basis, as parameter polynomials."""
-    pos = {}
-    for k, e in enumerate(space.basis):
-        (idx, mono), = e.components.items()
-        (mk, mc), = mono.terms.items()
-        kd = dict(mk)
-        pos[(idx, kd.get(0, 0), kd.get(1, 0))] = (k, mc)
-    n = len(space.basis)
-    zero = LaurentPoly.zero(ctx.registry)
+    reg, index, n = ctx.registry, space.index, len(space.basis)
+    zero = LaurentPoly.zero(reg)
 
     def fn(v: MultiVector):
         coords = [zero] * n
-        for idx, poly in v.components.items():
+        for comp, poly in v.components.items():
             for key, coeff in poly.terms.items():
-                kd = dict(key)
-                mu, nu = kd.get(0, 0), kd.get(1, 0)
-                slot = pos.get((idx, mu, nu))
-                if slot is None:
+                mu, nu, rest = _split(key)
+                k = index.get((comp, mu, nu))
+                if k is None:
                     raise NotInSpan("field not inside the truncated monomial space")
-                k, mc = slot
-                param_key = tuple((i, e) for i, e in key if i not in (0, 1))
-                coords[k] = coords[k] + LaurentPoly(ctx.registry, {param_key: coeff / mc})
+                coords[k] = coords[k] + LaurentPoly._of_terms(reg, {rest: coeff})
         return coords
 
     return Reducer(f"coords in {space.basis.space_name}", fn)
 
 
-def id_minus_fstar(ctx: HopfContext, space: TruncatedSpace) -> LinMap:
-    """Matrix of v -> v - f_* v on the truncated basis.
+def _cover_columns(ctx: HopfContext, space: TruncatedSpace) -> list[dict[int, LaurentPoly]]:
+    """The columns of id - f_* on `space`, each as {row: nonzero entry}.
 
-    f_*(g * e) = (g o f^-1) * f_*(e) for a function g and a frame e, one
-    of d/dz, d/dw (grade 1) or d/dz ^ d/dw (grade 2).  So each frame is
-    pushed forward once, and the image (z^mu w^nu) o f^-1 of each basis
-    monomial is that of an earlier one times f^-1(z) or f^-1(w).  The
-    contractions never lower total degree and the pushed frames are
-    polynomial, so truncating every product at the cap as it is formed
-    gives exactly the degree-filtered block of the full operator.
-    """
-    cap, inv = space.cap, ctx.contraction.inverse
+    f_*(g * e) = (g o f^-1) * f_*(e) for a function g and a frame e.  So
+    each frame is pushed forward once, and the image (z^mu w^nu) o f^-1 of
+    each basis monomial is that of an earlier one times f^-1(z) or
+    f^-1(w).  The contractions never lower total degree and the pushed
+    frames are polynomial, so truncating every product at the cap as it
+    is formed gives exactly the degree-filtered block of the full
+    operator.  Each term of such a product goes straight to its row
+    through `space.index`."""
+    cap, inv, index, reg = space.cap, ctx.contraction.inverse, space.index, ctx.registry
     images = {(0, 0): ctx.const(1)}
     for mu, nu in list(monomials_upto(cap))[1:]:
         prev, var = ((mu - 1, nu), "z") if mu else ((0, nu - 1), "w")
         images[mu, nu] = _low_degree(images[prev] * inv[var], cap)
-    frames = [pushforward(ctx.contraction, ctx.mv(ctx.const(1), idx))
-              for idx in ((("z",), ("w",)) if space.grade == 1 else (("z", "w"),))]
+    cols = []
     # truncated_space lists, for each frame, its monomials in monomials_upto order
-    pushed = [frame.scale(image) for frame in frames for image in images.values()]
-    red = mono_coords(ctx, space)
-    cols = [red(v - _truncate(image, cap))
-            for v, image in zip(space.basis, pushed, strict=True)]
-    rows = [[cols[j][i] for j in range(len(space.basis))] for i in range(len(space.basis))]
+    for comp in FRAMES[space.grade - 1]:
+        frame = pushforward(ctx.contraction, MultiVector._of(ctx.chart, reg, {comp: ctx.const(1)}))
+        for image in images.values():
+            col = {}
+            for fcomp, coeff in frame.components.items():
+                for key, c in (image * coeff).terms.items():
+                    mu, nu, rest = _split(key)
+                    if mu + nu <= cap:
+                        col.setdefault(index[fcomp, mu, nu], {})[rest] = -c
+            # the field itself: 1 on the diagonal
+            diag = col.setdefault(len(cols), {})
+            c = ONE + diag[()] if () in diag else ONE
+            if c.is_zero():
+                del diag[()]
+            else:
+                diag[()] = c
+            cols.append({i: LaurentPoly._of_terms(reg, e) for i, e in col.items() if e})
+    return cols
+
+
+def id_minus_fstar(ctx: HopfContext, space: TruncatedSpace) -> LinMap:
+    """Matrix of v -> v - f_* v on the truncated basis.
+
+    Its column supports are checked to join no two weights, to form an
+    acyclic pattern and to hold every diagonal entry off weight 0, so
+    every block off weight 0 is invertible; a failure is an internal
+    error."""
+    cols = _cover_columns(ctx, space)
+    wts, name = space.weights, space.basis.space_name
+    for j, col in enumerate(cols):
+        if any(wts[i] != wts[j] for i in col):
+            raise RuntimeError(f"{name}: id - f_* joins two weights in column {j}")
+        if wts[j] and j not in col:
+            raise RuntimeError(f"{name}: id - f_* has a zero diagonal entry off weight 0 "
+                               f"in column {j}")
+    try:
+        TopologicalSorter({j: col.keys() - {j} for j, col in enumerate(cols)}).prepare()
+    except CycleError as exc:
+        raise RuntimeError(f"{name}: id - f_* is not triangular up to a permutation, "
+                           f"cycle {exc.args[1]}") from None
+    zero = LaurentPoly.zero(ctx.registry)
+    rows = [[zero] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
+        for i, entry in col.items():
+            rows[i][j] = entry
     return LinMap(space.basis, space.basis, rows, ctx.registry)
 
 
@@ -298,55 +352,62 @@ class CoverModel:
     """Truncated cover model at one degree cap: spaces, images, M1/M2,
     and the invariant fields and bivectors (the kernels of mat1, mat2).
 
-    order1 and order2 are the triangular orders of mat1 and mat2; the
-    kernels are taken in them.  m1_space and m2_space hold the images of
-    mat1 and mat2, eliminated in those orders, with the M1/M2
-    representatives registered; every class reduction solves against them."""
+    `id_minus_fstar` proves every block of mat1 and mat2 off weight 0
+    invertible, so their kernels and cokernels are those of the weight-0
+    blocks block1 and block2; order1 and order2 are the blocks'
+    triangular orders, and the kernels are taken in them.  m1_space and
+    m2_space hold the images of the blocks, eliminated in those orders,
+    with the weight-0 coordinates of the M1/M2 representatives
+    registered; every class reduction solves against them."""
 
-    def __init__(self, ctx: HopfContext, cap: int, space1: TruncatedSpace,
-                 space2: TruncatedSpace, mat1: LinMap, mat2: LinMap,
-                 order1: tuple[int, ...], order2: tuple[int, ...], m1: LabeledBasis,
-                 m2: LabeledBasis, m1_space: ColumnSpace, m2_space: ColumnSpace):
+    def __init__(self, ctx: HopfContext, cap: int, m1: LabeledBasis, m2: LabeledBasis,
+                 grade1: tuple, grade2: tuple):
         self.ctx = ctx
         self.cap = cap
-        self.space1 = space1
-        self.space2 = space2
-        self.mat1 = mat1
-        self.mat2 = mat2
-        self.order1 = order1
-        self.order2 = order2
         self.m1 = m1
         self.m2 = m2
-        self.m1_space = m1_space
-        self.m2_space = m2_space
+        # (space, matrix, weight-0 block, its triangular order, its image)
+        self.space1, self.mat1, self.block1, self.order1, self.m1_space = grade1
+        self.space2, self.mat2, self.block2, self.order2, self.m2_space = grade2
+
+    def class_coords(self, grade: int, coords: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+        """Class coordinates in M1 or M2 of a vector in the truncated basis,
+        modulo im(id - f_*): only its weight-0 coordinates count, because
+        the image holds every other weight."""
+        space, quot = (self.space1, self.m1_space) if grade == 1 else (self.space2, self.m2_space)
+        return quotient_coords(quot, [coords[k] for k in space.resonant])
 
     def reduce_m(self, grade: int) -> Reducer:
         """Class coordinates in M1 or M2, modulo im(id - f_*)."""
         mono = mono_coords(self.ctx, self.space1 if grade == 1 else self.space2)
-        quot = self.m1_space if grade == 1 else self.m2_space
         return Reducer(f"M{grade} classes for {self.ctx.type.label()}",
-                       lambda v: quotient_coords(quot, mono(v)))
+                       lambda v: self.class_coords(grade, mono(v)))
 
     @cached_property
     def fields(self) -> tuple[MultiVector, ...]:
         """Invariant fields: the kernel of mat1."""
-        return tuple(combination(v, self.space1.basis)
-                     for v in kernel_basis(self.mat1, self.order1))
+        return tuple(combination(v, self.block1.domain)
+                     for v in kernel_basis(self.block1, self.order1))
 
     @cached_property
     def _bivector_space(self) -> ColumnSpace:
-        """The kernel vectors of mat2, registered as representatives."""
-        return quotient_space((), kernel_basis(self.mat2, self.order2),
-                              len(self.space2.basis), self.ctx.registry)
+        """The kernel vectors of block2, registered as representatives."""
+        return quotient_space((), kernel_basis(self.block2, self.order2),
+                              len(self.space2.resonant), self.ctx.registry)
 
     @cached_property
     def bivectors(self) -> tuple[MultiVector, ...]:
         """Invariant bivectors: the kernel of mat2."""
-        return tuple(combination(v, self.space2.basis) for v in self._bivector_space.reps)
+        return tuple(combination(v, self.block2.domain) for v in self._bivector_space.reps)
 
     def bivector_coords(self, v: MultiVector) -> list[LaurentPoly]:
-        """Coordinates of an invariant bivector on `bivectors`."""
-        return quotient_coords(self._bivector_space, mono_coords(self.ctx, self.space2)(v))
+        """Coordinates of an invariant bivector on `bivectors`, which lie in
+        weight 0."""
+        coords = mono_coords(self.ctx, self.space2)(v)
+        if any(c.terms for c, wt in zip(coords, self.space2.weights) if wt):
+            raise NotInSpan("bivector has a term off weight 0")
+        return quotient_coords(self._bivector_space,
+                               [coords[k] for k in self.space2.resonant])
 
     @cached_property
     def dim_h1(self) -> int:
@@ -391,18 +452,19 @@ def invariant_bivectors(ctx: HopfContext, cap: int) -> list[MultiVector]:
 
 
 def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
-    space1 = truncated_space(ctx, 1, cap)
-    space2 = truncated_space(ctx, 2, cap)
-    mat1 = id_minus_fstar(ctx, space1)
-    mat2 = id_minus_fstar(ctx, space2)
-    order1 = triangular_order(mat1)
-    order2 = triangular_order(mat2)
     m1, m2 = _named_m_reps(ctx)
-    quots = []
-    for space, mat, order, elems, label in ((space1, mat1, order1, m1, "M1"),
-                                            (space2, mat2, order2, m2, "M2")):
-        quot = _triangular_image_space(mat, order)
-        corank = len(space.basis) - quot.rank
+    grades = []
+    for grade, elems, label in ((1, m1, "M1"), (2, m2, "M2")):
+        space = truncated_space(ctx, grade, cap)
+        mat = id_minus_fstar(ctx, space)
+        res = space.resonant
+        basis = LabeledBasis(f"{space.basis.space_name}, weight 0",
+                             tuple(space.basis[k] for k in res))
+        block = LinMap(basis, basis, [[mat.rows[i][j] for j in res] for i in res], ctx.registry)
+        order = triangular_order(block)
+        quot = _triangular_image_space(block, order)
+        # the other blocks are invertible, so this is the corank of mat
+        corank = len(res) - quot.rank
         if corank != len(elems):
             raise TruncationUnstable(
                 f"{label} corank {corank} does not match the {len(elems)} "
@@ -411,25 +473,13 @@ def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
         for e in elems:
             vec = mono(e)
             try:
-                quot.add(vec, rep=True)
+                quot.add([vec[k] for k in res], rep=True)
             except NotInSpan:
                 raise TruncationUnstable(
                     f"{label} representative {e} is dependent modulo the image") from None
-        quots.append(quot)
-    return CoverModel(
-        ctx, cap, space1, space2, mat1, mat2, order1, order2,
-        LabeledBasis(f"M1({ctx.type.label()})", tuple(m1)),
-        LabeledBasis(f"M2({ctx.type.label()})", tuple(m2)),
-        *quots,
-    )
-
-
-def m1_m2_bases(t: HopfType, cap: int | None = None, stability_check: bool = True):
-    """The named H1 models, validated at `cap` and re-validated at cap + 2."""
-    model = model_for(t, cap)
-    if stability_check:
-        model_for(t, model.cap + 2)
-    return model
+        grades.append((space, mat, block, order, quot))
+    return CoverModel(ctx, cap, LabeledBasis(f"M1({ctx.type.label()})", tuple(m1)),
+                      LabeledBasis(f"M2({ctx.type.label()})", tuple(m2)), *grades)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ state.  It holds, per twist m and parameter names, the surface built by
 hands out the surface and `bases_for` its bases, so a process serving a
 stream of classify requests builds each F_m and its bases once and
 reuses them across requests.  `make_surface` stays the constructor of a
-fresh surface.
+fresh surface; `bases_for` builds a surface's bases without storing
+them when the store does not hold it.
 """
 
 from __future__ import annotations
@@ -89,23 +90,21 @@ def make_surface(m: int, params: Sequence[str] = ()) -> RuledSurface:
 _SURFACE_CACHE: dict = {}
 
 
-def _stored(m: int, params: tuple[str, ...]) -> tuple[RuledSurface, dict]:
-    """F_m with parameters `params` and its h_bases, built on first use."""
-    key = (m, params)
-    if key not in _SURFACE_CACHE:
-        rs = make_surface(m, params)
-        _SURFACE_CACHE[key] = rs, h_bases(rs)
-    return _SURFACE_CACHE[key]
-
-
 def surface_for(m: int, params: Sequence[str] = ()) -> RuledSurface:
-    """F_m with parameters `params` from the store, built on first use."""
-    return _stored(m, tuple(params))[0]
+    """F_m with parameters `params` from the store, built with its h_bases
+    on first use."""
+    key = (m, tuple(params))
+    if key not in _SURFACE_CACHE:
+        rs = make_surface(m, key[1])
+        _SURFACE_CACHE[key] = rs, h_bases(rs)
+    return _SURFACE_CACHE[key][0]
 
 
 def bases_for(rs: RuledSurface) -> dict:
-    """The stored h_bases of the surface equal to `rs`."""
-    return _stored(rs.m, rs.registry.param_vars)[1]
+    """The stored h_bases of the surface equal to `rs`, or fresh ones for a
+    surface the store does not hold, which stores nothing."""
+    stored = _SURFACE_CACHE.get((rs.m, rs.registry.param_vars))
+    return stored[1] if stored is not None else h_bases(rs)
 
 
 # ----------------------------------------------------------------------

@@ -181,7 +181,8 @@ def test_06_m_bases_match_and_truncation_stable():
         "IIc": ["z*w*(@z^@w)"],
     }
     for t in HOPF_TYPES:
-        model = hopf.m1_m2_bases(t)  # validates at p+3 and again at p+5
+        model = hopf.model_for(t)
+        hopf.model_for(t, model.cap + 2)  # validates again two caps higher
         assert [str(e) for e in model.m2] == expected_m2[t.tag]
     report(6, "first-cohomology models stable across truncations")
 

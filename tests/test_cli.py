@@ -398,6 +398,32 @@ def test_classify_builds_each_geometry_once_per_process(monkeypatch):
         assert outputs == [(0, fresh.stdout, fresh.stderr)] * len(outputs)
 
 
+def test_requests_with_their_own_parameter_names_store_no_surface():
+    # 300 distinct name sets, each served once, leave the store as it was
+    from poissonlab import ruled
+
+    _served(("classify", "ruled:6", "--poisson", "(a0*z + 1)*xi^2*@z^@xi"))
+    before = dict(ruled._SURFACE_CACHE)
+    for k in range(300):
+        code, out, _ = _served(("classify", "ruled:6", "--poisson", f"(a{k}*z + 1)*xi^2*@z^@xi"))
+        assert code == 0 and json.loads(out)["verdict"] == "obstructed"
+    assert ruled._SURFACE_CACHE == before
+
+
+def test_numeric_ruled_requests_reuse_the_stored_surface(monkeypatch):
+    from poissonlab import ruled
+
+    monkeypatch.setattr(ruled, "_SURFACE_CACHE", {})
+    built = []
+    real = ruled.h_bases
+    monkeypatch.setattr(ruled, "h_bases", lambda rs: built.append(rs) or real(rs))
+    argv = ("classify", "ruled:6", "--poisson", "(2*z + 1)*xi^2*@z^@xi")
+    served = [_served(argv) for _ in range(3)]
+    assert served[0][0] == 0 and served.count(served[0]) == 3
+    assert list(ruled._SURFACE_CACHE) == [(6, ())]
+    assert built == [ruled._SURFACE_CACHE[6, ()][0]]
+
+
 def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):
     from poissonlab import hopf
 

@@ -9,7 +9,7 @@ from poissonlab.hopf import (H95_CASES, HopfType, MembershipFails, STRATA,
                              cover_model, d_membership, default_cap,
                              family_data, family_invariance, family_stratum,
                              h95_degeneracy, id_minus_fstar, invariant_bivectors,
-                             invariant_fields, m1_m2_bases, make_context,
+                             invariant_fields, make_context,
                              membership_pairs, model_for,
                              obstruction_certificate_hopf, stratum_bivector,
                              stratum_row, table4_basis, truncated_space,
@@ -103,13 +103,21 @@ def test_m1_m2_match_named_lists():
         "IIc": ["z*@z", "w*@w"],
     }
     for t in ALL_TYPES:
-        model = m1_m2_bases(t)
+        model = model_for(t)
         assert [str(e) for e in model.m1] == expected_m1[t.tag]
 
 
 def test_truncation_stability_at_higher_p():
-    for t in (HopfType("III", 3), HopfType("IIa", 3)):
-        m1_m2_bases(t)  # validates at p+3 and p+5
+    # the weight-0 blocks carry the whole model: their matrices, the M1/M2
+    # representatives on them and their kernels are the same two caps higher
+    for t in (HopfType(tag, p) for tag in ("III", "IIa") for p in (2, 3)):
+        low = model_for(t)
+        high = model_for(t, low.cap + 2)
+        for a, b in ((low.block1, high.block1), (low.block2, high.block2)):
+            assert a.domain.elements == b.domain.elements and a.rows == b.rows
+        assert low.m1_space.reps == high.m1_space.reps
+        assert low.m2_space.reps == high.m2_space.reps
+        assert (low.fields, low.bivectors) == (high.fields, high.bivectors)
 
 
 def test_degree_blocks_above_the_kernel_range_are_invertible():
@@ -140,7 +148,7 @@ def test_dim_h0_sq_equals_dim_m2():
     for t in ALL_TYPES:
         ctx = make_context(t)
         cap = default_cap(t)
-        assert len(invariant_bivectors(ctx, cap)) == len(m1_m2_bases(t).m2)
+        assert len(invariant_bivectors(ctx, cap)) == len(model_for(t).m2)
 
 
 TABLE5 = {
@@ -382,6 +390,73 @@ def test_cover_matrices_are_triangular_up_to_a_permutation(t):
                 assert zeros == ZERO_DIAGONALS[t.tag][grade - 1]
 
 
+# size of the weight-0 block on grade 1 and grade 2, once the cap reaches
+# every resonant monomial (degree p + 1)
+WEIGHT0_SIZES = {"IV": (4, 3), "III": (3, 2), "IIa": (3, 2), "IIb": (4, 3), "IIc": (4, 3)}
+
+
+def _weight(t, comp, mu, nu):
+    """wt(z) mu + wt(w) nu - wt(frame), wt(z) = p and wt(w) = 1 for III and IIa."""
+    wt = (t.p, 1) if t.tag in ("III", "IIa") else (1, 1)
+    return wt[0] * mu + wt[1] * nu - sum(wt[i] for i in comp)
+
+
+@pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
+def test_cover_matrices_are_block_diagonal_by_weight(t):
+    # the facts the cover models rest on: no entry joins two weights, every
+    # diagonal entry off weight 0 is nonzero, and the weight-0 block has a
+    # size that does not depend on the cap
+    ctx = make_context(t)
+    for cap in range(3, 13):
+        for grade in (1, 2):
+            space = truncated_space(ctx, grade, cap)
+            mat = id_minus_fstar(ctx, space)
+            weights = []
+            for k, e in enumerate(space.basis):
+                (comp, mono), = e.components.items()
+                (key, _), = mono.terms.items()
+                kd = dict(key)
+                assert space.index[comp, kd.get(0, 0), kd.get(1, 0)] == k
+                weights.append(_weight(t, comp, kd.get(0, 0), kd.get(1, 0)))
+            assert space.weights == tuple(weights)
+            assert all(weights[i] == weights[j] for i, row in enumerate(mat.rows)
+                       for j, entry in enumerate(row) if entry.terms)
+            assert all(mat.rows[k][k].terms for k in range(mat.n_rows) if weights[k])
+            if cap >= ctx.p + 1:
+                assert len(space.resonant) == WEIGHT0_SIZES[t.tag][grade - 1]
+
+
+@pytest.mark.parametrize("corruption", ("join", "diagonal", "cycle"))
+def test_a_corrupted_cover_matrix_raises_before_elimination(monkeypatch, corruption):
+    # an entry joining two weights, a zero diagonal entry off weight 0 or a
+    # cycle in the nonzero pattern would leave a block that may be singular
+    t = HopfType("IIa", 2)
+    real = hopf_mod._cover_columns
+
+    def corrupted(ctx, space):
+        cols = real(ctx, space)
+        wts = space.weights
+        # a column off weight 0 with an entry off its diagonal
+        j, i = next((j, i) for j, col in enumerate(cols) if wts[j] for i in col if i != j)
+        if corruption == "join":
+            cols[j][wts.index(wts[j] + 1)] = ctx.const(1)
+        elif corruption == "diagonal":
+            del cols[j][j]
+        else:
+            cols[i][j] = ctx.const(1)
+        return cols
+
+    kernels = []
+    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    monkeypatch.setattr(hopf_mod, "_cover_columns", corrupted)
+    monkeypatch.setattr(hopf_mod, "kernel_basis", lambda *args: kernels.append(args))
+    message = {"join": "joins two weights", "diagonal": "zero diagonal entry off weight 0",
+               "cycle": "not triangular"}[corruption]
+    with pytest.raises(RuntimeError, match=message):
+        model_for(t).fields
+    assert not kernels
+
+
 @pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
 def test_triangular_kernels_equal_kernel_basis(t):
     ctx = make_context(t)
@@ -395,24 +470,31 @@ def test_triangular_kernels_equal_kernel_basis(t):
 
 @pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
 def test_ordered_quotients_equal_unordered_ones(t):
+    # class reduction through the weight-0 blocks, eliminated in their
+    # triangular orders, equals reduction against the whole image
     ctx = make_context(t)
     model = cover_model(ctx, default_cap(t) + 1)
     zero, one = ctx.const(0), ctx.const(1)
 
-    def coords(space, k):
-        unit = [one if j == k else zero for j in range(space.dim)]
+    def coords(reduce, n, k):
+        unit = [one if j == k else zero for j in range(n)]
         try:
-            return quotient_coords(space, unit)
+            return reduce(unit)
         except NotInSpan as exc:
             return str(exc)
 
-    for ordered, mat in ((model.m1_space, model.mat1), (model.m2_space, model.mat2)):
+    for grade, space, mat, ordered, reps in (
+            (1, model.space1, model.mat1, model.m1_space, model.m1),
+            (2, model.space2, model.mat2, model.m2_space, model.m2)):
+        mono = hopf_mod.mono_coords(ctx, space)
         plain = image_space(mat)
-        for rep in ordered.reps:
-            plain.add(rep, rep=True)
-        assert plain.rank == ordered.rank
-        for k in range(ordered.dim):
-            assert coords(ordered, k) == coords(plain, k)
+        for rep in reps:
+            plain.add(mono(rep), rep=True)
+        n = len(space.basis)
+        assert plain.rank == ordered.rank + n - ordered.dim
+        for k in range(n):
+            assert (coords(lambda v: model.class_coords(grade, v), n, k)
+                    == coords(lambda v: quotient_coords(plain, v), n, k))
 
 
 @pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
@@ -426,8 +508,13 @@ def test_id_minus_fstar_equals_the_pushforward_of_each_basis_field(t):
             mat = id_minus_fstar(ctx, space)
             red = hopf_mod.mono_coords(ctx, space)
             for j, v in enumerate(space.basis):
-                image = hopf_mod._truncate(pushforward(ctx.contraction, v), cap)
+                image = _truncate(pushforward(ctx.contraction, v), cap)
                 assert mat.column(j) == red(v - image)
+
+
+def _truncate(mv, cap):
+    """The terms of `mv` of total (z, w) degree at most `cap`."""
+    return mv.map_coefficients(lambda poly: hopf_mod._low_degree(poly, cap))
 
 
 def test_hopf_tables_push_each_frame_once(monkeypatch):

@@ -189,24 +189,28 @@ def test_quotient_coords_recovers_hopf_class_coordinates(tag, p):
     reg = ctx.registry
     alpha, delta = LaurentPoly.var(reg, "alpha"), LaurentPoly.var(reg, "delta")
     rng = random.Random(f"{tag}{p}")
-    for space, mat in ((model.m1_space, model.mat1), (model.m2_space, model.mat2)):
+    for grade, space, mat, m in ((1, model.space1, model.mat1, model.m1),
+                                 (2, model.space2, model.mat2, model.m2)):
+        mono = hopf.mono_coords(ctx, space)
+        reps = [mono(e) for e in m]
         cols = mat.columns()
         for _ in range(3):
             coeffs = [LaurentPoly.const(reg, rng.randint(-3, 3))
                       + LaurentPoly.const(reg, rng.randint(-2, 2)) * alpha
                       + LaurentPoly.const(reg, rng.randint(-2, 2)) * delta ** -1
-                      for _ in space.reps]
-            target = [LaurentPoly.zero(reg)] * space.dim
-            for c, rep in zip(coeffs, space.reps):
+                      for _ in reps]
+            target = [LaurentPoly.zero(reg)] * len(space.basis)
+            for c, rep in zip(coeffs, reps):
                 target = [x + c * y for x, y in zip(target, rep)]
             for j in rng.sample(range(len(cols)), 4):
                 d = LaurentPoly.const(reg, rng.randint(1, 5)) * alpha ** rng.randint(-1, 1)
                 target = [x + d * y for x, y in zip(target, cols[j])]
-            assert quotient_coords(space, target) == coeffs
+            # a full-coordinate class reduction on the model
+            assert model.class_coords(grade, target) == coeffs
 
 
-# sha256 of the kernel vectors of mat1 and mat2 and the quotient coordinates
-# of every unit vector on m1_space and m2_space, printed one per line
+# sha256 of the kernel vectors of mat1 and mat2 and the class coordinates
+# in M1 and M2 of every unit vector, printed one per line
 COVER_DIGESTS = {
     ("IV", None): "d9405c1db8283c81d2827b1a87723c11d90d370372ac37eba6eda90f541fbcab",
     ("III", 2): "794c6af9d257c1de0ad9d2f1c94267c49fe7092fc730bcd82fd6304348de094e",
@@ -223,14 +227,14 @@ def test_hopf_cover_kernels_and_quotients_are_pinned(tag, p):
     model = hopf.cover_model(ctx, hopf.default_cap(t))
     zero, one = LaurentPoly.zero(ctx.registry), LaurentPoly.const(ctx.registry, 1)
     lines = []
-    for mat, space in ((model.mat1, model.m1_space), (model.mat2, model.m2_space)):
+    for grade, mat in ((1, model.mat1), (2, model.mat2)):
         lines.append(f"{mat.n_rows}x{mat.n_cols}")
         for vec in kernel_basis(mat):
             lines.append("ker " + ", ".join(map(str, vec)))
-        for k in range(space.dim):
-            unit = [one if j == k else zero for j in range(space.dim)]
+        for k in range(mat.n_rows):
+            unit = [one if j == k else zero for j in range(mat.n_rows)]
             try:
-                lines.append(f"e{k} " + ", ".join(map(str, quotient_coords(space, unit))))
+                lines.append(f"e{k} " + ", ".join(map(str, model.class_coords(grade, unit))))
             except NotInSpan as exc:
                 lines.append(f"e{k} NotInSpan: {exc}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
