@@ -43,6 +43,7 @@ REQUESTS = (
     ["classify", "torus:3", "--poisson", "2*(@z1^@z2) - 1/3*(@z2^@z3)"],
     ["bracket", "(((-4) + (4/3)*i)*z^1*w^2)", "(A*z^1*w^0 + A*z^1*w^0 + ((3/2) + (-4)*i)*z^2*w^0)*@z + (((-4) + (-1)*i)*z^1*w^1 + ((-1/3) + (-1)*i)*z^2*w^2)*@w", "--chart", "z,w"],
     ["verify-family", "ep1"],
+    ["verify-family", "tp1"],
     ["mc-check", "ep1"],
     ["mc-check", "tp1"],
     # edge inputs
