@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import hopf, products, ruled
-from .expr import ParseError, UnknownSymbol, context_for, eval_str, free_names
+from .expr import ParseError, UnknownSymbol, context_for, eval_str, free_names, tokenize
 from .laurent import LaurentPoly
 from .linalg import NotInSpan
 from .multivector import ChartFrame, schouten_formed
@@ -127,13 +127,10 @@ def products_tables() -> dict:
          "note": "the untwisted ruled surface row"},
         {"manifold": "E1xE2", "stratum": "any", "verdict": UNOBSTRUCTED_MC,
          "dim_h1": products.torus_dims(2)},
-        {"manifold": "ExP1", "stratum": "nonzero",
-         "verdict": products.ep1_classify(1, 0, 0).verdict,
-         "dim_h1": 3, "dim_h2": 1},
-        {"manifold": "ExP1", "stratum": "zero",
-         "verdict": products.ep1_classify(0, 0, 0).verdict,
-         "dim_h1": 7, "dim_h2": 3},
     ]
+    for cert in (products.ep1_classify(1, 0, 0), products.ep1_classify(0, 0, 0)):
+        curve_rows.append({"manifold": "ExP1", "stratum": cert.stratum, "verdict": cert.verdict,
+                           "dim_h1": cert.data["dim_h1"], "dim_h2": cert.data["dim_h2"]})
     tp1_rows = []
     for cid in (1, 2, 3):
         cls = products.TP1PoissonClass(cid, {})
@@ -194,9 +191,11 @@ def cmd_bracket(args) -> int:
         raise UsageError(f"--chart {args.chart!r}: the chart variables must be "
                          "nonempty and distinct")
     dbar = tuple(args.dbar.split(",")) if args.dbar else ()
-    ctx = context_for([args.left, args.right], chart_vars, dbar)
-    a = eval_str(args.left, ctx)
-    b = eval_str(args.right, ctx)
+    # each source is tokenized once: every tokenizer error comes first
+    left, right = tokenize(args.left), tokenize(args.right)
+    ctx = context_for([left, right], chart_vars, dbar)
+    a = eval_str(left, ctx)
+    b = eval_str(right, ctx)
     print(str(schouten_formed(a, b)))
     return EXIT_OK
 
@@ -219,14 +218,15 @@ def cmd_classify(args) -> int:
     if kind == "ruled":
         m = _spec_number(parts, 0, ruled.MAX_M)
         src = args.poisson
-        names = sorted(n for n in free_names(src) if n not in ("z", "xi"))
+        tokens = tokenize(src)
+        names = sorted(n for n in free_names(tokens) if n not in ("z", "xi"))
         for n in names:
             if n in ("zp", "xip"):
                 raise UsageError(f"{src!r}: {n!r} is a coordinate of the chart U2; "
                                  "write the bivector in the U1 coordinates z, xi")
         # one with its own parameter names is never stored: names cannot grow the store
         rs = ruled.make_surface(m, names) if names else ruled.surface_for(m)
-        mv = eval_str(src, rs).part(())
+        mv = eval_str(tokens, rs).part(())
         try:
             pois = ruled.poisson_from_bivector(rs, mv)
         except ValueError as exc:
@@ -282,16 +282,18 @@ def _xi_quadratic(src: str, poly: LaurentPoly, manifold: str):
 
 
 def _ep1_coeffs(src: str):
-    ctx = context_for([src], ("z", "xi"), ("z",))
-    mv = _require_bivector(eval_str(src, ctx).part(()))
+    tokens = tokenize(src)
+    ctx = context_for([tokens], ("z", "xi"), ("z",))
+    mv = _require_bivector(eval_str(tokens, ctx).part(()))
     return _xi_quadratic(src, mv.coefficient(("z", "xi")), "ExP1")
 
 
 def _torus_coeffs(src: str, n: int) -> dict:
     """The constant coefficients b_ij of a bivector on the chart z1..zN."""
     names = tuple(f"z{i}" for i in range(1, n + 1))
-    ctx = context_for([src], names)
-    mv = _require_bivector(eval_str(src, ctx).part(()))
+    tokens = tokenize(src)
+    ctx = context_for([tokens], names)
+    mv = _require_bivector(eval_str(tokens, ctx).part(()))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     values = [_rational_or_none(mv.coefficient((f"z{i}", f"z{j}"))) for i, j in pairs]
     if None in values:
@@ -326,11 +328,12 @@ def _classify_hopf(parts, args) -> Certificate:
     tag = t.tag
     model = hopf.model_for(t)
     ctx = model.ctx
-    names = sorted(n for n in free_names(args.poisson) if n not in ("z", "w"))
+    tokens = tokenize(args.poisson)
+    names = sorted(n for n in free_names(tokens) if n not in ("z", "w"))
     for n in names:
         if n not in ctx.registry.param_vars:
             raise UnknownSymbol(n)
-    mv = _require_bivector(eval_str(args.poisson, ctx).part(()))
+    mv = _require_bivector(eval_str(tokens, ctx).part(()))
     try:
         model.bivector_coords(mv)
     except NotInSpan:

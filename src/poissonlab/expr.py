@@ -106,7 +106,10 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _NAME_CHARS = _NAME_START | _DIGITS
 
 
-def _tokenize(src: str):
+def tokenize(src: str) -> list[tuple]:
+    """The tokens of `src`, (kind, value, line, column) each, closed by an
+    "end" token; `parse`, `free_names` and `eval_str` take them in place
+    of the text."""
     tokens = []
     line, col = 1, 1
     k = 0
@@ -264,8 +267,13 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", tok[2], tok[3])
 
 
-def parse(src: str):
-    parser = _Parser(_tokenize(src))
+def _tokens(src) -> list[tuple]:
+    return tokenize(src) if isinstance(src, str) else src
+
+
+def parse(src):
+    """The tree of `src`, a source text or its tokens."""
+    parser = _Parser(_tokens(src))
     node = parser.parse_expr()
     end = parser.next()
     if end[0] != "end":
@@ -273,10 +281,11 @@ def parse(src: str):
     return node
 
 
-def free_names(src: str) -> set[str]:
-    """The names `src` mentions, without `i`: every name token becomes a
-    `Sym`, so this is the set of `Sym` names of parse(src) when it parses."""
-    return {tok[1] for tok in _tokenize(src) if tok[0] == "name" and tok[1] != "i"}
+def free_names(src) -> set[str]:
+    """The names `src`, a source text or its tokens, mentions, without `i`:
+    every name token becomes a `Sym`, so this is the set of `Sym` names of
+    parse(src) when it parses."""
+    return {tok[1] for tok in _tokens(src) if tok[0] == "name" and tok[1] != "i"}
 
 
 # ----------------------------------------------------------------------
@@ -356,13 +365,17 @@ def evaluate(node, ctx: EvalContext) -> FormedMultiVector:
     return _lift(_value(node, ctx), ctx)
 
 
-def eval_str(src: str, ctx: EvalContext) -> FormedMultiVector:
+def eval_str(src, ctx: EvalContext) -> FormedMultiVector:
+    """The value of `src`, a source text or its tokens, in `ctx`."""
     return evaluate(parse(src), ctx)
 
 
 def context_for(src_list, chart_vars: tuple[str, ...],
                 dbar_vars: tuple[str, ...] = ()) -> EvalContext:
-    """Build an evaluation context, auto-registering free names as parameters."""
+    """Build an evaluation context, auto-registering free names as parameters.
+
+    Each source is a text or its tokens; a caller that evaluates the
+    sources afterwards tokenizes them first and passes the tokens."""
     names = set()
     for src in src_list:
         names |= free_names(src)

@@ -219,6 +219,13 @@ class LaurentPoly:
             return self
         if not other.terms:
             return other
+        # a constant factor scales the other operand's terms, in their order
+        if len(other.terms) == 1 and () in other.terms:
+            c = other.terms[()]
+            return LaurentPoly._of_terms(self.registry, {k: v * c for k, v in self.terms.items()})
+        if len(self.terms) == 1 and () in self.terms:
+            c = self.terms[()]
+            return LaurentPoly._of_terms(self.registry, {k: c * v for k, v in other.terms.items()})
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -379,14 +386,14 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # exact division (used by fraction-free elimination)
 
-    def _lead_key(self):
+    def _order(self, key):
         # graded-lex on the shifted exponent vector; deterministic
-        def order(key):
-            kd = dict(key)
-            dense = tuple(kd.get(i, 0) for i in range(len(self.registry.names)))
-            return (sum(dense), dense)
+        kd = dict(key)
+        dense = tuple(kd.get(i, 0) for i in range(len(self.registry.names)))
+        return (sum(dense), dense)
 
-        return max(self.terms, key=order)
+    def _lead_key(self):
+        return max(self.terms, key=self._order)
 
     def monomial_content_key(self) -> tuple:
         """Per-variable minimum exponent, as a sparse key (empty for 0)."""
@@ -405,6 +412,12 @@ class LaurentPoly:
             raise ZeroDivisionError("exact_div by zero")
         if self.is_zero():
             return self
+        if len(divisor.terms) == 1 and () in divisor.terms:
+            # exact over Q(i): term by term, in the order long division
+            # emits the terms, the leading one first
+            c = divisor.terms[()]
+            return LaurentPoly._of_terms(self.registry, {
+                k: self.terms[k] / c for k in sorted(self.terms, key=self._order, reverse=True)})
         # split off monomial parts so both operands are min-normalized
         one = GaussianRational(1)
         ms = self.monomial_content_key()
@@ -453,6 +466,8 @@ class LaurentPoly:
     def lead_scalar(self) -> GaussianRational:
         if self.is_zero():
             return GaussianRational(0)
+        if len(self.terms) == 1:
+            return next(iter(self.terms.values()))
         return self.terms[self._lead_key()]
 
     # ------------------------------------------------------------------

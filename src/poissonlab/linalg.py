@@ -127,31 +127,35 @@ class LinMap:
 
 
 def _row_content_normalize(row: list[LaurentPoly]) -> list[LaurentPoly]:
-    """Divide a polynomial row by its common monomial and numeric content."""
+    """Divide a polynomial row by its common monomial and numeric content.
+
+    A row whose nonzero entries are all constants has neither a monomial
+    nor a polynomial common factor, so only the numeric pass runs."""
     nz = [p for p in row if p.terms]
     if not nz:
         return row
-    # common monomial content: per variable, the minimum exponent over all
-    # nonzero entries, where a variable absent from an entry counts as 0
-    keys = [dict(p.monomial_content_key()) for p in nz]
-    common = {}
-    for idx in set().union(*keys):
-        best = min(k.get(idx, 0) for k in keys)
-        if best:
-            common[idx] = best
-    reg = nz[0].registry
-    if common:
-        mono = LaurentPoly(reg, {tuple(sorted((i, -e) for i, e in common.items())): ONE})
-        row = [p * mono if p.terms else p for p in row]
-        nz = [p for p in row if p.terms]
-    # rows in a single variable: cancel the common polynomial factor too,
-    # which keeps one-parameter eliminations from doubling degrees
-    single = {p.univariate_profile() for p in nz}
-    if len(single) == 1 and None not in single:
-        g = univar_gcd(nz, next(iter(single)))
-        if g is not None:
-            row = [p.exact_div(g) if p.terms else p for p in row]
+    if any(key for p in nz for key in p.terms):
+        # common monomial content: per variable, the minimum exponent over all
+        # nonzero entries, where a variable absent from an entry counts as 0
+        keys = [dict(p.monomial_content_key()) for p in nz]
+        common = {}
+        for idx in set().union(*keys):
+            best = min(k.get(idx, 0) for k in keys)
+            if best:
+                common[idx] = best
+        reg = nz[0].registry
+        if common:
+            mono = LaurentPoly(reg, {tuple(sorted((i, -e) for i, e in common.items())): ONE})
+            row = [p * mono if p.terms else p for p in row]
             nz = [p for p in row if p.terms]
+        # rows in a single variable: cancel the common polynomial factor too,
+        # which keeps one-parameter eliminations from doubling degrees
+        single = {p.univariate_profile() for p in nz}
+        if len(single) == 1 and None not in single:
+            g = univar_gcd(nz, next(iter(single)))
+            if g is not None:
+                row = [p.exact_div(g) if p.terms else p for p in row]
+                nz = [p for p in row if p.terms]
     # numeric content
     g = content(c for p in nz for c in p.terms.values())
     if not g.is_one():
@@ -418,3 +422,28 @@ def matrix_of_map(op: Callable, dom: LabeledBasis, cod: LabeledBasis, red: Reduc
         columns.append(list(coords))
     rows = [[columns[j][i] for j in range(len(dom))] for i in range(len(cod))]
     return LinMap(dom, cod, rows, registry)
+
+
+class MapFamily(Frozen):
+    """The linear family c -> sum_j c[j] * M_j of maps with one domain and
+    codomain, each M_j kept as its nonzero entries (row, column, value)."""
+
+    __slots__ = ("domain", "codomain", "registry", "entries")
+
+    def __init__(self, maps: Sequence[LinMap]):
+        _set(self, "domain", maps[0].domain)
+        _set(self, "codomain", maps[0].codomain)
+        _set(self, "registry", maps[0].registry)
+        _set(self, "entries", tuple(
+            tuple((i, k, e) for i, row in enumerate(m.rows) for k, e in enumerate(row) if e.terms)
+            for m in maps))
+
+    def at(self, coeffs: Sequence[LaurentPoly]) -> LinMap:
+        """The matrix sum_j coeffs[j] * M_j."""
+        zero = LaurentPoly.zero(self.registry)
+        rows = [[zero] * len(self.domain) for _ in self.codomain]
+        for c, entries in zip(coeffs, self.entries, strict=True):
+            if c.terms:
+                for i, k, e in entries:
+                    rows[i][k] = rows[i][k] + c * e
+        return LinMap(self.domain, self.codomain, rows, self.registry)

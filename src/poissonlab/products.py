@@ -7,19 +7,32 @@ Maurer-Cartan solutions here are polynomials in the deformation
 parameters and are verified as exact identities.
 
 The frame store `_FRAME_CACHE` is the module's only per-process state.
-It holds the ExP1 frame with the bases built by `ep1_bases`, and the
-TxP1 frame with the bases built by `tp1_bases`, each built on first use:
+It holds, for ExP1 and for TxP1, the frame, the bases built by
+`ep1_bases` or `tp1_bases`, and the per-basis bracket maps: for each
+basis bivector s_j of H0(wedge2), the matrices of [s_j, -] (ExP1: on
+H0(Theta) and on H1(Theta); TxP1: on H0(Theta), H0(wedge2) and
+H1(Theta)).  Each entry is built on first use, not at import;
 `ep1_context()` and `tp1_context()` hand out the stored frames, and a
-process serving a stream of classify requests reuses frames and bases
-across requests.
+process serving a stream of classify requests reuses all of it across
+requests.
+
+A bivector lam = sum_j lam_j s_j with coefficients lam_j free of chart
+variables has the bracket matrix sum_j lam_j M_j, M_j that of [s_j, -],
+exactly: the Schouten bracket is bilinear over such coefficients, since
+it differentiates chart variables only, and every reducer is a linear
+coordinate map.  `ep1_bracket_matrices` and `tp1_matrices` read the lam_j
+with the basis coordinate maps, which reject a bivector outside the
+span, and sum the stored maps with them (`linalg.MapFamily`).
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ColumnSpace, ConstraintViolation, LabeledBasis, LinMap, NotInSpan,
-                     Reducer, cokernel_space, generic_rank, image_space, kernel_basis,
-                     matrix_of_map, quotient_coords, quotient_space)
+from .linalg import (ColumnSpace, ConstraintViolation, LabeledBasis, LinMap, MapFamily,
+                     NotInSpan, Reducer, cokernel_space, generic_rank, image_space,
+                     kernel_basis, matrix_of_map, quotient_coords, quotient_space)
 from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, mc_defect,
                           schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate,
@@ -31,18 +44,32 @@ _set = object.__setattr__
 _FRAME_CACHE: dict = {}
 
 
-def _stored(name: str) -> tuple[ChartFrame, dict]:
-    """The frame of the product `name`, "ExP1" or "TxP1", and its bases."""
+def _stored(name: str) -> tuple[ChartFrame, dict, dict]:
+    """The frame of the product `name`, "ExP1" or "TxP1", its bases and
+    its per-basis bracket maps."""
     if name not in _FRAME_CACHE:
         if name == "ExP1":
             ctx = ChartFrame(Chart("ExP1", ("z", "xi")), VarRegistry(("z", "xi"), EP1_PARAMS),
                              ("z",))
-            _FRAME_CACHE[name] = ctx, ep1_bases(ctx)
+            bases = ep1_bases(ctx)
+            _FRAME_CACHE[name] = ctx, bases, _ep1_basis_maps(ctx, bases)
         else:
             ctx = ChartFrame(Chart("TxP1", ("z1", "z2", "xi")),
                              VarRegistry(("z1", "z2", "xi"), TP1_PARAMS), ("z1", "z2"))
-            _FRAME_CACHE[name] = ctx, tp1_bases(ctx)
+            bases = tp1_bases(ctx)
+            _FRAME_CACHE[name] = ctx, bases, _tp1_basis_maps(ctx, bases)
     return _FRAME_CACHE[name]
+
+
+def _bracket_family(ctx: ChartFrame, sq: LabeledBasis, dom: LabeledBasis,
+                    cod: LabeledBasis, red: Reducer) -> MapFamily:
+    """The maps [s, -]: dom -> cod in the coordinates of `red`, one for each
+    basis bivector s of `sq`; a formed domain meets s as a formed field."""
+    if isinstance(dom[0], FormedMultiVector):
+        brackets = [partial(schouten_formed, ctx.formed(s)) for s in sq]
+    else:
+        brackets = [partial(schouten, s) for s in sq]
+    return MapFamily([matrix_of_map(op, dom, cod, red, ctx.registry) for op in brackets])
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +123,16 @@ def _ep1_sq_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
     return _xi_quadratic_coords(ctx, mv.coefficient(("z", "xi")), params)
 
 
+def _ep1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
+    """[s_j, -] on global sections and on first cohomology, for each basis
+    bivector s_j of H0(wedge2)."""
+    red0 = Reducer("H0 wedge2 coords", lambda v: _ep1_sq_coords(ctx, v))
+    red1 = Reducer("H1 wedge2 coords", lambda f: _ep1_sq_coords(ctx, f.part(("z",))))
+    sq = bases["h0_sq"]
+    return {"h0": _bracket_family(ctx, sq, bases["h0_theta"], sq, red0),
+            "h1": _bracket_family(ctx, sq, bases["h1_theta"], bases["h1_sq"], red1)}
+
+
 def ep1_lambda0(ctx: ChartFrame, a=None, b=None, c=None) -> MultiVector:
     """(A + B xi + C xi^2) dz ^ dxi with symbolic defaults."""
     A = ctx.param("A") if a is None else ctx.const(a)
@@ -121,17 +158,13 @@ class EP1Matrices(Frozen):
 
 def ep1_bracket_matrices(a=None, b=None, c=None) -> EP1Matrices:
     """The bracket matrices of (A + B xi + C xi^2) dz ^ dxi, symbolic in
-    each coefficient given as None."""
-    ctx, bases = _stored("ExP1")
+    each coefficient given as None: the stored per-basis maps summed with
+    the coefficients as weights."""
+    ctx, _, maps = _stored("ExP1")
     lam0 = ep1_lambda0(ctx, a, b, c)
-    red_sq = Reducer("H1 wedge2 coords",
-                     lambda f: _ep1_sq_coords(ctx, f.part(("z",))))
-    m_h1 = matrix_of_map(lambda x: schouten_formed(FormedMultiVector.of(lam0, ctx.dbar), x),
-                         bases["h1_theta"], bases["h1_sq"], red_sq, ctx.registry)
-    red0 = Reducer("H0 wedge2 coords", lambda v: _ep1_sq_coords(ctx, v))
-    m_h0 = matrix_of_map(lambda x: schouten(lam0, x),
-                         bases["h0_theta"], bases["h0_sq"], red0, ctx.registry)
-    return EP1Matrices(ctx, lam0, m_h1, m_h0, cokernel_space(m_h0))
+    coords = _ep1_sq_coords(ctx, lam0)
+    m_h0 = maps["h0"].at(coords)
+    return EP1Matrices(ctx, lam0, maps["h1"].at(coords), m_h0, cokernel_space(m_h0))
 
 
 class MCSolution:
@@ -152,6 +185,28 @@ class MCSolution:
 
     def defect(self) -> FormedMultiVector:
         return mc_defect(self.lambda0, self.element())
+
+    def tangents(self) -> list[FormedMultiVector]:
+        """The derivative of the element, a polynomial in the parameters,
+        along each parameter at t = 0, in the order of `params`: the terms
+        of degree exactly one in the parameters, read in one pass, each
+        with its parameter removed."""
+        el = self.element()
+        reg = el.registry
+        position = {reg.index(t): n for n, t in enumerate(self.params)}
+        found = [{} for _ in self.params]  # form factor -> component -> key -> coefficient
+        for factor, mv in el.parts.items():
+            for comp, poly in mv.components.items():
+                for key, coef in poly.terms.items():
+                    hits = [(k, idx, e) for k, (idx, e) in enumerate(key) if idx in position]
+                    if len(hits) == 1 and hits[0][2] == 1:
+                        k, idx, _ = hits[0]
+                        comps = found[position[idx]].setdefault(factor, {})
+                        comps.setdefault(comp, {})[key[:k] + key[k + 1:]] = coef
+        return [FormedMultiVector(el.chart, reg, el.dbar_vars, {
+            factor: MultiVector(el.chart, reg, {comp: LaurentPoly(reg, terms)
+                                                for comp, terms in comps.items()})
+            for factor, comps in parts.items()}) for parts in found]
 
 
 def ep1_mc_solution(mats: EP1Matrices, f_coeffs=None) -> MCSolution:
@@ -198,12 +253,8 @@ def ep1_h1_model(mats: EP1Matrices):
 def ep1_ks_matrix(sol: MCSolution, model) -> list[list[LaurentPoly]]:
     """Derivatives of the solution at t = 0, in the H1 model coordinates."""
     ctx = model["ctx"]
-    reg = ctx.registry
-    zero_t = {t: LaurentPoly.const(reg, 0) for t in sol.params}
     columns = []
-    for tname in sol.params:
-        el = sol.element().map_coefficients(
-            lambda p: p.partial(tname).substitute(zero_t))
+    for el in sol.tangents():
         biv = el.part(())
         form = el.part(("z",))
         coker = quotient_coords(model["coker_space"], _ep1_sq_coords(ctx, biv))
@@ -240,11 +291,12 @@ def ep1_classify(a, b, c) -> Certificate:
         cls = schouten_formed(ctx.formed(witness_a), witness_b)
         if cls.is_zero():
             raise AssertionError("witness bracket vanished")
+        model = ep1_h1_model(ep1_bracket_matrices(0, 0, 0))
         return Certificate(
             "ExP1", "zero", OBSTRUCTED,
             witness={"a": str(witness_a), "b": str(witness_b)},
             class_repr=str(cls),
-            data={"dim_h1": 7, "dim_h2": 3},
+            data={"dim_h1": model["dim_h1"], "dim_h2": model["dim_h2"]},
         )
     mats = ep1_bracket_matrices(a, b, c)
     sol = ep1_mc_solution(mats)
@@ -386,6 +438,26 @@ def tp1_cube_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
     return _tp1_xi_coords(ctx, mv.coefficient(("z1", "z2", "xi")))
 
 
+def _tp1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
+    """[s_j, -] as H0(Theta) -> H0(wedge2), H0(wedge2) -> H0(wedge3) and
+    H1(Theta) -> H1(wedge2), for each basis bivector s_j of H0(wedge2)."""
+    def red_sq_formed(f: FormedMultiVector):
+        out = []
+        for g in ("z1", "z2"):
+            out += tp1_sq_coords(ctx, f.part((g,)))
+        return out
+
+    sq = bases["h0_sq"]
+    return {
+        "h0": _bracket_family(ctx, sq, bases["h0_theta"], sq,
+                              Reducer("sq coords", lambda v: tp1_sq_coords(ctx, v))),
+        "sq_cube": _bracket_family(ctx, sq, sq, bases["h0_cube"],
+                                   Reducer("cube coords", lambda v: tp1_cube_coords(ctx, v))),
+        "h1": _bracket_family(ctx, sq, bases["h1_theta"], bases["h1_sq"],
+                              Reducer("formed sq coords", red_sq_formed)),
+    }
+
+
 class TP1Matrices(Frozen):
     """The bracket maps of lam0 on the bases, built once per structure:
     H0(Theta) -> H0(wedge2), H0(wedge2) -> H0(wedge3) and
@@ -404,34 +476,27 @@ class TP1Matrices(Frozen):
 
 
 def tp1_matrices(ctx, lam0) -> TP1Matrices:
-    """The bracket maps of lam0; `ctx` is tp1_context()."""
-    bases = _stored("TxP1")[1]
-    lam0f = FormedMultiVector.of(lam0, ctx.dbar)
-
-    def red_sq_formed(f: FormedMultiVector):
-        out = []
-        for g in ("z1", "z2"):
-            out += tp1_sq_coords(ctx, f.part((g,)))
-        return out
-
-    m_h0 = matrix_of_map(lambda x: schouten(lam0, x), bases["h0_theta"],
-                         bases["h0_sq"], Reducer("sq coords", lambda v: tp1_sq_coords(ctx, v)),
-                         ctx.registry)
-    m_sq_cube = matrix_of_map(lambda x: schouten(lam0, x), bases["h0_sq"],
-                              bases["h0_cube"], Reducer("cube coords", lambda v: tp1_cube_coords(ctx, v)),
-                              ctx.registry)
-    m_h1 = matrix_of_map(lambda x: schouten_formed(lam0f, x), bases["h1_theta"],
-                         bases["h1_sq"], Reducer("formed sq coords", red_sq_formed),
-                         ctx.registry)
-    return TP1Matrices(ctx, lam0, bases, m_h0, m_sq_cube, m_h1)
+    """The bracket maps of lam0, a bivector in the span of H0(wedge2): the
+    stored per-basis maps summed with its coordinates as weights; `ctx`
+    is tp1_context()."""
+    _, bases, maps = _stored("TxP1")
+    coords = tp1_sq_coords(ctx, lam0)
+    return TP1Matrices(ctx, lam0, bases, maps["h0"].at(coords), maps["sq_cube"].at(coords),
+                       maps["h1"].at(coords))
 
 
-def tp1_dims(mats: TP1Matrices) -> dict:
+def tp1_dims(mats: TP1Matrices, image_h0: ColumnSpace | None = None,
+             ker_h1: list | None = None) -> dict:
+    """The dimensions of H0 and H1; `image_h0` and `ker_h1` are the image of
+    m_h0 and the kernel of m_h1 when the caller has eliminated them."""
     bases = mats.bases
-    r0 = generic_rank(mats.m_h0)
+    image_h0 = image_space(mats.m_h0) if image_h0 is None else image_h0
+    ker_h1 = kernel_basis(mats.m_h1) if ker_h1 is None else ker_h1
+    # each registered representative adds one pivot to the image's rank
+    r0 = image_h0.rank - len(image_h0.reps)
     middle_ker = len(bases["h0_sq"]) - generic_rank(mats.m_sq_cube)
     h1_block = middle_ker - r0
-    ker1 = len(bases["h1_theta"]) - generic_rank(mats.m_h1)
+    ker1 = len(ker_h1)
     return {
         "dim_h0": len(bases["h0_theta"]) - r0,
         "dim_h1": h1_block + ker1,
@@ -492,31 +557,33 @@ def tp1_integrability(sol: MCSolution) -> dict:
     return {"p14": p14, "p15": p15, "p16": p16}
 
 
-def tp1_ks_matrix(sol: MCSolution, mats: TP1Matrices) -> list[list[LaurentPoly]]:
+def tp1_ks_matrix(sol: MCSolution, mats: TP1Matrices, image_h0: ColumnSpace | None = None,
+                  ker_h1: list | None = None) -> list[list[LaurentPoly]]:
     """Tangent directions of the solution in the 9-dimensional H1 model;
-    `mats` are the bracket maps of the solution's lambda0."""
-    ctx, lam0, m_h0, m_h1 = mats.ctx, sol.lambda0, mats.m_h0, mats.m_h1
-    reg = ctx.registry
+    `mats` are the bracket maps of the solution's lambda0.  `image_h0` and
+    `ker_h1` are as for `tp1_dims`; the bivector representatives are
+    registered in `image_h0`."""
+    ctx, lam0 = mats.ctx, sol.lambda0
+    image_h0 = image_space(mats.m_h0) if image_h0 is None else image_h0
+    ker_h1 = kernel_basis(mats.m_h1) if ker_h1 is None else ker_h1
     # quotient representatives for the bivector block: dz1^dz2, the
     # F-direction, and K dxi^dz1
     kk = lam0.coefficient(("z2", "xi"))
     kpar = -lam0.coefficient(("z1", "xi")).exact_div(kk)
-    zero_t = {f"t{i}": LaurentPoly.const(reg, 0) for i in range(9)}
-    dbeta0 = sol.beta.part(()).map_coefficients(lambda p: p.partial("t2").substitute(zero_t))
-    F = dbeta0.coefficient(("z2", "xi"))
+    tangents = sol.tangents()
+    F = tangents[2].part(()).coefficient(("z2", "xi"))
     reps = [
         ctx.mv(ctx.const(1), ("z1", "z2")),
         ctx.mv(F, ("z2", "xi")) - ctx.mv(kpar * F, ("z1", "xi")),
         -ctx.mv(kk, ("z1", "xi")),
     ]
-    coker = quotient_space(m_h0.columns(), [tp1_sq_coords(ctx, r) for r in reps],
-                           m_h0.n_rows, reg)
-    kers = quotient_space((), kernel_basis(m_h1), m_h1.n_cols, reg)
+    for r in reps:
+        image_h0.add(tp1_sq_coords(ctx, r), rep=True)
+    kers = quotient_space((), ker_h1, mats.m_h1.n_cols, ctx.registry)
     columns = []
-    for tname in sol.params:
-        el = sol.element().map_coefficients(lambda p: p.partial(tname).substitute(zero_t))
+    for el in tangents:
         biv = el.part(())
-        ccoords = quotient_coords(coker, tp1_sq_coords(ctx, biv))
+        ccoords = quotient_coords(image_h0, tp1_sq_coords(ctx, biv))
         fcoords = []
         for g in ("z1", "z2"):
             fcoords += tp1_theta_coords(ctx, el.part((g,)))
@@ -549,13 +616,15 @@ def tp1_classify(cls: TP1PoissonClass) -> Certificate:
     for name, val in pieces.items():
         if not val.is_zero():
             raise AssertionError(f"integrability piece {name} did not vanish")
-    rows = tp1_ks_matrix(sol, mats)
+    # the dimensions and the tangent map share one elimination of each map
+    image_h0, ker_h1 = image_space(mats.m_h0), kernel_basis(mats.m_h1)
+    dims = tp1_dims(mats, image_h0, ker_h1)
+    rows = tp1_ks_matrix(sol, mats, image_h0, ker_h1)
     ks = LinMap(LabeledBasis("t", sol.params),
                 LabeledBasis("H1", tuple(f"c{i}" for i in range(len(rows)))),
                 rows, ctx.registry)
     if generic_rank(ks) != 9:
         raise AssertionError("tangent map does not fill the 9 directions")
-    dims = tp1_dims(mats)
     if dims["dim_h1"] != 9:
         raise AssertionError("expected dim H1 = 9 on this class")
     return Certificate(

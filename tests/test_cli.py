@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from poissonlab.cli import main
+import poissonlab.cli as cli_mod
+import poissonlab.expr as expr_mod
+from poissonlab.cli import FAMILY_NAMES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -447,3 +449,36 @@ def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):
     code, out = run_cli(*argv)
     assert code == 1 and out == ""
     assert capsys.readouterr().err == "error: bivector direction dies in the H0 cokernel\n"
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_verify_family_passes_for_every_family(name):
+    code, out = run_cli("verify-family", name)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+def test_each_source_is_tokenized_once(monkeypatch):
+    calls, real = [], expr_mod.tokenize
+
+    def counted(src):
+        calls.append(src)
+        return real(src)
+
+    monkeypatch.setattr(expr_mod, "tokenize", counted)
+    monkeypatch.setattr(cli_mod, "tokenize", counted)
+    src = "((1/2 + A*z)*xi + z^2*xi^2)*@z^@xi"
+    code, _ = run_cli("classify", "ruled:7", "--poisson", src)
+    assert code == 0 and calls == [src]
+    calls.clear()
+    left, right = "(A*z + B*w)*@z", "z*w*@w"
+    code, _ = run_cli("bracket", left, right, "--chart", "z,w")
+    assert code == 0 and calls == [left, right]
+
+
+def test_a_tokenizer_error_of_any_source_is_reported_first():
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["bracket", "(z + @q", "1.5*w"])
+    assert code == 2
+    assert "decimal literals are not accepted" in err.getvalue()

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from poissonlab.laurent import (InexactDivision, LaurentError, LaurentPoly,
                                 NonInvertibleSubstitution, UnknownVariable,
                                 VarRegistry, univar_gcd)
-from poissonlab.rational import GaussianRational
+from poissonlab.linalg import _row_content_normalize
+from poissonlab.rational import ONE, GaussianRational, content
 
 import pytest
 
@@ -207,3 +208,56 @@ def test_monomial_powers_equal_repeated_products(exps, coeff):
     for n in range(9):
         assert p ** n == product
         product = product * p
+
+
+def _general_product(p, q):
+    """Every term pair of p * q, summed in the order the pairs come."""
+    out = {}
+    for ka, ca in p.terms.items():
+        for kb, cb in q.terms.items():
+            merged = dict(ka)
+            for idx, e in kb:
+                merged[idx] = merged.get(idx, 0) + e
+            key = tuple(sorted((i, e) for i, e in merged.items() if e))
+            s = out.get(key)
+            out[key] = ca * cb if s is None else s + ca * cb
+    return [(k, c) for k, c in out.items() if not c.is_zero()]
+
+
+def _graded_lex(key):
+    dense = tuple(dict(key).get(i, 0) for i in range(len(REG.names)))
+    return (sum(dense), dense)
+
+
+nonzero_scalars = st.builds(
+    lambda a, b, d: GaussianRational(Fraction(a, d), b),
+    st.integers(-4, 4), st.integers(-2, 2), st.integers(1, 3)
+).filter(lambda c: not c.is_zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), nonzero_scalars)
+def test_constant_short_circuits_match_the_general_code(p, c):
+    cpoly = const(c)
+    # a constant factor on either side: the general term-pair product
+    assert list((p * cpoly).terms.items()) == _general_product(p, cpoly)
+    assert list((cpoly * p).terms.items()) == _general_product(cpoly, p)
+    # a constant divisor: long division takes the leading remaining term each step
+    quotient = p.exact_div(cpoly)
+    assert list(quotient.terms.items()) == [
+        (k, p.terms[k] / c) for k in sorted(p.terms, key=_graded_lex, reverse=True)]
+    # the same as the general division by the non-constant divisor c*z
+    z = var("z")
+    assert list((p * z).exact_div(cpoly * z).terms.items()) == list(quotient.terms.items())
+    with pytest.raises(ZeroDivisionError):
+        p.exact_div(const(0))
+    # one term: its coefficient is the leading one
+    for key, coef in p.terms.items():
+        mono = LaurentPoly(REG, {key: coef})
+        assert mono.lead_scalar() == coef == mono.terms[max(mono.terms, key=_graded_lex)]
+    # a row of constants only meets the numeric content
+    row = [LaurentPoly(REG, {(): v}) for v in p.terms.values()] + [const(0), cpoly]
+    g = content(v for q in row for v in q.terms.values())
+    want = [q * (ONE / g) if q.terms else q for q in row]
+    got = _row_content_normalize(row)
+    assert [list(q.terms.items()) for q in got] == [list(q.terms.items()) for q in want]

@@ -1,7 +1,7 @@
 import pytest
 
 from poissonlab.laurent import LaurentPoly, VarRegistry
-from poissonlab.linalg import generic_rank, kernel_basis
+from poissonlab.linalg import Reducer, generic_rank, kernel_basis, matrix_of_map
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
                                     schouten, schouten_formed)
 from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_MC
@@ -284,3 +284,106 @@ def test_torus_dims():
     assert torus_dims(2) == 5
     assert torus_dims(3) == 12
     assert torus_dims(2, {"b_1_2": 7}) == 5
+
+
+# The bracket maps built straight from Schouten brackets of the whole
+# bivector, one column per basis element: the reference the stored
+# per-basis maps are summed against.
+
+def _direct_ep1_maps(lam0):
+    ctx = ep1_context()
+    bases = ep1_bases(ctx)
+    sq = lambda v: products_mod._ep1_sq_coords(ctx, v)  # noqa: E731
+    lam0f = FormedMultiVector.of(lam0, ctx.dbar)
+    m_h0 = matrix_of_map(lambda x: schouten(lam0, x), bases["h0_theta"], bases["h0_sq"],
+                         Reducer("sq", sq), ctx.registry)
+    m_h1 = matrix_of_map(lambda x: schouten_formed(lam0f, x), bases["h1_theta"],
+                         bases["h1_sq"], Reducer("formed sq", lambda f: sq(f.part(("z",)))),
+                         ctx.registry)
+    return m_h0, m_h1
+
+
+def _direct_tp1_maps(lam0):
+    ctx = tp1_context()
+    bases = tp1_bases(ctx)
+    sq = lambda v: products_mod.tp1_sq_coords(ctx, v)  # noqa: E731
+    lam0f = FormedMultiVector.of(lam0, ctx.dbar)
+    m_h0 = matrix_of_map(lambda x: schouten(lam0, x), bases["h0_theta"], bases["h0_sq"],
+                         Reducer("sq", sq), ctx.registry)
+    m_sq_cube = matrix_of_map(lambda x: schouten(lam0, x), bases["h0_sq"], bases["h0_cube"],
+                              Reducer("cube", lambda v: products_mod.tp1_cube_coords(ctx, v)),
+                              ctx.registry)
+    m_h1 = matrix_of_map(lambda x: schouten_formed(lam0f, x), bases["h1_theta"],
+                         bases["h1_sq"],
+                         Reducer("formed sq", lambda f: sq(f.part(("z1",))) + sq(f.part(("z2",)))),
+                         ctx.registry)
+    return m_h0, m_sq_cube, m_h1
+
+
+_TP1_POINTS = ({"D": 0, "A": 1, "B": 0, "C": 0, "k": 0},
+               {"D": 1, "A": 0, "B": 1, "C": 0, "k": 2})
+
+
+@pytest.mark.parametrize("abc", [(None, None, None), (0, 0, 0), (1, 0, 0), (0, 0, 5),
+                                 (2, -3, 1)])
+def test_ep1_summed_maps_equal_the_direct_brackets(abc):
+    mats = ep1_bracket_matrices(*abc)
+    m_h0, m_h1 = _direct_ep1_maps(mats.lam0)
+    assert mats.m_h0.rows == m_h0.rows
+    assert mats.m_h1.rows == m_h1.rows
+
+
+@pytest.mark.parametrize("cls", [TP1PoissonClass(1, {}), TP1PoissonClass(2, {}),
+                                 TP1PoissonClass(3, {})]
+                         + [TP1PoissonClass(2, point) for point in _TP1_POINTS])
+def test_tp1_summed_maps_equal_the_direct_brackets(cls):
+    ctx = tp1_context()
+    lam0 = tp1_lambda0(ctx, cls)
+    mats = tp1_matrices(ctx, lam0)
+    m_h0, m_sq_cube, m_h1 = _direct_tp1_maps(lam0)
+    assert mats.m_h0.rows == m_h0.rows
+    assert mats.m_sq_cube.rows == m_sq_cube.rows
+    assert mats.m_h1.rows == m_h1.rows
+
+
+def test_tp1_matrices_reject_a_bivector_outside_the_basis_span():
+    ctx = tp1_context()
+    with pytest.raises(products_mod.NotInSpan):
+        tp1_matrices(ctx, ctx.mv(ctx.param("z1"), ("z1", "z2")))
+
+
+def _tangents_reference(sol):
+    """d/dt at t = 0, one parameter at a time."""
+    reg = sol.lambda0.registry
+    zero_t = {t: LaurentPoly.const(reg, 0) for t in sol.params}
+    return [sol.element().map_coefficients(lambda p, t=t: p.partial(t).substitute(zero_t))
+            for t in sol.params]
+
+
+@pytest.mark.parametrize("sol", [
+    lambda: ep1_mc_solution(ep1_bracket_matrices()),
+    lambda: ep1_mc_solution(ep1_bracket_matrices(1, 2, 0)),
+    lambda: tp1_mc_solution(_tp1_mats(2)),
+    lambda: tp1_mc_solution(tp1_matrices(tp1_context(), tp1_lambda0(
+        tp1_context(), TP1PoissonClass(2, _TP1_POINTS[1])))),
+], ids=["ep1-symbolic", "ep1-numeric", "tp1-symbolic", "tp1-numeric"])
+def test_tangents_equal_the_per_parameter_derivatives(sol):
+    sol = sol()
+    tangents = sol.tangents()
+    assert len(tangents) == len(sol.params)
+    assert tangents == _tangents_reference(sol)
+    assert any(not t.is_zero() for t in tangents)
+
+
+def test_zero_ep1_dimensions_come_from_the_h1_model(monkeypatch):
+    assert ep1_classify(0, 0, 0).data == {"dim_h1": 7, "dim_h2": 3}
+    real = products_mod.ep1_h1_model
+
+    def shifted(mats):
+        model = dict(real(mats))
+        model["dim_h1"] += 10
+        model["dim_h2"] += 20
+        return model
+
+    monkeypatch.setattr(products_mod, "ep1_h1_model", shifted)
+    assert ep1_classify(0, 0, 0).data == {"dim_h1": 17, "dim_h2": 23}
