@@ -108,8 +108,8 @@ _NAME_CHARS = _NAME_START | _DIGITS
 
 def tokenize(src: str) -> list[tuple]:
     """The tokens of `src`, (kind, value, line, column) each, closed by an
-    "end" token; `parse`, `free_names` and `eval_str` take them in place
-    of the text."""
+    "end" token; `parse`, `eval_str` and `context_for` take them in place
+    of the text, `free_names` takes only them."""
     tokens = []
     line, col = 1, 1
     k = 0
@@ -281,11 +281,11 @@ def parse(src):
     return node
 
 
-def free_names(src) -> set[str]:
-    """The names `src`, a source text or its tokens, mentions, without `i`:
-    every name token becomes a `Sym`, so this is the set of `Sym` names of
-    parse(src) when it parses."""
-    return {tok[1] for tok in _tokens(src) if tok[0] == "name" and tok[1] != "i"}
+def free_names(tokens: list[tuple]) -> set[str]:
+    """The names the tokens of a source mention, without `i`: every name
+    token becomes a `Sym`, so this is the set of `Sym` names of
+    parse(tokens) when it parses."""
+    return {tok[1] for tok in tokens if tok[0] == "name" and tok[1] != "i"}
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +378,7 @@ def context_for(src_list, chart_vars: tuple[str, ...],
     sources afterwards tokenizes them first and passes the tokens."""
     names = set()
     for src in src_list:
-        names |= free_names(src)
+        names |= free_names(_tokens(src))
     params = tuple(sorted(names - set(chart_vars)))
     reg = VarRegistry(chart_vars, params)
     return ChartFrame(Chart("chart", chart_vars), reg, dbar_vars)

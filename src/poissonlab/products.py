@@ -10,8 +10,9 @@ The frame store `_FRAME_CACHE` is the module's only per-process state.
 It holds, for ExP1 and for TxP1, the frame, the bases built by
 `ep1_bases` or `tp1_bases`, and the per-basis bracket maps: for each
 basis bivector s_j of H0(wedge2), the matrices of [s_j, -] (ExP1: on
-H0(Theta) and on H1(Theta); TxP1: on H0(Theta), H0(wedge2) and
-H1(Theta)).  Each entry is built on first use, not at import;
+H0(Theta) and on H1(Theta); TxP1: on H0(Theta) and on H0(wedge2), its
+H1(Theta) map being two copies of the H0(Theta) one, see
+`tp1_matrices`).  Each entry is built on first use, not at import;
 `ep1_context()` and `tp1_context()` hand out the stored frames, and a
 process serving a stream of classify requests reuses all of it across
 requests.
@@ -439,22 +440,14 @@ def tp1_cube_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
 
 
 def _tp1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
-    """[s_j, -] as H0(Theta) -> H0(wedge2), H0(wedge2) -> H0(wedge3) and
-    H1(Theta) -> H1(wedge2), for each basis bivector s_j of H0(wedge2)."""
-    def red_sq_formed(f: FormedMultiVector):
-        out = []
-        for g in ("z1", "z2"):
-            out += tp1_sq_coords(ctx, f.part((g,)))
-        return out
-
+    """[s_j, -] as H0(Theta) -> H0(wedge2) and H0(wedge2) -> H0(wedge3), for
+    each basis bivector s_j of H0(wedge2)."""
     sq = bases["h0_sq"]
     return {
         "h0": _bracket_family(ctx, sq, bases["h0_theta"], sq,
                               Reducer("sq coords", lambda v: tp1_sq_coords(ctx, v))),
         "sq_cube": _bracket_family(ctx, sq, sq, bases["h0_cube"],
                                    Reducer("cube coords", lambda v: tp1_cube_coords(ctx, v))),
-        "h1": _bracket_family(ctx, sq, bases["h1_theta"], bases["h1_sq"],
-                              Reducer("formed sq coords", red_sq_formed)),
     }
 
 
@@ -481,19 +474,25 @@ def tp1_matrices(ctx, lam0) -> TP1Matrices:
     is tp1_context()."""
     _, bases, maps = _stored("TxP1")
     coords = tp1_sq_coords(ctx, lam0)
-    return TP1Matrices(ctx, lam0, bases, maps["h0"].at(coords), maps["sq_cube"].at(coords),
-                       maps["h1"].at(coords))
+    m_h0 = maps["h0"].at(coords)
+    # H1(Theta) and H1(wedge2) are H0(Theta) dzbar_g and H0(wedge2) dzbar_g,
+    # g = z1 then z2, and [lam0, v dzbar_g] = [lam0, v] dzbar_g: the H1 map
+    # is diag(m_h0, m_h0)
+    pad = (LaurentPoly.zero(ctx.registry),) * m_h0.n_cols
+    rows = [row + pad for row in m_h0.rows] + [pad + row for row in m_h0.rows]
+    m_h1 = LinMap(bases["h1_theta"], bases["h1_sq"], rows, ctx.registry)
+    return TP1Matrices(ctx, lam0, bases, m_h0, maps["sq_cube"].at(coords), m_h1)
 
 
 def tp1_dims(mats: TP1Matrices, image_h0: ColumnSpace | None = None,
              ker_h1: list | None = None) -> dict:
     """The dimensions of H0 and H1; `image_h0` and `ker_h1` are the image of
-    m_h0 and the kernel of m_h1 when the caller has eliminated them."""
+    m_h0 and the kernel of m_h1 when the caller has eliminated them, before
+    `tp1_ks_matrix` registers representatives in the image."""
     bases = mats.bases
     image_h0 = image_space(mats.m_h0) if image_h0 is None else image_h0
     ker_h1 = kernel_basis(mats.m_h1) if ker_h1 is None else ker_h1
-    # each registered representative adds one pivot to the image's rank
-    r0 = image_h0.rank - len(image_h0.reps)
+    r0 = image_h0.rank
     middle_ker = len(bases["h0_sq"]) - generic_rank(mats.m_sq_cube)
     h1_block = middle_ker - r0
     ker1 = len(ker_h1)
@@ -557,15 +556,14 @@ def tp1_integrability(sol: MCSolution) -> dict:
     return {"p14": p14, "p15": p15, "p16": p16}
 
 
-def tp1_ks_matrix(sol: MCSolution, mats: TP1Matrices, image_h0: ColumnSpace | None = None,
-                  ker_h1: list | None = None) -> list[list[LaurentPoly]]:
+def tp1_ks_matrix(sol: MCSolution, mats: TP1Matrices, image_h0: ColumnSpace,
+                  ker_h1: list) -> list[list[LaurentPoly]]:
     """Tangent directions of the solution in the 9-dimensional H1 model;
-    `mats` are the bracket maps of the solution's lambda0.  `image_h0` and
-    `ker_h1` are as for `tp1_dims`; the bivector representatives are
-    registered in `image_h0`."""
+    `mats` are the bracket maps of the solution's lambda0, `image_h0` the
+    image of m_h0 and `ker_h1` the kernel of m_h1.  The bivector
+    representatives are registered in `image_h0`, which raises its rank:
+    take `tp1_dims` from it first."""
     ctx, lam0 = mats.ctx, sol.lambda0
-    image_h0 = image_space(mats.m_h0) if image_h0 is None else image_h0
-    ker_h1 = kernel_basis(mats.m_h1) if ker_h1 is None else ker_h1
     # quotient representatives for the bivector block: dz1^dz2, the
     # F-direction, and K dxi^dz1
     kk = lam0.coefficient(("z2", "xi"))

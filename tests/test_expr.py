@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from poissonlab.expr import (Add, Dbar, EvalContext, Mul, Neg, Num, ParseError,
                              Pow, Sub, Sym, UnknownSymbol, Vec, WedgeOp,
                              context_for, eval_str, evaluate, fmv_product,
-                             free_names, parse)
+                             free_names, parse, tokenize)
 from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.multivector import Chart, FormedMultiVector, MultiVector
 from poissonlab.rational import GaussianRational
@@ -86,7 +86,7 @@ def test_numbers_and_names_are_ascii_only(src, char, col):
         parse(src)
     assert str(err.value) == f"unexpected character {char!r} at line 1, column {col}"
     with pytest.raises(ParseError) as err:
-        free_names(src)
+        free_names(tokenize(src))
     assert (err.value.line, err.value.col) == (1, col)
 
 
@@ -115,7 +115,7 @@ def test_unknown_symbols():
 def test_context_for_autoregisters_parameters():
     ctx = context_for(["(A*z^2+B0*z)*@z"], ("z", "w"))
     assert "A" in ctx.registry.param_vars and "B0" in ctx.registry.param_vars
-    assert free_names("A*z + Q7") == {"A", "z", "Q7"}
+    assert free_names(tokenize("A*z + Q7")) == {"A", "z", "Q7"}
 
 
 def _random_formed(rng, ctx):
@@ -283,4 +283,4 @@ def _source(node) -> str:
 @given(expr_trees)
 def test_free_names_are_the_names_of_the_parsed_tree(tree):
     src = _source(tree)
-    assert free_names(src) == _collect_names(parse(src)) == _collect_names(tree)
+    assert free_names(tokenize(src)) == _collect_names(parse(src)) == _collect_names(tree)

@@ -1,7 +1,7 @@
 import pytest
 
 from poissonlab.laurent import LaurentPoly, VarRegistry
-from poissonlab.linalg import Reducer, generic_rank, kernel_basis, matrix_of_map
+from poissonlab.linalg import Reducer, generic_rank, image_space, kernel_basis, matrix_of_map
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
                                     schouten, schouten_formed)
 from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_MC
@@ -253,7 +253,7 @@ def test_tp1_deletion_residuals():
 def test_tp1_ks_matrix_full_rank():
     mats = _tp1_mats(2)
     sol = tp1_mc_solution(mats)
-    rows = tp1_ks_matrix(sol, mats)
+    rows = tp1_ks_matrix(sol, mats, image_space(mats.m_h0), kernel_basis(mats.m_h1))
     assert len(rows) == 9
     from poissonlab.linalg import LabeledBasis, LinMap
     ctx = tp1_context()
