@@ -27,6 +27,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# the largest n of `classify torus:n`: the cost grows faster than n^3, from
+# 0.4 s at n = 128 to about 26 s at n = 400 (one core of an AMD EPYC VM)
+MAX_TORUS_N = 128
+
 
 class UsageError(Exception):
     pass
@@ -243,7 +247,7 @@ def cmd_classify(args) -> int:
     elif kind == "tp1":
         cert = _classify_tp1(args.poisson)
     elif kind == "torus":
-        n = _spec_number(parts, 1)
+        n = _spec_number(parts, 1, MAX_TORUS_N)
         dim = products.torus_dims(n, _torus_coeffs(args.poisson, n))
         cert = Certificate(f"T{n}", "constant", UNOBSTRUCTED_MC,
                            reason="translation-invariant deformation family",

@@ -5,6 +5,12 @@ reducers of one manifold/stratum; on top of it live the witness search
 (an element pair whose bracket class escapes the relevant image), the
 quadratic primary-obstruction class of a first-order deformation, and
 machine-checkable certificates with a stable JSON form.
+
+`H1Model` is the one first-cohomology model of the ruled, ExP1 and TxP1
+families: the cokernel of the bracket map on H0(Theta) plus the kernel
+of the bracket map on H1(Theta).  It gives the dimension, the class
+coordinates of a tangent direction and the check that a family's
+tangent directions fill it (Kodaira's completeness criterion).
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from collections.abc import Callable
 from functools import cached_property
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, image_space,
-                     kernel_basis)
+from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, cokernel_space,
+                     image_space, kernel_basis, quotient_coords, quotient_space)
 from .multivector import FormedMultiVector, MultiVector, combination, schouten_formed
 
 TOOL_VERSION = "0.1.0"
@@ -75,6 +81,60 @@ class DeformationComplexModel:
         if self.h1_matrix is None:
             return ColumnSpace(len(self.h1_sq), self.registry)
         return image_space(self.h1_matrix)
+
+
+class H1Model:
+    """First cohomology coker([lam0, -] on H0(Theta)) + ker([lam0, -] on H1(Theta)).
+
+    `h0` and `h1` are the two bracket maps; the codomain of `h0` and the
+    domain of `h1` carry the bases the classes are written in.  `coker`
+    is the image of `h0` with the cokernel representatives registered,
+    by default its standard complement (`cokernel_space`).  The kernel of
+    `h1` is eliminated once, on first use.
+    """
+
+    def __init__(self, h0: LinMap, h1: LinMap, coker: ColumnSpace | None = None):
+        self.h0 = h0
+        self.h1 = h1
+        self.coker = cokernel_space(h0) if coker is None else coker
+
+    @cached_property
+    def kernel(self) -> list[list[LaurentPoly]]:
+        return kernel_basis(self.h1)
+
+    @cached_property
+    def kernel_space(self) -> ColumnSpace:
+        return quotient_space((), self.kernel, self.h1.n_cols, self.h1.registry)
+
+    @property
+    def dim(self) -> int:
+        return len(self.coker.reps) + len(self.kernel)
+
+    @property
+    def dim_h2(self) -> int:
+        """The corank of `h1`."""
+        return self.h1.n_rows - self.h1.n_cols + len(self.kernel)
+
+    @cached_property
+    def elements(self) -> list:
+        """The classes as elements: cokernel representatives, then kernel vectors."""
+        return ([combination(v, self.h0.codomain) for v in self.coker.reps]
+                + [combination(v, self.h1.domain) for v in self.kernel])
+
+    def coords(self, sq_coords: list[LaurentPoly],
+               theta_coords: list[LaurentPoly]) -> list[LaurentPoly]:
+        """The class of a pair given by its bivector coordinates in the
+        codomain of `h0` and its field coordinates in the domain of `h1`:
+        the cokernel coordinates, then the kernel coordinates."""
+        return (quotient_coords(self.coker, sq_coords)
+                + quotient_coords(self.kernel_space, theta_coords))
+
+    def fills(self, columns) -> bool:
+        """Whether the class coordinate vectors `columns` span every class."""
+        space = ColumnSpace(self.dim, self.h1.registry)
+        for col in columns:
+            space.add(col)
+        return space.rank == self.dim
 
 
 class Certificate:

@@ -33,11 +33,10 @@ from functools import partial
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ColumnSpace, ConstraintViolation, LabeledBasis, LinMap, MapFamily,
                      NotInSpan, Reducer, cokernel_space, generic_rank, image_space,
-                     kernel_basis, matrix_of_map, quotient_coords, quotient_space)
+                     matrix_of_map, quotient_coords)
 from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, mc_defect,
                           schouten, schouten_formed)
-from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate,
-                          DolbeaultModel)
+from .obstruction import OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DolbeaultModel, H1Model
 from .rational import Frozen
 
 _set = object.__setattr__
@@ -84,10 +83,11 @@ def ep1_context() -> ChartFrame:
     return _stored("ExP1")[0]
 
 
-def _xi_quadratic_coords(ctx, poly: LaurentPoly, registry_names) -> list[LaurentPoly]:
-    """Coefficients (c0, c1, c2) of a xi-quadratic, z-free polynomial."""
-    if not poly.uses_only(("xi",) + tuple(registry_names)):
-        raise NotInSpan("coefficient must be constant along the curve factor")
+def _xi_coords(poly: LaurentPoly) -> list[LaurentPoly]:
+    """The xi^0, xi^1 and xi^2 coefficients of a polynomial constant along
+    the other chart variables."""
+    if not poly.uses_only(("xi",) + poly.registry.param_vars):
+        raise NotInSpan("coefficient must be constant along the other factor")
     buckets = poly.coefficients_in("xi")
     if any(k not in (0, 1, 2) for k in buckets):
         raise NotInSpan("xi-degree exceeds 2")
@@ -116,12 +116,11 @@ def _ep1_theta_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
     zc = mv.coefficient(("z",))
     if not zc.uses_only(params):
         raise NotInSpan("d/dz coefficient must be constant")
-    return [zc] + _xi_quadratic_coords(ctx, mv.coefficient(("xi",)), params)
+    return [zc] + _xi_coords(mv.coefficient(("xi",)))
 
 
 def _ep1_sq_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
-    params = ctx.registry.param_vars
-    return _xi_quadratic_coords(ctx, mv.coefficient(("z", "xi")), params)
+    return _xi_coords(mv.coefficient(("z", "xi")))
 
 
 def _ep1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
@@ -238,33 +237,6 @@ def ep1_mc_solution(mats: EP1Matrices, f_coeffs=None) -> MCSolution:
     return MCSolution("ExP1", lam0, beta, alpha, ("t0", "t1", "t2"))
 
 
-def ep1_h1_model(mats: EP1Matrices):
-    """Cokernel representative plus kernel elements; dimension data."""
-    ctx, m_h1, coker = mats.ctx, mats.m_h1, mats.coker
-    kers = kernel_basis(m_h1)
-    return {
-        "ctx": ctx,
-        "coker_space": coker,
-        "ker_space": quotient_space((), kers, m_h1.n_cols, ctx.registry),
-        "dim_h1": len(coker.reps) + len(kers),
-        "dim_h2": m_h1.n_rows - (m_h1.n_cols - len(kers)),
-    }
-
-
-def ep1_ks_matrix(sol: MCSolution, model) -> list[list[LaurentPoly]]:
-    """Derivatives of the solution at t = 0, in the H1 model coordinates."""
-    ctx = model["ctx"]
-    columns = []
-    for el in sol.tangents():
-        biv = el.part(())
-        form = el.part(("z",))
-        coker = quotient_coords(model["coker_space"], _ep1_sq_coords(ctx, biv))
-        ker = quotient_coords(model["ker_space"], _ep1_theta_coords(ctx, form))
-        columns.append(coker + ker)
-    n = len(columns[0])
-    return [[columns[j][i] for j in range(len(columns))] for i in range(n)]
-
-
 def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
     """Second-cohomology model used by the primary obstruction class."""
     mats = ep1_bracket_matrices(a, b, c)
@@ -285,36 +257,34 @@ def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
 
 def ep1_classify(a, b, c) -> Certificate:
     """Verdict for (A + B xi + C xi^2) dz^dxi; exact rational input."""
+    mats = ep1_bracket_matrices(a, b, c)
+    ctx, model = mats.ctx, H1Model(mats.m_h0, mats.m_h1, mats.coker)
+    dims = {"dim_h1": model.dim, "dim_h2": model.dim_h2}
     if a == 0 and b == 0 and c == 0:
-        ctx = ep1_context()
         witness_a = ctx.mv(ctx.const(1), ("z", "xi"))
         witness_b = ctx.formed(ctx.mv(ctx.xi(), ("xi",)), ("z",))
         cls = schouten_formed(ctx.formed(witness_a), witness_b)
         if cls.is_zero():
             raise AssertionError("witness bracket vanished")
-        model = ep1_h1_model(ep1_bracket_matrices(0, 0, 0))
         return Certificate(
             "ExP1", "zero", OBSTRUCTED,
             witness={"a": str(witness_a), "b": str(witness_b)},
             class_repr=str(cls),
-            data={"dim_h1": model["dim_h1"], "dim_h2": model["dim_h2"]},
+            data=dims,
         )
-    mats = ep1_bracket_matrices(a, b, c)
     sol = ep1_mc_solution(mats)
     defect = sol.defect()
     if not defect.is_zero():
         raise AssertionError("Maurer-Cartan defect did not vanish")
-    model = ep1_h1_model(mats)
-    rows = ep1_ks_matrix(sol, model)
-    ks = LinMap(LabeledBasis("t", sol.params),
-                LabeledBasis("H1", tuple(f"c{i}" for i in range(len(rows)))),
-                rows, mats.ctx.registry)
-    if generic_rank(ks) != model["dim_h1"]:
+    columns = [model.coords(_ep1_sq_coords(ctx, el.part(())),
+                            _ep1_theta_coords(ctx, el.part(("z",))))
+               for el in sol.tangents()]
+    if not model.fills(columns):
         raise AssertionError("tangent map is not onto first cohomology")
     return Certificate(
         "ExP1", "nonzero", UNOBSTRUCTED_MC,
         reason="verified polynomial Maurer-Cartan solution",
-        data={"dim_h1": model["dim_h1"], "dim_h2": model["dim_h2"]},
+        data=dims,
     )
 
 
@@ -399,17 +369,6 @@ def tp1_bases(ctx: ChartFrame) -> dict:
     }
 
 
-def _tp1_xi_coords(ctx, poly, count=3):
-    params = ctx.registry.param_vars
-    if not poly.uses_only(("xi",) + tuple(params)):
-        raise NotInSpan("coefficient must be constant along the torus factor")
-    buckets = poly.coefficients_in("xi")
-    if any(k not in range(count) for k in buckets):
-        raise NotInSpan("xi-degree too high")
-    zero = LaurentPoly.zero(ctx.registry)
-    return [buckets.get(k, zero) for k in range(count)]
-
-
 def tp1_sq_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
     """Coordinates in the 7-element global bivector basis."""
     params = ctx.registry.param_vars
@@ -417,9 +376,9 @@ def tp1_sq_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
     if not c12.uses_only(params):
         raise NotInSpan("dz1^dz2 coefficient must be constant")
     out = [c12]
-    out += _tp1_xi_coords(ctx, mv.coefficient(("z2", "xi")))
+    out += _xi_coords(mv.coefficient(("z2", "xi")))
     # basis stores dxi ^ dz1 = -(dz1 ^ dxi)
-    out += [-p for p in _tp1_xi_coords(ctx, mv.coefficient(("z1", "xi")))]
+    out += [-p for p in _xi_coords(mv.coefficient(("z1", "xi")))]
     return out
 
 
@@ -431,12 +390,12 @@ def tp1_theta_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
         if not c.uses_only(params):
             raise NotInSpan("torus directions must have constant coefficients")
         out.append(c)
-    out += _tp1_xi_coords(ctx, mv.coefficient(("xi",)))
+    out += _xi_coords(mv.coefficient(("xi",)))
     return out
 
 
 def tp1_cube_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
-    return _tp1_xi_coords(ctx, mv.coefficient(("z1", "z2", "xi")))
+    return _xi_coords(mv.coefficient(("z1", "z2", "xi")))
 
 
 def _tp1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
@@ -484,24 +443,16 @@ def tp1_matrices(ctx, lam0) -> TP1Matrices:
     return TP1Matrices(ctx, lam0, bases, m_h0, maps["sq_cube"].at(coords), m_h1)
 
 
-def tp1_dims(mats: TP1Matrices, image_h0: ColumnSpace | None = None,
-             ker_h1: list | None = None) -> dict:
-    """The dimensions of H0 and H1; `image_h0` and `ker_h1` are the image of
-    m_h0 and the kernel of m_h1 when the caller has eliminated them, before
-    `tp1_ks_matrix` registers representatives in the image."""
+def tp1_dims(mats: TP1Matrices, model: H1Model) -> dict:
+    """The dimensions of H0 and H1 by ranks: H1 is the kernel of the wedge^3
+    map modulo the image of m_h0, plus the kernel of m_h1.  `model` is the
+    H1 model of `mats`; each cokernel representative it holds raised the
+    rank of its image space by one."""
     bases = mats.bases
-    image_h0 = image_space(mats.m_h0) if image_h0 is None else image_h0
-    ker_h1 = kernel_basis(mats.m_h1) if ker_h1 is None else ker_h1
-    r0 = image_h0.rank
+    r0 = model.coker.rank - len(model.coker.reps)
     middle_ker = len(bases["h0_sq"]) - generic_rank(mats.m_sq_cube)
-    h1_block = middle_ker - r0
-    ker1 = len(ker_h1)
-    return {
-        "dim_h0": len(bases["h0_theta"]) - r0,
-        "dim_h1": h1_block + ker1,
-        "coker_block": h1_block,
-        "ker_block": ker1,
-    }
+    return {"dim_h0": len(bases["h0_theta"]) - r0,
+            "dim_h1": middle_ker - r0 + len(model.kernel)}
 
 
 def tp1_mc_solution(mats: TP1Matrices, f_coeffs=None) -> MCSolution:
@@ -556,79 +507,54 @@ def tp1_integrability(sol: MCSolution) -> dict:
     return {"p14": p14, "p15": p15, "p16": p16}
 
 
-def tp1_ks_matrix(sol: MCSolution, mats: TP1Matrices, image_h0: ColumnSpace,
-                  ker_h1: list) -> list[list[LaurentPoly]]:
-    """Tangent directions of the solution in the 9-dimensional H1 model;
-    `mats` are the bracket maps of the solution's lambda0, `image_h0` the
-    image of m_h0 and `ker_h1` the kernel of m_h1.  The bivector
-    representatives are registered in `image_h0`, which raises its rank:
-    take `tp1_dims` from it first."""
-    ctx, lam0 = mats.ctx, sol.lambda0
-    # quotient representatives for the bivector block: dz1^dz2, the
-    # F-direction, and K dxi^dz1
-    kk = lam0.coefficient(("z2", "xi"))
-    kpar = -lam0.coefficient(("z1", "xi")).exact_div(kk)
-    tangents = sol.tangents()
-    F = tangents[2].part(()).coefficient(("z2", "xi"))
-    reps = [
-        ctx.mv(ctx.const(1), ("z1", "z2")),
-        ctx.mv(F, ("z2", "xi")) - ctx.mv(kpar * F, ("z1", "xi")),
-        -ctx.mv(kk, ("z1", "xi")),
-    ]
-    for r in reps:
-        image_h0.add(tp1_sq_coords(ctx, r), rep=True)
-    kers = quotient_space((), ker_h1, mats.m_h1.n_cols, ctx.registry)
-    columns = []
-    for el in tangents:
-        biv = el.part(())
-        ccoords = quotient_coords(image_h0, tp1_sq_coords(ctx, biv))
-        fcoords = []
-        for g in ("z1", "z2"):
-            fcoords += tp1_theta_coords(ctx, el.part((g,)))
-        columns.append(ccoords + quotient_coords(kers, fcoords))
-    n = len(columns[0])
-    return [[columns[j][i] for j in range(len(columns))] for i in range(n)]
-
-
 def tp1_classify(cls: TP1PoissonClass) -> Certificate:
     ctx = tp1_context()
     lam0 = tp1_lambda0(ctx, cls)
     if not schouten(lam0, lam0).is_zero():
         raise ConstraintViolation("the bivector is not Poisson")
+    if cls.class_id == 3:
+        lam0 = tp1_lambda0(ctx, _swap_to_class2(cls))
+    mats = tp1_matrices(ctx, lam0)
+    # the rank count and the class coordinates share one elimination of each map
+    model = H1Model(mats.m_h0, mats.m_h1, image_space(mats.m_h0))
+    dim_h1 = tp1_dims(mats, model)["dim_h1"]
     if cls.class_id == 1:
-        dims = tp1_dims(tp1_matrices(ctx, lam0))
-        if dims["dim_h1"] != 17:
+        if dim_h1 != 17:
             raise AssertionError("class-1 first cohomology should have dimension 17")
         return Certificate(
             "TxP1", "class-1", OBSTRUCTED,
             reason="obstructed already in complex deformations; the bracket "
                    "differentials vanish so deformations of the complex "
                    "structure embed untouched",
-            data={"dim_h1": dims["dim_h1"]},
+            data={"dim_h1": dim_h1},
         )
-    if cls.class_id == 3:
-        lam0 = tp1_lambda0(ctx, _swap_to_class2(cls))
-    mats = tp1_matrices(ctx, lam0)
     sol = tp1_mc_solution(mats)
     pieces = tp1_integrability(sol)
     for name, val in pieces.items():
         if not val.is_zero():
             raise AssertionError(f"integrability piece {name} did not vanish")
-    # the dimensions and the tangent map share one elimination of each map
-    image_h0, ker_h1 = image_space(mats.m_h0), kernel_basis(mats.m_h1)
-    dims = tp1_dims(mats, image_h0, ker_h1)
-    rows = tp1_ks_matrix(sol, mats, image_h0, ker_h1)
-    ks = LinMap(LabeledBasis("t", sol.params),
-                LabeledBasis("H1", tuple(f"c{i}" for i in range(len(rows)))),
-                rows, ctx.registry)
-    if generic_rank(ks) != 9:
+    # cokernel representatives of the bivector block: dz1^dz2, the
+    # F-direction, and K dxi^dz1
+    kk = lam0.coefficient(("z2", "xi"))
+    kpar = -lam0.coefficient(("z1", "xi")).exact_div(kk)
+    tangents = sol.tangents()
+    F = tangents[2].part(()).coefficient(("z2", "xi"))
+    for r in (ctx.mv(ctx.const(1), ("z1", "z2")),
+              ctx.mv(F, ("z2", "xi")) - ctx.mv(kpar * F, ("z1", "xi")),
+              -ctx.mv(kk, ("z1", "xi"))):
+        model.coker.add(tp1_sq_coords(ctx, r), rep=True)
+    columns = [model.coords(tp1_sq_coords(ctx, el.part(())),
+                            tp1_theta_coords(ctx, el.part(("z1",)))
+                            + tp1_theta_coords(ctx, el.part(("z2",))))
+               for el in tangents]
+    if not model.fills(columns):
         raise AssertionError("tangent map does not fill the 9 directions")
-    if dims["dim_h1"] != 9:
+    if dim_h1 != 9:
         raise AssertionError("expected dim H1 = 9 on this class")
     return Certificate(
         "TxP1", f"class-{cls.class_id}", UNOBSTRUCTED_MC,
         reason="verified polynomial Maurer-Cartan solution",
-        data={"dim_h1": dims["dim_h1"]},
+        data={"dim_h1": dim_h1},
     )
 
 

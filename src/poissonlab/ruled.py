@@ -22,13 +22,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer,
-                     cokernel_space, generic_rank, kernel_basis, matrix_of_map,
-                     quotient_coords, quotient_space)
+from .linalg import LabeledBasis, LinMap, NotInSpan, Reducer, matrix_of_map
 from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
-from .obstruction import (OBSTRUCTED, Certificate,
-                          DeformationComplexModel, NotACocycle, r4_search)
+from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel, H1Model,
+                          NotACocycle, r4_search)
 
 _set = object.__setattr__
 
@@ -433,48 +431,24 @@ def lemma_r4_certificate(rs: RuledSurface, pois: RuledPoisson) -> Certificate:
 # ----------------------------------------------------------------------
 # hypercohomology H1 model and class coordinates
 
-class H1Model:
-    __slots__ = ("surface", "lam0", "coker_reps", "coker_space", "ker_elements", "ker_space")
-
-    def __init__(self, surface: RuledSurface, lam0: MultiVector, coker_reps: list,
-                 coker_space: ColumnSpace, ker_elements: list, ker_space: ColumnSpace):
-        self.surface = surface
-        self.lam0 = lam0
-        self.coker_reps = coker_reps
-        self.coker_space = coker_space
-        self.ker_elements = ker_elements
-        self.ker_space = ker_space
-
-    @property
-    def dim(self):
-        return len(self.coker_reps) + len(self.ker_elements)
-
-    def basis_strings(self):
-        return [str(e) for e in self.coker_reps] + [str(e) for e in self.ker_elements]
-
-
 def hyper_h1(rs: RuledSurface, pois: RuledPoisson) -> H1Model:
+    """First cohomology of (F_m, lam0): global bivectors modulo the bracket
+    image of global fields, plus the kernel of the H1 bracket map."""
     bases = bases_for(rs)
-    lam0 = pois.bivector()
-    coker_space = cokernel_space(h0_bracket_matrix(rs, bases, lam0))
-    reps = [combination(vec, bases["h0_sq"]) for vec in coker_space.reps]
-    ker_vectors = (kernel_basis(h1_bracket_matrix(rs, bases, pois))
-                   if len(bases["h1_theta"]) else [])
-    ker_elements = [combination(vec, bases["h1_theta"]) for vec in ker_vectors]
-    return H1Model(rs, lam0, reps, coker_space, ker_elements,
-                   quotient_space((), ker_vectors, len(bases["h1_theta"]), rs.registry))
+    return H1Model(h0_bracket_matrix(rs, bases, pois.bivector()),
+                   h1_bracket_matrix(rs, bases, pois))
 
 
-def hyper_class_coords(model: H1Model, lam1: MultiVector, lam2_primed: MultiVector,
+def hyper_class_coords(rs: RuledSurface, model: H1Model, lam0: MultiVector,
+                       lam1: MultiVector, lam2_primed: MultiVector,
                        theta12: MultiVector) -> list[LaurentPoly]:
     """Coordinates of the hypercohomology class of a Cech pair.
 
-    The pair is ({lam1 on U1, lam2 on U2}, theta12 on the overlap); the
-    result lists the cokernel coordinates followed by the kernel-window
-    coordinates, in the model's basis order.
+    The pair is ({lam1 on U1, lam2 on U2}, theta12 on the overlap) over
+    the structure lam0 of `model`; the result lists the cokernel
+    coordinates followed by the kernel-window coordinates, in the model's
+    basis order.
     """
-    rs = model.surface
-    lam0 = model.lam0
     pull = pushforward(rs.transition.inverse_map(), lam2_primed)
     cocycle = pull - lam1 + schouten(lam0, theta12)
     if not cocycle.is_zero():
@@ -506,15 +480,7 @@ def hyper_class_coords(model: H1Model, lam1: MultiVector, lam2_primed: MultiVect
     glob2 = pull + nu2_total + schouten(lam0, r2)
     if glob1 != glob2:
         raise AssertionError("adjusted bivector parts disagree across charts")
-    coker_coords = quotient_coords(model.coker_space, reduce_h0_sq(rs)(glob1))
-    # kernel coordinates with respect to the kernel basis vectors
-    if model.ker_space.reps:
-        ker_coords = quotient_coords(model.ker_space, ker_window)
-    else:
-        if any(not p.is_zero() for p in ker_window):
-            raise NotACocycle("window class outside the kernel span")
-        ker_coords = []
-    return coker_coords + ker_coords
+    return model.coords(reduce_h0_sq(rs)(glob1), ker_window)
 
 
 # ----------------------------------------------------------------------
@@ -660,13 +626,12 @@ FAMILIES = {"f2": family_f2, "f3": family_f3, "f4": family_f4, "f5": family_f5}
 
 
 class FamilyReport:
-    __slots__ = ("name", "dim_h1", "n_params", "ks_matrix", "basis")
+    __slots__ = ("name", "dim_h1", "n_params", "basis")
 
-    def __init__(self, name: str, dim_h1: int, n_params: int, ks_matrix: list, basis: list):
+    def __init__(self, name: str, dim_h1: int, n_params: int, basis: list):
         self.name = name
         self.dim_h1 = dim_h1
         self.n_params = n_params
-        self.ks_matrix = ks_matrix
         self.basis = basis
 
     @property
@@ -694,6 +659,7 @@ def verify_family(fam: RuledFamily, expected_basis: Sequence[str] | None = None
     if not square.is_zero():
         raise AssertionError("[Lambda_t, Lambda_t] != 0")
     model = hyper_h1(rs, fam.base)
+    lam0 = fam.base.bivector()
     zero_t = {t: LaurentPoly.const(reg, 0) for t in fam.params}
     columns = []
     xip_expr = fam.transition_t.forward["xip"]
@@ -704,23 +670,16 @@ def verify_family(fam: RuledFamily, expected_basis: Sequence[str] | None = None
         dxi = xip_expr.partial(tname).substitute(zero_t)
         theta21 = rs.mv(dxi * rs.z(-rs.m), ("xi",))
         theta12 = -theta21
-        columns.append(hyper_class_coords(model, lam1, lam2, theta12))
+        columns.append(hyper_class_coords(rs, model, lam0, lam1, lam2, theta12))
     dim = model.dim
-    if expected_basis is not None and list(expected_basis) != model.basis_strings():
+    basis = [str(e) for e in model.elements]
+    if expected_basis is not None and list(expected_basis) != basis:
         raise KSDegenerate("first-cohomology basis differs from the expected one")
     if len(fam.params) != dim:
         raise KSDegenerate(f"family has {len(fam.params)} parameters but dim H1 = {dim}")
-    rows = [[columns[j][i] for j in range(len(columns))] for i in range(dim)]
-    dom = LabeledBasis("t-directions", fam.params)
-    cod = LabeledBasis("H1 coordinates", tuple(f"c{i}" for i in range(dim)))
-    ksmap = LinMap(dom, cod, rows)
-    if generic_rank(ksmap) != dim:
+    if not model.fills(columns):
         raise KSDegenerate("the map onto first cohomology classes is not onto")
-    return FamilyReport(
-        name=f"F{rs.m}", dim_h1=dim, n_params=len(fam.params),
-        ks_matrix=[[str(e) for e in r] for r in rows],
-        basis=model.basis_strings(),
-    )
+    return FamilyReport(f"F{rs.m}", dim, len(fam.params), basis)
 
 
 # ----------------------------------------------------------------------

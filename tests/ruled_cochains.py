@@ -65,7 +65,7 @@ def random_cocycle(rs: RuledSurface, pois: RuledPoisson, rng: random.Random):
     nu1 = rs.zero()
     nu2 = rs.zero()
     model = hyper_h1(rs, pois)
-    for elem in model.ker_elements:
+    for elem in model.elements[len(model.coker.reps):]:
         c = rng.randint(-2, 2)
         if not c:
             continue

@@ -21,7 +21,7 @@ from poissonlab.linalg import generic_rank, kernel_basis
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
                                     schouten, schouten_formed, wedge)
 from poissonlab.obstruction import (OBSTRUCTED, UNDETERMINED,
-                                    UNOBSTRUCTED_H2_ZERO, UNOBSTRUCTED_MC,
+                                    UNOBSTRUCTED_H2_ZERO, UNOBSTRUCTED_MC, H1Model,
                                     verify_certificate)
 from poissonlab.rational import GaussianRational
 from ruled_cochains import cech_square, random_cocycle
@@ -248,9 +248,10 @@ def test_12_torus_times_line():
     ctx = products.tp1_context()
     mats = {cid: products.tp1_matrices(ctx, products.tp1_lambda0(
         ctx, products.TP1PoissonClass(cid, {}))) for cid in (1, 2, 3)}
-    assert products.tp1_dims(mats[1])["dim_h1"] == 17
-    assert products.tp1_dims(mats[2])["dim_h1"] == 9
-    assert products.tp1_dims(mats[3])["dim_h1"] == 9
+    dims = {cid: products.tp1_dims(m, H1Model(m.m_h0, m.m_h1)) for cid, m in mats.items()}
+    assert dims[1]["dim_h1"] == 17
+    assert dims[2]["dim_h1"] == 9
+    assert dims[3]["dim_h1"] == 9
     sol = products.tp1_mc_solution(mats[2])
     pieces = products.tp1_integrability(sol)
     assert all(v.is_zero() for v in pieces.values())

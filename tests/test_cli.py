@@ -364,6 +364,21 @@ def test_torus_parameter_names_stay_distinct_for_large_n():
     assert json.loads(out)["data"]["dim_h1"] == n * n + n * (n - 1) // 2
 
 
+@pytest.mark.parametrize("n", [cli_mod.MAX_TORUS_N + 1, 100000, 1000000000000])
+def test_torus_n_above_the_limit_exits_2_before_any_work(n, monkeypatch, capsys):
+    from poissonlab import products
+
+    def work(*args):
+        raise AssertionError("torus work started for an n above the limit")
+
+    monkeypatch.setattr(products, "torus_dims", work)
+    monkeypatch.setattr(cli_mod, "_torus_coeffs", work)
+    code, out = run_cli("classify", f"torus:{n}", "--poisson", "@z1^@z2")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: 'torus:{n}': N must be an integer 1..{cli_mod.MAX_TORUS_N}\n"
+
+
 STORED_GEOMETRY_REQUESTS = (
     ("classify", "ruled:7", "--poisson", "((z + 2*z^2)*xi + xi^2)*@z^@xi"),
     ("classify", "ruled:7", "--poisson", "(1 - z^9)*xi^2*@z^@xi"),

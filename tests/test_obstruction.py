@@ -8,12 +8,14 @@ from poissonlab.linalg import Reducer
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
                                     schouten)
 from poissonlab.obstruction import (OBSTRUCTED, UNDETERMINED, Certificate,
-                                    DolbeaultModel, NotACocycle, class_is_zero,
+                                    DolbeaultModel, H1Model, NotACocycle, class_is_zero,
                                     primary_obstruction, r4_search,
                                     verify_certificate)
-from poissonlab.products import (ep1_bracket_matrices, ep1_context, ep1_dolbeault_model,
-                                 ep1_mc_solution)
-from poissonlab.ruled import RuledPoisson, complex_model, make_surface
+from poissonlab.products import (TP1PoissonClass, ep1_bracket_matrices, ep1_classify,
+                                 ep1_context, ep1_dolbeault_model, ep1_mc_solution,
+                                 tp1_classify)
+from poissonlab.ruled import (FAMILIES, KSDegenerate, RuledPoisson, complex_model,
+                              make_surface, verify_family)
 
 
 def test_primary_obstruction_ep1_witness():
@@ -161,7 +163,6 @@ def test_h1_kernel_computed_once_per_search(monkeypatch):
 
     monkeypatch.setattr(ruled, "r4_search", search)
     monkeypatch.setattr(obstruction, "kernel_basis", kernel)
-    monkeypatch.setattr(ruled, "kernel_basis", kernel)
     ruled.table1_sweep(12)
     assert len(searches) == 22
     assert len(kernels) == sum(searches) == 20
@@ -198,3 +199,42 @@ def test_certificate_json_round_trip_stable():
                        class_repr="(-z^-1)*(@z^@xi)")
     text = cert.to_json()
     assert Certificate.from_json(text).to_json() == text
+
+
+# one family each of ruled, ExP1 and TxP1: the check, the error it raises
+# when the tangent directions do not fill H1, and the message
+ONTO_CHECKS = {
+    "ruled-f4": (lambda: verify_family(FAMILIES["f4"]()), KSDegenerate,
+                 "the map onto first cohomology classes is not onto"),
+    "ep1": (lambda: ep1_classify(None, None, None), AssertionError,
+            "tangent map is not onto first cohomology"),
+    "tp1": (lambda: tp1_classify(TP1PoissonClass(2, {})), AssertionError,
+            "tangent map does not fill the 9 directions"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONTO_CHECKS))
+def test_fills_rejects_a_tangent_column_replaced_by_a_copy(name, monkeypatch):
+    check, error, message = ONTO_CHECKS[name]
+    seen, real = [], H1Model.fills
+    monkeypatch.setattr(H1Model, "fills",
+                        lambda self, columns: seen.append((self, columns)) or real(self, columns))
+    check()
+    ((model, columns),) = seen
+    assert len(columns) == model.dim
+    assert real(model, columns)
+    assert not real(model, [columns[1]] + columns[1:])
+    monkeypatch.setattr(H1Model, "fills", lambda self, columns: real(self, [columns[1]] + columns[1:]))
+    with pytest.raises(error, match=message):
+        check()
+
+
+def test_table1_verdicts_build_no_h0_bracket_map(monkeypatch):
+    from poissonlab import obstruction, ruled
+
+    def refuse(*args):
+        raise AssertionError("the H0 bracket map or its cokernel was built")
+
+    monkeypatch.setattr(ruled, "h0_bracket_matrix", refuse)
+    monkeypatch.setattr(obstruction, "cokernel_space", refuse)
+    assert len(ruled.table1_sweep(12)) == 22

@@ -1,16 +1,15 @@
 import pytest
 
 from poissonlab.laurent import LaurentPoly, VarRegistry
-from poissonlab.linalg import Reducer, generic_rank, image_space, kernel_basis, matrix_of_map
+from poissonlab.linalg import Reducer, generic_rank, kernel_basis, matrix_of_map
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
                                     schouten, schouten_formed)
-from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_MC
+from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_MC, H1Model
 from poissonlab.products import (ConstraintViolation, TP1PoissonClass,
                                  ep1_bases, ep1_bracket_matrices, ep1_classify,
-                                 ep1_context, ep1_h1_model, ep1_ks_matrix,
-                                 ep1_lambda0, ep1_mc_solution, torus_dims,
+                                 ep1_context, ep1_lambda0, ep1_mc_solution, torus_dims,
                                  tp1_bases, tp1_classify, tp1_context,
-                                 tp1_dims, tp1_integrability, tp1_ks_matrix,
+                                 tp1_dims, tp1_integrability,
                                  tp1_lambda0, tp1_matrices, tp1_mc_solution)
 from poissonlab.rational import GaussianRational
 import poissonlab.products as products_mod
@@ -19,6 +18,17 @@ import poissonlab.products as products_mod
 def _tp1_mats(class_id):
     ctx = tp1_context()
     return tp1_matrices(ctx, tp1_lambda0(ctx, TP1PoissonClass(class_id, {})))
+
+
+def _tangent_columns(monkeypatch, run):
+    """The class coordinate columns of the tangent directions that `run`
+    hands to H1Model.fills."""
+    seen, real = [], H1Model.fills
+    monkeypatch.setattr(H1Model, "fills",
+                        lambda self, columns: seen.append(columns) or real(self, columns))
+    run()
+    (columns,) = seen
+    return columns
 
 
 def test_basis_dimensions():
@@ -127,11 +137,9 @@ def test_ep1_defect_residual_without_correction():
     assert not defect.is_zero()
 
 
-def test_ep1_ks_identity_pattern():
-    mats = ep1_bracket_matrices()
-    sol = ep1_mc_solution(mats)
-    model = ep1_h1_model(mats)
-    rows = ep1_ks_matrix(sol, model)
+def test_ep1_ks_identity_pattern(monkeypatch):
+    columns = _tangent_columns(monkeypatch, lambda: ep1_classify(None, None, None))
+    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
     n = len(rows)
     assert n == 3
     for i in range(n):
@@ -181,9 +189,13 @@ def test_tp1_lambda0_is_poisson_per_class():
 
 
 def test_tp1_dims_table():
-    assert tp1_dims(_tp1_mats(1))["dim_h1"] == 17
-    assert tp1_dims(_tp1_mats(2))["dim_h1"] == 9
-    assert tp1_dims(_tp1_mats(3))["dim_h1"] == 9
+    def dims(class_id):
+        mats = _tp1_mats(class_id)
+        return tp1_dims(mats, H1Model(mats.m_h0, mats.m_h1))
+
+    assert dims(1)["dim_h1"] == 17
+    assert dims(2)["dim_h1"] == 9
+    assert dims(3)["dim_h1"] == 9
 
 
 def test_tp1_integrability_identities():
@@ -250,14 +262,13 @@ def test_tp1_deletion_residuals():
     assert schouten_formed(corr_f, phi_corr).is_zero()
 
 
-def test_tp1_ks_matrix_full_rank():
-    mats = _tp1_mats(2)
-    sol = tp1_mc_solution(mats)
-    rows = tp1_ks_matrix(sol, mats, image_space(mats.m_h0), kernel_basis(mats.m_h1))
+def test_tp1_ks_matrix_full_rank(monkeypatch):
+    columns = _tangent_columns(monkeypatch, lambda: tp1_classify(TP1PoissonClass(2, {})))
+    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
     assert len(rows) == 9
     from poissonlab.linalg import LabeledBasis, LinMap
     ctx = tp1_context()
-    ks = LinMap(LabeledBasis("t", sol.params),
+    ks = LinMap(LabeledBasis("t", tuple(f"t{i}" for i in range(9))),
                 LabeledBasis("H1", tuple(range(9))), rows, ctx.registry)
     assert generic_rank(ks) == 9
 
@@ -377,13 +388,10 @@ def test_tangents_equal_the_per_parameter_derivatives(sol):
 
 def test_zero_ep1_dimensions_come_from_the_h1_model(monkeypatch):
     assert ep1_classify(0, 0, 0).data == {"dim_h1": 7, "dim_h2": 3}
-    real = products_mod.ep1_h1_model
 
-    def shifted(mats):
-        model = dict(real(mats))
-        model["dim_h1"] += 10
-        model["dim_h2"] += 20
-        return model
+    class Shifted(H1Model):
+        dim = property(lambda self: H1Model.dim.fget(self) + 10)
+        dim_h2 = property(lambda self: H1Model.dim_h2.fget(self) + 20)
 
-    monkeypatch.setattr(products_mod, "ep1_h1_model", shifted)
+    monkeypatch.setattr(products_mod, "H1Model", Shifted)
     assert ep1_classify(0, 0, 0).data == {"dim_h1": 17, "dim_h2": 23}
