@@ -344,29 +344,24 @@ def _classify_hopf(parts, args) -> Certificate:
         raise UsageError(f"{args.poisson!r} is not an invariant bivector "
                          f"on the Hopf surface of type {t.label()}") from None
     coeff = mv.coefficient(("z", "w"))
-    pp = ctx.p
+    zero = LaurentPoly.zero(ctx.registry)
 
-    def num(mu, nu):
-        d = coeff.coefficients_in("z").get(mu, LaurentPoly.zero(ctx.registry))
-        poly = d.coefficients_in("w").get(nu, LaurentPoly.zero(ctx.registry))
-        return _rational_or_none(poly)
+    def coef(mu, nu):
+        """The coefficient of z^mu w^nu, a polynomial in the parameters: one
+        that is not zero as a polynomial is read at a generic point."""
+        return coeff.coefficients_in("z").get(mu, zero).coefficients_in("w").get(nu, zero)
 
     if tag == "IV":
-        a, b, c = num(2, 0), num(1, 1), num(0, 2)
-        if (a, b, c) == (0, 0, 0):
+        a, b, c = coef(2, 0), coef(1, 1), coef(0, 2)
+        if coeff.is_zero():
             return hopf.obstruction_certificate_hopf(model, {"A": 1, "d": 1})
-        if None in (a, b, c):
-            stratum = "generic"
-        elif 4 * a * c - b * b == 0:
+        if (a * c * 4 - b * b).is_zero():
             return hopf.undetermined_certificate("iv-discriminant-zero")
-        else:
-            stratum = "generic"
-        return _hopf_family_certificate(model, stratum)
+        return _hopf_family_certificate(model, "generic")
     if tag == "III":
-        a, b = num(1, 1), num(0, pp + 1)
-        if (a, b) == (0, 0):
+        if coeff.is_zero():
             return hopf.obstruction_certificate_hopf(model, {"B": 1, "d": 1})
-        if a == 0:
+        if coef(1, 1).is_zero():
             return hopf.undetermined_certificate("iii-b-nonzero")
         return _hopf_family_certificate(model, "A")
     return _hopf_family_certificate(model, "any")

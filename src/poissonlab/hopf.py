@@ -5,6 +5,9 @@ id - f_* acting on truncated polynomial fields: its kernel gives the
 invariant (global) fields, its cokernel models first cohomology, and
 the bracket maps between those models drive the dimension tables,
 automorphism kernels, family checks and obstruction certificates.
+`deformation_model` puts a stratum's two bracket maps into the one
+`obstruction.DeformationComplexModel`, which gives both the cohomology
+table row (`stratum_row`) and the input of the witness search.
 
 One cover model per type and degree cap is the input of every Hopf
 computation: `model_for` is the one place that turns a type and a cap
@@ -40,9 +43,8 @@ from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer,
-                     generic_rank, image_space, kernel_basis, matrix_of_map,
-                     quotient_coords, quotient_space)
+from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, image_space,
+                     kernel_basis, matrix_of_map, quotient_coords, quotient_space)
 from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
 from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel,
@@ -550,28 +552,24 @@ def m_bracket_matrix(model: CoverModel, lam0: MultiVector) -> LinMap:
 
 def stratum_row(model: CoverModel, stratum: str) -> dict:
     """The cohomology table row of a stratum: (dim H^0, dim H^1, dim H^2)
-    of the deformation complex, and whether the listed automorphism basis
+    of its deformation complex, and whether the listed automorphism basis
     is verified: each field kills the stratum bivector, the set is free,
     and it has the full dimension H^0 of the automorphism kernel."""
     ctx = model.ctx
     lam0 = stratum_bivector(ctx, stratum)
-    h0m = h0_bracket_matrix(model, lam0)
-    rank0 = generic_rank(h0m)
-    mm = m_bracket_matrix(model, lam0)
-    rank1 = generic_rank(mm)
-    h0 = h0m.n_cols - rank0
+    dc = deformation_model(model, stratum)
     basis = table4_basis(ctx, stratum)
     mono = mono_coords(ctx, model.space1)
     span = ColumnSpace(len(model.space1.basis), ctx.registry)
     return {
         "type": ctx.type.label(),
         "stratum": stratum,
-        "dim_h0": h0,
-        "dim_h1": (h0m.n_rows - rank0) + (mm.n_cols - rank1),
-        "dim_h2": mm.n_rows - rank1,
+        "dim_h0": dc.dim_h0,
+        "dim_h1": dc.dim_h1,
+        "dim_h2": dc.dim_h2,
         "automorphism_basis_verified": (
             all(schouten(lam0, v).is_zero() for v in basis)
-            and all(span.add(mono(v)) for v in basis) and len(basis) == h0),
+            and all(span.add(mono(v)) for v in basis) and len(basis) == dc.dim_h0),
     }
 
 
@@ -742,18 +740,15 @@ def d_membership(model: CoverModel) -> dict:
 # obstruction certificates and the undetermined strata
 
 def deformation_model(model: CoverModel, stratum: str) -> DeformationComplexModel:
+    """The deformation complex of the stratum bivector on the cover model:
+    its H1 map acts on M1, and its H0 map is built on first use."""
     label = model.ctx.type.label()
+    lam0 = stratum_bivector(model.ctx, stratum)
     return DeformationComplexModel(
-        name=f"Hopf {label}",
-        stratum="4AC-B^2=0" if stratum == "degenerate" else stratum,
-        registry=model.ctx.registry,
-        h0_sq=LabeledBasis(f"H0({label},Wedge2Theta)", model.bivectors),
-        h1_theta=model.m1,
-        h1_sq=model.m2,
-        bracket=schouten,
-        reduce_h1_sq=model.reduce_m(2),
-        h1_matrix=m_bracket_matrix(model, stratum_bivector(model.ctx, stratum)),
-    )
+        f"Hopf {label}", "4AC-B^2=0" if stratum == "degenerate" else stratum,
+        m_bracket_matrix(model, lam0), model.reduce_m(2),
+        LabeledBasis(f"H0({label},Wedge2Theta)", model.bivectors),
+        lambda: h0_bracket_matrix(model, lam0))
 
 
 def obstruction_certificate_hopf(model: CoverModel, constants: dict) -> Certificate:

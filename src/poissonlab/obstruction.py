@@ -1,16 +1,14 @@
 """Obstruction machinery shared by the surface modules.
 
-A deformation-complex model packages the finite bases, bracket and
-reducers of one manifold/stratum; on top of it live the witness search
-(an element pair whose bracket class escapes the relevant image), the
-quadratic primary-obstruction class of a first-order deformation, and
-machine-checkable certificates with a stable JSON form.
-
-`H1Model` is the one first-cohomology model of the ruled, ExP1 and TxP1
-families: the cokernel of the bracket map on H0(Theta) plus the kernel
-of the bracket map on H1(Theta).  It gives the dimension, the class
-coordinates of a tangent direction and the check that a family's
-tangent directions fill it (Kodaira's completeness criterion).
+`DeformationComplexModel` is the one cohomology model of every geometry:
+the complex (wedge^* Theta, [lam0, -]) of one structure lam0 in degrees
+0 to 2, built from its two bracket maps.  It gives the dimensions, the
+first-cohomology classes and their coordinates, the check that a
+family's tangent directions fill first cohomology (Kodaira's
+completeness criterion) and the input of the witness search (an element
+pair whose bracket class escapes the H1 bracket image).  Next to it
+live the quadratic primary-obstruction class of a first-order
+deformation and machine-checkable certificates with a stable JSON form.
 """
 
 from __future__ import annotations
@@ -19,10 +17,10 @@ import json
 from collections.abc import Callable
 from functools import cached_property
 
-from .laurent import LaurentPoly, VarRegistry
+from .laurent import LaurentPoly
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, cokernel_space,
                      image_space, kernel_basis, quotient_coords, quotient_space)
-from .multivector import FormedMultiVector, MultiVector, combination, schouten_formed
+from .multivector import FormedMultiVector, MultiVector, combination, schouten, schouten_formed
 
 TOOL_VERSION = "0.1.0"
 
@@ -37,104 +35,95 @@ class NotACocycle(Exception):
 
 
 class DeformationComplexModel:
-    """Finite model of the degree-1/degree-2 part of a deformation complex.
+    """The complex (wedge^* Theta, [lam0, -]) of one structure, in degrees 0 to 2.
 
-    h0_sq holds the global bivector classes the witness ranges over,
-    h1_theta the H1(Theta) class representatives, h1_sq the H1(wedge^2)
-    class representatives; h1_matrix is the bracket map between the two
-    H1 models and reduce_h1_sq sends a raw bivector-valued object to
-    h1_sq coordinates.  The kernel of h1_matrix is eliminated once, on
-    first use, and also gives dim H2, the corank of h1_matrix.
+    `h1` is [lam0, -] from H1(Theta) to H1(wedge^2), a map with no columns
+    where H1(Theta) = 0, and `reduce_h1_sq` sends a bivector-valued
+    cochain to coordinates in its codomain.  `h0_sq` is the basis of
+    H0(wedge^2), the global bivector classes the witness ranges over.
+    `build_h0` builds [lam0, -] from H0(Theta) to H0(wedge^2), with
+    codomain `h0_sq`; it is called at most once, by the first answer that
+    needs the map.  On a surface (Hitchin)
+
+        H0 = ker h0,   H1 = coker h0 + ker h1,   H2 = coker h1.
+
+    `coker` is the image of h0 with cokernel representatives registered,
+    by default its standard complement (`cokernel_space`); a caller may
+    pass its own.  The kernel of h1 is eliminated once, on first use,
+    and gives both the kernel classes and dim H2.
     """
 
-    def __init__(self, name: str, stratum: str, registry: VarRegistry,
-                 h0_sq: LabeledBasis, h1_theta: LabeledBasis, h1_sq: LabeledBasis,
-                 bracket: Callable, reduce_h1_sq: Reducer, h1_matrix: LinMap | None):
+    def __init__(self, name: str, stratum: str, h1: LinMap, reduce_h1_sq: Reducer,
+                 h0_sq: LabeledBasis, build_h0: Callable[[], LinMap],
+                 coker: ColumnSpace | None = None):
         self.name = name
         self.stratum = stratum
-        self.registry = registry
-        self.h0_sq = h0_sq
-        self.h1_theta = h1_theta
-        self.h1_sq = h1_sq
-        self.bracket = bracket
+        self.h1 = h1
+        self.h1_theta, self.h1_sq = h1.domain, h1.codomain
         self.reduce_h1_sq = reduce_h1_sq
-        self.h1_matrix = h1_matrix
+        self.h0_sq = h0_sq
+        self._build_h0 = build_h0
+        if coker is not None:
+            self.coker = coker
+
+    @cached_property
+    def h0(self) -> LinMap:
+        return self._build_h0()
+
+    @cached_property
+    def coker(self) -> ColumnSpace:
+        return cokernel_space(self.h0)
 
     @cached_property
     def h1_kernel(self) -> list[list[LaurentPoly]]:
         """Kernel vectors of the H1 bracket map."""
-        return [] if self.h1_matrix is None else kernel_basis(self.h1_matrix)
-
-    @property
-    def h2_dim(self) -> int:
-        if self.h1_matrix is None:
-            return len(self.h1_sq)
-        return self.h1_matrix.n_rows - self.h1_matrix.n_cols + len(self.h1_kernel)
-
-    def h1_kernel_elements(self):
-        """Kernel of the H1 bracket map, assembled as model elements."""
-        if self.h1_matrix is None:
-            return [(e, None) for e in self.h1_theta]
-        return [(combination(vec, self.h1_theta), vec) for vec in self.h1_kernel]
-
-    def h1_image_space(self) -> ColumnSpace:
-        if self.h1_matrix is None:
-            return ColumnSpace(len(self.h1_sq), self.registry)
-        return image_space(self.h1_matrix)
-
-
-class H1Model:
-    """First cohomology coker([lam0, -] on H0(Theta)) + ker([lam0, -] on H1(Theta)).
-
-    `h0` and `h1` are the two bracket maps; the codomain of `h0` and the
-    domain of `h1` carry the bases the classes are written in.  `coker`
-    is the image of `h0` with the cokernel representatives registered,
-    by default its standard complement (`cokernel_space`).  The kernel of
-    `h1` is eliminated once, on first use.
-    """
-
-    def __init__(self, h0: LinMap, h1: LinMap, coker: ColumnSpace | None = None):
-        self.h0 = h0
-        self.h1 = h1
-        self.coker = cokernel_space(h0) if coker is None else coker
-
-    @cached_property
-    def kernel(self) -> list[list[LaurentPoly]]:
         return kernel_basis(self.h1)
 
     @cached_property
-    def kernel_space(self) -> ColumnSpace:
-        return quotient_space((), self.kernel, self.h1.n_cols, self.h1.registry)
+    def h1_kernel_space(self) -> ColumnSpace:
+        return quotient_space((), self.h1_kernel, self.h1.n_cols, self.h1.registry)
 
     @property
-    def dim(self) -> int:
-        return len(self.coker.reps) + len(self.kernel)
+    def dim_h0(self) -> int:
+        """The columns of h0 less its rank: that of `coker` less its representatives."""
+        return self.h0.n_cols - (self.coker.rank - len(self.coker.reps))
+
+    @property
+    def dim_h1(self) -> int:
+        return len(self.coker.reps) + len(self.h1_kernel)
 
     @property
     def dim_h2(self) -> int:
-        """The corank of `h1`."""
-        return self.h1.n_rows - self.h1.n_cols + len(self.kernel)
+        """The corank of h1."""
+        return self.h1.n_rows - self.h1.n_cols + len(self.h1_kernel)
+
+    def h1_kernel_elements(self):
+        """Kernel of the H1 bracket map, assembled as model elements."""
+        return [(combination(vec, self.h1_theta), vec) for vec in self.h1_kernel]
+
+    def h1_image_space(self) -> ColumnSpace:
+        return image_space(self.h1)
 
     @cached_property
     def elements(self) -> list:
-        """The classes as elements: cokernel representatives, then kernel vectors."""
-        return ([combination(v, self.h0.codomain) for v in self.coker.reps]
-                + [combination(v, self.h1.domain) for v in self.kernel])
+        """The H1 classes as elements: cokernel representatives, then kernel vectors."""
+        return ([combination(v, self.h0_sq) for v in self.coker.reps]
+                + [combination(v, self.h1_theta) for v in self.h1_kernel])
 
     def coords(self, sq_coords: list[LaurentPoly],
                theta_coords: list[LaurentPoly]) -> list[LaurentPoly]:
-        """The class of a pair given by its bivector coordinates in the
-        codomain of `h0` and its field coordinates in the domain of `h1`:
-        the cokernel coordinates, then the kernel coordinates."""
+        """The class of a pair given by its bivector coordinates on `h0_sq`
+        and its field coordinates on `h1_theta`: the cokernel coordinates,
+        then the kernel coordinates."""
         return (quotient_coords(self.coker, sq_coords)
-                + quotient_coords(self.kernel_space, theta_coords))
+                + quotient_coords(self.h1_kernel_space, theta_coords))
 
     def fills(self, columns) -> bool:
-        """Whether the class coordinate vectors `columns` span every class."""
-        space = ColumnSpace(self.dim, self.h1.registry)
+        """Whether the class coordinate vectors `columns` span every H1 class."""
+        space = ColumnSpace(self.dim_h1, self.h1.registry)
         for col in columns:
             space.add(col)
-        return space.rank == self.dim
+        return space.rank == self.dim_h1
 
 
 class Certificate:
@@ -195,13 +184,13 @@ def r4_search(model: DeformationComplexModel) -> Certificate:
     With H2 = 0 the image is the whole H1 window, so no class escapes it
     and the structure is unobstructed without a search.
     """
-    if model.h2_dim == 0:
+    if model.dim_h2 == 0:
         return Certificate(model.name, model.stratum, UNOBSTRUCTED_H2_ZERO)
     image = model.h1_image_space()
     kernel = model.h1_kernel_elements()
     for a in model.h0_sq:
         for b, _ in kernel:
-            cls = model.reduce_h1_sq(model.bracket(a, b))
+            cls = model.reduce_h1_sq(schouten(a, b))
             if all(p.is_zero() for p in cls):
                 continue
             if image.contains(list(cls)):
@@ -234,7 +223,7 @@ def verify_certificate(cert: Certificate, model: DeformationComplexModel,
         return True
     a = parse_element(cert.witness["a"])
     b = parse_element(cert.witness["b"])
-    cls = model.reduce_h1_sq(model.bracket(a, b))
+    cls = model.reduce_h1_sq(schouten(a, b))
     if all(p.is_zero() for p in cls):
         return False
     return not model.h1_image_space().contains(list(cls))

@@ -36,7 +36,8 @@ from .linalg import (ColumnSpace, ConstraintViolation, LabeledBasis, LinMap, Map
                      matrix_of_map, quotient_coords)
 from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, mc_defect,
                           schouten, schouten_formed)
-from .obstruction import OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DolbeaultModel, H1Model
+from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DeformationComplexModel,
+                          DolbeaultModel)
 from .rational import Frozen
 
 _set = object.__setattr__
@@ -123,14 +124,18 @@ def _ep1_sq_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
     return _xi_coords(mv.coefficient(("z", "xi")))
 
 
+def _ep1_h1_sq_reducer(ctx: ChartFrame) -> Reducer:
+    return Reducer("H1 wedge2 coords", lambda f: _ep1_sq_coords(ctx, f.part(("z",))))
+
+
 def _ep1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
     """[s_j, -] on global sections and on first cohomology, for each basis
     bivector s_j of H0(wedge2)."""
     red0 = Reducer("H0 wedge2 coords", lambda v: _ep1_sq_coords(ctx, v))
-    red1 = Reducer("H1 wedge2 coords", lambda f: _ep1_sq_coords(ctx, f.part(("z",))))
     sq = bases["h0_sq"]
     return {"h0": _bracket_family(ctx, sq, bases["h0_theta"], sq, red0),
-            "h1": _bracket_family(ctx, sq, bases["h1_theta"], bases["h1_sq"], red1)}
+            "h1": _bracket_family(ctx, sq, bases["h1_theta"], bases["h1_sq"],
+                                  _ep1_h1_sq_reducer(ctx))}
 
 
 def ep1_lambda0(ctx: ChartFrame, a=None, b=None, c=None) -> MultiVector:
@@ -258,16 +263,19 @@ def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
 def ep1_classify(a, b, c) -> Certificate:
     """Verdict for (A + B xi + C xi^2) dz^dxi; exact rational input."""
     mats = ep1_bracket_matrices(a, b, c)
-    ctx, model = mats.ctx, H1Model(mats.m_h0, mats.m_h1, mats.coker)
-    dims = {"dim_h1": model.dim, "dim_h2": model.dim_h2}
-    if a == 0 and b == 0 and c == 0:
+    ctx = mats.ctx
+    stratum = "zero" if a == 0 and b == 0 and c == 0 else "nonzero"
+    model = DeformationComplexModel("ExP1", stratum, mats.m_h1, _ep1_h1_sq_reducer(ctx),
+                                    mats.m_h0.codomain, lambda: mats.m_h0, mats.coker)
+    dims = {"dim_h1": model.dim_h1, "dim_h2": model.dim_h2}
+    if stratum == "zero":
         witness_a = ctx.mv(ctx.const(1), ("z", "xi"))
         witness_b = ctx.formed(ctx.mv(ctx.xi(), ("xi",)), ("z",))
         cls = schouten_formed(ctx.formed(witness_a), witness_b)
         if cls.is_zero():
             raise AssertionError("witness bracket vanished")
         return Certificate(
-            "ExP1", "zero", OBSTRUCTED,
+            "ExP1", stratum, OBSTRUCTED,
             witness={"a": str(witness_a), "b": str(witness_b)},
             class_repr=str(cls),
             data=dims,
@@ -282,7 +290,7 @@ def ep1_classify(a, b, c) -> Certificate:
     if not model.fills(columns):
         raise AssertionError("tangent map is not onto first cohomology")
     return Certificate(
-        "ExP1", "nonzero", UNOBSTRUCTED_MC,
+        "ExP1", stratum, UNOBSTRUCTED_MC,
         reason="verified polynomial Maurer-Cartan solution",
         data=dims,
     )
@@ -413,18 +421,22 @@ def _tp1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
 class TP1Matrices(Frozen):
     """The bracket maps of lam0 on the bases, built once per structure:
     H0(Theta) -> H0(wedge2), H0(wedge2) -> H0(wedge3) and
-    H1(Theta) -> H1(wedge2)."""
+    H1(Theta) -> H1(wedge2); and, on class 2, lam0 = D dz1^dz2 +
+    K dz2^dxi - k K dz1^dxi read as its polynomial K and its constant k
+    (K zero and k None off class 2)."""
 
-    __slots__ = ("ctx", "lam0", "bases", "m_h0", "m_sq_cube", "m_h1")
+    __slots__ = ("ctx", "lam0", "bases", "m_h0", "m_sq_cube", "m_h1", "K", "k")
 
     def __init__(self, ctx: ChartFrame, lam0: MultiVector, bases: dict, m_h0: LinMap,
-                 m_sq_cube: LinMap, m_h1: LinMap):
+                 m_sq_cube: LinMap, m_h1: LinMap, K: LaurentPoly, k: LaurentPoly | None):
         _set(self, "ctx", ctx)
         _set(self, "lam0", lam0)
         _set(self, "bases", bases)
         _set(self, "m_h0", m_h0)
         _set(self, "m_sq_cube", m_sq_cube)
         _set(self, "m_h1", m_h1)
+        _set(self, "K", K)
+        _set(self, "k", k)
 
 
 def tp1_matrices(ctx, lam0) -> TP1Matrices:
@@ -440,28 +452,37 @@ def tp1_matrices(ctx, lam0) -> TP1Matrices:
     pad = (LaurentPoly.zero(ctx.registry),) * m_h0.n_cols
     rows = [row + pad for row in m_h0.rows] + [pad + row for row in m_h0.rows]
     m_h1 = LinMap(bases["h1_theta"], bases["h1_sq"], rows, ctx.registry)
-    return TP1Matrices(ctx, lam0, bases, m_h0, maps["sq_cube"].at(coords), m_h1)
+    K = lam0.coefficient(("z2", "xi"))
+    k = -lam0.coefficient(("z1", "xi")).exact_div(K) if K.terms else None
+    return TP1Matrices(ctx, lam0, bases, m_h0, maps["sq_cube"].at(coords), m_h1, K, k)
 
 
-def tp1_dims(mats: TP1Matrices, model: H1Model) -> dict:
-    """The dimensions of H0 and H1 by ranks: H1 is the kernel of the wedge^3
-    map modulo the image of m_h0, plus the kernel of m_h1.  `model` is the
-    H1 model of `mats`; each cokernel representative it holds raised the
-    rank of its image space by one."""
-    bases = mats.bases
-    r0 = model.coker.rank - len(model.coker.reps)
-    middle_ker = len(bases["h0_sq"]) - generic_rank(mats.m_sq_cube)
-    return {"dim_h0": len(bases["h0_theta"]) - r0,
-            "dim_h1": middle_ker - r0 + len(model.kernel)}
+def tp1_model(mats: TP1Matrices, stratum: str) -> DeformationComplexModel:
+    """The deformation-complex model of `mats`, with the bare image of m_h0
+    for cokernel space: on the 3-fold the bivector classes are the kernel
+    of the wedge^3 map modulo that image, and `tp1_classify` registers
+    their representatives."""
+    ctx = mats.ctx
+    reduce_h1_sq = Reducer("H1 wedge2 coords", lambda f: [
+        c for g in ("z1", "z2") for c in tp1_sq_coords(ctx, f.part((g,)))])
+    return DeformationComplexModel("TxP1", stratum, mats.m_h1, reduce_h1_sq, mats.bases["h0_sq"],
+                                   lambda: mats.m_h0, image_space(mats.m_h0))
+
+
+def tp1_dims(mats: TP1Matrices, model: DeformationComplexModel) -> dict:
+    """The dimensions of H0 and H1: H1 is the kernel of the wedge^3 map
+    modulo the image of m_h0, plus the kernel of m_h1.  `model` is
+    tp1_model(mats); the wedge^3 kernel is a 3-fold fact, counted here."""
+    rank_h0 = mats.m_h0.n_cols - model.dim_h0
+    middle_ker = mats.m_sq_cube.n_cols - generic_rank(mats.m_sq_cube)
+    return {"dim_h0": model.dim_h0, "dim_h1": middle_ker - rank_h0 + len(model.h1_kernel)}
 
 
 def tp1_mc_solution(mats: TP1Matrices, f_coeffs=None) -> MCSolution:
     """The corrected class-2 solution, fully symbolic in t0..t8."""
-    ctx, lam0, m_h0 = mats.ctx, mats.lam0, mats.m_h0
-    kk = lam0.coefficient(("z2", "xi"))  # the K polynomial, zero off class 2
-    if kk.is_zero():
+    ctx, lam0, m_h0, K, kpar = mats.ctx, mats.lam0, mats.m_h0, mats.K, mats.k
+    if kpar is None:
         raise ConstraintViolation("polynomial solutions are built on class 2")
-    kpar = -lam0.coefficient(("z1", "xi")).exact_div(kk)
     if f_coeffs is None:
         gamma_map = [[m_h0.rows[i][j] for j in (2, 3, 4)] for i in (1, 2, 3)]
         gm = LinMap(LabeledBasis("gamma", ("g0", "g1", "g2")),
@@ -475,7 +496,6 @@ def tp1_mc_solution(mats: TP1Matrices, f_coeffs=None) -> MCSolution:
         fvec = [ctx.const(v) for v in f_coeffs]
     F = fvec[0] + fvec[1] * ctx.xi() + fvec[2] * ctx.xi(2)
     t = {i: ctx.param(f"t{i}") for i in range(9)}
-    K = kk
     lam_t = (ctx.mv(t[0], ("z1", "z2"))
              + ctx.mv(t[2] * F, ("z2", "xi"))
              - ctx.mv(t[1] * K + kpar * t[2] * F, ("z1", "xi")))
@@ -516,7 +536,7 @@ def tp1_classify(cls: TP1PoissonClass) -> Certificate:
         lam0 = tp1_lambda0(ctx, _swap_to_class2(cls))
     mats = tp1_matrices(ctx, lam0)
     # the rank count and the class coordinates share one elimination of each map
-    model = H1Model(mats.m_h0, mats.m_h1, image_space(mats.m_h0))
+    model = tp1_model(mats, f"class-{cls.class_id}")
     dim_h1 = tp1_dims(mats, model)["dim_h1"]
     if cls.class_id == 1:
         if dim_h1 != 17:
@@ -535,13 +555,11 @@ def tp1_classify(cls: TP1PoissonClass) -> Certificate:
             raise AssertionError(f"integrability piece {name} did not vanish")
     # cokernel representatives of the bivector block: dz1^dz2, the
     # F-direction, and K dxi^dz1
-    kk = lam0.coefficient(("z2", "xi"))
-    kpar = -lam0.coefficient(("z1", "xi")).exact_div(kk)
     tangents = sol.tangents()
     F = tangents[2].part(()).coefficient(("z2", "xi"))
     for r in (ctx.mv(ctx.const(1), ("z1", "z2")),
-              ctx.mv(F, ("z2", "xi")) - ctx.mv(kpar * F, ("z1", "xi")),
-              -ctx.mv(kk, ("z1", "xi"))):
+              ctx.mv(F, ("z2", "xi")) - ctx.mv(mats.k * F, ("z1", "xi")),
+              -ctx.mv(mats.K, ("z1", "xi"))):
         model.coker.add(tp1_sq_coords(ctx, r), rep=True)
     columns = [model.coords(tp1_sq_coords(ctx, el.part(())),
                             tp1_theta_coords(ctx, el.part(("z1",)))

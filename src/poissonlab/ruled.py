@@ -5,7 +5,10 @@ and U2 (zp, xip) by zp = 1/z, xip = z^m xi.  First cohomology is
 computed on this two-chart cover: an overlap section splits into a
 U1-holomorphic part, a U2-holomorphic part and a finite class window of
 negative z-powers, which is exactly the coordinate model used for every
-computation here.
+computation here.  `complex_model` puts a structure's two bracket
+maps, on these H0 and H1 models, into the one
+`obstruction.DeformationComplexModel`: Table 1 reads dim H2 off its H1
+map, and the family checks read first cohomology off the same model.
 
 The surface store `_SURFACE_CACHE` is the module's only per-process
 state.  It holds, per twist m and parameter names, the surface built by
@@ -25,8 +28,8 @@ from .laurent import LaurentPoly, VarRegistry
 from .linalg import LabeledBasis, LinMap, NotInSpan, Reducer, matrix_of_map
 from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
-from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel, H1Model,
-                          NotACocycle, r4_search)
+from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel, NotACocycle,
+                          r4_search)
 
 _set = object.__setattr__
 
@@ -377,18 +380,12 @@ def h0_bracket_matrix(rs: RuledSurface, bases: dict, lam0: MultiVector) -> LinMa
 
 
 def complex_model(rs: RuledSurface, pois: RuledPoisson) -> DeformationComplexModel:
+    """The deformation complex of `pois` on F_m; Table 1 reads only its H1
+    map, so the H0 map is built only for an H0-level answer."""
     bases = bases_for(rs)
     return DeformationComplexModel(
-        name=f"F{rs.m}",
-        stratum=pois.stratum(),
-        registry=rs.registry,
-        h0_sq=bases["h0_sq"],
-        h1_theta=bases["h1_theta"],
-        h1_sq=bases["h1_sq"],
-        bracket=schouten,
-        reduce_h1_sq=reduce_h1_sq(rs),
-        h1_matrix=h1_bracket_matrix(rs, bases, pois) if len(bases["h1_theta"]) else None,
-    )
+        f"F{rs.m}", pois.stratum(), h1_bracket_matrix(rs, bases, pois), reduce_h1_sq(rs),
+        bases["h0_sq"], lambda: h0_bracket_matrix(rs, bases, pois.bivector()))
 
 
 class Table1Row:
@@ -406,7 +403,7 @@ class Table1Row:
 def table1_verdict(rs: RuledSurface, pois: RuledPoisson) -> Table1Row:
     model = complex_model(rs, pois)
     cert = r4_search(model)
-    return Table1Row(rs.m, pois.stratum(), model.h2_dim,
+    return Table1Row(rs.m, pois.stratum(), model.dim_h2,
                      cert.verdict == OBSTRUCTED, cert)
 
 
@@ -431,15 +428,14 @@ def lemma_r4_certificate(rs: RuledSurface, pois: RuledPoisson) -> Certificate:
 # ----------------------------------------------------------------------
 # hypercohomology H1 model and class coordinates
 
-def hyper_h1(rs: RuledSurface, pois: RuledPoisson) -> H1Model:
-    """First cohomology of (F_m, lam0): global bivectors modulo the bracket
-    image of global fields, plus the kernel of the H1 bracket map."""
-    bases = bases_for(rs)
-    return H1Model(h0_bracket_matrix(rs, bases, pois.bivector()),
-                   h1_bracket_matrix(rs, bases, pois))
+def hyper_h1(rs: RuledSurface, pois: RuledPoisson) -> DeformationComplexModel:
+    """The model of `complex_model`, read for first cohomology: global
+    bivectors modulo the bracket image of global fields, plus the kernel
+    of the H1 bracket map."""
+    return complex_model(rs, pois)
 
 
-def hyper_class_coords(rs: RuledSurface, model: H1Model, lam0: MultiVector,
+def hyper_class_coords(rs: RuledSurface, model: DeformationComplexModel, lam0: MultiVector,
                        lam1: MultiVector, lam2_primed: MultiVector,
                        theta12: MultiVector) -> list[LaurentPoly]:
     """Coordinates of the hypercohomology class of a Cech pair.
@@ -671,7 +667,7 @@ def verify_family(fam: RuledFamily, expected_basis: Sequence[str] | None = None
         theta21 = rs.mv(dxi * rs.z(-rs.m), ("xi",))
         theta12 = -theta21
         columns.append(hyper_class_coords(rs, model, lam0, lam1, lam2, theta12))
-    dim = model.dim
+    dim = model.dim_h1
     basis = [str(e) for e in model.elements]
     if expected_basis is not None and list(expected_basis) != basis:
         raise KSDegenerate("first-cohomology basis differs from the expected one")

@@ -21,7 +21,7 @@ from poissonlab.linalg import generic_rank, kernel_basis
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
                                     schouten, schouten_formed, wedge)
 from poissonlab.obstruction import (OBSTRUCTED, UNDETERMINED,
-                                    UNOBSTRUCTED_H2_ZERO, UNOBSTRUCTED_MC, H1Model,
+                                    UNOBSTRUCTED_H2_ZERO, UNOBSTRUCTED_MC,
                                     verify_certificate)
 from poissonlab.rational import GaussianRational
 from ruled_cochains import cech_square, random_cocycle
@@ -248,7 +248,8 @@ def test_12_torus_times_line():
     ctx = products.tp1_context()
     mats = {cid: products.tp1_matrices(ctx, products.tp1_lambda0(
         ctx, products.TP1PoissonClass(cid, {}))) for cid in (1, 2, 3)}
-    dims = {cid: products.tp1_dims(m, H1Model(m.m_h0, m.m_h1)) for cid, m in mats.items()}
+    dims = {cid: products.tp1_dims(m, products.tp1_model(m, f"class-{cid}"))
+            for cid, m in mats.items()}
     assert dims[1]["dim_h1"] == 17
     assert dims[2]["dim_h1"] == 9
     assert dims[3]["dim_h1"] == 9

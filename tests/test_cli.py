@@ -301,6 +301,26 @@ def test_every_hopf_stratum_form_is_accepted(p):
         assert json.loads(out)["verdict"] == expected, (spec, src)
 
 
+# symbolic type-IV input is placed by 4AC - B^2 as a polynomial in the
+# parameters, with the verdict of its A = 1 instance
+SYMBOLIC_IV = {
+    "(A*z^2 + 2*A*z*w + A*w^2)*@z^@w": ("4AC-B^2=0", "undetermined"),
+    "(A*A*z^2 + 2*A*z*w + w^2)*@z^@w": ("4AC-B^2=0", "undetermined"),
+    "(A*z^2)*@z^@w": ("4AC-B^2=0", "undetermined"),
+    "A*z*w*@z^@w": ("generic", "unobstructed_mc"),
+}
+
+
+@pytest.mark.parametrize("src", sorted(SYMBOLIC_IV))
+def test_symbolic_hopf_iv_input_is_placed_by_its_discriminant(src):
+    code, out = run_cli("classify", "hopf:IV", "--poisson", src)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["stratum"], doc["verdict"]) == SYMBOLIC_IV[src]
+    instance = src.replace("A", "1")
+    assert json.loads(run_cli("classify", "hopf:IV", "--poisson", instance)[1]) == doc
+
+
 def test_tables_json_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("tables", "ruled", "--m-max", "4", "--json")

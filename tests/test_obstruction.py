@@ -3,17 +3,20 @@ import random
 import pytest
 
 from poissonlab.expr import EvalContext, eval_str
+from poissonlab.hopf import (STRATA, deformation_model, h0_bracket_matrix, m_bracket_matrix,
+                             model_for, stratum_bivector)
 from poissonlab.laurent import LaurentPoly, VarRegistry
-from poissonlab.linalg import Reducer
+from poissonlab.linalg import Reducer, generic_rank
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
                                     schouten)
 from poissonlab.obstruction import (OBSTRUCTED, UNDETERMINED, Certificate,
-                                    DolbeaultModel, H1Model, NotACocycle, class_is_zero,
-                                    primary_obstruction, r4_search,
+                                    DeformationComplexModel, DolbeaultModel, NotACocycle,
+                                    class_is_zero, primary_obstruction, r4_search,
                                     verify_certificate)
 from poissonlab.products import (TP1PoissonClass, ep1_bracket_matrices, ep1_classify,
                                  ep1_context, ep1_dolbeault_model, ep1_mc_solution,
-                                 tp1_classify)
+                                 tp1_classify, tp1_context, tp1_dims, tp1_lambda0,
+                                 tp1_matrices, tp1_model)
 from poissonlab.ruled import (FAMILIES, KSDegenerate, RuledPoisson, complex_model,
                               make_surface, verify_family)
 
@@ -154,8 +157,10 @@ def test_h1_kernel_computed_once_per_search(monkeypatch):
     real_search, real_kernel = obstruction.r4_search, linalg.kernel_basis
 
     def search(model):
-        searches.append(model.h1_matrix is not None)
-        return real_search(model)
+        before = len(kernels)
+        cert = real_search(model)
+        searches.append(len(kernels) - before)
+        return cert
 
     def kernel(m):
         kernels.append(m)
@@ -164,26 +169,28 @@ def test_h1_kernel_computed_once_per_search(monkeypatch):
     monkeypatch.setattr(ruled, "r4_search", search)
     monkeypatch.setattr(obstruction, "kernel_basis", kernel)
     ruled.table1_sweep(12)
+    # every search has an H1 map, F0 and F1 one with no columns
     assert len(searches) == 22
-    assert len(kernels) == sum(searches) == 20
-
+    assert searches == [1] * 22
+    assert len(kernels) == 22
 
 
 def test_r4_search_brackets_nothing_when_h2_is_zero(monkeypatch):
     from poissonlab import obstruction, ruled
-    seen = []
+    seen, brackets = [], []
+    real_schouten = obstruction.schouten
 
     def search(model):
-        brackets = []
-        bracket = model.bracket
-        model.bracket = lambda a, b: brackets.append(1) or bracket(a, b)
+        before = len(brackets)
         cert = obstruction.r4_search(model)
-        seen.append((model, cert.verdict, len(brackets)))
+        seen.append((model, cert.verdict, len(brackets) - before))
         return cert
 
+    monkeypatch.setattr(obstruction, "schouten",
+                        lambda a, b: brackets.append(1) or real_schouten(a, b))
     monkeypatch.setattr(ruled, "r4_search", search)
     ruled.table1_sweep(12)
-    decided = [(model, verdict, n) for model, verdict, n in seen if model.h2_dim == 0]
+    decided = [(model, verdict, n) for model, verdict, n in seen if model.dim_h2 == 0]
     assert len(decided) == 13
     for model, verdict, n in decided:
         assert (verdict, n) == ("unobstructed_h2_zero", 0)
@@ -191,7 +198,8 @@ def test_r4_search_brackets_nothing_when_h2_is_zero(monkeypatch):
         assert model.h1_image_space().rank == len(model.h1_sq)
     # the e = 0 rows still search, and find their witness by bracketing
     assert all(verdict == OBSTRUCTED and n > 0
-               for model, verdict, n in seen if model.h2_dim > 0)
+               for model, verdict, n in seen if model.dim_h2 > 0)
+
 
 def test_certificate_json_round_trip_stable():
     cert = Certificate("F6", "e=0", OBSTRUCTED,
@@ -216,15 +224,16 @@ ONTO_CHECKS = {
 @pytest.mark.parametrize("name", sorted(ONTO_CHECKS))
 def test_fills_rejects_a_tangent_column_replaced_by_a_copy(name, monkeypatch):
     check, error, message = ONTO_CHECKS[name]
-    seen, real = [], H1Model.fills
-    monkeypatch.setattr(H1Model, "fills",
+    seen, real = [], DeformationComplexModel.fills
+    monkeypatch.setattr(DeformationComplexModel, "fills",
                         lambda self, columns: seen.append((self, columns)) or real(self, columns))
     check()
     ((model, columns),) = seen
-    assert len(columns) == model.dim
+    assert len(columns) == model.dim_h1
     assert real(model, columns)
     assert not real(model, [columns[1]] + columns[1:])
-    monkeypatch.setattr(H1Model, "fills", lambda self, columns: real(self, [columns[1]] + columns[1:]))
+    monkeypatch.setattr(DeformationComplexModel, "fills",
+                        lambda self, columns: real(self, [columns[1]] + columns[1:]))
     with pytest.raises(error, match=message):
         check()
 
@@ -238,3 +247,50 @@ def test_table1_verdicts_build_no_h0_bracket_map(monkeypatch):
     monkeypatch.setattr(ruled, "h0_bracket_matrix", refuse)
     monkeypatch.setattr(obstruction, "cokernel_space", refuse)
     assert len(ruled.table1_sweep(12)) == 22
+
+
+def _ruled_ranks(m, e_zero):
+    """dim H2 of the model of F_m, symbolic in e (or e = 0) and f, and the
+    corank of its H1 map by an independent rank."""
+    rs = make_surface(m, ("e0", "e1", "e2") + tuple(f"f{j}" for j in range(m + 3)))
+    zero = LaurentPoly.zero(rs.registry)
+    f_sym = sum((rs.param(f"f{j}") * rs.z(j) for j in range(m + 3)), zero)
+    e_sym = zero if e_zero else rs.param("e0") + rs.param("e1") * rs.z()
+    model = complex_model(rs, RuledPoisson(rs, zero, e_sym, f_sym))
+    return model.dim_h2, model.h1.n_rows - generic_rank(model.h1)
+
+
+def _hopf_ranks(t, stratum):
+    """(dim H0, dim H1, dim H2) of a Hopf stratum's model, and the same
+    triple counted by the ranks of its two bracket maps."""
+    cover = model_for(t)
+    lam0 = stratum_bivector(cover.ctx, stratum)
+    h0m, mm = h0_bracket_matrix(cover, lam0), m_bracket_matrix(cover, lam0)
+    r0, r1 = generic_rank(h0m), generic_rank(mm)
+    model = deformation_model(cover, stratum)
+    return ((model.dim_h0, model.dim_h1, model.dim_h2),
+            (h0m.n_cols - r0, (h0m.n_rows - r0) + (mm.n_cols - r1), mm.n_rows - r1))
+
+
+def _tp1_dim_h1(class_id):
+    ctx = tp1_context()
+    mats = tp1_matrices(ctx, tp1_lambda0(ctx, TP1PoissonClass(class_id, {})))
+    return tp1_dims(mats, tp1_model(mats, f"class-{class_id}"))["dim_h1"], {1: 17, 2: 9}[class_id]
+
+
+def _one_model_cases():
+    cases = {f"F{m}-{'e=0' if e_zero else 'e!=0'}": (_ruled_ranks, m, e_zero)
+             for m in range(7) for e_zero in (False, True)}
+    cases.update({f"hopf-{t.tag}-{stratum}": (_hopf_ranks, t, stratum) for t, stratum in STRATA})
+    cases.update({f"tp1-class-{c}": (_tp1_dim_h1, c) for c in (1, 2)})
+    return cases
+
+
+ONE_MODEL_CASES = _one_model_cases()
+
+
+@pytest.mark.parametrize("case", ONE_MODEL_CASES)
+def test_one_model_agrees_with_independent_ranks(case):
+    count, *args = ONE_MODEL_CASES[case]
+    got, reference = count(*args)
+    assert got == reference

@@ -4,12 +4,12 @@ from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.linalg import Reducer, generic_rank, kernel_basis, matrix_of_map
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
                                     schouten, schouten_formed)
-from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_MC, H1Model
+from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_MC, DeformationComplexModel
 from poissonlab.products import (ConstraintViolation, TP1PoissonClass,
                                  ep1_bases, ep1_bracket_matrices, ep1_classify,
                                  ep1_context, ep1_lambda0, ep1_mc_solution, torus_dims,
                                  tp1_bases, tp1_classify, tp1_context,
-                                 tp1_dims, tp1_integrability,
+                                 tp1_dims, tp1_integrability, tp1_model,
                                  tp1_lambda0, tp1_matrices, tp1_mc_solution)
 from poissonlab.rational import GaussianRational
 import poissonlab.products as products_mod
@@ -22,9 +22,9 @@ def _tp1_mats(class_id):
 
 def _tangent_columns(monkeypatch, run):
     """The class coordinate columns of the tangent directions that `run`
-    hands to H1Model.fills."""
-    seen, real = [], H1Model.fills
-    monkeypatch.setattr(H1Model, "fills",
+    hands to DeformationComplexModel.fills."""
+    seen, real = [], DeformationComplexModel.fills
+    monkeypatch.setattr(DeformationComplexModel, "fills",
                         lambda self, columns: seen.append(columns) or real(self, columns))
     run()
     (columns,) = seen
@@ -191,7 +191,7 @@ def test_tp1_lambda0_is_poisson_per_class():
 def test_tp1_dims_table():
     def dims(class_id):
         mats = _tp1_mats(class_id)
-        return tp1_dims(mats, H1Model(mats.m_h0, mats.m_h1))
+        return tp1_dims(mats, tp1_model(mats, f"class-{class_id}"))
 
     assert dims(1)["dim_h1"] == 17
     assert dims(2)["dim_h1"] == 9
@@ -389,9 +389,9 @@ def test_tangents_equal_the_per_parameter_derivatives(sol):
 def test_zero_ep1_dimensions_come_from_the_h1_model(monkeypatch):
     assert ep1_classify(0, 0, 0).data == {"dim_h1": 7, "dim_h2": 3}
 
-    class Shifted(H1Model):
-        dim = property(lambda self: H1Model.dim.fget(self) + 10)
-        dim_h2 = property(lambda self: H1Model.dim_h2.fget(self) + 20)
+    class Shifted(DeformationComplexModel):
+        dim_h1 = property(lambda self: DeformationComplexModel.dim_h1.fget(self) + 10)
+        dim_h2 = property(lambda self: DeformationComplexModel.dim_h2.fget(self) + 20)
 
-    monkeypatch.setattr(products_mod, "H1Model", Shifted)
+    monkeypatch.setattr(products_mod, "DeformationComplexModel", Shifted)
     assert ep1_classify(0, 0, 0).data == {"dim_h1": 17, "dim_h2": 23}

@@ -222,7 +222,7 @@ def test_hyper_h1_oracles():
         "(z^-1)*@xi", "(z^-4)*@xi"]
     rs2 = make_surface(2)
     p2 = RuledPoisson(rs2, zero(rs2), zero(rs2), zero(rs2))
-    assert hyper_h1(rs2, p2).dim == 10
+    assert hyper_h1(rs2, p2).dim_h1 == 10
 
 
 def test_hyper_h1_generically_constant_on_strata():
@@ -230,7 +230,7 @@ def test_hyper_h1_generically_constant_on_strata():
     for m in (4, 5):
         rs = make_surface(m)
         for force, expected in ((True, None), (False, 3)):
-            dims = {hyper_h1(rs, random_poisson(rs, rng, force_e_zero=force)).dim
+            dims = {hyper_h1(rs, random_poisson(rs, rng, force_e_zero=force)).dim_h1
                     for _ in range(10)}
             assert len(dims) == 1
             if expected is not None:
