@@ -30,6 +30,11 @@ EXIT_USAGE = 2
 # the largest n of `classify torus:n`: the cost grows faster than n^3, from
 # 0.4 s at n = 128 to about 26 s at n = 400 (one core of an AMD EPYC VM)
 MAX_TORUS_N = 128
+# the largest Hopf degree cap, and the largest p, whose default cap p + 3 it is: the dense
+# grade-1 id - f_* has side (cap + 1)(cap + 2), and `tables hopf --degree 40` takes
+# 1.2-1.5 s and 100 MB peak RSS (same VM)
+MAX_CAP = 40
+MAX_P = MAX_CAP - 3
 
 
 class UsageError(Exception):
@@ -46,6 +51,8 @@ def _degree_cap(args) -> int | None:
             raise UsageError(f"POISSONLAB_DEGREE_CAP must be an integer, got {env!r}") from None
     if cap is not None and cap < hopf.MIN_CAP:
         raise UsageError(f"degree cap {cap} is below the minimum {hopf.MIN_CAP}")
+    if cap is not None and cap > MAX_CAP:
+        raise UsageError(f"degree cap {cap} is above the maximum {MAX_CAP}")
     return cap
 
 
@@ -126,8 +133,9 @@ def hopf_tables(cap: int | None, p: int) -> dict:
 
 
 def products_tables() -> dict:
+    (f0,) = ruled.table1_sweep(0)
     curve_rows = [
-        {"manifold": "P1xP1", "stratum": "any", "verdict": "unobstructed_h2_zero",
+        {"manifold": "P1xP1", "stratum": f0.stratum, "verdict": f0.certificate.verdict,
          "note": "the untwisted ruled surface row"},
         {"manifold": "E1xE2", "stratum": "any", "verdict": UNOBSTRUCTED_MC,
          "dim_h1": products.torus_dims(2)},
@@ -164,8 +172,8 @@ def cmd_tables(args) -> int:
             doc, ("manifold", "stratum", "dim_h2", "verdict"), "Ruled surfaces"))
         return EXIT_OK
     if args.what == "hopf":
-        if args.p < 2:
-            raise UsageError(f"--p must be an integer >= 2, got {args.p}")
+        if not 2 <= args.p <= MAX_P:
+            raise UsageError(f"--p must be an integer in 2..{MAX_P}, got {args.p}")
         doc = hopf_tables(_degree_cap(args), args.p)
         def render(d):
             out = _md_rows(d["classification"],
@@ -322,8 +330,8 @@ def _hopf_type(parts) -> hopf.HopfType:
         p = int(extras[0][2:])
     except ValueError:
         p = None
-    if p is None or p < 2:
-        raise UsageError(f"{spec!r}: p must be an integer >= 2")
+    if p is None or not 2 <= p <= MAX_P:
+        raise UsageError(f"{spec!r}: p must be an integer in 2..{MAX_P}")
     return hopf.HopfType(tag, p)
 
 
@@ -353,25 +361,13 @@ def _classify_hopf(parts, args) -> Certificate:
 
     if tag == "IV":
         a, b, c = coef(2, 0), coef(1, 1), coef(0, 2)
-        if coeff.is_zero():
-            return hopf.obstruction_certificate_hopf(model, {"A": 1, "d": 1})
-        if (a * c * 4 - b * b).is_zero():
-            return hopf.undetermined_certificate("iv-discriminant-zero")
-        return _hopf_family_certificate(model, "generic")
-    if tag == "III":
-        if coeff.is_zero():
-            return hopf.obstruction_certificate_hopf(model, {"B": 1, "d": 1})
-        if coef(1, 1).is_zero():
-            return hopf.undetermined_certificate("iii-b-nonzero")
-        return _hopf_family_certificate(model, "A")
-    return _hopf_family_certificate(model, "any")
-
-
-def _hopf_family_certificate(model: hopf.CoverModel, stratum: str) -> Certificate:
-    """The unobstructed verdict, once the contraction family of the model's
-    type is verified invariant and its tangent pairs fill H1."""
-    return Certificate(f"Hopf {model.ctx.type.label()}", stratum, UNOBSTRUCTED_MC,
-                       reason="verified contraction family", data={"dim_h1": model.dim_h1})
+        stratum = ("zero" if coeff.is_zero()
+                   else "degenerate" if (a * c * 4 - b * b).is_zero() else "generic")
+    elif tag == "III":
+        stratum = "zero" if coeff.is_zero() else "B" if coef(1, 1).is_zero() else "A"
+    else:
+        stratum = "any"
+    return hopf.stratum_certificate(model, stratum)
 
 
 def _classify_tp1(src: str) -> Certificate:
@@ -467,9 +463,10 @@ def cmd_mc_check(args) -> int:
 
 
 def cmd_report(args) -> int:
+    m_max, cap = _m_max(args), _degree_cap(args)
     doc = {
-        "ruled": ruled_table(_m_max(args)),
-        "hopf": hopf_tables(_degree_cap(args), hopf.DEFAULT_P),
+        "ruled": ruled_table(m_max),
+        "hopf": hopf_tables(cap, hopf.DEFAULT_P),
         "products": products_tables(),
         "families": {name: verify_family_report(name) for name in FAMILY_NAMES},
     }

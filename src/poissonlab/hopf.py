@@ -6,8 +6,9 @@ invariant (global) fields, its cokernel models first cohomology, and
 the bracket maps between those models drive the dimension tables,
 automorphism kernels, family checks and obstruction certificates.
 `deformation_model` puts a stratum's two bracket maps into the one
-`obstruction.DeformationComplexModel`, which gives both the cohomology
-table row (`stratum_row`) and the input of the witness search.
+`obstruction.DeformationComplexModel`, stored on the cover model; it
+answers the table row, the family check, the degenerate families and
+the verdict of the stratum (`stratum_certificate`).
 
 One cover model per type and degree cap is the input of every Hopf
 computation: `model_for` is the one place that turns a type and a cap
@@ -15,11 +16,11 @@ into a model, and every other function takes the model it is given.
 The model store `_MODEL_CACHE` is the module's only per-process state:
 a process serving a stream of classify requests reuses each model
 across requests, where rebuilding it would cost more than the rest of
-a request.  A model holds both id - f_* matrices and carries the
-invariant fields and bivectors, their kernels, computed at most once on
-first use.  A matrix is built from f_*(g * e) = (g o f^-1) * f_*(e),
-from the frames e pushed forward once and monomials g composed with
-f^-1 (`id_minus_fstar`).
+a request.  A model keeps only the weight-0 blocks of its two id - f_*
+matrices and computes, at most once on first use, the invariant fields
+and bivectors and each stratum's complex.  A matrix is built from
+f_*(g * e) = (g o f^-1) * f_*(e), from the frames e pushed forward once
+and monomials g composed with f^-1 (`id_minus_fstar`).
 
 Every id - f_* matrix is block diagonal by weighted degree, with
 wt(z) = p, wt(w) = 1 for III and IIa and 1, 1 for the other types, and
@@ -43,11 +44,11 @@ from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, image_space,
-                     kernel_basis, matrix_of_map, quotient_coords, quotient_space)
+from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, kernel_basis,
+                     matrix_of_map, quotient_coords, quotient_space)
 from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
-from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel,
+from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DeformationComplexModel,
                           r4_search)
 from .rational import ONE, Frozen
 
@@ -351,16 +352,16 @@ def _named_m_reps(ctx: HopfContext):
 
 
 class CoverModel:
-    """Truncated cover model at one degree cap: spaces, images, M1/M2,
-    and the invariant fields and bivectors (the kernels of mat1, mat2).
-
-    `id_minus_fstar` proves every block of mat1 and mat2 off weight 0
-    invertible, so their kernels and cokernels are those of the weight-0
-    blocks block1 and block2; order1 and order2 are the blocks'
-    triangular orders, and the kernels are taken in them.  m1_space and
-    m2_space hold the images of the blocks, eliminated in those orders,
-    with the weight-0 coordinates of the M1/M2 representatives
-    registered; every class reduction solves against them."""
+    """Truncated cover model at one degree cap: spaces, M1/M2, images,
+    invariant fields and bivectors, and `complexes`, the stored stratum
+    complexes.  `id_minus_fstar` proves every block of the grade-1 and
+    grade-2 matrices off weight 0 invertible, so their kernels and
+    cokernels are those of the weight-0 blocks block1 and block2, the
+    only parts kept; order1 and order2 are the blocks' triangular orders,
+    and the kernels are taken in them.  m1_space and m2_space hold the
+    images of the blocks, eliminated in those orders, with the weight-0
+    coordinates of the M1/M2 representatives registered; every class
+    reduction solves against them."""
 
     def __init__(self, ctx: HopfContext, cap: int, m1: LabeledBasis, m2: LabeledBasis,
                  grade1: tuple, grade2: tuple):
@@ -368,9 +369,10 @@ class CoverModel:
         self.cap = cap
         self.m1 = m1
         self.m2 = m2
-        # (space, matrix, weight-0 block, its triangular order, its image)
-        self.space1, self.mat1, self.block1, self.order1, self.m1_space = grade1
-        self.space2, self.mat2, self.block2, self.order2, self.m2_space = grade2
+        # (space, weight-0 block, its triangular order, its image)
+        self.space1, self.block1, self.order1, self.m1_space = grade1
+        self.space2, self.block2, self.order2, self.m2_space = grade2
+        self.complexes: dict[str, DeformationComplexModel] = {}
 
     def class_coords(self, grade: int, coords: Sequence[LaurentPoly]) -> list[LaurentPoly]:
         """Class coordinates in M1 or M2 of a vector in the truncated basis,
@@ -387,7 +389,7 @@ class CoverModel:
 
     @cached_property
     def fields(self) -> tuple[MultiVector, ...]:
-        """Invariant fields: the kernel of mat1."""
+        """Invariant fields: the kernel of the grade-1 id - f_*."""
         return tuple(combination(v, self.block1.domain)
                      for v in kernel_basis(self.block1, self.order1))
 
@@ -399,7 +401,7 @@ class CoverModel:
 
     @cached_property
     def bivectors(self) -> tuple[MultiVector, ...]:
-        """Invariant bivectors: the kernel of mat2."""
+        """Invariant bivectors: the kernel of the grade-2 id - f_*."""
         return tuple(combination(v, self.block2.domain) for v in self._bivector_space.reps)
 
     def bivector_coords(self, v: MultiVector) -> list[LaurentPoly]:
@@ -479,7 +481,7 @@ def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
             except NotInSpan:
                 raise TruncationUnstable(
                     f"{label} representative {e} is dependent modulo the image") from None
-        grades.append((space, mat, block, order, quot))
+        grades.append((space, block, order, quot))
     return CoverModel(ctx, cap, LabeledBasis(f"M1({ctx.type.label()})", tuple(m1)),
                       LabeledBasis(f"M2({ctx.type.label()})", tuple(m2)), *grades)
 
@@ -537,12 +539,6 @@ def h0_bracket_matrix(model: CoverModel, lam0: MultiVector) -> LinMap:
     return matrix_of_map(lambda x: schouten(lam0, x), dom, cod,
                          Reducer("invariant bivector coords", model.bivector_coords),
                          model.ctx.registry)
-
-
-def _dies_in_h0_cokernel(model: CoverModel, lam0: MultiVector, direction: MultiVector) -> bool:
-    """Whether an invariant bivector lies in the image of [lam0, -] on H0."""
-    coords = model.bivector_coords(direction)
-    return image_space(h0_bracket_matrix(model, lam0)).contains(coords)
 
 
 def m_bracket_matrix(model: CoverModel, lam0: MultiVector) -> LinMap:
@@ -701,38 +697,31 @@ def d_membership(model: CoverModel) -> dict:
     """Verify the tangent pairs land in D and their classes fill H1.
 
     Each pair must satisfy (id - f_*)(B) = [lam_s, A] exactly; the field
-    parts must give independent kernel classes in M1 and the pure
-    bivector pair a nonzero class in the H0 cokernel.
+    pairs' kernel classes and the bivector pair's cokernel class in the
+    family stratum's complex must then span its H1 (`fills`).
     """
-    ctx = model.ctx
-    t = ctx.type
-    lam_s = stratum_bivector(ctx, family_stratum(t))
+    ctx, t = model.ctx, model.ctx.type
+    stratum = family_stratum(t)
+    lam_s = stratum_bivector(ctx, stratum)
     pairs = membership_pairs(ctx)
     for k, (bv, av) in enumerate(pairs):
-        lhs = bv - pushforward(ctx.contraction, bv)
-        rhs = schouten(lam_s, av)
-        if lhs != rhs:
+        if bv - pushforward(ctx.contraction, bv) != schouten(lam_s, av):
             raise MembershipFails(f"pair {k} of type {t.label()}: (id-f_*)B != [lam_s, A]")
-    red1 = model.reduce_m(1)
-    mm = m_bracket_matrix(model, lam_s)
-    field_classes = []
-    for bv, av in pairs[:2]:
-        coords = red1(av)
-        image = mm.apply(coords)
-        if not all(p.is_zero() for p in image):
-            raise MembershipFails("field class is not in the kernel of the H1 bracket map")
-        field_classes.append(coords)
-    span = ColumnSpace(len(model.m1), ctx.registry)
-    for coords in field_classes:
-        if not span.add(list(coords)):
-            raise MembershipFails("sigma images of the field directions are dependent")
-    # the bivector direction must be nonzero in the H0 cokernel
-    if _dies_in_h0_cokernel(model, lam_s, pairs[2][0]):
-        raise MembershipFails("bivector direction dies in the H0 cokernel")
+    dc = deformation_model(model, stratum)
+    zero, red1 = ctx.const(0), model.reduce_m(1)
+    # sound: the true class matrix differs only in one off-diagonal block, so keeps full rank
+    try:
+        classes = [dc.coords([zero] * len(dc.h0_sq), red1(av)) for _, av in pairs[:2]]
+        classes.append(dc.coords(model.bivector_coords(pairs[2][0]), [zero] * len(dc.h1_theta)))
+    except NotInSpan:
+        raise MembershipFails("a field class is off the kernel of the H1 bracket map, "
+                              "or the bivector direction is not invariant") from None
+    if not dc.fills(classes):
+        raise MembershipFails(f"the tangent classes of type {t.label()} do not fill H1")
     return {
         "type": t.label(),
         "pairs": [(str(b), str(a)) for b, a in pairs],
-        "h1_dim": 1 + len(field_classes),
+        "h1_dim": dc.dim_h1,
     }
 
 
@@ -740,15 +729,18 @@ def d_membership(model: CoverModel) -> dict:
 # obstruction certificates and the undetermined strata
 
 def deformation_model(model: CoverModel, stratum: str) -> DeformationComplexModel:
-    """The deformation complex of the stratum bivector on the cover model:
-    its H1 map acts on M1, and its H0 map is built on first use."""
-    label = model.ctx.type.label()
-    lam0 = stratum_bivector(model.ctx, stratum)
-    return DeformationComplexModel(
-        f"Hopf {label}", "4AC-B^2=0" if stratum == "degenerate" else stratum,
-        m_bracket_matrix(model, lam0), model.reduce_m(2),
-        LabeledBasis(f"H0({label},Wedge2Theta)", model.bivectors),
-        lambda: h0_bracket_matrix(model, lam0))
+    """The deformation complex of the stratum bivector on the cover model,
+    built once and stored on it: its H1 map acts on M1, and its H0 map is
+    built on first use."""
+    if stratum not in model.complexes:
+        label = model.ctx.type.label()
+        lam0 = stratum_bivector(model.ctx, stratum)
+        model.complexes[stratum] = DeformationComplexModel(
+            f"Hopf {label}", "4AC-B^2=0" if stratum == "degenerate" else stratum,
+            m_bracket_matrix(model, lam0), model.reduce_m(2),
+            LabeledBasis(f"H0({label},Wedge2Theta)", model.bivectors),
+            lambda: h0_bracket_matrix(model, lam0))
+    return model.complexes[stratum]
 
 
 def obstruction_certificate_hopf(model: CoverModel, constants: dict) -> Certificate:
@@ -809,15 +801,23 @@ def h95_degeneracy(case: str, cap: int | None = None) -> bool:
     """
     t, stratum = _h95_stratum(case)
     model = model_for(t, cap)
-    lam0 = stratum_bivector(model.ctx, stratum)
-    return _dies_in_h0_cokernel(model, lam0, lam0)
+    coords = model.bivector_coords(stratum_bivector(model.ctx, stratum))
+    coker = deformation_model(model, stratum).coker
+    return all(c.is_zero() for c in quotient_coords(coker, coords))
 
 
-def undetermined_certificate(case: str) -> Certificate:
-    if case not in H95_CASES:
-        raise ValueError(f"unknown case {case!r}")
-    t, stratum = _h95_stratum(case)
-    return r4_search(deformation_model(model_for(t), stratum))
+def stratum_certificate(model: CoverModel, stratum: str) -> Certificate:
+    """The verdict on a stratum of the model's type: the witness of the
+    zero structure, the verified contraction family on the family's
+    stratum, and the witness search on its deformation complex otherwise."""
+    t = model.ctx.type
+    if stratum == "zero":
+        return obstruction_certificate_hopf(
+            model, {"A": 1, "d": 1} if t.tag == "IV" else {"B": 1, "d": 1})
+    if stratum == family_stratum(t):
+        return Certificate(f"Hopf {t.label()}", stratum, UNOBSTRUCTED_MC,
+                           reason="verified contraction family", data={"dim_h1": model.dim_h1})
+    return r4_search(deformation_model(model, stratum))
 
 
 # ----------------------------------------------------------------------

@@ -214,7 +214,8 @@ def test_10_undetermined_strata():
     assert hopf.h95_degeneracy("iii-b-nonzero") is True
     assert hopf.h95_degeneracy("iic-control") is False
     for case in hopf.H95_CASES:
-        assert hopf.undetermined_certificate(case).verdict == UNDETERMINED
+        t, stratum = hopf._h95_stratum(case)
+        assert hopf.stratum_certificate(hopf.model_for(t), stratum).verdict == UNDETERMINED
     report(10, "degenerate candidate families and undetermined verdicts")
 
 

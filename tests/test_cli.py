@@ -399,6 +399,62 @@ def test_torus_n_above_the_limit_exits_2_before_any_work(n, monkeypatch, capsys)
     assert err == f"error: 'torus:{n}': N must be an integer 1..{cli_mod.MAX_TORUS_N}\n"
 
 
+CAP, P = cli_mod.MAX_CAP, cli_mod.MAX_P
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (("tables", "hopf", "--degree", str(CAP + 1)), None,
+     f"degree cap {CAP + 1} is above the maximum {CAP}"),
+    (("tables", "hopf", "--degree", "1000"), None, f"degree cap 1000 is above the maximum {CAP}"),
+    (("report", "--degree", str(CAP + 1)), None, f"degree cap {CAP + 1} is above the maximum {CAP}"),
+    (("verify-family", "hopf-iv", "--degree", str(CAP + 1)), None,
+     f"degree cap {CAP + 1} is above the maximum {CAP}"),
+    (("tables", "hopf"), str(CAP + 1), f"degree cap {CAP + 1} is above the maximum {CAP}"),
+    (("tables", "hopf", "--p", str(P + 1)), None, f"--p must be an integer in 2..{P}, got {P + 1}"),
+    (("tables", "hopf", "--p", "1000"), None, f"--p must be an integer in 2..{P}, got 1000"),
+    (("classify", f"hopf:III:p={P + 1}", "--poisson", "w*@z^@w"), None,
+     f"'hopf:III:p={P + 1}': p must be an integer in 2..{P}"),
+    (("classify", "hopf:IIa:p=1000", "--poisson", "w*@z^@w"), None,
+     f"'hopf:IIa:p=1000': p must be an integer in 2..{P}"),
+], ids=("degree", "degree-1000", "report", "verify-family", "env", "p", "p-1000",
+        "iii-spec", "iia-spec"))
+def test_hopf_cap_or_p_above_the_bound_exits_2_before_any_work(argv, env, message,
+                                                                monkeypatch, capsys):
+    from poissonlab import hopf, ruled
+
+    def work(*args):
+        raise AssertionError("work started for a cap or p above the bound")
+
+    monkeypatch.setattr(hopf, "cover_model", work)
+    monkeypatch.setattr(ruled, "table1_sweep", work)
+    if env is not None:
+        monkeypatch.setenv("POISSONLAB_DEGREE_CAP", env)
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_the_hopf_bounds_admit_their_largest_values():
+    import argparse
+
+    from poissonlab import hopf
+
+    # the default cap p + 3 of the largest p is the largest cap
+    assert CAP >= 40 and hopf.default_cap(hopf.HopfType("III", P)) == CAP
+    assert cli_mod._degree_cap(argparse.Namespace(degree=CAP)) == CAP
+    assert cli_mod._hopf_type(["hopf", "IIa", f"p={P}"]) == hopf.HopfType("IIa", P)
+
+
+@pytest.mark.parametrize("p", [3, 5, P])
+def test_stratum_b_is_classified_on_the_model_of_its_own_p(p):
+    # the undetermined verdict once came from the p = 2 model for every p
+    code, out = run_cli("classify", f"hopf:III:p={p}", "--poisson", f"w^{p + 1}*@z^@w")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["manifold"], doc["stratum"], doc["verdict"]) == (
+        f"Hopf III(p={p})", "B", "undetermined")
+
+
 STORED_GEOMETRY_REQUESTS = (
     ("classify", "ruled:7", "--poisson", "((z + 2*z^2)*xi + xi^2)*@z^@xi"),
     ("classify", "ruled:7", "--poisson", "(1 - z^9)*xi^2*@z^@xi"),

@@ -6,14 +6,14 @@ from poissonlab.linalg import (NotInSpan, generic_rank, image_space, kernel_basi
 from poissonlab.multivector import combination, pushforward, schouten
 from poissonlab.obstruction import OBSTRUCTED, UNDETERMINED
 from poissonlab.hopf import (H95_CASES, HopfType, MembershipFails, STRATA,
-                             cover_model, d_membership, default_cap,
+                             cover_model, d_membership, default_cap, deformation_model,
                              family_data, family_invariance, family_stratum,
                              h95_degeneracy, id_minus_fstar, invariant_bivectors,
                              invariant_fields, make_context,
                              membership_pairs, model_for,
                              obstruction_certificate_hopf, stratum_bivector,
-                             stratum_row, table4_basis, truncated_space,
-                             undetermined_certificate)
+                             stratum_certificate, stratum_row, table4_basis,
+                             truncated_space)
 
 ALL_TYPES = (HopfType("IV"), HopfType("III", 2), HopfType("IIa", 2),
              HopfType("IIb"), HopfType("IIc"))
@@ -223,9 +223,10 @@ def test_family_invariance_is_nontrivial():
 
 
 def test_d_membership_all_types():
-    for t in ALL_TYPES:
-        rep = d_membership(model_for(t))
-        assert rep["h1_dim"] == 3
+    for t in ALL_TYPES + TYPES_AT_P:
+        model = model_for(t)
+        rep = d_membership(model)
+        assert rep["h1_dim"] == deformation_model(model, family_stratum(t)).dim_h1 == 3
 
 
 def test_d_membership_fails_on_wrong_field():
@@ -250,6 +251,24 @@ def test_d_membership_fails_on_wrong_field():
         hopf_mod.membership_pairs = orig
 
 
+@pytest.mark.parametrize("t", ALL_TYPES, ids=HopfType.label)
+@pytest.mark.parametrize("tamper", ("duplicate-field", "zero-bivector"))
+def test_d_membership_fails_when_the_classes_do_not_fill_h1(monkeypatch, t, tamper):
+    # each tampered pair still solves (id - f_*)B = [lam_s, A] exactly, so
+    # only the fills check can reject it
+    real = hopf_mod.membership_pairs
+
+    def tampered(ctx):
+        pairs = real(ctx)
+        if tamper == "duplicate-field":
+            return [pairs[0], pairs[0], pairs[2]]
+        return pairs[:2] + [(ctx.zero(), ctx.zero())]
+
+    monkeypatch.setattr(hopf_mod, "membership_pairs", tampered)
+    with pytest.raises(MembershipFails, match="do not fill H1"):
+        d_membership(model_for(t))
+
+
 def test_h95_degeneracies():
     assert h95_degeneracy("iv-discriminant-zero") is True
     assert h95_degeneracy("iii-b-nonzero") is True
@@ -258,7 +277,8 @@ def test_h95_degeneracies():
 
 def test_undetermined_certificates():
     for case in H95_CASES:
-        cert = undetermined_certificate(case)
+        t, stratum = hopf_mod._h95_stratum(case)
+        cert = stratum_certificate(model_for(t), stratum)
         assert cert.verdict == UNDETERMINED
 
 
@@ -310,6 +330,7 @@ def test_hopf_tables_build_each_cover_matrix_and_kernel_once(monkeypatch):
 def test_hopf_tables_build_each_h0_bracket_matrix_once(monkeypatch):
     from poissonlab import cli
 
+    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
     built = []
     real = hopf_mod.h0_bracket_matrix
     monkeypatch.setattr(hopf_mod, "h0_bracket_matrix",
@@ -317,6 +338,28 @@ def test_hopf_tables_build_each_h0_bracket_matrix_once(monkeypatch):
     cli.hopf_tables(None, 2)
     # one per stratum: its ranks give both the triple and the automorphism check
     assert len(built) == len(hopf_mod.strata(2)) == 8
+    # the stored complexes keep their maps
+    cli.hopf_tables(None, 2)
+    assert len(built) == 8
+
+
+def test_report_builds_each_stratum_bracket_map_once(monkeypatch):
+    import io
+    from contextlib import redirect_stdout
+
+    from poissonlab import cli
+
+    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    built = {"h0_bracket_matrix": 0, "m_bracket_matrix": 0}
+    for name in built:
+        def counted(*args, _orig=getattr(hopf_mod, name), _name=name):
+            built[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(hopf_mod, name, counted)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["report", "--m-max", "4"]) == 0
+    # the family checks read the complexes the cohomology rows built
+    assert built == {"h0_bracket_matrix": 8, "m_bracket_matrix": 8}
 
 
 def test_repeated_family_classify_verifies_the_family_once(monkeypatch):
@@ -462,8 +505,8 @@ def test_triangular_kernels_equal_kernel_basis(t):
     ctx = make_context(t)
     for cap in range(max(hopf_mod.MIN_CAP, ctx.p + 1), 13):
         model = cover_model(ctx, cap)
-        for found, mat, basis in ((model.fields, model.mat1, model.space1.basis),
-                                  (model.bivectors, model.mat2, model.space2.basis)):
+        for found, space in ((model.fields, model.space1), (model.bivectors, model.space2)):
+            mat, basis = id_minus_fstar(ctx, space), space.basis
             expected = [combination(v, basis) for v in kernel_basis(mat)]
             assert list(found) == expected
 
@@ -483,9 +526,9 @@ def test_ordered_quotients_equal_unordered_ones(t):
         except NotInSpan as exc:
             return str(exc)
 
-    for grade, space, mat, ordered, reps in (
-            (1, model.space1, model.mat1, model.m1_space, model.m1),
-            (2, model.space2, model.mat2, model.m2_space, model.m2)):
+    for grade, space, ordered, reps in ((1, model.space1, model.m1_space, model.m1),
+                                        (2, model.space2, model.m2_space, model.m2)):
+        mat = id_minus_fstar(ctx, space)
         mono = hopf_mod.mono_coords(ctx, space)
         plain = image_space(mat)
         for rep in reps:
