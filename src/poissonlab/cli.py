@@ -30,9 +30,9 @@ EXIT_USAGE = 2
 # the largest n of `classify torus:n`: the cost grows faster than n^3, from
 # 0.4 s at n = 128 to about 26 s at n = 400 (one core of an AMD EPYC VM)
 MAX_TORUS_N = 128
-# the largest Hopf degree cap, and the largest p, whose default cap p + 3 it is: the dense
-# grade-1 id - f_* has side (cap + 1)(cap + 2), and `tables hopf --degree 40` takes
-# 1.2-1.5 s and 100 MB peak RSS (same VM)
+# the largest Hopf degree cap, and the largest p, whose default cap p + 3 it is: the grade-1
+# id - f_* has (cap + 1)(cap + 2) sparse columns, and `tables hopf --degree 40` takes
+# about 0.5 s and 56 MB peak RSS (same VM)
 MAX_CAP = 40
 MAX_P = MAX_CAP - 3
 
@@ -338,7 +338,7 @@ def _hopf_type(parts) -> hopf.HopfType:
 def _classify_hopf(parts, args) -> Certificate:
     t = _hopf_type(parts)
     tag = t.tag
-    model = hopf.model_for(t)
+    model = hopf.model_for(t, _degree_cap(args))
     ctx = model.ctx
     tokens = tokenize(args.poisson)
     names = sorted(n for n in free_names(tokens) if n not in ("z", "w"))
@@ -468,7 +468,7 @@ def cmd_report(args) -> int:
         "ruled": ruled_table(m_max),
         "hopf": hopf_tables(cap, hopf.DEFAULT_P),
         "products": products_tables(),
-        "families": {name: verify_family_report(name) for name in FAMILY_NAMES},
+        "families": {name: verify_family_report(name, cap) for name in FAMILY_NAMES},
     }
     print(json.dumps(doc, sort_keys=True, indent=2))
     return EXIT_OK

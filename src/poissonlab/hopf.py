@@ -17,12 +17,13 @@ The model store `_MODEL_CACHE` is the module's only per-process state:
 a process serving a stream of classify requests reuses each model
 across requests, where rebuilding it would cost more than the rest of
 a request.  A model keeps only the weight-0 blocks of its two id - f_*
-matrices and computes, at most once on first use, the invariant fields
-and bivectors and each stratum's complex.  A matrix is built from
-f_*(g * e) = (g o f^-1) * f_*(e), from the frames e pushed forward once
-and monomials g composed with f^-1 (`id_minus_fstar`).
+operators and computes, at most once on first use, the invariant fields
+and bivectors and each stratum's complex.  An operator is built as
+sparse columns from f_*(g * e) = (g o f^-1) * f_*(e), from the frames e
+pushed forward once and the monomials g composed with f^-1 once per
+model (`id_minus_fstar`).
 
-Every id - f_* matrix is block diagonal by weighted degree, with
+Every id - f_* operator is block diagonal by weighted degree, with
 wt(z) = p, wt(w) = 1 for III and IIa and 1, 1 for the other types, and
 triangular up to a permutation: f_* sends a monomial field to itself
 times a parameter monomial plus fields of its weight that come earlier
@@ -30,9 +31,9 @@ in an order the contraction fixes.  A diagonal entry 1 - alpha^a delta^b
 is zero only where the field is resonant, and every resonant field has
 weight 0: the resonance condition of Poincare-Dulac normal forms.
 `id_minus_fstar` checks these facts from the column supports as it
-builds a matrix, so every block off weight 0 is invertible, and the
-model eliminates only the weight-0 block, 3 or 4 columns at any cap:
-its kernel and cokernel are those of the whole matrix, and a class
+builds the columns, so every block off weight 0 is invertible, and the
+model eliminates only the weight-0 block, 2 to 4 columns at any cap:
+its kernel and cokernel are those of the whole operator, and a class
 depends only on its weight-0 coordinates.  That block is complete from
 cap p + 1 on, so above it the model cannot change with the cap.
 """
@@ -44,8 +45,8 @@ from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, kernel_basis,
-                     matrix_of_map, quotient_coords, quotient_space)
+from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, image_space,
+                     kernel_basis, matrix_of_map, quotient_coords, quotient_space)
 from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DeformationComplexModel,
@@ -230,27 +231,37 @@ def mono_coords(ctx: HopfContext, space: TruncatedSpace) -> Reducer:
     return Reducer(f"coords in {space.basis.space_name}", fn)
 
 
-def _cover_columns(ctx: HopfContext, space: TruncatedSpace) -> list[dict[int, LaurentPoly]]:
-    """The columns of id - f_* on `space`, each as {row: nonzero entry}.
+def _monomial_images(ctx: HopfContext, cap: int) -> list[LaurentPoly]:
+    """The images (z^mu w^nu) o f^-1 of the monomials up to degree `cap`,
+    in `monomials_upto` order, each truncated at the cap.
 
-    f_*(g * e) = (g o f^-1) * f_*(e) for a function g and a frame e.  So
-    each frame is pushed forward once, and the image (z^mu w^nu) o f^-1 of
-    each basis monomial is that of an earlier one times f^-1(z) or
-    f^-1(w).  The contractions never lower total degree and the pushed
-    frames are polynomial, so truncating every product at the cap as it
-    is formed gives exactly the degree-filtered block of the full
-    operator.  Each term of such a product goes straight to its row
-    through `space.index`."""
-    cap, inv, index, reg = space.cap, ctx.contraction.inverse, space.index, ctx.registry
+    Each image is that of an earlier monomial times f^-1(z) or f^-1(w).
+    The contractions never lower total degree, so truncating every
+    product as it is formed loses no term of degree at most the cap."""
+    inv = ctx.contraction.inverse
     images = {(0, 0): ctx.const(1)}
     for mu, nu in list(monomials_upto(cap))[1:]:
         prev, var = ((mu - 1, nu), "z") if mu else ((0, nu - 1), "w")
         images[mu, nu] = _low_degree(images[prev] * inv[var], cap)
+    return list(images.values())
+
+
+def _cover_columns(ctx: HopfContext, space: TruncatedSpace,
+                   images: list[LaurentPoly]) -> list[dict[int, LaurentPoly]]:
+    """The columns of id - f_* on `space`, each as {row: nonzero entry}.
+
+    f_*(g * e) = (g o f^-1) * f_*(e) for a function g and a frame e.  So
+    each frame is pushed forward once and multiplied by the monomial
+    `images`.  The pushed frames are polynomial, so truncating the
+    products at the cap gives exactly the degree-filtered block of the
+    full operator.  Each term of such a product goes straight to its row
+    through `space.index`."""
+    cap, index, reg = space.cap, space.index, ctx.registry
     cols = []
     # truncated_space lists, for each frame, its monomials in monomials_upto order
     for comp in FRAMES[space.grade - 1]:
         frame = pushforward(ctx.contraction, MultiVector._of(ctx.chart, reg, {comp: ctx.const(1)}))
-        for image in images.values():
+        for image in images:
             col = {}
             for fcomp, coeff in frame.components.items():
                 for key, c in (image * coeff).terms.items():
@@ -268,14 +279,16 @@ def _cover_columns(ctx: HopfContext, space: TruncatedSpace) -> list[dict[int, La
     return cols
 
 
-def id_minus_fstar(ctx: HopfContext, space: TruncatedSpace) -> LinMap:
-    """Matrix of v -> v - f_* v on the truncated basis.
+def id_minus_fstar(ctx: HopfContext, space: TruncatedSpace,
+                   images: list[LaurentPoly]) -> list[dict[int, LaurentPoly]]:
+    """The columns of v -> v - f_* v on the truncated basis, each as
+    {row: nonzero entry}, from the `_monomial_images` at the space's cap.
 
-    Its column supports are checked to join no two weights, to form an
+    The column supports are checked to join no two weights, to form an
     acyclic pattern and to hold every diagonal entry off weight 0, so
     every block off weight 0 is invertible; a failure is an internal
     error."""
-    cols = _cover_columns(ctx, space)
+    cols = _cover_columns(ctx, space, images)
     wts, name = space.weights, space.basis.space_name
     for j, col in enumerate(cols):
         if any(wts[i] != wts[j] for i in col):
@@ -288,40 +301,7 @@ def id_minus_fstar(ctx: HopfContext, space: TruncatedSpace) -> LinMap:
     except CycleError as exc:
         raise RuntimeError(f"{name}: id - f_* is not triangular up to a permutation, "
                            f"cycle {exc.args[1]}") from None
-    zero = LaurentPoly.zero(ctx.registry)
-    rows = [[zero] * len(cols) for _ in cols]
-    for j, col in enumerate(cols):
-        for i, entry in col.items():
-            rows[i][j] = entry
-    return LinMap(space.basis, space.basis, rows, ctx.registry)
-
-
-def triangular_order(mat: LinMap) -> tuple[int, ...]:
-    """The indices of a square matrix ordered so that it is upper
-    triangular: i comes before j whenever entry (i, j) is nonzero.
-
-    Every id - f_* matrix has such an order; a cycle in its nonzero
-    pattern is an internal error."""
-    graph = {j: {i for i in range(mat.n_rows) if i != j and mat.rows[i][j].terms}
-             for j in range(mat.n_cols)}
-    try:
-        return tuple(TopologicalSorter(graph).static_order())
-    except CycleError as exc:
-        raise RuntimeError(f"{mat.domain.space_name}: id - f_* is not triangular "
-                           f"up to a permutation, cycle {exc.args[1]}") from None
-
-
-def _triangular_image_space(mat: LinMap, order: Sequence[int]) -> ColumnSpace:
-    """The column span of mat, pivoting in its triangular order.
-
-    Columns with a nonzero diagonal entry enter first, the last in the
-    order first, so each meets only pivots on entries where it is zero and
-    pivots on its own diagonal entry; the resonant columns follow."""
-    space = ColumnSpace(mat.n_rows, mat.registry, order)
-    cols = mat.columns()
-    for j in sorted(order[::-1], key=lambda j: mat.rows[j][j].is_zero()):
-        space.add(cols[j])
-    return space
+    return cols
 
 
 # ----------------------------------------------------------------------
@@ -355,13 +335,11 @@ class CoverModel:
     """Truncated cover model at one degree cap: spaces, M1/M2, images,
     invariant fields and bivectors, and `complexes`, the stored stratum
     complexes.  `id_minus_fstar` proves every block of the grade-1 and
-    grade-2 matrices off weight 0 invertible, so their kernels and
+    grade-2 operators off weight 0 invertible, so their kernels and
     cokernels are those of the weight-0 blocks block1 and block2, the
-    only parts kept; order1 and order2 are the blocks' triangular orders,
-    and the kernels are taken in them.  m1_space and m2_space hold the
-    images of the blocks, eliminated in those orders, with the weight-0
-    coordinates of the M1/M2 representatives registered; every class
-    reduction solves against them."""
+    only parts kept.  m1_space and m2_space hold the images of the
+    blocks, with the weight-0 coordinates of the M1/M2 representatives
+    registered; every class reduction solves against them."""
 
     def __init__(self, ctx: HopfContext, cap: int, m1: LabeledBasis, m2: LabeledBasis,
                  grade1: tuple, grade2: tuple):
@@ -369,9 +347,9 @@ class CoverModel:
         self.cap = cap
         self.m1 = m1
         self.m2 = m2
-        # (space, weight-0 block, its triangular order, its image)
-        self.space1, self.block1, self.order1, self.m1_space = grade1
-        self.space2, self.block2, self.order2, self.m2_space = grade2
+        # (space, weight-0 block, its image)
+        self.space1, self.block1, self.m1_space = grade1
+        self.space2, self.block2, self.m2_space = grade2
         self.complexes: dict[str, DeformationComplexModel] = {}
 
     def class_coords(self, grade: int, coords: Sequence[LaurentPoly]) -> list[LaurentPoly]:
@@ -391,12 +369,12 @@ class CoverModel:
     def fields(self) -> tuple[MultiVector, ...]:
         """Invariant fields: the kernel of the grade-1 id - f_*."""
         return tuple(combination(v, self.block1.domain)
-                     for v in kernel_basis(self.block1, self.order1))
+                     for v in kernel_basis(self.block1))
 
     @cached_property
     def _bivector_space(self) -> ColumnSpace:
         """The kernel vectors of block2, registered as representatives."""
-        return quotient_space((), kernel_basis(self.block2, self.order2),
+        return quotient_space((), kernel_basis(self.block2),
                               len(self.space2.resonant), self.ctx.registry)
 
     @cached_property
@@ -457,17 +435,19 @@ def invariant_bivectors(ctx: HopfContext, cap: int) -> list[MultiVector]:
 
 def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
     m1, m2 = _named_m_reps(ctx)
+    images = _monomial_images(ctx, cap)
+    zero = LaurentPoly.zero(ctx.registry)
     grades = []
     for grade, elems, label in ((1, m1, "M1"), (2, m2, "M2")):
         space = truncated_space(ctx, grade, cap)
-        mat = id_minus_fstar(ctx, space)
+        cols = id_minus_fstar(ctx, space, images)
         res = space.resonant
         basis = LabeledBasis(f"{space.basis.space_name}, weight 0",
                              tuple(space.basis[k] for k in res))
-        block = LinMap(basis, basis, [[mat.rows[i][j] for j in res] for i in res], ctx.registry)
-        order = triangular_order(block)
-        quot = _triangular_image_space(block, order)
-        # the other blocks are invertible, so this is the corank of mat
+        block = LinMap(basis, basis, [[cols[j].get(i, zero) for j in res] for i in res],
+                       ctx.registry)
+        quot = image_space(block)
+        # the other blocks are invertible, so this is the corank of id - f_*
         corank = len(res) - quot.rank
         if corank != len(elems):
             raise TruncationUnstable(
@@ -481,7 +461,7 @@ def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
             except NotInSpan:
                 raise TruncationUnstable(
                     f"{label} representative {e} is dependent modulo the image") from None
-        grades.append((space, block, order, quot))
+        grades.append((space, block, quot))
     return CoverModel(ctx, cap, LabeledBasis(f"M1({ctx.type.label()})", tuple(m1)),
                       LabeledBasis(f"M2({ctx.type.label()})", tuple(m2)), *grades)
 

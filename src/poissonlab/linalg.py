@@ -13,12 +13,9 @@ answer rank, span membership, cokernel representatives and quotient
 coordinates.  Representatives are registered with tag slots, so
 `quotient_coords` solves a target by one reduction against the stored
 rows, with no rational-function scalars.  Each reduced vector pivots on
-its last nonzero coordinate in the space's pivot order: the highest
-index by default, or a caller's order, such as one in which a matrix is
-upper triangular, so that its columns enter on their own diagonal
-entries without row combinations.  `kernel_basis` enters a matrix's
-rows into such a space and reads each kernel vector off the stored
-pivot rows by fraction-free back substitution.
+its highest-index nonzero coordinate.  `kernel_basis` enters a matrix's
+rows, reversed, into such a space and reads each kernel vector off the
+stored pivot rows by fraction-free back substitution.
 """
 
 from __future__ import annotations
@@ -183,40 +180,30 @@ def generic_rank(m: LinMap) -> int:
     return image_space(m).rank
 
 
-def kernel_basis(m: LinMap, order: Sequence[int] | None = None) -> list[list[LaurentPoly]]:
+def kernel_basis(m: LinMap) -> list[list[LaurentPoly]]:
     """Spanning set of the generic kernel, one primitive vector per free
     column, listed by free column.
 
-    The rows of `m` enter a `ColumnSpace` that pivots each on its first
-    nonzero column in `order` (by default the index order); with an
-    order, which needs a square matrix, they enter in it too, so a
-    matrix upper triangular in `order` combines rows only where a
-    diagonal entry is zero.  The free columns are those that lead no
-    row.  For a free column fc, x starts as the unit vector at fc, and
-    each pivot row, the last in `order` first, fixes its own entry by
+    The rows of `m` enter a `ColumnSpace` reversed, so each pivots on its
+    first nonzero column.  The free columns are those that lead no row.
+    For a free column fc, x starts as the unit vector at fc, and each
+    pivot row, the last pivot column first, fixes its own entry by
     fraction-free back substitution; x is then divided by x[fc] where
     that division is exact.
     """
     reg = m.registry
     n = m.n_cols
-    rows = m.rows
-    if order is None:
-        order = range(n)
-    elif m.n_rows != n:
-        raise ValueError("a pivot order needs a square matrix")
-    else:
-        rows = [rows[i] for i in order]
-    space = ColumnSpace(n, reg, order[::-1])
-    for row in rows:
-        space.add(row)
-    # the space's order is `order` reversed, so this puts the last pivot in `order` first;
-    # each pivot row comes with its nonzero columns, listed once
-    pivots = [(c, space.pivot_rows[c]) for c in reversed(space.pivots)]
+    space = ColumnSpace(n, reg)
+    for row in m.rows:
+        space.add(row[::-1])
+    # stored pivot c is column n - 1 - c, so this puts the last pivot column first;
+    # each pivot row comes back in column order, with its nonzero columns listed once
+    pivots = [(n - 1 - c, space.pivot_rows[c][n - 1::-1]) for c in reversed(space.pivots)]
     pivots = [(c, row, [k for k, p in enumerate(row) if p.terms]) for c, row in pivots]
     zero = LaurentPoly.zero(reg)
     out = []
     for fc in range(n):
-        if fc in space.pivot_rows:
+        if n - 1 - fc in space.pivot_rows:
             continue
         x = [zero] * n
         x[fc] = LaurentPoly.const(reg, 1)
@@ -260,11 +247,8 @@ def primitive_vector(vec: list[LaurentPoly]) -> list[LaurentPoly]:
 class ColumnSpace:
     """Incremental span of coordinate vectors.
 
-    A reduced vector pivots on its last nonzero coordinate in `order`, a
-    permutation of range(dim) that defaults to the identity: highest-index
-    pivoting.  Vectors and stored rows stay in the original coordinates;
-    the order only decides which entry each row pivots on and the order
-    in which `_reduce` clears them, the latest pivot first.
+    A reduced vector pivots on its highest-index nonzero coordinate, and
+    `_reduce` clears the pivots highest index first.
 
     A stored row is a vector of length `dim`, then a multiplier slot for
     a reduced target, then one tag slot per registered representative.
@@ -275,15 +259,11 @@ class ColumnSpace:
     pivot is stored as given.
     """
 
-    def __init__(self, dim: int, registry: VarRegistry, order: Sequence[int] | None = None):
+    def __init__(self, dim: int, registry: VarRegistry):
         self.dim = dim
         self.registry = registry
-        self.order = tuple(range(dim)) if order is None else tuple(order)
-        if sorted(self.order) != list(range(dim)):
-            raise ValueError(f"pivot order must be a permutation of range({dim})")
-        self._rank = {idx: k for k, idx in enumerate(self.order)}
         self.pivot_rows: dict[int, list[LaurentPoly]] = {}
-        # the pivot indices, latest in the order first: the order `_reduce` clears them in
+        # the pivot indices, highest first: the order `_reduce` clears them in
         self.pivots: list[int] = []
         self.reps: list[list[LaurentPoly]] = []
 
@@ -319,7 +299,7 @@ class ColumnSpace:
                 row.append(zero)
         red = self._reduce(self._row(vec, len(self.reps) if rep else None))
         top = None
-        for idx in reversed(self.order):
+        for idx in range(self.dim - 1, -1, -1):
             if not red[idx].is_zero():
                 top = idx
                 break
@@ -331,9 +311,9 @@ class ColumnSpace:
                 raise NotInSpan("representative lies in the span of the image "
                                 "and the earlier representatives")
             return False
-        # behind every pivot later in the order; most new pivots go last
-        k, rank = len(self.pivots), self._rank
-        while k and rank[self.pivots[k - 1]] < rank[top]:
+        # behind every higher pivot; most new pivots go last
+        k = len(self.pivots)
+        while k and self.pivots[k - 1] < top:
             k -= 1
         self.pivots.insert(k, top)
         self.pivot_rows[top] = red

@@ -199,6 +199,50 @@ def test_bad_manifold_spec_or_m_max_is_a_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_classify_hopf_checks_the_degree_cap_env_before_any_work(monkeypatch, capsys):
+    # the cap above the bound is a case of test_hopf_cap_or_p_above_the_bound_...
+    from poissonlab import hopf
+
+    def work(*args):
+        raise AssertionError("work started for a degree cap below the minimum")
+
+    monkeypatch.setattr(hopf, "cover_model", work)
+    monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "2")
+    code, out = run_cli("classify", "hopf:IIc", "--poisson", "z*w*@z^@w")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: degree cap 2 is below the minimum {hopf.MIN_CAP}\n"
+
+
+def test_classify_hopf_at_the_degree_cap_env_matches_the_default_cap(monkeypatch):
+    # every hopf: request of the golden replay, recorded with no variable set,
+    # gives the same exit code and stdout on the cover models of cap 6
+    from poissonlab import hopf
+
+    monkeypatch.setattr(hopf, "_MODEL_CACHE", {})
+    monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "6")
+    wants = [want for want in json.loads((GOLDEN / "requests.json").read_text())
+             if want["argv"][0] == "classify" and want["argv"][1].startswith("hopf:")]
+    assert len(wants) == 10
+    for want in wants:
+        with redirect_stderr(io.StringIO()):
+            assert run_cli(*want["argv"]) == (want["exit"], want["stdout"])
+    assert {cap for _, _, cap in hopf._MODEL_CACHE} == {6}
+
+
+def test_report_checks_the_hopf_families_at_its_degree_cap(monkeypatch):
+    from poissonlab import hopf
+
+    monkeypatch.setattr(hopf, "_MODEL_CACHE", {})
+    built = []
+    real = hopf._build_cover_model
+    monkeypatch.setattr(hopf, "_build_cover_model",
+                        lambda ctx, cap: built.append((ctx.type, cap)) or real(ctx, cap))
+    code, out = run_cli("report", "--m-max", "4", "--degree", "6")
+    assert code == 0 and json.loads(out)["families"]["hopf-iic"]["ok"]
+    # one model per Hopf type, at the report's cap, for the tables and the families
+    assert len(built) == 5 and {cap for _, cap in built} == {6}
+
+
 def test_degree_cap_env_not_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "five")
     code, out = run_cli("verify-family", "hopf-iic")
@@ -416,8 +460,10 @@ CAP, P = cli_mod.MAX_CAP, cli_mod.MAX_P
      f"'hopf:III:p={P + 1}': p must be an integer in 2..{P}"),
     (("classify", "hopf:IIa:p=1000", "--poisson", "w*@z^@w"), None,
      f"'hopf:IIa:p=1000': p must be an integer in 2..{P}"),
+    (("classify", "hopf:IIc", "--poisson", "z*w*@z^@w"), str(CAP + 1),
+     f"degree cap {CAP + 1} is above the maximum {CAP}"),
 ], ids=("degree", "degree-1000", "report", "verify-family", "env", "p", "p-1000",
-        "iii-spec", "iia-spec"))
+        "iii-spec", "iia-spec", "classify-env"))
 def test_hopf_cap_or_p_above_the_bound_exits_2_before_any_work(argv, env, message,
                                                                 monkeypatch, capsys):
     from poissonlab import hopf, ruled

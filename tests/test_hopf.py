@@ -8,12 +8,13 @@ from poissonlab.obstruction import OBSTRUCTED, UNDETERMINED
 from poissonlab.hopf import (H95_CASES, HopfType, MembershipFails, STRATA,
                              cover_model, d_membership, default_cap, deformation_model,
                              family_data, family_invariance, family_stratum,
-                             h95_degeneracy, id_minus_fstar, invariant_bivectors,
+                             h95_degeneracy, invariant_bivectors,
                              invariant_fields, make_context,
                              membership_pairs, model_for,
                              obstruction_certificate_hopf, stratum_bivector,
                              stratum_certificate, stratum_row, table4_basis,
                              truncated_space)
+from cover_matrices import cover_matrix, triangular_order
 
 ALL_TYPES = (HopfType("IV"), HopfType("III", 2), HopfType("IIa", 2),
              HopfType("IIb"), HopfType("IIc"))
@@ -52,7 +53,7 @@ def test_id_minus_fstar_diagonal_forms():
     t = HopfType("IV")
     ctx = make_context(t)
     space = truncated_space(ctx, 1, 3)
-    mat = id_minus_fstar(ctx, space)
+    mat = cover_matrix(ctx, space)
     al = ctx.param("alpha")
     one = ctx.const(1)
     for k, e in enumerate(space.basis):
@@ -69,7 +70,7 @@ def test_id_minus_fstar_diagonal_forms():
     t = HopfType("IIc")
     ctx = make_context(t)
     space = truncated_space(ctx, 2, 3)
-    mat = id_minus_fstar(ctx, space)
+    mat = cover_matrix(ctx, space)
     de = ctx.param("delta")
     al = ctx.param("alpha")
     one = ctx.const(1)
@@ -126,7 +127,7 @@ def test_degree_blocks_above_the_kernel_range_are_invertible():
         ctx = make_context(t)
         cap = default_cap(t)
         space = truncated_space(ctx, 2, cap)
-        mat = id_minus_fstar(ctx, space)
+        mat = cover_matrix(ctx, space)
         threshold = 2 if t.tag in ("IV", "IIb") else ctx.p + 1
         degs = []
         for e in space.basis:
@@ -301,6 +302,29 @@ def test_membership_equations_hold_exactly():
             assert (bv - pushforward(ctx.contraction, bv)) == schouten(lam_s, av)
 
 
+def test_cover_models_build_no_matrix_wider_than_their_weight_0_blocks(monkeypatch):
+    # id - f_* stays sparse columns: the only matrices a model builds, with
+    # its invariant fields and bivectors, are its two weight-0 blocks
+    from poissonlab.linalg import LinMap
+
+    sizes = []
+    real = LinMap.__init__
+
+    def init(self, domain, codomain, rows, registry=None):
+        sizes.append((len(domain), len(codomain)))
+        real(self, domain, codomain, rows, registry)
+
+    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    monkeypatch.setattr(LinMap, "__init__", init)
+    for t in ALL_TYPES:
+        sizes.clear()
+        model = model_for(t, 30)
+        model.fields, model.bivectors
+        blocks = {(len(res), len(res)) for res in (model.space1.resonant,
+                                                   model.space2.resonant)}
+        assert sizes and set(sizes) <= blocks
+
+
 def test_cover_model_cache_keys_on_registry():
     t = HopfType("IV")
     cover_model(make_context(t), 4)
@@ -420,8 +444,8 @@ def test_cover_matrices_are_triangular_up_to_a_permutation(t):
     ctx = make_context(t)
     for cap in range(3, 13):
         for grade in (1, 2):
-            mat = id_minus_fstar(ctx, truncated_space(ctx, grade, cap))
-            order = hopf_mod.triangular_order(mat)
+            mat = cover_matrix(ctx, truncated_space(ctx, grade, cap))
+            order = triangular_order(mat)
             assert sorted(order) == list(range(mat.n_rows))
             pos = {j: k for k, j in enumerate(order)}
             # an order with every nonzero entry on or above the diagonal
@@ -453,7 +477,7 @@ def test_cover_matrices_are_block_diagonal_by_weight(t):
     for cap in range(3, 13):
         for grade in (1, 2):
             space = truncated_space(ctx, grade, cap)
-            mat = id_minus_fstar(ctx, space)
+            mat = cover_matrix(ctx, space)
             weights = []
             for k, e in enumerate(space.basis):
                 (comp, mono), = e.components.items()
@@ -476,8 +500,8 @@ def test_a_corrupted_cover_matrix_raises_before_elimination(monkeypatch, corrupt
     t = HopfType("IIa", 2)
     real = hopf_mod._cover_columns
 
-    def corrupted(ctx, space):
-        cols = real(ctx, space)
+    def corrupted(ctx, space, images):
+        cols = real(ctx, space, images)
         wts = space.weights
         # a column off weight 0 with an entry off its diagonal
         j, i = next((j, i) for j, col in enumerate(cols) if wts[j] for i in col if i != j)
@@ -506,7 +530,7 @@ def test_triangular_kernels_equal_kernel_basis(t):
     for cap in range(max(hopf_mod.MIN_CAP, ctx.p + 1), 13):
         model = cover_model(ctx, cap)
         for found, space in ((model.fields, model.space1), (model.bivectors, model.space2)):
-            mat, basis = id_minus_fstar(ctx, space), space.basis
+            mat, basis = cover_matrix(ctx, space), space.basis
             expected = [combination(v, basis) for v in kernel_basis(mat)]
             assert list(found) == expected
 
@@ -528,7 +552,7 @@ def test_ordered_quotients_equal_unordered_ones(t):
 
     for grade, space, ordered, reps in ((1, model.space1, model.m1_space, model.m1),
                                         (2, model.space2, model.m2_space, model.m2)):
-        mat = id_minus_fstar(ctx, space)
+        mat = cover_matrix(ctx, space)
         mono = hopf_mod.mono_coords(ctx, space)
         plain = image_space(mat)
         for rep in reps:
@@ -548,7 +572,7 @@ def test_id_minus_fstar_equals_the_pushforward_of_each_basis_field(t):
     for cap in range(3, 13):
         for grade in (1, 2):
             space = truncated_space(ctx, grade, cap)
-            mat = id_minus_fstar(ctx, space)
+            mat = cover_matrix(ctx, space)
             red = hopf_mod.mono_coords(ctx, space)
             for j, v in enumerate(space.basis):
                 image = _truncate(pushforward(ctx.contraction, v), cap)
