@@ -66,6 +66,11 @@ REQUESTS = (
     ["classify", "ruled:1", "--poisson", "(A*xi + z*xi^2)*@z^@xi"],
     # malformed and naming a U2 coordinate: either error may be reported
     ["classify", "ruled:2", "--poisson", "zp*@z^@xi +"],
+    # ruled H1 maps: e != 0 at the largest m, e = 0, a d part, own names
+    ["classify", "ruled:12", "--poisson", "(((-2)*z^1 + (3/2)*z^2)*xi + ((1)*z^3 + (-1)*z^14)*xi^2)*@z^@xi"],
+    ["classify", "ruled:12", "--poisson", "(((2)*z^5 + (1/3)*z^14)*xi^2)*@z^@xi"],
+    ["classify", "ruled:2", "--poisson", "((3) + ((1) + (-1)*z^2)*xi + ((2)*z^4)*xi^2)*@z^@xi"],
+    ["classify", "ruled:6", "--poisson", "(a*z + b)*xi*@z^@xi"],
 )
 
 

@@ -173,8 +173,11 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
 
+    # the closing "end" token keeps every index in range: `next` never
+    # passes it, and a look past the current token follows a token that is
+    # not "end"
     def peek(self, ahead=0):
-        return self.tokens[min(self.k + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.k + ahead]
 
     def next(self):
         tok = self.tokens[self.k]
@@ -188,21 +191,17 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {_found(tok)}", tok[2], tok[3])
         return tok
 
-    def error(self, message):
-        tok = self.peek()
-        raise ParseError(message, tok[2], tok[3])
-
     # precedence, loosest first: wedge, additive, product, power
     def parse_expr(self):
         node = self.parse_sum()
-        while self.peek()[0] == "^":
+        while self.tokens[self.k][0] == "^":
             self.next()
             node = WedgeOp(node, self.parse_sum())
         return node
 
     def parse_sum(self):
         node = self.parse_product()
-        while self.peek()[0] in ("+", "-"):
+        while self.tokens[self.k][0] in ("+", "-"):
             op = self.next()[0]
             rhs = self.parse_product()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
@@ -210,23 +209,23 @@ class _Parser:
 
     def parse_product(self):
         node = self.parse_unary()
-        while self.peek()[0] == "*":
+        while self.tokens[self.k][0] == "*":
             self.next()
             node = Mul(node, self.parse_unary())
         return node
 
     def parse_unary(self):
-        if self.peek()[0] == "-":
+        if self.tokens[self.k][0] == "-":
             self.next()
             return Neg(self.parse_unary())
         return self.parse_postfix()
 
     def parse_postfix(self):
         node = self.parse_atom()
-        while self.peek()[0] == "^" and self._power_ahead():
+        while self.tokens[self.k][0] == "^" and self._power_ahead():
             self.next()
             sign = 1
-            if self.peek()[0] == "-":
+            if self.tokens[self.k][0] == "-":
                 self.next()
                 sign = -1
             tok = self.expect("num")
@@ -243,7 +242,7 @@ class _Parser:
         tok = self.next()
         kind, value = tok[0], tok[1]
         if kind == "num":
-            if self.peek()[0] == "/" and self.peek(1)[0] == "num":
+            if self.tokens[self.k][0] == "/" and self.peek(1)[0] == "num":
                 self.next()
                 den = self.expect("num")[1]
                 if den == 0:

@@ -387,10 +387,14 @@ class LaurentPoly:
     # exact division (used by fraction-free elimination)
 
     def _order(self, key):
-        # graded-lex on the shifted exponent vector; deterministic
-        kd = dict(key)
-        dense = tuple(kd.get(i, 0) for i in range(len(self.registry.names)))
-        return (sum(dense), dense)
+        # graded-lex on the exponent vector, read off the sparse key: with n
+        # variables, an entry (i, e) becomes (n - i, e) for e > 0 and
+        # (i - n, e) for e < 0, so it sorts above every later index when
+        # e > 0 and below it when e < 0, and the closing (0, 0) stands for
+        # the zero exponents after the last entry
+        n = len(self.registry._index)
+        return (sum(e for _, e in key),
+                tuple((n - i if e > 0 else i - n, e) for i, e in key) + ((0, 0),))
 
     def _lead_key(self):
         return max(self.terms, key=self._order)

@@ -2,11 +2,12 @@
 
 `DeformationComplexModel` is the one cohomology model of every geometry:
 the complex (wedge^* Theta, [lam0, -]) of one structure lam0 in degrees
-0 to 2, built from its two bracket maps.  It gives the dimensions, the
-first-cohomology classes and their coordinates, the check that a
-family's tangent directions fill first cohomology (Kodaira's
-completeness criterion) and the input of the witness search (an element
-pair whose bracket class escapes the H1 bracket image).  Next to it
+0 to 2, built from its two bracket maps (`bracket_family` builds the
+per-basis maps that a geometry stores and sums per structure).  It gives
+the dimensions, the first-cohomology classes and their coordinates, the
+check that a family's tangent directions fill first cohomology
+(Kodaira's completeness criterion) and the input of the witness search
+(an element pair whose bracket class escapes the H1 bracket image).  Next to it
 live the quadratic primary-obstruction class of a first-order
 deformation and machine-checkable certificates with a stable JSON form.
 """
@@ -14,13 +15,15 @@ deformation and machine-checkable certificates with a stable JSON form.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
-from functools import cached_property
+from collections.abc import Callable, Sequence
+from functools import cached_property, partial
 
 from .laurent import LaurentPoly
-from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, cokernel_space,
-                     image_space, kernel_basis, quotient_coords, quotient_space)
-from .multivector import FormedMultiVector, MultiVector, combination, schouten, schouten_formed
+from .linalg import (ColumnSpace, LabeledBasis, LinMap, MapFamily, NotInSpan, Reducer,
+                     cokernel_space, image_space, kernel_basis, matrix_of_map, quotient_coords,
+                     quotient_space)
+from .multivector import (ChartFrame, FormedMultiVector, MultiVector, combination, schouten,
+                          schouten_formed)
 
 TOOL_VERSION = "0.1.0"
 
@@ -32,6 +35,24 @@ UNDETERMINED = "undetermined"
 
 class NotACocycle(Exception):
     pass
+
+
+def bracket_family(frame: ChartFrame, sq: Sequence[MultiVector], dom: LabeledBasis,
+                   cod: LabeledBasis, red: Reducer) -> MapFamily:
+    """The maps [s, -]: dom -> cod in the coordinates of `red`, one for each
+    bivector s of `sq`; a formed domain meets s as a formed field.
+
+    A bivector lam = sum_j lam_j s_j with coefficients lam_j free of chart
+    variables has the bracket matrix `family.at(lam_j)`, exactly: the
+    Schouten bracket is bilinear over such coefficients, since it
+    differentiates chart variables only, and `red` is a linear coordinate
+    map.  So a geometry builds these maps once and sums them per structure.
+    """
+    if len(dom) and isinstance(dom[0], FormedMultiVector):
+        brackets = [partial(schouten_formed, frame.formed(s)) for s in sq]
+    else:
+        brackets = [partial(schouten, s) for s in sq]
+    return MapFamily([matrix_of_map(op, dom, cod, red, frame.registry) for op in brackets])
 
 
 class DeformationComplexModel:

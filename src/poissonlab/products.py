@@ -19,25 +19,21 @@ requests.
 
 A bivector lam = sum_j lam_j s_j with coefficients lam_j free of chart
 variables has the bracket matrix sum_j lam_j M_j, M_j that of [s_j, -],
-exactly: the Schouten bracket is bilinear over such coefficients, since
-it differentiates chart variables only, and every reducer is a linear
-coordinate map.  `ep1_bracket_matrices` and `tp1_matrices` read the lam_j
-with the basis coordinate maps, which reject a bivector outside the
-span, and sum the stored maps with them (`linalg.MapFamily`).
+exactly (`obstruction.bracket_family`, the builder of these maps, says
+why).  `ep1_bracket_matrices` and `tp1_matrices` read the lam_j with the
+basis coordinate maps, which reject a bivector outside the span, and sum
+the stored maps with them (`linalg.MapFamily`).
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ColumnSpace, ConstraintViolation, LabeledBasis, LinMap, MapFamily,
-                     NotInSpan, Reducer, cokernel_space, generic_rank, image_space,
-                     matrix_of_map, quotient_coords)
+from .linalg import (ColumnSpace, ConstraintViolation, LabeledBasis, LinMap, NotInSpan,
+                     Reducer, cokernel_space, generic_rank, image_space, quotient_coords)
 from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, mc_defect,
                           schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DeformationComplexModel,
-                          DolbeaultModel)
+                          DolbeaultModel, bracket_family)
 from .rational import Frozen
 
 _set = object.__setattr__
@@ -60,17 +56,6 @@ def _stored(name: str) -> tuple[ChartFrame, dict, dict]:
             bases = tp1_bases(ctx)
             _FRAME_CACHE[name] = ctx, bases, _tp1_basis_maps(ctx, bases)
     return _FRAME_CACHE[name]
-
-
-def _bracket_family(ctx: ChartFrame, sq: LabeledBasis, dom: LabeledBasis,
-                    cod: LabeledBasis, red: Reducer) -> MapFamily:
-    """The maps [s, -]: dom -> cod in the coordinates of `red`, one for each
-    basis bivector s of `sq`; a formed domain meets s as a formed field."""
-    if isinstance(dom[0], FormedMultiVector):
-        brackets = [partial(schouten_formed, ctx.formed(s)) for s in sq]
-    else:
-        brackets = [partial(schouten, s) for s in sq]
-    return MapFamily([matrix_of_map(op, dom, cod, red, ctx.registry) for op in brackets])
 
 
 # ----------------------------------------------------------------------
@@ -133,9 +118,9 @@ def _ep1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
     bivector s_j of H0(wedge2)."""
     red0 = Reducer("H0 wedge2 coords", lambda v: _ep1_sq_coords(ctx, v))
     sq = bases["h0_sq"]
-    return {"h0": _bracket_family(ctx, sq, bases["h0_theta"], sq, red0),
-            "h1": _bracket_family(ctx, sq, bases["h1_theta"], bases["h1_sq"],
-                                  _ep1_h1_sq_reducer(ctx))}
+    return {"h0": bracket_family(ctx, sq, bases["h0_theta"], sq, red0),
+            "h1": bracket_family(ctx, sq, bases["h1_theta"], bases["h1_sq"],
+                                 _ep1_h1_sq_reducer(ctx))}
 
 
 def ep1_lambda0(ctx: ChartFrame, a=None, b=None, c=None) -> MultiVector:
@@ -411,10 +396,10 @@ def _tp1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
     each basis bivector s_j of H0(wedge2)."""
     sq = bases["h0_sq"]
     return {
-        "h0": _bracket_family(ctx, sq, bases["h0_theta"], sq,
-                              Reducer("sq coords", lambda v: tp1_sq_coords(ctx, v))),
-        "sq_cube": _bracket_family(ctx, sq, sq, bases["h0_cube"],
-                                   Reducer("cube coords", lambda v: tp1_cube_coords(ctx, v))),
+        "h0": bracket_family(ctx, sq, bases["h0_theta"], sq,
+                             Reducer("sq coords", lambda v: tp1_sq_coords(ctx, v))),
+        "sq_cube": bracket_family(ctx, sq, sq, bases["h0_cube"],
+                                  Reducer("cube coords", lambda v: tp1_cube_coords(ctx, v))),
     }
 
 

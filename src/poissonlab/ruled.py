@@ -12,12 +12,14 @@ map, and the family checks read first cohomology off the same model.
 
 The surface store `_SURFACE_CACHE` is the module's only per-process
 state.  It holds, per twist m and parameter names, the surface built by
-`make_surface` and its four H-bases built by `h_bases`: `surface_for`
-hands out the surface and `bases_for` its bases, so a process serving a
-stream of classify requests builds each F_m and its bases once and
-reuses them across requests.  `make_surface` stays the constructor of a
-fresh surface; `bases_for` builds a surface's bases without storing
-them when the store does not hold it.
+`make_surface`, its four H-bases built by `h_bases` and its per-basis H1
+bracket maps built by `h1_maps`: `surface_for` hands out the surface,
+`bases_for` its bases and `h1_bracket_matrix` sums its maps, so a
+process serving a stream of classify requests builds each F_m, its bases
+and its maps once and reuses them across requests.  `make_surface` stays
+the constructor of a fresh surface; for a surface the store does not
+hold, `bases_for` and `h1_bracket_matrix` build its bases and maps
+without storing them.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import LabeledBasis, LinMap, NotInSpan, Reducer, matrix_of_map
+from .linalg import LabeledBasis, LinMap, MapFamily, NotInSpan, Reducer, matrix_of_map
 from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
 from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel, NotACocycle,
-                          r4_search)
+                          bracket_family, r4_search)
 
 _set = object.__setattr__
 
@@ -93,11 +95,12 @@ _SURFACE_CACHE: dict = {}
 
 def surface_for(m: int, params: Sequence[str] = ()) -> RuledSurface:
     """F_m with parameters `params` from the store, built with its h_bases
-    on first use."""
+    and h1_maps on first use."""
     key = (m, tuple(params))
     if key not in _SURFACE_CACHE:
         rs = make_surface(m, key[1])
-        _SURFACE_CACHE[key] = rs, h_bases(rs)
+        bases = h_bases(rs)
+        _SURFACE_CACHE[key] = rs, bases, h1_maps(rs, bases)
     return _SURFACE_CACHE[key][0]
 
 
@@ -360,17 +363,33 @@ def reduce_h0_sq(rs: RuledSurface) -> Reducer:
 # ----------------------------------------------------------------------
 # the bracket matrices and Table 1
 
+def h1_maps(rs: RuledSurface, bases: dict) -> MapFamily:
+    """[s, -] on the H1 models for each basis bivector s of H0(wedge2) that
+    reaches the class window: z^j dz ^ dxi (m <= 2) and z^j xi dz ^ dxi,
+    j = 0..2; `bases` is h_bases(rs).
+
+    Each basis field z^-k d/dxi has no xi, so its bracket with
+    f xi^2 dz ^ dxi has only xi^1 and xi^2 terms, while reduce_h1_sq reads
+    the xi-free part: the m + 3 basis bivectors of the f part never reach
+    the class window and get no map.
+    """
+    sq = bases["h0_sq"]
+    return bracket_family(rs, sq[:len(sq) - (rs.m + 3)], bases["h1_theta"], bases["h1_sq"],
+                          reduce_h1_sq(rs))
+
+
 def h1_bracket_matrix(rs: RuledSurface, bases: dict, pois: RuledPoisson) -> LinMap:
     """[lam0, -] on the H1 models, lam0 = pois.bivector(); `bases` is h_bases(rs).
 
-    Only the xi-degree <= 1 part (d + e xi) dz ^ dxi of lam0 is bracketed.
-    Each basis field z^-k d/dxi has no xi, so its bracket with
-    f xi^2 dz ^ dxi has only xi^1 and xi^2 terms, while reduce_h1_sq reads
-    the xi-free part: the f part never reaches the class window.
+    The sum of the h1_maps weighted by the z-coefficients of d and e, the
+    maps stored with the surface or, for one the store does not hold,
+    built from `bases`.
     """
-    window = rs.mv(pois.d + pois.e * rs.xi(), ("z", "xi"))
-    return matrix_of_map(lambda b: schouten(window, b), bases["h1_theta"], bases["h1_sq"],
-                         reduce_h1_sq(rs), rs.registry)
+    stored = _SURFACE_CACHE.get((rs.m, rs.registry.param_vars))
+    maps = stored[2] if stored is not None else h1_maps(rs, bases)
+    zero = LaurentPoly.zero(rs.registry)
+    d, e = pois.d.coefficients_in("z"), pois.e.coefficients_in("z")
+    return maps.at([d.get(j, zero) for j in range(3 - rs.m)] + [e.get(j, zero) for j in range(3)])
 
 
 def h0_bracket_matrix(rs: RuledSurface, bases: dict, lam0: MultiVector) -> LinMap:

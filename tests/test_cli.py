@@ -11,6 +11,7 @@ import pytest
 import poissonlab.cli as cli_mod
 import poissonlab.expr as expr_mod
 from poissonlab.cli import FAMILY_NAMES, main
+from poissonlab.linalg import MapFamily
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -561,6 +562,53 @@ def test_numeric_ruled_requests_reuse_the_stored_surface(monkeypatch):
     assert served[0][0] == 0 and served.count(served[0]) == 3
     assert list(ruled._SURFACE_CACHE) == [(6, ())]
     assert built == [ruled._SURFACE_CACHE[6, ()][0]]
+
+
+def _count_matrix_of_map(monkeypatch):
+    """Record the domain name of every bracket matrix the ruled module builds:
+    its per-basis maps (through `obstruction.bracket_family`) and its H0 map."""
+    from poissonlab import obstruction, ruled
+
+    built = []
+    for module in (obstruction, ruled):
+        def counted(op, dom, *rest, real=module.matrix_of_map):
+            built.append(dom.space_name)
+            return real(op, dom, *rest)
+        monkeypatch.setattr(module, "matrix_of_map", counted)
+    return built
+
+
+def test_stored_ruled_surfaces_build_their_h1_maps_once(monkeypatch):
+    # the maps [s_j, -] of the three e-part basis bivectors of F7, built with
+    # the surface and summed by every request after it
+    from poissonlab import ruled
+
+    monkeypatch.setattr(ruled, "_SURFACE_CACHE", {})
+    built = _count_matrix_of_map(monkeypatch)
+    argvs = [("classify", "ruled:7", "--poisson", src) for src in
+             ("((1 - 2*z^2)*xi + z*xi^2)*@z^@xi", "(3*z^9 + 1)*xi^2*@z^@xi",
+              "(1/2*z*xi + xi^2)*@z^@xi")]
+    counts = []
+    for argv in argvs:
+        code, out, _ = _served(argv)
+        assert code == 0
+        counts.append(len(built))
+    assert built == ["H1(F7,Theta)"] * 3 and counts == [3, 3, 3]
+    assert list(ruled._SURFACE_CACHE) == [(7, ())]
+    assert isinstance(ruled._SURFACE_CACHE[7, ()][2], MapFamily)
+
+
+def test_requests_with_their_own_parameter_names_build_their_own_h1_maps(monkeypatch):
+    from poissonlab import ruled
+
+    _served(("classify", "ruled:7", "--poisson", "xi*@z^@xi"))
+    before = dict(ruled._SURFACE_CACHE)
+    built = _count_matrix_of_map(monkeypatch)
+    for k in range(2):
+        code, out, _ = _served(("classify", "ruled:7", "--poisson", f"(a*z + {k + 1})*xi*@z^@xi"))
+        assert code == 0 and json.loads(out)["verdict"] == "unobstructed_h2_zero"
+        assert built == ["H1(F7,Theta)"] * 3 * (k + 1)
+    assert ruled._SURFACE_CACHE == before
 
 
 def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):

@@ -75,6 +75,42 @@ def test_parse_errors_carry_positions():
         assert (err.value.line, err.value.col) == (1, 4)
 
 
+@pytest.mark.parametrize("src, message", [
+    ("z^", "unexpected end of input at line 1, column 3"),
+    ("z^-", "unexpected end of input at line 1, column 4"),
+    ("(z^", "unexpected end of input at line 1, column 4"),
+    ("-", "unexpected end of input at line 1, column 2"),
+    ("z*", "unexpected end of input at line 1, column 3"),
+    ("3/", "trailing input '/' at line 1, column 2"),
+    ("3/-", "trailing input '/' at line 1, column 2"),
+    ("3/z", "trailing input '/' at line 1, column 2"),
+    ("z^-2/", "trailing input '/' at line 1, column 5"),
+])
+def test_lookahead_at_the_end_of_input(src, message):
+    # the parser looks one or two tokens past a `^` or a `/`, up to the
+    # closing end token and never past it
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == message
+
+
+def _shape(node):
+    """A tree as nested tuples: class name, then each field."""
+    if isinstance(node, (int, str, GaussianRational)):
+        return node
+    fields = [f for cls in type(node).__mro__ for f in getattr(cls, "__slots__", ())]
+    return (type(node).__name__,) + tuple(_shape(getattr(node, f)) for f in fields)
+
+
+def test_lookahead_trees():
+    two = GaussianRational(2)
+    assert _shape(parse("z^-2")) == ("Pow", ("Sym", "z"), -2)
+    assert _shape(parse("z^-x")) == ("WedgeOp", ("Sym", "z"), ("Neg", ("Sym", "x")))
+    assert _shape(parse("z^(2)")) == ("WedgeOp", ("Sym", "z"), ("Num", two))
+    assert _shape(parse("z^2^@w")) == ("WedgeOp", ("Pow", ("Sym", "z"), 2), ("Vec", "w"))
+    assert _shape(parse("3/4^-2")) == ("Pow", ("Num", GaussianRational(Fraction(3, 4))), -2)
+
+
 @pytest.mark.parametrize("src, char, col", [
     ("2²", "²", 2),
     ("z²*@z", "²", 2),

@@ -261,3 +261,19 @@ def test_constant_short_circuits_match_the_general_code(p, c):
     want = [q * (ONE / g) if q.terms else q for q in row]
     got = _row_content_normalize(row)
     assert [list(q.terms.items()) for q in got] == [list(q.terms.items()) for q in want]
+
+
+exponent_keys = st.dictionaries(
+    st.integers(0, len(REG.names) - 1), st.integers(-3, 3).filter(bool), max_size=5
+).map(lambda exps: tuple(sorted(exps.items())))
+
+
+@settings(max_examples=500, deadline=None)
+@given(exponent_keys, exponent_keys, polys())
+def test_sparse_order_key_is_graded_lex_on_the_dense_exponents(a, b, p):
+    # `_order` reads the graded-lex order off the sparse key; the dense
+    # exponent vector of `_graded_lex` is the reference, negative exponents included
+    order = LaurentPoly.zero(REG)._order
+    assert (order(a) < order(b)) == (_graded_lex(a) < _graded_lex(b))
+    assert (order(a) == order(b)) == (a == b)
+    assert sorted(p.terms, key=p._order) == sorted(p.terms, key=_graded_lex)

@@ -152,6 +152,31 @@ def test_h1_bracket_matrix_equals_the_full_bracket(m, e_zero):
     assert nonzero == (m >= 4 and not e_zero)
 
 
+@pytest.mark.parametrize("m", range(ruled_mod.MAX_M + 1))
+def test_h1_bracket_matrix_of_an_unstored_surface_equals_the_full_bracket(m):
+    # a surface the store does not hold sums maps built from the bases it is
+    # given, and the store keeps none of them
+    d_names = tuple(f"u{k}" for k in range(3 - m))
+    f_names = tuple(f"w{j}" for j in range(m + 3))
+    names = d_names + ("v0", "v1", "v2") + f_names
+    before = dict(ruled_mod._SURFACE_CACHE)
+    rs = make_surface(m, names)
+    assert (m, names) not in before
+    d_sym = sum((rs.param(name) * rs.z(k) for k, name in enumerate(d_names)), zero(rs))
+    f_sym = sum((rs.param(name) * rs.z(j) for j, name in enumerate(f_names)), zero(rs))
+    for e in (rs.param("v0") + rs.param("v1") * rs.z() + rs.param("v2") * rs.z(2),
+              rs.z(2) * 3 - 1, zero(rs)):
+        pois = RuledPoisson(rs, d_sym, e, f_sym)
+        lam0 = pois.bivector()
+        bases = h_bases(rs)
+        full = matrix_of_map(lambda b: schouten(lam0, b), bases["h1_theta"], bases["h1_sq"],
+                             reduce_h1_sq(rs), rs.registry)
+        mat = h1_bracket_matrix(rs, bases, pois)
+        assert (mat.n_rows, mat.n_cols) == (full.n_rows, full.n_cols)
+        assert [list(r) for r in mat.rows] == [list(r) for r in full.rows]
+    assert ruled_mod._SURFACE_CACHE == before
+
+
 def test_the_surface_store_is_the_only_module_state():
     mutable = sorted(name for name, value in vars(ruled_mod).items()
                      if not name.startswith("__") and isinstance(value, (dict, list, set)))
