@@ -71,6 +71,8 @@ REQUESTS = (
     ["classify", "ruled:12", "--poisson", "(((2)*z^5 + (1/3)*z^14)*xi^2)*@z^@xi"],
     ["classify", "ruled:2", "--poisson", "((3) + ((1) + (-1)*z^2)*xi + ((2)*z^4)*xi^2)*@z^@xi"],
     ["classify", "ruled:6", "--poisson", "(a*z + b)*xi*@z^@xi"],
+    # a cover model that fails validation: III(p=5) needs a cap above p
+    ["tables", "hopf", "--p", "5", "--degree", "4"],
 )
 
 

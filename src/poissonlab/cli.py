@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import hopf, products, ruled
 from .expr import ParseError, UnknownSymbol, context_for, eval_str, free_names, tokenize
-from .laurent import LaurentPoly
+from .laurent import LaurentError, LaurentPoly
 from .linalg import NotInSpan
 from .multivector import ChartFrame, schouten_formed
 from .obstruction import (OBSTRUCTED, UNDETERMINED, UNOBSTRUCTED_MC, Certificate)
@@ -215,7 +215,7 @@ def cmd_bracket(args) -> int:
 def _rational_or_none(poly: LaurentPoly):
     try:
         c = poly.constant_value()
-    except Exception:
+    except LaurentError:
         return None
     if c.im != 0:
         return None
@@ -226,7 +226,6 @@ def cmd_classify(args) -> int:
     spec = args.manifold
     parts = spec.split(":")
     kind = parts[0]
-    cert = None
     if kind == "ruled":
         m = _spec_number(parts, 0, ruled.MAX_M)
         src = args.poisson
@@ -264,7 +263,7 @@ def cmd_classify(args) -> int:
         print(f"unknown manifold spec {spec!r}", file=sys.stderr)
         return EXIT_USAGE
     print(cert.to_json())
-    return EXIT_OK if cert.verdict != "error" else EXIT_FAIL
+    return EXIT_OK
 
 
 def _require_bivector(mv):

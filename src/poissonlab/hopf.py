@@ -13,10 +13,12 @@ the verdict of the stratum (`stratum_certificate`).
 One cover model per type and degree cap is the input of every Hopf
 computation: `model_for` is the one place that turns a type and a cap
 into a model, and every other function takes the model it is given.
-The model store `_MODEL_CACHE` is the module's only per-process state:
-a process serving a stream of classify requests reuses each model
-across requests, where rebuilding it would cost more than the rest of
-a request.  A model keeps only the weight-0 blocks of its two id - f_*
+`cover_model` keeps each model in the one process store
+(`obstruction.stored`, key `("Hopf", type, registry, cap)`; at most
+2,850 models at the CLI's bounds on p and the cap), so a process serving
+a stream of classify requests reuses it, where rebuilding it would cost
+more than the rest of a request; a model that fails validation is not
+kept.  A model keeps only the weight-0 blocks of its two id - f_*
 operators and computes, at most once on first use, the invariant fields
 and bivectors and each stratum's complex.  An operator is built as
 sparse columns from f_*(g * e) = (g o f^-1) * f_*(e), from the frames e
@@ -50,7 +52,7 @@ from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, imag
 from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DeformationComplexModel,
-                          r4_search)
+                          r4_search, stored)
 from .rational import ONE, Frozen
 
 _set = object.__setattr__
@@ -112,8 +114,6 @@ class HopfContext(ChartFrame):
 
 
 BASE_PARAMS = ("alpha", "delta", "beta", "A", "B", "C", "t")
-
-_MODEL_CACHE: dict = {}
 
 
 def make_context(t: HopfType, extra_params: Sequence[str] = ()) -> HopfContext:
@@ -409,10 +409,7 @@ def default_cap(t: HopfType) -> int:
 def cover_model(ctx: HopfContext, cap: int) -> CoverModel:
     """Build and validate the M1/M2 model at the given truncation, once per
     (type, registry, cap)."""
-    key = (ctx.type, ctx.registry, cap)
-    if key not in _MODEL_CACHE:
-        _MODEL_CACHE[key] = _build_cover_model(ctx, cap)
-    return _MODEL_CACHE[key]
+    return stored(("Hopf", ctx.type, ctx.registry, cap), lambda: _build_cover_model(ctx, cap))
 
 
 def model_for(t: HopfType, cap: int | None = None) -> CoverModel:

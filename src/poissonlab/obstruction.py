@@ -10,6 +10,15 @@ check that a family's tangent directions fill first cohomology
 (an element pair whose bracket class escapes the H1 bracket image).  Next to it
 live the quadratic primary-obstruction class of a first-order
 deformation and machine-checkable certificates with a stable JSON form.
+
+`stored(key, build)` keeps what `build()` returns in `_STORE`, the one
+per-process store of every geometry; a build that raises stores
+nothing.  A key starts with its geometry: `("F", m, params)`,
+`("ExP1",)`, `("TxP1",)` or `("Hopf", type, registry, cap)`.  It holds
+only names fixed in code and integers the CLI bounds (`ruled.MAX_M`,
+`cli.MAX_P`, `cli.MAX_CAP`), never a request's own parameter names: at
+most 30 surfaces, 2 product frames and (3 + 2 * 36) * 38 = 2,850 cover
+models (types IV, IIb, IIc, and III, IIa at p = 2..37; caps 3..40).
 """
 
 from __future__ import annotations
@@ -35,6 +44,16 @@ UNDETERMINED = "undetermined"
 
 class NotACocycle(Exception):
     pass
+
+
+_STORE: dict = {}
+
+
+def stored(key: tuple, build: Callable[[], object]):
+    """The value stored under `key`, built by `build()` on first use."""
+    if key not in _STORE:
+        _STORE[key] = build()
+    return _STORE[key]
 
 
 def bracket_family(frame: ChartFrame, sq: Sequence[MultiVector], dom: LabeledBasis,

@@ -6,16 +6,16 @@ projective-line factor contributes the quadratic xi-direction.  All
 Maurer-Cartan solutions here are polynomials in the deformation
 parameters and are verified as exact identities.
 
-The frame store `_FRAME_CACHE` is the module's only per-process state.
-It holds, for ExP1 and for TxP1, the frame, the bases built by
-`ep1_bases` or `tp1_bases`, and the per-basis bracket maps: for each
-basis bivector s_j of H0(wedge2), the matrices of [s_j, -] (ExP1: on
-H0(Theta) and on H1(Theta); TxP1: on H0(Theta) and on H0(wedge2), its
+`_ep1_frame` and `_tp1_frame` build the frame of ExP1 or TxP1, its
+bases (`ep1_bases`, `tp1_bases`) and its per-basis bracket maps: for
+each basis bivector s_j of H0(wedge2), the matrices of [s_j, -] (ExP1:
+on H0(Theta) and on H1(Theta); TxP1: on H0(Theta) and on H0(wedge2), its
 H1(Theta) map being two copies of the H0(Theta) one, see
-`tp1_matrices`).  Each entry is built on first use, not at import;
-`ep1_context()` and `tp1_context()` hand out the stored frames, and a
-process serving a stream of classify requests reuses all of it across
-requests.
+`tp1_matrices`).  Both are built on first use, not at import, and kept
+in the one process store (`obstruction.stored`, keys `("ExP1",)` and
+`("TxP1",)`), so a process serving a stream of classify requests reuses
+them across requests; `ep1_context()` and `tp1_context()` hand out the
+stored frames.
 
 A bivector lam = sum_j lam_j s_j with coefficients lam_j free of chart
 variables has the bracket matrix sum_j lam_j M_j, M_j that of [s_j, -],
@@ -33,29 +33,10 @@ from .linalg import (ColumnSpace, ConstraintViolation, LabeledBasis, LinMap, Not
 from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, mc_defect,
                           schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DeformationComplexModel,
-                          DolbeaultModel, bracket_family)
+                          DolbeaultModel, bracket_family, stored)
 from .rational import Frozen
 
 _set = object.__setattr__
-
-_FRAME_CACHE: dict = {}
-
-
-def _stored(name: str) -> tuple[ChartFrame, dict, dict]:
-    """The frame of the product `name`, "ExP1" or "TxP1", its bases and
-    its per-basis bracket maps."""
-    if name not in _FRAME_CACHE:
-        if name == "ExP1":
-            ctx = ChartFrame(Chart("ExP1", ("z", "xi")), VarRegistry(("z", "xi"), EP1_PARAMS),
-                             ("z",))
-            bases = ep1_bases(ctx)
-            _FRAME_CACHE[name] = ctx, bases, _ep1_basis_maps(ctx, bases)
-        else:
-            ctx = ChartFrame(Chart("TxP1", ("z1", "z2", "xi")),
-                             VarRegistry(("z1", "z2", "xi"), TP1_PARAMS), ("z1", "z2"))
-            bases = tp1_bases(ctx)
-            _FRAME_CACHE[name] = ctx, bases, _tp1_basis_maps(ctx, bases)
-    return _FRAME_CACHE[name]
 
 
 # ----------------------------------------------------------------------
@@ -64,9 +45,16 @@ def _stored(name: str) -> tuple[ChartFrame, dict, dict]:
 EP1_PARAMS = ("A", "B", "C", "F0", "F1", "F2", "t0", "t1", "t2", "s")
 
 
+def _ep1_frame() -> tuple[ChartFrame, dict, dict]:
+    """The ExP1 frame, its bases and its per-basis bracket maps."""
+    ctx = ChartFrame(Chart("ExP1", ("z", "xi")), VarRegistry(("z", "xi"), EP1_PARAMS), ("z",))
+    bases = ep1_bases(ctx)
+    return ctx, bases, _ep1_basis_maps(ctx, bases)
+
+
 def ep1_context() -> ChartFrame:
     """The stored ExP1 frame."""
-    return _stored("ExP1")[0]
+    return stored(("ExP1",), _ep1_frame)[0]
 
 
 def _xi_coords(poly: LaurentPoly) -> list[LaurentPoly]:
@@ -150,7 +138,7 @@ def ep1_bracket_matrices(a=None, b=None, c=None) -> EP1Matrices:
     """The bracket matrices of (A + B xi + C xi^2) dz ^ dxi, symbolic in
     each coefficient given as None: the stored per-basis maps summed with
     the coefficients as weights."""
-    ctx, _, maps = _stored("ExP1")
+    ctx, _, maps = stored(("ExP1",), _ep1_frame)
     lam0 = ep1_lambda0(ctx, a, b, c)
     coords = _ep1_sq_coords(ctx, lam0)
     m_h0 = maps["h0"].at(coords)
@@ -288,9 +276,17 @@ TP1_PARAMS = ("D", "A", "B", "C", "k", "F0", "F1", "F2",
               "t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "s")
 
 
+def _tp1_frame() -> tuple[ChartFrame, dict, dict]:
+    """The TxP1 frame, its bases and its per-basis bracket maps."""
+    ctx = ChartFrame(Chart("TxP1", ("z1", "z2", "xi")),
+                     VarRegistry(("z1", "z2", "xi"), TP1_PARAMS), ("z1", "z2"))
+    bases = tp1_bases(ctx)
+    return ctx, bases, _tp1_basis_maps(ctx, bases)
+
+
 def tp1_context() -> ChartFrame:
     """The stored TxP1 frame."""
-    return _stored("TxP1")[0]
+    return stored(("TxP1",), _tp1_frame)[0]
 
 
 class TP1PoissonClass(Frozen):
@@ -428,7 +424,7 @@ def tp1_matrices(ctx, lam0) -> TP1Matrices:
     """The bracket maps of lam0, a bivector in the span of H0(wedge2): the
     stored per-basis maps summed with its coordinates as weights; `ctx`
     is tp1_context()."""
-    _, bases, maps = _stored("TxP1")
+    _, bases, maps = stored(("TxP1",), _tp1_frame)
     coords = tp1_sq_coords(ctx, lam0)
     m_h0 = maps["h0"].at(coords)
     # H1(Theta) and H1(wedge2) are H0(Theta) dzbar_g and H0(wedge2) dzbar_g,

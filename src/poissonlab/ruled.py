@@ -10,28 +10,27 @@ maps, on these H0 and H1 models, into the one
 `obstruction.DeformationComplexModel`: Table 1 reads dim H2 off its H1
 map, and the family checks read first cohomology off the same model.
 
-The surface store `_SURFACE_CACHE` is the module's only per-process
-state.  It holds, per twist m and parameter names, the surface built by
-`make_surface`, its four H-bases built by `h_bases` and its per-basis H1
-bracket maps built by `h1_maps`: `surface_for` hands out the surface,
-`bases_for` its bases and `h1_bracket_matrix` sums its maps, so a
-process serving a stream of classify requests builds each F_m, its bases
-and its maps once and reuses them across requests.  `make_surface` stays
-the constructor of a fresh surface; for a surface the store does not
-hold, `bases_for` and `h1_bracket_matrix` build its bases and maps
-without storing them.
+A surface builds its four H-bases (`h_bases`) and its per-basis H1
+bracket maps (`h1_maps`) on first use and keeps them as `bases` and
+`maps`.  `surface_for` hands out F_m with the given parameter names from
+the one process store (`obstruction.stored`, key `("F", m, params)`; at
+most 30 surfaces: m = 0..12 bare and with the parameters of
+`table1_sweep`, and the four family surfaces), so a process serving a
+stream of classify requests builds each, with its bases and maps, once.
+`make_surface` builds a fresh surface that no store holds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import LabeledBasis, LinMap, MapFamily, NotInSpan, Reducer, matrix_of_map
 from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
 from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel, NotACocycle,
-                          bracket_family, r4_search)
+                          bracket_family, r4_search, stored)
 
 _set = object.__setattr__
 
@@ -57,7 +56,7 @@ class NotObstructedStratum(Exception):
 class RuledSurface(ChartFrame):
     """F_m; the frame's chart is U1, on which every field is built."""
 
-    __slots__ = ("m", "chart2", "transition")
+    __slots__ = ("m", "chart2", "transition", "__dict__")
 
     def __init__(self, chart: Chart, registry: VarRegistry, dbar: tuple[str, ...] = (), *,
                  m: int, chart2: Chart, transition: ChartMap):
@@ -72,6 +71,14 @@ class RuledSurface(ChartFrame):
     @property
     def chart1(self) -> Chart:
         return self.chart
+
+    @cached_property
+    def bases(self) -> dict:
+        return h_bases(self)
+
+    @cached_property
+    def maps(self) -> MapFamily:
+        return h1_maps(self)
 
 
 def make_surface(m: int, params: Sequence[str] = ()) -> RuledSurface:
@@ -90,25 +97,10 @@ def make_surface(m: int, params: Sequence[str] = ()) -> RuledSurface:
     return RuledSurface(chart1, reg, m=m, chart2=chart2, transition=trans)
 
 
-_SURFACE_CACHE: dict = {}
-
-
 def surface_for(m: int, params: Sequence[str] = ()) -> RuledSurface:
-    """F_m with parameters `params` from the store, built with its h_bases
-    and h1_maps on first use."""
-    key = (m, tuple(params))
-    if key not in _SURFACE_CACHE:
-        rs = make_surface(m, key[1])
-        bases = h_bases(rs)
-        _SURFACE_CACHE[key] = rs, bases, h1_maps(rs, bases)
-    return _SURFACE_CACHE[key][0]
-
-
-def bases_for(rs: RuledSurface) -> dict:
-    """The stored h_bases of the surface equal to `rs`, or fresh ones for a
-    surface the store does not hold, which stores nothing."""
-    stored = _SURFACE_CACHE.get((rs.m, rs.registry.param_vars))
-    return stored[1] if stored is not None else h_bases(rs)
+    """F_m with parameters `params`, from the store."""
+    params = tuple(params)
+    return stored(("F", m, params), lambda: make_surface(m, params))
 
 
 # ----------------------------------------------------------------------
@@ -363,48 +355,43 @@ def reduce_h0_sq(rs: RuledSurface) -> Reducer:
 # ----------------------------------------------------------------------
 # the bracket matrices and Table 1
 
-def h1_maps(rs: RuledSurface, bases: dict) -> MapFamily:
+def h1_maps(rs: RuledSurface) -> MapFamily:
     """[s, -] on the H1 models for each basis bivector s of H0(wedge2) that
     reaches the class window: z^j dz ^ dxi (m <= 2) and z^j xi dz ^ dxi,
-    j = 0..2; `bases` is h_bases(rs).
+    j = 0..2.
 
     Each basis field z^-k d/dxi has no xi, so its bracket with
     f xi^2 dz ^ dxi has only xi^1 and xi^2 terms, while reduce_h1_sq reads
     the xi-free part: the m + 3 basis bivectors of the f part never reach
     the class window and get no map.
     """
+    bases = rs.bases
     sq = bases["h0_sq"]
     return bracket_family(rs, sq[:len(sq) - (rs.m + 3)], bases["h1_theta"], bases["h1_sq"],
                           reduce_h1_sq(rs))
 
 
-def h1_bracket_matrix(rs: RuledSurface, bases: dict, pois: RuledPoisson) -> LinMap:
-    """[lam0, -] on the H1 models, lam0 = pois.bivector(); `bases` is h_bases(rs).
-
-    The sum of the h1_maps weighted by the z-coefficients of d and e, the
-    maps stored with the surface or, for one the store does not hold,
-    built from `bases`.
-    """
-    stored = _SURFACE_CACHE.get((rs.m, rs.registry.param_vars))
-    maps = stored[2] if stored is not None else h1_maps(rs, bases)
+def h1_bracket_matrix(rs: RuledSurface, pois: RuledPoisson) -> LinMap:
+    """[lam0, -] on the H1 models, lam0 = pois.bivector(): the sum of the
+    surface's maps weighted by the z-coefficients of d and e."""
     zero = LaurentPoly.zero(rs.registry)
     d, e = pois.d.coefficients_in("z"), pois.e.coefficients_in("z")
-    return maps.at([d.get(j, zero) for j in range(3 - rs.m)] + [e.get(j, zero) for j in range(3)])
+    return rs.maps.at([d.get(j, zero) for j in range(3 - rs.m)]
+                      + [e.get(j, zero) for j in range(3)])
 
 
-def h0_bracket_matrix(rs: RuledSurface, bases: dict, lam0: MultiVector) -> LinMap:
-    """[lam0, -] on global sections; `bases` is h_bases(rs)."""
-    return matrix_of_map(lambda b: schouten(lam0, b), bases["h0_theta"], bases["h0_sq"],
+def h0_bracket_matrix(rs: RuledSurface, lam0: MultiVector) -> LinMap:
+    """[lam0, -] on global sections."""
+    return matrix_of_map(lambda b: schouten(lam0, b), rs.bases["h0_theta"], rs.bases["h0_sq"],
                          reduce_h0_sq(rs), rs.registry)
 
 
 def complex_model(rs: RuledSurface, pois: RuledPoisson) -> DeformationComplexModel:
     """The deformation complex of `pois` on F_m; Table 1 reads only its H1
     map, so the H0 map is built only for an H0-level answer."""
-    bases = bases_for(rs)
     return DeformationComplexModel(
-        f"F{rs.m}", pois.stratum(), h1_bracket_matrix(rs, bases, pois), reduce_h1_sq(rs),
-        bases["h0_sq"], lambda: h0_bracket_matrix(rs, bases, pois.bivector()))
+        f"F{rs.m}", pois.stratum(), h1_bracket_matrix(rs, pois), reduce_h1_sq(rs),
+        rs.bases["h0_sq"], lambda: h0_bracket_matrix(rs, pois.bivector()))
 
 
 class Table1Row:

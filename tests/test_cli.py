@@ -10,6 +10,7 @@ import pytest
 
 import poissonlab.cli as cli_mod
 import poissonlab.expr as expr_mod
+from poissonlab import obstruction
 from poissonlab.cli import FAMILY_NAMES, main
 from poissonlab.linalg import MapFamily
 
@@ -219,7 +220,7 @@ def test_classify_hopf_at_the_degree_cap_env_matches_the_default_cap(monkeypatch
     # gives the same exit code and stdout on the cover models of cap 6
     from poissonlab import hopf
 
-    monkeypatch.setattr(hopf, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "6")
     wants = [want for want in json.loads((GOLDEN / "requests.json").read_text())
              if want["argv"][0] == "classify" and want["argv"][1].startswith("hopf:")]
@@ -227,13 +228,13 @@ def test_classify_hopf_at_the_degree_cap_env_matches_the_default_cap(monkeypatch
     for want in wants:
         with redirect_stderr(io.StringIO()):
             assert run_cli(*want["argv"]) == (want["exit"], want["stdout"])
-    assert {cap for _, _, cap in hopf._MODEL_CACHE} == {6}
+    assert {key[3] for key in obstruction._STORE if key[0] == "Hopf"} == {6}
 
 
 def test_report_checks_the_hopf_families_at_its_degree_cap(monkeypatch):
     from poissonlab import hopf
 
-    monkeypatch.setattr(hopf, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     built = []
     real = hopf._build_cover_model
     monkeypatch.setattr(hopf, "_build_cover_model",
@@ -516,8 +517,7 @@ def test_classify_builds_each_geometry_once_per_process(monkeypatch):
     prints what it prints in a fresh process."""
     from poissonlab import products, ruled
 
-    monkeypatch.setattr(ruled, "_SURFACE_CACHE", {})
-    monkeypatch.setattr(products, "_FRAME_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     built = []
     for module, name in ((ruled, "h_bases"), (products, "ep1_bases"), (products, "tp1_bases")):
         def counted(frame, real=getattr(module, name), name=name):
@@ -543,25 +543,25 @@ def test_requests_with_their_own_parameter_names_store_no_surface():
     from poissonlab import ruled
 
     _served(("classify", "ruled:6", "--poisson", "(a0*z + 1)*xi^2*@z^@xi"))
-    before = dict(ruled._SURFACE_CACHE)
+    before = dict(obstruction._STORE)
     for k in range(300):
         code, out, _ = _served(("classify", "ruled:6", "--poisson", f"(a{k}*z + 1)*xi^2*@z^@xi"))
         assert code == 0 and json.loads(out)["verdict"] == "obstructed"
-    assert ruled._SURFACE_CACHE == before
+    assert obstruction._STORE == before
 
 
 def test_numeric_ruled_requests_reuse_the_stored_surface(monkeypatch):
     from poissonlab import ruled
 
-    monkeypatch.setattr(ruled, "_SURFACE_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     built = []
     real = ruled.h_bases
     monkeypatch.setattr(ruled, "h_bases", lambda rs: built.append(rs) or real(rs))
     argv = ("classify", "ruled:6", "--poisson", "(2*z + 1)*xi^2*@z^@xi")
     served = [_served(argv) for _ in range(3)]
     assert served[0][0] == 0 and served.count(served[0]) == 3
-    assert list(ruled._SURFACE_CACHE) == [(6, ())]
-    assert built == [ruled._SURFACE_CACHE[6, ()][0]]
+    assert list(obstruction._STORE) == [("F", 6, ())]
+    assert built == [obstruction._STORE["F", 6, ()]]
 
 
 def _count_matrix_of_map(monkeypatch):
@@ -583,7 +583,7 @@ def test_stored_ruled_surfaces_build_their_h1_maps_once(monkeypatch):
     # the surface and summed by every request after it
     from poissonlab import ruled
 
-    monkeypatch.setattr(ruled, "_SURFACE_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     built = _count_matrix_of_map(monkeypatch)
     argvs = [("classify", "ruled:7", "--poisson", src) for src in
              ("((1 - 2*z^2)*xi + z*xi^2)*@z^@xi", "(3*z^9 + 1)*xi^2*@z^@xi",
@@ -594,21 +594,56 @@ def test_stored_ruled_surfaces_build_their_h1_maps_once(monkeypatch):
         assert code == 0
         counts.append(len(built))
     assert built == ["H1(F7,Theta)"] * 3 and counts == [3, 3, 3]
-    assert list(ruled._SURFACE_CACHE) == [(7, ())]
-    assert isinstance(ruled._SURFACE_CACHE[7, ()][2], MapFamily)
+    assert list(obstruction._STORE) == [("F", 7, ())]
+    assert isinstance(obstruction._STORE["F", 7, ()].maps, MapFamily)
 
 
 def test_requests_with_their_own_parameter_names_build_their_own_h1_maps(monkeypatch):
     from poissonlab import ruled
 
     _served(("classify", "ruled:7", "--poisson", "xi*@z^@xi"))
-    before = dict(ruled._SURFACE_CACHE)
+    before = dict(obstruction._STORE)
     built = _count_matrix_of_map(monkeypatch)
     for k in range(2):
         code, out, _ = _served(("classify", "ruled:7", "--poisson", f"(a*z + {k + 1})*xi*@z^@xi"))
         assert code == 0 and json.loads(out)["verdict"] == "unobstructed_h2_zero"
         assert built == ["H1(F7,Theta)"] * 3 * (k + 1)
-    assert ruled._SURFACE_CACHE == before
+    assert obstruction._STORE == before
+
+
+def test_a_cover_model_that_fails_validation_is_not_stored(monkeypatch, capsys):
+    # III(p=5) at cap 4 lacks a named M1 class; the IV model built before it stays
+    from poissonlab import hopf
+
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    code, out = run_cli("tables", "hopf", "--p", "5", "--degree", "4")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == ("error: M1 corank 2 does not match the 3 named "
+                                       "representatives at degree cap 4\n")
+    stored = [(key[1], key[3]) for key in obstruction._STORE if key[0] == "Hopf"]
+    assert (hopf.HopfType("III", 5), 4) not in stored
+    assert stored == [(hopf.HopfType("IV"), 4)]
+    # the failure leaves nothing behind: the default cap 8 of III(p=5) still serves
+    code, out = run_cli("classify", "hopf:III:p=5", "--poisson", "z*w*@z^@w")
+    assert code == 0 and json.loads(out)["data"]["dim_h1"] == 3
+
+
+@pytest.mark.parametrize("argv", (
+    ("classify", "ep1", "--poisson", "(A + xi)*@z^@xi"),
+    ("classify", "tp1", "--poisson", "A*@z1^@z2"),
+), ids=("ep1", "tp1"))
+def test_only_a_non_constant_coefficient_is_an_inexact_one(argv, monkeypatch, capsys):
+    from poissonlab.laurent import LaurentPoly
+
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == "error: classification needs exact rational coefficients\n"
+
+    def broken(poly):
+        raise RuntimeError("constant_value is broken")
+
+    monkeypatch.setattr(LaurentPoly, "constant_value", broken)
+    with pytest.raises(RuntimeError, match="constant_value is broken"):
+        run_cli(*argv)
 
 
 def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):
@@ -618,7 +653,7 @@ def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):
     code, out = run_cli(*argv)
     assert code == 0 and json.loads(out)["data"]["dim_h1"] == 3
     capsys.readouterr()
-    monkeypatch.setattr(hopf, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     monkeypatch.setattr(hopf, "family_invariance", lambda t: False)
     code, out = run_cli(*argv)
     err = capsys.readouterr().err
@@ -629,7 +664,7 @@ def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):
     def fails(t, cap=None):
         raise hopf.MembershipFails("bivector direction dies in the H0 cokernel")
 
-    monkeypatch.setattr(hopf, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     monkeypatch.setattr(hopf, "d_membership", fails)
     code, out = run_cli(*argv)
     assert code == 1 and out == ""

@@ -1,6 +1,7 @@
 import pytest
 
 import poissonlab.hopf as hopf_mod
+from poissonlab import obstruction
 from poissonlab.linalg import (NotInSpan, generic_rank, image_space, kernel_basis,
                                quotient_coords)
 from poissonlab.multivector import combination, pushforward, schouten
@@ -314,7 +315,7 @@ def test_cover_models_build_no_matrix_wider_than_their_weight_0_blocks(monkeypat
         sizes.append((len(domain), len(codomain)))
         real(self, domain, codomain, rows, registry)
 
-    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     monkeypatch.setattr(LinMap, "__init__", init)
     for t in ALL_TYPES:
         sizes.clear()
@@ -337,7 +338,7 @@ def test_cover_model_cache_keys_on_registry():
 def test_hopf_tables_build_each_cover_matrix_and_kernel_once(monkeypatch):
     from poissonlab import cli
 
-    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     calls = {"id_minus_fstar": 0, "kernel_basis": 0}
     for name in calls:
         def counted(*args, _orig=getattr(hopf_mod, name), _name=name):
@@ -354,7 +355,7 @@ def test_hopf_tables_build_each_cover_matrix_and_kernel_once(monkeypatch):
 def test_hopf_tables_build_each_h0_bracket_matrix_once(monkeypatch):
     from poissonlab import cli
 
-    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     built = []
     real = hopf_mod.h0_bracket_matrix
     monkeypatch.setattr(hopf_mod, "h0_bracket_matrix",
@@ -373,7 +374,7 @@ def test_report_builds_each_stratum_bracket_map_once(monkeypatch):
 
     from poissonlab import cli
 
-    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     built = {"h0_bracket_matrix": 0, "m_bracket_matrix": 0}
     for name in built:
         def counted(*args, _orig=getattr(hopf_mod, name), _name=name):
@@ -392,7 +393,7 @@ def test_repeated_family_classify_verifies_the_family_once(monkeypatch):
 
     from poissonlab import cli
 
-    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     calls = []
     real = hopf_mod.d_membership
     monkeypatch.setattr(hopf_mod, "d_membership",
@@ -406,18 +407,6 @@ def test_repeated_family_classify_verifies_the_family_once(monkeypatch):
         outs.append(out.getvalue())
         assert len(calls) == 1
     assert outs[0] == outs[1]
-
-
-def test_the_model_store_is_the_only_module_state():
-    assert not hasattr(hopf_mod, "_CONTEXT_CACHE")
-    mutable = [name for name, value in vars(hopf_mod).items()
-               if not name.startswith("__") and isinstance(value, (dict, list, set))]
-    assert mutable == ["_MODEL_CACHE"]
-    # contexts are built fresh; equal ones still share one model
-    t = HopfType("IIb")
-    a, b = make_context(t), make_context(t)
-    assert a is not b and a == b
-    assert cover_model(a, 4) is cover_model(b, 4) is model_for(t, 4)
 
 
 def test_invariant_lists_do_not_share_the_model_copy():
@@ -514,7 +503,7 @@ def test_a_corrupted_cover_matrix_raises_before_elimination(monkeypatch, corrupt
         return cols
 
     kernels = []
-    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     monkeypatch.setattr(hopf_mod, "_cover_columns", corrupted)
     monkeypatch.setattr(hopf_mod, "kernel_basis", lambda *args: kernels.append(args))
     message = {"join": "joins two weights", "diagonal": "zero diagonal entry off weight 0",
@@ -587,7 +576,7 @@ def _truncate(mv, cap):
 def test_hopf_tables_push_each_frame_once(monkeypatch):
     from poissonlab import cli
 
-    monkeypatch.setattr(hopf_mod, "_MODEL_CACHE", {})
+    monkeypatch.setattr(obstruction, "_STORE", {})
     calls = {"id_minus_fstar": 0, "pushforward": 0}
     for name in calls:
         def counted(*args, _orig=getattr(hopf_mod, name), _name=name):

@@ -78,15 +78,6 @@ def test_nonzero_ep1_classify_builds_its_matrices_once(monkeypatch):
     assert calls == [(1, 2, 0)]
 
 
-def test_the_frame_store_is_the_only_module_state():
-    mutable = [name for name, value in vars(products_mod).items()
-               if not name.startswith("__") and isinstance(value, (dict, list, set))]
-    assert mutable == ["_FRAME_CACHE"]
-    assert ep1_context() is ep1_context() and tp1_context() is tp1_context()
-    assert ep1_bracket_matrices().ctx is ep1_context()
-    assert _tp1_mats(1).bases is _tp1_mats(2).bases
-
-
 def test_ep1_mc_defect_vanishes_symbolically():
     sol = ep1_mc_solution(ep1_bracket_matrices())
     assert sol.defect().is_zero()

@@ -5,10 +5,11 @@ import pytest
 from poissonlab.laurent import LaurentPoly
 from poissonlab.linalg import NotInSpan, generic_rank, matrix_of_map
 from poissonlab.multivector import MultiVector, pushforward, schouten
+from poissonlab import obstruction
 from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_H2_ZERO, NotACocycle
 from poissonlab.ruled import (FAMILIES, NotObstructedStratum,
                               RationalPartSurvives, RuledPoisson, complex_model,
-                              bases_for, h1_bracket_matrix, h_bases, hyper_h1,
+                              h1_bracket_matrix, h_bases, hyper_h1,
                               lemma_r4_certificate, make_surface,
                               poisson_from_bivector, reduce_h1_sq, split_sq,
                               split_theta, surface_for, table1_sweep,
@@ -102,7 +103,7 @@ def test_banded_matrix_shape():
     rs = make_surface(7, ("e0", "e1", "e2"))
     e = rs.param("e0") + rs.param("e1") * rs.z() + rs.param("e2") * rs.z(2)
     pois = RuledPoisson(rs, zero(rs), e, zero(rs))
-    mat = h1_bracket_matrix(rs, h_bases(rs), pois)
+    mat = h1_bracket_matrix(rs, pois)
     # the bracket map matrix is minus the shifted coefficient band
     for i in range(mat.n_rows):
         for j in range(mat.n_cols):
@@ -120,7 +121,7 @@ def test_h1_bracket_matrix_is_banded_toeplitz_in_e(m):
     e = [rs.param(f"e{k}") for k in range(3)]
     e_sym = e[0] + e[1] * rs.z() + e[2] * rs.z(2)
     f_sym = sum((rs.param(f"f{j}") * rs.z(j) for j in range(m + 3)), zero(rs))
-    mat = h1_bracket_matrix(rs, bases_for(rs), RuledPoisson(rs, zero(rs), e_sym, f_sym))
+    mat = h1_bracket_matrix(rs, RuledPoisson(rs, zero(rs), e_sym, f_sym))
     want = [[-e[col - row] if 0 <= col - row <= 2 else zero(rs) for col in range(m - 1)]
             for row in range(m - 3)]
     assert [list(r) for r in mat.rows] == want
@@ -141,10 +142,10 @@ def test_h1_bracket_matrix_equals_the_full_bracket(m, e_zero):
     f_sym = sum((rs.param(name) * rs.z(j) for j, name in enumerate(f_names)), zero(rs))
     pois = RuledPoisson(rs, d_sym, e_sym, f_sym)
     lam0 = pois.bivector()
-    bases = bases_for(rs)
+    bases = rs.bases
     full = matrix_of_map(lambda b: schouten(lam0, b), bases["h1_theta"], bases["h1_sq"],
                          reduce_h1_sq(rs), rs.registry)
-    mat = h1_bracket_matrix(rs, bases, pois)
+    mat = h1_bracket_matrix(rs, pois)
     assert (mat.n_rows, mat.n_cols) == (full.n_rows, full.n_cols) == (max(m - 3, 0), max(m - 1, 0))
     assert [list(r) for r in mat.rows] == [list(r) for r in full.rows]
     # the comparison is not vacuous: with e != 0 the window sees e
@@ -154,14 +155,14 @@ def test_h1_bracket_matrix_equals_the_full_bracket(m, e_zero):
 
 @pytest.mark.parametrize("m", range(ruled_mod.MAX_M + 1))
 def test_h1_bracket_matrix_of_an_unstored_surface_equals_the_full_bracket(m):
-    # a surface the store does not hold sums maps built from the bases it is
-    # given, and the store keeps none of them
+    # a surface the store does not hold sums maps built from its own bases,
+    # and the store keeps none of them
     d_names = tuple(f"u{k}" for k in range(3 - m))
     f_names = tuple(f"w{j}" for j in range(m + 3))
     names = d_names + ("v0", "v1", "v2") + f_names
-    before = dict(ruled_mod._SURFACE_CACHE)
+    before = dict(obstruction._STORE)
     rs = make_surface(m, names)
-    assert (m, names) not in before
+    assert ("F", m, names) not in before
     d_sym = sum((rs.param(name) * rs.z(k) for k, name in enumerate(d_names)), zero(rs))
     f_sym = sum((rs.param(name) * rs.z(j) for j, name in enumerate(f_names)), zero(rs))
     for e in (rs.param("v0") + rs.param("v1") * rs.z() + rs.param("v2") * rs.z(2),
@@ -171,24 +172,21 @@ def test_h1_bracket_matrix_of_an_unstored_surface_equals_the_full_bracket(m):
         bases = h_bases(rs)
         full = matrix_of_map(lambda b: schouten(lam0, b), bases["h1_theta"], bases["h1_sq"],
                              reduce_h1_sq(rs), rs.registry)
-        mat = h1_bracket_matrix(rs, bases, pois)
+        mat = h1_bracket_matrix(rs, pois)
         assert (mat.n_rows, mat.n_cols) == (full.n_rows, full.n_cols)
         assert [list(r) for r in mat.rows] == [list(r) for r in full.rows]
-    assert ruled_mod._SURFACE_CACHE == before
+    assert obstruction._STORE == before
 
 
-def test_the_surface_store_is_the_only_module_state():
-    mutable = sorted(name for name, value in vars(ruled_mod).items()
-                     if not name.startswith("__") and isinstance(value, (dict, list, set)))
-    # FAMILIES is the fixed table of family builders
-    assert mutable == ["FAMILIES", "_SURFACE_CACHE"]
-    # make_surface builds a fresh surface; equal ones share the stored bases
+def test_stored_surfaces_share_their_bases_and_fresh_ones_build_their_own():
+    # make_surface builds a fresh surface; the store hands out one per key
     a, b = make_surface(5, ("a",)), make_surface(5, ("a",))
     assert a is not b and a == b
     stored = surface_for(5, ("a",))
     assert stored is surface_for(5, ["a"]) and stored == a
-    assert bases_for(a) is bases_for(b) is bases_for(stored)
-    assert surface_for(5) is not stored and bases_for(surface_for(5)) is not bases_for(a)
+    assert surface_for(5, ("a",)).bases is surface_for(5, ["a"]).bases
+    assert a.bases is a.bases and a.bases is not b.bases and a.bases is not stored.bases
+    assert surface_for(5) is not stored and surface_for(5).bases is not stored.bases
 
 
 def test_table1_matches_stratification():
@@ -367,7 +365,7 @@ def test_complex_model_compose_check():
     pois = RuledPoisson(rs, zero(rs), rs.z(), rs.z())
     complex_model(rs, pois)
     lam0 = pois.bivector()
-    for x in bases_for(rs)["h0_theta"]:
+    for x in rs.bases["h0_theta"]:
         assert schouten(lam0, schouten(lam0, x)).is_zero()
 
 
