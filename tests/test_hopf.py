@@ -409,6 +409,19 @@ def test_repeated_family_classify_verifies_the_family_once(monkeypatch):
     assert outs[0] == outs[1]
 
 
+def test_the_model_store_is_the_only_module_state():
+    assert not hasattr(hopf_mod, "_CONTEXT_CACHE")
+    mutable = [name for name, value in vars(hopf_mod).items()
+               if not name.startswith("__") and isinstance(value, (dict, list, set))]
+    assert mutable == []
+    # contexts are built fresh; equal ones still share one model from the one store
+    t = HopfType("IIb")
+    a, b = make_context(t), make_context(t)
+    assert a is not b and a == b
+    assert cover_model(a, 4) is cover_model(b, 4) is model_for(t, 4)
+    assert obstruction._STORE["Hopf", t, a.registry, 4] is model_for(t, 4)
+
+
 def test_invariant_lists_do_not_share_the_model_copy():
     ctx = make_context(HopfType("IIc"))
     cap = default_cap(HopfType("IIc"))

@@ -4,9 +4,8 @@ import pytest
 
 from poissonlab import hopf, obstruction, products, ruled
 from poissonlab.expr import EvalContext, eval_str
-from poissonlab.hopf import (STRATA, HopfType, cover_model, deformation_model,
-                             h0_bracket_matrix, m_bracket_matrix, make_context, model_for,
-                             stratum_bivector)
+from poissonlab.hopf import (STRATA, HopfType, deformation_model, h0_bracket_matrix,
+                             m_bracket_matrix, model_for, stratum_bivector)
 from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.linalg import Reducer, generic_rank
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
@@ -28,24 +27,21 @@ def _mutable_state(module) -> list[str]:
                   if not name.startswith("__") and isinstance(value, (dict, list, set)))
 
 
-def test_the_one_store_is_the_only_module_state():
-    # FAMILIES is the fixed table of ruled family builders
-    assert _mutable_state(ruled) == ["FAMILIES"]
-    assert _mutable_state(products) == _mutable_state(hopf) == []
+def test_the_one_store_is_the_only_module_state(monkeypatch):
+    # each geometry keeps its built objects here, not in module state of its own
     assert _mutable_state(obstruction) == ["_STORE"]
-    assert not hasattr(hopf, "_CONTEXT_CACHE")
-    # the product frames are built once and shared
-    assert ep1_context() is ep1_context() and tp1_context() is tp1_context()
-    assert ep1_bracket_matrices().ctx is ep1_context()
-    tp1 = [tp1_matrices(tp1_context(), tp1_lambda0(tp1_context(), TP1PoissonClass(k, {})))
-           for k in (1, 2)]
-    assert tp1[0].bases is tp1[1].bases
-    # Hopf contexts are built fresh; equal ones still share one model
-    t = HopfType("IIb")
-    a, b = make_context(t), make_context(t)
-    assert a is not b and a == b
-    assert cover_model(a, 4) is cover_model(b, 4) is model_for(t, 4)
-    assert obstruction._STORE["Hopf", t, a.registry, 4] is model_for(t, 4)
+    assert _mutable_state(products) == _mutable_state(hopf) == []
+    assert _mutable_state(ruled) == ["FAMILIES"]
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    ep1_context(), tp1_context(), ruled.surface_for(5), model_for(HopfType("IIb"), 4)
+    assert sorted(key[0] for key in obstruction._STORE) == ["ExP1", "F", "Hopf", "TxP1"]
+
+    def fails():
+        raise ValueError("no build")
+
+    with pytest.raises(ValueError):
+        obstruction.stored(("F", 0, ()), fails)
+    assert ("F", 0, ()) not in obstruction._STORE
 
 
 def test_primary_obstruction_ep1_witness():

@@ -4,6 +4,7 @@ from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.linalg import Reducer, generic_rank, kernel_basis, matrix_of_map
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
                                     schouten, schouten_formed)
+from poissonlab import obstruction
 from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_MC, DeformationComplexModel
 from poissonlab.products import (ConstraintViolation, TP1PoissonClass,
                                  ep1_bases, ep1_bracket_matrices, ep1_classify,
@@ -76,6 +77,18 @@ def test_nonzero_ep1_classify_builds_its_matrices_once(monkeypatch):
     monkeypatch.setattr(products_mod, "ep1_bracket_matrices", counted)
     assert ep1_classify(1, 2, 0).verdict == UNOBSTRUCTED_MC
     assert calls == [(1, 2, 0)]
+
+
+def test_the_frame_store_is_the_only_module_state():
+    mutable = [name for name, value in vars(products_mod).items()
+               if not name.startswith("__") and isinstance(value, (dict, list, set))]
+    assert mutable == []
+    # the product frames are built once, kept in the one store, and shared
+    assert ep1_context() is ep1_context() and tp1_context() is tp1_context()
+    assert ep1_bracket_matrices().ctx is ep1_context()
+    assert _tp1_mats(1).bases is _tp1_mats(2).bases
+    assert obstruction._STORE["ExP1",][0] is ep1_context()
+    assert obstruction._STORE["TxP1",][0] is tp1_context()
 
 
 def test_ep1_mc_defect_vanishes_symbolically():

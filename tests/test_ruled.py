@@ -178,6 +178,15 @@ def test_h1_bracket_matrix_of_an_unstored_surface_equals_the_full_bracket(m):
     assert obstruction._STORE == before
 
 
+def test_the_surface_store_is_the_only_module_state():
+    mutable = sorted(name for name, value in vars(ruled_mod).items()
+                     if not name.startswith("__") and isinstance(value, (dict, list, set)))
+    # FAMILIES is the fixed table of family builders; surfaces live in the one store
+    assert mutable == ["FAMILIES"]
+    stored = surface_for(5, ("a",))
+    assert obstruction._STORE["F", 5, ("a",)] is stored
+
+
 def test_stored_surfaces_share_their_bases_and_fresh_ones_build_their_own():
     # make_surface builds a fresh surface; the store hands out one per key
     a, b = make_surface(5, ("a",)), make_surface(5, ("a",))
