@@ -6,15 +6,17 @@ product except directly before an integer where it is a power, and `*`
 multiplies anything.  Wedge binds loosest, then +/-, then *, with
 powers tightest; no floats exist in the grammar.
 
-Evaluation stays in the Laurent ring for subtrees without @v or ~v and
-lifts to a FormedMultiVector only where a field generator enters.
+Evaluation keeps number subtrees in Q(i), stays in the Laurent ring for
+subtrees without @v or ~v, and lifts to a FormedMultiVector only where a
+field generator enters.  A chain of sums and differences accumulates its
+ring operands into one term dict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentPoly, VarRegistry
+from .laurent import LaurentPoly, VarRegistry, _accumulate
 from .multivector import Chart, ChartFrame, FormedMultiVector, _sort_key_names, wedge
 from .rational import Frozen, GaussianRational
 
@@ -312,14 +314,45 @@ EvalContext = ChartFrame
 def _lift(value, ctx: EvalContext) -> FormedMultiVector:
     if isinstance(value, FormedMultiVector):
         return value
+    if isinstance(value, GaussianRational):
+        value = ctx.const(value)
     return ctx.formed(ctx.mv(value))
 
 
+def _sum(node, ctx: EvalContext):
+    """The value of a chain of Add and Sub nodes, its operands evaluated
+    left to right.  Numbers and polynomials add into one term dict, a
+    number under the key (); from the first field on, the sum adds fields."""
+    chain = []
+    while isinstance(node, (Add, Sub)):
+        chain.append((isinstance(node, Sub), node.right))
+        node = node.left
+    chain.append((False, node))
+    terms, poly, total = {}, False, None
+    for neg, operand in reversed(chain):
+        v = _value(operand, ctx)
+        if total is None and not isinstance(v, FormedMultiVector):
+            if isinstance(v, LaurentPoly):
+                poly = True
+                _accumulate(terms, (-v if neg else v).terms)
+            elif not v.is_zero():
+                _accumulate(terms, {(): -v if neg else v})
+            continue
+        if total is None:
+            total = _lift(LaurentPoly._of_terms(ctx.registry, terms), ctx)
+        v = _lift(v, ctx)
+        total = total - v if neg else total + v
+    if total is not None:
+        return total
+    return LaurentPoly._of_terms(ctx.registry, terms) if poly else terms.get((), GaussianRational(0))
+
+
 def _value(node, ctx: EvalContext):
-    """A LaurentPoly for a subtree without @v or ~v, else a FormedMultiVector;
-    operands evaluate left to right."""
+    """A GaussianRational for a subtree of numbers, a LaurentPoly for one
+    without @v or ~v, else a FormedMultiVector; operands evaluate left to
+    right."""
     if isinstance(node, Num):
-        return ctx.const(node.value)
+        return node.value
     if isinstance(node, Sym):
         if node.name not in ctx.registry:
             raise UnknownSymbol(node.name)
@@ -335,18 +368,20 @@ def _value(node, ctx: EvalContext):
     if isinstance(node, Neg):
         return -_value(node.arg, ctx)
     if isinstance(node, (Add, Sub)):
-        a, b = _value(node.left, ctx), _value(node.right, ctx)
-        if isinstance(a, LaurentPoly) is not isinstance(b, LaurentPoly):
-            a, b = _lift(a, ctx), _lift(b, ctx)
-        return a + b if isinstance(node, Add) else a - b
+        return _sum(node, ctx)
     if isinstance(node, (Mul, WedgeOp)):
         a, b = _value(node.left, ctx), _value(node.right, ctx)
-        if isinstance(a, LaurentPoly):
-            return a * b if isinstance(b, LaurentPoly) else b.scale(a)
-        return a.scale(b) if isinstance(b, LaurentPoly) else fmv_product(a, b)
+        if isinstance(a, FormedMultiVector):
+            return fmv_product(a, b) if isinstance(b, FormedMultiVector) else a.scale(b)
+        if isinstance(b, FormedMultiVector):
+            return b.scale(a)
+        # a number scales through the other operand's scalar product
+        return b * a if isinstance(a, GaussianRational) else a * b
     if isinstance(node, Pow):
         base = _value(node.base, ctx)
-        if isinstance(base, FormedMultiVector):
+        if isinstance(base, GaussianRational):
+            base = ctx.const(base)
+        elif isinstance(base, FormedMultiVector):
             keys = set(base.parts)
             if keys and keys != {()}:
                 raise UnknownSymbol("powers only apply to scalar expressions")

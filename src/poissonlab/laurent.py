@@ -4,6 +4,11 @@ Variables live in a registry that splits them into chart variables
 (coordinates on some chart) and formal parameters (deformation and
 stratum constants).  Exponents may be negative; terms are stored
 sparsely as tuples of (variable index, exponent) pairs.
+
+No polynomial stores a zero coefficient.  Only the public constructor
+`LaurentPoly(registry, terms)` cleans its input; every internal result
+is built by `_of_terms` from a term dict that holds no zero.  Ring
+operations test for the exact class `LaurentPoly` before any scalar check.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .rational import GaussianRational
+from .rational import ONE, GaussianRational
 
 
 class LaurentError(Exception):
@@ -79,6 +84,11 @@ def _mul_keys(a, b):
         return b
     if not b:
         return a
+    # disjoint variable-index ranges: the sorted keys just concatenate
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     out = {}
     for idx, e in a:
         out[idx] = e
@@ -147,25 +157,27 @@ class LaurentPoly:
 
     @staticmethod
     def zero(registry: VarRegistry) -> "LaurentPoly":
-        return LaurentPoly(registry)
+        return LaurentPoly._of_terms(registry, {})
 
     @staticmethod
     def const(registry: VarRegistry, value) -> "LaurentPoly":
         c = GaussianRational.of(value)
-        return LaurentPoly(registry, {(): c})
+        return LaurentPoly._of_terms(registry, {} if c.is_zero() else {(): c})
 
     @staticmethod
     def var(registry: VarRegistry, name: str, power: int = 1) -> "LaurentPoly":
         idx = registry.index(name)
         if power == 0:
             return LaurentPoly.const(registry, 1)
-        return LaurentPoly(registry, {((idx, power),): GaussianRational(1)})
+        return LaurentPoly._of_terms(registry, {((idx, power),): ONE})
 
     def _check(self, other: "LaurentPoly"):
         if self.registry is not other.registry and self.registry != other.registry:
             raise LaurentError("registry mismatch")
 
     def _coerce(self, other):
+        if other.__class__ is LaurentPoly and other.registry is self.registry:
+            return other
         if isinstance(other, LaurentPoly):
             self._check(other)
             return other
@@ -177,8 +189,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    # Polynomials are never mutated, so a zero operand returns the other
-    # operand itself, shared rather than copied.
+    # Polynomials are never mutated, so a zero operand of a sum, and a
+    # factor 1 of a product, return the other operand itself, shared
+    # rather than copied.
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -207,25 +220,33 @@ class LaurentPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.of(other)
-            if c.is_zero():
-                return LaurentPoly.zero(self.registry)
-            if not self.terms:
-                return self
-            return LaurentPoly._of_terms(self.registry, {k: v * c for k, v in self.terms.items()})
-        other = self._coerce(other)
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, (int, Fraction, GaussianRational)):
+                c = GaussianRational.of(other)
+                if c.is_zero():
+                    return LaurentPoly.zero(self.registry)
+                if not self.terms or c.is_one():
+                    return self
+                return LaurentPoly._of_terms(self.registry, {k: v * c for k, v in self.terms.items()})
+            other = self._coerce(other)
+        elif other.registry is not self.registry:
+            self._check(other)
         if not self.terms:
             return self
         if not other.terms:
             return other
-        # a constant factor scales the other operand's terms, in their order
-        if len(other.terms) == 1 and () in other.terms:
-            c = other.terms[()]
-            return LaurentPoly._of_terms(self.registry, {k: v * c for k, v in self.terms.items()})
-        if len(self.terms) == 1 and () in self.terms:
-            c = self.terms[()]
-            return LaurentPoly._of_terms(self.registry, {k: c * v for k, v in other.terms.items()})
+        # a factor 1 returns the other operand, and a constant factor scales
+        # the other operand's terms, in their order
+        a = self.terms.get(()) if len(self.terms) == 1 else None
+        b = other.terms.get(()) if len(other.terms) == 1 else None
+        if b is not None and b.is_one():
+            return self
+        if a is not None and a.is_one():
+            return other
+        if b is not None:
+            return LaurentPoly._of_terms(self.registry, {k: v * b for k, v in self.terms.items()})
+        if a is not None:
+            return LaurentPoly._of_terms(self.registry, {k: a * v for k, v in other.terms.items()})
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -295,7 +316,7 @@ class LaurentPoly:
                 out.pop(nk, None)
             else:
                 out[nk] = s
-        return LaurentPoly(self.registry, out)
+        return LaurentPoly._of_terms(self.registry, out)
 
     def substitute(self, mapping: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
         """Substitute variables by polynomials; unmapped variables pass through.
@@ -371,7 +392,8 @@ class LaurentPoly:
             kd = dict(key)
             e = kd.pop(idx, 0)
             buckets.setdefault(e, {})[tuple(sorted(kd.items()))] = coef
-        return {e: LaurentPoly(self.registry, terms) for e, terms in sorted(buckets.items())}
+        return {e: LaurentPoly._of_terms(self.registry, terms)
+                for e, terms in sorted(buckets.items())}
 
     def coefficient_of(self, name: str, power: int) -> "LaurentPoly":
         return self.coefficients_in(name).get(power, LaurentPoly.zero(self.registry))

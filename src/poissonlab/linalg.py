@@ -187,9 +187,11 @@ def kernel_basis(m: LinMap) -> list[list[LaurentPoly]]:
     The rows of `m` enter a `ColumnSpace` reversed, so each pivots on its
     first nonzero column.  The free columns are those that lead no row.
     For a free column fc, x starts as the unit vector at fc, and each
-    pivot row, the last pivot column first, fixes its own entry by
-    fraction-free back substitution; x is then divided by x[fc] where
-    that division is exact.
+    pivot row, the last pivot column first, fixes its own entry by back
+    substitution: a nonzero real constant pivot divides that entry, any
+    other pivot takes the fraction-free step and scales x.  x is then
+    divided by x[fc] where that division is exact.  `primitive_vector`
+    cancels a real factor, so both steps give the same vector.
     """
     reg = m.registry
     n = m.n_cols
@@ -214,7 +216,12 @@ def kernel_basis(m: LinMap) -> list[list[LaurentPoly]]:
                 if x[k].terms:
                     t = row[k] * x[k]
                     s = t if s is None else s + t
-            if s is not None and s.terms:
+            if s is None or not s.terms:
+                continue
+            r = row[c].terms.get(())
+            if len(row[c].terms) == 1 and r is not None and not r.b:
+                x[c] = s * (-ONE / r)
+            else:
                 x = [row[c] * p if p.terms else p for p in x]
                 x[c] = -s
                 scaled = True
@@ -234,8 +241,8 @@ def primitive_vector(vec: list[LaurentPoly]) -> list[LaurentPoly]:
         if p.is_zero():
             continue
         lead = p.lead_scalar()
-        neg = lead.re < 0 or (lead.re == 0 and lead.im < 0)
-        if neg:
+        # the sign of the real part, else of the imaginary one: d > 0
+        if lead.a < 0 or (lead.a == 0 and lead.b < 0):
             vec = [-q for q in vec]
         break
     return vec

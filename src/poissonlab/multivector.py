@@ -58,6 +58,11 @@ class Chart(Frozen):
 
 def _sort_index_tuple(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Sort an index tuple, returning (sign, sorted); sign 0 on repeats."""
+    if len(idx) < 2:
+        return 1, idx
+    if len(idx) == 2:
+        a, b = idx
+        return (1, idx) if a < b else (-1, (b, a)) if a > b else (0, ())
     if len(set(idx)) != len(idx):
         return 0, ()
     # count inversions

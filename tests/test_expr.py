@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from poissonlab.expr import (Add, Dbar, EvalContext, Mul, Neg, Num, ParseError,
                              Pow, Sub, Sym, UnknownSymbol, Vec, WedgeOp,
                              context_for, eval_str, evaluate, fmv_product,
-                             free_names, parse, tokenize)
+                             free_names, parse, tokenize, _value)
 from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.multivector import Chart, FormedMultiVector, MultiVector
 from poissonlab.rational import GaussianRational
@@ -281,6 +281,86 @@ def test_evaluate_matches_the_all_field_reference(tree):
         for mv in got.parts.values():
             assert mv == MultiVector(mv.chart, mv.registry, dict(mv.components))
             assert not any(p.is_zero() for p in mv.components.values())
+
+
+# long sums: a chain of Add and Sub nodes accumulates its ring operands
+# into one term dict
+
+_ring_operands = st.one_of(
+    st.builds(Num, _numbers),
+    st.builds(Sym, st.sampled_from(("z", "xi", "A", "B", "t1"))),
+    st.builds(Mul, st.builds(Num, _numbers), st.builds(Sym, st.sampled_from(("z", "xi", "A")))),
+    st.builds(Pow, st.builds(Sym, st.sampled_from(("z", "xi", "t1"))), st.integers(-2, 3)),
+)
+_field_operands = st.one_of(
+    st.builds(Vec, st.sampled_from(("z", "xi"))),
+    st.builds(Dbar, st.just("z")),
+    st.builds(Mul, _ring_operands, st.builds(Vec, st.sampled_from(("z", "xi")))),
+)
+
+
+def _chain(operands, subs):
+    node = operands[0]
+    for operand, sub in zip(operands[1:], subs):
+        node = (Sub if sub else Add)(node, operand)
+    return node
+
+
+@st.composite
+def sum_chains(draw, operands=st.one_of(_ring_operands, _ring_operands, _field_operands)):
+    ops = draw(st.lists(operands, min_size=2, max_size=24))
+    return _chain(ops, draw(st.lists(st.booleans(), min_size=len(ops), max_size=len(ops))))
+
+
+def _matches_reference(tree, ctx):
+    got, want = _outcome(evaluate, tree, ctx), _outcome(_reference_evaluate, tree, ctx)
+    assert got == want
+    if isinstance(got, FormedMultiVector):
+        assert str(got) == str(want)
+        for mv in got.parts.values():
+            assert not any(p.is_zero() for p in mv.components.values())
+            assert all(not c.is_zero() for p in mv.components.values() for c in p.terms.values())
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_chains())
+def test_long_sums_match_the_all_field_reference(tree):
+    _matches_reference(tree, _ctx())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_chains(), st.data())
+def test_long_sums_raise_the_first_unknown_name(tree, data):
+    # an unknown name partway, and another kind of unknown name after it:
+    # the sum raises on the first, as the left-to-right reference does
+    chain = []
+    while isinstance(tree, (Add, Sub)):
+        chain.append(tree.right)
+        tree = tree.left
+    ops = [tree] + chain[::-1]
+    k = data.draw(st.integers(0, len(ops)))
+    first, later = data.draw(st.permutations((Sym("qq"), Vec("w"), Dbar("xi"))))[:2]
+    ops[k:k] = [first] + ops[k:k + data.draw(st.integers(0, 3))] + [later]
+    subs = data.draw(st.lists(st.booleans(), min_size=len(ops), max_size=len(ops)))
+    got = _matches_reference(_chain(ops, subs), _ctx())
+    assert got[0] is UnknownSymbol
+    assert got[1] == {Sym: first.name, Vec: f"@{first.name}", Dbar: f"~{first.name}"}[type(first)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ring_operands, min_size=1, max_size=12), st.data())
+def test_a_long_sum_that_cancels_is_the_zero_polynomial(ops, data):
+    ctx = _ctx()
+    ops = [Sym("z")] + ops
+    # each operand once with + and once with -, in a drawn order
+    signed = [(op, False) for op in ops] + [(op, True) for op in ops]
+    signed = data.draw(st.permutations(signed))
+    tree = _chain([signed[0][0] if not signed[0][1] else Neg(signed[0][0])]
+                  + [op for op, _ in signed[1:]], [neg for _, neg in signed[1:]])
+    value = _value(tree, ctx)
+    assert isinstance(value, LaurentPoly) and value.terms == {}
+    assert _matches_reference(tree, ctx).is_zero()
 
 
 def _collect_names(node) -> set[str]:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from poissonlab.laurent import (InexactDivision, LaurentError, LaurentPoly,
                                 NonInvertibleSubstitution, UnknownVariable,
-                                VarRegistry, univar_gcd)
+                                VarRegistry, _mul_keys, univar_gcd)
 from poissonlab.linalg import _row_content_normalize
 from poissonlab.rational import ONE, GaussianRational, content
 
@@ -277,3 +277,130 @@ def test_sparse_order_key_is_graded_lex_on_the_dense_exponents(a, b, p):
     assert (order(a) < order(b)) == (_graded_lex(a) < _graded_lex(b))
     assert (order(a) == order(b)) == (a == b)
     assert sorted(p.terms, key=p._order) == sorted(p.terms, key=_graded_lex)
+
+
+# ----------------------------------------------------------------------
+# the fast paths against a slow reference: plain dict arithmetic, every
+# result built through the cleaning constructor LaurentPoly(registry, terms)
+
+ZERO = GaussianRational(0)
+
+
+def _merged_key(a, b):
+    """The exponent key of the product of two monomials, by a dict merge."""
+    exps = dict(a)
+    for idx, e in b:
+        exps[idx] = exps.get(idx, 0) + e
+    return tuple(sorted((idx, e) for idx, e in exps.items() if e))
+
+
+def _ref_sum(p, q, sign=1):
+    out = dict(p.terms)
+    for key, c in q.terms.items():
+        out[key] = out.get(key, ZERO) + (c if sign == 1 else -c)
+    return LaurentPoly(REG, out)
+
+
+def _ref_product(p, q):
+    out = {}
+    for ka, ca in p.terms.items():
+        for kb, cb in q.terms.items():
+            key = _merged_key(ka, kb)
+            out[key] = out.get(key, ZERO) + ca * cb
+    return LaurentPoly(REG, out)
+
+
+def _ref_power(p, n):
+    if n < 0:
+        (key, coef), = p.terms.items()
+        p, n = LaurentPoly(REG, {tuple((i, -e) for i, e in key): ONE / coef}), -n
+    out = LaurentPoly(REG, {(): ONE})
+    for _ in range(n):
+        out = _ref_product(out, p)
+    return out
+
+
+def _ref_partial(p, idx):
+    out = {}
+    for key, c in p.terms.items():
+        exps = dict(key)
+        e = exps.get(idx, 0)
+        if e:
+            exps[idx] = e - 1
+            nk = tuple(sorted((i, x) for i, x in exps.items() if x))
+            out[nk] = out.get(nk, ZERO) + c * e
+    return LaurentPoly(REG, out)
+
+
+def _ref_coefficients_in(p, idx):
+    buckets = {}
+    for key, c in p.terms.items():
+        exps = dict(key)
+        e = exps.pop(idx, 0)
+        buckets.setdefault(e, {})[tuple(sorted(exps.items()))] = c
+    return {e: LaurentPoly(REG, terms) for e, terms in buckets.items()}
+
+
+def _stores_no_zero(p):
+    """No zero coefficient, and every key sorted with no zero exponent."""
+    return all(not c.is_zero() and list(key) == sorted(key) and all(e for _, e in key)
+               for key, c in p.terms.items())
+
+
+@st.composite
+def wide_polys(draw):
+    """Up to 4 terms over every registry variable, parameters included."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        terms[draw(exponent_keys)] = GaussianRational(draw(st.integers(-3, 3)),
+                                                      draw(st.integers(-1, 1)))
+    return LaurentPoly(REG, terms)
+
+
+def test_constructors_store_no_zero():
+    assert LaurentPoly.zero(REG).terms == {} and const(0).terms == {}
+    assert const(GaussianRational(0)).terms == {} and const(Fraction(0)).terms == {}
+    assert const(Fraction(-2, 3)).terms == {(): GaussianRational(Fraction(-2, 3))}
+    assert var("w", 0).terms == {(): ONE}
+    assert var("t1", -2).terms == {((REG.index("t1"), -2),): ONE}
+    for p in (LaurentPoly.zero(REG), const(0), const(5), var("z"), var("a", 3)):
+        assert _stores_no_zero(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(polys(), wide_polys()), st.one_of(polys(), wide_polys()),
+       nonzero_scalars, st.integers(-3, 4), st.sampled_from(REG.names))
+def test_fast_paths_match_the_cleaning_reference(p, q, c, n, name):
+    one, zero, idx = const(1), LaurentPoly.zero(REG), REG.index(name)
+    cases = [(p + q, _ref_sum(p, q)), (p - q, _ref_sum(p, q, -1)),
+             (p * q, _ref_product(p, q)), (q * p, _ref_product(q, p)),
+             (p * const(c), _ref_product(p, const(c))), (const(c) * p, _ref_product(p, const(c))),
+             (p * c, _ref_product(p, const(c))), (p * 2, _ref_product(p, const(2))),
+             (p * zero, zero), (zero * p, zero), (p * 0, zero), (p * ZERO, zero),
+             (p.partial(name), _ref_partial(p, idx))]
+    if n >= 0 or len(p.terms) == 1:
+        cases.append((p ** n, _ref_power(p, n)))
+    buckets, ref_buckets = p.coefficients_in(name), _ref_coefficients_in(p, idx)
+    assert list(buckets) == sorted(ref_buckets)
+    cases += [(buckets[e], ref_buckets[e]) for e in ref_buckets]
+    for got, want in cases:
+        assert got == want and _stores_no_zero(got)
+    # a factor 1 returns the other operand itself (either one, when both are 1)
+    for got in (p * one, one * p, p * 1, p * ONE):
+        assert got is p or (p == one and got is one)
+
+
+def _split(key, at):
+    return (tuple((i, e) for i, e in key if i < at), tuple((i, e) for i, e in key if i >= at))
+
+
+@settings(max_examples=500, deadline=None)
+@given(exponent_keys, exponent_keys, st.integers(0, len(REG.names)),
+       st.lists(st.booleans(), min_size=len(REG.names), max_size=len(REG.names)))
+def test_mul_keys_matches_the_dict_merge(a, b, at, negate):
+    # interleaving keys, keys on disjoint index ranges (either order), and a
+    # key whose exponents cancel some or all of a's
+    lo, hi = _split(a, at)
+    cancel = tuple((i, -e) if negate[i] else (i, e) for i, e in a)
+    for x, y in ((a, b), (b, a), (lo, hi), (hi, lo), (a, cancel), (cancel, a), (a, ()), ((), b)):
+        assert _mul_keys(x, y) == _merged_key(x, y)

@@ -450,16 +450,16 @@ def _check_kernel(m, got, free_cols, expected):
         assert primitive_vector(v) == v
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_kernel_basis_matches_the_reference_kernel(data):
+def _random_matrix(data, entries) -> LinMap:
+    """A small matrix of `entries`, with dependent columns, a zero column and
+    a zero row some of the time."""
     n_rows, n_cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
-    cols = [[data.draw(ab_polys()) for _ in range(n_rows)] for _ in range(n_cols)]
+    cols = [[data.draw(entries) for _ in range(n_rows)] for _ in range(n_cols)]
     # dependent columns: a column becomes p * (an earlier column) + q * (another)
     for j in range(1, n_cols):
         if data.draw(st.booleans()):
             i, k = data.draw(st.integers(0, j - 1)), data.draw(st.integers(0, j - 1))
-            p, q = data.draw(ab_polys()), data.draw(ab_polys())
+            p, q = data.draw(entries), data.draw(entries)
             cols[j] = [p * x + q * y for x, y in zip(cols[i], cols[k])]
     zero_col = data.draw(st.integers(-1, n_cols - 1))
     if zero_col >= 0:
@@ -468,7 +468,90 @@ def test_kernel_basis_matches_the_reference_kernel(data):
     zero_row = data.draw(st.integers(-1, n_rows - 1))
     if zero_row >= 0:
         rows[zero_row] = [Z] * n_cols
-    m = LinMap(_basis("x", n_cols), _basis("y", n_rows), rows, REG)
+    return LinMap(_basis("x", n_cols), _basis("y", n_rows), rows, REG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_basis_matches_the_reference_kernel(data):
+    m = _random_matrix(data, ab_polys())
     free_cols, expected = _reference_kernel(m)
     _check_kernel(m, kernel_basis(m), free_cols, expected)
+
+
+def _fraction_free_kernel_basis(m):
+    """kernel_basis with the fraction-free step at every pivot: x is scaled
+    by the pivot wherever a real constant pivot now divides instead."""
+    reg = m.registry
+    n = m.n_cols
+    space = ColumnSpace(n, reg)
+    for row in m.rows:
+        space.add(row[::-1])
+    pivots = [(n - 1 - c, space.pivot_rows[c][n - 1::-1]) for c in reversed(space.pivots)]
+    pivots = [(c, row, [k for k, p in enumerate(row) if p.terms]) for c, row in pivots]
+    zero = LaurentPoly.zero(reg)
+    out = []
+    for fc in range(n):
+        if n - 1 - fc in space.pivot_rows:
+            continue
+        x = [zero] * n
+        x[fc] = LaurentPoly.const(reg, 1)
+        scaled = False
+        for c, row, support in pivots:
+            s = None
+            for k in support:
+                if x[k].terms:
+                    t = row[k] * x[k]
+                    s = t if s is None else s + t
+            if s is not None and s.terms:
+                x = [row[c] * p if p.terms else p for p in x]
+                x[c] = -s
+                scaled = True
+        if scaled:
+            try:
+                x = [p.exact_div(x[fc]) if p.terms else p for p in x]
+            except InexactDivision:
+                pass
+        out.append(primitive_vector(x))
+    return out
+
+
+_rationals = st.builds(lambda a, d: const(Fraction(a, d)), st.integers(-3, 3), st.integers(1, 3))
+_gaussians = st.builds(lambda a, b, d: const(GaussianRational(Fraction(a, d), b)),
+                       st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), entries=st.sampled_from(("Q", "Q(i)", "Q(i)[A,B]")))
+def test_kernel_basis_equals_the_fraction_free_oracle(data, entries):
+    m = _random_matrix(data, {"Q": _rationals, "Q(i)": _gaussians,
+                              "Q(i)[A,B]": st.one_of(ab_polys(), _gaussians)}[entries])
+    got, want = kernel_basis(m), _fraction_free_kernel_basis(m)
+    assert got == want
+    assert [[str(p) for p in v] for v in got] == [[str(p) for p in v] for v in want]
+
+
+def test_gaussian_and_parameter_pivots_keep_the_fraction_free_step(monkeypatch):
+    # x is divided by x[fc] only after a fraction-free step; the Gaussian
+    # pivot 1 + i and the parameter pivot A + 1 both take it, the real
+    # pivots 2 and -1/3 divide
+    one_i = const(GaussianRational(1, 1))
+    divisions = []
+    exact_div = LaurentPoly.exact_div
+    monkeypatch.setattr(LaurentPoly, "exact_div",
+                        lambda p, q: divisions.append(q) or exact_div(p, q))
+    a1 = A + const(1)
+    for rows, divided in (([[one_i, const(3)]], True),
+                          ([[one_i, Z, const(1)], [Z, a1, const(1)]], True),
+                          ([[const(2), Z, const(1)], [Z, const(Fraction(-1, 3)), const(5)]], False)):
+        m = LinMap(_basis("x", len(rows[0])), _basis("y", len(rows)), rows, REG)
+        divisions.clear()
+        got = kernel_basis(m)
+        assert bool(divisions) is divided
+        assert got == _fraction_free_kernel_basis(m)
+        assert all(p.is_zero() for v in got for p in m.apply(v))
+        if rows[1:] and rows[1][1] == a1:
+            # x[fc] = (1+i)(A+1) does not divide x, so the Gaussian factor stays:
+            # dividing by the pivot 1 + i would have given another vector
+            assert got == [[a1, one_i, -(one_i * a1)]]
 
