@@ -375,7 +375,7 @@ def _value(node, ctx: EvalContext):
             return fmv_product(a, b) if isinstance(b, FormedMultiVector) else a.scale(b)
         if isinstance(b, FormedMultiVector):
             return b.scale(a)
-        # a number scales through the other operand's scalar product
+        # GaussianRational * LaurentPoly is not defined: a number goes right
         return b * a if isinstance(a, GaussianRational) else a * b
     if isinstance(node, Pow):
         base = _value(node.base, ctx)

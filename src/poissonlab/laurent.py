@@ -308,14 +308,8 @@ class LaurentPoly:
             kd[idx] = e - 1
             if kd[idx] == 0:
                 del kd[idx]
-            nk = tuple(sorted(kd.items()))
-            c = coef * e
-            s = out.get(nk)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(nk, None)
-            else:
-                out[nk] = s
+            # lowering one exponent keeps distinct keys distinct: no two terms meet
+            out[tuple(sorted(kd.items()))] = coef * e
         return LaurentPoly._of_terms(self.registry, out)
 
     def substitute(self, mapping: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
