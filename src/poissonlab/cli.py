@@ -30,9 +30,9 @@ EXIT_USAGE = 2
 # the largest n of `classify torus:n`: the cost grows faster than n^3, from
 # 0.4 s at n = 128 to about 26 s at n = 400 (one core of an AMD EPYC VM)
 MAX_TORUS_N = 128
-# the largest Hopf degree cap, and the largest p, whose default cap p + 3 it is: the grade-1
-# id - f_* has (cap + 1)(cap + 2) sparse columns, and `tables hopf --degree 40` takes
-# about 0.5 s and 56 MB peak RSS (same VM)
+# the largest Hopf degree cap, and the largest p, whose default cap p + 3 it is: a cover
+# model builds only its 2 to 4 weight-0 fields per grade, so `tables hopf --degree 40`
+# takes about 0.06 to 0.07 s and 17 MB peak RSS, as `tables hopf` does (same VM)
 MAX_CAP = 40
 MAX_P = MAX_CAP - 3
 

@@ -1,10 +1,10 @@
 """Hopf surfaces: contraction quotients of C^2 minus the origin.
 
 Everything is computed on the universal cover through the operator
-id - f_* acting on truncated polynomial fields: its kernel gives the
-invariant (global) fields, its cokernel models first cohomology, and
-the bracket maps between those models drive the dimension tables,
-automorphism kernels, family checks and obstruction certificates.
+id - f_* acting on polynomial fields: its kernel gives the invariant
+(global) fields, its cokernel models first cohomology, and the bracket
+maps between those models drive the dimension tables, automorphism
+kernels, family checks and obstruction certificates.
 `deformation_model` puts a stratum's two bracket maps into the one
 `obstruction.DeformationComplexModel`, stored on the cover model; it
 answers the table row, the family check, the degenerate families and
@@ -18,33 +18,45 @@ into a model, and every other function takes the model it is given.
 2,850 models at the CLI's bounds on p and the cap), so a process serving
 a stream of classify requests reuses it, where rebuilding it would cost
 more than the rest of a request; a model that fails validation is not
-kept.  A model keeps only the weight-0 blocks of its two id - f_*
-operators and computes, at most once on first use, the invariant fields
-and bivectors and each stratum's complex.  An operator is built as
-sparse columns from f_*(g * e) = (g o f^-1) * f_*(e), from the frames e
-pushed forward once and the monomials g composed with f^-1 once per
-model (`id_minus_fstar`).
+kept.  A model builds only the weight-0 blocks of its two id - f_*
+operators (`id_minus_fstar`, which checks that no column leaves weight
+0), and computes, at most once on first use, the invariant fields and
+bivectors and each stratum's complex.
 
-Every id - f_* operator is block diagonal by weighted degree, with
-wt(z) = p, wt(w) = 1 for III and IIa and 1, 1 for the other types, and
-triangular up to a permutation: f_* sends a monomial field to itself
-times a parameter monomial plus fields of its weight that come earlier
-in an order the contraction fixes.  A diagonal entry 1 - alpha^a delta^b
-is zero only where the field is resonant, and every resonant field has
-weight 0: the resonance condition of Poincare-Dulac normal forms.
-`id_minus_fstar` checks these facts from the column supports as it
-builds the columns, so every block off weight 0 is invertible, and the
-model eliminates only the weight-0 block, 2 to 4 columns at any cap:
-its kernel and cokernel are those of the whole operator, and a class
-depends only on its weight-0 coordinates.  That block is complete from
-cap p + 1 on, so above it the model cannot change with the cap.
+Block lemma.  With wt(z) = p, wt(w) = 1 (p = 1 but for III and IIa), a
+frame weighing the sum of its variables' weights and z^mu w^nu e
+weighing p mu + nu - wt(e): at every degree, id - f_* is block diagonal
+by weight, triangular in the order of rising mu with d/dz before d/dw,
+and its diagonal entry 1 - alpha^a delta^b vanishes only at weight 0.
+Proof: f(z, w) = (l1 z + n(w), l2 w), with (l1, l2) = (alpha, alpha) for
+IV and IIb, (delta^p, delta) for III and IIa, (alpha, delta) for IIc, and
+n = w^p for IIa, w for IIb, 0 otherwise, of weight p.  So f^-1, of the
+same shape, sends z^mu w^nu to l1^-mu l2^-nu z^mu w^nu plus monomials
+of its weight with smaller mu; f_*(d/dz) = l1 d/dz,
+f_*(d/dw) = l2 d/dw + n'(w o f^-1) d/dz and f_*(d/dz ^ d/dw) =
+l1 l2 d/dz ^ d/dw keep the frames' weights.  By f_*(g e) =
+(g o f^-1) f_*(e), f_* sends z^mu w^nu e to l1^(i - mu) l2^(j - nu) times
+itself, i and j the exponents of d/dz and d/dw in e, plus fields of its
+weight with smaller mu, or the same mu and d/dz for d/dw.  That factor
+is alpha^-k (IV, IIb) or delta^-k (III, IIa), k the weight, and for IIc
+alpha^(i - mu) delta^(j - nu), which is 1 only at mu = i, nu = j, of
+weight 0; alpha and delta are free parameters.  These are the
+resonances of the Poincare-Dulac normal form.
+
+So every block off weight 0 is invertible: id - f_* has the kernel and
+cokernel of its weight-0 block, and a class depends only on a field's
+weight-0 terms, since all others lie in the image.  The weight-0 fields
+solve p mu + nu = wt(e): 2 to 4 per grade, of degree at most p + 1.  f_*
+never lowers the degree, so a cap keeps the block of the weight-0 fields
+up to it, the whole block from cap p + 1 on.  The tests build the whole
+truncated operator up to the CLI's largest cap and check the lemma's
+support facts on it (`tests/cover_matrices.py`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from graphlib import CycleError, TopologicalSorter
 
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, image_space,
@@ -146,52 +158,43 @@ def make_context(t: HopfType, extra_params: Sequence[str] = ()) -> HopfContext:
 
 
 # ----------------------------------------------------------------------
-# truncated polynomial field spaces
+# the weight-0 fields and their block of id - f_*
 
 # the frames of grades 1 and 2 as component index tuples: d/dz, d/dw; d/dz ^ d/dw
 FRAMES = (((0,), (1,)), ((0, 1),))
 
 
-class TruncatedSpace(Frozen):
-    """The fields z^mu w^nu e of one grade, e a frame, up to total degree
-    `cap`.  `index` maps (component, mu, nu) to the field's position in
-    `basis`, `weights` holds each field's weighted degree, and `resonant`
-    the positions of weight 0."""
+class Weight0Space(Frozen):
+    """The weight-0 fields z^mu w^nu e of one grade, e a frame, of total
+    degree at most `cap`, frame by frame with mu falling.  `index` maps
+    (component, mu, nu) to the field's position in `basis`."""
 
-    __slots__ = ("grade", "cap", "basis", "index", "weights", "resonant")
+    __slots__ = ("grade", "cap", "basis", "index")
 
-    def __init__(self, grade: int, cap: int, basis: LabeledBasis, index: dict,
-                 weights: tuple[int, ...]):
+    def __init__(self, grade: int, cap: int, basis: LabeledBasis, index: dict):
         _set(self, "grade", grade)
         _set(self, "cap", cap)
         _set(self, "basis", basis)
         _set(self, "index", index)
-        _set(self, "weights", weights)
-        _set(self, "resonant", tuple(k for k, wt in enumerate(weights) if not wt))
 
 
-def monomials_upto(cap: int):
-    for d in range(cap + 1):
-        for mu in range(d, -1, -1):
-            yield mu, d - mu
-
-
-def truncated_space(ctx: HopfContext, grade: int, cap: int) -> TruncatedSpace:
-    """The fields of one grade up to degree `cap`; z^mu w^nu e has weight
-    wt(z) mu + wt(w) nu - wt(e), where d/dz ^ d/dw weighs wt(z) + wt(w)."""
+def weight0_space(ctx: HopfContext, grade: int, cap: int) -> Weight0Space:
+    """The weight-0 fields of one grade up to degree `cap`: with wt(z) = p
+    and wt(w) = 1, z^mu w^nu e has weight 0 where p mu + nu = wt(e)."""
     if grade not in (1, 2):
         raise ValueError("grade must be 1 or 2")
-    wt = (ctx.p, 1) if ctx.type.tag in ("III", "IIa") else (1, 1)
-    reg, elems, index, weights = ctx.registry, [], {}, []
+    p, reg, elems, index = ctx.p, ctx.registry, [], {}
     for comp in FRAMES[grade - 1]:
-        for mu, nu in monomials_upto(cap):
-            index[comp, mu, nu] = len(elems)
-            key = tuple((i, e) for i, e in ((0, mu), (1, nu)) if e)
-            elems.append(MultiVector._of(ctx.chart, reg,
-                                         {comp: LaurentPoly._of_terms(reg, {key: ONE})}))
-            weights.append(wt[0] * mu + wt[1] * nu - sum(wt[i] for i in comp))
-    name = f"{ctx.type.label()} grade-{grade} fields up to degree {cap}"
-    return TruncatedSpace(grade, cap, LabeledBasis(name, tuple(elems)), index, tuple(weights))
+        target = sum((p, 1)[i] for i in comp)
+        for mu in range(target // p, -1, -1):
+            nu = target - p * mu
+            if mu + nu <= cap:
+                index[comp, mu, nu] = len(elems)
+                key = tuple((i, e) for i, e in ((0, mu), (1, nu)) if e)
+                elems.append(MultiVector._of(ctx.chart, reg,
+                                             {comp: LaurentPoly._of_terms(reg, {key: ONE})}))
+    name = f"{ctx.type.label()} grade-{grade} fields up to degree {cap}, weight 0"
+    return Weight0Space(grade, cap, LabeledBasis(name, tuple(elems)), index)
 
 
 def _low_degree(poly: LaurentPoly, cap: int) -> LaurentPoly:
@@ -212,96 +215,77 @@ def _split(key: tuple) -> tuple[int, int, tuple]:
     return mu, nu, key[k:]
 
 
-def mono_coords(ctx: HopfContext, space: TruncatedSpace) -> Reducer:
-    """Coordinates in the truncated monomial basis, as parameter polynomials."""
-    reg, index, n = ctx.registry, space.index, len(space.basis)
+def mono_coords(ctx: HopfContext, space: Weight0Space, off_weight0: str | None = None) -> Reducer:
+    """Coordinates on the weight-0 fields, as parameter polynomials.
+
+    A term off weight 0 lies in the image of id - f_* at every degree
+    (block lemma), so it is dropped, or, given the message `off_weight0`,
+    rejected; a term above the cap, or of another grade, is rejected."""
+    reg, index, cap = ctx.registry, space.index, space.cap
+    comps = FRAMES[space.grade - 1]
     zero = LaurentPoly.zero(reg)
 
     def fn(v: MultiVector):
-        coords = [zero] * n
+        coords = [zero] * len(space.basis)
+        off = False
         for comp, poly in v.components.items():
             for key, coeff in poly.terms.items():
                 mu, nu, rest = _split(key)
                 k = index.get((comp, mu, nu))
-                if k is None:
+                if k is not None:
+                    coords[k] = coords[k] + LaurentPoly._of_terms(reg, {rest: coeff})
+                elif comp not in comps or mu < 0 or nu < 0 or mu + nu > cap:
                     raise NotInSpan("field not inside the truncated monomial space")
-                coords[k] = coords[k] + LaurentPoly._of_terms(reg, {rest: coeff})
+                else:
+                    off = True
+        if off and off_weight0:
+            raise NotInSpan(off_weight0)
         return coords
 
     return Reducer(f"coords in {space.basis.space_name}", fn)
 
 
-def _monomial_images(ctx: HopfContext, cap: int) -> list[LaurentPoly]:
-    """The images (z^mu w^nu) o f^-1 of the monomials up to degree `cap`,
-    in `monomials_upto` order, each truncated at the cap.
-
-    Each image is that of an earlier monomial times f^-1(z) or f^-1(w).
-    The contractions never lower total degree, so truncating every
-    product as it is formed loses no term of degree at most the cap."""
+def _monomial_images(ctx: HopfContext, space: Weight0Space) -> dict[tuple, LaurentPoly]:
+    """The images (z^mu w^nu) o f^-1 of the space's monomials, truncated at
+    its cap."""
     inv = ctx.contraction.inverse
-    images = {(0, 0): ctx.const(1)}
-    for mu, nu in list(monomials_upto(cap))[1:]:
-        prev, var = ((mu - 1, nu), "z") if mu else ((0, nu - 1), "w")
-        images[mu, nu] = _low_degree(images[prev] * inv[var], cap)
-    return list(images.values())
+    return {(mu, nu): _low_degree(inv["z"] ** mu * inv["w"] ** nu, space.cap)
+            for _, mu, nu in space.index}
 
 
-def _cover_columns(ctx: HopfContext, space: TruncatedSpace,
-                   images: list[LaurentPoly]) -> list[dict[int, LaurentPoly]]:
-    """The columns of id - f_* on `space`, each as {row: nonzero entry}.
-
-    f_*(g * e) = (g o f^-1) * f_*(e) for a function g and a frame e.  So
-    each frame is pushed forward once and multiplied by the monomial
-    `images`.  The pushed frames are polynomial, so truncating the
-    products at the cap gives exactly the degree-filtered block of the
-    full operator.  Each term of such a product goes straight to its row
-    through `space.index`."""
+def id_minus_fstar(ctx: HopfContext, space: Weight0Space,
+                   images: dict[tuple, LaurentPoly]) -> LinMap:
+    """The weight-0 block of id - f_* truncated at the cap, from the
+    `_monomial_images` of the fields of `space`: f_*(g e) = (g o f^-1) f_*(e),
+    each frame pushed forward once.  A term up to the cap off weight 0
+    would join two weights, against the block lemma: an internal error."""
     cap, index, reg = space.cap, space.index, ctx.registry
-    cols = []
-    # truncated_space lists, for each frame, its monomials in monomials_upto order
-    for comp in FRAMES[space.grade - 1]:
-        frame = pushforward(ctx.contraction, MultiVector._of(ctx.chart, reg, {comp: ctx.const(1)}))
-        for image in images:
-            col = {}
-            for fcomp, coeff in frame.components.items():
-                for key, c in (image * coeff).terms.items():
-                    mu, nu, rest = _split(key)
-                    if mu + nu <= cap:
-                        col.setdefault(index[fcomp, mu, nu], {})[rest] = -c
-            # the field itself: 1 on the diagonal
-            diag = col.setdefault(len(cols), {})
-            c = ONE + diag[()] if () in diag else ONE
-            if c.is_zero():
-                del diag[()]
-            else:
-                diag[()] = c
-            cols.append({i: LaurentPoly._of_terms(reg, e) for i, e in col.items() if e})
-    return cols
-
-
-def id_minus_fstar(ctx: HopfContext, space: TruncatedSpace,
-                   images: list[LaurentPoly]) -> list[dict[int, LaurentPoly]]:
-    """The columns of v -> v - f_* v on the truncated basis, each as
-    {row: nonzero entry}, from the `_monomial_images` at the space's cap.
-
-    The column supports are checked to join no two weights, to form an
-    acyclic pattern and to hold every diagonal entry off weight 0, so
-    every block off weight 0 is invertible; a failure is an internal
-    error."""
-    cols = _cover_columns(ctx, space, images)
-    wts, name = space.weights, space.basis.space_name
-    for j, col in enumerate(cols):
-        if any(wts[i] != wts[j] for i in col):
-            raise RuntimeError(f"{name}: id - f_* joins two weights in column {j}")
-        if wts[j] and j not in col:
-            raise RuntimeError(f"{name}: id - f_* has a zero diagonal entry off weight 0 "
-                               f"in column {j}")
-    try:
-        TopologicalSorter({j: col.keys() - {j} for j, col in enumerate(cols)}).prepare()
-    except CycleError as exc:
-        raise RuntimeError(f"{name}: id - f_* is not triangular up to a permutation, "
-                           f"cycle {exc.args[1]}") from None
-    return cols
+    frames = {comp: pushforward(ctx.contraction,
+                                MultiVector._of(ctx.chart, reg, {comp: ctx.const(1)}))
+              for comp in FRAMES[space.grade - 1]}
+    zero = LaurentPoly.zero(reg)
+    rows = [[zero] * len(index) for _ in index]
+    for j, (comp, mu, nu) in enumerate(index):
+        col = {}
+        for fcomp, coeff in frames[comp].components.items():
+            for key, c in (images[mu, nu] * coeff).terms.items():
+                fmu, fnu, rest = _split(key)
+                if fmu + fnu <= cap:
+                    i = index.get((fcomp, fmu, fnu))
+                    if i is None:
+                        raise RuntimeError(f"{space.basis.space_name}: id - f_* joins two "
+                                           f"weights in column {j}")
+                    col.setdefault(i, {})[rest] = -c
+        # the field itself: 1 on the diagonal
+        diag = col.setdefault(j, {})
+        c = ONE + diag[()] if () in diag else ONE
+        if c.is_zero():
+            del diag[()]
+        else:
+            diag[()] = c
+        for i, terms in col.items():
+            rows[i][j] = LaurentPoly._of_terms(reg, terms)
+    return LinMap(space.basis, space.basis, rows, reg)
 
 
 # ----------------------------------------------------------------------
@@ -332,14 +316,13 @@ def _named_m_reps(ctx: HopfContext):
 
 
 class CoverModel:
-    """Truncated cover model at one degree cap: spaces, M1/M2, images,
-    invariant fields and bivectors, and `complexes`, the stored stratum
-    complexes.  `id_minus_fstar` proves every block of the grade-1 and
-    grade-2 operators off weight 0 invertible, so their kernels and
-    cokernels are those of the weight-0 blocks block1 and block2, the
-    only parts kept.  m1_space and m2_space hold the images of the
-    blocks, with the weight-0 coordinates of the M1/M2 representatives
-    registered; every class reduction solves against them."""
+    """Cover model at one degree cap: M1/M2, the weight-0 spaces and
+    blocks of the grade-1 and grade-2 id - f_*, invariant fields and
+    bivectors, and `complexes`, the stored stratum complexes.  By the
+    block lemma the blocks carry the kernels and cokernels of the whole
+    operators.  m1_space and m2_space hold the images of the blocks, with
+    the weight-0 coordinates of the M1/M2 representatives registered;
+    every class reduction solves against them."""
 
     def __init__(self, ctx: HopfContext, cap: int, m1: LabeledBasis, m2: LabeledBasis,
                  grade1: tuple, grade2: tuple):
@@ -347,23 +330,18 @@ class CoverModel:
         self.cap = cap
         self.m1 = m1
         self.m2 = m2
-        # (space, weight-0 block, its image)
+        # (weight-0 space, its block of id - f_*, the block's image)
         self.space1, self.block1, self.m1_space = grade1
         self.space2, self.block2, self.m2_space = grade2
         self.complexes: dict[str, DeformationComplexModel] = {}
 
-    def class_coords(self, grade: int, coords: Sequence[LaurentPoly]) -> list[LaurentPoly]:
-        """Class coordinates in M1 or M2 of a vector in the truncated basis,
-        modulo im(id - f_*): only its weight-0 coordinates count, because
-        the image holds every other weight."""
-        space, quot = (self.space1, self.m1_space) if grade == 1 else (self.space2, self.m2_space)
-        return quotient_coords(quot, [coords[k] for k in space.resonant])
-
     def reduce_m(self, grade: int) -> Reducer:
-        """Class coordinates in M1 or M2, modulo im(id - f_*)."""
-        mono = mono_coords(self.ctx, self.space1 if grade == 1 else self.space2)
+        """Class coordinates in M1 or M2, modulo im(id - f_*): only the
+        weight-0 terms count, because the image holds every other weight."""
+        space, quot = (self.space1, self.m1_space) if grade == 1 else (self.space2, self.m2_space)
+        mono = mono_coords(self.ctx, space)
         return Reducer(f"M{grade} classes for {self.ctx.type.label()}",
-                       lambda v: self.class_coords(grade, mono(v)))
+                       lambda v: quotient_coords(quot, mono(v)))
 
     @cached_property
     def fields(self) -> tuple[MultiVector, ...]:
@@ -375,7 +353,7 @@ class CoverModel:
     def _bivector_space(self) -> ColumnSpace:
         """The kernel vectors of block2, registered as representatives."""
         return quotient_space((), kernel_basis(self.block2),
-                              len(self.space2.resonant), self.ctx.registry)
+                              len(self.space2.basis), self.ctx.registry)
 
     @cached_property
     def bivectors(self) -> tuple[MultiVector, ...]:
@@ -385,11 +363,8 @@ class CoverModel:
     def bivector_coords(self, v: MultiVector) -> list[LaurentPoly]:
         """Coordinates of an invariant bivector on `bivectors`, which lie in
         weight 0."""
-        coords = mono_coords(self.ctx, self.space2)(v)
-        if any(c.terms for c, wt in zip(coords, self.space2.weights) if wt):
-            raise NotInSpan("bivector has a term off weight 0")
-        return quotient_coords(self._bivector_space,
-                               [coords[k] for k in self.space2.resonant])
+        coords = mono_coords(self.ctx, self.space2, "bivector has a term off weight 0")(v)
+        return quotient_coords(self._bivector_space, coords)
 
     @cached_property
     def dim_h1(self) -> int:
@@ -432,29 +407,26 @@ def invariant_bivectors(ctx: HopfContext, cap: int) -> list[MultiVector]:
 
 def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
     m1, m2 = _named_m_reps(ctx)
-    images = _monomial_images(ctx, cap)
-    zero = LaurentPoly.zero(ctx.registry)
     grades = []
     for grade, elems, label in ((1, m1, "M1"), (2, m2, "M2")):
-        space = truncated_space(ctx, grade, cap)
-        cols = id_minus_fstar(ctx, space, images)
-        res = space.resonant
-        basis = LabeledBasis(f"{space.basis.space_name}, weight 0",
-                             tuple(space.basis[k] for k in res))
-        block = LinMap(basis, basis, [[cols[j].get(i, zero) for j in res] for i in res],
-                       ctx.registry)
+        space = weight0_space(ctx, grade, cap)
+        block = id_minus_fstar(ctx, space, _monomial_images(ctx, space))
         quot = image_space(block)
         # the other blocks are invertible, so this is the corank of id - f_*
-        corank = len(res) - quot.rank
+        corank = len(space.basis) - quot.rank
         if corank != len(elems):
             raise TruncationUnstable(
                 f"{label} corank {corank} does not match the {len(elems)} "
                 f"named representatives at degree cap {cap}")
         mono = mono_coords(ctx, space)
         for e in elems:
-            vec = mono(e)
             try:
-                quot.add([vec[k] for k in res], rep=True)
+                vec = mono(e)
+            except NotInSpan:
+                raise TruncationUnstable(
+                    f"{label} representative {e} has a term above degree cap {cap}") from None
+            try:
+                quot.add(vec, rep=True)
             except NotInSpan:
                 raise TruncationUnstable(
                     f"{label} representative {e} is dependent modulo the image") from None
@@ -505,9 +477,6 @@ def strata(p: int) -> tuple:
     )
 
 
-STRATA = strata(DEFAULT_P)
-
-
 def h0_bracket_matrix(model: CoverModel, lam0: MultiVector) -> LinMap:
     """[lam0, -] from invariant fields to invariant bivectors."""
     label = model.ctx.type.label()
@@ -532,8 +501,13 @@ def stratum_row(model: CoverModel, stratum: str) -> dict:
     lam0 = stratum_bivector(ctx, stratum)
     dc = deformation_model(model, stratum)
     basis = table4_basis(ctx, stratum)
-    mono = mono_coords(ctx, model.space1)
+    mono = mono_coords(ctx, model.space1, "field has a term off weight 0")
     span = ColumnSpace(len(model.space1.basis), ctx.registry)
+    try:
+        # an invariant field has weight 0, so the weight-0 coordinates decide freeness
+        free = all(span.add(mono(v)) for v in basis)
+    except NotInSpan:
+        free = False
     return {
         "type": ctx.type.label(),
         "stratum": stratum,
@@ -541,8 +515,8 @@ def stratum_row(model: CoverModel, stratum: str) -> dict:
         "dim_h1": dc.dim_h1,
         "dim_h2": dc.dim_h2,
         "automorphism_basis_verified": (
-            all(schouten(lam0, v).is_zero() for v in basis)
-            and all(span.add(mono(v)) for v in basis) and len(basis) == dc.dim_h0),
+            all(schouten(lam0, v).is_zero() for v in basis) and free
+            and len(basis) == dc.dim_h0),
     }
 
 
@@ -752,9 +726,6 @@ def obstruction_certificate_hopf(model: CoverModel, constants: dict) -> Certific
     return Certificate(f"Hopf {t.label()}", "zero", OBSTRUCTED,
                        witness={"a": str(a), "b": str(b)},
                        class_repr=str(combination(cls, model.m2)))
-
-
-H95_CASES = ("iv-discriminant-zero", "iii-b-nonzero")
 
 
 def _h95_stratum(case: str) -> tuple[HopfType, str]:

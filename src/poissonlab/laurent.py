@@ -165,10 +165,14 @@ class LaurentPoly:
         return LaurentPoly._of_terms(registry, {} if c.is_zero() else {(): c})
 
     @staticmethod
+    def one(registry: VarRegistry) -> "LaurentPoly":
+        return LaurentPoly._of_terms(registry, {(): ONE})
+
+    @staticmethod
     def var(registry: VarRegistry, name: str, power: int = 1) -> "LaurentPoly":
         idx = registry.index(name)
         if power == 0:
-            return LaurentPoly.const(registry, 1)
+            return LaurentPoly.one(registry)
         return LaurentPoly._of_terms(registry, {((idx, power),): ONE})
 
     def _check(self, other: "LaurentPoly"):
@@ -266,7 +270,7 @@ class LaurentPoly:
         if n < 0:
             return self.monomial_inverse() ** (-n)
         if n == 0:
-            return LaurentPoly.const(self.registry, 1)
+            return LaurentPoly.one(self.registry)
         if len(self.terms) != 1:
             return _power(self, n)
         # a monomial: scale its exponents, raise its coefficient

@@ -26,6 +26,7 @@ from .laurent import InexactDivision, LaurentPoly, VarRegistry, univar_gcd
 from .rational import ONE, Frozen, content
 
 _set = object.__setattr__
+_alloc = object.__new__
 
 
 class NotInSpan(Exception):
@@ -93,6 +94,13 @@ class LinMap:
         if registry is None:
             raise ValueError("registry required for a matrix with no entries")
         self.registry = registry
+
+    @staticmethod
+    def _of(domain: LabeledBasis, codomain: LabeledBasis, rows: tuple, registry) -> "LinMap":
+        """Wrap row tuples the caller knows to fit the bases, with no chart variable."""
+        m = _alloc(LinMap)
+        m.domain, m.codomain, m.rows, m.registry = domain, codomain, rows, registry
+        return m
 
     @property
     def n_rows(self):
@@ -208,7 +216,7 @@ def kernel_basis(m: LinMap) -> list[list[LaurentPoly]]:
         if n - 1 - fc in space.pivot_rows:
             continue
         x = [zero] * n
-        x[fc] = LaurentPoly.const(reg, 1)
+        x[fc] = LaurentPoly.one(reg)
         scaled = False
         for c, row, support in pivots:
             s = None
@@ -280,7 +288,7 @@ class ColumnSpace:
             raise ValueError(f"expected a vector of length {self.dim}, got {len(vec)}")
         row = list(vec) + [LaurentPoly.zero(self.registry)] * (1 + len(self.reps))
         if slot is not None:
-            row[self.dim + slot] = LaurentPoly.const(self.registry, 1)
+            row[self.dim + slot] = LaurentPoly.one(self.registry)
         return row
 
     def _reduce(self, vec: list[LaurentPoly]) -> list[LaurentPoly]:
@@ -363,7 +371,7 @@ def cokernel_space(m: LinMap, preferred: Sequence[Sequence[LaurentPoly]] | None 
     space = image_space(m)
     if preferred is None:
         zero = LaurentPoly.zero(m.registry)
-        one = LaurentPoly.const(m.registry, 1)
+        one = LaurentPoly.one(m.registry)
         preferred = [[one if k == idx else zero for k in range(m.n_rows)]
                      for idx in range(m.n_rows) if idx not in space.pivot_rows]
     elif len(preferred) != m.n_rows - space.rank:
@@ -426,11 +434,15 @@ class MapFamily(Frozen):
             for m in maps))
 
     def at(self, coeffs: Sequence[LaurentPoly]) -> LinMap:
-        """The matrix sum_j coeffs[j] * M_j."""
+        """The matrix sum_j coeffs[j] * M_j.  Each M_j was checked when it
+        was stored, so only the coefficients are: one with a chart variable
+        raises ValueError."""
         zero = LaurentPoly.zero(self.registry)
         rows = [[zero] * len(self.domain) for _ in self.codomain]
         for c, entries in zip(coeffs, self.entries, strict=True):
-            if c.terms:
+            if c.terms and entries:
+                if not c.uses_only(c.registry.param_vars):
+                    raise ValueError(f"family coefficient contains chart variables: {c}")
                 for i, k, e in entries:
                     rows[i][k] = rows[i][k] + c * e
-        return LinMap(self.domain, self.codomain, rows, self.registry)
+        return LinMap._of(self.domain, self.codomain, tuple(map(tuple, rows)), self.registry)

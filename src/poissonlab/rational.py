@@ -113,6 +113,9 @@ class GaussianRational:
 
     def __mul__(self, other):
         if other.__class__ is not GaussianRational:
+            if other.__class__ is int:
+                # n (a + b*i)/d, with one gcd
+                return _reduced(self.a * other, self.b * other, self.d)
             other = GaussianRational.of(other)
         a, b, d = self.a, self.b, self.d
         c, e, f = other.a, other.b, other.d

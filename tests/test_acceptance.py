@@ -24,6 +24,7 @@ from poissonlab.obstruction import (OBSTRUCTED, UNDETERMINED,
                                     UNOBSTRUCTED_H2_ZERO, UNOBSTRUCTED_MC,
                                     verify_certificate)
 from poissonlab.rational import GaussianRational
+from hopf_cases import H95_CASES, STRATA
 from ruled_cochains import cech_square, random_cocycle
 
 
@@ -167,7 +168,7 @@ def test_05_hopf_field_tables():
         dims_sq.append(len(hopf.invariant_bivectors(ctx, cap)))
     assert dims_theta == [4, 3, 2, 2, 2]
     assert dims_sq == [3, 2, 1, 1, 1]
-    for t, stratum in hopf.STRATA:
+    for t, stratum in STRATA:
         assert hopf.stratum_row(hopf.model_for(t), stratum)["automorphism_basis_verified"]
     report(5, "Hopf field dims and automorphism bases")
 
@@ -190,7 +191,7 @@ def test_06_m_bases_match_and_truncation_stable():
 def test_07_table5_triples():
     expected = [(4, 7, 3), (2, 3, 1), (3, 5, 2), (2, 3, 1),
                 (2, 3, 1), (2, 3, 1), (2, 3, 1), (2, 3, 1)]
-    rows = [hopf.stratum_row(hopf.model_for(t), s) for t, s in hopf.STRATA]
+    rows = [hopf.stratum_row(hopf.model_for(t), s) for t, s in STRATA]
     got = [(r["dim_h0"], r["dim_h1"], r["dim_h2"]) for r in rows]
     assert got == expected
     report(7, "all eight cohomology triples")
@@ -213,7 +214,7 @@ def test_10_undetermined_strata():
     assert hopf.h95_degeneracy("iv-discriminant-zero") is True
     assert hopf.h95_degeneracy("iii-b-nonzero") is True
     assert hopf.h95_degeneracy("iic-control") is False
-    for case in hopf.H95_CASES:
+    for case in H95_CASES:
         t, stratum = hopf._h95_stratum(case)
         assert hopf.stratum_certificate(hopf.model_for(t), stratum).verdict == UNDETERMINED
     report(10, "degenerate candidate families and undetermined verdicts")

@@ -628,6 +628,16 @@ def test_a_cover_model_that_fails_validation_is_not_stored(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["data"]["dim_h1"] == 3
 
 
+def test_a_representative_above_the_cap_is_a_usage_error(monkeypatch, capsys):
+    # IIa(p=5) at cap 4: the named M1 class (delta^5 z - w^5) @z has a term of degree 5
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "4")
+    assert run_cli("classify", "hopf:IIa:p=5", "--poisson", "w^6*@z^@w") == (2, "")
+    assert capsys.readouterr().err == ("error: M1 representative (z*delta^5 - w^5)*@z has a "
+                                       "term above degree cap 4\n")
+    assert not obstruction._STORE
+
+
 @pytest.mark.parametrize("argv", (
     ("classify", "ep1", "--poisson", "(A + xi)*@z^@xi"),
     ("classify", "tp1", "--poisson", "A*@z1^@z2"),

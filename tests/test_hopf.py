@@ -1,21 +1,24 @@
+import random
+
 import pytest
 
 import poissonlab.hopf as hopf_mod
-from poissonlab import obstruction
-from poissonlab.linalg import (NotInSpan, generic_rank, image_space, kernel_basis,
-                               quotient_coords)
+from poissonlab import cli, obstruction
+from poissonlab.linalg import (LabeledBasis, LinMap, NotInSpan, generic_rank, image_space,
+                               kernel_basis, quotient_coords)
 from poissonlab.multivector import combination, pushforward, schouten
 from poissonlab.obstruction import OBSTRUCTED, UNDETERMINED
-from poissonlab.hopf import (H95_CASES, HopfType, MembershipFails, STRATA,
+from poissonlab.hopf import (HopfType, MembershipFails, TruncationUnstable,
                              cover_model, d_membership, default_cap, deformation_model,
                              family_data, family_invariance, family_stratum,
                              h95_degeneracy, invariant_bivectors,
                              invariant_fields, make_context,
                              membership_pairs, model_for,
                              obstruction_certificate_hopf, stratum_bivector,
-                             stratum_certificate, stratum_row, table4_basis,
-                             truncated_space)
-from cover_matrices import cover_matrix, triangular_order
+                             stratum_certificate, stratum_row, table4_basis)
+import cover_matrices
+from cover_matrices import cover_matrix, triangular_order, truncated_space
+from hopf_cases import H95_CASES, STRATA
 
 ALL_TYPES = (HopfType("IV"), HopfType("III", 2), HopfType("IIa", 2),
              HopfType("IIb"), HopfType("IIc"))
@@ -321,8 +324,8 @@ def test_cover_models_build_no_matrix_wider_than_their_weight_0_blocks(monkeypat
         sizes.clear()
         model = model_for(t, 30)
         model.fields, model.bivectors
-        blocks = {(len(res), len(res)) for res in (model.space1.resonant,
-                                                   model.space2.resonant)}
+        blocks = {(len(space.basis), len(space.basis)) for space in (model.space1,
+                                                                     model.space2)}
         assert sizes and set(sizes) <= blocks
 
 
@@ -474,7 +477,8 @@ def _weight(t, comp, mu, nu):
 def test_cover_matrices_are_block_diagonal_by_weight(t):
     # the facts the cover models rest on: no entry joins two weights, every
     # diagonal entry off weight 0 is nonzero, and the weight-0 block has a
-    # size that does not depend on the cap
+    # size that does not depend on the cap; a model's weight-0 space lists
+    # the weight-0 fields in the order of the whole space
     ctx = make_context(t)
     for cap in range(3, 13):
         for grade in (1, 2):
@@ -493,14 +497,19 @@ def test_cover_matrices_are_block_diagonal_by_weight(t):
             assert all(mat.rows[k][k].terms for k in range(mat.n_rows) if weights[k])
             if cap >= ctx.p + 1:
                 assert len(space.resonant) == WEIGHT0_SIZES[t.tag][grade - 1]
+            w0 = hopf_mod.weight0_space(ctx, grade, cap)
+            assert w0.basis.elements == tuple(space.basis[k] for k in space.resonant)
+            assert list(w0.index) == [key for key, k in space.index.items() if not weights[k]]
 
 
 @pytest.mark.parametrize("corruption", ("join", "diagonal", "cycle"))
 def test_a_corrupted_cover_matrix_raises_before_elimination(monkeypatch, corruption):
     # an entry joining two weights, a zero diagonal entry off weight 0 or a
-    # cycle in the nonzero pattern would leave a block that may be singular
+    # cycle in the nonzero pattern would leave a block that may be singular:
+    # the lemma's oracle checks all three on the whole operator, and a
+    # model checks that its weight-0 block joins no other weight
     t = HopfType("IIa", 2)
-    real = hopf_mod._cover_columns
+    real = cover_matrices.cover_columns
 
     def corrupted(ctx, space, images):
         cols = real(ctx, space, images)
@@ -516,14 +525,29 @@ def test_a_corrupted_cover_matrix_raises_before_elimination(monkeypatch, corrupt
         return cols
 
     kernels = []
-    monkeypatch.setattr(obstruction, "_STORE", {})
-    monkeypatch.setattr(hopf_mod, "_cover_columns", corrupted)
-    monkeypatch.setattr(hopf_mod, "kernel_basis", lambda *args: kernels.append(args))
+    monkeypatch.setattr(cover_matrices, "cover_columns", corrupted)
+    monkeypatch.setattr(cover_matrices, "kernel_basis", lambda *args: kernels.append(args))
     message = {"join": "joins two weights", "diagonal": "zero diagonal entry off weight 0",
                "cycle": "not triangular"}[corruption]
     with pytest.raises(RuntimeError, match=message):
-        model_for(t).fields
+        cover_matrices.full_kernel(make_context(t), 1, default_cap(t))
     assert not kernels
+    if corruption == "join":
+        real_images = hopf_mod._monomial_images
+
+        def joined(ctx, space):
+            # a constant term sends the field z*@z onto the bare frame @z,
+            # of weight -p
+            images = real_images(ctx, space)
+            images[1, 0] = images[1, 0] + ctx.const(1)
+            return images
+
+        monkeypatch.setattr(obstruction, "_STORE", {})
+        monkeypatch.setattr(hopf_mod, "_monomial_images", joined)
+        monkeypatch.setattr(hopf_mod, "kernel_basis", lambda *args: kernels.append(args))
+        with pytest.raises(RuntimeError, match=message):
+            model_for(t).fields
+        assert not kernels
 
 
 @pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
@@ -531,10 +555,15 @@ def test_triangular_kernels_equal_kernel_basis(t):
     ctx = make_context(t)
     for cap in range(max(hopf_mod.MIN_CAP, ctx.p + 1), 13):
         model = cover_model(ctx, cap)
-        for found, space in ((model.fields, model.space1), (model.bivectors, model.space2)):
-            mat, basis = cover_matrix(ctx, space), space.basis
-            expected = [combination(v, basis) for v in kernel_basis(mat)]
-            assert list(found) == expected
+        for found, grade in ((model.fields, 1), (model.bivectors, 2)):
+            assert list(found) == cover_matrices.full_kernel(ctx, grade, cap)
+
+
+def _class_or_error(reduce, v):
+    try:
+        return reduce(v)
+    except NotInSpan as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
@@ -543,47 +572,155 @@ def test_ordered_quotients_equal_unordered_ones(t):
     # triangular orders, equals reduction against the whole image
     ctx = make_context(t)
     model = cover_model(ctx, default_cap(t) + 1)
-    zero, one = ctx.const(0), ctx.const(1)
-
-    def coords(reduce, n, k):
-        unit = [one if j == k else zero for j in range(n)]
-        try:
-            return reduce(unit)
-        except NotInSpan as exc:
-            return str(exc)
-
-    for grade, space, ordered, reps in ((1, model.space1, model.m1_space, model.m1),
-                                        (2, model.space2, model.m2_space, model.m2)):
-        mat = cover_matrix(ctx, space)
-        mono = hopf_mod.mono_coords(ctx, space)
-        plain = image_space(mat)
+    for grade, ordered, reps in ((1, model.m1_space, model.m1), (2, model.m2_space, model.m2)):
+        space = truncated_space(ctx, grade, model.cap)
+        mono = cover_matrices.mono_coords(ctx, space)
+        plain = image_space(cover_matrix(ctx, space))
         for rep in reps:
             plain.add(mono(rep), rep=True)
         n = len(space.basis)
         assert plain.rank == ordered.rank + n - ordered.dim
-        for k in range(n):
-            assert (coords(lambda v: model.class_coords(grade, v), n, k)
-                    == coords(lambda v: quotient_coords(plain, v), n, k))
+        for v in space.basis:
+            assert (_class_or_error(model.reduce_m(grade), v)
+                    == _class_or_error(lambda v: quotient_coords(plain, mono(v)), v))
+
+
+@pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
+def test_reductions_drop_terms_off_weight_0_as_the_whole_image_does(t):
+    # a field with terms at every weight has the class the whole image
+    # gives it, at every cap where the model validates
+    ctx = make_context(t)
+    rng = random.Random(t.label())
+    for cap in range(3, 13):
+        try:
+            model = cover_model(ctx, cap)
+        except TruncationUnstable:
+            assert cap < ctx.p + 1
+            continue
+        for grade, reps in ((1, model.m1), (2, model.m2)):
+            space = truncated_space(ctx, grade, cap)
+            classes = cover_matrices.full_classes(ctx, space, reps)
+            for _ in range(2):
+                coeffs = [ctx.const(rng.randint(-3, 3)) for _ in space.basis]
+                coeffs[-1] = ctx.const(1)  # the top field, of weight cap - p or more
+                v = combination(coeffs, space.basis)
+                assert model.reduce_m(grade)(v) == classes(v)
 
 
 @pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
 def test_id_minus_fstar_equals_the_pushforward_of_each_basis_field(t):
     # the matrix built from pushed frames and monomial images equals, column
-    # by column, v - f_* v pushed forward whole and truncated at the cap
+    # by column, v - f_* v pushed forward whole and truncated at the cap;
+    # so does the model's weight-0 block, which has no term off weight 0
     ctx = make_context(t)
     for cap in range(3, 13):
         for grade in (1, 2):
             space = truncated_space(ctx, grade, cap)
             mat = cover_matrix(ctx, space)
-            red = hopf_mod.mono_coords(ctx, space)
+            red = cover_matrices.mono_coords(ctx, space)
             for j, v in enumerate(space.basis):
                 image = _truncate(pushforward(ctx.contraction, v), cap)
                 assert mat.column(j) == red(v - image)
+            w0 = hopf_mod.weight0_space(ctx, grade, cap)
+            block = hopf_mod.id_minus_fstar(ctx, w0, hopf_mod._monomial_images(ctx, w0))
+            red0 = hopf_mod.mono_coords(ctx, w0, "off weight 0")
+            for j, v in enumerate(w0.basis):
+                image = _truncate(pushforward(ctx.contraction, v), cap)
+                assert block.column(j) == red0(v - image)
 
 
 def _truncate(mv, cap):
     """The terms of `mv` of total (z, w) degree at most `cap`."""
     return mv.map_coefficients(lambda poly: hopf_mod._low_degree(poly, cap))
+
+
+# the five types, the resonant ones at p = 2, 3, 5 and at the CLI's largest p
+LEMMA_TYPES = (HopfType("IV"), HopfType("IIb"), HopfType("IIc"),
+               *(HopfType(tag, p) for tag in ("III", "IIa") for p in (2, 3, 5, cli.MAX_P)))
+# caps up to the CLI's largest, on both sides of p + 1 for each p
+LEMMA_CAPS = (3, 4, 5, 6, 7, 12, 22, 30, cli.MAX_P, cli.MAX_P + 1, cli.MAX_CAP)
+
+
+@pytest.mark.parametrize("t", LEMMA_TYPES, ids=HopfType.label)
+def test_the_block_lemma_holds_on_the_whole_truncated_operator(t):
+    # the whole operator, as sparse columns, joins no two weights, has no
+    # zero diagonal entry off weight 0 and an acyclic pattern (checked as it
+    # is built).  So each block off weight 0 is triangular with a nonzero
+    # diagonal, hence invertible, and the whole operator has the kernel and
+    # the cokernel of its weight-0 block, which must be the model's
+    ctx = make_context(t)
+    for cap in LEMMA_CAPS:
+        try:
+            model = cover_model(ctx, cap)
+        except TruncationUnstable:
+            model = None
+        valid = True
+        for grade, named in zip((1, 2), hopf_mod._named_m_reps(ctx)):
+            space = truncated_space(ctx, grade, cap)
+            cols = cover_matrices.id_minus_fstar(ctx, space)
+            mono = cover_matrices.mono_coords(ctx, space)
+            res = space.resonant
+            basis = LabeledBasis(f"grade {grade}, weight 0", tuple(space.basis[k] for k in res))
+            block = LinMap(basis, basis, cover_matrices.weight0_block(ctx, space, cols),
+                           ctx.registry)
+            assert hopf_mod.weight0_space(ctx, grade, cap).basis.elements == basis.elements
+            kernel = [combination(v, basis) for v in kernel_basis(block)]
+            for v in kernel:
+                # killed by every column of the whole operator
+                image = {}
+                for j, c in enumerate(mono(v)):
+                    for i, entry in cols[j].items() if c.terms else ():
+                        image[i] = image.get(i, 0) + entry * c
+                assert all(x.is_zero() for x in image.values())
+            quot = image_space(block)
+            ok = len(res) - quot.rank == len(named)
+            for rep in named if ok else ():
+                try:
+                    coords = mono(rep)
+                    quot.add([coords[k] for k in res], rep=True)
+                except NotInSpan:
+                    ok = False
+            valid = valid and ok
+            if model is not None:
+                found, ours, ours_quot = ((model.fields, model.block1, model.m1_space)
+                                          if grade == 1 else
+                                          (model.bivectors, model.block2, model.m2_space))
+                assert ours.rows == block.rows
+                assert list(found) == kernel
+                assert ours_quot.reps == quot.reps
+        assert (model is not None) == valid
+        assert valid or cap < ctx.p + 1
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=HopfType.label)
+def test_bivector_coords_reject_terms_off_weight_0_and_above_the_cap(t):
+    model = model_for(t)
+    ctx = model.ctx
+    lam = model.bivectors[-1]
+    assert model.bivector_coords(lam)[-1] == ctx.const(1)
+    # z*@z^@w weighs 1 - wt(z) - wt(w) = -p
+    off = lam + ctx.mv(ctx.z(), ("z", "w"))
+    with pytest.raises(NotInSpan, match="bivector has a term off weight 0"):
+        model.bivector_coords(off)
+    high = ctx.mv(ctx.w(model.cap + 1), ("z", "w"))
+    for v in (lam + high, off + high):
+        with pytest.raises(NotInSpan, match="field not inside the truncated monomial space"):
+            model.bivector_coords(v)
+
+
+def test_an_automorphism_basis_with_a_field_off_weight_0_is_not_verified(monkeypatch):
+    # every field kills the zero structure of type IV; a field with a term
+    # off weight 0 is not invariant, though the basis stays free
+    model = model_for(HopfType("IV"))
+    assert stratum_row(model, "zero")["automorphism_basis_verified"]
+    real = hopf_mod.table4_basis
+
+    def tampered(ctx, stratum):
+        basis = real(ctx, stratum)
+        return basis[:-1] + [basis[-1] + ctx.mv(ctx.z(2), ("z",))]
+
+    monkeypatch.setattr(hopf_mod, "table4_basis", tampered)
+    assert not stratum_row(model, "zero")["automorphism_basis_verified"]
 
 
 def test_hopf_tables_push_each_frame_once(monkeypatch):

@@ -12,8 +12,9 @@ from poissonlab.linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan,
                                kernel_basis, matrix_of_map, primitive_vector,
                                quotient_coords, quotient_space,
                                ConstraintViolation, _combine, _row_content_normalize)
+from poissonlab.multivector import combination
 from poissonlab.rational import ONE, GaussianRational
-from cover_matrices import cover_matrix
+import cover_matrices
 REG = VarRegistry((), ("A", "B", "C", "e0", "e1", "e2"))
 
 
@@ -190,9 +191,10 @@ def test_quotient_coords_recovers_hopf_class_coordinates(tag, p):
     reg = ctx.registry
     alpha, delta = LaurentPoly.var(reg, "alpha"), LaurentPoly.var(reg, "delta")
     rng = random.Random(f"{tag}{p}")
-    for grade, space, m in ((1, model.space1, model.m1), (2, model.space2, model.m2)):
-        mat = cover_matrix(ctx, space)
-        mono = hopf.mono_coords(ctx, space)
+    for grade, m in ((1, model.m1), (2, model.m2)):
+        space = cover_matrices.truncated_space(ctx, grade, model.cap)
+        mat = cover_matrices.cover_matrix(ctx, space)
+        mono = cover_matrices.mono_coords(ctx, space)
         reps = [mono(e) for e in m]
         cols = mat.columns()
         for _ in range(3):
@@ -206,8 +208,8 @@ def test_quotient_coords_recovers_hopf_class_coordinates(tag, p):
             for j in rng.sample(range(len(cols)), 4):
                 d = LaurentPoly.const(reg, rng.randint(1, 5)) * alpha ** rng.randint(-1, 1)
                 target = [x + d * y for x, y in zip(target, cols[j])]
-            # a full-coordinate class reduction on the model
-            assert model.class_coords(grade, target) == coeffs
+            # the model's reduction drops the terms off weight 0
+            assert model.reduce_m(grade)(combination(target, space.basis)) == coeffs
 
 
 # sha256 of the kernel vectors of the grade-1 and grade-2 id - f_* and the class coordinates
@@ -226,17 +228,17 @@ def test_hopf_cover_kernels_and_quotients_are_pinned(tag, p):
     t = hopf.HopfType(tag, p)
     ctx = hopf.make_context(t)
     model = hopf.cover_model(ctx, hopf.default_cap(t))
-    zero, one = LaurentPoly.zero(ctx.registry), LaurentPoly.const(ctx.registry, 1)
     lines = []
-    for grade, space in ((1, model.space1), (2, model.space2)):
-        mat = cover_matrix(ctx, space)
+    for grade in (1, 2):
+        space = cover_matrices.truncated_space(ctx, grade, model.cap)
+        mat = cover_matrices.cover_matrix(ctx, space)
         lines.append(f"{mat.n_rows}x{mat.n_cols}")
         for vec in kernel_basis(mat):
             lines.append("ker " + ", ".join(map(str, vec)))
         for k in range(mat.n_rows):
-            unit = [one if j == k else zero for j in range(mat.n_rows)]
             try:
-                lines.append(f"e{k} " + ", ".join(map(str, model.class_coords(grade, unit))))
+                coords = model.reduce_m(grade)(space.basis[k])
+                lines.append(f"e{k} " + ", ".join(map(str, coords)))
             except NotInSpan as exc:
                 lines.append(f"e{k} NotInSpan: {exc}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -555,3 +557,55 @@ def test_gaussian_and_parameter_pivots_keep_the_fraction_free_step(monkeypatch):
             # dividing by the pivot 1 + i would have given another vector
             assert got == [[a1, one_i, -(one_i * a1)]]
 
+
+
+def _family(name):
+    from poissonlab import obstruction, products, ruled
+
+    kind, _, key = name.partition(":")
+    if kind == "ruled":
+        return ruled.make_surface(int(key)).maps
+    frame = {"ExP1": products._ep1_frame, "TxP1": products._tp1_frame}[kind]
+    return obstruction.stored((kind,), frame)[2][key]
+
+
+def _checked_sum(family, coeffs) -> LinMap:
+    """sum_j coeffs[j] * M_j, built through the checking constructor."""
+    zero = LaurentPoly.zero(family.registry)
+    rows = [[zero] * len(family.domain) for _ in family.codomain]
+    for c, entries in zip(coeffs, family.entries, strict=True):
+        for i, k, e in entries:
+            rows[i][k] = rows[i][k] + c * e
+    return LinMap(family.domain, family.codomain, rows, family.registry)
+
+
+FAMILIES = ("ruled:0", "ruled:3", "ruled:7", "ExP1:h0", "ExP1:h1", "TxP1:h0", "TxP1:sq_cube")
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_map_family_at_equals_the_checked_sum(name):
+    family = _family(name)
+    reg = family.registry
+    rng = random.Random(name)
+    monomials = [LaurentPoly.one(reg)] + [LaurentPoly.var(reg, p, rng.choice((-1, 1, 2)))
+                                          for p in reg.param_vars]
+    for _ in range(4):
+        coeffs = [LaurentPoly.const(reg, rng.randint(-2, 2)) * rng.choice(monomials)
+                  + LaurentPoly.const(reg, rng.randint(-2, 2)) * rng.choice(monomials)
+                  for _ in family.entries]
+        got, want = family.at(coeffs), _checked_sum(family, coeffs)
+        assert got.domain is want.domain and got.codomain is want.codomain
+        assert got.registry == want.registry and got.rows == want.rows
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_map_family_at_rejects_a_coefficient_with_a_chart_variable(name):
+    family = _family(name)
+    reg = family.registry
+    zero = LaurentPoly.zero(reg)
+    for j, entries in enumerate(family.entries):
+        if entries:
+            coeffs = [zero] * len(family.entries)
+            coeffs[j] = LaurentPoly.var(reg, reg.chart_vars[-1]) + LaurentPoly.one(reg)
+            with pytest.raises(ValueError, match="contains chart variables"):
+                family.at(coeffs)

@@ -4,7 +4,7 @@ import pytest
 
 from poissonlab import hopf, obstruction, products, ruled
 from poissonlab.expr import EvalContext, eval_str
-from poissonlab.hopf import (STRATA, HopfType, deformation_model, h0_bracket_matrix,
+from poissonlab.hopf import (HopfType, deformation_model, h0_bracket_matrix,
                              m_bracket_matrix, model_for, stratum_bivector)
 from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.linalg import Reducer, generic_rank
@@ -20,6 +20,7 @@ from poissonlab.products import (TP1PoissonClass, ep1_bracket_matrices, ep1_clas
                                  tp1_matrices, tp1_model)
 from poissonlab.ruled import (FAMILIES, KSDegenerate, RuledPoisson, complex_model,
                               make_surface, verify_family)
+from hopf_cases import STRATA
 
 
 def _mutable_state(module) -> list[str]:

@@ -115,3 +115,13 @@ def test_content():
     vals = [GaussianRational(Fraction(4, 3), Fraction(2, 9)), GaussianRational(6)]
     assert content(vals) == Fraction(2, 9)
     assert content([GaussianRational(Fraction(-3, 2))]) == Fraction(3, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, st.integers(-40, 40) | st.sampled_from((0, -1, 1, 10**30, -(10**30))))
+def test_products_by_ints_match_products_by_their_values(x, n):
+    g = GaussianRational(*x)
+    want = g * GaussianRational(n)
+    for got in (g * n, n * g):
+        check_normal(got)
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)

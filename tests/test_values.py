@@ -32,12 +32,12 @@ def _frozen_values():
         "Pow": (expr.Pow(expr.Sym("a"), 2), "exponent"),
         "HopfType": (hopf.HopfType("III", 2), "p"),
         "HopfContext": (hctx, "type"),
-        "TruncatedSpace": (hopf.truncated_space(hctx, 1, 3), "cap"),
         "LabeledBasis": (LabeledBasis("b", ("x", "y")), "elements"),
         "Chart": (W, "vars"),
         "ChartMap": (_identity(), "inverse"),
         "ChartFrame": (ChartFrame(W, REG), "dbar"),
         "TP1PoissonClass": (products.TP1PoissonClass(2, {"A": 1}), "coeffs"),
+        "Weight0Space": (hopf.weight0_space(hctx, 1, 3), "cap"),
         "TP1Matrices": (products.tp1_matrices(ctx, lam0), "m_h1"),
         "EP1Matrices": (products.ep1_bracket_matrices(1, 0, 0), "coker"),
         "RuledSurface": (ruled.make_surface(3), "m"),
