@@ -40,6 +40,11 @@ REQUESTS = (
     ["classify", "tp1", "--poisson", "(-2)*(@z1^@z2)"],
     ["classify", "tp1", "--poisson", "(-1)*(@z1^@z2) + ((-1) + (2)*xi^1)*(@z2^@xi) + (-3)*((-1) + (2)*xi^1)*(@z1^@xi)"],
     ["classify", "tp1", "--poisson", "(3)*(@z1^@z2) + (-1)*((-1) + (-1)*xi^1 + (2)*xi^2)*(@z1^@xi)"],
+    # TxP1: a bivector that is not Poisson (its z2^xi and z1^xi blocks are not
+    # proportional), one of class 3 and one of class 1
+    ["classify", "tp1", "--poisson", "(@z1^@z2) + xi*(@z2^@xi) + (@z1^@xi)"],
+    ["classify", "tp1", "--poisson", "@z1^@xi"],
+    ["classify", "tp1", "--poisson", "0*@z1^@z2"],
     ["classify", "torus:3", "--poisson", "2*(@z1^@z2) - 1/3*(@z2^@z3)"],
     ["bracket", "(((-4) + (4/3)*i)*z^1*w^2)", "(A*z^1*w^0 + A*z^1*w^0 + ((3/2) + (-4)*i)*z^2*w^0)*@z + (((-4) + (-1)*i)*z^1*w^1 + ((-1/3) + (-1)*i)*z^2*w^2)*@w", "--chart", "z,w"],
     ["verify-family", "ep1"],

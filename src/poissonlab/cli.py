@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import hopf, products, ruled
 from .expr import ParseError, UnknownSymbol, context_for, eval_str, free_names, tokenize
@@ -145,8 +144,7 @@ def products_tables() -> dict:
                            "dim_h1": cert.data["dim_h1"], "dim_h2": cert.data["dim_h2"]})
     tp1_rows = []
     for cid in (1, 2, 3):
-        cls = products.TP1PoissonClass(cid, {})
-        cert = products.tp1_classify(cls)
+        cert = products.tp1_classify(products.tp1_lambda0(cid))
         tp1_rows.append({"class": cid, "dim_h1": cert.data["dim_h1"],
                          "verdict": cert.verdict})
     torus_rows = [{"n": n, "dim_h1": products.torus_dims(n)} for n in (1, 2, 3)]
@@ -346,26 +344,22 @@ def _classify_hopf(parts, args) -> Certificate:
             raise UnknownSymbol(n)
     mv = _require_bivector(eval_str(tokens, ctx).part(()))
     try:
-        model.bivector_coords(mv)
+        coords = model.bivector_coords(mv)
     except NotInSpan:
         raise UsageError(f"{args.poisson!r} is not an invariant bivector "
                          f"on the Hopf surface of type {t.label()}") from None
-    coeff = mv.coefficient(("z", "w"))
-    zero = LaurentPoly.zero(ctx.registry)
-
-    def coef(mu, nu):
-        """The coefficient of z^mu w^nu, a polynomial in the parameters: one
-        that is not zero as a polynomial is read at a generic point."""
-        return coeff.coefficients_in("z").get(mu, zero).coefficients_in("w").get(nu, zero)
-
-    if tag == "IV":
-        a, b, c = coef(2, 0), coef(1, 1), coef(0, 2)
-        stratum = ("zero" if coeff.is_zero()
-                   else "degenerate" if (a * c * 4 - b * b).is_zero() else "generic")
-    elif tag == "III":
-        stratum = "zero" if coeff.is_zero() else "B" if coef(1, 1).is_zero() else "A"
-    else:
+    # the coordinates on the invariant bivectors, polynomials in the
+    # parameters: one that is not zero as a polynomial is read at a generic
+    # point.  IV: z^2, zw, w^2; III: zw, w^(p+1)
+    if tag not in ("IV", "III"):
         stratum = "any"
+    elif all(p.is_zero() for p in coords):
+        stratum = "zero"
+    elif tag == "IV":
+        a, b, c = coords
+        stratum = "degenerate" if (a * c * 4 - b * b).is_zero() else "generic"
+    else:
+        stratum = "B" if coords[0].is_zero() else "A"
     return hopf.stratum_certificate(model, stratum)
 
 
@@ -373,25 +367,10 @@ def _classify_tp1(src: str) -> Certificate:
     ctx = products.tp1_context()
     # no dbar generators: a Poisson structure has no form part
     mv = _require_bivector(eval_str(src, ChartFrame(ctx.chart, ctx.registry)).part(()))
-    (d,) = _rationals([mv.coefficient(("z1", "z2"))])
-    bs = _xi_quadratic(src, mv.coefficient(("z2", "xi")), "TxP1")
-    cs = _xi_quadratic(src, -mv.coefficient(("z1", "xi")), "TxP1")
-    if all(v == 0 for v in bs) and all(v == 0 for v in cs):
-        cls = products.TP1PoissonClass(1, {"D": d})
-    elif any(v != 0 for v in bs):
-        ratio = None
-        for b, c in zip(bs, cs):
-            if b != 0:
-                ratio = Fraction(c, b) if c else Fraction(0)
-                break
-        for b, c in zip(bs, cs):
-            if Fraction(c) != ratio * b:
-                raise products.ConstraintViolation("bivector violates the Poisson identity")
-        cls = products.TP1PoissonClass(
-            2, {"D": d, "A": bs[0], "B": bs[1], "C": bs[2], "k": ratio})
-    else:
-        cls = products.TP1PoissonClass(3, {"D": d, "A": cs[0], "B": cs[1], "C": cs[2]})
-    return products.tp1_classify(cls)
+    _rationals([mv.coefficient(("z1", "z2"))])
+    for comp in (("z2", "xi"), ("z1", "xi")):
+        _xi_quadratic(src, mv.coefficient(comp), "TxP1")
+    return products.tp1_classify(mv)
 
 
 FAMILY_NAMES = ("f2", "f3", "f4", "f5", "hopf-iv", "hopf-iii", "hopf-iia",
@@ -433,7 +412,7 @@ def verify_family_report(name: str, cap: int | None = None) -> dict:
         return {"family": name, "ok": cert.verdict == UNOBSTRUCTED_MC,
                 "verdict": cert.verdict, "dims": cert.data}
     if name == "tp1":
-        cert = products.tp1_classify(products.TP1PoissonClass(2, {}))
+        cert = products.tp1_classify(products.tp1_lambda0(2))
         return {"family": name, "ok": cert.verdict == UNOBSTRUCTED_MC,
                 "verdict": cert.verdict, "dims": cert.data}
     raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
@@ -442,14 +421,12 @@ def verify_family_report(name: str, cap: int | None = None) -> dict:
 def cmd_mc_check(args) -> int:
     name = args.name
     if name == "ep1":
-        sol = products.ep1_mc_solution(products.ep1_bracket_matrices())
+        sol = products.ep1_mc_solution(products.ep1_model())
         defect = sol.defect()
         doc = {"solution": name, "defect_zero": defect.is_zero(),
                "defect": str(defect)}
     elif name == "tp1":
-        ctx = products.tp1_context()
-        lam0 = products.tp1_lambda0(ctx, products.TP1PoissonClass(2, {}))
-        sol = products.tp1_mc_solution(products.tp1_matrices(ctx, lam0))
+        sol = products.tp1_mc_solution(products.tp1_model(products.tp1_lambda0(2), "class-2"))
         pieces = products.tp1_integrability(sol)
         doc = {"solution": name,
                "defect_zero": all(v.is_zero() for v in pieces.values()),

@@ -687,7 +687,7 @@ def deformation_model(model: CoverModel, stratum: str) -> DeformationComplexMode
         label = model.ctx.type.label()
         lam0 = stratum_bivector(model.ctx, stratum)
         model.complexes[stratum] = DeformationComplexModel(
-            f"Hopf {label}", "4AC-B^2=0" if stratum == "degenerate" else stratum,
+            f"Hopf {label}", "4AC-B^2=0" if stratum == "degenerate" else stratum, lam0,
             m_bracket_matrix(model, lam0), model.reduce_m(2),
             LabeledBasis(f"H0({label},Wedge2Theta)", model.bivectors),
             lambda: h0_bracket_matrix(model, lam0))

@@ -12,8 +12,9 @@ bivector L and a vector field X, [L, X] = -Lie_X L; this is the
 convention every worked identity in scope pins down.
 
 A ChartFrame bundles a chart, its registry and its dbar generators with
-the shorthands each geometry builds its fields from, and `combination`
-rebuilds an element from its coordinates in a basis.
+the shorthands each geometry builds its fields from.  `combination`
+rebuilds an element from its coordinates in a basis, and `basis_coords`
+reads them back off a basis of single terms.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from .laurent import LaurentPoly, VarRegistry
+from .linalg import LabeledBasis, NotInSpan, Reducer
 from .rational import Frozen, GaussianRational
 
 _set = object.__setattr__
@@ -573,6 +575,53 @@ def combination(coeffs: Sequence[LaurentPoly], basis):
     the basis element e in its position; None if every c is zero."""
     pieces = [e.scale(c) for c, e in zip(coeffs, basis) if not c.is_zero()]
     return sum(pieces[1:], pieces[0]) if pieces else None
+
+
+def _frame_terms(el):
+    """(frame, key, coefficient) of each term of a field or formed field: the
+    frame is the component index, after the form factor on a formed one."""
+    if isinstance(el, FormedMultiVector):
+        for factor, mv in el.parts.items():
+            for idx, poly in mv.components.items():
+                for key, coef in poly.terms.items():
+                    yield (factor, idx), key, coef
+    else:
+        for idx, poly in el.components.items():
+            for key, coef in poly.terms.items():
+                yield idx, key, coef
+
+
+def basis_coords(basis: LabeledBasis) -> Reducer:
+    """The inverse of `combination` on `basis`: an element's coordinates,
+    polynomials in the parameters.
+
+    Each basis element is one term, a scalar times a chart monomial times
+    a frame.  Each term key of the element is split at the chart/parameter
+    boundary: the frame and the chart part pick the basis element, and the
+    parameter part, over that element's scalar, goes to its coordinate.  A
+    term outside the basis raises NotInSpan."""
+    index = {}
+    for pos, e in enumerate(basis):
+        ((frame, key, scalar),) = _frame_terms(e)
+        index[frame, key] = pos, scalar
+
+    def read(el) -> list[LaurentPoly]:
+        n_chart = len(el.registry.chart_vars)
+        found = [{} for _ in basis]
+        for frame, key, coef in _frame_terms(el):
+            k = 0
+            while k < len(key) and key[k][0] < n_chart:
+                k += 1
+            hit = index.get((frame, key[:k]))
+            if hit is None:
+                raise NotInSpan(f"a term lies outside {basis.space_name}")
+            pos, scalar = hit
+            if not scalar.is_one():
+                coef = -coef if scalar == -1 else coef / scalar
+            found[pos][key[k:]] = coef
+        return [LaurentPoly._of_terms(el.registry, terms) for terms in found]
+
+    return Reducer(f"{basis.space_name} coordinates", read)
 
 
 def mc_defect(lambda0: MultiVector, el: FormedMultiVector) -> FormedMultiVector:

@@ -77,8 +77,9 @@ def bracket_family(frame: ChartFrame, sq: Sequence[MultiVector], dom: LabeledBas
 class DeformationComplexModel:
     """The complex (wedge^* Theta, [lam0, -]) of one structure, in degrees 0 to 2.
 
-    `h1` is [lam0, -] from H1(Theta) to H1(wedge^2), a map with no columns
-    where H1(Theta) = 0, and `reduce_h1_sq` sends a bivector-valued
+    `lam0` is the structure.  `h1` is [lam0, -] from H1(Theta) to
+    H1(wedge^2), a map with no columns where H1(Theta) = 0, and
+    `reduce_h1_sq` sends a bivector-valued
     cochain to coordinates in its codomain.  `h0_sq` is the basis of
     H0(wedge^2), the global bivector classes the witness ranges over.
     `build_h0` builds [lam0, -] from H0(Theta) to H0(wedge^2), with
@@ -90,14 +91,16 @@ class DeformationComplexModel:
     `coker` is the image of h0 with cokernel representatives registered,
     by default its standard complement (`cokernel_space`); a caller may
     pass its own.  The kernel of h1 is eliminated once, on first use,
-    and gives both the kernel classes and dim H2.
+    and gives both the kernel classes and dim H2; so is its image, which
+    the witness search and certificate checks test classes against.
     """
 
-    def __init__(self, name: str, stratum: str, h1: LinMap, reduce_h1_sq: Reducer,
-                 h0_sq: LabeledBasis, build_h0: Callable[[], LinMap],
+    def __init__(self, name: str, stratum: str, lam0: MultiVector, h1: LinMap,
+                 reduce_h1_sq: Reducer, h0_sq: LabeledBasis, build_h0: Callable[[], LinMap],
                  coker: ColumnSpace | None = None):
         self.name = name
         self.stratum = stratum
+        self.lam0 = lam0
         self.h1 = h1
         self.h1_theta, self.h1_sq = h1.domain, h1.codomain
         self.reduce_h1_sq = reduce_h1_sq
@@ -141,7 +144,8 @@ class DeformationComplexModel:
         """Kernel of the H1 bracket map, assembled as model elements."""
         return [(combination(vec, self.h1_theta), vec) for vec in self.h1_kernel]
 
-    def h1_image_space(self) -> ColumnSpace:
+    @cached_property
+    def h1_image(self) -> ColumnSpace:
         return image_space(self.h1)
 
     @cached_property
@@ -226,7 +230,7 @@ def r4_search(model: DeformationComplexModel) -> Certificate:
     """
     if model.dim_h2 == 0:
         return Certificate(model.name, model.stratum, UNOBSTRUCTED_H2_ZERO)
-    image = model.h1_image_space()
+    image = model.h1_image
     kernel = model.h1_kernel_elements()
     for a in model.h0_sq:
         for b, _ in kernel:
@@ -266,7 +270,7 @@ def verify_certificate(cert: Certificate, model: DeformationComplexModel,
     cls = model.reduce_h1_sq(schouten(a, b))
     if all(p.is_zero() for p in cls):
         return False
-    return not model.h1_image_space().contains(list(cls))
+    return not model.h1_image.contains(list(cls))
 
 
 # ----------------------------------------------------------------------

@@ -10,33 +10,37 @@ parameters and are verified as exact identities.
 bases (`ep1_bases`, `tp1_bases`) and its per-basis bracket maps: for
 each basis bivector s_j of H0(wedge2), the matrices of [s_j, -] (ExP1:
 on H0(Theta) and on H1(Theta); TxP1: on H0(Theta) and on H0(wedge2), its
-H1(Theta) map being two copies of the H0(Theta) one, see
-`tp1_matrices`).  Both are built on first use, not at import, and kept
-in the one process store (`obstruction.stored`, keys `("ExP1",)` and
-`("TxP1",)`), so a process serving a stream of classify requests reuses
-them across requests; `ep1_context()` and `tp1_context()` hand out the
-stored frames.
+H1(Theta) map being two copies of the H0(Theta) one, see `tp1_model`).
+Both are built on first use, not at import, and kept in the one process
+store (`obstruction.stored`, keys `("ExP1",)` and `("TxP1",)`), so a
+process serving a stream of classify requests reuses them across
+requests; `ep1_context()` and `tp1_context()` hand out the stored frames.
 
 A bivector lam = sum_j lam_j s_j with coefficients lam_j free of chart
 variables has the bracket matrix sum_j lam_j M_j, M_j that of [s_j, -],
 exactly (`obstruction.bracket_family`, the builder of these maps, says
-why).  `ep1_bracket_matrices` and `tp1_matrices` read the lam_j with the
-basis coordinate maps, which reject a bivector outside the span, and sum
-the stored maps with them (`linalg.MapFamily`).
+why).  `ep1_model` and `tp1_model` read the lam_j with
+`multivector.basis_coords`, which rejects a bivector outside the span,
+and return the structure's `DeformationComplexModel`, its maps the
+stored ones summed with them (`linalg.MapFamily`).  Every basis here is
+monomial, so that one reader gives every coordinate the module needs.
+
+`tp1_classify` takes any Poisson bivector in the span and reads its
+class off its coordinates [c | a | b] on dz1^dz2, xi^j dz2^dxi and
+xi^j dxi^dz1: class 2 where a is nonzero, class 3 where only b is, and
+class 1 where both vanish.  Exchanging the torus coordinates turns
+class 3 into class 2 with k = 0.
 """
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ColumnSpace, ConstraintViolation, LabeledBasis, LinMap, NotInSpan,
-                     Reducer, cokernel_space, generic_rank, image_space, quotient_coords)
-from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, mc_defect,
-                          schouten, schouten_formed)
+from .linalg import (ConstraintViolation, LabeledBasis, LinMap, Reducer,
+                     cokernel_space, generic_rank, image_space, quotient_coords)
+from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, basis_coords,
+                          combination, mc_defect, schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DeformationComplexModel,
                           DolbeaultModel, bracket_family, stored)
-from .rational import Frozen
-
-_set = object.__setattr__
 
 
 # ----------------------------------------------------------------------
@@ -57,18 +61,6 @@ def ep1_context() -> ChartFrame:
     return stored(("ExP1",), _ep1_frame)[0]
 
 
-def _xi_coords(poly: LaurentPoly) -> list[LaurentPoly]:
-    """The xi^0, xi^1 and xi^2 coefficients of a polynomial constant along
-    the other chart variables."""
-    if not poly.uses_only(("xi",) + poly.registry.param_vars):
-        raise NotInSpan("coefficient must be constant along the other factor")
-    buckets = poly.coefficients_in("xi")
-    if any(k not in (0, 1, 2) for k in buckets):
-        raise NotInSpan("xi-degree exceeds 2")
-    zero = LaurentPoly.zero(poly.registry)
-    return [buckets.get(k, zero) for k in (0, 1, 2)]
-
-
 def ep1_bases(ctx: ChartFrame) -> dict:
     one = ctx.const(1)
     theta = (ctx.mv(one, ("z",)), ctx.mv(one, ("xi",)),
@@ -85,30 +77,13 @@ def ep1_bases(ctx: ChartFrame) -> dict:
     }
 
 
-def _ep1_theta_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
-    params = ctx.registry.param_vars
-    zc = mv.coefficient(("z",))
-    if not zc.uses_only(params):
-        raise NotInSpan("d/dz coefficient must be constant")
-    return [zc] + _xi_coords(mv.coefficient(("xi",)))
-
-
-def _ep1_sq_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
-    return _xi_coords(mv.coefficient(("z", "xi")))
-
-
-def _ep1_h1_sq_reducer(ctx: ChartFrame) -> Reducer:
-    return Reducer("H1 wedge2 coords", lambda f: _ep1_sq_coords(ctx, f.part(("z",))))
-
-
 def _ep1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
     """[s_j, -] on global sections and on first cohomology, for each basis
     bivector s_j of H0(wedge2)."""
-    red0 = Reducer("H0 wedge2 coords", lambda v: _ep1_sq_coords(ctx, v))
     sq = bases["h0_sq"]
-    return {"h0": bracket_family(ctx, sq, bases["h0_theta"], sq, red0),
+    return {"h0": bracket_family(ctx, sq, bases["h0_theta"], sq, basis_coords(sq)),
             "h1": bracket_family(ctx, sq, bases["h1_theta"], bases["h1_sq"],
-                                 _ep1_h1_sq_reducer(ctx))}
+                                 basis_coords(bases["h1_sq"]))}
 
 
 def ep1_lambda0(ctx: ChartFrame, a=None, b=None, c=None) -> MultiVector:
@@ -119,30 +94,15 @@ def ep1_lambda0(ctx: ChartFrame, a=None, b=None, c=None) -> MultiVector:
     return ctx.mv(A + B * ctx.xi() + C * ctx.xi(2), ("z", "xi"))
 
 
-class EP1Matrices(Frozen):
-    """The bracket maps of lam0 on first cohomology and on global sections,
-    and the cokernel of the second, built once per structure."""
-
-    __slots__ = ("ctx", "lam0", "m_h1", "m_h0", "coker")
-
-    def __init__(self, ctx: ChartFrame, lam0: MultiVector, m_h1: LinMap, m_h0: LinMap,
-                 coker: ColumnSpace):
-        _set(self, "ctx", ctx)
-        _set(self, "lam0", lam0)
-        _set(self, "m_h1", m_h1)
-        _set(self, "m_h0", m_h0)
-        _set(self, "coker", coker)
-
-
-def ep1_bracket_matrices(a=None, b=None, c=None) -> EP1Matrices:
-    """The bracket matrices of (A + B xi + C xi^2) dz ^ dxi, symbolic in
-    each coefficient given as None: the stored per-basis maps summed with
-    the coefficients as weights."""
-    ctx, _, maps = stored(("ExP1",), _ep1_frame)
+def ep1_model(a=None, b=None, c=None) -> DeformationComplexModel:
+    """The deformation complex of (A + B xi + C xi^2) dz ^ dxi, symbolic in
+    each coefficient given as None, on the stratum "zero" or "nonzero"."""
+    ctx, bases, maps = stored(("ExP1",), _ep1_frame)
     lam0 = ep1_lambda0(ctx, a, b, c)
-    coords = _ep1_sq_coords(ctx, lam0)
-    m_h0 = maps["h0"].at(coords)
-    return EP1Matrices(ctx, lam0, maps["h1"].at(coords), m_h0, cokernel_space(m_h0))
+    coords = basis_coords(bases["h0_sq"])(lam0)
+    return DeformationComplexModel("ExP1", "zero" if lam0.is_zero() else "nonzero", lam0,
+                                   maps["h1"].at(coords), basis_coords(bases["h1_sq"]),
+                                   bases["h0_sq"], lambda: maps["h0"].at(coords))
 
 
 class MCSolution:
@@ -187,22 +147,32 @@ class MCSolution:
             for factor, comps in parts.items()}) for parts in found]
 
 
-def ep1_mc_solution(mats: EP1Matrices, f_coeffs=None) -> MCSolution:
-    """The corrected family on the nonzero stratum; `mats` are the bracket
-    maps of its lambda0.
+def _tangent_classes(model: DeformationComplexModel, tangents: list) -> list:
+    """The H1 class coordinates of the tangent directions of a solution:
+    each tangent, a bivector plus a (0,1)-form of fields, is read on the
+    bivectors of `model.h0_sq` and the fields of `model.h1_theta` at once."""
+    dbar = tangents[0].dbar_vars
+    n = len(model.h0_sq)
+    pairs = basis_coords(LabeledBasis("H0(Wedge2Theta) + H1(Theta)", tuple(
+        FormedMultiVector.of(s, dbar) for s in model.h0_sq) + model.h1_theta.elements))
+    return [model.coords(c[:n], c[n:]) for c in map(pairs, tangents)]
+
+
+def ep1_mc_solution(model: DeformationComplexModel, f_coeffs=None) -> MCSolution:
+    """The corrected family on the nonzero stratum of `ep1_model`.
 
     f_coeffs overrides the cokernel representative (F0, F1, F2); the
     override is validated to lie outside the bracket image.
     """
-    ctx, lam0 = mats.ctx, mats.lam0
+    ctx, lam0 = ep1_context(), model.lam0
     if f_coeffs is None:
-        reps = mats.coker.reps
+        reps = model.coker.reps
         if len(reps) != 1:
             raise ConstraintViolation("expected a one-dimensional cokernel")
         fvec = reps[0]
     else:
         fvec = [ctx.const(v) for v in f_coeffs]
-        if image_space(mats.m_h0).contains(fvec):
+        if image_space(model.h0).contains(fvec):
             raise ConstraintViolation("(F0,F1,F2) lies in the bracket image")
     fpoly = fvec[0] + fvec[1] * ctx.xi() + fvec[2] * ctx.xi(2)
     kpoly = lam0.coefficient(("z", "xi"))
@@ -217,53 +187,47 @@ def ep1_mc_solution(mats: EP1Matrices, f_coeffs=None) -> MCSolution:
 
 def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
     """Second-cohomology model used by the primary obstruction class."""
-    mats = ep1_bracket_matrices(a, b, c)
-    ctx = mats.ctx
-    space = cokernel_space(mats.m_h1)
+    model = ep1_model(a, b, c)
+    space = cokernel_space(model.h1)
+    read = basis_coords(model.h0_sq)
 
     def reduce_11(arg):
         key, piece = arg
-        return quotient_coords(space, _ep1_sq_coords(ctx, piece))
+        return quotient_coords(space, read(piece))
 
     return DolbeaultModel(
         name="ExP1",
-        lambda0=mats.lam0,
-        dbar_vars=ctx.dbar,
+        lambda0=model.lam0,
+        dbar_vars=ep1_context().dbar,
         class_reducers={(1, 2): Reducer("H1 wedge2 classes", reduce_11)},
     )
 
 
 def ep1_classify(a, b, c) -> Certificate:
     """Verdict for (A + B xi + C xi^2) dz^dxi; exact rational input."""
-    mats = ep1_bracket_matrices(a, b, c)
-    ctx = mats.ctx
-    stratum = "zero" if a == 0 and b == 0 and c == 0 else "nonzero"
-    model = DeformationComplexModel("ExP1", stratum, mats.m_h1, _ep1_h1_sq_reducer(ctx),
-                                    mats.m_h0.codomain, lambda: mats.m_h0, mats.coker)
+    model = ep1_model(a, b, c)
+    ctx = ep1_context()
     dims = {"dim_h1": model.dim_h1, "dim_h2": model.dim_h2}
-    if stratum == "zero":
+    if model.stratum == "zero":
         witness_a = ctx.mv(ctx.const(1), ("z", "xi"))
         witness_b = ctx.formed(ctx.mv(ctx.xi(), ("xi",)), ("z",))
         cls = schouten_formed(ctx.formed(witness_a), witness_b)
         if cls.is_zero():
             raise AssertionError("witness bracket vanished")
         return Certificate(
-            "ExP1", stratum, OBSTRUCTED,
+            "ExP1", model.stratum, OBSTRUCTED,
             witness={"a": str(witness_a), "b": str(witness_b)},
             class_repr=str(cls),
             data=dims,
         )
-    sol = ep1_mc_solution(mats)
+    sol = ep1_mc_solution(model)
     defect = sol.defect()
     if not defect.is_zero():
         raise AssertionError("Maurer-Cartan defect did not vanish")
-    columns = [model.coords(_ep1_sq_coords(ctx, el.part(())),
-                            _ep1_theta_coords(ctx, el.part(("z",))))
-               for el in sol.tangents()]
-    if not model.fills(columns):
+    if not model.fills(_tangent_classes(model, sol.tangents())):
         raise AssertionError("tangent map is not onto first cohomology")
     return Certificate(
-        "ExP1", stratum, UNOBSTRUCTED_MC,
+        "ExP1", model.stratum, UNOBSTRUCTED_MC,
         reason="verified polynomial Maurer-Cartan solution",
         data=dims,
     )
@@ -289,40 +253,17 @@ def tp1_context() -> ChartFrame:
     return stored(("TxP1",), _tp1_frame)[0]
 
 
-class TP1PoissonClass(Frozen):
-    """One of the three families of Poisson structures on the product."""
-
-    __slots__ = ("class_id", "coeffs")
-
-    def __init__(self, class_id: int, coeffs: dict | None = None):
-        coeffs = {} if coeffs is None else coeffs
-        if class_id not in (1, 2, 3):
-            raise ValueError("class_id must be 1, 2 or 3")
-        if class_id in (2, 3):
-            vals = [coeffs.get(n) for n in ("A", "B", "C")]
-            if all(v == 0 for v in vals if v is not None) and any(
-                    v is not None for v in vals):
-                raise ConstraintViolation("(A,B,C) must not vanish on this class")
-        _set(self, "class_id", class_id)
-        _set(self, "coeffs", coeffs)
-
-
-def tp1_lambda0(ctx: ChartFrame, cls: TP1PoissonClass) -> MultiVector:
-    def take(name, default_symbolic=True):
-        if name in cls.coeffs and cls.coeffs[name] is not None:
-            return ctx.const(cls.coeffs[name])
-        return ctx.param(name) if default_symbolic else ctx.const(0)
-
-    D = take("D")
-    out = ctx.mv(D, ("z1", "z2"))
-    if cls.class_id == 1:
-        return out
-    K = take("A") + take("B") * ctx.xi() + take("C") * ctx.xi(2)
-    if cls.class_id == 2:
-        kk = take("k")
-        # dxi ^ dz1 carries a sign against the sorted component order
-        return out + ctx.mv(K, ("z2", "xi")) - ctx.mv(kk * K, ("z1", "xi"))
-    return out - ctx.mv(K, ("z1", "xi"))
+def tp1_lambda0(class_id: int) -> MultiVector:
+    """The bivector of class 1, 2 or 3 with symbolic coefficients: D dz1^dz2,
+    plus K dz2^dxi - k K dz1^dxi on class 2 and -K dz1^dxi on class 3,
+    K = A + B xi + C xi^2."""
+    ctx = tp1_context()
+    K = ctx.param("A") + ctx.param("B") * ctx.xi() + ctx.param("C") * ctx.xi(2)
+    # dxi ^ dz1 carries a sign against the sorted component order
+    blocks = {1: ctx.zero(),
+              2: ctx.mv(K, ("z2", "xi")) - ctx.mv(ctx.param("k") * K, ("z1", "xi")),
+              3: -ctx.mv(K, ("z1", "xi"))}
+    return ctx.mv(ctx.param("D"), ("z1", "z2")) + blocks[class_id]
 
 
 def tp1_bases(ctx: ChartFrame) -> dict:
@@ -358,112 +299,54 @@ def tp1_bases(ctx: ChartFrame) -> dict:
     }
 
 
-def tp1_sq_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
-    """Coordinates in the 7-element global bivector basis."""
-    params = ctx.registry.param_vars
-    c12 = mv.coefficient(("z1", "z2"))
-    if not c12.uses_only(params):
-        raise NotInSpan("dz1^dz2 coefficient must be constant")
-    out = [c12]
-    out += _xi_coords(mv.coefficient(("z2", "xi")))
-    # basis stores dxi ^ dz1 = -(dz1 ^ dxi)
-    out += [-p for p in _xi_coords(mv.coefficient(("z1", "xi")))]
-    return out
-
-
-def tp1_theta_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
-    params = ctx.registry.param_vars
-    out = []
-    for v in ("z1", "z2"):
-        c = mv.coefficient((v,))
-        if not c.uses_only(params):
-            raise NotInSpan("torus directions must have constant coefficients")
-        out.append(c)
-    out += _xi_coords(mv.coefficient(("xi",)))
-    return out
-
-
-def tp1_cube_coords(ctx, mv: MultiVector) -> list[LaurentPoly]:
-    return _xi_coords(mv.coefficient(("z1", "z2", "xi")))
-
-
 def _tp1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
     """[s_j, -] as H0(Theta) -> H0(wedge2) and H0(wedge2) -> H0(wedge3), for
     each basis bivector s_j of H0(wedge2)."""
     sq = bases["h0_sq"]
     return {
-        "h0": bracket_family(ctx, sq, bases["h0_theta"], sq,
-                             Reducer("sq coords", lambda v: tp1_sq_coords(ctx, v))),
+        "h0": bracket_family(ctx, sq, bases["h0_theta"], sq, basis_coords(sq)),
         "sq_cube": bracket_family(ctx, sq, sq, bases["h0_cube"],
-                                  Reducer("cube coords", lambda v: tp1_cube_coords(ctx, v))),
+                                  basis_coords(bases["h0_cube"])),
     }
 
 
-class TP1Matrices(Frozen):
-    """The bracket maps of lam0 on the bases, built once per structure:
-    H0(Theta) -> H0(wedge2), H0(wedge2) -> H0(wedge3) and
-    H1(Theta) -> H1(wedge2); and, on class 2, lam0 = D dz1^dz2 +
-    K dz2^dxi - k K dz1^dxi read as its polynomial K and its constant k
-    (K zero and k None off class 2)."""
-
-    __slots__ = ("ctx", "lam0", "bases", "m_h0", "m_sq_cube", "m_h1", "K", "k")
-
-    def __init__(self, ctx: ChartFrame, lam0: MultiVector, bases: dict, m_h0: LinMap,
-                 m_sq_cube: LinMap, m_h1: LinMap, K: LaurentPoly, k: LaurentPoly | None):
-        _set(self, "ctx", ctx)
-        _set(self, "lam0", lam0)
-        _set(self, "bases", bases)
-        _set(self, "m_h0", m_h0)
-        _set(self, "m_sq_cube", m_sq_cube)
-        _set(self, "m_h1", m_h1)
-        _set(self, "K", K)
-        _set(self, "k", k)
-
-
-def tp1_matrices(ctx, lam0) -> TP1Matrices:
-    """The bracket maps of lam0, a bivector in the span of H0(wedge2): the
-    stored per-basis maps summed with its coordinates as weights; `ctx`
-    is tp1_context()."""
+def tp1_model(lam0: MultiVector, stratum: str) -> DeformationComplexModel:
+    """The deformation complex of lam0, a bivector in the span of
+    H0(wedge2), with the bare image of its H0 map for cokernel space: on
+    the 3-fold the bivector classes are the kernel of the wedge^3 map
+    modulo that image, and `tp1_classify` registers their representatives."""
     _, bases, maps = stored(("TxP1",), _tp1_frame)
-    coords = tp1_sq_coords(ctx, lam0)
-    m_h0 = maps["h0"].at(coords)
+    m_h0 = maps["h0"].at(basis_coords(bases["h0_sq"])(lam0))
     # H1(Theta) and H1(wedge2) are H0(Theta) dzbar_g and H0(wedge2) dzbar_g,
     # g = z1 then z2, and [lam0, v dzbar_g] = [lam0, v] dzbar_g: the H1 map
     # is diag(m_h0, m_h0)
-    pad = (LaurentPoly.zero(ctx.registry),) * m_h0.n_cols
+    pad = (LaurentPoly.zero(lam0.registry),) * m_h0.n_cols
     rows = [row + pad for row in m_h0.rows] + [pad + row for row in m_h0.rows]
-    m_h1 = LinMap(bases["h1_theta"], bases["h1_sq"], rows, ctx.registry)
-    K = lam0.coefficient(("z2", "xi"))
-    k = -lam0.coefficient(("z1", "xi")).exact_div(K) if K.terms else None
-    return TP1Matrices(ctx, lam0, bases, m_h0, maps["sq_cube"].at(coords), m_h1, K, k)
+    m_h1 = LinMap(bases["h1_theta"], bases["h1_sq"], rows, lam0.registry)
+    return DeformationComplexModel("TxP1", stratum, lam0, m_h1, basis_coords(bases["h1_sq"]),
+                                   bases["h0_sq"], lambda: m_h0, image_space(m_h0))
 
 
-def tp1_model(mats: TP1Matrices, stratum: str) -> DeformationComplexModel:
-    """The deformation-complex model of `mats`, with the bare image of m_h0
-    for cokernel space: on the 3-fold the bivector classes are the kernel
-    of the wedge^3 map modulo that image, and `tp1_classify` registers
-    their representatives."""
-    ctx = mats.ctx
-    reduce_h1_sq = Reducer("H1 wedge2 coords", lambda f: [
-        c for g in ("z1", "z2") for c in tp1_sq_coords(ctx, f.part((g,)))])
-    return DeformationComplexModel("TxP1", stratum, mats.m_h1, reduce_h1_sq, mats.bases["h0_sq"],
-                                   lambda: mats.m_h0, image_space(mats.m_h0))
-
-
-def tp1_dims(mats: TP1Matrices, model: DeformationComplexModel) -> dict:
-    """The dimensions of H0 and H1: H1 is the kernel of the wedge^3 map
-    modulo the image of m_h0, plus the kernel of m_h1.  `model` is
-    tp1_model(mats); the wedge^3 kernel is a 3-fold fact, counted here."""
-    rank_h0 = mats.m_h0.n_cols - model.dim_h0
-    middle_ker = mats.m_sq_cube.n_cols - generic_rank(mats.m_sq_cube)
+def tp1_dims(model: DeformationComplexModel) -> dict:
+    """The dimensions of H0 and H1 of a `tp1_model`: H1 is the kernel of
+    the wedge^3 map, summed from the stored family, modulo the image of
+    the H0 map, plus the kernel of the H1 map.  The wedge^3 kernel is a
+    3-fold fact, counted here."""
+    _, bases, maps = stored(("TxP1",), _tp1_frame)
+    m_sq_cube = maps["sq_cube"].at(basis_coords(bases["h0_sq"])(model.lam0))
+    rank_h0 = model.h0.n_cols - model.dim_h0
+    middle_ker = m_sq_cube.n_cols - generic_rank(m_sq_cube)
     return {"dim_h0": model.dim_h0, "dim_h1": middle_ker - rank_h0 + len(model.h1_kernel)}
 
 
-def tp1_mc_solution(mats: TP1Matrices, f_coeffs=None) -> MCSolution:
-    """The corrected class-2 solution, fully symbolic in t0..t8."""
-    ctx, lam0, m_h0, K, kpar = mats.ctx, mats.lam0, mats.m_h0, mats.K, mats.k
-    if kpar is None:
+def tp1_mc_solution(model: DeformationComplexModel, f_coeffs=None) -> MCSolution:
+    """The corrected solution on class 2, lam0 = D dz1^dz2 + K dz2^dxi -
+    k K dz1^dxi, fully symbolic in t0..t8."""
+    ctx, lam0, m_h0 = tp1_context(), model.lam0, model.h0
+    K = lam0.coefficient(("z2", "xi"))
+    if K.is_zero():
         raise ConstraintViolation("polynomial solutions are built on class 2")
+    kpar = -lam0.coefficient(("z1", "xi")).exact_div(K)
     if f_coeffs is None:
         gamma_map = [[m_h0.rows[i][j] for j in (2, 3, 4)] for i in (1, 2, 3)]
         gm = LinMap(LabeledBasis("gamma", ("g0", "g1", "g2")),
@@ -508,18 +391,26 @@ def tp1_integrability(sol: MCSolution) -> dict:
     return {"p14": p14, "p15": p15, "p16": p16}
 
 
-def tp1_classify(cls: TP1PoissonClass) -> Certificate:
-    ctx = tp1_context()
-    lam0 = tp1_lambda0(ctx, cls)
+def tp1_classify(lam0: MultiVector) -> Certificate:
+    """Verdict for a bivector in the span of H0(wedge2), which must be
+    Poisson: its class is read off its coordinates [c | a | b]."""
     if not schouten(lam0, lam0).is_zero():
-        raise ConstraintViolation("the bivector is not Poisson")
-    if cls.class_id == 3:
-        lam0 = tp1_lambda0(ctx, _swap_to_class2(cls))
-    mats = tp1_matrices(ctx, lam0)
+        raise ConstraintViolation("bivector violates the Poisson identity")
+    sq = stored(("TxP1",), _tp1_frame)[1]["h0_sq"]
+    read_sq = basis_coords(sq)
+    coords = read_sq(lam0)
+    c, a, b = coords[:1], coords[1:4], coords[4:]
+    if any(p.terms for p in a):
+        class_id = 2
+    elif any(p.terms for p in b):
+        # exchanging z1 and z2 makes class 3 class 2 with k = 0
+        class_id, lam0 = 3, combination([-p for p in c + b + a], sq)
+    else:
+        class_id = 1
     # the rank count and the class coordinates share one elimination of each map
-    model = tp1_model(mats, f"class-{cls.class_id}")
-    dim_h1 = tp1_dims(mats, model)["dim_h1"]
-    if cls.class_id == 1:
+    model = tp1_model(lam0, f"class-{class_id}")
+    dim_h1 = tp1_dims(model)["dim_h1"]
+    if class_id == 1:
         if dim_h1 != 17:
             raise AssertionError("class-1 first cohomology should have dimension 17")
         return Certificate(
@@ -529,42 +420,25 @@ def tp1_classify(cls: TP1PoissonClass) -> Certificate:
                    "structure embed untouched",
             data={"dim_h1": dim_h1},
         )
-    sol = tp1_mc_solution(mats)
+    sol = tp1_mc_solution(model)
     pieces = tp1_integrability(sol)
     for name, val in pieces.items():
         if not val.is_zero():
             raise AssertionError(f"integrability piece {name} did not vanish")
-    # cokernel representatives of the bivector block: dz1^dz2, the
-    # F-direction, and K dxi^dz1
+    # cokernel representatives of the bivector block: the bivector parts of
+    # the t0, t1 and t2 tangents, dz1^dz2, K dxi^dz1 and the F-direction
     tangents = sol.tangents()
-    F = tangents[2].part(()).coefficient(("z2", "xi"))
-    for r in (ctx.mv(ctx.const(1), ("z1", "z2")),
-              ctx.mv(F, ("z2", "xi")) - ctx.mv(mats.k * F, ("z1", "xi")),
-              -ctx.mv(mats.K, ("z1", "xi"))):
-        model.coker.add(tp1_sq_coords(ctx, r), rep=True)
-    columns = [model.coords(tp1_sq_coords(ctx, el.part(())),
-                            tp1_theta_coords(ctx, el.part(("z1",)))
-                            + tp1_theta_coords(ctx, el.part(("z2",))))
-               for el in tangents]
-    if not model.fills(columns):
+    for tangent in tangents[:3]:
+        model.coker.add(read_sq(tangent.part(())), rep=True)
+    if not model.fills(_tangent_classes(model, tangents)):
         raise AssertionError("tangent map does not fill the 9 directions")
     if dim_h1 != 9:
         raise AssertionError("expected dim H1 = 9 on this class")
     return Certificate(
-        "TxP1", f"class-{cls.class_id}", UNOBSTRUCTED_MC,
+        "TxP1", f"class-{class_id}", UNOBSTRUCTED_MC,
         reason="verified polynomial Maurer-Cartan solution",
         data={"dim_h1": dim_h1},
     )
-
-
-def _swap_to_class2(cls: TP1PoissonClass) -> TP1PoissonClass:
-    """Exchange the torus coordinates: class 3 becomes class 2 with k = 0."""
-    coeffs = dict(cls.coeffs)
-    out = {"k": 0}
-    for name in ("A", "B", "C", "D"):
-        if name in coeffs and coeffs[name] is not None:
-            out[name] = -coeffs[name]
-    return TP1PoissonClass(2, out)
 
 
 # ----------------------------------------------------------------------

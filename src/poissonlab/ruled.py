@@ -27,8 +27,8 @@ from functools import cached_property
 
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import LabeledBasis, LinMap, MapFamily, NotInSpan, Reducer, matrix_of_map
-from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
-                          pushforward, schouten)
+from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, basis_coords,
+                          combination, pushforward, schouten)
 from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel, NotACocycle,
                           bracket_family, r4_search, stored)
 
@@ -136,9 +136,19 @@ class RuledPoisson:
         self.f = f
 
     def bivector(self) -> MultiVector:
+        """(d + e xi + f xi^2) dz ^ dxi.  `complex_model` builds it for
+        every Table 1 row, which never builds the H0 map that reads it, so
+        it is formed with no product: d, e and f are free of xi, so each
+        term only gains its xi exponent, placed in its key behind that of
+        z, and the three parts share no key."""
         s = self.surface
-        coeff = self.d + self.e * s.xi() + self.f * s.xi(2)
-        return s.mv(coeff, ("z", "xi"))
+        xi = s.registry.index("xi")
+        terms = {}
+        for power, part in enumerate((self.d, self.e, self.f)):
+            for key, coef in part.terms.items():
+                at = sum(1 for idx, _ in key if idx < xi)
+                terms[key[:at] + ((xi, power),) + key[at:] if power else key] = coef
+        return s.mv(LaurentPoly._of_terms(s.registry, terms), ("z", "xi"))
 
     def e_is_zero(self) -> bool:
         return self.e.is_zero()
@@ -324,34 +334,6 @@ def reduce_h1_sq(rs: RuledSurface) -> Reducer:
     return Reducer(f"H1(F{rs.m},Wedge2Theta) classes", fn)
 
 
-def reduce_h0_sq(rs: RuledSurface) -> Reducer:
-    """Coordinates of a global bivector in the monomial H0 basis."""
-    m = rs.m
-
-    def fn(v: MultiVector):
-        pois = poisson_from_bivector(rs, v)
-        coords = []
-        if m <= 2:
-            for j in range(2 - m + 1):
-                coords.append(pois.d.coefficient_of("z", j))
-        elif not pois.d.is_zero():
-            raise NotInSpan("no xi-free global bivectors for m >= 3")
-        for j in range(3):
-            coords.append(pois.e.coefficient_of("z", j))
-        for j in range(m + 3):
-            coords.append(pois.f.coefficient_of("z", j))
-        # anything outside the caps means the input was not global
-        for name, poly, cap in (("d", pois.d, 2 - m), ("e", pois.e, 2), ("f", pois.f, m + 2)):
-            if poly.is_zero():
-                continue
-            lo, hi = poly.degree_range("z")
-            if lo < 0 or hi > max(cap, 0):
-                raise NotInSpan(f"{name}-part outside the global degree caps")
-        return coords
-
-    return Reducer(f"H0(F{m},Wedge2Theta) coordinates", fn)
-
-
 # ----------------------------------------------------------------------
 # the bracket matrices and Table 1
 
@@ -383,15 +365,16 @@ def h1_bracket_matrix(rs: RuledSurface, pois: RuledPoisson) -> LinMap:
 def h0_bracket_matrix(rs: RuledSurface, lam0: MultiVector) -> LinMap:
     """[lam0, -] on global sections."""
     return matrix_of_map(lambda b: schouten(lam0, b), rs.bases["h0_theta"], rs.bases["h0_sq"],
-                         reduce_h0_sq(rs), rs.registry)
+                         basis_coords(rs.bases["h0_sq"]), rs.registry)
 
 
 def complex_model(rs: RuledSurface, pois: RuledPoisson) -> DeformationComplexModel:
     """The deformation complex of `pois` on F_m; Table 1 reads only its H1
     map, so the H0 map is built only for an H0-level answer."""
+    lam0 = pois.bivector()
     return DeformationComplexModel(
-        f"F{rs.m}", pois.stratum(), h1_bracket_matrix(rs, pois), reduce_h1_sq(rs),
-        rs.bases["h0_sq"], lambda: h0_bracket_matrix(rs, pois.bivector()))
+        f"F{rs.m}", pois.stratum(), lam0, h1_bracket_matrix(rs, pois), reduce_h1_sq(rs),
+        rs.bases["h0_sq"], lambda: h0_bracket_matrix(rs, lam0))
 
 
 class Table1Row:
@@ -424,7 +407,7 @@ def lemma_r4_certificate(rs: RuledSurface, pois: RuledPoisson) -> Certificate:
     if all(p.is_zero() for p in cls):
         raise AssertionError("canonical witness class vanished")
     model = complex_model(rs, pois)
-    if model.h1_image_space().contains(list(cls)):
+    if model.h1_image.contains(list(cls)):
         raise AssertionError("canonical witness class lies in the bracket image")
     return Certificate(f"F{rs.m}", pois.stratum(), OBSTRUCTED,
                        witness={"a": str(a), "b": str(b)},
@@ -441,9 +424,8 @@ def hyper_h1(rs: RuledSurface, pois: RuledPoisson) -> DeformationComplexModel:
     return complex_model(rs, pois)
 
 
-def hyper_class_coords(rs: RuledSurface, model: DeformationComplexModel, lam0: MultiVector,
-                       lam1: MultiVector, lam2_primed: MultiVector,
-                       theta12: MultiVector) -> list[LaurentPoly]:
+def hyper_class_coords(rs: RuledSurface, model: DeformationComplexModel, lam1: MultiVector,
+                       lam2_primed: MultiVector, theta12: MultiVector) -> list[LaurentPoly]:
     """Coordinates of the hypercohomology class of a Cech pair.
 
     The pair is ({lam1 on U1, lam2 on U2}, theta12 on the overlap) over
@@ -451,6 +433,7 @@ def hyper_class_coords(rs: RuledSurface, model: DeformationComplexModel, lam0: M
     coordinates followed by the kernel-window coordinates, in the model's
     basis order.
     """
+    lam0 = model.lam0
     pull = pushforward(rs.transition.inverse_map(), lam2_primed)
     cocycle = pull - lam1 + schouten(lam0, theta12)
     if not cocycle.is_zero():
@@ -482,7 +465,7 @@ def hyper_class_coords(rs: RuledSurface, model: DeformationComplexModel, lam0: M
     glob2 = pull + nu2_total + schouten(lam0, r2)
     if glob1 != glob2:
         raise AssertionError("adjusted bivector parts disagree across charts")
-    return model.coords(reduce_h0_sq(rs)(glob1), ker_window)
+    return model.coords(basis_coords(rs.bases["h0_sq"])(glob1), ker_window)
 
 
 # ----------------------------------------------------------------------
@@ -661,7 +644,6 @@ def verify_family(fam: RuledFamily, expected_basis: Sequence[str] | None = None
     if not square.is_zero():
         raise AssertionError("[Lambda_t, Lambda_t] != 0")
     model = hyper_h1(rs, fam.base)
-    lam0 = fam.base.bivector()
     zero_t = {t: LaurentPoly.const(reg, 0) for t in fam.params}
     columns = []
     xip_expr = fam.transition_t.forward["xip"]
@@ -672,7 +654,7 @@ def verify_family(fam: RuledFamily, expected_basis: Sequence[str] | None = None
         dxi = xip_expr.partial(tname).substitute(zero_t)
         theta21 = rs.mv(dxi * rs.z(-rs.m), ("xi",))
         theta12 = -theta21
-        columns.append(hyper_class_coords(rs, model, lam0, lam1, lam2, theta12))
+        columns.append(hyper_class_coords(rs, model, lam1, lam2, theta12))
     dim = model.dim_h1
     basis = [str(e) for e in model.elements]
     if expected_basis is not None and list(expected_basis) != basis:

@@ -221,8 +221,8 @@ def test_10_undetermined_strata():
 
 
 def test_11_elliptic_times_line():
-    mats = products.ep1_bracket_matrices()
-    m_h1, m_h0 = mats.m_h1, mats.m_h0
+    model = products.ep1_model()
+    m_h1, m_h0 = model.h1, model.h0
     rows = [[str(e) for e in r] for r in m_h1.rows]
     assert rows == [["0", "-B", "A", "0"], ["0", "-2*C", "0", "2*A"],
                     ["0", "0", "-C", "B"]]
@@ -230,7 +230,7 @@ def test_11_elliptic_times_line():
     assert generic_rank(m_h1) == 2
     assert [[str(p) for p in v] for v in kernel_basis(m_h1)] == [
         ["1", "0", "0", "0"], ["0", "A", "B", "C"]]
-    sol = products.ep1_mc_solution(mats)
+    sol = products.ep1_mc_solution(model)
     assert sol.defect().is_zero()
     cert = products.ep1_classify(1, 0, 0)
     assert cert.verdict == UNOBSTRUCTED_MC
@@ -248,14 +248,13 @@ def test_11_elliptic_times_line():
 
 def test_12_torus_times_line():
     ctx = products.tp1_context()
-    mats = {cid: products.tp1_matrices(ctx, products.tp1_lambda0(
-        ctx, products.TP1PoissonClass(cid, {}))) for cid in (1, 2, 3)}
-    dims = {cid: products.tp1_dims(m, products.tp1_model(m, f"class-{cid}"))
-            for cid, m in mats.items()}
+    models = {cid: products.tp1_model(products.tp1_lambda0(cid), f"class-{cid}")
+              for cid in (1, 2, 3)}
+    dims = {cid: products.tp1_dims(m) for cid, m in models.items()}
     assert dims[1]["dim_h1"] == 17
     assert dims[2]["dim_h1"] == 9
     assert dims[3]["dim_h1"] == 9
-    sol = products.tp1_mc_solution(mats[2])
+    sol = products.tp1_mc_solution(models[2])
     pieces = products.tp1_integrability(sol)
     assert all(v.is_zero() for v in pieces.values())
     # deletion residuals: strip each correction and recheck

@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import poissonlab.cli as cli_mod
 import poissonlab.expr as expr_mod
@@ -70,6 +71,31 @@ def test_classify_commands():
     assert json.loads(out)["verdict"] == "unobstructed_mc"
     code, out = run_cli("classify", "torus:3", "--poisson", "@z1^@z2")
     assert json.loads(out)["data"]["dim_h1"] == 12
+
+
+_QS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_TRIPLES = st.lists(_QS, min_size=3, max_size=3)
+
+
+@given(d=_QS, b=st.one_of(st.just([0, 0, 0]), _TRIPLES), c=st.one_of(st.none(), _TRIPLES),
+       r=_QS)
+@example(d=1, b=[0, 1, 0], c=[1, 0, 0], r=0)
+@settings(max_examples=25, deadline=None)
+def test_tp1_verdict_follows_proportionality(d, b, c, r):
+    # D dz1^dz2 + b(xi) dz2^dxi + c(xi) dz1^dxi is Poisson exactly when the
+    # coefficient vectors b and c are proportional; c = None draws c = r b
+    c = [r * x for x in b] if c is None else c
+    poly = lambda v: f"(({v[0]}) + ({v[1]})*xi + ({v[2]})*xi^2)"  # noqa: E731
+    code, out, err = _served(("classify", "tp1", "--poisson",
+                              f"({d})*(@z1^@z2) + {poly(b)}*(@z2^@xi) + {poly(c)}*(@z1^@xi)"))
+    if any(b[i] * c[j] != b[j] * c[i] for i in range(3) for j in range(i + 1, 3)):
+        assert (code, out, err) == (1, "", "error: bivector violates the Poisson identity\n")
+        return
+    class_id = 2 if any(b) else 3 if any(c) else 1
+    doc = json.loads(out)
+    assert code == 0 and doc["stratum"] == f"class-{class_id}"
+    assert doc["data"] == {"dim_h1": 17 if class_id == 1 else 9}
+    assert doc["verdict"] == ("obstructed" if class_id == 1 else "unobstructed_mc")
 
 
 def test_verify_family_exit_codes():

@@ -434,3 +434,61 @@ def test_multivector_results_are_canonical(a, b, f, c):
 def test_formed_multivector_sums_are_canonical(a, b):
     for x in (a + b, a - b, a - a, -a):
         _assert_canonical(x)
+
+
+# basis_coords, the inverse of combination on a basis of single terms: a
+# scalar times a chart monomial times a frame, on formed fields too
+
+def _term_basis():
+    from poissonlab.linalg import LabeledBasis
+    x = LaurentPoly.var(REG, "x")
+    u = LaurentPoly.var(REG, "u")
+    one = LaurentPoly.one(REG)
+    fields = (MultiVector.term(CH, REG, one, ("x",)),
+              MultiVector.term(CH, REG, u * 2, ("y",)),
+              MultiVector.term(CH, REG, -(x * u), ("x", "u")),
+              MultiVector.term(CH, REG, u ** -1, ("x", "u")))
+    formed = tuple(FormedMultiVector.of(f, ("x", "y"), (g,)) for g in ("x", "y") for f in fields)
+    return LabeledBasis("fields", fields), LabeledBasis("formed", formed)
+
+
+@st.composite
+def basis_weights(draw):
+    """Polynomials in the parameters a, b only, zero included."""
+    out = {}
+    for _ in range(draw(st.integers(0, 2))):
+        key = tuple((idx, e) for idx, e in ((3, draw(st.integers(-1, 2))),
+                                            (4, draw(st.integers(0, 2)))) if e)
+        out[key] = GaussianRational(draw(st.integers(-3, 3)), draw(st.integers(-2, 2)))
+    return LaurentPoly(REG, out)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_basis_coords_inverts_combination(data):
+    from poissonlab.multivector import basis_coords, combination
+    for basis in _term_basis():
+        coeffs = [data.draw(basis_weights()) for _ in basis]
+        el = combination(coeffs, basis)
+        if el is None:
+            continue
+        assert basis_coords(basis)(el) == coeffs
+
+
+def test_basis_coords_rejects_a_term_outside_the_basis():
+    from poissonlab.linalg import NotInSpan
+    from poissonlab.multivector import basis_coords
+    fields, formed = _term_basis()
+    x = LaurentPoly.var(REG, "x")
+    a = LaurentPoly.var(REG, "a")
+    read = basis_coords(fields)
+    assert [str(c) for c in read(fields[0].scale(a) + fields[2].scale(a * 3))] == [
+        "a", "0", "3*a", "0"]
+    for outside in (MultiVector.term(CH, REG, x, ("x",)),          # another monomial
+                    MultiVector.term(CH, REG, a, ("y",)),          # another frame
+                    MultiVector.term(CH, REG, a * x, ("x", "y"))):
+        with pytest.raises(NotInSpan):
+            read(fields[0] + outside)
+    # a formed field is read by its form factor too
+    with pytest.raises(NotInSpan):
+        basis_coords(formed)(FormedMultiVector.of(fields[0], ("x", "y"), ("x", "y")))

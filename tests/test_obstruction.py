@@ -14,10 +14,9 @@ from poissonlab.obstruction import (OBSTRUCTED, UNDETERMINED, Certificate,
                                     DeformationComplexModel, DolbeaultModel, NotACocycle,
                                     class_is_zero, primary_obstruction, r4_search,
                                     verify_certificate)
-from poissonlab.products import (TP1PoissonClass, ep1_bracket_matrices, ep1_classify,
-                                 ep1_context, ep1_dolbeault_model, ep1_mc_solution,
-                                 tp1_classify, tp1_context, tp1_dims, tp1_lambda0,
-                                 tp1_matrices, tp1_model)
+from poissonlab.products import (ep1_classify, ep1_context, ep1_dolbeault_model,
+                                 ep1_mc_solution, ep1_model, tp1_classify, tp1_dims,
+                                 tp1_context, tp1_lambda0, tp1_model)
 from poissonlab.ruled import (FAMILIES, KSDegenerate, RuledPoisson, complex_model,
                               make_surface, verify_family)
 from hopf_cases import STRATA
@@ -59,7 +58,7 @@ def test_primary_obstruction_ep1_witness():
 def test_primary_obstruction_vanishes_on_mc_tangent():
     # the first-order term of a verified solution has vanishing square class
     model = ep1_dolbeault_model()
-    sol = ep1_mc_solution(ep1_bracket_matrices())
+    sol = ep1_mc_solution(ep1_model())
     ctx = ep1_context()
     reg = ctx.registry
     zero_t = {t: LaurentPoly.const(reg, 0) for t in sol.params}
@@ -165,6 +164,21 @@ def test_r4_search_certificates_and_reverify():
     assert not verify_certificate(bad, model, parse_element)
 
 
+def test_search_and_reverification_share_one_image_space(monkeypatch):
+    # the H1 image is eliminated once per model, like its kernel
+    built, real = [], obstruction.image_space
+    monkeypatch.setattr(obstruction, "image_space", lambda m: built.append(m) or real(m))
+    rs = make_surface(6)
+    zero = LaurentPoly.zero(rs.registry)
+    model = complex_model(rs, RuledPoisson(rs, zero, zero, rs.z(2)))
+    cert = r4_search(model)
+    ectx = EvalContext(rs.chart1, rs.registry, ())
+    assert cert.verdict == OBSTRUCTED
+    assert verify_certificate(Certificate.from_json(cert.to_json()), model,
+                              lambda src: eval_str(src, ectx).part(()))
+    assert built == [model.h1]
+
+
 def test_r4_search_unobstructed_and_undetermined():
     rs = make_surface(3)
     zero = LaurentPoly.zero(rs.registry)
@@ -219,7 +233,7 @@ def test_r4_search_brackets_nothing_when_h2_is_zero(monkeypatch):
     for model, verdict, n in decided:
         assert (verdict, n) == ("unobstructed_h2_zero", 0)
         # the fact the early return rests on: the H1 image is the whole window
-        assert model.h1_image_space().rank == len(model.h1_sq)
+        assert model.h1_image.rank == len(model.h1_sq)
     # the e = 0 rows still search, and find their witness by bracketing
     assert all(verdict == OBSTRUCTED and n > 0
                for model, verdict, n in seen if model.dim_h2 > 0)
@@ -240,7 +254,7 @@ ONTO_CHECKS = {
                  "the map onto first cohomology classes is not onto"),
     "ep1": (lambda: ep1_classify(None, None, None), AssertionError,
             "tangent map is not onto first cohomology"),
-    "tp1": (lambda: tp1_classify(TP1PoissonClass(2, {})), AssertionError,
+    "tp1": (lambda: tp1_classify(tp1_lambda0(2)), AssertionError,
             "tangent map does not fill the 9 directions"),
 }
 
@@ -297,9 +311,8 @@ def _hopf_ranks(t, stratum):
 
 
 def _tp1_dim_h1(class_id):
-    ctx = tp1_context()
-    mats = tp1_matrices(ctx, tp1_lambda0(ctx, TP1PoissonClass(class_id, {})))
-    return tp1_dims(mats, tp1_model(mats, f"class-{class_id}"))["dim_h1"], {1: 17, 2: 9}[class_id]
+    model = tp1_model(tp1_lambda0(class_id), f"class-{class_id}")
+    return tp1_dims(model)["dim_h1"], {1: 17, 2: 9}[class_id]
 
 
 def _one_model_cases():

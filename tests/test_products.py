@@ -1,24 +1,31 @@
 import pytest
 
 from poissonlab.laurent import LaurentPoly, VarRegistry
-from poissonlab.linalg import Reducer, generic_rank, kernel_basis, matrix_of_map
-from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
+from poissonlab.linalg import NotInSpan, generic_rank, kernel_basis, matrix_of_map
+from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector, basis_coords,
                                     schouten, schouten_formed)
 from poissonlab import obstruction
 from poissonlab.obstruction import OBSTRUCTED, UNOBSTRUCTED_MC, DeformationComplexModel
-from poissonlab.products import (ConstraintViolation, TP1PoissonClass,
-                                 ep1_bases, ep1_bracket_matrices, ep1_classify,
-                                 ep1_context, ep1_lambda0, ep1_mc_solution, torus_dims,
+from poissonlab.products import (ConstraintViolation,
+                                 ep1_bases, ep1_classify, ep1_context, ep1_lambda0,
+                                 ep1_mc_solution, ep1_model, torus_dims,
                                  tp1_bases, tp1_classify, tp1_context,
                                  tp1_dims, tp1_integrability, tp1_model,
-                                 tp1_lambda0, tp1_matrices, tp1_mc_solution)
+                                 tp1_lambda0, tp1_mc_solution)
 from poissonlab.rational import GaussianRational
 import poissonlab.products as products_mod
 
 
-def _tp1_mats(class_id):
+def _tp1_model(class_id):
+    return tp1_model(tp1_lambda0(class_id), f"class-{class_id}")
+
+
+def _tp1_point(point):
+    """The class-2 bivector at numeric D, A, B, C and k."""
     ctx = tp1_context()
-    return tp1_matrices(ctx, tp1_lambda0(ctx, TP1PoissonClass(class_id, {})))
+    reg = ctx.registry
+    return tp1_lambda0(2).map_coefficients(lambda p: p.substitute(
+        {name: LaurentPoly.const(reg, v) for name, v in point.items()}))
 
 
 def _tangent_columns(monkeypatch, run):
@@ -45,8 +52,8 @@ def test_basis_dimensions():
 
 
 def test_ep1_matrices_match_displayed_form():
-    mats = ep1_bracket_matrices()
-    m_h1, m_h0 = mats.m_h1, mats.m_h0
+    model = ep1_model()
+    m_h1, m_h0 = model.h1, model.h0
     rows = [[str(e) for e in r] for r in m_h1.rows]
     assert rows == [["0", "-B", "A", "0"],
                     ["0", "-2*C", "0", "2*A"],
@@ -59,22 +66,22 @@ def test_ep1_matrices_match_displayed_form():
 
 
 def test_ep1_specialized_ranks():
-    m_h1 = ep1_bracket_matrices(0, 0, 0).m_h1
+    m_h1 = ep1_model(0, 0, 0).h1
     assert generic_rank(m_h1) == 0
-    m_h1 = ep1_bracket_matrices(1, 2, 1).m_h1
+    m_h1 = ep1_model(1, 2, 1).h1
     assert generic_rank(m_h1) == 2
-    m_h0 = ep1_bracket_matrices(1, 0, 0).m_h0
+    m_h0 = ep1_model(1, 0, 0).h0
     assert generic_rank(m_h0) == 2
 
 
 def test_nonzero_ep1_classify_builds_its_matrices_once(monkeypatch):
-    calls, real = [], products_mod.ep1_bracket_matrices
+    calls, real = [], products_mod.ep1_model
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(products_mod, "ep1_bracket_matrices", counted)
+    monkeypatch.setattr(products_mod, "ep1_model", counted)
     assert ep1_classify(1, 2, 0).verdict == UNOBSTRUCTED_MC
     assert calls == [(1, 2, 0)]
 
@@ -85,14 +92,14 @@ def test_the_frame_store_is_the_only_module_state():
     assert mutable == []
     # the product frames are built once, kept in the one store, and shared
     assert ep1_context() is ep1_context() and tp1_context() is tp1_context()
-    assert ep1_bracket_matrices().ctx is ep1_context()
-    assert _tp1_mats(1).bases is _tp1_mats(2).bases
+    assert ep1_model().h0_sq is ep1_model(1, 0, 0).h0_sq is obstruction._STORE["ExP1",][1]["h0_sq"]
+    assert _tp1_model(1).h0_sq is _tp1_model(2).h0_sq is obstruction._STORE["TxP1",][1]["h0_sq"]
     assert obstruction._STORE["ExP1",][0] is ep1_context()
     assert obstruction._STORE["TxP1",][0] is tp1_context()
 
 
 def test_ep1_mc_defect_vanishes_symbolically():
-    sol = ep1_mc_solution(ep1_bracket_matrices())
+    sol = ep1_mc_solution(ep1_model())
     assert sol.defect().is_zero()
 
 
@@ -100,7 +107,7 @@ def test_ep1_mc_defect_vanishes_with_symbolic_cokernel_choice():
     # any (F0,F1,F2) kills the defect; the cokernel condition only
     # matters for the tangent map
     ctx = ep1_context()
-    sol = ep1_mc_solution(ep1_bracket_matrices())
+    sol = ep1_mc_solution(ep1_model())
     fsym = (ctx.param("F0"), ctx.param("F1"), ctx.param("F2"))
     lam0 = ep1_lambda0(ctx)
     kpoly = lam0.coefficient(("z", "xi"))
@@ -116,7 +123,7 @@ def test_ep1_mc_defect_vanishes_with_symbolic_cokernel_choice():
 
 
 def test_ep1_mc_t2_zero_slice():
-    sol = ep1_mc_solution(ep1_bracket_matrices())
+    sol = ep1_mc_solution(ep1_model())
     reg = sol.lambda0.registry
     slice_sub = {"t2": LaurentPoly.const(reg, 0)}
     el = sol.element().map_coefficients(lambda p: p.substitute(slice_sub))
@@ -127,7 +134,7 @@ def test_ep1_mc_t2_zero_slice():
 def test_ep1_defect_residual_without_correction():
     ctx = ep1_context()
     lam0 = ep1_lambda0(ctx)
-    sol = ep1_mc_solution(ep1_bracket_matrices())
+    sol = ep1_mc_solution(ep1_model())
     # drop the t0 t2 correction: the defect equals -t0 t2 [lam0, F dxi dzbar]
     corr = ctx.formed(ctx.mv(ctx.param("t0") * ctx.param("t2") * ctx.const(1), ("xi",)), ("z",))
     reps = sol.beta.part(()).coefficient(("z", "xi"))
@@ -186,16 +193,14 @@ def test_tp1_poisson_condition_equivalence():
 
 
 def test_tp1_lambda0_is_poisson_per_class():
-    ctx = tp1_context()
     for cid in (1, 2, 3):
-        lam = tp1_lambda0(ctx, TP1PoissonClass(cid, {}))
+        lam = tp1_lambda0(cid)
         assert schouten(lam, lam).is_zero()
 
 
 def test_tp1_dims_table():
     def dims(class_id):
-        mats = _tp1_mats(class_id)
-        return tp1_dims(mats, tp1_model(mats, f"class-{class_id}"))
+        return tp1_dims(_tp1_model(class_id))
 
     assert dims(1)["dim_h1"] == 17
     assert dims(2)["dim_h1"] == 9
@@ -203,7 +208,7 @@ def test_tp1_dims_table():
 
 
 def test_tp1_integrability_identities():
-    sol = tp1_mc_solution(_tp1_mats(2))
+    sol = tp1_mc_solution(_tp1_model(2))
     pieces = tp1_integrability(sol)
     assert all(v.is_zero() for v in pieces.values())
 
@@ -238,7 +243,7 @@ def _tp1_split_linear(sol):
 
 
 def test_tp1_deletion_residuals():
-    sol = tp1_mc_solution(_tp1_mats(2))
+    sol = tp1_mc_solution(_tp1_model(2))
     ctx, lam_lin, lam_corr, phi_lin, phi_corr = _tp1_split_linear(sol)
     lam0 = sol.lambda0
     lam0f = FormedMultiVector.of(lam0, sol.beta.dbar_vars)
@@ -267,7 +272,7 @@ def test_tp1_deletion_residuals():
 
 
 def test_tp1_ks_matrix_full_rank(monkeypatch):
-    columns = _tangent_columns(monkeypatch, lambda: tp1_classify(TP1PoissonClass(2, {})))
+    columns = _tangent_columns(monkeypatch, lambda: tp1_classify(tp1_lambda0(2)))
     rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
     assert len(rows) == 9
     from poissonlab.linalg import LabeledBasis, LinMap
@@ -278,19 +283,23 @@ def test_tp1_ks_matrix_full_rank(monkeypatch):
 
 
 def test_tp1_classify():
-    assert tp1_classify(TP1PoissonClass(1, {})).verdict == OBSTRUCTED
-    assert tp1_classify(TP1PoissonClass(2, {})).verdict == UNOBSTRUCTED_MC
-    cert3 = tp1_classify(TP1PoissonClass(3, {}))
+    assert tp1_classify(tp1_lambda0(1)).verdict == OBSTRUCTED
+    assert tp1_classify(tp1_lambda0(2)).verdict == UNOBSTRUCTED_MC
+    cert3 = tp1_classify(tp1_lambda0(3))
     assert cert3.verdict == UNOBSTRUCTED_MC
     assert cert3.data == {"dim_h1": 9}
-    with pytest.raises(ConstraintViolation):
-        TP1PoissonClass(2, {"A": 0, "B": 0, "C": 0})
+    # (A, B, C) = 0 leaves D dz1^dz2, a structure of class 1
+    cert = tp1_classify(_tp1_point({"A": 0, "B": 0, "C": 0}))
+    assert (cert.stratum, cert.verdict) == ("class-1", OBSTRUCTED)
+    ctx = tp1_context()
+    with pytest.raises(ConstraintViolation, match="bivector violates the Poisson identity"):
+        tp1_classify(ctx.mv(ctx.xi(), ("z2", "xi")) + ctx.mv(ctx.const(1), ("z1", "xi")))
 
 
 def test_tp1_class2_numeric_points():
-    cert = tp1_classify(TP1PoissonClass(2, {"D": 0, "A": 1, "B": 0, "C": 0, "k": 0}))
+    cert = tp1_classify(_tp1_point({"D": 0, "A": 1, "B": 0, "C": 0, "k": 0}))
     assert cert.verdict == UNOBSTRUCTED_MC
-    cert = tp1_classify(TP1PoissonClass(2, {"D": 1, "A": 0, "B": 1, "C": 0, "k": 2}))
+    cert = tp1_classify(_tp1_point({"D": 1, "A": 0, "B": 1, "C": 0, "k": 2}))
     assert cert.verdict == UNOBSTRUCTED_MC
 
 
@@ -308,30 +317,24 @@ def test_torus_dims():
 def _direct_ep1_maps(lam0):
     ctx = ep1_context()
     bases = ep1_bases(ctx)
-    sq = lambda v: products_mod._ep1_sq_coords(ctx, v)  # noqa: E731
     lam0f = FormedMultiVector.of(lam0, ctx.dbar)
     m_h0 = matrix_of_map(lambda x: schouten(lam0, x), bases["h0_theta"], bases["h0_sq"],
-                         Reducer("sq", sq), ctx.registry)
+                         basis_coords(bases["h0_sq"]), ctx.registry)
     m_h1 = matrix_of_map(lambda x: schouten_formed(lam0f, x), bases["h1_theta"],
-                         bases["h1_sq"], Reducer("formed sq", lambda f: sq(f.part(("z",)))),
-                         ctx.registry)
+                         bases["h1_sq"], basis_coords(bases["h1_sq"]), ctx.registry)
     return m_h0, m_h1
 
 
 def _direct_tp1_maps(lam0):
     ctx = tp1_context()
     bases = tp1_bases(ctx)
-    sq = lambda v: products_mod.tp1_sq_coords(ctx, v)  # noqa: E731
     lam0f = FormedMultiVector.of(lam0, ctx.dbar)
     m_h0 = matrix_of_map(lambda x: schouten(lam0, x), bases["h0_theta"], bases["h0_sq"],
-                         Reducer("sq", sq), ctx.registry)
+                         basis_coords(bases["h0_sq"]), ctx.registry)
     m_sq_cube = matrix_of_map(lambda x: schouten(lam0, x), bases["h0_sq"], bases["h0_cube"],
-                              Reducer("cube", lambda v: products_mod.tp1_cube_coords(ctx, v)),
-                              ctx.registry)
+                              basis_coords(bases["h0_cube"]), ctx.registry)
     m_h1 = matrix_of_map(lambda x: schouten_formed(lam0f, x), bases["h1_theta"],
-                         bases["h1_sq"],
-                         Reducer("formed sq", lambda f: sq(f.part(("z1",))) + sq(f.part(("z2",)))),
-                         ctx.registry)
+                         bases["h1_sq"], basis_coords(bases["h1_sq"]), ctx.registry)
     return m_h0, m_sq_cube, m_h1
 
 
@@ -342,29 +345,30 @@ _TP1_POINTS = ({"D": 0, "A": 1, "B": 0, "C": 0, "k": 0},
 @pytest.mark.parametrize("abc", [(None, None, None), (0, 0, 0), (1, 0, 0), (0, 0, 5),
                                  (2, -3, 1)])
 def test_ep1_summed_maps_equal_the_direct_brackets(abc):
-    mats = ep1_bracket_matrices(*abc)
-    m_h0, m_h1 = _direct_ep1_maps(mats.lam0)
-    assert mats.m_h0.rows == m_h0.rows
-    assert mats.m_h1.rows == m_h1.rows
+    model = ep1_model(*abc)
+    m_h0, m_h1 = _direct_ep1_maps(model.lam0)
+    assert model.h0.rows == m_h0.rows
+    assert model.h1.rows == m_h1.rows
 
 
-@pytest.mark.parametrize("cls", [TP1PoissonClass(1, {}), TP1PoissonClass(2, {}),
-                                 TP1PoissonClass(3, {})]
-                         + [TP1PoissonClass(2, point) for point in _TP1_POINTS])
-def test_tp1_summed_maps_equal_the_direct_brackets(cls):
-    ctx = tp1_context()
-    lam0 = tp1_lambda0(ctx, cls)
-    mats = tp1_matrices(ctx, lam0)
+@pytest.mark.parametrize("lam0", [lambda: tp1_lambda0(1), lambda: tp1_lambda0(2),
+                                  lambda: tp1_lambda0(3)]
+                         + [lambda point=point: _tp1_point(point) for point in _TP1_POINTS],
+                         ids=[f"cls{k}" for k in range(5)])
+def test_tp1_summed_maps_equal_the_direct_brackets(lam0):
+    lam0 = lam0()
+    model = tp1_model(lam0, "any")
     m_h0, m_sq_cube, m_h1 = _direct_tp1_maps(lam0)
-    assert mats.m_h0.rows == m_h0.rows
-    assert mats.m_sq_cube.rows == m_sq_cube.rows
-    assert mats.m_h1.rows == m_h1.rows
+    assert model.h0.rows == m_h0.rows
+    sq_cube = obstruction._STORE["TxP1",][2]["sq_cube"]
+    assert sq_cube.at(basis_coords(model.h0_sq)(lam0)).rows == m_sq_cube.rows
+    assert model.h1.rows == m_h1.rows
 
 
 def test_tp1_matrices_reject_a_bivector_outside_the_basis_span():
     ctx = tp1_context()
-    with pytest.raises(products_mod.NotInSpan):
-        tp1_matrices(ctx, ctx.mv(ctx.param("z1"), ("z1", "z2")))
+    with pytest.raises(NotInSpan):
+        tp1_model(ctx.mv(ctx.param("z1"), ("z1", "z2")), "any")
 
 
 def _tangents_reference(sol):
@@ -376,11 +380,10 @@ def _tangents_reference(sol):
 
 
 @pytest.mark.parametrize("sol", [
-    lambda: ep1_mc_solution(ep1_bracket_matrices()),
-    lambda: ep1_mc_solution(ep1_bracket_matrices(1, 2, 0)),
-    lambda: tp1_mc_solution(_tp1_mats(2)),
-    lambda: tp1_mc_solution(tp1_matrices(tp1_context(), tp1_lambda0(
-        tp1_context(), TP1PoissonClass(2, _TP1_POINTS[1])))),
+    lambda: ep1_mc_solution(ep1_model()),
+    lambda: ep1_mc_solution(ep1_model(1, 2, 0)),
+    lambda: tp1_mc_solution(_tp1_model(2)),
+    lambda: tp1_mc_solution(tp1_model(_tp1_point(_TP1_POINTS[1]), "class-2")),
 ], ids=["ep1-symbolic", "ep1-numeric", "tp1-symbolic", "tp1-numeric"])
 def test_tangents_equal_the_per_parameter_derivatives(sol):
     sol = sol()

@@ -99,6 +99,26 @@ def test_reduce_rejects_malformed_sections():
         split_theta(rs, bad2)
 
 
+@pytest.mark.parametrize("m", range(ruled_mod.MAX_M + 1))
+def test_h0_coordinates_reject_a_bivector_that_is_not_global(m):
+    # the H0 basis is exactly the monomials the degree caps allow: d, e and f
+    # of z-degree 0..2-m, 0..2 and 0..m+2, in that order
+    from poissonlab.multivector import basis_coords, combination
+    rs = make_surface(m)
+    basis = rs.bases["h0_sq"]
+    read = basis_coords(basis)
+    coeffs = [rs.const(k + 1) for k in range(len(basis))]
+    assert read(combination(coeffs, basis)) == coeffs
+    # z^k xi^j dz^dxi past a cap, below z^0, or of xi-degree 3; for m >= 3 the
+    # first is any xi-free bivector
+    for k, j in ((3 - m, 0), (3, 1), (m + 3, 2), (-1, 1), (1, 3)):
+        with pytest.raises(NotInSpan):
+            read(basis[0] + rs.mv(rs.z(k) * rs.xi(j), ("z", "xi")))
+    # a field is no bivector
+    with pytest.raises(NotInSpan):
+        read(rs.mv(rs.const(1), ("xi",)))
+
+
 def test_banded_matrix_shape():
     rs = make_surface(7, ("e0", "e1", "e2"))
     e = rs.param("e0") + rs.param("e1") * rs.z() + rs.param("e2") * rs.z(2)

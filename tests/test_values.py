@@ -4,9 +4,9 @@ the constructor checks raise their messages."""
 
 import pytest
 
-from poissonlab import expr, hopf, products, ruled
+from poissonlab import expr, hopf, ruled
 from poissonlab.laurent import LaurentPoly, VarRegistry
-from poissonlab.linalg import ConstraintViolation, LabeledBasis
+from poissonlab.linalg import LabeledBasis
 from poissonlab.multivector import Chart, ChartFrame, ChartMap
 from poissonlab.obstruction import OBSTRUCTED, Certificate
 from poissonlab.rational import GaussianRational
@@ -22,8 +22,6 @@ def _identity():
 
 def _frozen_values():
     """Name -> (value, one of its fields)."""
-    ctx = products.tp1_context()
-    lam0 = products.tp1_lambda0(ctx, products.TP1PoissonClass(1))
     hctx = hopf.make_context(hopf.HopfType("IV"))
     return {
         "Num": (expr.Num(GaussianRational(1)), "value"),
@@ -36,10 +34,7 @@ def _frozen_values():
         "Chart": (W, "vars"),
         "ChartMap": (_identity(), "inverse"),
         "ChartFrame": (ChartFrame(W, REG), "dbar"),
-        "TP1PoissonClass": (products.TP1PoissonClass(2, {"A": 1}), "coeffs"),
         "Weight0Space": (hopf.weight0_space(hctx, 1, 3), "cap"),
-        "TP1Matrices": (products.tp1_matrices(ctx, lam0), "m_h1"),
-        "EP1Matrices": (products.ep1_bracket_matrices(1, 0, 0), "coker"),
         "RuledSurface": (ruled.make_surface(3), "m"),
     }
 
@@ -125,9 +120,6 @@ def test_mutable_values_take_assignment_to_their_fields():
     (lambda: ChartMap(W, W, {"z": Z, "w": WV}, {"z": Z * 2, "w": WV}), ValueError,
      "forward o inverse is not the identity on 'z'"),
     (lambda: LabeledBasis("b", ("x", "x")), ValueError, "duplicate basis element in b"),
-    (lambda: products.TP1PoissonClass(4), ValueError, "class_id must be 1, 2 or 3"),
-    (lambda: products.TP1PoissonClass(3, {"A": 0, "B": 0}), ConstraintViolation,
-     "(A,B,C) must not vanish on this class"),
     (lambda: ruled.RuledPoisson(ruled.make_surface(3), *_ruled_parts(3, e=3)), ValueError,
      "e(z) violates the degree cap for m=3"),
     (lambda: ruled.RuledPoisson(ruled.make_surface(3), *_ruled_parts(3, f="xi")), ValueError,
