@@ -334,7 +334,6 @@ def _hopf_type(parts) -> hopf.HopfType:
 
 def _classify_hopf(parts, args) -> Certificate:
     t = _hopf_type(parts)
-    tag = t.tag
     model = hopf.model_for(t, _degree_cap(args))
     ctx = model.ctx
     tokens = tokenize(args.poisson)
@@ -348,19 +347,7 @@ def _classify_hopf(parts, args) -> Certificate:
     except NotInSpan:
         raise UsageError(f"{args.poisson!r} is not an invariant bivector "
                          f"on the Hopf surface of type {t.label()}") from None
-    # the coordinates on the invariant bivectors, polynomials in the
-    # parameters: one that is not zero as a polynomial is read at a generic
-    # point.  IV: z^2, zw, w^2; III: zw, w^(p+1)
-    if tag not in ("IV", "III"):
-        stratum = "any"
-    elif all(p.is_zero() for p in coords):
-        stratum = "zero"
-    elif tag == "IV":
-        a, b, c = coords
-        stratum = "degenerate" if (a * c * 4 - b * b).is_zero() else "generic"
-    else:
-        stratum = "B" if coords[0].is_zero() else "A"
-    return hopf.stratum_certificate(model, stratum)
+    return hopf.stratum_certificate(model, hopf.stratum_of(model, coords))
 
 
 def _classify_tp1(src: str) -> Certificate:

@@ -19,9 +19,12 @@ into a model, and every other function takes the model it is given.
 a stream of classify requests reuses it, where rebuilding it would cost
 more than the rest of a request; a model that fails validation is not
 kept.  A model builds only the weight-0 blocks of its two id - f_*
-operators (`id_minus_fstar`, which checks that no column leaves weight
-0), and computes, at most once on first use, the invariant fields and
-bivectors and each stratum's complex.
+operators (`id_minus_fstar`: column j holds the weight-0 coordinates of
+v - f_*(v), v the j-th weight-0 field, f_*(v) truncated at the cap, and
+no column may leave weight 0), and computes, at most once on first use,
+the invariant fields and bivectors and each stratum's complex.  The
+tangent pairs that `d_membership` checks are the Kodaira-Spencer
+derivative of the type's contraction family (`membership_pairs`).
 
 Block lemma.  With wt(z) = p, wt(w) = 1 (p = 1 but for III and IIa), a
 frame weighing the sum of its variables' weights and z^mu w^nu e
@@ -245,47 +248,27 @@ def mono_coords(ctx: HopfContext, space: Weight0Space, off_weight0: str | None =
     return Reducer(f"coords in {space.basis.space_name}", fn)
 
 
-def _monomial_images(ctx: HopfContext, space: Weight0Space) -> dict[tuple, LaurentPoly]:
-    """The images (z^mu w^nu) o f^-1 of the space's monomials, truncated at
-    its cap."""
-    inv = ctx.contraction.inverse
-    return {(mu, nu): _low_degree(inv["z"] ** mu * inv["w"] ** nu, space.cap)
-            for _, mu, nu in space.index}
+def id_minus_fstar(ctx: HopfContext, space: Weight0Space) -> LinMap:
+    """The weight-0 block of id - f_* truncated at the cap: column j is the
+    weight-0 coordinates of v - f_*(v), v the j-th field of `space` and
+    f_*(v) its pushforward with the terms above the cap dropped.  A term
+    up to the cap off weight 0 would join two weights, against the block
+    lemma: an internal error, raised before any elimination."""
+    cap, name = space.cap, space.basis.space_name
+    coords = mono_coords(ctx, space, "id - f_* joins two weights")
 
+    def image(v: MultiVector) -> MultiVector:
+        return v - pushforward(ctx.contraction, v).map_coefficients(
+            lambda poly: _low_degree(poly, cap))
 
-def id_minus_fstar(ctx: HopfContext, space: Weight0Space,
-                   images: dict[tuple, LaurentPoly]) -> LinMap:
-    """The weight-0 block of id - f_* truncated at the cap, from the
-    `_monomial_images` of the fields of `space`: f_*(g e) = (g o f^-1) f_*(e),
-    each frame pushed forward once.  A term up to the cap off weight 0
-    would join two weights, against the block lemma: an internal error."""
-    cap, index, reg = space.cap, space.index, ctx.registry
-    frames = {comp: pushforward(ctx.contraction,
-                                MultiVector._of(ctx.chart, reg, {comp: ctx.const(1)}))
-              for comp in FRAMES[space.grade - 1]}
-    zero = LaurentPoly.zero(reg)
-    rows = [[zero] * len(index) for _ in index]
-    for j, (comp, mu, nu) in enumerate(index):
-        col = {}
-        for fcomp, coeff in frames[comp].components.items():
-            for key, c in (images[mu, nu] * coeff).terms.items():
-                fmu, fnu, rest = _split(key)
-                if fmu + fnu <= cap:
-                    i = index.get((fcomp, fmu, fnu))
-                    if i is None:
-                        raise RuntimeError(f"{space.basis.space_name}: id - f_* joins two "
-                                           f"weights in column {j}")
-                    col.setdefault(i, {})[rest] = -c
-        # the field itself: 1 on the diagonal
-        diag = col.setdefault(j, {})
-        c = ONE + diag[()] if () in diag else ONE
-        if c.is_zero():
-            del diag[()]
-        else:
-            diag[()] = c
-        for i, terms in col.items():
-            rows[i][j] = LaurentPoly._of_terms(reg, terms)
-    return LinMap(space.basis, space.basis, rows, reg)
+    def weight0(v: MultiVector) -> list[LaurentPoly]:
+        try:
+            return coords(v)
+        except NotInSpan as exc:
+            raise RuntimeError(f"{name}: {exc}") from None
+
+    return matrix_of_map(image, space.basis, space.basis, Reducer(coords.name, weight0),
+                         ctx.registry)
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +393,7 @@ def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
     grades = []
     for grade, elems, label in ((1, m1, "M1"), (2, m2, "M2")):
         space = weight0_space(ctx, grade, cap)
-        block = id_minus_fstar(ctx, space, _monomial_images(ctx, space))
+        block = id_minus_fstar(ctx, space)
         quot = image_space(block)
         # the other blocks are invertible, so this is the corank of id - f_*
         corank = len(space.basis) - quot.rank
@@ -475,6 +458,22 @@ def strata(p: int) -> tuple:
         (HopfType("IIb"), "any"),
         (HopfType("IIc"), "any"),
     )
+
+
+def stratum_of(model: CoverModel, coords: Sequence[LaurentPoly]) -> str:
+    """The stratum of an invariant bivector of the model's type, from its
+    `bivector_coords`: polynomials in the parameters, each one that is not
+    zero as a polynomial read at a generic point.  The coordinates are on
+    z^2, zw, w^2 (A, B, C) for IV and on zw, w^(p+1) (A, B) for III."""
+    tag = model.ctx.type.tag
+    if tag not in ("IV", "III"):
+        return "any"
+    if all(c.is_zero() for c in coords):
+        return "zero"
+    if tag == "IV":
+        a, b, c = coords
+        return "degenerate" if (a * c * 4 - b * b).is_zero() else "generic"
+    return "B" if coords[0].is_zero() else "A"
 
 
 def h0_bracket_matrix(model: CoverModel, lam0: MultiVector) -> LinMap:
@@ -555,34 +554,41 @@ def table4_basis(ctx: HopfContext, stratum: str) -> list[MultiVector]:
 # Table 6 families: invariance under the group generator
 
 def family_data(ctx: HopfContext):
-    """(bivector coefficient, map components) of the deformation family."""
+    """The type's contraction family (lam, F, moduli, base): the bivector
+    coefficient and the map components, polynomials in the `moduli` it
+    moves along, and the substitution `base` of its base point t = beta = 0
+    (alpha = delta^p for III and IIa), where F is the contraction."""
     z, w = ctx.z(), ctx.w()
     alpha, delta, beta = ctx.param("alpha"), ctx.param("delta"), ctx.param("beta")
     A, B, C, tt = ctx.param("A"), ctx.param("B"), ctx.param("C"), ctx.param("t")
     p = ctx.p
-    one = ctx.const(1)
+    one, zero = ctx.const(1), ctx.const(0)
     tag = ctx.type.tag
+    moduli = ("alpha", "beta" if tag in ("IV", "IIb") else "delta", "t")
+    base = {"beta": zero, "t": zero}
     if tag == "IV":
         lam = (one + tt) * (A * z * z + B * z * w + C * w * w)
         F = {"z": (alpha + beta * B) * z + beta * C * w, "w": -(beta * A) * z + alpha * w}
     elif tag == "III":
         lam = (one + tt) * (A * z * w + B * w ** (p + 1))
         F = {"z": alpha * z + B * A ** -1 * (alpha - delta ** p) * w ** p, "w": delta * w}
+        base["alpha"] = delta ** p
     elif tag == "IIa":
         lam = (A + tt) * ((alpha - delta ** p) * z * w + w ** (p + 1))
         F = {"z": alpha * z + w ** p, "w": delta * w}
+        base["alpha"] = delta ** p
     elif tag == "IIb":
         lam = (A + tt) * (-(beta * z * z) + w * w)
         F = {"z": alpha * z + w, "w": beta * z + alpha * w}
     else:
         lam = (A + tt) * z * w
         F = {"z": alpha * z, "w": delta * w}
-    return lam, F
+    return lam, F, moduli, base
 
 
 def family_invariance(ctx: HopfContext) -> bool:
     """Exact identity lam(F1, F2) = lam(z, w) * det(Jacobian of F)."""
-    lam, F = family_data(ctx)
+    lam, F, _, _ = family_data(ctx)
     jac = (F["z"].partial("z") * F["w"].partial("w")
            - F["z"].partial("w") * F["w"].partial("z"))
     pushed = lam.substitute({"z": F["z"], "w": F["w"]})
@@ -598,49 +604,17 @@ def family_stratum(t: HopfType) -> str:
 
 
 def membership_pairs(ctx: HopfContext):
-    """The (B, A) tangent images of the family at the base point."""
-    z, w = ctx.z(), ctx.w()
-    alpha, delta = ctx.param("alpha"), ctx.param("delta")
-    A, B, C = ctx.param("A"), ctx.param("B"), ctx.param("C")
-    p = ctx.p
-    zero = ctx.zero()
-    tag = ctx.type.tag
-    ai = alpha ** -1
-    di = delta ** -1
-    if tag == "IV":
-        pairs = [
-            (zero, ctx.mv(ai * z, ("z",)) + ctx.mv(ai * w, ("w",))),
-            (zero, ctx.mv(ai * (B * z + C * w), ("z",)) + ctx.mv(-(ai * A * z), ("w",))),
-            (stratum_bivector(ctx, "generic"), zero),
-        ]
-    elif tag == "III":
-        BA = B * A ** -1
-        pairs = [
-            (zero, ctx.mv(delta ** -p * (z + BA * w ** p), ("z",))),
-            (zero, ctx.mv(-(di * BA * p) * w ** p, ("z",)) + ctx.mv(di * w, ("w",))),
-            (stratum_bivector(ctx, "A"), zero),
-        ]
-    elif tag == "IIa":
-        pairs = [
-            (ctx.mv(A * z * w, ("z", "w")),
-             ctx.mv(delta ** -p * z - delta ** (-2 * p) * w ** p, ("z",))),
-            (ctx.mv(-(A * p) * delta ** (p - 1) * z * w, ("z", "w")),
-             ctx.mv(di * w, ("w",))),
-            (ctx.mv(w ** (p + 1), ("z", "w")), zero),
-        ]
-    elif tag == "IIb":
-        pairs = [
-            (zero, ctx.mv(ai * z - alpha ** -2 * w, ("z",)) + ctx.mv(ai * w, ("w",))),
-            (ctx.mv(-(A * z * z), ("z", "w")),
-             ctx.mv(ai * z - alpha ** -2 * w, ("w",))),
-            (ctx.mv(w * w, ("z", "w")), zero),
-        ]
-    else:
-        pairs = [
-            (zero, ctx.mv(ai * z, ("z",))),
-            (zero, ctx.mv(di * w, ("w",))),
-            (ctx.mv(z * w, ("z", "w")), zero),
-        ]
+    """The (B, A) tangent pairs of the contraction family at its base
+    point, one per modulus s: B = d lam/ds as a bivector and A =
+    (dF/ds) o f^-1 as a field, the family's Kodaira-Spencer derivative."""
+    lam, F, moduli, base = family_data(ctx)
+    on_cover = {**base, **ctx.contraction.inverse}
+    pairs = []
+    for s in moduli:
+        bv = ctx.mv(lam.partial(s).substitute(base), ctx.chart.vars)
+        av = MultiVector(ctx.chart, ctx.registry, {
+            (i,): F[v].partial(s).substitute(on_cover) for i, v in enumerate(ctx.chart.vars)})
+        pairs.append((bv, av))
     return pairs
 
 
@@ -694,35 +668,21 @@ def deformation_model(model: CoverModel, stratum: str) -> DeformationComplexMode
     return model.complexes[stratum]
 
 
-def obstruction_certificate_hopf(model: CoverModel, constants: dict) -> Certificate:
+def obstruction_certificate_hopf(model: CoverModel) -> Certificate:
     """Witness for obstructedness of the zero Poisson structure on the
-    types with non-simple invariant bivectors.
-
-    `constants` assigns rationals to the bivector constants (A, B, C)
-    and the field constants (d, e, f, g); the resulting bracket class
-    must be nonzero in M2.
-    """
+    types with non-simple invariant bivectors: a = z^2 d/dz ^ d/dw (IV) or
+    w^(p+1) d/dz ^ d/dw (III) and b = z d/dz, whose bracket class must be
+    nonzero in M2."""
     ctx = model.ctx
     t = ctx.type
     if t.tag not in ("IV", "III"):
         raise ValueError("the zero structure is only obstructed for types IV and III")
-    if all(v == 0 for v in constants.values()):
-        raise ValueError("degenerate input: all witness constants vanish")
     z, w = ctx.z(), ctx.w()
-    p = ctx.p
-    c = {k: ctx.const(v) for k, v in constants.items()}
-    zero = ctx.const(0)
-    g = lambda k: c.get(k, zero)
-    if t.tag == "IV":
-        a = ctx.mv(g("A") * z * z + g("B") * z * w + g("C") * w * w, ("z", "w"))
-        b = (ctx.mv(g("d") * z + g("e") * w, ("z",))
-             + ctx.mv(g("f") * z + g("g") * w, ("w",)))
-    else:
-        a = ctx.mv(g("A") * z * w + g("B") * w ** (p + 1), ("z", "w"))
-        b = ctx.mv(g("d") * z + g("e") * w ** p, ("z",)) + ctx.mv(g("f") * w, ("w",))
+    a = ctx.mv(z * z if t.tag == "IV" else w ** (ctx.p + 1), ("z", "w"))
+    b = ctx.mv(z, ("z",))
     cls = model.reduce_m(2)(schouten(a, b))
     if all(x.is_zero() for x in cls):
-        raise ValueError("chosen constants give a vanishing bracket class")
+        raise ValueError("the witness gives a vanishing bracket class")
     return Certificate(f"Hopf {t.label()}", "zero", OBSTRUCTED,
                        witness={"a": str(a), "b": str(b)},
                        class_repr=str(combination(cls, model.m2)))
@@ -760,8 +720,7 @@ def stratum_certificate(model: CoverModel, stratum: str) -> Certificate:
     stratum, and the witness search on its deformation complex otherwise."""
     t = model.ctx.type
     if stratum == "zero":
-        return obstruction_certificate_hopf(
-            model, {"A": 1, "d": 1} if t.tag == "IV" else {"B": 1, "d": 1})
+        return obstruction_certificate_hopf(model)
     if stratum == family_stratum(t):
         return Certificate(f"Hopf {t.label()}", stratum, UNOBSTRUCTED_MC,
                            reason="verified contraction family", data={"dim_h1": model.dim_h1})

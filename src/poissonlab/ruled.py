@@ -438,15 +438,16 @@ def hyper_class_coords(rs: RuledSurface, model: DeformationComplexModel, lam1: M
     cocycle = pull - lam1 + schouten(lam0, theta12)
     if not cocycle.is_zero():
         raise NotACocycle("lam2 - lam1 + [lam0, theta12] != 0 on the overlap")
-    part1, part2, window = split_theta(rs, theta12)
+    # the window, once split_theta has checked theta12's shape
+    window = split_theta(rs, theta12)[2]
     zero = LaurentPoly.zero(rs.registry)
     ker_window = [window.get(k, zero) for k in range(1, rs.m)]
     # class must sit inside the kernel of the H1 bracket map
     bracket_cls = reduce_h1_sq(rs)(schouten(lam0, theta12))
     if not all(p.is_zero() for p in bracket_cls):
         raise NotACocycle("theta12 class is not killed by the bracket map")
-    # strip the kernel-window part, then the remaining residual is a
-    # coboundary rho = part1 + part2 split above... recompute residual split
+    # each window direction z^-k d/dxi brackets into chart parts alone, so the
+    # residual is a coboundary r1 + r2 and the adjusted lam1, lam2 glue globally
     residual = theta12
     nu1_total = rs.zero()
     nu2_total = rs.zero()

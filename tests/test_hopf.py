@@ -4,6 +4,7 @@ import pytest
 
 import poissonlab.hopf as hopf_mod
 from poissonlab import cli, obstruction
+from poissonlab.laurent import LaurentPoly
 from poissonlab.linalg import (LabeledBasis, LinMap, NotInSpan, generic_rank, image_space,
                                kernel_basis, quotient_coords)
 from poissonlab.multivector import combination, pushforward, schouten
@@ -18,7 +19,7 @@ from poissonlab.hopf import (HopfType, MembershipFails, TruncationUnstable,
                              stratum_certificate, stratum_row, table4_basis)
 import cover_matrices
 from cover_matrices import cover_matrix, triangular_order, truncated_space
-from hopf_cases import H95_CASES, STRATA
+from hopf_cases import H95_CASES, STRATA, table6_pairs
 
 ALL_TYPES = (HopfType("IV"), HopfType("III", 2), HopfType("IIa", 2),
              HopfType("IIb"), HopfType("IIc"))
@@ -219,7 +220,7 @@ def test_family_invariance_is_nontrivial():
     # perturbing the map breaks the identity
     t = HopfType("IIa", 2)
     ctx = make_context(t)
-    lam, F = family_data(ctx)
+    lam, F, _, _ = family_data(ctx)
     F_bad = dict(F)
     F_bad["z"] = F["z"] + ctx.w()
     jac = (F_bad["z"].partial("z") * F_bad["w"].partial("w")
@@ -288,14 +289,34 @@ def test_undetermined_certificates():
 
 
 def test_obstruction_certificates():
-    cert = obstruction_certificate_hopf(model_for(HopfType("IV")), {"A": 1, "d": 1})
+    cert = obstruction_certificate_hopf(model_for(HopfType("IV")))
     assert cert.verdict == OBSTRUCTED
+    assert cert.witness == {"a": "z^2*(@z^@w)", "b": "z*@z"}
     assert cert.class_repr == "-z^2*(@z^@w)"
-    cert = obstruction_certificate_hopf(model_for(HopfType("III", 2)), {"B": 1, "d": 1})
+    cert = obstruction_certificate_hopf(model_for(HopfType("III", 2)))
     assert cert.verdict == OBSTRUCTED
+    assert cert.witness == {"a": "w^3*(@z^@w)", "b": "z*@z"}
     assert cert.class_repr == "w^3*(@z^@w)"
-    with pytest.raises(ValueError):
-        obstruction_certificate_hopf(model_for(HopfType("IV")), {"A": 0, "d": 0})
+    with pytest.raises(ValueError, match="only obstructed for types IV and III"):
+        obstruction_certificate_hopf(model_for(HopfType("IIc")))
+
+
+def test_the_stratum_of_each_stratum_bivector_is_its_own():
+    for t, stratum in STRATA + ((HopfType("IV"), "degenerate"),):
+        model = model_for(t)
+        lam = stratum_bivector(model.ctx, stratum)
+        assert hopf_mod.stratum_of(model, model.bivector_coords(lam)) == stratum
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, cli.MAX_P))
+def test_membership_pairs_are_the_table_6_pairs(p):
+    # the pairs derived from the contraction family equal the ones the
+    # paper lists, in value and as printed by `verify-family hopf-*`
+    for t in cli.hopf_types(p):
+        ctx = make_context(t)
+        derived, listed = membership_pairs(ctx), table6_pairs(ctx)
+        assert derived == listed
+        assert [(str(b), str(a)) for b, a in derived] == [(str(b), str(a)) for b, a in listed]
 
 
 def test_membership_equations_hold_exactly():
@@ -533,17 +554,16 @@ def test_a_corrupted_cover_matrix_raises_before_elimination(monkeypatch, corrupt
         cover_matrices.full_kernel(make_context(t), 1, default_cap(t))
     assert not kernels
     if corruption == "join":
-        real_images = hopf_mod._monomial_images
+        real_push = hopf_mod.pushforward
 
-        def joined(ctx, space):
-            # a constant term sends the field z*@z onto the bare frame @z,
-            # of weight -p
-            images = real_images(ctx, space)
-            images[1, 0] = images[1, 0] + ctx.const(1)
-            return images
+        def joined(cm, v):
+            # a constant coefficient sends z*@z onto the bare frame @z, of
+            # weight -p, and each weight-0 field onto its bare frame
+            bare = v.map_coefficients(lambda poly: LaurentPoly.one(poly.registry))
+            return real_push(cm, v) + bare
 
         monkeypatch.setattr(obstruction, "_STORE", {})
-        monkeypatch.setattr(hopf_mod, "_monomial_images", joined)
+        monkeypatch.setattr(hopf_mod, "pushforward", joined)
         monkeypatch.setattr(hopf_mod, "kernel_basis", lambda *args: kernels.append(args))
         with pytest.raises(RuntimeError, match=message):
             model_for(t).fields
@@ -609,9 +629,10 @@ def test_reductions_drop_terms_off_weight_0_as_the_whole_image_does(t):
 
 @pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
 def test_id_minus_fstar_equals_the_pushforward_of_each_basis_field(t):
-    # the matrix built from pushed frames and monomial images equals, column
-    # by column, v - f_* v pushed forward whole and truncated at the cap;
-    # so does the model's weight-0 block, which has no term off weight 0
+    # the oracle's matrix, built from pushed frames and monomial images,
+    # equals, column by column, v - f_* v pushed forward whole and truncated
+    # at the cap; so does the model's weight-0 block, which has no term off
+    # weight 0
     ctx = make_context(t)
     for cap in range(3, 13):
         for grade in (1, 2):
@@ -622,7 +643,7 @@ def test_id_minus_fstar_equals_the_pushforward_of_each_basis_field(t):
                 image = _truncate(pushforward(ctx.contraction, v), cap)
                 assert mat.column(j) == red(v - image)
             w0 = hopf_mod.weight0_space(ctx, grade, cap)
-            block = hopf_mod.id_minus_fstar(ctx, w0, hopf_mod._monomial_images(ctx, w0))
+            block = hopf_mod.id_minus_fstar(ctx, w0)
             red0 = hopf_mod.mono_coords(ctx, w0, "off weight 0")
             for j, v in enumerate(w0.basis):
                 image = _truncate(pushforward(ctx.contraction, v), cap)
@@ -723,7 +744,7 @@ def test_an_automorphism_basis_with_a_field_off_weight_0_is_not_verified(monkeyp
     assert not stratum_row(model, "zero")["automorphism_basis_verified"]
 
 
-def test_hopf_tables_push_each_frame_once(monkeypatch):
+def test_hopf_tables_push_each_weight0_field_once(monkeypatch):
     from poissonlab import cli
 
     monkeypatch.setattr(obstruction, "_STORE", {})
@@ -734,8 +755,12 @@ def test_hopf_tables_push_each_frame_once(monkeypatch):
             return _orig(*args)
         monkeypatch.setattr(hopf_mod, name, counted)
     cli.hopf_tables(None, 2)
-    # d/dz and d/dw for mat1 and d/dz ^ d/dw for mat2, in each of five models
-    assert calls == {"id_minus_fstar": 10, "pushforward": 15}
+    # one pushforward per weight-0 field of each grade, in each of five models
+    fields = sum(len(model.space1.basis) + len(model.space2.basis)
+                 for model in map(model_for, cli.hopf_types(2)))
+    assert calls == {"id_minus_fstar": 10, "pushforward": fields}
+    cli.hopf_tables(None, 2)
+    assert calls == {"id_minus_fstar": 10, "pushforward": fields}
 
 
 def test_zero_structure_certificate_brackets_only_its_witness(monkeypatch):
