@@ -241,9 +241,7 @@ def cmd_classify(args) -> int:
         except ValueError as exc:
             raise UsageError(f"{src!r} is not a global Poisson structure on F{m}: "
                              f"{exc}") from None
-        row = ruled.table1_verdict(rs, pois)
-        cert = row.certificate
-        cert.data["dim_h2"] = row.dim_h2
+        cert = ruled.table1_verdict(rs, pois).certificate
     elif kind == "hopf":
         cert = _classify_hopf(parts, args)
     elif kind == "ep1":
@@ -406,21 +404,22 @@ def verify_family_report(name: str, cap: int | None = None) -> dict:
 
 
 def cmd_mc_check(args) -> int:
+    """The graded pieces of the stored family's identity, verified once per
+    process over every coefficient; a failed identity reports its pieces."""
     name = args.name
-    if name == "ep1":
-        sol = products.ep1_mc_solution(products.ep1_model())
-        defect = sol.defect()
-        doc = {"solution": name, "defect_zero": defect.is_zero(),
-               "defect": str(defect)}
-    elif name == "tp1":
-        sol = products.tp1_mc_solution(products.tp1_model(products.tp1_lambda0(2), "class-2"))
-        pieces = products.tp1_integrability(sol)
-        doc = {"solution": name,
-               "defect_zero": all(v.is_zero() for v in pieces.values()),
-               "pieces": {k: str(v) for k, v in pieces.items()}}
-    else:
+    families = {"ep1": products.ep1_family, "tp1": products.tp1_family}
+    if name not in families:
         print(f"unknown solution {name!r}; choose ep1 or tp1", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        pieces = families[name]().pieces
+    except products.IdentityFails as exc:
+        pieces = exc.pieces
+    doc = {"solution": name, "defect_zero": all(v.is_zero() for v in pieces.values())}
+    if name == "ep1":
+        doc["defect"] = str(pieces["defect"])
+    else:
+        doc["pieces"] = {k: str(v) for k, v in pieces.items()}
     print(json.dumps(doc, sort_keys=True, indent=2))
     return EXIT_OK if doc["defect_zero"] else EXIT_FAIL
 

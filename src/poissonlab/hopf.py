@@ -8,7 +8,8 @@ kernels, family checks and obstruction certificates.
 `deformation_model` puts a stratum's two bracket maps into the one
 `obstruction.DeformationComplexModel`, stored on the cover model; it
 answers the table row, the family check, the degenerate families and
-the verdict of the stratum (`stratum_certificate`).
+the verdict of the stratum (`stratum_certificate`), which depends on
+the model and the stratum alone and is stored on the model too.
 
 One cover model per type and degree cap is the input of every Hopf
 computation: `model_for` is the one place that turns a type and a cap
@@ -18,11 +19,14 @@ into a model, and every other function takes the model it is given.
 2,850 models at the CLI's bounds on p and the cap), so a process serving
 a stream of classify requests reuses it, where rebuilding it would cost
 more than the rest of a request; a model that fails validation is not
-kept.  A model builds only the weight-0 blocks of its two id - f_*
-operators (`id_minus_fstar`: column j holds the weight-0 coordinates of
+kept.  Naming a stored model costs a registry and a chart: a context
+builds its contraction map only when a model is built from it.  A
+model builds only the weight-0 blocks of its two id - f_* operators
+(`id_minus_fstar`: column j holds the weight-0 coordinates of
 v - f_*(v), v the j-th weight-0 field, f_*(v) truncated at the cap, and
 no column may leave weight 0), and computes, at most once on first use,
-the invariant fields and bivectors and each stratum's complex.  The
+the invariant fields and bivectors and each stratum's complex and
+verdict.  The
 tangent pairs that `d_membership` checks are the Kodaira-Spencer
 derivative of the type's contraction family (`membership_pairs`).
 
@@ -112,20 +116,32 @@ class HopfType(Frozen):
 
 
 class HopfContext(ChartFrame):
-    __slots__ = ("type", "contraction")
+    """The cover chart of one type.  Its contraction f, a `ChartMap` whose
+    inverse is checked, is fixed by the type and the registry, so it is
+    built on first use: a context that only names a stored model, as
+    `model_for` builds one per call, never builds it."""
+
+    __slots__ = ("type", "_contraction")
 
     def __init__(self, chart: Chart, registry: VarRegistry, dbar: tuple[str, ...] = (), *,
-                 type: HopfType, contraction: ChartMap):
+                 type: HopfType):
         ChartFrame.__init__(self, chart, registry, dbar)
         _set(self, "type", type)
-        _set(self, "contraction", contraction)
 
     def _key(self) -> tuple:
-        return self.chart, self.registry, self.dbar, self.type, self.contraction
+        return self.chart, self.registry, self.dbar, self.type
 
     @property
     def p(self) -> int:
         return self.type.p if self.type.p is not None else 1
+
+    @property
+    def contraction(self) -> ChartMap:
+        try:
+            return self._contraction
+        except AttributeError:
+            _set(self, "_contraction", _contraction_map(self))
+            return self._contraction
 
 
 BASE_PARAMS = ("alpha", "delta", "beta", "A", "B", "C", "t")
@@ -133,12 +149,15 @@ BASE_PARAMS = ("alpha", "delta", "beta", "A", "B", "C", "t")
 
 def make_context(t: HopfType, extra_params: Sequence[str] = ()) -> HopfContext:
     reg = VarRegistry(("z", "w"), BASE_PARAMS + tuple(extra_params))
-    chart = Chart("W", ("z", "w"))
+    return HopfContext(Chart("W", ("z", "w")), reg, type=t)
+
+
+def _contraction_map(ctx: HopfContext) -> ChartMap:
+    reg, t, p = ctx.registry, ctx.type, ctx.p
     z = LaurentPoly.var(reg, "z")
     w = LaurentPoly.var(reg, "w")
     alpha = LaurentPoly.var(reg, "alpha")
     delta = LaurentPoly.var(reg, "delta")
-    p = t.p or 1
     # the resonant types III and IIa never introduce a separate alpha:
     # the relation alpha = delta^p is built into the map itself
     if t.tag == "IV":
@@ -156,8 +175,7 @@ def make_context(t: HopfType, extra_params: Sequence[str] = ()) -> HopfContext:
     else:  # IIc
         fwd = {"z": alpha * z, "w": delta * w}
         inv = {"z": alpha ** -1 * z, "w": delta ** -1 * w}
-    contraction = ChartMap(chart, chart, fwd, inv)
-    return HopfContext(chart, reg, type=t, contraction=contraction)
+    return ChartMap(ctx.chart, ctx.chart, fwd, inv)
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +319,8 @@ def _named_m_reps(ctx: HopfContext):
 class CoverModel:
     """Cover model at one degree cap: M1/M2, the weight-0 spaces and
     blocks of the grade-1 and grade-2 id - f_*, invariant fields and
-    bivectors, and `complexes`, the stored stratum complexes.  By the
+    bivectors, `complexes`, the stored stratum complexes, and
+    `certificates`, the stored stratum verdicts.  By the
     block lemma the blocks carry the kernels and cokernels of the whole
     operators.  m1_space and m2_space hold the images of the blocks, with
     the weight-0 coordinates of the M1/M2 representatives registered;
@@ -317,6 +336,7 @@ class CoverModel:
         self.space1, self.block1, self.m1_space = grade1
         self.space2, self.block2, self.m2_space = grade2
         self.complexes: dict[str, DeformationComplexModel] = {}
+        self.certificates: dict[str, Certificate] = {}
 
     def reduce_m(self, grade: int) -> Reducer:
         """Class coordinates in M1 or M2, modulo im(id - f_*): only the
@@ -715,16 +735,23 @@ def h95_degeneracy(case: str, cap: int | None = None) -> bool:
 
 
 def stratum_certificate(model: CoverModel, stratum: str) -> Certificate:
-    """The verdict on a stratum of the model's type: the witness of the
-    zero structure, the verified contraction family on the family's
-    stratum, and the witness search on its deformation complex otherwise."""
-    t = model.ctx.type
-    if stratum == "zero":
-        return obstruction_certificate_hopf(model)
-    if stratum == family_stratum(t):
-        return Certificate(f"Hopf {t.label()}", stratum, UNOBSTRUCTED_MC,
-                           reason="verified contraction family", data={"dim_h1": model.dim_h1})
-    return r4_search(deformation_model(model, stratum))
+    """The verdict on a stratum of the model's type, built once and stored
+    on the model, since it reads nothing but the model and the stratum:
+    the witness of the zero structure, the verified contraction family on
+    the family's stratum, and the witness search on its deformation
+    complex otherwise.  Callers share it and must not change it."""
+    if stratum not in model.certificates:
+        t = model.ctx.type
+        if stratum == "zero":
+            cert = obstruction_certificate_hopf(model)
+        elif stratum == family_stratum(t):
+            cert = Certificate(f"Hopf {t.label()}", stratum, UNOBSTRUCTED_MC,
+                               reason="verified contraction family",
+                               data={"dim_h1": model.dim_h1})
+        else:
+            cert = r4_search(deformation_model(model, stratum))
+        model.certificates[stratum] = cert
+    return model.certificates[stratum]
 
 
 # ----------------------------------------------------------------------

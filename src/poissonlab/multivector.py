@@ -346,16 +346,16 @@ def pushforward(cm: ChartMap, a: MultiVector) -> MultiVector:
         raise ValueError("pushforward requires the inverse coordinate expressions")
     reg = a.registry
     inv = dict(cm.inverse)
-    # frame images: d/ds_i -> sum_j (d t_j / d s_i)|_(inverse) d/dt_j
-    frames = []
-    for i, sv in enumerate(cm.source.vars):
+    # images of the frames the field uses: d/ds_i -> sum_j (d t_j / d s_i)|_(inverse) d/dt_j
+    frames = {}
+    for i in sorted({i for idx in a.components for i in idx}):
         comps = {}
         for j, tv in enumerate(cm.target.vars):
-            entry = cm.forward[tv].partial(sv)
+            entry = cm.forward[tv].partial(cm.source.vars[i])
             if entry.is_zero():
                 continue
             comps[(j,)] = entry.substitute(inv)
-        frames.append(MultiVector(cm.target, reg, comps))
+        frames[i] = MultiVector(cm.target, reg, comps)
     out = MultiVector.zero(cm.target, reg)
     for idx, poly in a.components.items():
         piece = MultiVector.function(cm.target, reg, poly.substitute(inv))

@@ -14,11 +14,16 @@ deformation and machine-checkable certificates with a stable JSON form.
 `stored(key, build)` keeps what `build()` returns in `_STORE`, the one
 per-process store of every geometry; a build that raises stores
 nothing.  A key starts with its geometry: `("F", m, params)`,
-`("ExP1",)`, `("TxP1",)` or `("Hopf", type, registry, cap)`.  It holds
-only names fixed in code and integers the CLI bounds (`ruled.MAX_M`,
-`cli.MAX_P`, `cli.MAX_CAP`), never a request's own parameter names: at
-most 30 surfaces, 2 product frames and (3 + 2 * 36) * 38 = 2,850 cover
-models (types IV, IIb, IIc, and III, IIa at p = 2..37; caps 3..40).
+`("ExP1",)` and `("TxP1",)` (the product frames), `("ExP1", "family")`
+and `("TxP1", "family")` (the product Maurer-Cartan families, each
+verified once over all its coefficients) or `("Hopf", type, registry,
+cap)`; a cover model keeps each stratum's complex and verdict on itself.
+A key holds only names fixed in code and integers the CLI bounds
+(`ruled.MAX_M`, `cli.MAX_P`, `cli.MAX_CAP`), never a request's own
+parameter names: at most 30 surfaces, 2 product frames, 2 product
+families and (3 + 2 * 36) * 38 = 2,850 cover models (types IV, IIb,
+IIc, and III, IIa at p = 2..37; caps 3..40), each with at most 3
+stratum verdicts.
 """
 
 from __future__ import annotations

@@ -30,6 +30,26 @@ class off its coordinates [c | a | b] on dz1^dz2, xi^j dz2^dxi and
 xi^j dxi^dz1: class 2 where a is nonzero, class 3 where only b is, and
 class 1 where both vanish.  Exchanging the torus coordinates turns
 class 3 into class 2 with k = 0.
+
+Each Maurer-Cartan family is verified once per process, over all its
+coefficients: `ep1_family` builds the ExP1 nonzero-stratum family with
+A, B, C and the cokernel representative F = F0 + F1 xi + F2 xi^2
+symbolic, `tp1_family` the TxP1 class-2 family with D, A, B, C, k and
+F0..F2 symbolic, and each keeps the family and its verified identity in
+the store (keys `("ExP1", "family")` and `("TxP1", "family")`; a failed
+identity raises `IdentityFails`, an AssertionError, and stores nothing).
+A request builds its own solution with the same builder
+(`ep1_family_solution`, `tp1_family_solution`) from its own K, k and F,
+elements free of chart variables.  Substituting such elements for the
+parameters is a ring map that fixes the chart variables, so it commutes
+with the Schouten bracket, which differentiates chart variables only
+(`bracket_family` makes the same argument): the request's identity is
+the image of the stored one, zero.  So `classify`, `mc-check` and
+`verify-family` read that one verification.  What depends on the
+request stays per request: parsing, the Poisson check, the class or
+stratum, K nonzero with k free of chart variables, F from the request's
+own cokernel, the dimensions and the check that the tangents fill first
+cohomology at the request's point, since a rank can drop at a point.
 """
 
 from __future__ import annotations
@@ -91,7 +111,7 @@ def ep1_lambda0(ctx: ChartFrame, a=None, b=None, c=None) -> MultiVector:
     A = ctx.param("A") if a is None else ctx.const(a)
     B = ctx.param("B") if b is None else ctx.const(b)
     C = ctx.param("C") if c is None else ctx.const(c)
-    return ctx.mv(A + B * ctx.xi() + C * ctx.xi(2), ("z", "xi"))
+    return ctx.mv(_quadratic(ctx, (A, B, C)), ("z", "xi"))
 
 
 def ep1_model(a=None, b=None, c=None) -> DeformationComplexModel:
@@ -158,13 +178,60 @@ def _tangent_classes(model: DeformationComplexModel, tangents: list) -> list:
     return [model.coords(c[:n], c[n:]) for c in map(pairs, tangents)]
 
 
+class IdentityFails(AssertionError):
+    """A family's Maurer-Cartan identity has a nonzero piece; `pieces`
+    holds every graded piece, by name."""
+
+    def __init__(self, message: str, pieces: dict):
+        super().__init__(message)
+        self.pieces = pieces
+
+
+class VerifiedFamily:
+    """A Maurer-Cartan family with every coefficient symbolic, and the
+    graded pieces of its identity, each verified zero."""
+
+    __slots__ = ("solution", "pieces")
+
+    def __init__(self, solution: MCSolution, pieces: dict):
+        self.solution = solution
+        self.pieces = pieces
+
+
+def _verified(sol: MCSolution, pieces: dict, message: str) -> VerifiedFamily:
+    for name, val in pieces.items():
+        if not val.is_zero():
+            raise IdentityFails(message.format(name), pieces)
+    return VerifiedFamily(sol, pieces)
+
+
+def _quadratic(ctx: ChartFrame, coeffs) -> LaurentPoly:
+    """c0 + c1 xi + c2 xi^2."""
+    return coeffs[0] + coeffs[1] * ctx.xi() + coeffs[2] * ctx.xi(2)
+
+
+def ep1_family_solution(lam0: MultiVector, fpoly: LaurentPoly) -> MCSolution:
+    """The corrected family over lam0 = K dz^dxi with cokernel representative
+    F: beta = t0 F dz^dxi + t0 t2 F dxi dzbar, alpha = t1 dz dzbar +
+    t2 K dxi dzbar.  The one builder of the stored family and of every
+    request's solution."""
+    ctx = ep1_context()
+    kpoly = lam0.coefficient(("z", "xi"))
+    t0, t1, t2 = ctx.param("t0"), ctx.param("t1"), ctx.param("t2")
+    beta = (ctx.formed(ctx.mv(t0 * fpoly, ("z", "xi")))
+            + ctx.formed(ctx.mv(t0 * t2 * fpoly, ("xi",)), ("z",)))
+    alpha = (ctx.formed(ctx.mv(t1 * ctx.const(1), ("z",)), ("z",))
+             + ctx.formed(ctx.mv(t2 * kpoly, ("xi",)), ("z",)))
+    return MCSolution("ExP1", lam0, beta, alpha, ("t0", "t1", "t2"))
+
+
 def ep1_mc_solution(model: DeformationComplexModel, f_coeffs=None) -> MCSolution:
     """The corrected family on the nonzero stratum of `ep1_model`.
 
     f_coeffs overrides the cokernel representative (F0, F1, F2); the
     override is validated to lie outside the bracket image.
     """
-    ctx, lam0 = ep1_context(), model.lam0
+    ctx = ep1_context()
     if f_coeffs is None:
         reps = model.coker.reps
         if len(reps) != 1:
@@ -174,15 +241,20 @@ def ep1_mc_solution(model: DeformationComplexModel, f_coeffs=None) -> MCSolution
         fvec = [ctx.const(v) for v in f_coeffs]
         if image_space(model.h0).contains(fvec):
             raise ConstraintViolation("(F0,F1,F2) lies in the bracket image")
-    fpoly = fvec[0] + fvec[1] * ctx.xi() + fvec[2] * ctx.xi(2)
-    kpoly = lam0.coefficient(("z", "xi"))
-    t0, t1, t2 = ctx.param("t0"), ctx.param("t1"), ctx.param("t2")
-    one = ctx.const(1)
-    beta = (ctx.formed(ctx.mv(t0 * fpoly, ("z", "xi")))
-            + ctx.formed(ctx.mv(t0 * t2 * fpoly, ("xi",)), ("z",)))
-    alpha = (ctx.formed(ctx.mv(t1 * one, ("z",)), ("z",))
-             + ctx.formed(ctx.mv(t2 * kpoly, ("xi",)), ("z",)))
-    return MCSolution("ExP1", lam0, beta, alpha, ("t0", "t1", "t2"))
+    return ep1_family_solution(model.lam0, _quadratic(ctx, fvec))
+
+
+def _ep1_verified() -> VerifiedFamily:
+    ctx = ep1_context()
+    sol = ep1_family_solution(ep1_lambda0(ctx),
+                              _quadratic(ctx, [ctx.param(f"F{i}") for i in range(3)]))
+    return _verified(sol, {"defect": sol.defect()}, "Maurer-Cartan defect did not vanish")
+
+
+def ep1_family() -> VerifiedFamily:
+    """The nonzero-stratum family with A, B, C and F0..F2 symbolic, its
+    defect verified zero once per process."""
+    return stored(("ExP1", "family"), _ep1_verified)
 
 
 def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
@@ -220,10 +292,8 @@ def ep1_classify(a, b, c) -> Certificate:
             class_repr=str(cls),
             data=dims,
         )
+    ep1_family()
     sol = ep1_mc_solution(model)
-    defect = sol.defect()
-    if not defect.is_zero():
-        raise AssertionError("Maurer-Cartan defect did not vanish")
     if not model.fills(_tangent_classes(model, sol.tangents())):
         raise AssertionError("tangent map is not onto first cohomology")
     return Certificate(
@@ -258,7 +328,7 @@ def tp1_lambda0(class_id: int) -> MultiVector:
     plus K dz2^dxi - k K dz1^dxi on class 2 and -K dz1^dxi on class 3,
     K = A + B xi + C xi^2."""
     ctx = tp1_context()
-    K = ctx.param("A") + ctx.param("B") * ctx.xi() + ctx.param("C") * ctx.xi(2)
+    K = _quadratic(ctx, [ctx.param(n) for n in ("A", "B", "C")])
     # dxi ^ dz1 carries a sign against the sorted component order
     blocks = {1: ctx.zero(),
               2: ctx.mv(K, ("z2", "xi")) - ctx.mv(ctx.param("k") * K, ("z1", "xi")),
@@ -339,26 +409,12 @@ def tp1_dims(model: DeformationComplexModel) -> dict:
     return {"dim_h0": model.dim_h0, "dim_h1": middle_ker - rank_h0 + len(model.h1_kernel)}
 
 
-def tp1_mc_solution(model: DeformationComplexModel, f_coeffs=None) -> MCSolution:
-    """The corrected solution on class 2, lam0 = D dz1^dz2 + K dz2^dxi -
-    k K dz1^dxi, fully symbolic in t0..t8."""
-    ctx, lam0, m_h0 = tp1_context(), model.lam0, model.h0
-    K = lam0.coefficient(("z2", "xi"))
-    if K.is_zero():
-        raise ConstraintViolation("polynomial solutions are built on class 2")
-    kpar = -lam0.coefficient(("z1", "xi")).exact_div(K)
-    if f_coeffs is None:
-        gamma_map = [[m_h0.rows[i][j] for j in (2, 3, 4)] for i in (1, 2, 3)]
-        gm = LinMap(LabeledBasis("gamma", ("g0", "g1", "g2")),
-                    LabeledBasis("K-multiples", ("x0", "x1", "x2")),
-                    gamma_map, ctx.registry)
-        reps = cokernel_space(gm).reps
-        if len(reps) != 1:
-            raise ConstraintViolation("expected a one-dimensional cokernel")
-        fvec = reps[0]
-    else:
-        fvec = [ctx.const(v) for v in f_coeffs]
-    F = fvec[0] + fvec[1] * ctx.xi() + fvec[2] * ctx.xi(2)
+def tp1_family_solution(lam0: MultiVector, K: LaurentPoly, kpar: LaurentPoly,
+                        F: LaurentPoly) -> MCSolution:
+    """The corrected solution over lam0 = D dz1^dz2 + K dz2^dxi - k K dz1^dxi
+    with cokernel representative F, polynomial in t0..t8.  The one builder
+    of the stored family and of every request's solution."""
+    ctx = tp1_context()
     t = {i: ctx.param(f"t{i}") for i in range(9)}
     lam_t = (ctx.mv(t[0], ("z1", "z2"))
              + ctx.mv(t[2] * F, ("z2", "xi"))
@@ -372,10 +428,32 @@ def tp1_mc_solution(model: DeformationComplexModel, f_coeffs=None) -> MCSolution
         phi_t = piece if phi_t is None else phi_t + piece
     phi_corr = (ctx.formed(ctx.mv(t[2] * t[7] * F, ("xi",)), ("z1",))
                 + ctx.formed(ctx.mv(t[2] * t[8] * F, ("xi",)), ("z2",)))
-    beta = ctx.formed(lam_t + lam_corr)
-    alpha = phi_t + phi_corr
-    return MCSolution("TxP1", lam0, beta, alpha,
+    return MCSolution("TxP1", lam0, ctx.formed(lam_t + lam_corr), phi_t + phi_corr,
                       tuple(f"t{i}" for i in range(9)))
+
+
+def tp1_mc_solution(model: DeformationComplexModel, f_coeffs=None) -> MCSolution:
+    """The corrected solution on class 2 of `tp1_model`: K, k and the
+    cokernel representative F read off the model's own bivector and H0 map."""
+    ctx, lam0, m_h0 = tp1_context(), model.lam0, model.h0
+    K = lam0.coefficient(("z2", "xi"))
+    if K.is_zero():
+        raise ConstraintViolation("polynomial solutions are built on class 2")
+    kpar = -lam0.coefficient(("z1", "xi")).exact_div(K)
+    if not kpar.uses_only(ctx.registry.param_vars):
+        raise ConstraintViolation("the ratio k of the class-2 bivector involves chart variables")
+    if f_coeffs is None:
+        gamma_map = [[m_h0.rows[i][j] for j in (2, 3, 4)] for i in (1, 2, 3)]
+        gm = LinMap(LabeledBasis("gamma", ("g0", "g1", "g2")),
+                    LabeledBasis("K-multiples", ("x0", "x1", "x2")),
+                    gamma_map, ctx.registry)
+        reps = cokernel_space(gm).reps
+        if len(reps) != 1:
+            raise ConstraintViolation("expected a one-dimensional cokernel")
+        fvec = reps[0]
+    else:
+        fvec = [ctx.const(v) for v in f_coeffs]
+    return tp1_family_solution(lam0, K, kpar, _quadratic(ctx, fvec))
 
 
 def tp1_integrability(sol: MCSolution) -> dict:
@@ -389,6 +467,19 @@ def tp1_integrability(sol: MCSolution) -> dict:
     p15 = schouten_formed(lam0f, alpha) + schouten_formed(beta, alpha)
     p16 = schouten_formed(alpha, alpha).scale(half)
     return {"p14": p14, "p15": p15, "p16": p16}
+
+
+def _tp1_verified() -> VerifiedFamily:
+    ctx, lam0 = tp1_context(), tp1_lambda0(2)
+    sol = tp1_family_solution(lam0, lam0.coefficient(("z2", "xi")), ctx.param("k"),
+                              _quadratic(ctx, [ctx.param(f"F{i}") for i in range(3)]))
+    return _verified(sol, tp1_integrability(sol), "integrability piece {} did not vanish")
+
+
+def tp1_family() -> VerifiedFamily:
+    """The class-2 family with D, A, B, C, k and F0..F2 symbolic, its three
+    integrability pieces verified zero once per process."""
+    return stored(("TxP1", "family"), _tp1_verified)
 
 
 def tp1_classify(lam0: MultiVector) -> Certificate:
@@ -420,11 +511,8 @@ def tp1_classify(lam0: MultiVector) -> Certificate:
                    "structure embed untouched",
             data={"dim_h1": dim_h1},
         )
+    tp1_family()
     sol = tp1_mc_solution(model)
-    pieces = tp1_integrability(sol)
-    for name, val in pieces.items():
-        if not val.is_zero():
-            raise AssertionError(f"integrability piece {name} did not vanish")
     # cokernel representatives of the bivector block: the bivector parts of
     # the t0, t1 and t2 tangents, dz1^dz2, K dxi^dz1 and the F-direction
     tangents = sol.tangents()

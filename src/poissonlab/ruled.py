@@ -390,8 +390,10 @@ class Table1Row:
 
 
 def table1_verdict(rs: RuledSurface, pois: RuledPoisson) -> Table1Row:
+    """The Table 1 row of one structure; its certificate carries dim H2."""
     model = complex_model(rs, pois)
     cert = r4_search(model)
+    cert.data["dim_h2"] = model.dim_h2
     return Table1Row(rs.m, pois.stratum(), model.dim_h2,
                      cert.verdict == OBSTRUCTED, cert)
 

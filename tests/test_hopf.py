@@ -433,6 +433,46 @@ def test_repeated_family_classify_verifies_the_family_once(monkeypatch):
     assert outs[0] == outs[1]
 
 
+def test_each_stratum_verdict_is_searched_once_per_model(monkeypatch):
+    import io
+    from contextlib import redirect_stdout
+
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    searched = []
+    real = hopf_mod.r4_search
+    monkeypatch.setattr(hopf_mod, "r4_search",
+                        lambda model: searched.append((model.name, model.stratum)) or real(model))
+    requests = [["classify", "hopf:III:p=2", "--poisson", "3*w^3*@z^@w"],
+                ["classify", "hopf:IV", "--poisson", "(z^2 + 2*z*w + w^2)*@z^@w"],
+                ["classify", "hopf:III:p=2", "--poisson", "(-1)*w^3*@z^@w"],
+                ["classify", "hopf:IV", "--poisson", "z^2*@z^@w"]]
+    outs = []
+    for argv in requests * 2:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        outs.append(out.getvalue())
+    assert searched == [("Hopf III(p=2)", "B"), ("Hopf IV", "4AC-B^2=0")]
+    assert outs[:4] == outs[4:] and all(UNDETERMINED in out for out in outs)
+
+
+def test_a_stored_verdict_is_never_changed_by_its_requests(monkeypatch):
+    import io
+    from contextlib import redirect_stdout
+
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    argv = ["classify", "hopf:IV", "--poisson", "(4*z^2 + 4*z*w + w^2)*@z^@w"]
+    outs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        outs.append(out.getvalue())
+    stored = model_for(HopfType("IV")).certificates["degenerate"]
+    assert outs[0] == outs[1] == stored.to_json() + "\n"
+    assert stored.data == {} and stored.verdict == UNDETERMINED
+
+
 def test_the_model_store_is_the_only_module_state():
     assert not hasattr(hopf_mod, "_CONTEXT_CACHE")
     mutable = [name for name, value in vars(hopf_mod).items()
@@ -776,6 +816,9 @@ def test_zero_structure_certificate_brackets_only_its_witness(monkeypatch):
     argv = ["classify", "hopf:IV", "--poisson", "0*@z^@w"]
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
+    # the first request stored the verdict on the model: drop it, so the
+    # next request builds it again on the built model
+    model_for(HopfType("IV")).certificates.clear()
     calls = {"schouten": 0, "quotient_coords": 0}
     inside = []
     for name in calls:

@@ -12,6 +12,7 @@ from poissonlab.products import (ConstraintViolation,
                                  tp1_bases, tp1_classify, tp1_context,
                                  tp1_dims, tp1_integrability, tp1_model,
                                  tp1_lambda0, tp1_mc_solution)
+from poissonlab.products import ep1_family, tp1_family
 from poissonlab.rational import GaussianRational
 import poissonlab.products as products_mod
 
@@ -205,6 +206,116 @@ def test_tp1_dims_table():
     assert dims(1)["dim_h1"] == 17
     assert dims(2)["dim_h1"] == 9
     assert dims(3)["dim_h1"] == 9
+
+
+def _variables(sol):
+    """The names the solution's bivector and element use."""
+    names = set()
+    for mv in [sol.lambda0, *sol.element().parts.values()]:
+        for poly in mv.components.values():
+            names |= poly.variables()
+    return names
+
+
+@pytest.mark.parametrize("family, coefficients", [
+    (ep1_family, ("A", "B", "C", "F0", "F1", "F2")),
+    (tp1_family, ("D", "A", "B", "C", "k", "F0", "F1", "F2")),
+], ids=["ep1", "tp1"])
+def test_stored_families_hold_with_every_coefficient_symbolic(family, coefficients):
+    fam = family()
+    assert set(coefficients) <= _variables(fam.solution)
+    assert fam.pieces and all(v.is_zero() for v in fam.pieces.values())
+    # the stored pieces are the identity of the stored solution, recomputed
+    sol = fam.solution
+    again = ({"defect": sol.defect()} if sol.name == "ExP1" else tp1_integrability(sol))
+    assert again == fam.pieces
+    assert family() is fam
+
+
+def _serve(argv):
+    import io
+    from contextlib import redirect_stdout
+
+    from poissonlab import cli
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_product_requests_read_one_verification_per_family(monkeypatch):
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    calls = {"tp1_integrability": 0, "defect": 0, "fills": 0}
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(products_mod, "tp1_integrability",
+                        counting("tp1_integrability", products_mod.tp1_integrability))
+    monkeypatch.setattr(products_mod.MCSolution, "defect",
+                        counting("defect", products_mod.MCSolution.defect))
+    monkeypatch.setattr(DeformationComplexModel, "fills",
+                        counting("fills", DeformationComplexModel.fills))
+    filled = [["classify", "ep1", "--poisson", "(1 + 2*xi)*@z^@xi"],
+              ["classify", "tp1", "--poisson", "2*(@z1^@z2) + (1 + xi^2)*(@z2^@xi)"
+                                               " - 3*(1 + xi^2)*(@z1^@xi)"],
+              ["classify", "ep1", "--poisson", "(3 - xi + 5*xi^2)*@z^@xi"],
+              ["classify", "tp1", "--poisson", "(@z1^@z2) - (xi - 4)*(@z1^@xi)"],
+              ["verify-family", "ep1"], ["verify-family", "tp1"]]
+    checks = [["mc-check", "ep1"], ["mc-check", "tp1"]]
+    for argv in checks + filled + checks:
+        code, out = _serve(argv)
+        assert code == 0
+        assert '"unobstructed_mc"' in out or '"defect_zero": true' in out
+    assert calls == {"tp1_integrability": 1, "defect": 1, "fills": len(filled)}
+
+
+def _drop_tp1_correction(real):
+    """The TxP1 builder without its bivector correction -t1 t2 F dz1^dxi."""
+    def build(lam0, K, kpar, F):
+        sol = real(lam0, K, kpar, F)
+        ctx = tp1_context()
+        t1t2F = ctx.param("t1") * ctx.param("t2") * F
+        sol.beta = sol.beta + ctx.formed(ctx.mv(t1t2F, ("z1", "xi")))
+        return sol
+    return build
+
+
+def _drop_ep1_correction(real):
+    """The ExP1 builder without its correction t0 t2 F dxi dzbar."""
+    def build(lam0, fpoly):
+        sol = real(lam0, fpoly)
+        ctx = ep1_context()
+        t0t2F = ctx.param("t0") * ctx.param("t2") * fpoly
+        sol.beta = sol.beta - ctx.formed(ctx.mv(t0t2F, ("xi",)), ("z",))
+        return sol
+    return build
+
+
+@pytest.mark.parametrize("builder, corrupt, argv, key, message", [
+    ("tp1_family_solution", _drop_tp1_correction,
+     ["classify", "tp1", "--poisson", "(@z1^@z2) + (1 + xi)*(@z2^@xi)"],
+     ("TxP1", "family"), "integrability piece p14 did not vanish"),
+    ("ep1_family_solution", _drop_ep1_correction,
+     ["classify", "ep1", "--poisson", "(1 + xi)*@z^@xi"],
+     ("ExP1", "family"), "Maurer-Cartan defect did not vanish"),
+], ids=["tp1", "ep1"])
+def test_a_corrupted_family_fails_every_request_and_is_never_stored(
+        monkeypatch, builder, corrupt, argv, key, message):
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    monkeypatch.setattr(products_mod, builder, corrupt(getattr(products_mod, builder)))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=message):
+            _serve(argv)
+        assert key not in obstruction._STORE
+    # the report names the failing pieces, and still stores nothing
+    code, out = _serve(["mc-check", argv[1]])
+    assert code == 1 and '"defect_zero": false' in out
+    assert key not in obstruction._STORE
 
 
 def test_tp1_integrability_identities():

@@ -242,6 +242,14 @@ def test_table1_random_structures():
                 assert row.dim_h2 == m - 3
 
 
+def test_table1_certificates_carry_their_dim_h2():
+    rng = random.Random(72)
+    for m in (2, 5, 8):
+        rs = make_surface(m)
+        row = table1_verdict(rs, random_poisson(rs, rng))
+        assert row.certificate.data == {"dim_h2": row.dim_h2}
+
+
 def test_lemma_r4_certificate_and_stratum_guard():
     rs = make_surface(4)
     pois = RuledPoisson(rs, zero(rs), zero(rs), rs.z() * 3)
