@@ -78,6 +78,13 @@ REQUESTS = (
     ["classify", "ruled:6", "--poisson", "(a*z + b)*xi*@z^@xi"],
     # a cover model that fails validation: III(p=5) needs a cap above p
     ["tables", "hopf", "--p", "5", "--degree", "4"],
+    # a form part, rejected rather than dropped
+    ["classify", "ep1", "--poisson", "@z^@xi + ~z*@xi"],
+    ["classify", "ep1", "--poisson", "~z*@z^@xi"],
+    # a suffix the kind does not take, and a kind that does not exist
+    ["classify", "ep1:3", "--poisson", "@z^@xi"],
+    ["classify", "tp1:x:y", "--poisson", "@z1^@z2"],
+    ["classify", "foo", "--poisson", "@z^@w"],
 )
 
 

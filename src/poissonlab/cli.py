@@ -5,22 +5,31 @@ parsed expressions, classify Poisson structures into deformation
 verdicts, and re-run the family and Maurer-Cartan verifications.  All
 verification failures exit nonzero; JSON output is key-sorted and
 deterministic.
+
+Each command is one lookup: `tables` in `TABLES`, `verify-family` in
+`FAMILIES`, `mc-check` in `SOLUTIONS`, and `classify` in `GEOMETRIES`,
+the one list of manifold kinds and their spec forms.  Every classify
+source goes through one reader, `_read`: tokenized once, evaluated in
+the geometry's own frame, and rejected unless it is a bivector with no
+form part; each geometry then reads its coordinates through its own
+check.  Usage errors exit 2 with one `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 
 from . import hopf, products, ruled
 from .expr import ParseError, UnknownSymbol, context_for, eval_str, free_names, tokenize
-from .laurent import LaurentError, LaurentPoly
+from .laurent import LaurentError, VarRegistry
 from .linalg import NotInSpan
-from .multivector import ChartFrame, schouten_formed
-from .obstruction import (OBSTRUCTED, UNDETERMINED, UNOBSTRUCTED_MC, Certificate)
+from .multivector import Chart, ChartFrame, basis_coords, schouten_formed
+from .obstruction import OBSTRUCTED, UNDETERMINED, UNOBSTRUCTED_MC, Certificate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -61,26 +70,18 @@ def _m_max(args) -> int:
     return args.m_max
 
 
-def _spec_number(parts, low: int, high: int | None = None) -> int:
+def _spec_number(parts, low: int, high: int) -> int:
     """The N of a `KIND:N` manifold spec, an integer in low..high."""
     spec = ":".join(parts)
-    bounds = f"{low}..{high}" if high is not None else f">= {low}"
     if len(parts) != 2:
-        raise UsageError(f"{spec!r}: expected {parts[0]}:N with an integer N {bounds}")
+        raise UsageError(f"{spec!r}: expected {parts[0]}:N with an integer N {low}..{high}")
     try:
         n = int(parts[1])
     except ValueError:
         n = None
-    if n is None or n < low or (high is not None and n > high):
-        raise UsageError(f"{spec!r}: N must be an integer {bounds}")
+    if n is None or not low <= n <= high:
+        raise UsageError(f"{spec!r}: N must be an integer {low}..{high}")
     return n
-
-
-def _emit(doc, args, md_render):
-    if getattr(args, "md", False):
-        print(md_render(doc))
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
 
 
 # ----------------------------------------------------------------------
@@ -102,13 +103,14 @@ def ruled_table(m_max: int) -> list[dict]:
     return rows
 
 
-def hopf_types(p: int):
-    return (hopf.HopfType("IV"), hopf.HopfType("III", p), hopf.HopfType("IIa", p),
-            hopf.HopfType("IIb"), hopf.HopfType("IIc"))
+def _types_by_tag(p: int) -> dict:
+    """The five Hopf types by tag, the resonant ones at exponent p, in the
+    order `hopf.strata(p)` first names them."""
+    return {t.tag: t for t, _ in hopf.strata(p)}
 
 
 def hopf_tables(cap: int | None, p: int) -> dict:
-    models = {t: hopf.model_for(t, cap) for t in hopf_types(p)}
+    models = {t: hopf.model_for(t, cap) for t in _types_by_tag(p).values()}
     classification = [hopf.table_dims(model) for model in models.values()]
     cohomology = [hopf.stratum_row(models[t], stratum) for t, stratum in hopf.strata(p)]
     families = []
@@ -151,6 +153,30 @@ def products_tables() -> dict:
     return {"curve_products": curve_rows, "tp1": tp1_rows, "torus": torus_rows}
 
 
+def _p(args) -> int:
+    if not 2 <= args.p <= MAX_P:
+        raise UsageError(f"--p must be an integer in 2..{MAX_P}, got {args.p}")
+    return args.p
+
+
+# table -> (its document from the parsed arguments, its markdown sections: the
+# document key of each section's rows, None where the document is the rows,
+# with the columns and the title)
+TABLES = {
+    "ruled": (lambda args: ruled_table(_m_max(args)),
+              ((None, ("manifold", "stratum", "dim_h2", "verdict"), "Ruled surfaces"),)),
+    "hopf": (lambda args: hopf_tables(p=_p(args), cap=_degree_cap(args)),
+             (("classification", ("type", "dim_h0_theta", "dim_h0_sq"), "Hopf classification"),
+              ("cohomology", ("type", "stratum", "dim_h0", "dim_h1", "dim_h2",
+                              "automorphism_basis_verified"), "Hopf cohomology"),
+              ("families", ("type", "stratum", "verdict"), "Hopf families"))),
+    "products": (lambda args: products_tables(),
+                 (("curve_products", ("manifold", "stratum", "verdict"), "Products of curves"),
+                  ("tp1", ("class", "dim_h1", "verdict"), "Torus times projective line"),
+                  ("torus", ("n", "dim_h1"), "Poisson tori"))),
+}
+
+
 def _md_rows(rows, columns, title):
     lines = [f"## {title}", "", "| " + " | ".join(columns) + " |",
              "|" + "|".join("---" for _ in columns) + "|"]
@@ -161,37 +187,168 @@ def _md_rows(rows, columns, title):
 
 
 # ----------------------------------------------------------------------
+# the input reader and the classify table
+
+def _read(src: str, frame_of) -> tuple:
+    """The frame and the bivector of a `--poisson` source: its tokens,
+    made once, are evaluated in frame_of(tokens), the frame of the chosen
+    geometry, and anything but a bivector with no form part is rejected."""
+    tokens = tokenize(src)
+    frame = frame_of(tokens)
+    value = eval_str(tokens, frame)
+    mv = value.part(())
+    if value.parts.keys() - {()} or mv.grades() - {2}:
+        raise UsageError("a Poisson structure must be a pure bivector expression")
+    return frame, mv
+
+
+def _coords(read, mv, src: str, span: str):
+    """The coordinates `read` gives the bivector; its check failing is a
+    usage error that names the span the bivector lies outside."""
+    try:
+        return read(mv)
+    except (NotInSpan, ValueError) as exc:
+        raise UsageError(f"{src!r} is not {span}: {exc}") from None
+
+
+def _rational(coords) -> list:
+    """Each coordinate as a rational; any other coordinate is a usage error."""
+    try:
+        values = [c.constant_value() for c in coords]
+        if all(v.im == 0 for v in values):
+            return [v.re for v in values]
+    except LaurentError:
+        pass
+    raise UsageError("classification needs exact rational coefficients")
+
+
+def _hopf_type(parts) -> hopf.HopfType:
+    """The type of a `hopf:TAG` or `hopf:TAG:p=N` spec; rejects anything else."""
+    spec = ":".join(parts)
+    types = _types_by_tag(hopf.DEFAULT_P)
+    if len(parts) < 2 or parts[1] not in types:
+        raise UsageError(f"{spec!r}: the Hopf type must be one of {', '.join(types)}")
+    tag, extras = parts[1], parts[2:]
+    if types[tag].p is None:
+        if extras:
+            raise UsageError(f"{spec!r}: type {tag} takes no options")
+        return types[tag]
+    if len(extras) != 1 or not extras[0].startswith("p="):
+        raise UsageError(f"{spec!r}: type {tag} needs exactly one option p=N")
+    try:
+        p = int(extras[0][2:])
+    except ValueError:
+        p = None
+    if p is None or not 2 <= p <= MAX_P:
+        raise UsageError(f"{spec!r}: p must be an integer in 2..{MAX_P}")
+    return hopf.HopfType(tag, p)
+
+
+def _classify_ruled(parts, args) -> Certificate:
+    m, src = _spec_number(parts, 0, ruled.MAX_M), args.poisson
+
+    def surface(tokens):
+        names = sorted(free_names(tokens) - {"z", "xi"})
+        for n in names:
+            if n in ("zp", "xip"):
+                raise UsageError(f"{src!r}: {n!r} is a coordinate of the chart U2; "
+                                 "write the bivector in the U1 coordinates z, xi")
+        # one with its own parameter names is never stored: names cannot grow the store
+        return ruled.make_surface(m, names) if names else ruled.surface_for(m)
+
+    rs, mv = _read(src, surface)
+    pois = _coords(functools.partial(ruled.poisson_from_bivector, rs), mv, src,
+                   f"a global Poisson structure on F{m}")
+    return ruled.table1_verdict(rs, pois).certificate
+
+
+def _classify_hopf(parts, args) -> Certificate:
+    model = hopf.model_for(_hopf_type(parts), _degree_cap(args))
+    _, mv = _read(args.poisson, lambda tokens: model.ctx)
+    coords = _coords(model.bivector_coords, mv, args.poisson, "an invariant bivector on the "
+                     f"Hopf surface of type {model.ctx.type.label()}")
+    return hopf.stratum_certificate(model, hopf.stratum_of(model, coords))
+
+
+def _product_bivector(name: str, src: str) -> tuple:
+    """A bivector on "ExP1" or "TxP1" and its coordinates on the stored
+    basis of global bivectors, which must be rational."""
+    ctx, bases, _ = products.product_frame(name)
+    _, mv = _read(src, lambda tokens: ctx)
+    read = basis_coords(bases["h0_sq"])
+    return mv, _rational(_coords(read, mv, src, f"a global bivector on {name}"))
+
+
+def _classify_torus(parts, args) -> Certificate:
+    n = _spec_number(parts, 1, MAX_TORUS_N)
+    names = tuple(f"z{i}" for i in range(1, n + 1))
+    frame = ChartFrame(Chart(f"T{n}", names), VarRegistry(names, ()))
+    # a bivector in the chart z1..zn has only the components zi^zj, i < j
+    _, mv = _read(args.poisson, lambda tokens: frame)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    values = _rational(mv.coefficient((f"z{i}", f"z{j}")) for i, j in pairs)
+    dim = products.torus_dims(n, {f"b_{i}_{j}": v for (i, j), v in zip(pairs, values)})
+    return Certificate(f"T{n}", "constant", UNOBSTRUCTED_MC,
+                       reason="translation-invariant deformation family", data={"dim_h1": dim})
+
+
+# manifold kind -> (its spec form, its classifier): the only list of kinds; a spec
+# has at most the parts of its form
+GEOMETRIES = {
+    "ruled": ("ruled:N", _classify_ruled),
+    "hopf": ("hopf:TAG[:p=N]", _classify_hopf),
+    "ep1": ("ep1", lambda parts, args: products.ep1_classify(
+        *_product_bivector("ExP1", args.poisson)[1])),
+    "tp1": ("tp1", lambda parts, args: products.tp1_classify(
+        _product_bivector("TxP1", args.poisson)[0])),
+    "torus": ("torus:N", _classify_torus),
+}
+
+
+# ----------------------------------------------------------------------
+# the family and solution tables
+
+def _ruled_family(name: str, cap: int | None) -> dict:
+    rep = ruled.verify_family(ruled.FAMILIES[name]())
+    return {"ok": rep.ok, "dim_h1": rep.dim_h1, "n_params": rep.n_params, "h1_basis": rep.basis}
+
+
+def _hopf_family(t: hopf.HopfType, cap: int | None) -> dict:
+    model = hopf.model_for(t, cap)
+    inv = hopf.family_invariance(model.ctx)
+    mem = hopf.d_membership(model)
+    return {"ok": bool(inv), "invariance": inv, "h1_dim": mem["h1_dim"], "pairs": mem["pairs"]}
+
+
+def _product_family(cert: Certificate) -> dict:
+    return {"ok": cert.verdict == UNOBSTRUCTED_MC, "verdict": cert.verdict, "dims": cert.data}
+
+
+# family name -> its report at a Hopf degree cap
+FAMILIES = {
+    **{name: functools.partial(_ruled_family, name) for name in ruled.FAMILIES},
+    **{f"hopf-{tag.lower()}": functools.partial(_hopf_family, t)
+       for tag, t in _types_by_tag(hopf.DEFAULT_P).items()},
+    "ep1": lambda cap: _product_family(products.ep1_classify(None, None, None)),
+    "tp1": lambda cap: _product_family(products.tp1_classify(products.tp1_lambda0(2))),
+}
+FAMILY_NAMES = tuple(FAMILIES)
+
+# solution name -> its family, verified once per process
+SOLUTIONS = {"ep1": products.ep1_family, "tp1": products.tp1_family}
+
+
+# ----------------------------------------------------------------------
 # subcommand handlers
 
 def cmd_tables(args) -> int:
-    if args.what == "ruled":
-        rows = ruled_table(_m_max(args))
-        _emit(rows, args, lambda doc: _md_rows(
-            doc, ("manifold", "stratum", "dim_h2", "verdict"), "Ruled surfaces"))
-        return EXIT_OK
-    if args.what == "hopf":
-        if not 2 <= args.p <= MAX_P:
-            raise UsageError(f"--p must be an integer in 2..{MAX_P}, got {args.p}")
-        doc = hopf_tables(_degree_cap(args), args.p)
-        def render(d):
-            out = _md_rows(d["classification"],
-                           ("type", "dim_h0_theta", "dim_h0_sq"), "Hopf classification")
-            out += _md_rows(d["cohomology"],
-                            ("type", "stratum", "dim_h0", "dim_h1", "dim_h2",
-                             "automorphism_basis_verified"), "Hopf cohomology")
-            out += _md_rows(d["families"], ("type", "stratum", "verdict"), "Hopf families")
-            return out
-        _emit(doc, args, render)
-        return EXIT_OK
-    doc = products_tables()
-    def render(d):
-        out = _md_rows(d["curve_products"], ("manifold", "stratum", "verdict"),
-                       "Products of curves")
-        out += _md_rows(d["tp1"], ("class", "dim_h1", "verdict"),
-                        "Torus times projective line")
-        out += _md_rows(d["torus"], ("n", "dim_h1"), "Poisson tori")
-        return out
-    _emit(doc, args, render)
+    build, sections = TABLES[args.what]
+    doc = build(args)
+    if args.md:
+        print("".join(_md_rows(doc if key is None else doc[key], columns, title)
+                      for key, columns, title in sections))
+    else:
+        print(json.dumps(doc, sort_keys=True, indent=2))
     return EXIT_OK
 
 
@@ -210,216 +367,43 @@ def cmd_bracket(args) -> int:
     return EXIT_OK
 
 
-def _rational_or_none(poly: LaurentPoly):
-    try:
-        c = poly.constant_value()
-    except LaurentError:
-        return None
-    if c.im != 0:
-        return None
-    return c.re
-
-
 def cmd_classify(args) -> int:
-    spec = args.manifold
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "ruled":
-        m = _spec_number(parts, 0, ruled.MAX_M)
-        src = args.poisson
-        tokens = tokenize(src)
-        names = sorted(n for n in free_names(tokens) if n not in ("z", "xi"))
-        for n in names:
-            if n in ("zp", "xip"):
-                raise UsageError(f"{src!r}: {n!r} is a coordinate of the chart U2; "
-                                 "write the bivector in the U1 coordinates z, xi")
-        # one with its own parameter names is never stored: names cannot grow the store
-        rs = ruled.make_surface(m, names) if names else ruled.surface_for(m)
-        mv = eval_str(tokens, rs).part(())
-        try:
-            pois = ruled.poisson_from_bivector(rs, mv)
-        except ValueError as exc:
-            raise UsageError(f"{src!r} is not a global Poisson structure on F{m}: "
-                             f"{exc}") from None
-        cert = ruled.table1_verdict(rs, pois).certificate
-    elif kind == "hopf":
-        cert = _classify_hopf(parts, args)
-    elif kind == "ep1":
-        coeffs = _ep1_coeffs(args.poisson)
-        cert = products.ep1_classify(*coeffs)
-    elif kind == "tp1":
-        cert = _classify_tp1(args.poisson)
-    elif kind == "torus":
-        n = _spec_number(parts, 1, MAX_TORUS_N)
-        dim = products.torus_dims(n, _torus_coeffs(args.poisson, n))
-        cert = Certificate(f"T{n}", "constant", UNOBSTRUCTED_MC,
-                           reason="translation-invariant deformation family",
-                           data={"dim_h1": dim})
-    else:
-        print(f"unknown manifold spec {spec!r}", file=sys.stderr)
-        return EXIT_USAGE
-    print(cert.to_json())
+    parts = args.manifold.split(":")
+    form, classify = GEOMETRIES.get(parts[0], ("", None))
+    if classify is None or len(parts) > form.count(":") + 1:
+        forms = ", ".join(form for form, _ in GEOMETRIES.values())
+        raise UsageError(f"manifold spec {args.manifold!r} has none of the forms {forms}")
+    print(classify(parts, args).to_json())
     return EXIT_OK
 
 
-def _require_bivector(mv):
-    if mv.grades() - {2}:
-        raise UnknownSymbol("a Poisson structure must be a pure bivector expression")
-    return mv
-
-
-def _rationals(polys):
-    out = [_rational_or_none(p) for p in polys]
-    if None in out:
-        raise UnknownSymbol("classification needs exact rational coefficients")
-    return out
-
-
-def _xi_quadratic(src: str, poly: LaurentPoly, manifold: str):
-    """The rational coefficients of xi^0, xi^1, xi^2 in `poly`.
-
-    A global bivector on a product with the projective line has xi-degree
-    0..2 in this chart; any other degree is a usage error."""
-    buckets = poly.coefficients_in("xi")
-    outside = sorted(set(buckets) - {0, 1, 2})
-    if outside:
-        raise UsageError(f"{src!r} is not a global bivector on {manifold}: "
-                         f"xi-degree {outside[0]} lies outside 0..2")
-    return _rationals(buckets.get(k, LaurentPoly.zero(poly.registry)) for k in (0, 1, 2))
-
-
-def _ep1_coeffs(src: str):
-    tokens = tokenize(src)
-    ctx = context_for([tokens], ("z", "xi"), ("z",))
-    mv = _require_bivector(eval_str(tokens, ctx).part(()))
-    return _xi_quadratic(src, mv.coefficient(("z", "xi")), "ExP1")
-
-
-def _torus_coeffs(src: str, n: int) -> dict:
-    """The constant coefficients b_ij of a bivector on the chart z1..zN."""
-    names = tuple(f"z{i}" for i in range(1, n + 1))
-    tokens = tokenize(src)
-    ctx = context_for([tokens], names)
-    mv = _require_bivector(eval_str(tokens, ctx).part(()))
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    values = [_rational_or_none(mv.coefficient((f"z{i}", f"z{j}"))) for i, j in pairs]
-    if None in values:
-        raise UsageError(f"{src!r} is not a constant Poisson structure on T{n}: "
-                         "the coefficients must be rational constants")
-    return {f"b_{i}_{j}": v for (i, j), v in zip(pairs, values)}
-
-
-def _hopf_type(parts) -> hopf.HopfType:
-    """The type of a `hopf:TAG` or `hopf:TAG:p=N` spec; rejects anything else."""
-    spec = ":".join(parts)
-    if len(parts) < 2 or parts[1] not in hopf.TYPE_TAGS:
-        raise UsageError(f"{spec!r}: the Hopf type must be one of {', '.join(hopf.TYPE_TAGS)}")
-    tag, extras = parts[1], parts[2:]
-    if tag not in ("III", "IIa"):
-        if extras:
-            raise UsageError(f"{spec!r}: type {tag} takes no options")
-        return hopf.HopfType(tag)
-    if len(extras) != 1 or not extras[0].startswith("p="):
-        raise UsageError(f"{spec!r}: type {tag} needs exactly one option p=N")
-    try:
-        p = int(extras[0][2:])
-    except ValueError:
-        p = None
-    if p is None or not 2 <= p <= MAX_P:
-        raise UsageError(f"{spec!r}: p must be an integer in 2..{MAX_P}")
-    return hopf.HopfType(tag, p)
-
-
-def _classify_hopf(parts, args) -> Certificate:
-    t = _hopf_type(parts)
-    model = hopf.model_for(t, _degree_cap(args))
-    ctx = model.ctx
-    tokens = tokenize(args.poisson)
-    names = sorted(n for n in free_names(tokens) if n not in ("z", "w"))
-    for n in names:
-        if n not in ctx.registry.param_vars:
-            raise UnknownSymbol(n)
-    mv = _require_bivector(eval_str(tokens, ctx).part(()))
-    try:
-        coords = model.bivector_coords(mv)
-    except NotInSpan:
-        raise UsageError(f"{args.poisson!r} is not an invariant bivector "
-                         f"on the Hopf surface of type {t.label()}") from None
-    return hopf.stratum_certificate(model, hopf.stratum_of(model, coords))
-
-
-def _classify_tp1(src: str) -> Certificate:
-    ctx = products.tp1_context()
-    # no dbar generators: a Poisson structure has no form part
-    mv = _require_bivector(eval_str(src, ChartFrame(ctx.chart, ctx.registry)).part(()))
-    _rationals([mv.coefficient(("z1", "z2"))])
-    for comp in (("z2", "xi"), ("z1", "xi")):
-        _xi_quadratic(src, mv.coefficient(comp), "TxP1")
-    return products.tp1_classify(mv)
-
-
-FAMILY_NAMES = ("f2", "f3", "f4", "f5", "hopf-iv", "hopf-iii", "hopf-iia",
-                "hopf-iib", "hopf-iic", "ep1", "tp1")
-
-
 def cmd_verify_family(args) -> int:
-    name = args.name
     try:
-        doc = verify_family_report(name, _degree_cap(args))
+        doc = verify_family_report(args.name, _degree_cap(args))
     except (ruled.RationalPartSurvives, ruled.KSDegenerate,
             hopf.MembershipFails, AssertionError) as exc:
-        doc = {"family": name, "ok": False, "error": str(exc)}
-        if isinstance(exc, ruled.RationalPartSurvives) and exc.residual:
+        doc = {"family": args.name, "ok": False, "error": str(exc)}
+        if getattr(exc, "residual", None):
             doc["residual"] = exc.residual
-        print(json.dumps(doc, sort_keys=True, indent=2))
-        return EXIT_FAIL
     print(json.dumps(doc, sort_keys=True, indent=2))
     return EXIT_OK if doc["ok"] else EXIT_FAIL
 
 
 def verify_family_report(name: str, cap: int | None = None) -> dict:
-    if name in ruled.FAMILIES:
-        fam = ruled.FAMILIES[name]()
-        rep = ruled.verify_family(fam)
-        return {"family": name, "ok": rep.ok, "dim_h1": rep.dim_h1,
-                "n_params": rep.n_params, "h1_basis": rep.basis}
-    if name.startswith("hopf-"):
-        tag = {"hopf-iv": ("IV", None), "hopf-iii": ("III", hopf.DEFAULT_P),
-               "hopf-iia": ("IIa", hopf.DEFAULT_P), "hopf-iib": ("IIb", None),
-               "hopf-iic": ("IIc", None)}[name]
-        model = hopf.model_for(hopf.HopfType(*tag), cap)
-        inv = hopf.family_invariance(model.ctx)
-        mem = hopf.d_membership(model)
-        return {"family": name, "ok": bool(inv), "invariance": inv,
-                "h1_dim": mem["h1_dim"], "pairs": mem["pairs"]}
-    if name == "ep1":
-        cert = products.ep1_classify(None, None, None)
-        return {"family": name, "ok": cert.verdict == UNOBSTRUCTED_MC,
-                "verdict": cert.verdict, "dims": cert.data}
-    if name == "tp1":
-        cert = products.tp1_classify(products.tp1_lambda0(2))
-        return {"family": name, "ok": cert.verdict == UNOBSTRUCTED_MC,
-                "verdict": cert.verdict, "dims": cert.data}
-    raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
+    return {"family": name, **FAMILIES[name](cap)}
 
 
 def cmd_mc_check(args) -> int:
     """The graded pieces of the stored family's identity, verified once per
     process over every coefficient; a failed identity reports its pieces."""
-    name = args.name
-    families = {"ep1": products.ep1_family, "tp1": products.tp1_family}
-    if name not in families:
-        print(f"unknown solution {name!r}; choose ep1 or tp1", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        pieces = families[name]().pieces
+        pieces = SOLUTIONS[args.name]().pieces
     except products.IdentityFails as exc:
         pieces = exc.pieces
-    doc = {"solution": name, "defect_zero": all(v.is_zero() for v in pieces.values())}
-    if name == "ep1":
-        doc["defect"] = str(pieces["defect"])
-    else:
-        doc["pieces"] = {k: str(v) for k, v in pieces.items()}
+    printed = {k: str(v) for k, v in pieces.items()}
+    # an identity of one piece prints it by name, a graded one all its pieces
+    doc = {"solution": args.name, "defect_zero": all(v.is_zero() for v in pieces.values()),
+           **(printed if len(printed) == 1 else {"pieces": printed})}
     print(json.dumps(doc, sort_keys=True, indent=2))
     return EXIT_OK if doc["defect_zero"] else EXIT_FAIL
 
@@ -446,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     tables = sub.add_parser("tables", help="reproduce the dimension tables")
-    tables.add_argument("what", choices=("ruled", "hopf", "products"))
+    tables.add_argument("what", choices=tuple(TABLES))
     tables.add_argument("--m-max", type=int, default=10)
     tables.add_argument("--degree", type=int, default=None)
     tables.add_argument("--p", type=int, default=hopf.DEFAULT_P)
@@ -471,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.set_defaults(func=cmd_verify_family)
 
     mc = sub.add_parser("mc-check", help="Maurer-Cartan defect report")
-    mc.add_argument("name", choices=("ep1", "tp1"))
+    mc.add_argument("name", choices=tuple(SOLUTIONS))
     mc.set_defaults(func=cmd_mc_check)
 
     report = sub.add_parser("report", help="all tables and verifications as JSON")

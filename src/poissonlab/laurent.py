@@ -393,9 +393,6 @@ class LaurentPoly:
         return {e: LaurentPoly._of_terms(self.registry, terms)
                 for e, terms in sorted(buckets.items())}
 
-    def coefficient_of(self, name: str, power: int) -> "LaurentPoly":
-        return self.coefficients_in(name).get(power, LaurentPoly.zero(self.registry))
-
     def constant_value(self) -> GaussianRational:
         if not self.terms:
             return GaussianRational(0)
@@ -534,6 +531,8 @@ def univar_gcd(polys: list["LaurentPoly"], name: str) -> "LaurentPoly | None":
 
     Returns None when any input involves another variable; the zero
     inputs are ignored and the result is shifted to have order zero.
+    Each remainder is made monic, which a gcd, unique up to a unit, allows:
+    non-monic remainders over Q(i) swell (Knuth, TAOCP vol. 2, 4.6.1).
     """
     reg = None
     dense: list[dict[int, GaussianRational]] = []
@@ -560,12 +559,12 @@ def univar_gcd(polys: list["LaurentPoly"], name: str) -> "LaurentPoly | None":
         return {e: c / lead for e, c in d.items()}
 
     def rem(a, b):
+        """a modulo the monic b."""
         a = dict(a)
         db = degree(b)
-        lb = b[db]
         while a and degree(a) >= db:
             da = degree(a)
-            f = a[da] / lb
+            f = a[da]
             for e, c in b.items():
                 s = a.get(e + da - db, GaussianRational(0)) - f * c
                 if s.is_zero():
@@ -578,8 +577,9 @@ def univar_gcd(polys: list["LaurentPoly"], name: str) -> "LaurentPoly | None":
     for d in dense[1:]:
         a, b = d, g
         while b:
-            a, b = b, rem(a, b)
-        g = monic(a)
+            r = rem(a, b)
+            a, b = b, monic(r) if r else r
+        g = a
         if degree(g) == 0:
             break
     if degree(g) == 0:

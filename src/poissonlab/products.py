@@ -14,7 +14,8 @@ H1(Theta) map being two copies of the H0(Theta) one, see `tp1_model`).
 Both are built on first use, not at import, and kept in the one process
 store (`obstruction.stored`, keys `("ExP1",)` and `("TxP1",)`), so a
 process serving a stream of classify requests reuses them across
-requests; `ep1_context()` and `tp1_context()` hand out the stored frames.
+requests; `product_frame` hands out the stored triples, `ep1_context()`
+and `tp1_context()` the frames alone.
 
 A bivector lam = sum_j lam_j s_j with coefficients lam_j free of chart
 variables has the bracket matrix sum_j lam_j M_j, M_j that of [s_j, -],
@@ -76,9 +77,15 @@ def _ep1_frame() -> tuple[ChartFrame, dict, dict]:
     return ctx, bases, _ep1_basis_maps(ctx, bases)
 
 
+def product_frame(name: str) -> tuple[ChartFrame, dict, dict]:
+    """The stored frame of "ExP1" or "TxP1", its bases and its per-basis
+    bracket maps."""
+    return stored((name,), {"ExP1": _ep1_frame, "TxP1": _tp1_frame}[name])
+
+
 def ep1_context() -> ChartFrame:
     """The stored ExP1 frame."""
-    return stored(("ExP1",), _ep1_frame)[0]
+    return product_frame("ExP1")[0]
 
 
 def ep1_bases(ctx: ChartFrame) -> dict:
@@ -117,7 +124,7 @@ def ep1_lambda0(ctx: ChartFrame, a=None, b=None, c=None) -> MultiVector:
 def ep1_model(a=None, b=None, c=None) -> DeformationComplexModel:
     """The deformation complex of (A + B xi + C xi^2) dz ^ dxi, symbolic in
     each coefficient given as None, on the stratum "zero" or "nonzero"."""
-    ctx, bases, maps = stored(("ExP1",), _ep1_frame)
+    ctx, bases, maps = product_frame("ExP1")
     lam0 = ep1_lambda0(ctx, a, b, c)
     coords = basis_coords(bases["h0_sq"])(lam0)
     return DeformationComplexModel("ExP1", "zero" if lam0.is_zero() else "nonzero", lam0,
@@ -320,7 +327,7 @@ def _tp1_frame() -> tuple[ChartFrame, dict, dict]:
 
 def tp1_context() -> ChartFrame:
     """The stored TxP1 frame."""
-    return stored(("TxP1",), _tp1_frame)[0]
+    return product_frame("TxP1")[0]
 
 
 def tp1_lambda0(class_id: int) -> MultiVector:
@@ -385,7 +392,7 @@ def tp1_model(lam0: MultiVector, stratum: str) -> DeformationComplexModel:
     H0(wedge2), with the bare image of its H0 map for cokernel space: on
     the 3-fold the bivector classes are the kernel of the wedge^3 map
     modulo that image, and `tp1_classify` registers their representatives."""
-    _, bases, maps = stored(("TxP1",), _tp1_frame)
+    _, bases, maps = product_frame("TxP1")
     m_h0 = maps["h0"].at(basis_coords(bases["h0_sq"])(lam0))
     # H1(Theta) and H1(wedge2) are H0(Theta) dzbar_g and H0(wedge2) dzbar_g,
     # g = z1 then z2, and [lam0, v dzbar_g] = [lam0, v] dzbar_g: the H1 map
@@ -402,7 +409,7 @@ def tp1_dims(model: DeformationComplexModel) -> dict:
     the wedge^3 map, summed from the stored family, modulo the image of
     the H0 map, plus the kernel of the H1 map.  The wedge^3 kernel is a
     3-fold fact, counted here."""
-    _, bases, maps = stored(("TxP1",), _tp1_frame)
+    _, bases, maps = product_frame("TxP1")
     m_sq_cube = maps["sq_cube"].at(basis_coords(bases["h0_sq"])(model.lam0))
     rank_h0 = model.h0.n_cols - model.dim_h0
     middle_ker = m_sq_cube.n_cols - generic_rank(m_sq_cube)
@@ -487,7 +494,7 @@ def tp1_classify(lam0: MultiVector) -> Certificate:
     Poisson: its class is read off its coordinates [c | a | b]."""
     if not schouten(lam0, lam0).is_zero():
         raise ConstraintViolation("bivector violates the Poisson identity")
-    sq = stored(("TxP1",), _tp1_frame)[1]["h0_sq"]
+    sq = product_frame("TxP1")[1]["h0_sq"]
     read_sq = basis_coords(sq)
     coords = read_sq(lam0)
     c, a, b = coords[:1], coords[1:4], coords[4:]

@@ -160,8 +160,7 @@ class RuledPoisson:
 
 
 def poisson_from_bivector(rs: RuledSurface, mv: MultiVector) -> RuledPoisson:
-    if mv.grades() - {2} != set() and not mv.is_zero():
-        raise ValueError("expected a bivector")
+    """The structure of a bivector on U1; the caller passes a bivector."""
     coeff = mv.coefficient(("z", "xi"))
     by_xi = coeff.coefficients_in("xi")
     zero = LaurentPoly.zero(rs.registry)

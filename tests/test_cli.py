@@ -219,6 +219,10 @@ def test_bad_hopf_spec_is_a_usage_error(spec, capsys):
     ("tables", "ruled", "--m-max", "13"),
     ("tables", "ruled", "--m-max", "-1"),
     ("report", "--m-max", "13"),
+    # a suffix the kind does not take, and a kind that does not exist
+    ("classify", "ep1:3", "--poisson", "@z^@xi"),
+    ("classify", "tp1:x:y", "--poisson", "@z1^@z2"),
+    ("classify", "foo", "--poisson", "@z^@w"),
 ])
 def test_bad_manifold_spec_or_m_max_is_a_usage_error(argv, capsys):
     code, out = run_cli(*argv)
@@ -332,6 +336,9 @@ def test_requests_replay_golden():
     ("torus:2", "@z1"),
     ("torus:3", "@z1^@z2^@z3"),
     ("torus:2", "@z1^@z3"),
+    # a form part is rejected, not dropped
+    ("ep1", "@z^@xi + ~z*@xi"),
+    ("ep1", "~z*@z^@xi"),
 ])
 def test_bivector_that_is_not_global_is_a_usage_error(spec, src, capsys):
     code, out = run_cli("classify", spec, "--poisson", src)
@@ -464,7 +471,7 @@ def test_torus_n_above_the_limit_exits_2_before_any_work(n, monkeypatch, capsys)
         raise AssertionError("torus work started for an n above the limit")
 
     monkeypatch.setattr(products, "torus_dims", work)
-    monkeypatch.setattr(cli_mod, "_torus_coeffs", work)
+    monkeypatch.setattr(cli_mod, "_read", work)
     code, out = run_cli("classify", f"torus:{n}", "--poisson", "@z1^@z2")
     err = capsys.readouterr().err
     assert code == 2 and out == ""
@@ -705,6 +712,41 @@ def test_hopf_classify_fails_when_its_family_checks_fail(monkeypatch, capsys):
     code, out = run_cli(*argv)
     assert code == 1 and out == ""
     assert capsys.readouterr().err == "error: bivector direction dies in the H0 cokernel\n"
+
+
+# per manifold kind of the classify table: a spec, an input it classifies and
+# one outside the bivectors it reads
+KIND_CASES = {
+    "ruled": ("ruled:5", "z*xi^2*@z^@xi", "xi^3*@z^@xi"),
+    "hopf": ("hopf:IIc", "z*w*@z^@w", "z^3*@z^@w"),
+    "ep1": ("ep1", "(1 + xi)*@z^@xi", "xi^3*@z^@xi"),
+    "tp1": ("tp1", "@z1^@z2", "xi^3*@z1^@xi"),
+    "torus": ("torus:2", "@z1^@z2", "z1*@z1^@z2"),
+}
+
+
+def test_the_classify_table_is_the_one_list_of_manifold_kinds(capsys):
+    assert tuple(cli_mod.GEOMETRIES) == tuple(KIND_CASES)
+    for spec, valid, outside in KIND_CASES.values():
+        code, out = run_cli("classify", spec, "--poisson", valid)
+        assert code == 0 and json.loads(out)["verdict"]
+        assert capsys.readouterr().err == ""
+        assert run_cli("classify", spec, "--poisson", outside) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # an unknown kind is told every form the table takes
+    assert run_cli("classify", "foo", "--poisson", "@z^@w") == (2, "")
+    err = capsys.readouterr().err
+    assert all(form in err for form, _ in cli_mod.GEOMETRIES.values())
+
+
+def test_the_family_names_are_the_ruled_hopf_and_product_families():
+    from poissonlab import hopf, ruled
+
+    assert FAMILY_NAMES == (*ruled.FAMILIES, *(f"hopf-{tag.lower()}" for tag in hopf.TYPE_TAGS),
+                            "ep1", "tp1")
+    report = json.loads((GOLDEN / "report.json").read_text())
+    assert set(report["families"]) == set(FAMILY_NAMES)
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,7 @@ import poissonlab.hopf as hopf_mod
 from poissonlab import cli, obstruction
 from poissonlab.laurent import LaurentPoly
 from poissonlab.linalg import (LabeledBasis, LinMap, NotInSpan, generic_rank, image_space,
-                               kernel_basis, quotient_coords)
+                               kernel_basis, quotient_coords, quotient_space)
 from poissonlab.multivector import combination, pushforward, schouten
 from poissonlab.obstruction import OBSTRUCTED, UNDETERMINED
 from poissonlab.hopf import (HopfType, MembershipFails, TruncationUnstable,
@@ -309,10 +310,18 @@ def test_the_stratum_of_each_stratum_bivector_is_its_own():
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, cli.MAX_P))
+def test_the_strata_name_the_five_types_in_tag_order(p):
+    # `cli` reads the types of a p, for its tables and its family names, off strata(p)
+    types = tuple(dict.fromkeys(t for t, _ in hopf_mod.strata(p)))
+    assert tuple(t.tag for t in types) == hopf_mod.TYPE_TAGS
+    assert all(t.p == (p if t.tag in ("III", "IIa") else None) for t in types)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, cli.MAX_P))
 def test_membership_pairs_are_the_table_6_pairs(p):
     # the pairs derived from the contraction family equal the ones the
     # paper lists, in value and as printed by `verify-family hopf-*`
-    for t in cli.hopf_types(p):
+    for t in dict.fromkeys(t for t, _ in hopf_mod.strata(p)):
         ctx = make_context(t)
         derived, listed = membership_pairs(ctx), table6_pairs(ctx)
         assert derived == listed
@@ -563,6 +572,47 @@ def test_cover_matrices_are_block_diagonal_by_weight(t):
             assert list(w0.index) == [key for key, k in space.index.items() if not weights[k]]
 
 
+def _rank_at(columns, name, value):
+    """The rank over Q of columns of real polynomials in the parameter
+    `name` alone, at name = `value`, by Gaussian elimination on Fractions."""
+    idx = columns[0][0].registry.index(name)
+    assert all(c.im == 0 for col in columns for p in col for c in p.terms.values())
+    rows = [[sum(c.re * Fraction(value) ** dict(key).get(idx, 0) for key, c in p.terms.items())
+             for p in col] for col in columns]
+    rank = 0
+    for k in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][k]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][k] / rows[rank][k]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_a_dense_target_reduces_against_eight_columns_of_a_weight_block():
+    # the weight-7 block of IIb, grade 2, cap 12, from the oracle's checked
+    # columns: reducing an integer target against its first 8 columns once
+    # took seconds, the remainders of univar_gcd swelling in Euclid's algorithm
+    ctx = make_context(HopfType("IIb"))
+    space = truncated_space(ctx, 2, 12)
+    cols = cover_matrices.id_minus_fstar(ctx, space)
+    rows = [k for k, wt in enumerate(space.weights) if wt == 7]
+    zero = LaurentPoly.zero(ctx.registry)
+    block = [[cols[j].get(i, zero) for i in rows] for j in rows]
+    assert len(block) == 10 and all(p.uses_only(("alpha",)) for col in block for p in col)
+    image = quotient_space(block[:8], (), 10, ctx.registry)
+    target = [ctx.const(k + 1) for k in range(10)]
+    # rank 9 at alpha = 2 makes the 8 columns and the target independent
+    # over Q(alpha) too, since a nonzero minor at a point is a nonzero minor
+    assert _rank_at(block[:8] + [target], "alpha", 2) == 9
+    assert not image.contains(target)
+    combined = [sum((ctx.const(j + 1) * block[j][i] for j in range(8)), zero) for i in range(10)]
+    assert image.contains(combined)
+
+
 @pytest.mark.parametrize("corruption", ("join", "diagonal", "cycle"))
 def test_a_corrupted_cover_matrix_raises_before_elimination(monkeypatch, corruption):
     # an entry joining two weights, a zero diagonal entry off weight 0 or a
@@ -797,7 +847,7 @@ def test_hopf_tables_push_each_weight0_field_once(monkeypatch):
     cli.hopf_tables(None, 2)
     # one pushforward per weight-0 field of each grade, in each of five models
     fields = sum(len(model.space1.basis) + len(model.space2.basis)
-                 for model in map(model_for, cli.hopf_types(2)))
+                 for model in map(model_for, dict.fromkeys(t for t, _ in hopf_mod.strata(2))))
     assert calls == {"id_minus_fstar": 10, "pushforward": fields}
     cli.hopf_tables(None, 2)
     assert calls == {"id_minus_fstar": 10, "pushforward": fields}

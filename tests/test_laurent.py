@@ -189,6 +189,89 @@ def test_univar_gcd():
     assert p1.exact_div(g) == a + const(2)
 
 
+def euclid_gcd(polys, name):
+    """`univar_gcd` as it was before its remainders were made monic: the
+    oracle of the monic remainder sequence, which must agree with it."""
+    reg = None
+    dense = []
+    for p in polys:
+        if p.is_zero():
+            continue
+        if not p.uses_only((name,)):
+            return None
+        reg = p.registry
+        idx = reg.index(name)
+        d = {}
+        for key, coeff in p.terms.items():
+            d[dict(key).get(idx, 0)] = coeff
+        lo = min(d)
+        dense.append({e - lo: c for e, c in d.items()})
+    if reg is None or not dense:
+        return None
+
+    def degree(d):
+        return max(d)
+
+    def monic(d):
+        lead = d[degree(d)]
+        return {e: c / lead for e, c in d.items()}
+
+    def rem(a, b):
+        a = dict(a)
+        db = degree(b)
+        lb = b[db]
+        while a and degree(a) >= db:
+            da = degree(a)
+            f = a[da] / lb
+            for e, c in b.items():
+                s = a.get(e + da - db, GaussianRational(0)) - f * c
+                if s.is_zero():
+                    a.pop(e + da - db, None)
+                else:
+                    a[e + da - db] = s
+        return a
+
+    g = monic(dense[0])
+    for d in dense[1:]:
+        a, b = d, g
+        while b:
+            a, b = b, rem(a, b)
+        g = monic(a)
+        if degree(g) == 0:
+            break
+    if degree(g) == 0:
+        return None
+    idx = reg.index(name)
+    return LaurentPoly(reg, {((idx, e),) if e else (): c for e, c in g.items()})
+
+
+_GAUSSIAN = st.builds(lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+                      st.integers(-5, 5), st.integers(-3, 3), st.integers(1, 4)
+                      ).filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def univariate(draw, min_terms=0):
+    """A Laurent polynomial in `a` with Q(i) coefficients and exponents -2..4."""
+    terms = draw(st.dictionaries(st.integers(-2, 4), _GAUSSIAN, min_size=min_terms, max_size=4))
+    return LaurentPoly(REG, {((REG.index("a"), e),) if e else (): c for e, c in terms.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(univariate(min_terms=2), st.lists(univariate(), min_size=2, max_size=3))
+def test_monic_remainders_give_the_gcd_of_euclid(factor, cofactors):
+    # the inputs share the planted factor, which is not a monomial
+    polys = [factor * c for c in cofactors]
+    g = univar_gcd(polys, "a")
+    assert g == euclid_gcd(polys, "a")
+    if any(p.terms for p in polys):
+        assert g.lead_scalar() == ONE and g.degree_range("a")[0] == 0
+        g.exact_div(factor)
+        for p in polys:
+            if p.terms:
+                p.exact_div(g)
+
+
 def test_coefficients_in():
     p = var("z", -1) * var("xi") + const(3) * var("xi") + var("w")
     buckets = p.coefficients_in("xi")
