@@ -85,6 +85,11 @@ REQUESTS = (
     ["classify", "ep1:3", "--poisson", "@z^@xi"],
     ["classify", "tp1:x:y", "--poisson", "@z1^@z2"],
     ["classify", "foo", "--poisson", "@z^@w"],
+    # error order: a parse error anywhere beats an unknown name, and the
+    # first evaluation error in reading order is the one reported
+    ["classify", "hopf:IV", "--poisson", "qq*z^2*@z^@w +"],
+    ["bracket", "(@z)^2*@q", "@w"],
+    ["bracket", "@q*(@z)^2", "@w"],
 )
 
 

@@ -352,12 +352,18 @@ def cmd_tables(args) -> int:
     return EXIT_OK
 
 
+def _variables(option: str, text: str, what: str) -> tuple[str, ...]:
+    """The comma-separated names of `--chart` or `--dbar`; an empty or a
+    repeated name is a usage error."""
+    names = tuple(text.split(","))
+    if "" in names or len(set(names)) != len(names):
+        raise UsageError(f"{option} {text!r}: the {what} must be nonempty and distinct")
+    return names
+
+
 def cmd_bracket(args) -> int:
-    chart_vars = tuple(args.chart.split(","))
-    if "" in chart_vars or len(set(chart_vars)) != len(chart_vars):
-        raise UsageError(f"--chart {args.chart!r}: the chart variables must be "
-                         "nonempty and distinct")
-    dbar = tuple(args.dbar.split(",")) if args.dbar else ()
+    chart_vars = _variables("--chart", args.chart, "chart variables")
+    dbar = _variables("--dbar", args.dbar, "antiholomorphic variables") if args.dbar else ()
     # each source is tokenized once: every tokenizer error comes first
     left, right = tokenize(args.left), tokenize(args.right)
     ctx = context_for([left, right], chart_vars, dbar)

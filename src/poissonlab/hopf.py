@@ -62,11 +62,11 @@ support facts on it (`tests/cover_matrices.py`).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import cached_property
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, Reducer, image_space,
+from .linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan, image_space,
                      kernel_basis, matrix_of_map, quotient_coords, quotient_space)
 from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, combination,
                           pushforward, schouten)
@@ -236,14 +236,18 @@ def _split(key: tuple) -> tuple[int, int, tuple]:
     return mu, nu, key[k:]
 
 
-def mono_coords(ctx: HopfContext, space: Weight0Space, off_weight0: str | None = None) -> Reducer:
+def mono_coords(ctx: HopfContext, space: Weight0Space, off_weight0: str | None = None) -> Callable:
     """Coordinates on the weight-0 fields, as parameter polynomials.
 
     A term off weight 0 lies in the image of id - f_* at every degree
     (block lemma), so it is dropped, or, given the message `off_weight0`,
-    rejected; a term above the cap, or of another grade, is rejected."""
-    reg, index, cap = ctx.registry, space.index, space.cap
+    rejected at any degree; a term of another grade or with a negative
+    exponent is rejected, and without the message so is a term above the
+    cap."""
+    reg, index, cap, p = ctx.registry, space.index, space.cap, ctx.p
     comps = FRAMES[space.grade - 1]
+    # wt(z) = p, wt(w) = 1; z^mu w^nu e has weight p mu + nu - wt(e)
+    frame_weight = {comp: sum((p, 1)[i] for i in comp) for comp in comps}
     zero = LaurentPoly.zero(reg)
 
     def fn(v: MultiVector):
@@ -255,15 +259,16 @@ def mono_coords(ctx: HopfContext, space: Weight0Space, off_weight0: str | None =
                 k = index.get((comp, mu, nu))
                 if k is not None:
                     coords[k] = coords[k] + LaurentPoly._of_terms(reg, {rest: coeff})
-                elif comp not in comps or mu < 0 or nu < 0 or mu + nu > cap:
-                    raise NotInSpan("field not inside the truncated monomial space")
-                else:
+                elif comp in comps and mu >= 0 and nu >= 0 and (
+                        mu + nu <= cap or off_weight0 and p * mu + nu != frame_weight[comp]):
                     off = True
+                else:
+                    raise NotInSpan("field not inside the truncated monomial space")
         if off and off_weight0:
             raise NotInSpan(off_weight0)
         return coords
 
-    return Reducer(f"coords in {space.basis.space_name}", fn)
+    return fn
 
 
 def id_minus_fstar(ctx: HopfContext, space: Weight0Space) -> LinMap:
@@ -285,8 +290,7 @@ def id_minus_fstar(ctx: HopfContext, space: Weight0Space) -> LinMap:
         except NotInSpan as exc:
             raise RuntimeError(f"{name}: {exc}") from None
 
-    return matrix_of_map(image, space.basis, space.basis, Reducer(coords.name, weight0),
-                         ctx.registry)
+    return matrix_of_map(image, space.basis, space.basis, weight0, ctx.registry)
 
 
 # ----------------------------------------------------------------------
@@ -338,13 +342,12 @@ class CoverModel:
         self.complexes: dict[str, DeformationComplexModel] = {}
         self.certificates: dict[str, Certificate] = {}
 
-    def reduce_m(self, grade: int) -> Reducer:
+    def reduce_m(self, grade: int) -> Callable:
         """Class coordinates in M1 or M2, modulo im(id - f_*): only the
         weight-0 terms count, because the image holds every other weight."""
         space, quot = (self.space1, self.m1_space) if grade == 1 else (self.space2, self.m2_space)
         mono = mono_coords(self.ctx, space)
-        return Reducer(f"M{grade} classes for {self.ctx.type.label()}",
-                       lambda v: quotient_coords(quot, mono(v)))
+        return lambda v: quotient_coords(quot, mono(v))
 
     @cached_property
     def fields(self) -> tuple[MultiVector, ...]:
@@ -501,8 +504,7 @@ def h0_bracket_matrix(model: CoverModel, lam0: MultiVector) -> LinMap:
     label = model.ctx.type.label()
     dom = LabeledBasis(f"H0({label},Theta)", model.fields)
     cod = LabeledBasis(f"H0({label},Wedge2Theta)", model.bivectors)
-    return matrix_of_map(lambda x: schouten(lam0, x), dom, cod,
-                         Reducer("invariant bivector coords", model.bivector_coords),
+    return matrix_of_map(lambda x: schouten(lam0, x), dom, cod, model.bivector_coords,
                          model.ctx.registry)
 
 

@@ -58,20 +58,6 @@ class LabeledBasis(Frozen):
         return self.elements[k]
 
 
-class Reducer:
-    """Normal-form map from raw elements to coordinates in a basis."""
-
-    def __init__(self, name: str, fn: Callable):
-        self.name = name
-        self.fn = fn
-
-    def __call__(self, value):
-        return self.fn(value)
-
-    def __repr__(self):
-        return f"<Reducer {self.name}>"
-
-
 class LinMap:
     """Matrix over parameter polynomials with labeled domain/codomain."""
 
@@ -405,15 +391,16 @@ def quotient_coords(space: ColumnSpace, target: Sequence[LaurentPoly]) -> list[L
     return out
 
 
-def matrix_of_map(op: Callable, dom: LabeledBasis, cod: LabeledBasis, red: Reducer,
+def matrix_of_map(op: Callable, dom: LabeledBasis, cod: LabeledBasis, red: Callable,
                   registry: VarRegistry | None = None) -> LinMap:
-    """Matrix whose column i is red(op(dom[i])) in cod coordinates."""
+    """Matrix whose column i is red(op(dom[i])), the coordinates of
+    op(dom[i]) in cod."""
     columns = []
     for e in dom:
         coords = red(op(e))
         if len(coords) != len(cod):
             raise NotInSpan(
-                f"reducer {red.name} returned {len(coords)} coordinates, expected {len(cod)}")
+                f"{cod.space_name}: {len(coords)} coordinates, expected {len(cod)}")
         columns.append(list(coords))
     rows = [[columns[j][i] for j in range(len(dom))] for i in range(len(cod))]
     return LinMap(dom, cod, rows, registry)

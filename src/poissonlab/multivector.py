@@ -19,10 +19,10 @@ reads them back off a basis of single terms.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import LabeledBasis, NotInSpan, Reducer
+from .linalg import LabeledBasis, NotInSpan
 from .rational import Frozen, GaussianRational
 
 _set = object.__setattr__
@@ -591,7 +591,7 @@ def _frame_terms(el):
                 yield idx, key, coef
 
 
-def basis_coords(basis: LabeledBasis) -> Reducer:
+def basis_coords(basis: LabeledBasis) -> Callable:
     """The inverse of `combination` on `basis`: an element's coordinates,
     polynomials in the parameters.
 
@@ -621,7 +621,7 @@ def basis_coords(basis: LabeledBasis) -> Reducer:
             found[pos][key[k:]] = coef
         return [LaurentPoly._of_terms(el.registry, terms) for terms in found]
 
-    return Reducer(f"{basis.space_name} coordinates", read)
+    return read
 
 
 def mc_defect(lambda0: MultiVector, el: FormedMultiVector) -> FormedMultiVector:

@@ -33,7 +33,7 @@ from collections.abc import Callable, Sequence
 from functools import cached_property, partial
 
 from .laurent import LaurentPoly
-from .linalg import (ColumnSpace, LabeledBasis, LinMap, MapFamily, NotInSpan, Reducer,
+from .linalg import (ColumnSpace, LabeledBasis, LinMap, MapFamily, NotInSpan,
                      cokernel_space, image_space, kernel_basis, matrix_of_map, quotient_coords,
                      quotient_space)
 from .multivector import (ChartFrame, FormedMultiVector, MultiVector, combination, schouten,
@@ -62,7 +62,7 @@ def stored(key: tuple, build: Callable[[], object]):
 
 
 def bracket_family(frame: ChartFrame, sq: Sequence[MultiVector], dom: LabeledBasis,
-                   cod: LabeledBasis, red: Reducer) -> MapFamily:
+                   cod: LabeledBasis, red: Callable) -> MapFamily:
     """The maps [s, -]: dom -> cod in the coordinates of `red`, one for each
     bivector s of `sq`; a formed domain meets s as a formed field.
 
@@ -101,7 +101,7 @@ class DeformationComplexModel:
     """
 
     def __init__(self, name: str, stratum: str, lam0: MultiVector, h1: LinMap,
-                 reduce_h1_sq: Reducer, h0_sq: LabeledBasis, build_h0: Callable[[], LinMap],
+                 reduce_h1_sq: Callable, h0_sq: LabeledBasis, build_h0: Callable[[], LinMap],
                  coker: ColumnSpace | None = None):
         self.name = name
         self.stratum = stratum

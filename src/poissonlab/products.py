@@ -56,8 +56,8 @@ cohomology at the request's point, since a rank can drop at a point.
 from __future__ import annotations
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import (ConstraintViolation, LabeledBasis, LinMap, Reducer,
-                     cokernel_space, generic_rank, image_space, quotient_coords)
+from .linalg import (ConstraintViolation, LabeledBasis, LinMap, cokernel_space, generic_rank,
+                     image_space, quotient_coords)
 from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, basis_coords,
                           combination, mc_defect, schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DeformationComplexModel,
@@ -278,7 +278,7 @@ def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
         name="ExP1",
         lambda0=model.lam0,
         dbar_vars=ep1_context().dbar,
-        class_reducers={(1, 2): Reducer("H1 wedge2 classes", reduce_11)},
+        class_reducers={(1, 2): reduce_11},
     )
 
 

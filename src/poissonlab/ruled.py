@@ -22,11 +22,11 @@ stream of classify requests builds each, with its bases and maps, once.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import cached_property
 
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import LabeledBasis, LinMap, MapFamily, NotInSpan, Reducer, matrix_of_map
+from .linalg import LabeledBasis, LinMap, MapFamily, NotInSpan, matrix_of_map
 from .multivector import (Chart, ChartFrame, ChartMap, MultiVector, basis_coords,
                           combination, pushforward, schouten)
 from .obstruction import (OBSTRUCTED, Certificate, DeformationComplexModel, NotACocycle,
@@ -321,7 +321,7 @@ def split_sq(rs: RuledSurface, v: MultiVector):
     return part1, part2, window
 
 
-def reduce_h1_sq(rs: RuledSurface) -> Reducer:
+def reduce_h1_sq(rs: RuledSurface) -> Callable:
     """Coordinates in the H1 window: the z^-k coefficients, k = 1 .. m-3,
     of the xi-free part (the window of split_sq, without its chart parts)."""
     zero = LaurentPoly.zero(rs.registry)
@@ -330,7 +330,7 @@ def reduce_h1_sq(rs: RuledSurface) -> Reducer:
         by_z = _bivector_xi_parts(rs, v).get(0, zero).coefficients_in("z")
         return [by_z.get(-k, zero) for k in range(1, rs.m - 2)]
 
-    return Reducer(f"H1(F{rs.m},Wedge2Theta) classes", fn)
+    return fn
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from graphlib import CycleError, TopologicalSorter
 from poissonlab import hopf
 from poissonlab.hopf import FRAMES
 from poissonlab.laurent import LaurentPoly
-from poissonlab.linalg import (LabeledBasis, LinMap, NotInSpan, Reducer, kernel_basis,
+from poissonlab.linalg import (LabeledBasis, LinMap, NotInSpan, kernel_basis,
                                quotient_coords, quotient_space)
 from poissonlab.multivector import MultiVector, combination, pushforward
 from poissonlab.rational import ONE
@@ -57,7 +57,7 @@ def truncated_space(ctx, grade, cap) -> TruncatedSpace:
     return TruncatedSpace(grade, cap, LabeledBasis(name, tuple(elems)), index, tuple(weights))
 
 
-def mono_coords(ctx, space) -> Reducer:
+def mono_coords(ctx, space):
     """Coordinates in the truncated monomial basis, as parameter polynomials."""
     reg, index, n = ctx.registry, space.index, len(space.basis)
     zero = LaurentPoly.zero(reg)
@@ -73,7 +73,7 @@ def mono_coords(ctx, space) -> Reducer:
                 coords[k] = coords[k] + LaurentPoly._of_terms(reg, {rest: coeff})
         return coords
 
-    return Reducer(f"coords in {space.basis.space_name}", fn)
+    return fn
 
 
 def monomial_images(ctx, cap):
@@ -170,7 +170,7 @@ def weight0_block(ctx, space, cols):
     return tuple(tuple(cols[j].get(i, zero) for j in res) for i in res)
 
 
-def full_classes(ctx, space, reps) -> Reducer:
+def full_classes(ctx, space, reps):
     """Class coordinates of a field on `reps`, modulo the image of the
     whole truncated id - f_*.  The operator is block diagonal by weight
     (checked), so a field splits by weight.  Each block off weight 0 must
@@ -194,7 +194,7 @@ def full_classes(ctx, space, reps) -> Reducer:
         coords = mono(v)
         return quotient_coords(quot, [coords[k] for k in res])
 
-    return Reducer(f"classes modulo the image on {space.basis.space_name}", fn)
+    return fn
 
 
 def triangular_order(mat: LinMap) -> tuple[int, ...]:

@@ -254,7 +254,7 @@ def test_classify_hopf_at_the_degree_cap_env_matches_the_default_cap(monkeypatch
     monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "6")
     wants = [want for want in json.loads((GOLDEN / "requests.json").read_text())
              if want["argv"][0] == "classify" and want["argv"][1].startswith("hopf:")]
-    assert len(wants) == 10
+    assert len(wants) == 11
     for want in wants:
         with redirect_stderr(io.StringIO()):
             assert run_cli(*want["argv"]) == (want["exit"], want["stdout"])
@@ -347,6 +347,21 @@ def test_bivector_that_is_not_global_is_a_usage_error(spec, src, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec,src", [
+    ("hopf:IIc", "z^5*@z^@w"),
+    ("hopf:IV", "z^9*@z^@w"),
+])
+def test_a_hopf_term_above_the_cap_is_told_it_is_off_weight_0(spec, src, capsys):
+    # z^5 dz^dw and z^9 dz^dw have weights 3 and 7: off weight 0 at every
+    # cap, which is the reason given, rather than the cap
+    code, out = run_cli("classify", spec, "--poisson", src)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {src!r} is not an invariant bivector")
+    assert err.endswith(": bivector has a term off weight 0\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "ruled:5", "--poisson", "z^-1*@z^@xi"),
     ("classify", "ruled:5", "--poisson", "z^8*xi^2*@z^@xi"),
@@ -354,6 +369,10 @@ def test_bivector_that_is_not_global_is_a_usage_error(spec, src, capsys):
     ("classify", "ruled:5", "--poisson", "@z"),
     ("classify", "ruled:5", "--poisson", "zp*@z^@xi"),
     ("bracket", "z*@z", "w*@w", "--chart", "z,z"),
+    # --dbar takes the --chart check: no empty and no repeated name
+    ("bracket", "@z", "~w", "--chart", "z", "--dbar", "w,"),
+    ("bracket", "@z", "~w", "--chart", "z", "--dbar", "w,w"),
+    ("bracket", "@z", "~w", "--chart", "z", "--dbar", ","),
 ])
 def test_ruled_bivector_that_is_not_global_or_bad_chart_is_a_usage_error(argv, capsys):
     code, out = run_cli(*argv)
@@ -780,3 +799,36 @@ def test_a_tokenizer_error_of_any_source_is_reported_first():
         code = main(["bracket", "(z + @q", "1.5*w"])
     assert code == 2
     assert "decimal literals are not accepted" in err.getvalue()
+
+
+# random token strings at the input boundary: short, with exponents in -2..3
+_FUZZ_TOKENS = st.one_of(
+    st.sampled_from(("+", "-", "*", "^", "/", "(", ")", "(", ")")),
+    st.sampled_from(("z", "w", "xi", "z1", "z2", "zp", "A", "B", "qq", "i",
+                     "@z", "@w", "@xi", "@z1", "@z2", "~z", "~w")),
+    st.sampled_from(("0", "1", "2", "3", "1/2")),
+    st.sampled_from(("^-2", "^-1", "^0", "^2", "^3")),
+)
+# good and malformed manifold specs
+_FUZZ_SPECS = ("ruled:0", "ruled:3", "ruled:7", "hopf:IV", "hopf:III:p=2", "hopf:IIc", "ep1",
+               "tp1", "torus:2", "torus:3", "ruled:x", "ruled:-1", "hopf:IX", "hopf:III:p=0",
+               "ep1:3", "torus:0", "foo", "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FUZZ_TOKENS, max_size=12), st.sampled_from((" ", "")), st.data())
+def test_random_token_strings_exit_0_1_or_2(texts, sep, data):
+    # as a classify structure or as a bracket operand: a documented exit
+    # code, an `error:` line on every failure, and no escaping exception
+    src = sep.join(texts)
+    if data.draw(st.booleans(), label="classify"):
+        argv = ("classify", data.draw(st.sampled_from(_FUZZ_SPECS)), f"--poisson={src}")
+    else:
+        chart = data.draw(st.sampled_from(("z", "z,w", "z,xi", "z1,z2", "z,z", "", "w,")))
+        dbar = data.draw(st.sampled_from(("", "z", "w", "z,w", "w,", "w,w")))
+        other = data.draw(st.sampled_from(("@z", "z*@w", "A*@z^@w", "~z*@z")))
+        left, right = data.draw(st.permutations((src, other)))
+        argv = ("bracket", f"--chart={chart}", f"--dbar={dbar}", "--", left, right)
+    code, out, err = _served(argv)
+    assert code in (0, 1, 2)
+    assert code == 0 or (out == "" and err.startswith("error: ") and err.count("\n") == 1)

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poissonlab.expr import (Add, Dbar, EvalContext, Mul, Neg, Num, ParseError,
-                             Pow, Sub, Sym, UnknownSymbol, Vec, WedgeOp,
-                             context_for, eval_str, evaluate, fmv_product,
-                             free_names, parse, tokenize, _value)
+from expr_oracle import Add, Dbar, Mul, Neg, Num, Pow, Sub, Sym, Vec, WedgeOp, parse
+from poissonlab.expr import (EvalContext, ParseError, UnknownSymbol, _Reader,
+                             context_for, eval_str, fmv_product, free_names, tokenize)
 from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.multivector import Chart, FormedMultiVector, MultiVector
 from poissonlab.rational import GaussianRational
@@ -17,6 +16,11 @@ from poissonlab.rational import GaussianRational
 def _ctx():
     reg = VarRegistry(("z", "xi"), ("A", "B", "t1"))
     return EvalContext(Chart("E", ("z", "xi")), reg, ("z",))
+
+
+def _read(src):
+    """eval_str in _ctx(): a parse error comes before any name lookup."""
+    return eval_str(src, _ctx())
 
 
 def test_spec_examples():
@@ -54,23 +58,23 @@ def test_rational_literals_and_i():
     v = eval_str("3/2 + i", ctx).part(()).components[()]
     assert v == LaurentPoly.const(ctx.registry, GaussianRational(Fraction(3, 2), 1))
     with pytest.raises(ParseError):
-        parse("1.5*z")
+        _read("1.5*z")
 
 
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
-        parse("z +\n* w")
+        _read("z +\n* w")
     assert err.value.line == 2 and err.value.col == 1
     with pytest.raises(ParseError):
-        parse("(z + w")
+        _read("(z + w")
     with pytest.raises(ParseError):
-        parse("@2x")
+        _read("@2x")
     # input that stops early names the end of input, at its position
     for src, message in (("(@z", "expected ')', found end of input"),
                          ("@z+", "unexpected end of input"),
                          ("   ", "unexpected end of input")):
         with pytest.raises(ParseError) as err:
-            parse(src)
+            _read(src)
         assert str(err.value) == f"{message} at line 1, column 4"
         assert (err.value.line, err.value.col) == (1, 4)
 
@@ -87,11 +91,12 @@ def test_parse_errors_carry_positions():
     ("z^-2/", "trailing input '/' at line 1, column 5"),
 ])
 def test_lookahead_at_the_end_of_input(src, message):
-    # the parser looks one or two tokens past a `^` or a `/`, up to the
-    # closing end token and never past it
-    with pytest.raises(ParseError) as err:
-        parse(src)
-    assert str(err.value) == message
+    # the reader looks one or two tokens past a `^` or a `/`, up to the
+    # closing end token and never past it; so does the oracle's parser
+    for read in (_read, parse):
+        with pytest.raises(ParseError) as err:
+            read(src)
+        assert str(err.value) == message
 
 
 def _shape(node):
@@ -103,12 +108,19 @@ def _shape(node):
 
 
 def test_lookahead_trees():
+    # the oracle's trees, and the reader's values agree with them
     two = GaussianRational(2)
-    assert _shape(parse("z^-2")) == ("Pow", ("Sym", "z"), -2)
-    assert _shape(parse("z^-x")) == ("WedgeOp", ("Sym", "z"), ("Neg", ("Sym", "x")))
-    assert _shape(parse("z^(2)")) == ("WedgeOp", ("Sym", "z"), ("Num", two))
-    assert _shape(parse("z^2^@w")) == ("WedgeOp", ("Pow", ("Sym", "z"), 2), ("Vec", "w"))
-    assert _shape(parse("3/4^-2")) == ("Pow", ("Num", GaussianRational(Fraction(3, 4))), -2)
+    trees = {
+        "z^-2": ("Pow", ("Sym", "z"), -2),
+        "z^-x": ("WedgeOp", ("Sym", "z"), ("Neg", ("Sym", "x"))),
+        "z^(2)": ("WedgeOp", ("Sym", "z"), ("Num", two)),
+        "z^2^@w": ("WedgeOp", ("Pow", ("Sym", "z"), 2), ("Vec", "w")),
+        "3/4^-2": ("Pow", ("Num", GaussianRational(Fraction(3, 4))), -2),
+    }
+    for src, shape in trees.items():
+        assert _shape(parse(src)) == shape
+        ctx = context_for([src], ("z", "w"))
+        assert _outcome(eval_str, src, ctx) == _outcome(_reference_evaluate, parse(src), ctx)
 
 
 @pytest.mark.parametrize("src, char, col", [
@@ -119,7 +131,7 @@ def test_lookahead_trees():
 def test_numbers_and_names_are_ascii_only(src, char, col):
     # str.isdigit accepts these, but int() and the grammar do not
     with pytest.raises(ParseError) as err:
-        parse(src)
+        _read(src)
     assert str(err.value) == f"unexpected character {char!r} at line 1, column {col}"
     with pytest.raises(ParseError) as err:
         free_names(tokenize(src))
@@ -129,10 +141,10 @@ def test_numbers_and_names_are_ascii_only(src, char, col):
 def test_field_generators_need_an_ascii_name():
     for src in ("@ξ", "~é"):
         with pytest.raises(ParseError) as err:
-            parse(src)
+            _read(src)
         assert str(err.value) == f"{src[0]!r} must be followed by a variable name at line 1, column 1"
     with pytest.raises(ParseError) as err:
-        parse("@zé")
+        _read("@zé")
     assert str(err.value) == "unexpected character 'é' at line 1, column 3"
 
 
@@ -197,7 +209,7 @@ def test_print_parse_round_trip_100_random():
 
 
 # ----------------------------------------------------------------------
-# the scalar-ring evaluator against the all-field reference
+# the one-pass reader against the oracle's tree and the all-field reference
 
 def _reference_evaluate(node, ctx):
     """Every node evaluated as a FormedMultiVector, products by fmv_product."""
@@ -263,28 +275,84 @@ def _compound(children):
 expr_trees = st.recursive(_leaves, _compound, max_leaves=8)
 
 
-def _outcome(fn, tree, ctx):
+def _outcome(fn, arg, ctx):
     try:
-        return fn(tree, ctx)
+        return fn(arg, ctx)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
 
 
-@settings(max_examples=400, deadline=None)
-@given(expr_trees)
-def test_evaluate_matches_the_all_field_reference(tree):
-    ctx = _ctx()
-    got, want = _outcome(evaluate, tree, ctx), _outcome(_reference_evaluate, tree, ctx)
-    assert got == want
+def _source(node) -> str:
+    """Surface syntax for a tree: a chain of sums and differences flat, so
+    that the reader accumulates it as one chain, everything else in
+    parentheses."""
+    if isinstance(node, Num):
+        v = node.value
+        return f"({v.re})" if v.im == 0 else f"({v.re} + ({v.im})*i)"
+    if isinstance(node, Sym):
+        return node.name
+    if isinstance(node, Vec):
+        return f"@{node.name}"
+    if isinstance(node, Dbar):
+        return f"~{node.name}"
+    if isinstance(node, Neg):
+        return f"-({_source(node.arg)})"
+    if isinstance(node, Pow):
+        return f"({_source(node.base)})^{node.exponent}"
+    op = {Add: "+", Sub: "-", Mul: "*", WedgeOp: "^"}[type(node)]
+    left = _source(node.left)
+    if not (op in "+-" and isinstance(node.left, (Add, Sub))):
+        left = f"({left})"
+    return f"{left} {op} ({_source(node.right)})"
+
+
+def _matches_reference(tree, ctx):
+    """The reader on the tree's source against the reference on the
+    oracle's parse of it, and on the tree itself: value, printed form, or
+    exception type and message."""
+    src = _source(tree)
+    got = _outcome(eval_str, src, ctx)
+    want = _outcome(_reference_evaluate, parse(src), ctx)
+    assert got == want == _outcome(_reference_evaluate, tree, ctx), src
     if isinstance(got, FormedMultiVector):
         assert str(got) == str(want)
         for mv in got.parts.values():
             assert mv == MultiVector(mv.chart, mv.registry, dict(mv.components))
             assert not any(p.is_zero() for p in mv.components.values())
+            assert all(not c.is_zero() for p in mv.components.values() for c in p.terms.values())
+    return got
 
 
-# long sums: a chain of Add and Sub nodes accumulates its ring operands
-# into one term dict
+@settings(max_examples=400, deadline=None)
+@given(expr_trees)
+def test_evaluate_matches_the_all_field_reference(tree):
+    _matches_reference(tree, _ctx())
+
+
+# random token strings, most of them not expressions: the reader raises
+# the oracle's parse error, or else gives the reference's value or error
+
+_token_texts = st.one_of(
+    st.sampled_from(("+", "-", "*", "^", "/", "(", ")", "(", ")")),
+    st.sampled_from(("z", "xi", "A", "t1", "qq", "i", "@z", "@xi", "@w", "~z", "~xi")),
+    st.integers(0, 3).map(str),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(_token_texts, max_size=12), st.sampled_from((" ", "")))
+def test_random_token_strings_match_the_oracle(texts, sep):
+    src = sep.join(texts)
+    ctx = _ctx()
+    want = _outcome(lambda s, c: _reference_evaluate(parse(s), c), src, ctx)
+    got = _outcome(eval_str, src, ctx)
+    assert got == want, src
+    if isinstance(got, FormedMultiVector):
+        assert str(got) == str(want)
+
+
+# long sums: a chain of sums and differences accumulates its ring
+# operands into one term dict
 
 _ring_operands = st.one_of(
     st.builds(Num, _numbers),
@@ -310,17 +378,6 @@ def _chain(operands, subs):
 def sum_chains(draw, operands=st.one_of(_ring_operands, _ring_operands, _field_operands)):
     ops = draw(st.lists(operands, min_size=2, max_size=24))
     return _chain(ops, draw(st.lists(st.booleans(), min_size=len(ops), max_size=len(ops))))
-
-
-def _matches_reference(tree, ctx):
-    got, want = _outcome(evaluate, tree, ctx), _outcome(_reference_evaluate, tree, ctx)
-    assert got == want
-    if isinstance(got, FormedMultiVector):
-        assert str(got) == str(want)
-        for mv in got.parts.values():
-            assert not any(p.is_zero() for p in mv.components.values())
-            assert all(not c.is_zero() for p in mv.components.values() for c in p.terms.values())
-    return got
 
 
 @settings(max_examples=300, deadline=None)
@@ -358,7 +415,8 @@ def test_a_long_sum_that_cancels_is_the_zero_polynomial(ops, data):
     signed = data.draw(st.permutations(signed))
     tree = _chain([signed[0][0] if not signed[0][1] else Neg(signed[0][0])]
                   + [op for op, _ in signed[1:]], [neg for _, neg in signed[1:]])
-    value = _value(tree, ctx)
+    # the reader's value before the final lift is the zero polynomial
+    value = _Reader(tokenize(_source(tree)), ctx).read_wedge()
     assert isinstance(value, LaurentPoly) and value.terms == {}
     assert _matches_reference(tree, ctx).is_zero()
 
@@ -374,25 +432,6 @@ def _collect_names(node) -> set[str]:
     if isinstance(node, Pow):
         return _collect_names(node.base)
     return _collect_names(node.left) | _collect_names(node.right)
-
-
-def _source(node) -> str:
-    """Surface syntax for a tree, parenthesized throughout."""
-    if isinstance(node, Num):
-        v = node.value
-        return f"({v.re} + ({v.im})*i)"
-    if isinstance(node, Sym):
-        return node.name
-    if isinstance(node, Vec):
-        return f"@{node.name}"
-    if isinstance(node, Dbar):
-        return f"~{node.name}"
-    if isinstance(node, Neg):
-        return f"-({_source(node.arg)})"
-    if isinstance(node, Pow):
-        return f"({_source(node.base)})^{node.exponent}"
-    op = {Add: "+", Sub: "-", Mul: "*", WedgeOp: "^"}[type(node)]
-    return f"({_source(node.left)}) {op} ({_source(node.right)})"
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from poissonlab import hopf
 from poissonlab.laurent import InexactDivision, LaurentPoly, VarRegistry
 from poissonlab.linalg import (ColumnSpace, LabeledBasis, LinMap, NotInSpan,
-                               Reducer, cokernel_space, generic_rank,
+                               cokernel_space, generic_rank,
                                kernel_basis, matrix_of_map, primitive_vector,
                                quotient_coords, quotient_space,
                                ConstraintViolation, _combine, _row_content_normalize)
@@ -258,8 +258,12 @@ def test_matrix_of_map_and_reducer_idempotence():
         coords[value[1]] = const(1)
         return coords
 
-    mat = matrix_of_map(op, dom, cod, Reducer("probe", red), REG)
+    mat = matrix_of_map(op, dom, cod, red, REG)
     assert generic_rank(mat) == 3
+    # a reducer that returns the wrong number of coordinates is named by
+    # its codomain
+    with pytest.raises(NotInSpan, match="monomials2: 2 coordinates, expected 3"):
+        matrix_of_map(op, dom, cod, lambda value: red(value)[:2], REG)
     # idempotence: reducing a rebuilt element reproduces the coordinates
     rng = random.Random(9)
     for _ in range(10):

@@ -7,7 +7,7 @@ from poissonlab.expr import EvalContext, eval_str
 from poissonlab.hopf import (HopfType, deformation_model, h0_bracket_matrix,
                              m_bracket_matrix, model_for, stratum_bivector)
 from poissonlab.laurent import LaurentPoly, VarRegistry
-from poissonlab.linalg import Reducer, generic_rank
+from poissonlab.linalg import generic_rank
 from poissonlab.multivector import (Chart, FormedMultiVector, MultiVector,
                                     schouten)
 from poissonlab.obstruction import (OBSTRUCTED, UNDETERMINED, Certificate,
@@ -134,7 +134,7 @@ def test_projective_space_demo():
         return [piece.coefficient(("x", "y", "u"))]
 
     model = DolbeaultModel("P3-demo", MultiVector.zero(ch, reg), (),
-                           {(0, 3): Reducer("trivector coords", reduce_03)})
+                           {(0, 3): reduce_03})
     cls = primary_obstruction(model, FormedMultiVector.of(lam, ()),
                               FormedMultiVector.zero(ch, reg, ()))
     assert not class_is_zero(cls)

@@ -4,7 +4,8 @@ the constructor checks raise their messages."""
 
 import pytest
 
-from poissonlab import expr, hopf, ruled
+import expr_oracle
+from poissonlab import hopf, ruled
 from poissonlab.laurent import LaurentPoly, VarRegistry
 from poissonlab.linalg import LabeledBasis
 from poissonlab.multivector import Chart, ChartFrame, ChartMap
@@ -24,10 +25,11 @@ def _frozen_values():
     """Name -> (value, one of its fields)."""
     hctx = hopf.make_context(hopf.HopfType("IV"))
     return {
-        "Num": (expr.Num(GaussianRational(1)), "value"),
-        "Sym": (expr.Sym("a"), "name"),
-        "Add": (expr.Add(expr.Sym("a"), expr.Vec("z")), "right"),
-        "Pow": (expr.Pow(expr.Sym("a"), 2), "exponent"),
+        # the expression trees of the parser oracle in tests/
+        "Num": (expr_oracle.Num(GaussianRational(1)), "value"),
+        "Sym": (expr_oracle.Sym("a"), "name"),
+        "Add": (expr_oracle.Add(expr_oracle.Sym("a"), expr_oracle.Vec("z")), "right"),
+        "Pow": (expr_oracle.Pow(expr_oracle.Sym("a"), 2), "exponent"),
         "HopfType": (hopf.HopfType("III", 2), "p"),
         "HopfContext": (hctx, "type"),
         "LabeledBasis": (LabeledBasis("b", ("x", "y")), "elements"),
