@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .laurent import LaurentPoly, VarRegistry, _accumulate
 from .multivector import Chart, ChartFrame, FormedMultiVector, _sort_key_names, wedge
-from .rational import GaussianRational
+from .rational import GaussianRational, decimal, from_decimal
 
 
 class ParseError(Exception):
@@ -75,7 +75,7 @@ def tokenize(src: str) -> list[tuple]:
             if j < len(src) and (src[j] == "." or src[j] == "e"):
                 raise ParseError("decimal literals are not accepted; use rationals",
                                  line, col)
-            tokens.append(("num", int(src[k:j]), line, col))
+            tokens.append(("num", from_decimal(src[k:j]), line, col))
             col += j - k
             k = j
             continue
@@ -101,6 +101,14 @@ def tokenize(src: str) -> list[tuple]:
         raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(("end", None, line, col))
     return tokens
+
+
+def shown(tok: tuple) -> str:
+    """A token as an error message shows it: a number by its digits, of
+    any length, any other value by its repr."""
+    if tok[0] == "end":
+        return "end of input"
+    return decimal(tok[1]) if tok[0] == "num" else repr(tok[1])
 
 
 def _tokens(src) -> list[tuple]:
@@ -298,13 +306,12 @@ class _Reader:
             value = self.read_wedge()
             close = self.tokens[self.k]
             if close[0] != ")":
-                found = "end of input" if close[0] == "end" else repr(close[1])
-                raise ParseError(f"expected ')', found {found}", close[2], close[3])
+                raise ParseError(f"expected ')', found {shown(close)}", close[2], close[3])
             self.k += 1
             return value
         if kind == "end":
             raise ParseError("unexpected end of input", tok[2], tok[3])
-        raise ParseError(f"unexpected token {value!r}", tok[2], tok[3])
+        raise ParseError(f"unexpected token {shown(tok)}", tok[2], tok[3])
 
 
 def eval_str(src, ctx: EvalContext) -> FormedMultiVector:
@@ -315,7 +322,7 @@ def eval_str(src, ctx: EvalContext) -> FormedMultiVector:
     value = reader.read_wedge()
     end = reader.tokens[reader.k]
     if end[0] != "end":
-        raise ParseError(f"trailing input {end[1]!r}", end[2], end[3])
+        raise ParseError(f"trailing input {shown(end)}", end[2], end[3])
     if reader.error is not None:
         raise reader.error
     return _lift(value, ctx)

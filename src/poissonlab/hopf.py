@@ -15,12 +15,14 @@ One cover model per type and degree cap is the input of every Hopf
 computation: `model_for` is the one place that turns a type and a cap
 into a model, and every other function takes the model it is given.
 `cover_model` keeps each model in the one process store
-(`obstruction.stored`, key `("Hopf", type, registry, cap)`; at most
+(`obstruction.stored`, key `("Hopf", type, cap)`; at most
 2,850 models at the CLI's bounds on p and the cap), so a process serving
 a stream of classify requests reuses it, where rebuilding it would cost
 more than the rest of a request; a model that fails validation is not
 kept.  Naming a stored model costs a registry and a chart: a context
-builds its contraction map only when a model is built from it.  A
+builds its contraction map only when a model is built from it, as the
+type's contraction family at its base point (`family_data`), with the
+inverse the block lemma's shape gives.  A
 model builds only the weight-0 blocks of its two id - f_* operators
 (`id_minus_fstar`: column j holds the weight-0 coordinates of
 v - f_*(v), v the j-th weight-0 field, f_*(v) truncated at the cap, and
@@ -147,35 +149,21 @@ class HopfContext(ChartFrame):
 BASE_PARAMS = ("alpha", "delta", "beta", "A", "B", "C", "t")
 
 
-def make_context(t: HopfType, extra_params: Sequence[str] = ()) -> HopfContext:
-    reg = VarRegistry(("z", "w"), BASE_PARAMS + tuple(extra_params))
-    return HopfContext(Chart("W", ("z", "w")), reg, type=t)
+def make_context(t: HopfType) -> HopfContext:
+    return HopfContext(Chart("W", ("z", "w")), VarRegistry(("z", "w"), BASE_PARAMS), type=t)
 
 
 def _contraction_map(ctx: HopfContext) -> ChartMap:
-    reg, t, p = ctx.registry, ctx.type, ctx.p
-    z = LaurentPoly.var(reg, "z")
-    w = LaurentPoly.var(reg, "w")
-    alpha = LaurentPoly.var(reg, "alpha")
-    delta = LaurentPoly.var(reg, "delta")
-    # the resonant types III and IIa never introduce a separate alpha:
-    # the relation alpha = delta^p is built into the map itself
-    if t.tag == "IV":
-        fwd = {"z": alpha * z, "w": alpha * w}
-        inv = {"z": alpha ** -1 * z, "w": alpha ** -1 * w}
-    elif t.tag == "III":
-        fwd = {"z": delta ** p * z, "w": delta * w}
-        inv = {"z": delta ** -p * z, "w": delta ** -1 * w}
-    elif t.tag == "IIa":
-        fwd = {"z": delta ** p * z + w ** p, "w": delta * w}
-        inv = {"z": delta ** -p * z - delta ** (-2 * p) * w ** p, "w": delta ** -1 * w}
-    elif t.tag == "IIb":
-        fwd = {"z": alpha * z + w, "w": alpha * w}
-        inv = {"z": alpha ** -1 * z - alpha ** -2 * w, "w": alpha ** -1 * w}
-    else:  # IIc
-        fwd = {"z": alpha * z, "w": delta * w}
-        inv = {"z": alpha ** -1 * z, "w": delta ** -1 * w}
-    return ChartMap(ctx.chart, ctx.chart, fwd, inv)
+    """The contraction f: the family's F at its base point.  It has the
+    shape (l1 z + n(w), l2 w) of the block lemma, so its inverse is
+    (l1^-1 (z - n(l2^-1 w)), l2^-1 w), which `ChartMap` checks."""
+    _, F, _, base = family_data(ctx)
+    fz, fw = F["z"].substitute(base), F["w"].substitute(base)
+    l1, l2 = fz.partial("z"), fw.partial("w")
+    n = fz - l1 * ctx.z()
+    inv_w = l2 ** -1 * ctx.w()
+    inv = {"z": l1 ** -1 * (ctx.z() - n.substitute({"w": inv_w})), "w": inv_w}
+    return ChartMap(ctx.chart, ctx.chart, {"z": fz, "w": fw}, inv)
 
 
 # ----------------------------------------------------------------------
@@ -389,8 +377,8 @@ def default_cap(t: HopfType) -> int:
 
 def cover_model(ctx: HopfContext, cap: int) -> CoverModel:
     """Build and validate the M1/M2 model at the given truncation, once per
-    (type, registry, cap)."""
-    return stored(("Hopf", ctx.type, ctx.registry, cap), lambda: _build_cover_model(ctx, cap))
+    (type, cap)."""
+    return stored(("Hopf", ctx.type, cap), lambda: _build_cover_model(ctx, cap))
 
 
 def model_for(t: HopfType, cap: int | None = None) -> CoverModel:

@@ -62,7 +62,7 @@ class LinMap:
     """Matrix over parameter polynomials with labeled domain/codomain."""
 
     def __init__(self, domain: LabeledBasis, codomain: LabeledBasis,
-                 rows: Sequence[Sequence[LaurentPoly]], registry: VarRegistry | None = None):
+                 rows: Sequence[Sequence[LaurentPoly]], registry: VarRegistry):
         self.domain = domain
         self.codomain = codomain
         self.rows = tuple(tuple(r) for r in rows)
@@ -75,10 +75,6 @@ class LinMap:
                 # a zero entry uses no variable
                 if entry.terms and not entry.uses_only(entry.registry.param_vars):
                     raise ValueError(f"matrix entry contains chart variables: {entry}")
-                if registry is None:
-                    registry = entry.registry
-        if registry is None:
-            raise ValueError("registry required for a matrix with no entries")
         self.registry = registry
 
     @staticmethod
@@ -101,16 +97,6 @@ class LinMap:
 
     def columns(self) -> list[list[LaurentPoly]]:
         return [self.column(j) for j in range(self.n_cols)]
-
-    def apply(self, coords: Sequence[LaurentPoly]) -> list[LaurentPoly]:
-        out = []
-        for r in self.rows:
-            s = None
-            for entry, c in zip(r, coords):
-                t = entry * c
-                s = t if s is None else s + t
-            out.append(s)
-        return out
 
     def __str__(self):
         body = "; ".join("[" + ", ".join(str(e) for e in r) + "]" for r in self.rows)
@@ -345,26 +331,19 @@ def image_space(m: LinMap) -> ColumnSpace:
     return quotient_space(m.columns(), (), m.n_rows, m.registry)
 
 
-def cokernel_space(m: LinMap, preferred: Sequence[Sequence[LaurentPoly]] | None = None
-                   ) -> ColumnSpace:
-    """The image of `m` with complement representatives registered.
-
-    Default representatives are the non-pivot codomain directions after
-    highest-index-pivot elimination of the columns, listed lowest index
-    first.  A `preferred` list of coordinate vectors is validated and
-    used instead when it forms a complement basis.
+def cokernel_space(m: LinMap) -> ColumnSpace:
+    """The image of `m` with complement representatives registered: the
+    non-pivot codomain directions after highest-index-pivot elimination
+    of the columns, listed lowest index first.  A caller that wants other
+    representatives registers them on the bare `image_space` with
+    `ColumnSpace.add(vec, rep=True)`, which rejects one in the span.
     """
     space = image_space(m)
-    if preferred is None:
-        zero = LaurentPoly.zero(m.registry)
-        one = LaurentPoly.one(m.registry)
-        preferred = [[one if k == idx else zero for k in range(m.n_rows)]
-                     for idx in range(m.n_rows) if idx not in space.pivot_rows]
-    elif len(preferred) != m.n_rows - space.rank:
-        raise NotInSpan(f"preferred representatives: expected {m.n_rows - space.rank}, "
-                        f"got {len(preferred)}")
-    for vec in preferred:
-        space.add(vec, rep=True)
+    zero = LaurentPoly.zero(m.registry)
+    one = LaurentPoly.one(m.registry)
+    free = [idx for idx in range(m.n_rows) if idx not in space.pivot_rows]
+    for idx in free:
+        space.add([one if k == idx else zero for k in range(m.n_rows)], rep=True)
     return space
 
 
@@ -392,7 +371,7 @@ def quotient_coords(space: ColumnSpace, target: Sequence[LaurentPoly]) -> list[L
 
 
 def matrix_of_map(op: Callable, dom: LabeledBasis, cod: LabeledBasis, red: Callable,
-                  registry: VarRegistry | None = None) -> LinMap:
+                  registry: VarRegistry) -> LinMap:
     """Matrix whose column i is red(op(dom[i])), the coordinates of
     op(dom[i]) in cod."""
     columns = []

@@ -9,7 +9,8 @@ The Schouten bracket is computed in one pass over each pair of terms,
 from the coordinate formula for the bracket of two decomposable
 multivectors (see `schouten`).  Its sign convention satisfies, for a
 bivector L and a vector field X, [L, X] = -Lie_X L; this is the
-convention every worked identity in scope pins down.
+convention every worked identity in scope pins down.  `bracket` takes
+plain and formed fields alike.
 
 A ChartFrame bundles a chart, its registry and its dbar generators with
 the shorthands each geometry builds its fields from.  `combination`
@@ -302,22 +303,22 @@ def schouten(a: MultiVector, b: MultiVector) -> MultiVector:
 # chart maps and pushforward
 
 class ChartMap(Frozen):
-    """Coordinate change: target variables as polynomials in source ones."""
+    """Coordinate change: target variables as polynomials in source ones,
+    and its inverse, source variables in target ones, checked on build."""
 
     __slots__ = ("source", "target", "forward", "inverse")
 
     def __init__(self, source: Chart, target: Chart, forward: Mapping[str, LaurentPoly],
-                 inverse: Mapping[str, LaurentPoly] | None = None):
+                 inverse: Mapping[str, LaurentPoly]):
         if set(forward) != set(target.vars):
             raise ValueError("forward map must define every target variable")
+        if set(inverse) != set(source.vars):
+            raise ValueError("inverse map must define every source variable")
         _set(self, "source", source)
         _set(self, "target", target)
         _set(self, "forward", forward)
         _set(self, "inverse", inverse)
-        if inverse is not None:
-            if set(inverse) != set(source.vars):
-                raise ValueError("inverse map must define every source variable")
-            self.check_inverse()
+        self.check_inverse()
 
     def __eq__(self, other):
         if other.__class__ is not ChartMap:
@@ -333,8 +334,6 @@ class ChartMap(Frozen):
                 raise ValueError(f"forward o inverse is not the identity on {tv!r}")
 
     def inverse_map(self) -> "ChartMap":
-        if self.inverse is None:
-            raise ValueError("chart map has no inverse data")
         return ChartMap(self.target, self.source, dict(self.inverse), dict(self.forward))
 
 
@@ -342,8 +341,6 @@ def pushforward(cm: ChartMap, a: MultiVector) -> MultiVector:
     """Push a multivector field on cm.source forward to cm.target."""
     if a.chart != cm.source:
         raise ChartMismatch(f"field lives on {a.chart.name}, map starts at {cm.source.name}")
-    if cm.inverse is None:
-        raise ValueError("pushforward requires the inverse coordinate expressions")
     reg = a.registry
     inv = dict(cm.inverse)
     # images of the frames the field uses: d/ds_i -> sum_j (d t_j / d s_i)|_(inverse) d/dt_j
@@ -520,6 +517,16 @@ def schouten_formed(a: FormedMultiVector, b: FormedMultiVector) -> FormedMultiVe
     return out
 
 
+def bracket(a, b):
+    """The Schouten bracket of two fields, plain or formed: a plain field
+    meets a formed one as a formed field with no form part."""
+    if isinstance(a, MultiVector) and isinstance(b, MultiVector):
+        return schouten(a, b)
+    dbar = (b if isinstance(a, MultiVector) else a).dbar_vars
+    return schouten_formed(FormedMultiVector.of(a, dbar) if isinstance(a, MultiVector) else a,
+                           FormedMultiVector.of(b, dbar) if isinstance(b, MultiVector) else b)
+
+
 class ChartFrame(Frozen):
     """A chart with its variable registry and antiholomorphic generators,
     and the shorthands every geometry builds its fields from.
@@ -626,6 +633,5 @@ def basis_coords(basis: LabeledBasis) -> Callable:
 
 def mc_defect(lambda0: MultiVector, el: FormedMultiVector) -> FormedMultiVector:
     """L(el) + (1/2)[el, el] with L = dbar + [lambda0, -] and dbar = 0 here."""
-    lam = FormedMultiVector.of(lambda0, el.dbar_vars)
     half = GaussianRational.of(1) / 2
-    return schouten_formed(lam, el) + schouten_formed(el, el).scale(half)
+    return bracket(lambda0, el) + schouten_formed(el, el).scale(half)

@@ -16,8 +16,9 @@ per-process store of every geometry; a build that raises stores
 nothing.  A key starts with its geometry: `("F", m, params)`,
 `("ExP1",)` and `("TxP1",)` (the product frames), `("ExP1", "family")`
 and `("TxP1", "family")` (the product Maurer-Cartan families, each
-verified once over all its coefficients) or `("Hopf", type, registry,
-cap)`; a cover model keeps each stratum's complex and verdict on itself.
+verified once over all its coefficients) or `("Hopf", type, cap)` (every
+Hopf context of a type has the same registry); a cover model keeps each
+stratum's complex and verdict on itself.
 A key holds only names fixed in code and integers the CLI bounds
 (`ruled.MAX_M`, `cli.MAX_P`, `cli.MAX_CAP`), never a request's own
 parameter names: at most 30 surfaces, 2 product frames, 2 product
@@ -36,7 +37,7 @@ from .laurent import LaurentPoly
 from .linalg import (ColumnSpace, LabeledBasis, LinMap, MapFamily, NotInSpan,
                      cokernel_space, image_space, kernel_basis, matrix_of_map, quotient_coords,
                      quotient_space)
-from .multivector import (ChartFrame, FormedMultiVector, MultiVector, combination, schouten,
+from .multivector import (ChartFrame, FormedMultiVector, MultiVector, bracket, combination,
                           schouten_formed)
 
 TOOL_VERSION = "0.1.0"
@@ -64,7 +65,7 @@ def stored(key: tuple, build: Callable[[], object]):
 def bracket_family(frame: ChartFrame, sq: Sequence[MultiVector], dom: LabeledBasis,
                    cod: LabeledBasis, red: Callable) -> MapFamily:
     """The maps [s, -]: dom -> cod in the coordinates of `red`, one for each
-    bivector s of `sq`; a formed domain meets s as a formed field.
+    bivector s of `sq`; a formed domain meets s as a formed field (`bracket`).
 
     A bivector lam = sum_j lam_j s_j with coefficients lam_j free of chart
     variables has the bracket matrix `family.at(lam_j)`, exactly: the
@@ -72,11 +73,8 @@ def bracket_family(frame: ChartFrame, sq: Sequence[MultiVector], dom: LabeledBas
     differentiates chart variables only, and `red` is a linear coordinate
     map.  So a geometry builds these maps once and sums them per structure.
     """
-    if len(dom) and isinstance(dom[0], FormedMultiVector):
-        brackets = [partial(schouten_formed, frame.formed(s)) for s in sq]
-    else:
-        brackets = [partial(schouten, s) for s in sq]
-    return MapFamily([matrix_of_map(op, dom, cod, red, frame.registry) for op in brackets])
+    return MapFamily([matrix_of_map(partial(bracket, s), dom, cod, red, frame.registry)
+                      for s in sq])
 
 
 class DeformationComplexModel:
@@ -239,21 +237,17 @@ def r4_search(model: DeformationComplexModel) -> Certificate:
     kernel = model.h1_kernel_elements()
     for a in model.h0_sq:
         for b, _ in kernel:
-            cls = model.reduce_h1_sq(schouten(a, b))
+            cls = model.reduce_h1_sq(bracket(a, b))
             if all(p.is_zero() for p in cls):
                 continue
             if image.contains(list(cls)):
                 continue
-            if all(isinstance(e, (MultiVector, FormedMultiVector)) for e in model.h1_sq):
-                class_repr = str(combination(cls, model.h1_sq))
-            else:  # a basis of labels: print the coordinates
-                class_repr = "(" + ", ".join(str(c) for c in cls) + ")"
             return Certificate(
                 manifold=model.name,
                 stratum=model.stratum,
                 verdict=OBSTRUCTED,
                 witness={"a": str(a), "b": str(b)},
-                class_repr=class_repr,
+                class_repr=str(combination(cls, model.h1_sq)),
             )
     return Certificate(
         model.name, model.stratum, UNDETERMINED,
@@ -272,7 +266,7 @@ def verify_certificate(cert: Certificate, model: DeformationComplexModel,
         return True
     a = parse_element(cert.witness["a"])
     b = parse_element(cert.witness["b"])
-    cls = model.reduce_h1_sq(schouten(a, b))
+    cls = model.reduce_h1_sq(bracket(a, b))
     if all(p.is_zero() for p in cls):
         return False
     return not model.h1_image.contains(list(cls))
@@ -326,9 +320,8 @@ def primary_obstruction(model: DolbeaultModel, lam: FormedMultiVector,
     base Poisson structure kills them (the dbar part is zero for every
     representative in scope).
     """
-    lam0 = FormedMultiVector.of(model.lambda0, lam.dbar_vars)
     for part, label in ((lam, "bivector part"), (theta, "form part")):
-        if not schouten_formed(lam0, part).is_zero():
+        if not bracket(model.lambda0, part).is_zero():
             raise NotACocycle(f"{label} is not closed under the base bracket")
     el = lam + theta
     square = schouten_formed(el, el)

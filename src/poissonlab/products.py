@@ -59,9 +59,9 @@ from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ConstraintViolation, LabeledBasis, LinMap, cokernel_space, generic_rank,
                      image_space, quotient_coords)
 from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, basis_coords,
-                          combination, mc_defect, schouten, schouten_formed)
+                          bracket, combination, mc_defect, schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DeformationComplexModel,
-                          DolbeaultModel, bracket_family, stored)
+                          DolbeaultModel, bracket_family, r4_search, stored)
 
 
 # ----------------------------------------------------------------------
@@ -232,23 +232,13 @@ def ep1_family_solution(lam0: MultiVector, fpoly: LaurentPoly) -> MCSolution:
     return MCSolution("ExP1", lam0, beta, alpha, ("t0", "t1", "t2"))
 
 
-def ep1_mc_solution(model: DeformationComplexModel, f_coeffs=None) -> MCSolution:
-    """The corrected family on the nonzero stratum of `ep1_model`.
-
-    f_coeffs overrides the cokernel representative (F0, F1, F2); the
-    override is validated to lie outside the bracket image.
-    """
-    ctx = ep1_context()
-    if f_coeffs is None:
-        reps = model.coker.reps
-        if len(reps) != 1:
-            raise ConstraintViolation("expected a one-dimensional cokernel")
-        fvec = reps[0]
-    else:
-        fvec = [ctx.const(v) for v in f_coeffs]
-        if image_space(model.h0).contains(fvec):
-            raise ConstraintViolation("(F0,F1,F2) lies in the bracket image")
-    return ep1_family_solution(model.lam0, _quadratic(ctx, fvec))
+def ep1_mc_solution(model: DeformationComplexModel) -> MCSolution:
+    """The corrected family on the nonzero stratum of `ep1_model`, with the
+    model's own cokernel representative for F."""
+    reps = model.coker.reps
+    if len(reps) != 1:
+        raise ConstraintViolation("expected a one-dimensional cokernel")
+    return ep1_family_solution(model.lam0, _quadratic(ep1_context(), reps[0]))
 
 
 def _ep1_verified() -> VerifiedFamily:
@@ -283,22 +273,14 @@ def ep1_dolbeault_model(a=None, b=None, c=None) -> DolbeaultModel:
 
 
 def ep1_classify(a, b, c) -> Certificate:
-    """Verdict for (A + B xi + C xi^2) dz^dxi; exact rational input."""
+    """Verdict for (A + B xi + C xi^2) dz^dxi; exact rational input.  The
+    zero structure's verdict is the witness search on its model."""
     model = ep1_model(a, b, c)
-    ctx = ep1_context()
     dims = {"dim_h1": model.dim_h1, "dim_h2": model.dim_h2}
     if model.stratum == "zero":
-        witness_a = ctx.mv(ctx.const(1), ("z", "xi"))
-        witness_b = ctx.formed(ctx.mv(ctx.xi(), ("xi",)), ("z",))
-        cls = schouten_formed(ctx.formed(witness_a), witness_b)
-        if cls.is_zero():
-            raise AssertionError("witness bracket vanished")
-        return Certificate(
-            "ExP1", model.stratum, OBSTRUCTED,
-            witness={"a": str(witness_a), "b": str(witness_b)},
-            class_repr=str(cls),
-            data=dims,
-        )
+        cert = r4_search(model)
+        cert.data.update(dims)
+        return cert
     ep1_family()
     sol = ep1_mc_solution(model)
     if not model.fills(_tangent_classes(model, sol.tangents())):
@@ -439,7 +421,7 @@ def tp1_family_solution(lam0: MultiVector, K: LaurentPoly, kpar: LaurentPoly,
                       tuple(f"t{i}" for i in range(9)))
 
 
-def tp1_mc_solution(model: DeformationComplexModel, f_coeffs=None) -> MCSolution:
+def tp1_mc_solution(model: DeformationComplexModel) -> MCSolution:
     """The corrected solution on class 2 of `tp1_model`: K, k and the
     cokernel representative F read off the model's own bivector and H0 map."""
     ctx, lam0, m_h0 = tp1_context(), model.lam0, model.h0
@@ -449,29 +431,24 @@ def tp1_mc_solution(model: DeformationComplexModel, f_coeffs=None) -> MCSolution
     kpar = -lam0.coefficient(("z1", "xi")).exact_div(K)
     if not kpar.uses_only(ctx.registry.param_vars):
         raise ConstraintViolation("the ratio k of the class-2 bivector involves chart variables")
-    if f_coeffs is None:
-        gamma_map = [[m_h0.rows[i][j] for j in (2, 3, 4)] for i in (1, 2, 3)]
-        gm = LinMap(LabeledBasis("gamma", ("g0", "g1", "g2")),
-                    LabeledBasis("K-multiples", ("x0", "x1", "x2")),
-                    gamma_map, ctx.registry)
-        reps = cokernel_space(gm).reps
-        if len(reps) != 1:
-            raise ConstraintViolation("expected a one-dimensional cokernel")
-        fvec = reps[0]
-    else:
-        fvec = [ctx.const(v) for v in f_coeffs]
-    return tp1_family_solution(lam0, K, kpar, _quadratic(ctx, fvec))
+    gamma_map = [[m_h0.rows[i][j] for j in (2, 3, 4)] for i in (1, 2, 3)]
+    gm = LinMap(LabeledBasis("gamma", ("g0", "g1", "g2")),
+                LabeledBasis("K-multiples", ("x0", "x1", "x2")),
+                gamma_map, ctx.registry)
+    reps = cokernel_space(gm).reps
+    if len(reps) != 1:
+        raise ConstraintViolation("expected a one-dimensional cokernel")
+    return tp1_family_solution(lam0, K, kpar, _quadratic(ctx, reps[0]))
 
 
 def tp1_integrability(sol: MCSolution) -> dict:
     """The three graded pieces of the integrability identity, exactly."""
     from .rational import GaussianRational
 
-    lam0f = FormedMultiVector.of(sol.lambda0, sol.beta.dbar_vars)
-    beta, alpha = sol.beta, sol.alpha
+    lam0, beta, alpha = sol.lambda0, sol.beta, sol.alpha
     half = GaussianRational.of(1) / 2
-    p14 = schouten_formed(lam0f, beta) + schouten_formed(beta, beta).scale(half)
-    p15 = schouten_formed(lam0f, alpha) + schouten_formed(beta, alpha)
+    p14 = bracket(lam0, beta) + schouten_formed(beta, beta).scale(half)
+    p15 = bracket(lam0, alpha) + schouten_formed(beta, alpha)
     p16 = schouten_formed(alpha, alpha).scale(half)
     return {"p14": p14, "p15": p15, "p16": p16}
 

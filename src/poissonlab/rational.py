@@ -6,6 +6,10 @@ gcd(a, b, d) = 1, in the manner of FLINT's integer-numerator `fmpq`.
 That form is unique, so `==` and `hash` compare the triples, and every
 operation is integer arithmetic plus at most one gcd.  Nothing here
 ever rounds.
+
+`decimal` and `from_decimal` convert ints of any length: Python caps its
+own conversion (`sys.set_int_max_str_digits`), so they split a longer
+number at a power of ten, and change no process-wide setting.
 """
 
 from __future__ import annotations
@@ -28,6 +32,31 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+# below the least cap Python allows, so `str` and `int` never meet it
+_CHUNK = 600
+_SMALL = 10 ** _CHUNK
+
+
+def decimal(n: int) -> str:
+    """The decimal digits of `n`, with a sign if negative, of any length."""
+    if -_SMALL < n < _SMALL:
+        return str(n)
+    if n < 0:
+        return "-" + decimal(-n)
+    # about half the digits: log10(2) is just over 3/10
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10 ** k)
+    return decimal(high) + decimal(low).zfill(k)
+
+
+def from_decimal(digits: str) -> int:
+    """The int of a string of decimal digits, of any length."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    k = len(digits) // 2
+    return from_decimal(digits[:-k]) * 10 ** k + from_decimal(digits[-k:])
 
 
 def _raw(a: int, b: int, d: int) -> "GaussianRational":
@@ -164,7 +193,8 @@ class GaussianRational:
 
     def __str__(self):
         def frac(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+            num = decimal(x.numerator)
+            return num if x.denominator == 1 else f"{num}/{decimal(x.denominator)}"
 
         re, im = self.re, self.im
         if im == 0:

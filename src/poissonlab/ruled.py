@@ -626,15 +626,10 @@ class FamilyReport:
         return self.dim_h1 == self.n_params
 
 
-def verify_family(fam: RuledFamily, expected_basis: Sequence[str] | None = None
-                  ) -> FamilyReport:
+def verify_family(fam: RuledFamily) -> FamilyReport:
     """Run the three family checks: holomorphic pushforward for symbolic
     parameters, the Poisson identity, and full rank of the map sending
-    parameter directions to hypercohomology classes.
-
-    `expected_basis` pins the printed first-cohomology basis the tangent
-    directions must hit.
-    """
+    parameter directions to hypercohomology classes."""
     rs = fam.surface
     reg = rs.registry
     pushed = pushforward(fam.transition_t, fam.lambda_t)
@@ -659,8 +654,6 @@ def verify_family(fam: RuledFamily, expected_basis: Sequence[str] | None = None
         columns.append(hyper_class_coords(rs, model, lam1, lam2, theta12))
     dim = model.dim_h1
     basis = [str(e) for e in model.elements]
-    if expected_basis is not None and list(expected_basis) != basis:
-        raise KSDegenerate("first-cohomology basis differs from the expected one")
     if len(fam.params) != dim:
         raise KSDegenerate(f"family has {len(fam.params)} parameters but dim H1 = {dim}")
     if not model.fills(columns):

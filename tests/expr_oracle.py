@@ -8,7 +8,7 @@ those of `poissonlab.expr`; the tokens come from its `tokenize`."""
 
 from fractions import Fraction
 
-from poissonlab.expr import ParseError, tokenize
+from poissonlab.expr import ParseError, shown, tokenize
 from poissonlab.rational import Frozen, GaussianRational
 
 _set = object.__setattr__
@@ -79,10 +79,6 @@ class Pow(Frozen):
         _set(self, "exponent", exponent)
 
 
-def _found(tok) -> str:
-    return "end of input" if tok[0] == "end" else repr(tok[1])
-
-
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -103,7 +99,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {_found(tok)}", tok[2], tok[3])
+            raise ParseError(f"expected {kind!r}, found {shown(tok)}", tok[2], tok[3])
         return tok
 
     # precedence, loosest first: wedge, additive, product, power
@@ -187,5 +183,5 @@ def parse(src):
     node = parser.parse_expr()
     end = parser.next()
     if end[0] != "end":
-        raise ParseError(f"trailing input {end[1]!r}", end[2], end[3])
+        raise ParseError(f"trailing input {shown(end)}", end[2], end[3])
     return node

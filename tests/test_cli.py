@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import poissonlab.expr as expr_mod
 from poissonlab import obstruction
 from poissonlab.cli import FAMILY_NAMES, main
 from poissonlab.linalg import MapFamily
+from poissonlab.rational import decimal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -258,7 +260,7 @@ def test_classify_hopf_at_the_degree_cap_env_matches_the_default_cap(monkeypatch
     for want in wants:
         with redirect_stderr(io.StringIO()):
             assert run_cli(*want["argv"]) == (want["exit"], want["stdout"])
-    assert {key[3] for key in obstruction._STORE if key[0] == "Hopf"} == {6}
+    assert {key[2] for key in obstruction._STORE if key[0] == "Hopf"} == {6}
 
 
 def test_report_checks_the_hopf_families_at_its_degree_cap(monkeypatch):
@@ -373,6 +375,8 @@ def test_a_hopf_term_above_the_cap_is_told_it_is_off_weight_0(spec, src, capsys)
     ("bracket", "@z", "~w", "--chart", "z", "--dbar", "w,"),
     ("bracket", "@z", "~w", "--chart", "z", "--dbar", "w,w"),
     ("bracket", "@z", "~w", "--chart", "z", "--dbar", ","),
+    # and names chart variables only
+    ("bracket", "~w*@z", "z*@z", "--chart", "z", "--dbar", "w"),
 ])
 def test_ruled_bivector_that_is_not_global_or_bad_chart_is_a_usage_error(argv, capsys):
     code, out = run_cli(*argv)
@@ -672,7 +676,7 @@ def test_a_cover_model_that_fails_validation_is_not_stored(monkeypatch, capsys):
     assert code == 2 and out == ""
     assert capsys.readouterr().err == ("error: M1 corank 2 does not match the 3 named "
                                        "representatives at degree cap 4\n")
-    stored = [(key[1], key[3]) for key in obstruction._STORE if key[0] == "Hopf"]
+    stored = [(key[1], key[2]) for key in obstruction._STORE if key[0] == "Hopf"]
     assert (hopf.HopfType("III", 5), 4) not in stored
     assert stored == [(hopf.HopfType("IV"), 4)]
     # the failure leaves nothing behind: the default cap 8 of III(p=5) still serves
@@ -832,3 +836,100 @@ def test_random_token_strings_exit_0_1_or_2(texts, sep, data):
     code, out, err = _served(argv)
     assert code in (0, 1, 2)
     assert code == 0 or (out == "" and err.startswith("error: ") and err.count("\n") == 1)
+
+
+# well-formed sources drawn from the grammar: chart variables, parameters,
+# Gaussian scalars, @v and ~v under + - * ^, powers and parentheses
+_SCALARS = ("0", "1", "2", "3", "(1/2)", "(-2/3)", "i", "(1 - i)", "(2*i)")
+# spec -> its chart variables and its bivector frames
+_GRAMMAR_SPECS = {
+    "ruled:3": (("z", "xi"), ("@z^@xi",)),
+    "ruled:7": (("z", "xi"), ("@z^@xi",)),
+    "hopf:IV": (("z", "w"), ("@z^@w",)),
+    "hopf:III:p=2": (("z", "w"), ("@z^@w",)),
+    "hopf:IIc": (("z", "w"), ("@z^@w",)),
+    "ep1": (("z", "xi"), ("@z^@xi",)),
+    "tp1": (("z1", "z2", "xi"), ("@z1^@z2", "@z2^@xi", "@xi^@z1")),
+    "torus:2": (("z1", "z2"), ("@z1^@z2",)),
+    "torus:3": (("z1", "z2", "z3"), ("@z1^@z2", "@z2^@z3", "@z1^@z3")),
+}
+
+
+@functools.cache
+def _grammar(names: tuple, fields: tuple):
+    atoms = st.sampled_from(_SCALARS + names + ("A", "B") + fields)
+
+    def grow(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from((" + ", " - ", "*", " ^ ")), inner).map("".join),
+            inner.map(lambda s: f"({s})"),
+            st.tuples(inner, st.integers(-2, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            inner.map(lambda s: f"-{s}"))
+
+    return st.recursive(atoms, grow, max_leaves=8)
+
+
+def _grammar_argv(data):
+    """A classify request, its structure a sum of grammar coefficients times
+    the spec's bivector frames or a grammar expression in its fields, or a
+    bracket request of two grammar expressions."""
+    if data.draw(st.booleans(), label="classify"):
+        spec = data.draw(st.sampled_from(sorted(_GRAMMAR_SPECS)), label="spec")
+        names, frames = _GRAMMAR_SPECS[spec]
+        if data.draw(st.booleans(), label="by frames"):
+            terms = data.draw(st.lists(st.tuples(_grammar(names, ()), st.sampled_from(frames)),
+                                       min_size=1, max_size=3))
+            src = " + ".join(f"({coef})*{frame}" for coef, frame in terms)
+        else:
+            src = data.draw(_grammar(names, tuple(f"@{n}" for n in names)))
+        return ("classify", spec, f"--poisson={src}")
+    dbar = data.draw(st.sampled_from(("", "z", "z,w")), label="dbar")
+    fields = ("@z", "@w", "~z", "~w")
+    left, right = (data.draw(_grammar(("z", "w"), fields)) for _ in range(2))
+    return ("bracket", "--chart=z,w", f"--dbar={dbar}", "--", left, right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_grammar_sources_exit_0_1_or_2(data):
+    # the engine, not only the reader, meets these: a documented exit code,
+    # an `error:` line on every failure, and no escaping exception
+    code, out, err = _served(_grammar_argv(data))
+    assert code in (0, 1, 2)
+    assert code == 0 or (out == "" and err.startswith("error: ") and err.count("\n") == 1)
+
+
+@pytest.mark.parametrize("cap", [12, 22, 30, 40])
+def test_hopf_tables_at_high_degree_caps_match_the_golden(cap):
+    # a cover model builds its weight-0 blocks only, so the tables do not
+    # depend on the cap once it reaches p + 1
+    code, out = run_cli("tables", "hopf", "--degree", str(cap), "--md")
+    assert code == 0 and out == (GOLDEN / "hopf.md").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("bracket", "2^99999999999*z*@z", "@z"),
+    ("bracket", "@z", "z^-99999999999*@z"),
+    ("bracket", "@z", f"2^{cli_mod.MAX_EXPONENT + 1}*@z"),
+    ("classify", "ruled:3", "--poisson", "z^99999999999*@z^@xi"),
+    ("classify", "hopf:IV", "--poisson", "(A - 2^-99999999999)*z^2*@z^@w"),
+])
+def test_a_power_above_the_exponent_bound_is_refused_unread(argv, monkeypatch, capsys):
+    def unread(*args):
+        raise AssertionError("a source with a refused power was evaluated")
+
+    monkeypatch.setattr(cli_mod, "eval_str", unread)
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: the exponent at line 1, column ")
+    assert err.endswith(f" is above the maximum {cli_mod.MAX_EXPONENT}\n")
+
+
+def test_numbers_of_any_length_are_read_and_printed_in_full():
+    digits = "7" * 5000
+    assert run_cli("bracket", f"{digits}*z*@z", "@z") == (0, f"-{digits}*@z\n")
+    # 2^15000 as a product of powers at the bound: 4,516 digits
+    src = "*".join([f"2^{cli_mod.MAX_EXPONENT}"] * 15) + "*z*@z"
+    code, out = run_cli("bracket", src, "@z")
+    assert code == 0 and out == f"-{decimal(2 ** 15000)}*@z\n"

@@ -359,13 +359,14 @@ def test_cover_models_build_no_matrix_wider_than_their_weight_0_blocks(monkeypat
         assert sizes and set(sizes) <= blocks
 
 
-def test_cover_model_cache_keys_on_registry():
+def test_cover_model_store_keys_on_type_and_cap():
+    # every context of a type has the same registry, so the key needs none
     t = HopfType("IV")
-    cover_model(make_context(t), 4)
-    ctx2 = make_context(t, ("s",))
-    assert cover_model(ctx2, 4).ctx.registry == ctx2.registry
-    fields = invariant_fields(ctx2, 4)
-    assert fields and all(f.registry == ctx2.registry for f in fields)
+    a, b = make_context(t), make_context(t)
+    assert a.registry == b.registry == make_context(HopfType("IIc")).registry
+    assert cover_model(a, 4) is cover_model(b, 4) is not cover_model(a, 5)
+    fields = invariant_fields(b, 4)
+    assert fields and all(f.registry == a.registry for f in fields)
 
 
 def test_hopf_tables_build_each_cover_matrix_and_kernel_once(monkeypatch):
@@ -492,7 +493,7 @@ def test_the_model_store_is_the_only_module_state():
     a, b = make_context(t), make_context(t)
     assert a is not b and a == b
     assert cover_model(a, 4) is cover_model(b, 4) is model_for(t, 4)
-    assert obstruction._STORE["Hopf", t, a.registry, 4] is model_for(t, 4)
+    assert obstruction._STORE["Hopf", t, 4] is model_for(t, 4)
 
 
 def test_invariant_lists_do_not_share_the_model_copy():

@@ -306,9 +306,7 @@ def compose(outer: ChartMap, inner: ChartMap) -> ChartMap:
     if inner.target != outer.source:
         raise ChartMismatch("composition chart mismatch")
     fwd = {tv: expr.substitute(dict(inner.forward)) for tv, expr in outer.forward.items()}
-    inv = None
-    if outer.inverse is not None and inner.inverse is not None:
-        inv = {sv: expr.substitute(dict(outer.inverse)) for sv, expr in inner.inverse.items()}
+    inv = {sv: expr.substitute(dict(outer.inverse)) for sv, expr in inner.inverse.items()}
     return ChartMap(inner.source, outer.target, fwd, inv)
 
 

@@ -164,6 +164,31 @@ def test_r4_search_certificates_and_reverify():
     assert not verify_certificate(bad, model, parse_element)
 
 
+@pytest.mark.parametrize("model, frame, want", [
+    (lambda: ep1_model(0, 0, 0), ep1_context, ("(@z^@xi)", "xi*@xi*~z", "(@z^@xi)*~z")),
+    (lambda: tp1_model(tp1_lambda0(1), "class-1"), tp1_context,
+     ("(@z2^@xi)", "xi*@xi*~z1", "(@z2^@xi)*~z1")),
+], ids=["ExP1", "TxP1"])
+def test_r4_search_and_reverification_on_formed_models(model, frame, want):
+    # the search brackets a global bivector with a formed first-cohomology field
+    model, ctx = model(), frame()
+    cert = r4_search(model)
+    assert cert.verdict == OBSTRUCTED
+    assert (cert.witness["a"], cert.witness["b"], cert.class_repr) == want
+    assert verify_certificate(Certificate.from_json(cert.to_json()), model,
+                              lambda src: eval_str(src, ctx))
+
+
+@pytest.mark.parametrize("part, tampered", [("b", "@xi*~z"), ("b", "@z*~z"),
+                                             ("a", "xi*(@z^@xi)")])
+def test_a_tampered_ep1_witness_is_rejected(part, tampered):
+    # each tampered pair brackets to no class outside the H1 bracket image
+    model, ctx = ep1_model(0, 0, 0), ep1_context()
+    bad = Certificate.from_json(r4_search(model).to_json())
+    bad.witness = {**bad.witness, part: tampered}
+    assert not verify_certificate(bad, model, lambda src: eval_str(src, ctx))
+
+
 def test_search_and_reverification_share_one_image_space(monkeypatch):
     # the H1 image is eliminated once per model, like its kernel
     built, real = [], obstruction.image_space
@@ -216,7 +241,7 @@ def test_h1_kernel_computed_once_per_search(monkeypatch):
 def test_r4_search_brackets_nothing_when_h2_is_zero(monkeypatch):
     from poissonlab import obstruction, ruled
     seen, brackets = [], []
-    real_schouten = obstruction.schouten
+    real_bracket = obstruction.bracket
 
     def search(model):
         before = len(brackets)
@@ -224,8 +249,8 @@ def test_r4_search_brackets_nothing_when_h2_is_zero(monkeypatch):
         seen.append((model, cert.verdict, len(brackets) - before))
         return cert
 
-    monkeypatch.setattr(obstruction, "schouten",
-                        lambda a, b: brackets.append(1) or real_schouten(a, b))
+    monkeypatch.setattr(obstruction, "bracket",
+                        lambda a, b: brackets.append(1) or real_bracket(a, b))
     monkeypatch.setattr(ruled, "r4_search", search)
     ruled.table1_sweep(12)
     decided = [(model, verdict, n) for model, verdict, n in seen if model.dim_h2 == 0]

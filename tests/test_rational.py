@@ -1,10 +1,11 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poissonlab.rational import GaussianRational, content
+from poissonlab.rational import GaussianRational, content, decimal, from_decimal
 
 
 class PairRef:
@@ -125,3 +126,33 @@ def test_products_by_ints_match_products_by_their_values(x, n):
     for got in (g * n, n * g):
         check_normal(got)
         assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+
+
+# decimal digits of any length, under any cap Python sets on its own conversion
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12_000), st.integers(-5, 5))
+def test_decimal_round_trip_of_any_length(digits, low):
+    n = 10 ** digits + low
+    for v in (n, -n):
+        text = decimal(v)
+        digits_only = text.removeprefix("-")
+        assert text.startswith("-") == (v < 0)
+        assert from_decimal(digits_only) == abs(v)
+        assert v == 0 or not digits_only.startswith("0")
+
+
+def test_decimal_matches_str_under_the_least_cap():
+    before = sys.get_int_max_str_digits()
+    n = 7 ** 20_000  # odd, so n / 2^40 is in lowest terms
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(n)
+        # the least cap Python allows; the helpers must not meet it
+        sys.set_int_max_str_digits(640)
+        assert decimal(n) == want and decimal(-n) == "-" + want
+        assert from_decimal(want) == n
+        big = GaussianRational(Fraction(n, 2 ** 40), -n)
+        assert str(big) == f"{want}/{2 ** 40}-{want}*i"
+    finally:
+        sys.set_int_max_str_digits(before)

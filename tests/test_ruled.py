@@ -307,8 +307,9 @@ EXPECTED_BASES = {
 
 @pytest.mark.parametrize("name,dim", [("f2", 10), ("f3", 11), ("f4", 5), ("f5", 5)])
 def test_families_verify(name, dim):
-    rep = verify_family(FAMILIES[name](), EXPECTED_BASES.get(name))
+    rep = verify_family(FAMILIES[name]())
     assert rep.ok and rep.dim_h1 == dim
+    assert rep.basis == EXPECTED_BASES.get(name, rep.basis)
 
 
 @pytest.mark.parametrize("name", ["f2", "f3", "f4", "f5"])

@@ -94,7 +94,8 @@ def test_hashed_values_differ_when_a_field_does():
 
 def test_chart_maps_compare_by_fields():
     assert _identity() == _identity()
-    assert _identity() != ChartMap(W, W, {"z": Z, "w": WV})
+    half = GaussianRational(1) / 2
+    assert _identity() != ChartMap(W, W, {"z": Z * 2, "w": WV}, {"z": Z * half, "w": WV})
 
 
 def test_mutable_values_take_assignment_to_their_fields():
@@ -115,7 +116,7 @@ def test_mutable_values_take_assignment_to_their_fields():
     (lambda: Chart("C", ()), ValueError, "chart variables must be nonempty and distinct"),
     (lambda: Chart("C", ("x", "x")), ValueError,
      "chart variables must be nonempty and distinct"),
-    (lambda: ChartMap(W, W, {"z": Z}), ValueError,
+    (lambda: ChartMap(W, W, {"z": Z}, {"z": Z, "w": WV}), ValueError,
      "forward map must define every target variable"),
     (lambda: ChartMap(W, W, {"z": Z, "w": WV}, {"z": Z}), ValueError,
      "inverse map must define every source variable"),
