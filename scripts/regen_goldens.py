@@ -90,6 +90,13 @@ REQUESTS = (
     ["classify", "hopf:IV", "--poisson", "qq*z^2*@z^@w +"],
     ["bracket", "(@z)^2*@q", "@w"],
     ["bracket", "@q*(@z)^2", "@w"],
+    # an option the table or family does not read
+    ["tables", "ruled", "--p", "99", "--m-max", "1"],
+    ["tables", "products", "--p", "5"],
+    ["verify-family", "f2", "--degree", "7"],
+    # a power whose result would be too large, refused before it is computed
+    ["bracket", "((1+z)^100)^100*@z", "@z"],
+    ["bracket", "(1+z+w)^200*@z", "@z"],
 )
 
 

@@ -8,7 +8,9 @@ deterministic.
 
 Each command is one lookup: `tables` in `TABLES`, `verify-family` in
 `FAMILIES`, `mc-check` in `SOLUTIONS`, and `classify` in `GEOMETRIES`,
-the one list of manifold kinds and their spec forms.  Every classify
+the one list of manifold kinds and their spec forms.  A command reads
+only the options its table or family uses: an explicit `--m-max`,
+`--degree` or `--p` that it does not read is a usage error.  Every classify
 source goes through one reader, `_read`: tokenized once, evaluated in
 the geometry's own frame, and rejected unless it is a bivector with no
 form part; each geometry then reads its coordinates through its own
@@ -27,11 +29,12 @@ import os
 import sys
 
 from . import hopf, products, ruled
-from .expr import ParseError, UnknownSymbol, context_for, eval_str, free_names, tokenize
+from .expr import (MAX_EXPONENT, ParseError, UnknownSymbol, context_for, eval_str, free_names,
+                   tokenize)
 from .laurent import LaurentError, VarRegistry
 from .linalg import NotInSpan
 from .multivector import Chart, ChartFrame, basis_coords, schouten_formed
-from .obstruction import OBSTRUCTED, UNDETERMINED, UNOBSTRUCTED_MC, Certificate
+from .obstruction import OBSTRUCTED, UNDETERMINED, UNOBSTRUCTED_MC, Certificate, stored
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,11 +48,7 @@ MAX_TORUS_N = 128
 # takes about 0.06 to 0.07 s and 17 MB peak RSS, as `tables hopf` does (same VM)
 MAX_CAP = 40
 MAX_P = MAX_CAP - 3
-# the largest exponent of a power in a source, either sign: a power is computed in
-# full, at a cost that grows with the exponent and with the base's size.  At the
-# bound, 2^1000 and z^1000 take under a millisecond, while `bracket "(1+z)^N*@z" "@z"`
-# takes 1.7 s at N = 1000, 5.1 s at 2000 and 27 s at 4000 (2-vCPU Intel Xeon VM)
-MAX_EXPONENT = 1000
+DEFAULT_M_MAX = 10
 
 
 class UsageError(Exception):
@@ -72,9 +71,18 @@ def _degree_cap(args) -> int | None:
 
 
 def _m_max(args) -> int:
-    if not 0 <= args.m_max <= ruled.MAX_M:
-        raise UsageError(f"--m-max must lie in 0..{ruled.MAX_M}, got {args.m_max}")
-    return args.m_max
+    m_max = DEFAULT_M_MAX if args.m_max is None else args.m_max
+    if not 0 <= m_max <= ruled.MAX_M:
+        raise UsageError(f"--m-max must lie in 0..{ruled.MAX_M}, got {m_max}")
+    return m_max
+
+
+def _refuse_unread(args, command: str, reads: tuple[str, ...]):
+    """An explicit --m-max, --degree or --p that `command` does not read is
+    a usage error, raised before any work."""
+    for option in ("m_max", "degree", "p"):
+        if getattr(args, option, None) is not None and option not in reads:
+            raise UsageError(f"{command} does not read --{option.replace('_', '-')}")
 
 
 def _spec_number(parts, low: int, high: int) -> int:
@@ -161,23 +169,24 @@ def products_tables() -> dict:
 
 
 def _p(args) -> int:
-    if not 2 <= args.p <= MAX_P:
-        raise UsageError(f"--p must be an integer in 2..{MAX_P}, got {args.p}")
-    return args.p
+    p = hopf.DEFAULT_P if args.p is None else args.p
+    if not 2 <= p <= MAX_P:
+        raise UsageError(f"--p must be an integer in 2..{MAX_P}, got {p}")
+    return p
 
 
-# table -> (its document from the parsed arguments, its markdown sections: the
-# document key of each section's rows, None where the document is the rows,
-# with the columns and the title)
+# table -> (the options it reads, its document from the parsed arguments, its
+# markdown sections: the document key of each section's rows, None where the
+# document is the rows, with the columns and the title)
 TABLES = {
-    "ruled": (lambda args: ruled_table(_m_max(args)),
+    "ruled": (("m_max",), lambda args: ruled_table(_m_max(args)),
               ((None, ("manifold", "stratum", "dim_h2", "verdict"), "Ruled surfaces"),)),
-    "hopf": (lambda args: hopf_tables(p=_p(args), cap=_degree_cap(args)),
+    "hopf": (("degree", "p"), lambda args: hopf_tables(p=_p(args), cap=_degree_cap(args)),
              (("classification", ("type", "dim_h0_theta", "dim_h0_sq"), "Hopf classification"),
               ("cohomology", ("type", "stratum", "dim_h0", "dim_h1", "dim_h2",
                               "automorphism_basis_verified"), "Hopf cohomology"),
               ("families", ("type", "stratum", "verdict"), "Hopf families"))),
-    "products": (lambda args: products_tables(),
+    "products": ((), lambda args: products_tables(),
                  (("curve_products", ("manifold", "stratum", "verdict"), "Products of curves"),
                   ("tp1", ("class", "dim_h1", "verdict"), "Torus times projective line"),
                   ("torus", ("n", "dim_h1"), "Poisson tori"))),
@@ -292,12 +301,12 @@ def _classify_hopf(parts, args) -> Certificate:
 
 
 def _product_bivector(name: str, src: str) -> tuple:
-    """A bivector on "ExP1" or "TxP1" and its coordinates on the stored
-    basis of global bivectors, which must be rational."""
+    """A bivector on "ExP1" or "TxP1", its coordinates on the stored basis
+    of global bivectors, and those coordinates as the rationals they must be."""
     ctx, bases, _ = products.product_frame(name)
     _, mv = _read(src, lambda tokens: ctx)
-    read = basis_coords(bases["h0_sq"])
-    return mv, _rational(_coords(read, mv, src, f"a global bivector on {name}"))
+    coords = _coords(basis_coords(bases["h0_sq"]), mv, src, f"a global bivector on {name}")
+    return mv, coords, _rational(coords)
 
 
 def _classify_torus(parts, args) -> Certificate:
@@ -319,9 +328,9 @@ GEOMETRIES = {
     "ruled": ("ruled:N", _classify_ruled),
     "hopf": ("hopf:TAG[:p=N]", _classify_hopf),
     "ep1": ("ep1", lambda parts, args: products.ep1_classify(
-        *_product_bivector("ExP1", args.poisson)[1])),
+        *_product_bivector("ExP1", args.poisson)[2])),
     "tp1": ("tp1", lambda parts, args: products.tp1_classify(
-        _product_bivector("TxP1", args.poisson)[0])),
+        *_product_bivector("TxP1", args.poisson)[:2])),
     "torus": ("torus:N", _classify_torus),
 }
 
@@ -345,11 +354,12 @@ def _product_family(cert: Certificate) -> dict:
     return {"ok": cert.verdict == UNOBSTRUCTED_MC, "verdict": cert.verdict, "dims": cert.data}
 
 
+# Hopf family name -> its type: the only families whose report reads the degree cap
+HOPF_FAMILIES = {f"hopf-{tag.lower()}": t for tag, t in _types_by_tag(hopf.DEFAULT_P).items()}
 # family name -> its report at a Hopf degree cap
 FAMILIES = {
     **{name: functools.partial(_ruled_family, name) for name in ruled.FAMILIES},
-    **{f"hopf-{tag.lower()}": functools.partial(_hopf_family, t)
-       for tag, t in _types_by_tag(hopf.DEFAULT_P).items()},
+    **{name: functools.partial(_hopf_family, t) for name, t in HOPF_FAMILIES.items()},
     "ep1": lambda cap: _product_family(products.ep1_classify(None, None, None)),
     "tp1": lambda cap: _product_family(products.tp1_classify(products.tp1_lambda0(2))),
 }
@@ -363,7 +373,8 @@ SOLUTIONS = {"ep1": products.ep1_family, "tp1": products.tp1_family}
 # subcommand handlers
 
 def cmd_tables(args) -> int:
-    build, sections = TABLES[args.what]
+    reads, build, sections = TABLES[args.what]
+    _refuse_unread(args, f"tables {args.what}", reads)
     doc = build(args)
     if args.md:
         print("".join(_md_rows(doc if key is None else doc[key], columns, title)
@@ -410,8 +421,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_family(args) -> int:
+    hopf_family = args.name in HOPF_FAMILIES
+    _refuse_unread(args, f"verify-family {args.name}", ("degree",) if hopf_family else ())
     try:
-        doc = verify_family_report(args.name, _degree_cap(args))
+        doc = verify_family_report(args.name, _degree_cap(args) if hopf_family else None)
     except (ruled.RationalPartSurvives, ruled.KSDegenerate,
             hopf.MembershipFails, AssertionError) as exc:
         doc = {"family": args.name, "ok": False, "error": str(exc)}
@@ -422,7 +435,13 @@ def cmd_verify_family(args) -> int:
 
 
 def verify_family_report(name: str, cap: int | None = None) -> dict:
-    return {"family": name, **FAMILIES[name](cap)}
+    """The report of a family, verified once per process and stored; a
+    check that raises stores nothing.  Only a Hopf family reads the cap,
+    so only its key holds it, the type's default cap where None."""
+    t = HOPF_FAMILIES.get(name)
+    key = ("family", name) if t is None else (
+        "family", name, hopf.default_cap(t) if cap is None else cap)
+    return stored(key, lambda: {"family": name, **FAMILIES[name](cap)})
 
 
 def cmd_mc_check(args) -> int:
@@ -463,9 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = sub.add_parser("tables", help="reproduce the dimension tables")
     tables.add_argument("what", choices=tuple(TABLES))
-    tables.add_argument("--m-max", type=int, default=10)
+    # None where not given, so that an option the table does not read is refused
+    tables.add_argument("--m-max", type=int, default=None)
     tables.add_argument("--degree", type=int, default=None)
-    tables.add_argument("--p", type=int, default=hopf.DEFAULT_P)
+    tables.add_argument("--p", type=int, default=None)
     tables.add_argument("--md", action="store_true", default=False)
     tables.set_defaults(func=cmd_tables)
 
@@ -491,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.set_defaults(func=cmd_mc_check)
 
     report = sub.add_parser("report", help="all tables and verifications as JSON")
-    report.add_argument("--m-max", type=int, default=10)
+    report.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
     report.add_argument("--degree", type=int, default=None)
     report.set_defaults(func=cmd_report)
     return ap

@@ -16,15 +16,19 @@ per-process store of every geometry; a build that raises stores
 nothing.  A key starts with its geometry: `("F", m, params)`,
 `("ExP1",)` and `("TxP1",)` (the product frames), `("ExP1", "family")`
 and `("TxP1", "family")` (the product Maurer-Cartan families, each
-verified once over all its coefficients) or `("Hopf", type, cap)` (every
-Hopf context of a type has the same registry); a cover model keeps each
-stratum's complex and verdict on itself.
+verified once over all its coefficients), `("Hopf", type, cap)` (every
+Hopf context of a type has the same registry; a cover model keeps each
+stratum's complex and verdict on itself), or `("family", name)` and
+`("family", name, cap)` (the `verify-family` reports, each verified once
+per process; only a Hopf family's report reads the degree cap, so only
+its key holds it).  Callers serialize a stored report and never change it.
 A key holds only names fixed in code and integers the CLI bounds
 (`ruled.MAX_M`, `cli.MAX_P`, `cli.MAX_CAP`), never a request's own
 parameter names: at most 30 surfaces, 2 product frames, 2 product
-families and (3 + 2 * 36) * 38 = 2,850 cover models (types IV, IIb,
-IIc, and III, IIa at p = 2..37; caps 3..40), each with at most 3
-stratum verdicts.
+families, (3 + 2 * 36) * 38 = 2,850 cover models (types IV, IIb, IIc,
+and III, IIa at p = 2..37; caps 3..40), each with at most 3 stratum
+verdicts, and 6 + 5 * 38 = 196 family reports (F2..F5, ExP1 and TxP1
+once; the five Hopf families, at p = 2, once per cap 3..40).
 """
 
 from __future__ import annotations
@@ -93,14 +97,16 @@ class DeformationComplexModel:
 
     `coker` is the image of h0 with cokernel representatives registered,
     by default its standard complement (`cokernel_space`); a caller may
-    pass its own.  The kernel of h1 is eliminated once, on first use,
-    and gives both the kernel classes and dim H2; so is its image, which
-    the witness search and certificate checks test classes against.
+    pass its own.  The kernel of h1 is eliminated once, on first use
+    (a caller that knows it, as `kernel_basis` would list it, may pass
+    it), and gives both the kernel classes and dim H2; so is its image,
+    which the witness search and certificate checks test classes against.
     """
 
     def __init__(self, name: str, stratum: str, lam0: MultiVector, h1: LinMap,
                  reduce_h1_sq: Callable, h0_sq: LabeledBasis, build_h0: Callable[[], LinMap],
-                 coker: ColumnSpace | None = None):
+                 coker: ColumnSpace | None = None,
+                 h1_kernel: list[list[LaurentPoly]] | None = None):
         self.name = name
         self.stratum = stratum
         self.lam0 = lam0
@@ -111,6 +117,8 @@ class DeformationComplexModel:
         self._build_h0 = build_h0
         if coker is not None:
             self.coker = coker
+        if h1_kernel is not None:
+            self.h1_kernel = h1_kernel
 
     @cached_property
     def h0(self) -> LinMap:

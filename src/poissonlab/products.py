@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import (ConstraintViolation, LabeledBasis, LinMap, cokernel_space, generic_rank,
-                     image_space, quotient_coords)
+                     image_space, kernel_basis, quotient_coords)
 from .multivector import (Chart, ChartFrame, FormedMultiVector, MultiVector, basis_coords,
                           bracket, combination, mc_defect, schouten, schouten_formed)
 from .obstruction import (OBSTRUCTED, UNOBSTRUCTED_MC, Certificate, DeformationComplexModel,
@@ -369,21 +369,26 @@ def _tp1_basis_maps(ctx: ChartFrame, bases: dict) -> dict:
     }
 
 
-def tp1_model(lam0: MultiVector, stratum: str) -> DeformationComplexModel:
+def tp1_model(lam0: MultiVector, stratum: str, coords: list | None = None
+              ) -> DeformationComplexModel:
     """The deformation complex of lam0, a bivector in the span of
-    H0(wedge2), with the bare image of its H0 map for cokernel space: on
-    the 3-fold the bivector classes are the kernel of the wedge^3 map
-    modulo that image, and `tp1_classify` registers their representatives."""
+    H0(wedge2) with coordinates `coords` on its basis (read here where
+    None), with the bare image of its H0 map for cokernel space: on the
+    3-fold the bivector classes are the kernel of the wedge^3 map modulo
+    that image, and `tp1_classify` registers their representatives."""
     _, bases, maps = product_frame("TxP1")
-    m_h0 = maps["h0"].at(basis_coords(bases["h0_sq"])(lam0))
+    m_h0 = maps["h0"].at(basis_coords(bases["h0_sq"])(lam0) if coords is None else coords)
     # H1(Theta) and H1(wedge2) are H0(Theta) dzbar_g and H0(wedge2) dzbar_g,
     # g = z1 then z2, and [lam0, v dzbar_g] = [lam0, v] dzbar_g: the H1 map
-    # is diag(m_h0, m_h0)
+    # is diag(m_h0, m_h0), and its kernel is that of m_h0 in each block, the
+    # vectors `kernel_basis` lists for the whole matrix, in its order
     pad = (LaurentPoly.zero(lam0.registry),) * m_h0.n_cols
-    rows = [row + pad for row in m_h0.rows] + [pad + row for row in m_h0.rows]
-    m_h1 = LinMap(bases["h1_theta"], bases["h1_sq"], rows, lam0.registry)
+    rows = tuple(row + pad for row in m_h0.rows) + tuple(pad + row for row in m_h0.rows)
+    m_h1 = LinMap._of(bases["h1_theta"], bases["h1_sq"], rows, lam0.registry)
+    kernel = kernel_basis(m_h0)
+    h1_kernel = [v + list(pad) for v in kernel] + [list(pad) + v for v in kernel]
     return DeformationComplexModel("TxP1", stratum, lam0, m_h1, basis_coords(bases["h1_sq"]),
-                                   bases["h0_sq"], lambda: m_h0, image_space(m_h0))
+                                   bases["h0_sq"], lambda: m_h0, image_space(m_h0), h1_kernel)
 
 
 def tp1_dims(model: DeformationComplexModel) -> dict:
@@ -466,24 +471,26 @@ def tp1_family() -> VerifiedFamily:
     return stored(("TxP1", "family"), _tp1_verified)
 
 
-def tp1_classify(lam0: MultiVector) -> Certificate:
+def tp1_classify(lam0: MultiVector, coords: list | None = None) -> Certificate:
     """Verdict for a bivector in the span of H0(wedge2), which must be
-    Poisson: its class is read off its coordinates [c | a | b]."""
+    Poisson: its class is read off its coordinates [c | a | b] on that
+    basis, `coords` where the caller has read them."""
     if not schouten(lam0, lam0).is_zero():
         raise ConstraintViolation("bivector violates the Poisson identity")
     sq = product_frame("TxP1")[1]["h0_sq"]
     read_sq = basis_coords(sq)
-    coords = read_sq(lam0)
+    coords = read_sq(lam0) if coords is None else coords
     c, a, b = coords[:1], coords[1:4], coords[4:]
     if any(p.terms for p in a):
         class_id = 2
     elif any(p.terms for p in b):
         # exchanging z1 and z2 makes class 3 class 2 with k = 0
-        class_id, lam0 = 3, combination([-p for p in c + b + a], sq)
+        coords = [-p for p in c + b + a]
+        class_id, lam0 = 3, combination(coords, sq)
     else:
         class_id = 1
     # the rank count and the class coordinates share one elimination of each map
-    model = tp1_model(lam0, f"class-{class_id}")
+    model = tp1_model(lam0, f"class-{class_id}", coords)
     dim_h1 = tp1_dims(model)["dim_h1"]
     if class_id == 1:
         if dim_h1 != 17:

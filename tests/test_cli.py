@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -304,11 +305,17 @@ def test_report_matches_golden_and_is_deterministic():
     assert first == (GOLDEN / "report.json").read_text()
 
 
-def test_requests_replay_golden():
+@pytest.mark.parametrize("order", ["forward", "warm", "reverse"])
+def test_requests_replay_golden(order, monkeypatch):
     """The requests of golden/requests.json, served one after another in
-    this process, give their recorded exit codes, stdout and stderr; an
-    exception that escapes `main` is recorded as `uncaught`."""
-    for want in json.loads((GOLDEN / "requests.json").read_text()):
+    this process from an empty store, give their recorded exit codes,
+    stdout and stderr; an exception that escapes `main` is recorded as
+    `uncaught`.  "warm" serves them all twice, the second pass from what
+    the first stored, and "reverse" serves them last first."""
+    wants = json.loads((GOLDEN / "requests.json").read_text())
+    passes = {"forward": [wants], "warm": [wants, wants], "reverse": [wants[::-1]]}[order]
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    for want in itertools.chain.from_iterable(passes):
         out, err = io.StringIO(), io.StringIO()
         got = {"argv": want["argv"]}
         try:
@@ -777,6 +784,146 @@ def test_verify_family_passes_for_every_family(name):
     code, out = run_cli("verify-family", name)
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+# the check each family report runs: a second request must run none of them
+FAMILY_CHECKS = (("ruled", "verify_family"), ("hopf", "family_invariance"),
+                 ("hopf", "d_membership"), ("products", "ep1_classify"),
+                 ("products", "tp1_classify"))
+
+
+def test_a_second_verify_family_is_answered_from_the_store(monkeypatch):
+    """In one process, a second request for each of the 11 families prints
+    the first one's bytes and checks nothing again."""
+    import importlib
+
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    first = {name: _served(("verify-family", name)) for name in FAMILY_NAMES}
+    assert len(first) == 11 and {code for code, _, _ in first.values()} == {0}
+
+    def checked_again(*args):
+        raise AssertionError("a stored family was checked again")
+
+    for module, name in FAMILY_CHECKS:
+        monkeypatch.setattr(importlib.import_module(f"poissonlab.{module}"), name, checked_again)
+    assert {name: _served(("verify-family", name)) for name in FAMILY_NAMES} == first
+
+
+@pytest.mark.parametrize("name, module, check, exc", [
+    ("f3", "ruled", "verify_family", AssertionError("residue check failed")),
+    ("hopf-iic", "hopf", "d_membership", None),
+    ("tp1", "products", "tp1_classify", AssertionError("expected dim H1 = 9 on this class")),
+])
+def test_a_family_check_that_raises_stores_nothing(name, module, check, exc, monkeypatch):
+    # a check that raises once exits 1; restored, the same request exits 0
+    # with the golden report
+    import importlib
+
+    from poissonlab import hopf
+
+    exc = hopf.MembershipFails("pair 0 of type IIc: (id-f_*)B != [lam_s, A]") if exc is None else exc
+
+    def fails(*args):
+        raise exc
+
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    with monkeypatch.context() as patched:
+        patched.setattr(importlib.import_module(f"poissonlab.{module}"), check, fails)
+        code, out, err = _served(("verify-family", name))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"family": name, "ok": False, "error": str(exc)}
+    assert not [key for key in obstruction._STORE if key[0] == "family"]
+    golden = json.loads((GOLDEN / "report.json").read_text())["families"][name]
+    want = json.dumps(golden, sort_keys=True, indent=2) + "\n"
+    assert _served(("verify-family", name)) == (0, want, "")
+
+
+def test_only_the_hopf_families_read_the_degree_cap(monkeypatch):
+    # POISSONLAB_DEGREE_CAP is a default of the Hopf computations only: a
+    # ruled or product family neither reads it nor keys its report by it
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "five")
+    assert _served(("verify-family", "f2"))[0] == 0
+    assert _served(("verify-family", "hopf-iic"))[0] == 2
+    monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "6")
+    for name in ("ep1", "hopf-iic"):
+        assert _served(("verify-family", name))[0] == 0
+    assert [key for key in obstruction._STORE if key[0] == "family"] == [
+        ("family", "f2"), ("family", "ep1"), ("family", "hopf-iic", 6)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("tables", "ruled", "--p", "99", "--m-max", "1"), "tables ruled does not read --p"),
+    (("tables", "ruled", "--degree", "5"), "tables ruled does not read --degree"),
+    (("tables", "products", "--p", "5"), "tables products does not read --p"),
+    (("tables", "products", "--m-max", "3"), "tables products does not read --m-max"),
+    (("tables", "products", "--degree", "7"), "tables products does not read --degree"),
+    (("tables", "hopf", "--m-max", "3"), "tables hopf does not read --m-max"),
+    (("verify-family", "f2", "--degree", "7"), "verify-family f2 does not read --degree"),
+    (("verify-family", "ep1", "--degree", "7"), "verify-family ep1 does not read --degree"),
+    (("verify-family", "tp1", "--degree", "1000"), "verify-family tp1 does not read --degree"),
+])
+def test_an_option_the_command_does_not_read_exits_2_before_any_work(argv, message,
+                                                                    monkeypatch, capsys):
+    import importlib
+
+    from poissonlab import hopf, ruled
+
+    def work(*args):
+        raise AssertionError("work started for a request with an option it does not read")
+
+    for module, name in FAMILY_CHECKS:
+        monkeypatch.setattr(importlib.import_module(f"poissonlab.{module}"), name, work)
+    monkeypatch.setattr(ruled, "table1_sweep", work)
+    monkeypatch.setattr(hopf, "cover_model", work)
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _bracket_in_a_subprocess(left: str) -> tuple:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "poissonlab.cli", "bracket", left, "@z"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("left, message", [
+    ("((1+z)^100)^100*@z", "column 13 spans 10000 degrees in z, above the maximum 1000"),
+    ("(1+z^2)^501*@z", "column 9 spans 1002 degrees in z, above the maximum 1000"),
+    ("(z^-1 + A*w)^-2*@z", None),
+    ("(1+z+w)^200*@z", "column 9 has an exponent box of 40401, above the maximum 5000"),
+    ("(z+w)^70*@z", "column 7 has an exponent box of 5041, above the maximum 5000"),
+    ("(A*z + w^-1)^600*@z", "column 14 has an exponent box of 217081801, above the maximum 5000"),
+])
+def test_a_power_whose_result_is_too_large_exits_2(left, message):
+    # each was computed in full before the bound: the first and the fourth
+    # ran for more than 10 s
+    code, out, err = _bracket_in_a_subprocess(left)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    if message is None:
+        # a negative power of a base that is not a monomial keeps its message
+        assert err.startswith("error: negative powers only apply to monomials")
+    else:
+        assert err == f"error: the power with the exponent at line 1, {message}\n"
+
+
+@pytest.mark.parametrize("left, want", [
+    ("z^1000*@z", "-1000*z^999*@z\n"),
+    (f"2^{cli_mod.MAX_EXPONENT}*z*@z", f"-{decimal(2 ** 1000)}*@z\n"),
+    # the bound's edges, span 1000 and a box of 4,900 (with 70 terms): the
+    # SHA-256 digests of the outputs printed before the bound existed
+    ("(1+z)^1000*@z", "93673a7b2bb551eb36a3f6f2af82c042f8fc3be4eaefb16f32ba2e7c8a0bd822"),
+    ("(1+z^2)^500*@z", "c9bb5113d7b57f9c2f6f1d12a157e1517d1ddb7d6bb2ca13dbd905b1bdba1f27"),
+    ("(z+w)^69*@z", "7b2cf262f9a08b5cc30b6796d6c6fcf51baf30588881c7941e7c03865c78609f"),
+])
+def test_a_power_within_the_bounds_keeps_its_output(left, want, capsys):
+    import hashlib
+
+    code, out = run_cli("bracket", left, "@z")
+    assert code == 0 and capsys.readouterr().err == ""
+    assert (out if want.endswith("\n") else hashlib.sha256(out.encode()).hexdigest()) == want
 
 
 def test_each_source_is_tokenized_once(monkeypatch):

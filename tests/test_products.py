@@ -513,3 +513,17 @@ def test_zero_ep1_dimensions_come_from_the_h1_model(monkeypatch):
 
     monkeypatch.setattr(products_mod, "DeformationComplexModel", Shifted)
     assert ep1_classify(0, 0, 0).data == {"dim_h1": 17, "dim_h2": 23}
+
+
+@pytest.mark.parametrize("lam0", [
+    lambda: tp1_lambda0(1), lambda: tp1_lambda0(2), lambda: tp1_lambda0(3),
+    lambda: _tp1_point({"D": 1, "A": 2, "B": 0, "C": -1, "k": 3}),
+    lambda: _tp1_point({"D": 0, "A": 0, "B": 1, "C": 0, "k": 0}),
+    lambda: tp1_context().zero(),
+], ids=("class-1", "class-2", "class-3", "point", "point-d0", "zero"))
+def test_tp1_h1_kernel_is_the_h0_kernel_in_each_block(lam0):
+    # the H1 map is diag(m_h0, m_h0): the kernel the model is given equals,
+    # vector for vector and in order, `kernel_basis` of the whole block matrix
+    model = tp1_model(lam0(), "any")
+    assert model.h1.n_rows == 14 and model.h1.n_cols == 10
+    assert model.h1_kernel == kernel_basis(model.h1)
