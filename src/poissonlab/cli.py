@@ -43,11 +43,15 @@ EXIT_USAGE = 2
 # the largest n of `classify torus:n`: the cost grows faster than n^3, from
 # 0.4 s at n = 128 to about 26 s at n = 400 (one core of an AMD EPYC VM)
 MAX_TORUS_N = 128
-# the largest Hopf degree cap, and the largest p, whose default cap p + 3 it is: a cover
-# model builds only its 2 to 4 weight-0 fields per grade, so `tables hopf --degree 40`
-# takes about 0.06 to 0.07 s and 17 MB peak RSS, as `tables hopf` does (same VM)
+# the bounds of the Hopf degree cap: every cap names the one cover model of each type,
+# so `tables hopf --degree 40` costs what `tables hopf` does; a cap below p + 1 is
+# refused (`hopf.cover_model`)
+MIN_CAP = 3
 MAX_CAP = 40
-MAX_P = MAX_CAP - 3
+# the largest p: the tests pin the exit-2 cases `--p 38` and `hopf:III:p=38`, and
+# `tables hopf --p 37` takes about 0.09 s, as `tables hopf` does (median of 21 fresh
+# processes with compiled bytecode, 2-vCPU Intel Xeon VM)
+MAX_P = 37
 DEFAULT_M_MAX = 10
 
 
@@ -63,8 +67,8 @@ def _degree_cap(args) -> int | None:
             cap = int(env)
         except ValueError:
             raise UsageError(f"POISSONLAB_DEGREE_CAP must be an integer, got {env!r}") from None
-    if cap is not None and cap < hopf.MIN_CAP:
-        raise UsageError(f"degree cap {cap} is below the minimum {hopf.MIN_CAP}")
+    if cap is not None and cap < MIN_CAP:
+        raise UsageError(f"degree cap {cap} is below the minimum {MIN_CAP}")
     if cap is not None and cap > MAX_CAP:
         raise UsageError(f"degree cap {cap} is above the maximum {MAX_CAP}")
     return cap
@@ -338,13 +342,13 @@ GEOMETRIES = {
 # ----------------------------------------------------------------------
 # the family and solution tables
 
-def _ruled_family(name: str, cap: int | None) -> dict:
+def _ruled_family(name: str) -> dict:
     rep = ruled.verify_family(ruled.FAMILIES[name]())
     return {"ok": rep.ok, "dim_h1": rep.dim_h1, "n_params": rep.n_params, "h1_basis": rep.basis}
 
 
-def _hopf_family(t: hopf.HopfType, cap: int | None) -> dict:
-    model = hopf.model_for(t, cap)
+def _hopf_family(t: hopf.HopfType) -> dict:
+    model = hopf.model_for(t)
     inv = hopf.family_invariance(model.ctx)
     mem = hopf.d_membership(model)
     return {"ok": bool(inv), "invariance": inv, "h1_dim": mem["h1_dim"], "pairs": mem["pairs"]}
@@ -354,14 +358,14 @@ def _product_family(cert: Certificate) -> dict:
     return {"ok": cert.verdict == UNOBSTRUCTED_MC, "verdict": cert.verdict, "dims": cert.data}
 
 
-# Hopf family name -> its type: the only families whose report reads the degree cap
+# Hopf family name -> its type: the only families whose command reads the degree cap
 HOPF_FAMILIES = {f"hopf-{tag.lower()}": t for tag, t in _types_by_tag(hopf.DEFAULT_P).items()}
-# family name -> its report at a Hopf degree cap
+# family name -> its report
 FAMILIES = {
     **{name: functools.partial(_ruled_family, name) for name in ruled.FAMILIES},
     **{name: functools.partial(_hopf_family, t) for name, t in HOPF_FAMILIES.items()},
-    "ep1": lambda cap: _product_family(products.ep1_classify(None, None, None)),
-    "tp1": lambda cap: _product_family(products.tp1_classify(products.tp1_lambda0(2))),
+    "ep1": lambda: _product_family(products.ep1_classify(None, None, None)),
+    "tp1": lambda: _product_family(products.tp1_classify(products.tp1_lambda0(2))),
 }
 FAMILY_NAMES = tuple(FAMILIES)
 
@@ -423,8 +427,12 @@ def cmd_classify(args) -> int:
 def cmd_verify_family(args) -> int:
     hopf_family = args.name in HOPF_FAMILIES
     _refuse_unread(args, f"verify-family {args.name}", ("degree",) if hopf_family else ())
+    if hopf_family:
+        # a cap within its bounds is at least p + 1 = 3 of every family's type, so it
+        # names the one cover model the report reads
+        _degree_cap(args)
     try:
-        doc = verify_family_report(args.name, _degree_cap(args) if hopf_family else None)
+        doc = verify_family_report(args.name)
     except (ruled.RationalPartSurvives, ruled.KSDegenerate,
             hopf.MembershipFails, AssertionError) as exc:
         doc = {"family": args.name, "ok": False, "error": str(exc)}
@@ -434,14 +442,10 @@ def cmd_verify_family(args) -> int:
     return EXIT_OK if doc["ok"] else EXIT_FAIL
 
 
-def verify_family_report(name: str, cap: int | None = None) -> dict:
+def verify_family_report(name: str) -> dict:
     """The report of a family, verified once per process and stored; a
-    check that raises stores nothing.  Only a Hopf family reads the cap,
-    so only its key holds it, the type's default cap where None."""
-    t = HOPF_FAMILIES.get(name)
-    key = ("family", name) if t is None else (
-        "family", name, hopf.default_cap(t) if cap is None else cap)
-    return stored(key, lambda: {"family": name, **FAMILIES[name](cap)})
+    check that raises stores nothing."""
+    return stored(("family", name), lambda: {"family": name, **FAMILIES[name]()})
 
 
 def cmd_mc_check(args) -> int:
@@ -465,7 +469,7 @@ def cmd_report(args) -> int:
         "ruled": ruled_table(m_max),
         "hopf": hopf_tables(cap, hopf.DEFAULT_P),
         "products": products_tables(),
-        "families": {name: verify_family_report(name, cap) for name in FAMILY_NAMES},
+        "families": {name: verify_family_report(name) for name in FAMILY_NAMES},
     }
     print(json.dumps(doc, sort_keys=True, indent=2))
     return EXIT_OK
@@ -522,7 +526,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, UnknownSymbol, UsageError, hopf.TruncationUnstable) as exc:
-        # a cover model that fails validation means the degree cap is too small
+        # TruncationUnstable: a degree cap below p + 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ruled.NotObstructedStratum, products.ConstraintViolation, hopf.MembershipFails,

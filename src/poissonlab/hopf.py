@@ -11,24 +11,25 @@ answers the table row, the family check, the degenerate families and
 the verdict of the stratum (`stratum_certificate`), which depends on
 the model and the stratum alone and is stored on the model too.
 
-One cover model per type and degree cap is the input of every Hopf
-computation: `model_for` is the one place that turns a type and a cap
-into a model, and every other function takes the model it is given.
-`cover_model` keeps each model in the one process store
-(`obstruction.stored`, key `("Hopf", type, cap)`; at most
-2,850 models at the CLI's bounds on p and the cap), so a process serving
-a stream of classify requests reuses it, where rebuilding it would cost
-more than the rest of a request; a model that fails validation is not
-kept.  Naming a stored model costs a registry and a chart: a context
-builds its contraction map only when a model is built from it, as the
-type's contraction family at its base point (`family_data`), with the
-inverse the block lemma's shape gives.  A
-model builds only the weight-0 blocks of its two id - f_* operators
-(`id_minus_fstar`: column j holds the weight-0 coordinates of
-v - f_*(v), v the j-th weight-0 field, f_*(v) truncated at the cap, and
-no column may leave weight 0), and computes, at most once on first use,
-the invariant fields and bivectors and each stratum's complex and
-verdict.  The
+One cover model per type is the input of every Hopf computation:
+`model_for` turns a type and a requested degree cap into it, and every
+other function takes the model it is given.  `cover_model` is the one
+place that reads the cap: every weight-0 field has degree at most p + 1
+(block lemma below), so a cap of p + 1 or more names the one model and a
+lower cap, which would cut its weight-0 block, is refused before
+anything is built.  It keeps each model in the one process store
+(`obstruction.stored`, key `("Hopf", type)`; at most 75 models at the
+CLI's bounds on p), so a process serving a stream of classify requests
+reuses it, where rebuilding it would cost more than the rest of a
+request; a model that fails validation is not kept.  Naming a stored
+model costs a registry and a chart: a context builds its contraction map
+only when a model is built from it, as the type's contraction family at
+its base point (`family_data`), with the inverse the block lemma's shape
+gives.  A model builds only the weight-0 blocks of its two id - f_*
+operators (`id_minus_fstar`: column j holds the weight-0 coordinates of
+v - f_*(v), v the j-th weight-0 field, and no column may leave weight 0),
+and computes, at most once on first use, the invariant fields and
+bivectors and each stratum's complex and verdict.  The
 tangent pairs that `d_membership` checks are the Kodaira-Spencer
 derivative of the type's contraction family (`membership_pairs`).
 
@@ -55,11 +56,10 @@ resonances of the Poincare-Dulac normal form.
 So every block off weight 0 is invertible: id - f_* has the kernel and
 cokernel of its weight-0 block, and a class depends only on a field's
 weight-0 terms, since all others lie in the image.  The weight-0 fields
-solve p mu + nu = wt(e): 2 to 4 per grade, of degree at most p + 1.  f_*
-never lowers the degree, so a cap keeps the block of the weight-0 fields
-up to it, the whole block from cap p + 1 on.  The tests build the whole
-truncated operator up to the CLI's largest cap and check the lemma's
-support facts on it (`tests/cover_matrices.py`).
+solve p mu + nu = wt(e): 2 to 4 per grade, of degree at most p + 1.  The
+tests build the whole operator truncated at degrees up to the CLI's
+largest cap and check the lemma's support facts on it
+(`tests/cover_matrices.py`).
 """
 
 from __future__ import annotations
@@ -80,11 +80,10 @@ _set = object.__setattr__
 
 TYPE_TAGS = ("IV", "III", "IIa", "IIb", "IIc")
 DEFAULT_P = 2
-MIN_CAP = 3
 
 
 class TruncationUnstable(Exception):
-    pass
+    """A degree cap below p + 1, which would cut the weight-0 blocks."""
 
 
 class MembershipFails(Exception):
@@ -174,22 +173,21 @@ FRAMES = (((0,), (1,)), ((0, 1),))
 
 
 class Weight0Space(Frozen):
-    """The weight-0 fields z^mu w^nu e of one grade, e a frame, of total
-    degree at most `cap`, frame by frame with mu falling.  `index` maps
-    (component, mu, nu) to the field's position in `basis`."""
+    """The weight-0 fields z^mu w^nu e of one grade, e a frame, frame by
+    frame with mu falling.  `index` maps (component, mu, nu) to the
+    field's position in `basis`."""
 
-    __slots__ = ("grade", "cap", "basis", "index")
+    __slots__ = ("grade", "basis", "index")
 
-    def __init__(self, grade: int, cap: int, basis: LabeledBasis, index: dict):
+    def __init__(self, grade: int, basis: LabeledBasis, index: dict):
         _set(self, "grade", grade)
-        _set(self, "cap", cap)
         _set(self, "basis", basis)
         _set(self, "index", index)
 
 
-def weight0_space(ctx: HopfContext, grade: int, cap: int) -> Weight0Space:
-    """The weight-0 fields of one grade up to degree `cap`: with wt(z) = p
-    and wt(w) = 1, z^mu w^nu e has weight 0 where p mu + nu = wt(e)."""
+def weight0_space(ctx: HopfContext, grade: int) -> Weight0Space:
+    """The weight-0 fields of one grade: with wt(z) = p and wt(w) = 1,
+    z^mu w^nu e has weight 0 where p mu + nu = wt(e)."""
     if grade not in (1, 2):
         raise ValueError("grade must be 1 or 2")
     p, reg, elems, index = ctx.p, ctx.registry, [], {}
@@ -197,21 +195,12 @@ def weight0_space(ctx: HopfContext, grade: int, cap: int) -> Weight0Space:
         target = sum((p, 1)[i] for i in comp)
         for mu in range(target // p, -1, -1):
             nu = target - p * mu
-            if mu + nu <= cap:
-                index[comp, mu, nu] = len(elems)
-                key = tuple((i, e) for i, e in ((0, mu), (1, nu)) if e)
-                elems.append(MultiVector._of(ctx.chart, reg,
-                                             {comp: LaurentPoly._of_terms(reg, {key: ONE})}))
-    name = f"{ctx.type.label()} grade-{grade} fields up to degree {cap}, weight 0"
-    return Weight0Space(grade, cap, LabeledBasis(name, tuple(elems)), index)
-
-
-def _low_degree(poly: LaurentPoly, cap: int) -> LaurentPoly:
-    """The terms of `poly` of total (z, w) degree at most `cap`."""
-    # z and w are the variables with indices 0 and 1
-    return LaurentPoly._of_terms(poly.registry, {
-        key: coeff for key, coeff in poly.terms.items()
-        if sum(e for i, e in key if i < 2) <= cap})
+            index[comp, mu, nu] = len(elems)
+            key = tuple((i, e) for i, e in ((0, mu), (1, nu)) if e)
+            elems.append(MultiVector._of(ctx.chart, reg,
+                                         {comp: LaurentPoly._of_terms(reg, {key: ONE})}))
+    name = f"{ctx.type.label()} grade-{grade} fields of weight 0"
+    return Weight0Space(grade, LabeledBasis(name, tuple(elems)), index)
 
 
 def _split(key: tuple) -> tuple[int, int, tuple]:
@@ -227,31 +216,30 @@ def _split(key: tuple) -> tuple[int, int, tuple]:
 def mono_coords(ctx: HopfContext, space: Weight0Space, off_weight0: str | None = None) -> Callable:
     """Coordinates on the weight-0 fields, as parameter polynomials.
 
-    A term off weight 0 lies in the image of id - f_* at every degree
-    (block lemma), so it is dropped, or, given the message `off_weight0`,
-    rejected at any degree; a term of another grade or with a negative
-    exponent is rejected, and without the message so is a term above the
-    cap."""
-    reg, index, cap, p = ctx.registry, space.index, space.cap, ctx.p
-    comps = FRAMES[space.grade - 1]
-    # wt(z) = p, wt(w) = 1; z^mu w^nu e has weight p mu + nu - wt(e)
-    frame_weight = {comp: sum((p, 1)[i] for i in comp) for comp in comps}
+    A term off weight 0 lies in the image of id - f_* (block lemma), so it
+    is dropped, or, given the message `off_weight0`, rejected; a term of
+    another grade or with a negative exponent is rejected, and the
+    message says which."""
+    reg, index, grade = ctx.registry, space.index, space.grade
+    comps = FRAMES[grade - 1]
     zero = LaurentPoly.zero(reg)
 
     def fn(v: MultiVector):
         coords = [zero] * len(space.basis)
         off = False
         for comp, poly in v.components.items():
+            if comp not in comps:
+                raise NotInSpan(f"field has a term of grade {len(comp)}, not {grade}")
             for key, coeff in poly.terms.items():
                 mu, nu, rest = _split(key)
                 k = index.get((comp, mu, nu))
                 if k is not None:
                     coords[k] = coords[k] + LaurentPoly._of_terms(reg, {rest: coeff})
-                elif comp in comps and mu >= 0 and nu >= 0 and (
-                        mu + nu <= cap or off_weight0 and p * mu + nu != frame_weight[comp]):
-                    off = True
+                elif mu < 0 or nu < 0:
+                    raise NotInSpan("field has a term with a negative exponent")
                 else:
-                    raise NotInSpan("field not inside the truncated monomial space")
+                    # every weight-0 field is in `index`
+                    off = True
         if off and off_weight0:
             raise NotInSpan(off_weight0)
         return coords
@@ -260,17 +248,15 @@ def mono_coords(ctx: HopfContext, space: Weight0Space, off_weight0: str | None =
 
 
 def id_minus_fstar(ctx: HopfContext, space: Weight0Space) -> LinMap:
-    """The weight-0 block of id - f_* truncated at the cap: column j is the
-    weight-0 coordinates of v - f_*(v), v the j-th field of `space` and
-    f_*(v) its pushforward with the terms above the cap dropped.  A term
-    up to the cap off weight 0 would join two weights, against the block
-    lemma: an internal error, raised before any elimination."""
-    cap, name = space.cap, space.basis.space_name
+    """The weight-0 block of id - f_*: column j is the weight-0 coordinates
+    of v - f_*(v), v the j-th field of `space`.  A term off weight 0 would
+    join two weights, against the block lemma: an internal error, raised
+    before any elimination."""
+    name = space.basis.space_name
     coords = mono_coords(ctx, space, "id - f_* joins two weights")
 
     def image(v: MultiVector) -> MultiVector:
-        return v - pushforward(ctx.contraction, v).map_coefficients(
-            lambda poly: _low_degree(poly, cap))
+        return v - pushforward(ctx.contraction, v)
 
     def weight0(v: MultiVector) -> list[LaurentPoly]:
         try:
@@ -309,7 +295,7 @@ def _named_m_reps(ctx: HopfContext):
 
 
 class CoverModel:
-    """Cover model at one degree cap: M1/M2, the weight-0 spaces and
+    """Cover model of one type: M1/M2, the weight-0 spaces and
     blocks of the grade-1 and grade-2 id - f_*, invariant fields and
     bivectors, `complexes`, the stored stratum complexes, and
     `certificates`, the stored stratum verdicts.  By the
@@ -318,10 +304,9 @@ class CoverModel:
     the weight-0 coordinates of the M1/M2 representatives registered;
     every class reduction solves against them."""
 
-    def __init__(self, ctx: HopfContext, cap: int, m1: LabeledBasis, m2: LabeledBasis,
+    def __init__(self, ctx: HopfContext, m1: LabeledBasis, m2: LabeledBasis,
                  grade1: tuple, grade2: tuple):
         self.ctx = ctx
-        self.cap = cap
         self.m1 = m1
         self.m2 = m2
         # (weight-0 space, its block of id - f_*, the block's image)
@@ -371,61 +356,55 @@ class CoverModel:
         return d_membership(self)["h1_dim"]
 
 
-def default_cap(t: HopfType) -> int:
-    return max((t.p or 1) + 3, 3)
-
-
-def cover_model(ctx: HopfContext, cap: int) -> CoverModel:
-    """Build and validate the M1/M2 model at the given truncation, once per
-    (type, cap)."""
-    return stored(("Hopf", ctx.type, cap), lambda: _build_cover_model(ctx, cap))
+def cover_model(ctx: HopfContext, cap: int | None) -> CoverModel:
+    """The type's one cover model, built and validated on first use, for a
+    requested degree cap or None.  Every weight-0 field has degree at most
+    p + 1, so a lower cap would cut the model's blocks: it is refused
+    before anything is built."""
+    if cap is not None and cap < ctx.p + 1:
+        raise TruncationUnstable(f"degree cap {cap} is below {ctx.p + 1}, the largest degree "
+                                 f"of a weight-0 field of type {ctx.type.label()}")
+    return stored(("Hopf", ctx.type), lambda: _build_cover_model(ctx))
 
 
 def model_for(t: HopfType, cap: int | None = None) -> CoverModel:
-    """The cover model of type `t` at `cap`, the type's default cap if None."""
-    cap = default_cap(t) if cap is None else cap
-    if cap < MIN_CAP:
-        raise ValueError(f"degree cap must be at least {MIN_CAP}")
+    """The cover model of type `t`, for a requested degree cap or None."""
     return cover_model(make_context(t), cap)
 
 
-def invariant_fields(ctx: HopfContext, cap: int) -> list[MultiVector]:
+def invariant_fields(model: CoverModel) -> list[MultiVector]:
     """The cover model's invariant fields, as a list the caller may change."""
-    return list(cover_model(ctx, cap).fields)
+    return list(model.fields)
 
 
-def invariant_bivectors(ctx: HopfContext, cap: int) -> list[MultiVector]:
+def invariant_bivectors(model: CoverModel) -> list[MultiVector]:
     """The cover model's invariant bivectors, as a list the caller may change."""
-    return list(cover_model(ctx, cap).bivectors)
+    return list(model.bivectors)
 
 
-def _build_cover_model(ctx: HopfContext, cap: int) -> CoverModel:
+def _build_cover_model(ctx: HopfContext) -> CoverModel:
+    """The model, checked: the named M1/M2 representatives are weight-0
+    fields that complement the image of each block.  A failed check is an
+    internal error."""
     m1, m2 = _named_m_reps(ctx)
     grades = []
     for grade, elems, label in ((1, m1, "M1"), (2, m2, "M2")):
-        space = weight0_space(ctx, grade, cap)
+        space = weight0_space(ctx, grade)
         block = id_minus_fstar(ctx, space)
         quot = image_space(block)
         # the other blocks are invertible, so this is the corank of id - f_*
         corank = len(space.basis) - quot.rank
         if corank != len(elems):
-            raise TruncationUnstable(
-                f"{label} corank {corank} does not match the {len(elems)} "
-                f"named representatives at degree cap {cap}")
-        mono = mono_coords(ctx, space)
+            raise RuntimeError(f"{label} corank {corank} does not match the {len(elems)} "
+                               "named representatives")
+        mono = mono_coords(ctx, space, "has a term off weight 0")
         for e in elems:
             try:
-                vec = mono(e)
-            except NotInSpan:
-                raise TruncationUnstable(
-                    f"{label} representative {e} has a term above degree cap {cap}") from None
-            try:
-                quot.add(vec, rep=True)
-            except NotInSpan:
-                raise TruncationUnstable(
-                    f"{label} representative {e} is dependent modulo the image") from None
+                quot.add(mono(e), rep=True)
+            except NotInSpan as exc:
+                raise RuntimeError(f"{label} representative {e}: {exc}") from None
         grades.append((space, block, quot))
-    return CoverModel(ctx, cap, LabeledBasis(f"M1({ctx.type.label()})", tuple(m1)),
+    return CoverModel(ctx, LabeledBasis(f"M1({ctx.type.label()})", tuple(m1)),
                       LabeledBasis(f"M2({ctx.type.label()})", tuple(m2)), *grades)
 
 
@@ -709,7 +688,7 @@ def _h95_stratum(case: str) -> tuple[HopfType, str]:
     return cases[case]
 
 
-def h95_degeneracy(case: str, cap: int | None = None) -> bool:
+def h95_degeneracy(case: str) -> bool:
     """Whether the candidate family's t-direction dies in first cohomology.
 
     The family (1 + t) lam0 on the stratum bivector lam0 moves in the
@@ -718,7 +697,7 @@ def h95_degeneracy(case: str, cap: int | None = None) -> bool:
     control.
     """
     t, stratum = _h95_stratum(case)
-    model = model_for(t, cap)
+    model = model_for(t)
     coords = model.bivector_coords(stratum_bivector(model.ctx, stratum))
     coker = deformation_model(model, stratum).coker
     return all(c.is_zero() for c in quotient_coords(coker, coords))
@@ -748,8 +727,8 @@ def stratum_certificate(model: CoverModel, stratum: str) -> Certificate:
 # summary rows for the table commands
 
 def table_dims(model: CoverModel) -> dict:
-    fields = invariant_fields(model.ctx, model.cap)
-    bivs = invariant_bivectors(model.ctx, model.cap)
+    fields = invariant_fields(model)
+    bivs = invariant_bivectors(model)
     return {
         "type": model.ctx.type.label(),
         "dim_h0_theta": len(fields),

@@ -16,19 +16,17 @@ per-process store of every geometry; a build that raises stores
 nothing.  A key starts with its geometry: `("F", m, params)`,
 `("ExP1",)` and `("TxP1",)` (the product frames), `("ExP1", "family")`
 and `("TxP1", "family")` (the product Maurer-Cartan families, each
-verified once over all its coefficients), `("Hopf", type, cap)` (every
-Hopf context of a type has the same registry; a cover model keeps each
-stratum's complex and verdict on itself), or `("family", name)` and
-`("family", name, cap)` (the `verify-family` reports, each verified once
-per process; only a Hopf family's report reads the degree cap, so only
-its key holds it).  Callers serialize a stored report and never change it.
-A key holds only names fixed in code and integers the CLI bounds
-(`ruled.MAX_M`, `cli.MAX_P`, `cli.MAX_CAP`), never a request's own
-parameter names: at most 30 surfaces, 2 product frames, 2 product
-families, (3 + 2 * 36) * 38 = 2,850 cover models (types IV, IIb, IIc,
-and III, IIa at p = 2..37; caps 3..40), each with at most 3 stratum
-verdicts, and 6 + 5 * 38 = 196 family reports (F2..F5, ExP1 and TxP1
-once; the five Hopf families, at p = 2, once per cap 3..40).
+verified once over all its coefficients), `("Hopf", type)` (every Hopf
+context of a type has the same registry; a cover model keeps each
+stratum's complex and verdict on itself), or `("family", name)` (the
+`verify-family` reports, each verified once per process).  Callers
+serialize a stored report and never change it.  A key holds only names
+fixed in code and integers the CLI bounds (`ruled.MAX_M`, `cli.MAX_P`),
+never a request's own parameter names: at most 30 surfaces, 2 product
+frames, 2 product families, 3 + 2 * 36 = 75 cover models (types IV,
+IIb, IIc, and III, IIa at p = 2..37), each with at most 3 stratum
+verdicts, and 11 family reports (F2..F5, the five Hopf families, ExP1
+and TxP1).
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ columns, with the support facts the lemma proves checked on them: no
 entry joins two weights, no diagonal entry off weight 0 is zero, and the
 off-diagonal pattern is acyclic, so the operator is triangular up to a
 permutation.  `cover_matrix` gives a dense view for tests at small caps.
+`weight0_fields` gives a truncated space's weight-0 fields: the
+weight-0 space truncated at the cap, which lacks a field below p + 1.
 """
 
 from graphlib import CycleError, TopologicalSorter
@@ -35,6 +37,20 @@ class TruncatedSpace:
         self.resonant = tuple(k for k, wt in enumerate(weights) if not wt)
 
 
+def oracle_cap(ctx) -> int:
+    """The oracle's own truncation degree: two above p + 1, the largest
+    degree of a weight-0 field."""
+    return ctx.p + 3
+
+
+def low_degree(poly: LaurentPoly, cap: int) -> LaurentPoly:
+    """The terms of `poly` of total (z, w) degree at most `cap`."""
+    # z and w are the variables with indices 0 and 1
+    return LaurentPoly._of_terms(poly.registry, {
+        key: coeff for key, coeff in poly.terms.items()
+        if sum(e for i, e in key if i < 2) <= cap})
+
+
 def monomials_upto(cap):
     for d in range(cap + 1):
         for mu in range(d, -1, -1):
@@ -55,6 +71,11 @@ def truncated_space(ctx, grade, cap) -> TruncatedSpace:
             weights.append(wt[0] * mu + wt[1] * nu - sum(wt[i] for i in comp))
     name = f"{ctx.type.label()} grade-{grade} fields up to degree {cap}"
     return TruncatedSpace(grade, cap, LabeledBasis(name, tuple(elems)), index, tuple(weights))
+
+
+def weight0_fields(space) -> tuple:
+    """The weight-0 fields of a truncated space, in its order."""
+    return tuple(space.basis[k] for k in space.resonant)
 
 
 def mono_coords(ctx, space):
@@ -87,7 +108,7 @@ def monomial_images(ctx, cap):
     images = {(0, 0): ctx.const(1)}
     for mu, nu in list(monomials_upto(cap))[1:]:
         prev, var = ((mu - 1, nu), "z") if mu else ((0, nu - 1), "w")
-        images[mu, nu] = hopf._low_degree(images[prev] * inv[var], cap)
+        images[mu, nu] = low_degree(images[prev] * inv[var], cap)
     return list(images.values())
 
 

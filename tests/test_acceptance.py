@@ -162,10 +162,9 @@ def test_05_hopf_field_tables():
     dims_theta = []
     dims_sq = []
     for t in HOPF_TYPES:
-        ctx = hopf.make_context(t)
-        cap = hopf.default_cap(t)
-        dims_theta.append(len(hopf.invariant_fields(ctx, cap)))
-        dims_sq.append(len(hopf.invariant_bivectors(ctx, cap)))
+        model = hopf.model_for(t)
+        dims_theta.append(len(hopf.invariant_fields(model)))
+        dims_sq.append(len(hopf.invariant_bivectors(model)))
     assert dims_theta == [4, 3, 2, 2, 2]
     assert dims_sq == [3, 2, 1, 1, 1]
     for t, stratum in STRATA:
@@ -183,7 +182,8 @@ def test_06_m_bases_match_and_truncation_stable():
     }
     for t in HOPF_TYPES:
         model = hopf.model_for(t)
-        hopf.model_for(t, model.cap + 2)  # validates again two caps higher
+        # every degree cap the CLI admits names the one model of the type
+        assert all(hopf.model_for(t, cap) is model for cap in range(3, 41))
         assert [str(e) for e in model.m2] == expected_m2[t.tag]
     report(6, "first-cohomology models stable across truncations")
 

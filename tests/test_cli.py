@@ -245,12 +245,13 @@ def test_classify_hopf_checks_the_degree_cap_env_before_any_work(monkeypatch, ca
     monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "2")
     code, out = run_cli("classify", "hopf:IIc", "--poisson", "z*w*@z^@w")
     assert code == 2 and out == ""
-    assert capsys.readouterr().err == f"error: degree cap 2 is below the minimum {hopf.MIN_CAP}\n"
+    assert capsys.readouterr().err == f"error: degree cap 2 is below the minimum {cli_mod.MIN_CAP}\n"
 
 
 def test_classify_hopf_at_the_degree_cap_env_matches_the_default_cap(monkeypatch):
     # every hopf: request of the golden replay, recorded with no variable set,
-    # gives the same exit code and stdout on the cover models of cap 6
+    # gives the same exit code and stdout at cap 6, which names the same one
+    # cover model of each type
     from poissonlab import hopf
 
     monkeypatch.setattr(obstruction, "_STORE", {})
@@ -261,21 +262,27 @@ def test_classify_hopf_at_the_degree_cap_env_matches_the_default_cap(monkeypatch
     for want in wants:
         with redirect_stderr(io.StringIO()):
             assert run_cli(*want["argv"]) == (want["exit"], want["stdout"])
-    assert {key[2] for key in obstruction._STORE if key[0] == "Hopf"} == {6}
+    assert {key for key in obstruction._STORE if key[0] == "Hopf"} == {
+        ("Hopf", t) for t, _ in hopf.strata(2)}
 
 
 def test_report_checks_the_hopf_families_at_its_degree_cap(monkeypatch):
     from poissonlab import hopf
 
     monkeypatch.setattr(obstruction, "_STORE", {})
-    built = []
-    real = hopf._build_cover_model
+    named, built = [], []
+    real_name, real_build = hopf.cover_model, hopf._build_cover_model
+    monkeypatch.setattr(hopf, "cover_model",
+                        lambda ctx, cap: named.append((ctx.type, cap)) or real_name(ctx, cap))
     monkeypatch.setattr(hopf, "_build_cover_model",
-                        lambda ctx, cap: built.append((ctx.type, cap)) or real(ctx, cap))
+                        lambda ctx: built.append(ctx.type) or real_build(ctx))
     code, out = run_cli("report", "--m-max", "4", "--degree", "6")
     assert code == 0 and json.loads(out)["families"]["hopf-iic"]["ok"]
-    # one model per Hopf type, at the report's cap, for the tables and the families
-    assert len(built) == 5 and {cap for _, cap in built} == {6}
+    # one model per Hopf type: the tables name it at the report's cap, which
+    # is checked there, and the families read the same model
+    types = [t for t in dict.fromkeys(t for t, _ in hopf.strata(2))]
+    assert built == types
+    assert named == [(t, 6) for t in types] + [(t, None) for t in types]
 
 
 def test_degree_cap_env_not_an_integer(monkeypatch, capsys):
@@ -369,6 +376,15 @@ def test_a_hopf_term_above_the_cap_is_told_it_is_off_weight_0(spec, src, capsys)
     assert err.count("\n") == 1
     assert err.startswith(f"error: {src!r} is not an invariant bivector")
     assert err.endswith(": bivector has a term off weight 0\n")
+
+
+def test_a_hopf_term_with_a_negative_exponent_is_told_so(capsys):
+    # outside the monomial space at every weight: the reason names the exponent
+    src = "z^-1*w*@z^@w"
+    assert run_cli("classify", "hopf:IV", "--poisson", src) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {src!r} is not an invariant bivector on the Hopf surface of type IV: "
+        "field has a term with a negative exponent\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -545,15 +561,18 @@ def test_hopf_cap_or_p_above_the_bound_exits_2_before_any_work(argv, env, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_the_hopf_bounds_admit_their_largest_values():
+def test_the_hopf_bounds_admit_their_largest_values(capsys):
     import argparse
 
     from poissonlab import hopf
 
-    # the default cap p + 3 of the largest p is the largest cap
-    assert CAP >= 40 and hopf.default_cap(hopf.HopfType("III", P)) == CAP
+    # the largest p has a valid cap, p + 1, within the cap's bounds
+    assert CAP >= 40 and P + 1 <= CAP
     assert cli_mod._degree_cap(argparse.Namespace(degree=CAP)) == CAP
     assert cli_mod._hopf_type(["hopf", "IIa", f"p={P}"]) == hopf.HopfType("IIa", P)
+    code, out = run_cli("tables", "hopf", "--p", str(P), "--degree", str(P + 1))
+    assert code == 0 and json.loads(out)["classification"]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("p", [3, 5, P])
@@ -674,31 +693,51 @@ def test_requests_with_their_own_parameter_names_build_their_own_h1_maps(monkeyp
     assert obstruction._STORE == before
 
 
-def test_a_cover_model_that_fails_validation_is_not_stored(monkeypatch, capsys):
-    # III(p=5) at cap 4 lacks a named M1 class; the IV model built before it stays
+def test_a_cap_below_p_plus_1_builds_no_model_of_its_type(monkeypatch, capsys):
+    # cap 4 would cut the weight-0 blocks of III(p=5), whose fields reach
+    # degree 6: refused before the model is built; the IV model named before it stays
     from poissonlab import hopf
 
     monkeypatch.setattr(obstruction, "_STORE", {})
     code, out = run_cli("tables", "hopf", "--p", "5", "--degree", "4")
     assert code == 2 and out == ""
-    assert capsys.readouterr().err == ("error: M1 corank 2 does not match the 3 named "
-                                       "representatives at degree cap 4\n")
-    stored = [(key[1], key[2]) for key in obstruction._STORE if key[0] == "Hopf"]
-    assert (hopf.HopfType("III", 5), 4) not in stored
-    assert stored == [(hopf.HopfType("IV"), 4)]
-    # the failure leaves nothing behind: the default cap 8 of III(p=5) still serves
+    assert capsys.readouterr().err == ("error: degree cap 4 is below 6, the largest degree "
+                                       "of a weight-0 field of type III(p=5)\n")
+    stored = [key[1] for key in obstruction._STORE if key[0] == "Hopf"]
+    assert stored == [hopf.HopfType("IV")]
+    # the refusal leaves nothing behind: with no cap the model of III(p=5) serves
     code, out = run_cli("classify", "hopf:III:p=5", "--poisson", "z*w*@z^@w")
     assert code == 0 and json.loads(out)["data"]["dim_h1"] == 3
 
 
 def test_a_representative_above_the_cap_is_a_usage_error(monkeypatch, capsys):
-    # IIa(p=5) at cap 4: the named M1 class (delta^5 z - w^5) @z has a term of degree 5
+    # IIa(p=5) at cap 4: the named M1 class (delta^5 z - w^5) @z has a term of
+    # degree 5, and the weight-0 fields reach degree 6
     monkeypatch.setattr(obstruction, "_STORE", {})
     monkeypatch.setenv("POISSONLAB_DEGREE_CAP", "4")
     assert run_cli("classify", "hopf:IIa:p=5", "--poisson", "w^6*@z^@w") == (2, "")
-    assert capsys.readouterr().err == ("error: M1 representative (z*delta^5 - w^5)*@z has a "
-                                       "term above degree cap 4\n")
+    assert capsys.readouterr().err == ("error: degree cap 4 is below 6, the largest degree "
+                                       "of a weight-0 field of type IIa(p=5)\n")
     assert not obstruction._STORE
+
+
+@pytest.mark.parametrize("p", [3, 5, P])
+def test_iia_at_the_cap_p_is_refused_and_at_p_plus_1_names_the_model(p, monkeypatch):
+    # at the cap p a truncated IIa model lacked w^(p+1) d/dz ^ d/dw yet passed
+    # its validation, and then failed on z*w*@z^@w with an uncaught error
+    spec = f"hopf:IIa:p={p}"
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    monkeypatch.setenv("POISSONLAB_DEGREE_CAP", str(p))
+    assert _served(("classify", spec, "--poisson", "z*w*@z^@w")) == (
+        2, "", f"error: degree cap {p} is below {p + 1}, the largest degree of a weight-0 "
+               f"field of type IIa(p={p})\n")
+    assert not obstruction._STORE
+    src = f"w^{p + 1}*@z^@w"
+    monkeypatch.setenv("POISSONLAB_DEGREE_CAP", str(p + 1))
+    at_cap = _served(("classify", spec, "--poisson", src))
+    monkeypatch.delenv("POISSONLAB_DEGREE_CAP")
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    assert at_cap[0] == 0 and at_cap == _served(("classify", spec, "--poisson", src))
 
 
 @pytest.mark.parametrize("argv", (
@@ -849,7 +888,7 @@ def test_only_the_hopf_families_read_the_degree_cap(monkeypatch):
     for name in ("ep1", "hopf-iic"):
         assert _served(("verify-family", name))[0] == 0
     assert [key for key in obstruction._STORE if key[0] == "family"] == [
-        ("family", "f2"), ("family", "ep1"), ("family", "hopf-iic", 6)]
+        ("family", "f2"), ("family", "ep1"), ("family", "hopf-iic")]
 
 
 @pytest.mark.parametrize("argv, message", [

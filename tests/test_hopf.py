@@ -11,7 +11,7 @@ from poissonlab.linalg import (LabeledBasis, LinMap, NotInSpan, generic_rank, im
 from poissonlab.multivector import combination, pushforward, schouten
 from poissonlab.obstruction import OBSTRUCTED, UNDETERMINED
 from poissonlab.hopf import (HopfType, MembershipFails, TruncationUnstable,
-                             cover_model, d_membership, default_cap, deformation_model,
+                             cover_model, d_membership, deformation_model,
                              family_data, family_invariance, family_stratum,
                              h95_degeneracy, invariant_bivectors,
                              invariant_fields, make_context,
@@ -19,7 +19,7 @@ from poissonlab.hopf import (HopfType, MembershipFails, TruncationUnstable,
                              obstruction_certificate_hopf, stratum_bivector,
                              stratum_certificate, stratum_row, table4_basis)
 import cover_matrices
-from cover_matrices import cover_matrix, triangular_order, truncated_space
+from cover_matrices import cover_matrix, oracle_cap, triangular_order, truncated_space
 from hopf_cases import H95_CASES, STRATA, table6_pairs
 
 ALL_TYPES = (HopfType("IV"), HopfType("III", 2), HopfType("IIa", 2),
@@ -35,8 +35,7 @@ def test_contractions_invert():
 def test_invariant_field_dims_match_classification():
     expected = {"IV": 4, "III": 3, "IIa": 2, "IIb": 2, "IIc": 2}
     for t in ALL_TYPES:
-        ctx = make_context(t)
-        fields = invariant_fields(ctx, default_cap(t))
+        fields = invariant_fields(model_for(t))
         assert len(fields) == expected[t.tag]
 
 
@@ -49,8 +48,7 @@ def test_invariant_bivector_bases():
         "IIc": ["z*w*(@z^@w)"],
     }
     for t in ALL_TYPES:
-        ctx = make_context(t)
-        bivs = invariant_bivectors(ctx, default_cap(t))
+        bivs = invariant_bivectors(model_for(t))
         assert [str(b) for b in bivs] == expected[t.tag]
 
 
@@ -115,23 +113,20 @@ def test_m1_m2_match_named_lists():
 
 
 def test_truncation_stability_at_higher_p():
-    # the weight-0 blocks carry the whole model: their matrices, the M1/M2
-    # representatives on them and their kernels are the same two caps higher
+    # every cap from p + 1 to the CLI's largest names the one model of a
+    # type; a cap of p, which would cut its weight-0 blocks, is refused
     for t in (HopfType(tag, p) for tag in ("III", "IIa") for p in (2, 3)):
-        low = model_for(t)
-        high = model_for(t, low.cap + 2)
-        for a, b in ((low.block1, high.block1), (low.block2, high.block2)):
-            assert a.domain.elements == b.domain.elements and a.rows == b.rows
-        assert low.m1_space.reps == high.m1_space.reps
-        assert low.m2_space.reps == high.m2_space.reps
-        assert (low.fields, low.bivectors) == (high.fields, high.bivectors)
+        model = model_for(t)
+        assert all(model_for(t, cap) is model for cap in range(t.p + 1, cli.MAX_CAP + 1))
+        with pytest.raises(TruncationUnstable, match=f"degree cap {t.p} is below {t.p + 1}"):
+            model_for(t, t.p)
 
 
 def test_degree_blocks_above_the_kernel_range_are_invertible():
     # grade-2 blocks: degree > 2 for IV/IIb, degree > p+1 otherwise
     for t in ALL_TYPES:
         ctx = make_context(t)
-        cap = default_cap(t)
+        cap = oracle_cap(ctx)
         space = truncated_space(ctx, 2, cap)
         mat = cover_matrix(ctx, space)
         threshold = 2 if t.tag in ("IV", "IIb") else ctx.p + 1
@@ -153,9 +148,8 @@ def test_degree_blocks_above_the_kernel_range_are_invertible():
 
 def test_dim_h0_sq_equals_dim_m2():
     for t in ALL_TYPES:
-        ctx = make_context(t)
-        cap = default_cap(t)
-        assert len(invariant_bivectors(ctx, cap)) == len(model_for(t).m2)
+        model = model_for(t)
+        assert len(invariant_bivectors(model)) == len(model.m2)
 
 
 TABLE5 = {
@@ -352,21 +346,41 @@ def test_cover_models_build_no_matrix_wider_than_their_weight_0_blocks(monkeypat
     monkeypatch.setattr(LinMap, "__init__", init)
     for t in ALL_TYPES:
         sizes.clear()
-        model = model_for(t, 30)
+        model = model_for(t)
         model.fields, model.bivectors
         blocks = {(len(space.basis), len(space.basis)) for space in (model.space1,
                                                                      model.space2)}
         assert sizes and set(sizes) <= blocks
 
 
-def test_cover_model_store_keys_on_type_and_cap():
-    # every context of a type has the same registry, so the key needs none
+def test_cover_model_store_keys_on_type():
+    # every context of a type has the same registry, so the key needs none;
+    # every cap it accepts names the one model
     t = HopfType("IV")
     a, b = make_context(t), make_context(t)
     assert a.registry == b.registry == make_context(HopfType("IIc")).registry
-    assert cover_model(a, 4) is cover_model(b, 4) is not cover_model(a, 5)
-    fields = invariant_fields(b, 4)
+    assert cover_model(a, 4) is cover_model(b, 5) is cover_model(a, None)
+    assert cover_model(a, None) is not cover_model(make_context(HopfType("IIc")), None)
+    fields = invariant_fields(cover_model(b, None))
     assert fields and all(f.registry == a.registry for f in fields)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda ctx, m1, m2: (m1[:-1], m2), "M1 corank 2 does not match the 1 named"),
+    (lambda ctx, m1, m2: (m1, [m2[0] + ctx.mv(ctx.z(3), ("z", "w"))]),
+     r"M2 representative .*: has a term off weight 0"),
+    (lambda ctx, m1, m2: (m1[:-1] + [m1[0] + m1[0]], m2),
+     r"M1 representative .*: representative lies in the span"),
+], ids=("corank", "off-weight-0", "dependent"))
+def test_named_classes_that_fail_validation_leave_no_model(tamper, message, monkeypatch):
+    # the named M1/M2 representatives must be weight-0 fields complementing
+    # the image of each block; a failure is an internal error, and nothing is kept
+    real = hopf_mod._named_m_reps
+    monkeypatch.setattr(obstruction, "_STORE", {})
+    monkeypatch.setattr(hopf_mod, "_named_m_reps", lambda ctx: tamper(ctx, *real(ctx)))
+    with pytest.raises(RuntimeError, match=message):
+        model_for(HopfType("IIc"))
+    assert not obstruction._STORE
 
 
 def test_hopf_tables_build_each_cover_matrix_and_kernel_once(monkeypatch):
@@ -492,19 +506,18 @@ def test_the_model_store_is_the_only_module_state():
     t = HopfType("IIb")
     a, b = make_context(t), make_context(t)
     assert a is not b and a == b
-    assert cover_model(a, 4) is cover_model(b, 4) is model_for(t, 4)
-    assert obstruction._STORE["Hopf", t, 4] is model_for(t, 4)
+    assert cover_model(a, 4) is cover_model(b, None) is model_for(t, 40)
+    assert obstruction._STORE["Hopf", t] is model_for(t)
 
 
 def test_invariant_lists_do_not_share_the_model_copy():
-    ctx = make_context(HopfType("IIc"))
-    cap = default_cap(HopfType("IIc"))
-    fields = invariant_fields(ctx, cap)
+    model = model_for(HopfType("IIc"))
+    fields = invariant_fields(model)
     fields.clear()
-    bivs = invariant_bivectors(ctx, cap)
+    bivs = invariant_bivectors(model)
     bivs.append(bivs[0])
-    assert [str(f) for f in invariant_fields(ctx, cap)] == ["z*@z", "w*@w"]
-    assert [str(b) for b in invariant_bivectors(ctx, cap)] == ["z*w*(@z^@w)"]
+    assert [str(f) for f in invariant_fields(model)] == ["z*@z", "w*@w"]
+    assert [str(b) for b in invariant_bivectors(model)] == ["z*w*(@z^@w)"]
 
 
 # the five types, the resonant ones at p = 2, 3, 5
@@ -548,9 +561,11 @@ def _weight(t, comp, mu, nu):
 def test_cover_matrices_are_block_diagonal_by_weight(t):
     # the facts the cover models rest on: no entry joins two weights, every
     # diagonal entry off weight 0 is nonzero, and the weight-0 block has a
-    # size that does not depend on the cap; a model's weight-0 space lists
-    # the weight-0 fields in the order of the whole space
+    # size that does not depend on the cap from p + 1 on; a model's
+    # weight-0 space lists the weight-0 fields in the order of the whole
+    # space, and below p + 1 the cap cuts its fields of higher degree
     ctx = make_context(t)
+    w0 = {grade: hopf_mod.weight0_space(ctx, grade) for grade in (1, 2)}
     for cap in range(3, 13):
         for grade in (1, 2):
             space = truncated_space(ctx, grade, cap)
@@ -567,10 +582,12 @@ def test_cover_matrices_are_block_diagonal_by_weight(t):
                        for j, entry in enumerate(row) if entry.terms)
             assert all(mat.rows[k][k].terms for k in range(mat.n_rows) if weights[k])
             if cap >= ctx.p + 1:
-                assert len(space.resonant) == WEIGHT0_SIZES[t.tag][grade - 1]
-            w0 = hopf_mod.weight0_space(ctx, grade, cap)
-            assert w0.basis.elements == tuple(space.basis[k] for k in space.resonant)
-            assert list(w0.index) == [key for key, k in space.index.items() if not weights[k]]
+                assert len(w0[grade].basis) == WEIGHT0_SIZES[t.tag][grade - 1]
+            kept = [(key, k) for key, k in w0[grade].index.items() if key[1] + key[2] <= cap]
+            assert cover_matrices.weight0_fields(space) == tuple(w0[grade].basis[k]
+                                                                 for _, k in kept)
+            assert [key for key, _ in kept] == [key for key, k in space.index.items()
+                                                if not weights[k]]
 
 
 def _rank_at(columns, name, value):
@@ -642,7 +659,7 @@ def test_a_corrupted_cover_matrix_raises_before_elimination(monkeypatch, corrupt
     message = {"join": "joins two weights", "diagonal": "zero diagonal entry off weight 0",
                "cycle": "not triangular"}[corruption]
     with pytest.raises(RuntimeError, match=message):
-        cover_matrices.full_kernel(make_context(t), 1, default_cap(t))
+        cover_matrices.full_kernel(make_context(t), 1, oracle_cap(make_context(t)))
     assert not kernels
     if corruption == "join":
         real_push = hopf_mod.pushforward
@@ -664,7 +681,7 @@ def test_a_corrupted_cover_matrix_raises_before_elimination(monkeypatch, corrupt
 @pytest.mark.parametrize("t", TYPES_AT_P, ids=HopfType.label)
 def test_triangular_kernels_equal_kernel_basis(t):
     ctx = make_context(t)
-    for cap in range(max(hopf_mod.MIN_CAP, ctx.p + 1), 13):
+    for cap in range(max(cli.MIN_CAP, ctx.p + 1), 13):
         model = cover_model(ctx, cap)
         for found, grade in ((model.fields, 1), (model.bivectors, 2)):
             assert list(found) == cover_matrices.full_kernel(ctx, grade, cap)
@@ -682,9 +699,9 @@ def test_ordered_quotients_equal_unordered_ones(t):
     # class reduction through the weight-0 blocks, eliminated in their
     # triangular orders, equals reduction against the whole image
     ctx = make_context(t)
-    model = cover_model(ctx, default_cap(t) + 1)
+    model, cap = model_for(t), oracle_cap(ctx) + 1
     for grade, ordered, reps in ((1, model.m1_space, model.m1), (2, model.m2_space, model.m2)):
-        space = truncated_space(ctx, grade, model.cap)
+        space = truncated_space(ctx, grade, cap)
         mono = cover_matrices.mono_coords(ctx, space)
         plain = image_space(cover_matrix(ctx, space))
         for rep in reps:
@@ -722,28 +739,28 @@ def test_reductions_drop_terms_off_weight_0_as_the_whole_image_does(t):
 def test_id_minus_fstar_equals_the_pushforward_of_each_basis_field(t):
     # the oracle's matrix, built from pushed frames and monomial images,
     # equals, column by column, v - f_* v pushed forward whole and truncated
-    # at the cap; so does the model's weight-0 block, which has no term off
-    # weight 0
+    # at the cap; the model's weight-0 block, which pushes forward whole,
+    # equals it from the cap p + 1 on, since no term drops there
     ctx = make_context(t)
-    for cap in range(3, 13):
-        for grade in (1, 2):
+    for grade in (1, 2):
+        w0 = hopf_mod.weight0_space(ctx, grade)
+        block = hopf_mod.id_minus_fstar(ctx, w0)
+        red0 = hopf_mod.mono_coords(ctx, w0, "off weight 0")
+        for cap in range(3, 13):
             space = truncated_space(ctx, grade, cap)
             mat = cover_matrix(ctx, space)
             red = cover_matrices.mono_coords(ctx, space)
             for j, v in enumerate(space.basis):
                 image = _truncate(pushforward(ctx.contraction, v), cap)
                 assert mat.column(j) == red(v - image)
-            w0 = hopf_mod.weight0_space(ctx, grade, cap)
-            block = hopf_mod.id_minus_fstar(ctx, w0)
-            red0 = hopf_mod.mono_coords(ctx, w0, "off weight 0")
-            for j, v in enumerate(w0.basis):
+            for j, v in enumerate(w0.basis if cap >= ctx.p + 1 else ()):
                 image = _truncate(pushforward(ctx.contraction, v), cap)
                 assert block.column(j) == red0(v - image)
 
 
 def _truncate(mv, cap):
     """The terms of `mv` of total (z, w) degree at most `cap`."""
-    return mv.map_coefficients(lambda poly: hopf_mod._low_degree(poly, cap))
+    return mv.map_coefficients(lambda poly: cover_matrices.low_degree(poly, cap))
 
 
 # the five types, the resonant ones at p = 2, 3, 5 and at the CLI's largest p
@@ -759,23 +776,29 @@ def test_the_block_lemma_holds_on_the_whole_truncated_operator(t):
     # zero diagonal entry off weight 0 and an acyclic pattern (checked as it
     # is built).  So each block off weight 0 is triangular with a nonzero
     # diagonal, hence invertible, and the whole operator has the kernel and
-    # the cokernel of its weight-0 block, which must be the model's
+    # the cokernel of its weight-0 block, which from the cap p + 1 on must
+    # be the one model's.  Below p + 1 the cap is refused: there the
+    # truncated block lacks a weight-0 field, and it either fails the
+    # model's validation or, for IIa at the cap p, passes it with a wrong
+    # kernel
     ctx = make_context(t)
+    model = cover_model(ctx, None)
     for cap in LEMMA_CAPS:
-        try:
-            model = cover_model(ctx, cap)
-        except TruncationUnstable:
-            model = None
-        valid = True
+        refused = cap < ctx.p + 1
+        if refused:
+            with pytest.raises(TruncationUnstable):
+                cover_model(ctx, cap)
+        else:
+            assert cover_model(ctx, cap) is model
+        valid, lost, wrong = True, False, False
         for grade, named in zip((1, 2), hopf_mod._named_m_reps(ctx)):
             space = truncated_space(ctx, grade, cap)
             cols = cover_matrices.id_minus_fstar(ctx, space)
             mono = cover_matrices.mono_coords(ctx, space)
             res = space.resonant
-            basis = LabeledBasis(f"grade {grade}, weight 0", tuple(space.basis[k] for k in res))
+            basis = LabeledBasis(f"grade {grade}, weight 0", cover_matrices.weight0_fields(space))
             block = LinMap(basis, basis, cover_matrices.weight0_block(ctx, space, cols),
                            ctx.registry)
-            assert hopf_mod.weight0_space(ctx, grade, cap).basis.elements == basis.elements
             kernel = [combination(v, basis) for v in kernel_basis(block)]
             for v in kernel:
                 # killed by every column of the whole operator
@@ -793,15 +816,22 @@ def test_the_block_lemma_holds_on_the_whole_truncated_operator(t):
                 except NotInSpan:
                     ok = False
             valid = valid and ok
-            if model is not None:
-                found, ours, ours_quot = ((model.fields, model.block1, model.m1_space)
-                                          if grade == 1 else
-                                          (model.bivectors, model.block2, model.m2_space))
-                assert ours.rows == block.rows
+            found, ours, ours_quot = ((model.fields, model.block1, model.m1_space)
+                                      if grade == 1 else
+                                      (model.bivectors, model.block2, model.m2_space))
+            if refused:
+                lost = lost or len(basis) < len(ours.domain)
+                wrong = wrong or list(found) != kernel
+            else:
+                assert ours.domain.elements == basis.elements and ours.rows == block.rows
                 assert list(found) == kernel
                 assert ours_quot.reps == quot.reps
-        assert (model is not None) == valid
-        assert valid or cap < ctx.p + 1
+        if refused:
+            assert lost
+            assert valid == (t.tag == "IIa" and cap == ctx.p)
+            assert wrong or not valid
+        else:
+            assert valid
 
 
 @pytest.mark.parametrize("t", ALL_TYPES, ids=HopfType.label)
@@ -814,19 +844,23 @@ def test_bivector_coords_reject_terms_off_weight_0_and_above_the_cap(t):
     off = lam + ctx.mv(ctx.z(), ("z", "w"))
     with pytest.raises(NotInSpan, match="bivector has a term off weight 0"):
         model.bivector_coords(off)
-    # w^(cap+1)*@z^@w weighs cap - p, off weight 0 at every cap: that is
-    # the reason given, before the cap; without the message, the reducer
-    # drops a term off weight 0 only up to the cap
-    high = ctx.mv(ctx.w(model.cap + 1), ("z", "w"))
+    # w^(cap+1)*@z^@w, above the CLI's largest cap, weighs cap - p: off
+    # weight 0, which is the reason given; without the message, the reducer
+    # drops it, as it drops every term off weight 0
+    high = ctx.mv(ctx.w(cli.MAX_CAP + 1), ("z", "w"))
     plain = hopf_mod.mono_coords(ctx, model.space2)
     for v in (lam + high, off + high):
         with pytest.raises(NotInSpan, match="bivector has a term off weight 0"):
             model.bivector_coords(v)
-        with pytest.raises(NotInSpan, match="field not inside the truncated monomial space"):
-            plain(v)
-    # a negative exponent is outside the monomial space at every weight
-    with pytest.raises(NotInSpan, match="field not inside the truncated monomial space"):
+        assert plain(v) == plain(lam)
+    # a negative exponent and a term of another grade are outside the
+    # monomial space at every weight, and the message says which
+    with pytest.raises(NotInSpan, match="field has a term with a negative exponent"):
         model.bivector_coords(off + ctx.mv(ctx.w(-1), ("z", "w")))
+    with pytest.raises(NotInSpan, match="field has a term with a negative exponent"):
+        plain(lam + ctx.mv(ctx.z(-1) * ctx.w(2), ("z", "w")))
+    with pytest.raises(NotInSpan, match="field has a term of grade 1, not 2"):
+        plain(lam + ctx.mv(ctx.w(), ("w",)))
 
 
 def test_an_automorphism_basis_with_a_field_off_weight_0_is_not_verified(monkeypatch):

@@ -194,12 +194,12 @@ def test_representative_in_the_image_is_rejected():
 def test_quotient_coords_recovers_hopf_class_coordinates(tag, p):
     t = hopf.HopfType(tag, p)
     ctx = hopf.make_context(t)
-    model = hopf.cover_model(ctx, hopf.default_cap(t))
+    model = hopf.model_for(t)
     reg = ctx.registry
     alpha, delta = LaurentPoly.var(reg, "alpha"), LaurentPoly.var(reg, "delta")
     rng = random.Random(f"{tag}{p}")
     for grade, m in ((1, model.m1), (2, model.m2)):
-        space = cover_matrices.truncated_space(ctx, grade, model.cap)
+        space = cover_matrices.truncated_space(ctx, grade, cover_matrices.oracle_cap(ctx))
         mat = cover_matrices.cover_matrix(ctx, space)
         mono = cover_matrices.mono_coords(ctx, space)
         reps = [mono(e) for e in m]
@@ -219,8 +219,9 @@ def test_quotient_coords_recovers_hopf_class_coordinates(tag, p):
             assert model.reduce_m(grade)(combination(target, space.basis)) == coeffs
 
 
-# sha256 of the kernel vectors of the grade-1 and grade-2 id - f_* and the class coordinates
-# in M1 and M2 of every unit vector, printed one per line
+# sha256 of the kernel vectors of the grade-1 and grade-2 id - f_*, truncated at the
+# oracle's cap p + 3, and the class coordinates in M1 and M2 of every unit vector, printed
+# one per line
 COVER_DIGESTS = {
     ("IV", None): "d9405c1db8283c81d2827b1a87723c11d90d370372ac37eba6eda90f541fbcab",
     ("III", 2): "794c6af9d257c1de0ad9d2f1c94267c49fe7092fc730bcd82fd6304348de094e",
@@ -234,10 +235,10 @@ COVER_DIGESTS = {
 def test_hopf_cover_kernels_and_quotients_are_pinned(tag, p):
     t = hopf.HopfType(tag, p)
     ctx = hopf.make_context(t)
-    model = hopf.cover_model(ctx, hopf.default_cap(t))
+    model = hopf.model_for(t)
     lines = []
     for grade in (1, 2):
-        space = cover_matrices.truncated_space(ctx, grade, model.cap)
+        space = cover_matrices.truncated_space(ctx, grade, cover_matrices.oracle_cap(ctx))
         mat = cover_matrices.cover_matrix(ctx, space)
         lines.append(f"{mat.n_rows}x{mat.n_cols}")
         for vec in kernel_basis(mat):

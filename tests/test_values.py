@@ -36,7 +36,7 @@ def _frozen_values():
         "Chart": (W, "vars"),
         "ChartMap": (_identity(), "inverse"),
         "ChartFrame": (ChartFrame(W, REG), "dbar"),
-        "Weight0Space": (hopf.weight0_space(hctx, 1, 3), "cap"),
+        "Weight0Space": (hopf.weight0_space(hctx, 1), "grade"),
         "RuledSurface": (ruled.make_surface(3), "m"),
     }
 
